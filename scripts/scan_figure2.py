@@ -8,12 +8,10 @@ a zero below t0).  Writes the CSV consumed by the contour figure.
 
 import argparse
 import collections
-import math
 import sys
 
+from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.region_scan import scan_region, scan_to_csv
-
-DELTA0 = math.log(2.0) / (2.0 * math.pi)
 
 
 def main():
@@ -21,7 +19,7 @@ def main():
     ap.add_argument("--nu-max", type=float, default=16.0)
     ap.add_argument("--step", type=float, default=0.5)
     ap.add_argument("--t0", type=float, default=14.13)
-    ap.add_argument("--delta", type=float, default=DELTA0)
+    ap.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS)
     ap.add_argument("--conductor", type=float, default=1.0)
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None, help="CSV path (default: stdout)")

@@ -33,8 +33,7 @@ from .lfunctions import (
 )
 from .region_scan import scan_region, scan_to_csv
 
-DELTA0 = PRIME_FREE_RADIUS  # log2/(2 pi), the largest coefficient-free aperture
-DEFAULT_LENGTH = 5.0 / DELTA0
+DEFAULT_LENGTH = 5.0 / PRIME_FREE_RADIUS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,8 +87,7 @@ def _cmd_eval_extremal(args) -> Tuple[str, int]:
     if args.fourier:
         lines.append("x,fhat")
         for x in xs:
-            fv = f.fourier_closed(x) if f.fourier_closed is not None else fourier_at(f, float(x))
-            lines.append(f"{_fmt(x)},{_fmt(fv)}")
+            lines.append(f"{_fmt(x)},{_fmt(fourier_at(f, float(x)))}")
     return "\n".join(lines) + "\n", 0
 
 
@@ -195,7 +193,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--from", dest="from_", type=float, required=True)
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--delta", type=float, default=DELTA0,
+    p.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS,
                    help="transform bandwidth (default log2/(2 pi))")
     p.add_argument("--length", type=float, default=None,
                    help="selberg: symmetric window length")
@@ -211,14 +209,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("certify-gap", help="grid-certify a universal gap bound")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--length", type=float, required=True, help="window length")
-    p.add_argument("--delta", type=float, default=DELTA0)
+    p.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS)
     _add_common_grid(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_certify_gap)
 
     p = sub.add_parser("min-ell", help="minimize the archimedean term over mu")
     p.add_argument("--length", type=float, required=True, help="window length")
-    p.add_argument("--delta", type=float, default=DELTA0)
+    p.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS)
     _add_common_grid(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_min_ell)
@@ -227,7 +225,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--nu-max", type=float, default=16.0)
     p.add_argument("--step", type=float, default=0.5)
     p.add_argument("--t0", type=float, default=14.13)
-    p.add_argument("--delta", type=float, default=DELTA0)
+    p.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS)
     p.add_argument("--conductor", type=float, default=1.0, help="assumed Q >= 1")
     p.add_argument("--convention", choices=("halved", "literal"), default="halved")
     p.add_argument("--threads", type=int, default=1,
@@ -239,7 +237,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify-example", help="explicit-formula consistency report")
     p.add_argument("--data", default=None, help="L-function JSON (default: bundled)")
     p.add_argument("--length", type=float, default=DEFAULT_LENGTH)
-    p.add_argument("--delta", type=float, default=DELTA0)
+    p.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS)
     p.add_argument("--convention", choices=("halved", "literal"), default="halved")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)

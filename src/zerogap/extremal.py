@@ -18,26 +18,30 @@ would evaluate it.  At integers sin(pi x) vanishes exactly (the reduction
 x - round(x) is exact in floating point), so B(n) = sgn(n) for integer
 n != 0 falls out with no special casing.
 
-Beyond the last sign change each function is also carried as an explicit
-tail decomposition (smooth part plus amplitude-times-cosine components with
-derivative bounds), which is what lets the explicit-formula integrals and
-Fourier transforms be finished analytically instead of by brute truncation.
+Every constructor also sets the exact Fourier transform, supported in
+[-delta, delta]: Vaaler's closed form for the Selberg minorant (J. D.
+Vaaler, "Some extremal functions in Fourier analysis", Bull. AMS 12, 1985),
+a triangle for the Fejer kernel, and t0^2 g^ + g^''/(4 pi^2) for the windowed
+kernel, where g^ is a scaled cubic B-spline.  The pointwise explicit-formula
+term and ``fourier_at`` read only this transform.  Each function is also
+carried beyond its last sign change as an explicit tail decomposition
+(smooth part plus amplitude-times-cosine components with derivative bounds);
+only the lattice evaluator ``explicit_formula.ell_grid`` reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 from .special_math import (
     DecayEnvelope,
     OscComponent,
     TailDecomposition,
-    integrate_line,
     trigamma_real,
     _tetragamma_real,
 )
@@ -61,9 +65,9 @@ class TestFunction:
     positivity_window is the open interval outside of which f <= 0, the
     string "everywhere" for nonnegative kernels, or None when no positive
     region could be confirmed.  envelope declares |f(t)| <= M/t^2 beyond
-    T0 and optionally carries the structured tail.  fourier_closed, when
-    set, is the exact transform (used as a cross-check and fast path; the
-    numeric route is fourier_at).
+    T0 and optionally carries the structured tail.  fourier_closed is the
+    exact transform xi -> f^(xi), vectorized, complex in general and zero
+    for |xi| >= support_radius.
     """
 
     value: Callable
@@ -71,8 +75,8 @@ class TestFunction:
     support_radius: float
     positivity_window: Union[Tuple[float, float], str, None]
     envelope: DecayEnvelope
+    fourier_closed: Callable
     even: bool = True
-    fourier_closed: Optional[Callable] = None
     label: str = ""
 
 
@@ -172,6 +176,22 @@ def _find_window(value: Callable, alpha: float, beta: float, delta: float):
     return (lo, hi)
 
 
+def _u_cot_pi_u(u: np.ndarray) -> np.ndarray:
+    # u cot(pi u) for |u| <= 1/2, with its removable value 1/pi at u = 0
+    safe = np.where(u == 0.0, 1.0, u)
+    return np.where(u == 0.0, 1.0 / math.pi, safe / np.tan(math.pi * safe))
+
+
+def _vaaler_j(u: np.ndarray) -> np.ndarray:
+    # J^(u) = (1 - |u|) pi u cot(pi u) + |u| on |u| < 1 and 0 beyond.  For
+    # |u| > 1/2 the identity cot(pi |u|) = -cot(pi v), v = 1 - |u|, turns the
+    # cotangent's pole at |u| = 1 into the removable point of v cot(pi v).
+    a = np.abs(u)
+    near = (1.0 - a) * math.pi * _u_cot_pi_u(np.minimum(a, 0.5)) + a
+    far = a - math.pi * a * _u_cot_pi_u(np.clip(1.0 - a, 0.0, 0.5))
+    return np.where(a <= 0.5, near, np.where(a < 1.0, far, 0.0))
+
+
 def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
     """Selberg's minorant of the indicator of [alpha, beta]:
 
@@ -209,10 +229,6 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
     def smooth(t):
         return -half * (_beurling_w(ua(t)) + _beurling_w(ub(t)))
 
-    def d_smooth(t):
-        return -half * delta * (-_beurling_w_deriv(float(ua(t)))
-                                + _beurling_w_deriv(float(ub(t))))
-
     def q_a(t):
         return half * _beurling_w(ua(t))
 
@@ -234,12 +250,23 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
     tail = TailDecomposition(
         t_valid=t_valid,
         smooth=smooth, c_p=2.0 * c_q,
-        d_smooth=d_smooth, c_dp=2.0 * c_dq, c_ddp=2.0 * c_ddq,
         components=(
             OscComponent(q_a, dq_a, omega, -omega * alpha, c_q, c_dq, c_ddq),
             OscComponent(q_b, dq_b, omega, -omega * beta, c_q, c_dq, c_ddq),
         ),
     )
+
+    # Vaaler (1985): S^(xi) = J^(xi/delta) chi^(xi)
+    #   - (1/delta) K^(xi/delta) cos(pi xi L) e^{-pi i xi (alpha + beta)},
+    # chi^(xi) = L sinc(xi L) e^{-pi i xi (alpha + beta)}, K^(u) = (1 - |u|)_+
+    length, centre = beta - alpha, alpha + beta
+
+    def ft(x):
+        xi = np.asarray(x, dtype=float)
+        u = xi / delta
+        body = (_vaaler_j(u) * length * np.sinc(xi * length)
+                - np.maximum(1.0 - np.abs(u), 0.0) / delta * np.cos(math.pi * xi * length))
+        return body * np.exp(-1j * math.pi * centre * xi)
 
     # numeric sup of t^2 |f| beyond T0 (sampled over several phase wraps
     # and out to 10 T0, inflated 5%)
@@ -256,7 +283,7 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         positivity_window=window,
         envelope=envelope,
         even=(alpha == -beta),
-        fourier_closed=None,
+        fourier_closed=ft,
         label=f"selberg[{alpha:g},{beta:g}]@{delta:g}",
     )
 
@@ -277,9 +304,6 @@ def fejer(delta: float) -> TestFunction:
         t_valid=1.0 / delta,
         smooth=lambda t: c / np.asarray(t, dtype=float) ** 2,
         c_p=c,
-        d_smooth=lambda t: -2.0 * c / np.asarray(t, dtype=float) ** 3,
-        c_dp=2.0 * c,
-        c_ddp=6.0 * c,
         components=(
             OscComponent(
                 amplitude=lambda t: -c / np.asarray(t, dtype=float) ** 2,
@@ -353,18 +377,28 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
             lambda t: k * d_amp(t),
         )
 
-    a6, da6 = scaled(6.0)
     a8, da8 = scaled(-8.0)
     a2, da2 = scaled(2.0)
     tail = TailDecomposition(
         t_valid=t_valid,
-        smooth=a6, c_p=6.0 * c_a,
-        d_smooth=da6, c_dp=6.0 * c_da, c_ddp=6.0 * c_dda,
+        smooth=lambda t: 6.0 * amp(t), c_p=6.0 * c_a,
         components=(
             OscComponent(a8, da8, om, 0.0, 8.0 * c_a, 8.0 * c_da, 8.0 * c_dda),
             OscComponent(a2, da2, 2.0 * om, 0.0, 2.0 * c_a, 2.0 * c_da, 2.0 * c_dda),
         ),
     )
+
+    # sinc^4(a t) has transform g^(xi) = M4(xi/a)/a, a = delta/2, with the
+    # centred cubic B-spline M4(s) = ((2 - |s|)_+^3 - 4 (1 - |s|)_+^3)/6;
+    # multiplying by t^2 maps g^ to -g^''/(4 pi^2)
+    a = 0.5 * delta
+
+    def ft(x):
+        s = np.abs(np.asarray(x, dtype=float)) / a
+        p2, p1 = np.maximum(2.0 - s, 0.0), np.maximum(1.0 - s, 0.0)
+        m4 = (p2**3 - 4.0 * p1**3) / 6.0
+        m4_dd = p2 - 4.0 * p1
+        return t0 * t0 * m4 / a + m4_dd / (4.0 * math.pi**2 * a**3)
 
     m_env = 16.0 / pd4  # (t^2 - t0^2) sinc^4 <= t^2 (2/(pi delta t))^4
     return TestFunction(
@@ -374,108 +408,15 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
         positivity_window=(-t0, t0),
         envelope=DecayEnvelope(m=m_env, t0=t_valid, tail=tail),
         even=True,
-        fourier_closed=None,
+        fourier_closed=ft,
         label=f"windowed_fejer@{t0:g},{delta:g}",
     )
 
 
-# ---------------------------------------------------------------------------
-# numeric Fourier transform
-# ---------------------------------------------------------------------------
-
-
-def _canonical(items):
-    """Fold cos items (Q, dQ, omega, phase, cq, cdq, cddq) to omega >= 0;
-    items with omega ~ 0 are returned separately as smooth contributions."""
-    comps, smooth = [], []
-    for (q, dq, om, ph, cq, cdq, cddq) in items:
-        if om < 0:
-            om, ph = -om, -ph
-        if om < 1e-9:
-            k = math.cos(ph)
-            smooth.append((q, dq, k, cq, cdq, cddq))
-        else:
-            comps.append(OscComponent(q, dq, om, ph, cq, cdq, cddq))
-    return comps, smooth
-
-
-def _modulated_tail(tail: TailDecomposition, a: float, trig: str) -> TailDecomposition:
-    """Tail decomposition of g(t) * cos(a t) or g(t) * sin(a t)."""
-    shift = 0.0 if trig == "cos" else -0.5 * math.pi
-    items = []
-
-    def emit(q, dq, om, ph, cq, cdq, cddq):
-        # q cos(om t + ph) * cos(a t) -> half-amplitude at om +- a;
-        # the sin carrier is cos shifted by -pi/2 with a sign flip on om - a
-        s = 1.0 if trig == "cos" else -1.0
-        items.append((_scale(q, 0.5), _scale_s(dq, 0.5), om + a, ph + shift, 0.5 * cq, 0.5 * cdq, 0.5 * cddq))
-        items.append((_scale(q, 0.5 * s), _scale_s(dq, 0.5 * s), om - a, ph + shift, 0.5 * cq, 0.5 * cdq, 0.5 * cddq))
-
-    def _scale(f, k):
-        return lambda t: k * f(t)
-
-    def _scale_s(f, k):
-        return lambda t: k * f(t)
-
-    # the smooth part is the omega = 0, phase = 0 component
-    emit(tail.smooth, tail.d_smooth, 0.0, 0.0, tail.c_p, tail.c_dp, tail.c_ddp)
-    for c in tail.components:
-        emit(c.amplitude, c.d_amplitude, c.omega, c.phase, c.c_q, c.c_dq, c.c_ddq)
-
-    comps, smooth_parts = _canonical(items)
-
-    def smooth(t):
-        tv = np.asarray(t, dtype=float)
-        acc = np.zeros(tv.shape if tv.ndim else (1,))
-        for (q, _dq, k, *_rest) in smooth_parts:
-            acc = acc + k * np.atleast_1d(np.asarray(q(tv), dtype=float))
-        return acc if tv.ndim else acc
-
-    def d_smooth(t):
-        acc = 0.0
-        for (_q, dq, k, *_rest) in smooth_parts:
-            acc += k * dq(t)
-        return acc
-
-    c_p = sum(abs(k) * cq for (_q, _dq, k, cq, _cdq, _cddq) in smooth_parts)
-    c_dp = sum(abs(k) * cdq for (_q, _dq, k, _cq, cdq, _cddq) in smooth_parts)
-    c_ddp = sum(abs(k) * cddq for (_q, _dq, k, _cq, _cdq, cddq) in smooth_parts)
-    return TailDecomposition(
-        t_valid=tail.t_valid,
-        smooth=smooth, c_p=c_p,
-        d_smooth=d_smooth, c_dp=c_dp, c_ddp=c_ddp,
-        components=tuple(comps),
-    )
-
-
-def _fourier_part(f: TestFunction, x: float, trig: str, tol: float) -> float:
-    a = 2.0 * math.pi * x
-    carrier = np.cos if trig == "cos" else np.sin
-    if a == 0.0 and trig == "sin":
-        return 0.0
-
-    def g(t):
-        tv = np.asarray(t, dtype=float)
-        return f.value(tv) * carrier(a * tv)
-
-    env = f.envelope
-    if env.tail is not None:
-        tail = _modulated_tail(env.tail, a, trig) if a != 0.0 else env.tail
-        env = DecayEnvelope(m=env.m, t0=env.t0, log_factor=env.log_factor, tail=tail)
-    return integrate_line(g, tol, env).value
-
-
 def fourier_at(f: TestFunction, x: float, tol: float = 1e-7) -> float:
-    """f^(x) = int f(u) e^{-2 pi i u x} du, evaluated numerically.
+    """Re f^(x), f^(x) = int f(u) e^{-2 pi i u x} du, from the closed form.
 
-    Returns the real part; for an even test function the imaginary part is
-    checked to be below 1e-8 before being discarded.
+    The value is exact to rounding; tol is accepted for the callers that
+    pass a quadrature tolerance and does not affect the result.
     """
-    re = _fourier_part(f, x, "cos", tol)
-    im = -_fourier_part(f, x, "sin", tol)
-    if f.even and abs(im) > 1e-8:
-        raise AccuracyError(
-            f"imaginary leakage {im:.3e} in the transform of an even function",
-            best=re,
-        )
-    return re
+    return float(np.real(f.fourier_closed(x)))

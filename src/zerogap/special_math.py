@@ -1,4 +1,4 @@
-"""Special functions and line quadrature.
+"""Special functions, interval quadrature, and test-function tail data.
 
 The digamma and trigamma implementations use the classical scheme: the
 recurrence psi(z+1) = psi(z) + 1/z pushes the argument into a region where
@@ -7,24 +7,22 @@ series is then evaluated by Horner's rule in 1/z^2.  Arguments left of
 Re z = 1/2 go through the reflection formula with an exactly reduced
 cotangent so that accuracy does not degrade near the negative real axis.
 
-``integrate_line`` integrates over the whole real line.  Integrands must
-come with a declared decay envelope |g(t)| <= M/t^2 (optionally with a
-logarithmic factor).  For integrands that oscillate while decaying only
-quadratically, a crude sup-norm tail bound would force absurd truncation
-points, so the envelope can carry a structured tail decomposition
+``integrate_interval`` is adaptive Gauss-Kronrod quadrature on a finite
+interval.  It is all the pointwise explicit-formula terms need: they are
+computed on the frequency side, where every test function's transform is
+supported in [-delta, delta], so no integral runs over the whole line.
 
-    g(t) = P(t) + sum_i Q_i(t) * cos(omega_i t + phi_i)   for |t| >= t_valid
+``DecayEnvelope`` declares |f(t)| <= m/t^2 beyond t0, which bounds the mass
+of unlisted zeros.  Its optional ``TailDecomposition``
 
-with smooth P, Q_i.  The smooth part is integrated on geometrically growing
-panels, and each oscillatory component is integrated up to a moderate cutoff
-and then finished with two explicit integrations by parts; the remainder
-after the second integration by parts is bounded analytically and folded
-into the error estimate.
+    f(t) = P(t) + sum_i Q_i(t) * cos(omega_i t + phi_i)   for |t| >= t_valid
+
+feeds only the lattice evaluator ``explicit_formula.ell_grid``, which still
+integrates in the time domain and finishes the tails analytically.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -40,7 +38,6 @@ __all__ = [
     "TailDecomposition",
     "digamma",
     "integrate_interval",
-    "integrate_line",
     "log_gamma",
     "trigamma_real",
 ]
@@ -322,13 +319,18 @@ def integrate_interval(
         sel = errs >= cutoff
         if not sel.any():
             sel = errs == errs.max()
+        # only the halves of bisected panels are new; the rest keep their sums
         mid = 0.5 * (lo[sel] + hi[sel])
-        new_lo = np.concatenate([lo[~sel], lo[sel], mid])
-        new_hi = np.concatenate([hi[~sel], mid, hi[sel]])
-        order = np.argsort(new_lo, kind="stable")
-        lo, hi = new_lo[order], new_hi[order]
-        vals, errs, n = _gk_batch(gv, lo, hi)
+        split_lo = np.concatenate([lo[sel], mid])
+        split_hi = np.concatenate([mid, hi[sel]])
+        split_vals, split_errs, n = _gk_batch(gv, split_lo, split_hi)
         evals += n
+        lo = np.concatenate([lo[~sel], split_lo])
+        order = np.argsort(lo, kind="stable")
+        lo = lo[order]
+        hi = np.concatenate([hi[~sel], split_hi])[order]
+        vals = np.concatenate([vals[~sel], split_vals])[order]
+        errs = np.concatenate([errs[~sel], split_errs])[order]
     return QuadratureResult(float(vals.sum()), float(errs.sum()), evals)
 
 
@@ -357,20 +359,15 @@ class OscComponent:
 
 @dataclass(frozen=True)
 class TailDecomposition:
-    """Exact structure of an integrand beyond |t| >= t_valid.
+    """Exact structure of a test function beyond |t| >= t_valid.
 
     g(t) = smooth(t) + sum_i amplitude_i(t) cos(omega_i t + phase_i),
-    with |smooth| <= c_p/t^2, |smooth'| <= c_dp/|t|^3, |smooth''| <= c_ddp/t^4.
-    The derivative data lets the tail be re-modulated by cos/sin carriers
-    (Fourier transforms) without losing the analytic remainder bounds.
+    with |smooth| <= c_p/t^2.
     """
 
     t_valid: float
     smooth: Callable
     c_p: float
-    d_smooth: Callable = lambda t: 0.0 * np.asarray(t, dtype=float)
-    c_dp: float = 0.0
-    c_ddp: float = 0.0
     components: tuple = ()
 
 
@@ -378,217 +375,10 @@ class TailDecomposition:
 class DecayEnvelope:
     """Quadratic-decay declaration |g(t)| <= m/t^2 for |t| >= t0.
 
-    With log_factor the bound is m*(1 + log(1+|t|))/t^2 instead.  ``tail``
-    optionally supplies the structured decomposition that lets the
-    integrator finish slowly decaying oscillatory tails analytically.
+    ``tail`` optionally supplies the structured decomposition that the
+    lattice evaluator ``ell_grid`` finishes analytically.
     """
 
     m: float
     t0: float
-    log_factor: bool = False
     tail: Optional[TailDecomposition] = None
-
-
-@dataclass(frozen=True)
-class _Weight:
-    """Smooth weight W multiplying a tail decomposition (internal).
-
-    Bounds are required on |t| >= the T_core handed to _weighted_tail_side:
-    |W| <= c0 + clog*log|t|, |W'| <= cd/|t|, |W''| <= cdd/t^2.
-    """
-
-    values: Callable
-    deriv: Callable
-    c0: float
-    clog: float
-    cd: float
-    cdd: float
-
-
-_UNIT_WEIGHT = _Weight(
-    values=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-    deriv=lambda t: 0.0,
-    c0=1.0,
-    clog=0.0,
-    cd=0.0,
-    cdd=0.0,
-)
-
-
-def _smooth_tail_cutoff(c_p: float, c0: float, clog: float, eps: float, t_min: float) -> float:
-    # smallest T with c_p*(c0 + clog*(log T + 1))/T <= eps, iterated to a fixpoint
-    t = max(t_min, c_p * max(c0, 1.0) / eps + 10.0)
-    for _ in range(6):
-        t = max(t_min, c_p * (c0 + clog * (math.log(t) + 1.0)) / eps)
-    return t * 1.05
-
-
-def _osc_cutoff(comp: OscComponent, w: _Weight, eps: float, t_min: float) -> tuple[float, float]:
-    # smallest T with rem2(T) <= eps, where rem2 bounds the remainder after
-    # two integrations by parts:
-    #   rem2(T) = (1/omega^2) * int_T^inf |(W Q)''| dt
-    #          <= (1/omega^2) [ (cdd*c_q + 2*cd*c_dq + c0*c_ddq)/(3T^3)
-    #                           + clog*c_ddq*(3 log T + 1)/(9T^3) ]
-    om2 = comp.omega * comp.omega
-
-    def rem2(t: float) -> float:
-        base = (w.cdd * comp.c_q + 2.0 * w.cd * comp.c_dq + w.c0 * comp.c_ddq) / (3.0 * t**3)
-        logp = w.clog * comp.c_ddq * (3.0 * math.log(t) + 1.0) / (9.0 * t**3)
-        return (base + logp) / om2
-
-    t = t_min
-    if rem2(t) > eps:
-        for _ in range(60):
-            t *= 1.35
-            if rem2(t) <= eps:
-                break
-    return t, rem2(t)
-
-
-def _geometric_breaks(t_from: float, t_to: float, ratio: float = 2.0) -> np.ndarray:
-    pts = [t_from]
-    t = t_from
-    while t * ratio < t_to:
-        t *= ratio
-        pts.append(t)
-    pts.append(t_to)
-    return np.array(pts)
-
-
-def _weighted_tail_side(
-    weight: _Weight,
-    tail: TailDecomposition,
-    t_core: float,
-    tol_side: float,
-    sign: int,
-) -> tuple[float, float, int]:
-    """Integral of W(t) * g_tail(t) over [t_core, inf) (sign=+1) or
-    (-inf, -t_core] (sign=-1), using the structured decomposition."""
-    if sign > 0:
-        wv, wd = weight.values, weight.deriv
-        pf = tail.smooth
-        comps = [(c.amplitude, c.d_amplitude, c.omega, c.phase, c) for c in tail.components]
-    else:
-        wv = lambda t: weight.values(-np.asarray(t))
-        wd = lambda t: -weight.deriv(-t)
-        pf = lambda t: tail.smooth(-np.asarray(t))
-        comps = [
-            (
-                (lambda c: lambda t: c.amplitude(-np.asarray(t)))(c),
-                (lambda c: lambda t: -c.d_amplitude(-t))(c),
-                c.omega,
-                -c.phase,
-                c,
-            )
-            for c in tail.components
-        ]
-
-    n_parts = 1 + len(comps)
-    eps_part = tol_side / (2.0 * n_parts)   # analytic-remainder allocation
-    tol_part = tol_side / (2.0 * n_parts)   # quadrature allocation
-
-    value = 0.0
-    err = 0.0
-    evals = 0
-
-    # smooth part on geometric panels
-    t2 = _smooth_tail_cutoff(tail.c_p, weight.c0, weight.clog, eps_part, t_core)
-    res = integrate_interval(
-        lambda t: wv(t) * pf(t), t_core, t2, tol_part,
-        breakpoints=_geometric_breaks(t_core, t2),
-    )
-    value += res.value
-    err += res.error_estimate
-    err += tail.c_p * (weight.c0 + weight.clog * (math.log(t2) + 1.0)) / t2
-    evals += res.evaluations
-
-    # oscillatory parts: resolved panels to T3, then two integrations by parts
-    for qf, dqf, omega, phase, c in comps:
-        t3, rem = _osc_cutoff(c, weight, eps_part, t_core)
-        if t3 > t_core:
-            width = min(math.pi / omega, 8.0)
-            breaks = np.arange(t_core, t3, width)
-            res = integrate_interval(
-                lambda t: wv(t) * qf(t) * np.cos(omega * t + phase),
-                t_core, t3, tol_part, breakpoints=breaks,
-            )
-            value += res.value
-            err += res.error_estimate
-            evals += res.evaluations
-        theta = omega * t3 + phase
-        a_val = float(wv(np.array([t3]))[0]) * float(qf(np.array([t3]))[0])
-        a_der = wd(t3) * float(qf(np.array([t3]))[0]) + float(wv(np.array([t3]))[0]) * dqf(t3)
-        value += -a_val * math.sin(theta) / omega - a_der * math.cos(theta) / omega**2
-        err += rem
-        evals += 4
-    return value, err, evals
-
-
-def _integrate_with_tail(
-    g: Callable,
-    weight: _Weight,
-    tail: TailDecomposition,
-    t_core: float,
-    tol: float,
-    core_breaks: Optional[Sequence[float]] = None,
-) -> QuadratureResult:
-    """Integral of weight*g over the line; g has the given tail structure
-    beyond t_valid <= t_core.  g itself is the full integrand including the
-    weight only through the caller's closure for the core region."""
-    gv = _vectorized(g)
-    if core_breaks is None:
-        widths = [min(math.pi / c.omega, 8.0) for c in tail.components] or [4.0]
-        w = min(min(widths), 4.0)
-        n = max(int(math.ceil(2.0 * t_core / w)), 8)
-        core_breaks = np.linspace(-t_core, t_core, n + 1)
-    core = integrate_interval(gv, -t_core, t_core, tol / 2.0, breakpoints=core_breaks)
-    value = core.value
-    err = core.error_estimate
-    evals = core.evaluations
-    for sign in (+1, -1):
-        v, e, n = _weighted_tail_side(weight, tail, t_core, tol / 4.0, sign)
-        value += v
-        err += e
-        evals += n
-    return QuadratureResult(float(value), float(err), evals)
-
-
-def integrate_line(g: Callable, tol: float, envelope: DecayEnvelope) -> QuadratureResult:
-    """Integral of g over the whole real line.
-
-    The declared envelope supplies the tail treatment: with a structured
-    tail decomposition the omitted mass is finished analytically; otherwise
-    the line is truncated where the sup-norm bound drops below tol/2 and
-    the remainder is carried in the error estimate.
-    """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    if envelope.m < 0 or envelope.t0 <= 0:
-        raise DomainError("envelope requires m >= 0 and t0 > 0")
-    if envelope.tail is not None:
-        t_core = max(envelope.tail.t_valid, envelope.t0)
-        return _integrate_with_tail(g, _UNIT_WEIGHT, envelope.tail, t_core, tol)
-
-    gv = _vectorized(g)
-    # both-sides sup-norm tail bound: 2M/T, or 2M(2+log(1+T))/T with the log factor
-    if envelope.log_factor:
-        t_cut = max(envelope.t0, 10.0)
-        for _ in range(8):
-            t_cut = max(envelope.t0, 4.0 * envelope.m * (2.0 + math.log1p(t_cut)) / tol)
-        tail_bound = 2.0 * envelope.m * (2.0 + math.log1p(t_cut)) / t_cut
-    else:
-        t_cut = max(envelope.t0, 4.0 * envelope.m / tol)
-        tail_bound = 2.0 * envelope.m / t_cut
-    t0 = max(envelope.t0, 1.0)
-    core = np.linspace(-t0, t0, 17)
-    geo = _geometric_breaks(t0, t_cut) if t_cut > t0 else np.array([t0])
-    breaks = np.unique(np.concatenate([core, geo, -geo]))
-    res = integrate_interval(gv, -t_cut, t_cut, max(tol - tail_bound, tol / 2.0),
-                             breakpoints=breaks)
-    total_err = res.error_estimate + tail_bound
-    out = QuadratureResult(res.value, float(total_err), res.evaluations)
-    if total_err > tol * 1.0001:
-        raise AccuracyError(
-            f"tail bound {tail_bound:.3e} cannot meet tol {tol:.3e}", best=out
-        )
-    return out

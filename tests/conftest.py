@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, settings
 
+from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.extremal import selberg_minorant
 from zerogap.lfunctions import bundled_example_path, load_lfunction
 
@@ -15,14 +16,13 @@ settings.register_profile(
 )
 settings.load_profile("numeric")
 
-DELTA0 = math.log(2.0) / (2.0 * math.pi)
 CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 
 
 @pytest.fixture(scope="session")
 def cert_minorant():
     half = CERT_LENGTH / 2.0
-    return selberg_minorant(-half, half, DELTA0)
+    return selberg_minorant(-half, half, PRIME_FREE_RADIUS)
 
 
 @pytest.fixture(scope="session")

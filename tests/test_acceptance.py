@@ -17,7 +17,6 @@ from zerogap.extremal import beurling, fourier_at, selberg_minorant
 from zerogap.region_scan import classify_point
 from zerogap.special_math import digamma, integrate_interval, trigamma_real
 
-DELTA0 = math.log(2.0) / (2.0 * math.pi)
 LENGTH = 10.0 * math.pi / math.log(2.0)
 EULER_GAMMA = 0.5772156649015328606065
 
@@ -30,7 +29,7 @@ def _criterion(capsys, num, ok, detail):
 
 def test_criterion_1_universal_gap_certificate(capsys):
     start = time.monotonic()
-    cert = certify_gap(4, LENGTH, DELTA0)
+    cert = certify_gap(4, LENGTH, PRIME_FREE_RADIUS)
     elapsed = time.monotonic() - start
     ok = (cert.certified is True and cert.margin > 0.0
           and cert.search.re_max == 50.0 and cert.search.im_max == 200.0
@@ -43,7 +42,7 @@ def test_criterion_1_universal_gap_certificate(capsys):
 
 def test_criterion_2_selberg_minorant(capsys, cert_minorant):
     s = cert_minorant
-    target = LENGTH - 1.0 / DELTA0
+    target = LENGTH - 1.0 / PRIME_FREE_RADIUS
     int_ok = abs(s.integral - target) < 1e-6
     hat0 = fourier_at(s, 0.0, tol=1e-7)
     hat0_ok = abs(hat0 - target) < 1e-6
@@ -54,7 +53,7 @@ def test_criterion_2_selberg_minorant(capsys, cert_minorant):
     chi = ((xs >= -half) & (xs <= half)).astype(float)
     minor_ok = bool(np.all(np.asarray(s.value(xs)) <= chi + 1e-12))
 
-    freqs = np.linspace(1.01 * DELTA0, 3.0 * DELTA0, 10)
+    freqs = np.linspace(1.01 * PRIME_FREE_RADIUS, 3.0 * PRIME_FREE_RADIUS, 10)
     leak = max(abs(fourier_at(s, float(sx * x), tol=1e-7))
                for x in freqs for sx in (1.0, -1.0))
     supp_ok = leak <= 1e-6

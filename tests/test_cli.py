@@ -25,10 +25,10 @@ SCAN_GOLDEN = (
     "# step = 1\n"
     "# convention = halved\n"
     "nu1,nu2,fejer_rhs,windowed_rhs,verdict\n"
-    "0,0,-7.022135793,-1655.828789,Impossible\n"
-    "0,1,-6.889422023,-1635.541227,Impossible\n"
-    "1,0,-6.889422023,-1635.541227,Impossible\n"
-    "1,1,-6.756708253,-1615.253665,Impossible\n"
+    "0,0,-7.022135792,-1655.828789,Impossible\n"
+    "0,1,-6.889422022,-1635.541227,Impossible\n"
+    "1,0,-6.889422022,-1635.541227,Impossible\n"
+    "1,1,-6.756708252,-1615.253665,Impossible\n"
 )
 
 

@@ -1,12 +1,14 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zerogap.errors import AccuracyError, DomainError, IncompletenessError
 from zerogap.explicit_formula import (
+    PRIME_FREE_RADIUS,
     ExplicitFormulaReport,
     ell,
     ell_grid,
@@ -14,23 +16,24 @@ from zerogap.explicit_formula import (
     verify,
     zero_sum,
 )
-from zerogap.extremal import selberg_minorant
+from zerogap.extremal import fourier_at, selberg_minorant
 from zerogap.lfunctions import FunctionalEquation, LogDerivativeCoefficients
 from zerogap.special_math import DecayEnvelope, digamma, integrate_interval
 
-DELTA0 = math.log(2.0) / (2.0 * math.pi)
 NU2 = 12.4687522615131728082
 
-# frozen from a tol=1e-10 run, cross-checked by an independent quadrature
-# route (no tail decomposition) and a 30-digit core-integral oracle
+# frozen from a tol=1e-10 run of the time-domain route (the test function's
+# tail decomposition against psi, finished by integration by parts),
+# cross-checked by a crude truncated-line quadrature and a 30-digit
+# core-integral oracle; the frequency-side ell is independent of all three
 ELL_AT_ZERO = 0.29198301495782886
 ELL_AT_NU2 = 9.284729207160758
 CORE_40 = 42.8583448007978153  # int_{-40}^{40} Re psi(1/4 + it/2) S(t) dt
 
 
 def test_ell_regression_values(cert_minorant):
-    assert ell(0.0, cert_minorant) == pytest.approx(ELL_AT_ZERO, abs=1e-7)
-    assert ell(1j * NU2, cert_minorant) == pytest.approx(ELL_AT_NU2, abs=1e-7)
+    assert ell(0.0, cert_minorant) == pytest.approx(ELL_AT_ZERO, abs=1e-10)
+    assert ell(1j * NU2, cert_minorant) == pytest.approx(ELL_AT_NU2, abs=1e-10)
 
 
 def test_core_integral_oracle(cert_minorant):
@@ -55,23 +58,13 @@ def test_ell_convention_identity(cert_minorant):
 
 
 def test_ell_large_re_asymptote(cert_minorant):
-    mu = 4000.0
-    got = ell(mu, cert_minorant)
-    a = 0.25 + mu / 2.0
-    want = cert_minorant.integral * (float(np.real(digamma(a + 0j))) - math.log(math.pi))
-    assert got == pytest.approx(want, rel=1e-4)
-
-
-def test_ell_crude_route_agrees(cert_minorant):
-    # strip the structured tail: forces the generic log-envelope path
-    crude = replace(
-        cert_minorant,
-        envelope=DecayEnvelope(m=cert_minorant.envelope.m,
-                               t0=cert_minorant.envelope.t0, tail=None),
-    )
-    for mu in (0.0, 3.0 + 40.0j):
-        assert ell(mu, crude, tol=1e-4) == pytest.approx(
-            ell(mu, cert_minorant), abs=5e-4)
+    # |mu| large: psi(1/4 + mu/2 + it/2) is nearly constant where f lives;
+    # at 1e5 i, e^{-zx} runs through some 11000 periods on [0, 4 pi delta]
+    for mu in (4000.0, 1e5j):
+        got = ell(mu, cert_minorant)
+        z = 0.25 + mu / 2.0
+        want = cert_minorant.integral * (float(np.real(digamma(z + 0j))) - math.log(math.pi))
+        assert got == pytest.approx(want, rel=1e-4)
 
 
 def test_ell_rejects_left_halfplane(cert_minorant):
@@ -224,6 +217,28 @@ def test_verify_bundled_report(cert_minorant, bundled):
         assert key in d
     assert d["rhs_total"] == pytest.approx(
         d["rhs_conductor"] + sum(d["rhs_archimedean"]) + d["rhs_primes"], abs=1e-14)
+
+
+def test_verify_just_above_prime_edge(bundled):
+    # the transform support just reaches n = 2; a time-domain transform of
+    # the Selberg minorant grew without bound in cost as delta approached
+    # log 2/(2 pi) from above (46 s and 1.7 GB at this delta)
+    half = 5.0 / (2.0 * PRIME_FREE_RADIUS)
+    f = selberg_minorant(-half, half, PRIME_FREE_RADIUS * (1.0 + 3e-5))
+    rep = verify(bundled, f)
+    assert rep.rhs_primes != 0.0
+    assert abs(rep.residual) <= rep.tail_bound + rep.tolerance_budget
+    # Vaaler's closed form at the prime edge, u = xi/delta just below 1,
+    # where the cotangent in J^(u) is near its pole
+    with mpmath.workdps(30):
+        delta, xi = mpmath.mpf(f.support_radius), mpmath.mpf(PRIME_FREE_RADIUS)
+        length = 2 * mpmath.mpf(half)
+        u = xi / delta
+        j_hat = (1 - u) * mpmath.pi * u * mpmath.cot(mpmath.pi * u) + u
+        want = (j_hat * mpmath.sin(mpmath.pi * xi * length) / (mpmath.pi * xi)
+                - (1 - u) / delta * mpmath.cos(mpmath.pi * xi * length))
+    for x in (PRIME_FREE_RADIUS, -PRIME_FREE_RADIUS):
+        assert fourier_at(f, x) == pytest.approx(float(want), abs=1e-12)
 
 
 def test_verify_flags_convention_mismatch(cert_minorant, bundled):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zerogap.errors import AccuracyError, DomainError
+from zerogap.errors import DomainError
+from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.extremal import (
     beurling,
     fejer,
@@ -12,9 +13,8 @@ from zerogap.extremal import (
     selberg_minorant,
     windowed_fejer,
 )
-from zerogap.special_math import DecayEnvelope, integrate_interval, integrate_line
+from zerogap.special_math import integrate_interval
 
-DELTA0 = math.log(2.0) / (2.0 * math.pi)
 CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 
 # classical two-sided partial-fraction series, summed at high precision
@@ -71,18 +71,18 @@ def test_beurling_far_field_decay():
 
 def test_selberg_interval_validation():
     with pytest.raises(DomainError):
-        selberg_minorant(1.0, 1.0, DELTA0)
+        selberg_minorant(1.0, 1.0, PRIME_FREE_RADIUS)
     with pytest.raises(DomainError):
-        selberg_minorant(3.0, -3.0, DELTA0)
+        selberg_minorant(3.0, -3.0, PRIME_FREE_RADIUS)
     with pytest.raises(DomainError):
         selberg_minorant(-1.0, 1.0, 0.0)
 
 
 def test_selberg_integral_closed_form(cert_minorant):
     s = cert_minorant
-    want = CERT_LENGTH - 1.0 / DELTA0
+    want = CERT_LENGTH - 1.0 / PRIME_FREE_RADIUS
     assert s.integral == pytest.approx(want, abs=1e-12)
-    # independent quadrature route
+    # Vaaler's closed transform at 0
     num = fourier_at(s, 0.0, tol=1e-8)
     assert abs(num - want) < 1e-6
 
@@ -137,12 +137,12 @@ def test_selberg_tail_component_bounds(cert_minorant):
 
 
 def test_selberg_transform_compactly_supported(cert_minorant):
-    for x in (1.01 * DELTA0, 1.5 * DELTA0, -2.0 * DELTA0, 3.0 * DELTA0):
+    for x in (1.01 * PRIME_FREE_RADIUS, 1.5 * PRIME_FREE_RADIUS, -2.0 * PRIME_FREE_RADIUS, 3.0 * PRIME_FREE_RADIUS):
         assert abs(fourier_at(cert_minorant, x, tol=1e-7)) < 1e-6
 
 
 def test_selberg_transform_interior_regression(cert_minorant):
-    got = fourier_at(cert_minorant, 0.5 * DELTA0, tol=1e-8)
+    got = fourier_at(cert_minorant, 0.5 * PRIME_FREE_RADIUS, tol=1e-8)
     assert got == pytest.approx(2.8853900817778735, abs=1e-6)
 
 
@@ -150,7 +150,7 @@ def test_selberg_transform_interior_regression(cert_minorant):
 @given(
     st.floats(min_value=-30.0, max_value=-10.0),
     st.floats(min_value=10.0, max_value=30.0),
-    st.floats(min_value=0.05, max_value=DELTA0),
+    st.floats(min_value=0.05, max_value=PRIME_FREE_RADIUS),
     st.floats(min_value=-100.0, max_value=100.0),
 )
 def test_selberg_minorant_property(alpha, beta, delta, t):
@@ -161,21 +161,21 @@ def test_selberg_minorant_property(alpha, beta, delta, t):
 
 
 def test_fejer_basics():
-    f = fejer(DELTA0)
-    assert f.integral == pytest.approx(1.0 / DELTA0, abs=1e-12)
+    f = fejer(PRIME_FREE_RADIUS)
+    assert f.integral == pytest.approx(1.0 / PRIME_FREE_RADIUS, abs=1e-12)
     xs = np.linspace(-40.0, 40.0, 2001)
     assert np.asarray(f.value(xs)).min() >= 0.0
     assert f.positivity_window == "everywhere"
-    # triangle transform: closed form against the quadrature route
-    for x in (0.0, 0.3 * DELTA0, -0.8 * DELTA0):
-        assert abs(f.fourier_closed(x) - fourier_at(f, x, tol=1e-8)) < 1e-6
-    for x in (1.2 * DELTA0, 2.0 * DELTA0):
+    # triangle transform
+    for x in (0.0, 0.3 * PRIME_FREE_RADIUS, -0.8 * PRIME_FREE_RADIUS):
+        assert abs(fourier_at(f, x) - (1.0 - abs(x) / PRIME_FREE_RADIUS) / PRIME_FREE_RADIUS) < 1e-12
+    for x in (1.2 * PRIME_FREE_RADIUS, 2.0 * PRIME_FREE_RADIUS):
         assert f.fourier_closed(x) == 0.0
-        assert abs(fourier_at(f, x, tol=1e-7)) < 1e-6
+        assert fourier_at(f, x) == 0.0
 
 
 def test_fejer_tail_exact():
-    f = fejer(DELTA0)
+    f = fejer(PRIME_FREE_RADIUS)
     tail = f.envelope.tail
     ts = np.array([60.0, -123.4, 500.0])
     rec = np.asarray(tail.smooth(ts), dtype=float)
@@ -190,7 +190,7 @@ def test_fejer_delta_validation():
 
 
 def test_windowed_fejer_sign_structure():
-    w = windowed_fejer(14.13, DELTA0)
+    w = windowed_fejer(14.13, PRIME_FREE_RADIUS)
     inside = np.linspace(-14.0, 14.0, 101)
     outside = np.array([-200.0, -50.0, -14.2, 14.2, 33.3, 1000.0])
     assert np.asarray(w.value(inside)).min() > 0.0
@@ -199,21 +199,48 @@ def test_windowed_fejer_sign_structure():
 
 
 def test_windowed_fejer_integral_against_quadrature():
-    w = windowed_fejer(14.13, DELTA0)
-    closed = 4.0 * 14.13**2 / (3.0 * DELTA0) - 4.0 / (math.pi**2 * DELTA0**3)
+    w = windowed_fejer(14.13, PRIME_FREE_RADIUS)
+    closed = 4.0 * 14.13**2 / (3.0 * PRIME_FREE_RADIUS) - 4.0 / (math.pi**2 * PRIME_FREE_RADIUS**3)
     assert w.integral == pytest.approx(closed, abs=1e-9)
-    num = integrate_line(lambda t: np.asarray(w.value(t)), 1e-6, w.envelope)
-    assert abs(num.value - closed) < 1e-5
+    # w = A(t) (6 - 8 cos(pi delta t) + 2 cos(2 pi delta t)) with
+    # A = (t0^2 - t^2)/(pi delta t)^4: quadrature over whole periods of both
+    # cosines, then the exact tail of 6 A; the cosine tails beyond T are
+    # O(A'(T)/(pi delta)^2) ~ 1e-7
+    period = 2.0 / PRIME_FREE_RADIUS
+    T = 200.0 * period
+    core = integrate_interval(lambda t: np.asarray(w.value(t)), 0.0, T, 1e-8,
+                              breakpoints=np.arange(0.0, T, period)).value
+    tail = 6.0 * (14.13**2 / (3.0 * T**3) - 1.0 / T) / (math.pi * PRIME_FREE_RADIUS) ** 4
+    assert abs(2.0 * (core + tail) - closed) < 1e-5
 
 
 def test_windowed_fejer_transform_support():
-    w = windowed_fejer(14.13, DELTA0)
-    for x in (1.05 * DELTA0, -1.5 * DELTA0):
+    w = windowed_fejer(14.13, PRIME_FREE_RADIUS)
+    for x in (1.05 * PRIME_FREE_RADIUS, -1.5 * PRIME_FREE_RADIUS):
         assert abs(fourier_at(w, x, tol=1e-5)) < 2e-4 * w.integral
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: selberg_minorant(-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0,
+                                          PRIME_FREE_RADIUS), id="selberg-symmetric"),
+    pytest.param(lambda: selberg_minorant(-7.3, 19.1, 0.09), id="selberg-asymmetric"),
+    pytest.param(lambda: fejer(PRIME_FREE_RADIUS), id="fejer"),
+    pytest.param(lambda: windowed_fejer(14.13, PRIME_FREE_RADIUS), id="windowed-fejer"),
+])
+def test_closed_transform_inverts_to_value(make):
+    # f(t) = int_{-delta}^{delta} f^(xi) e^{2 pi i xi t} dxi; the breakpoints
+    # sit on the kinks of the windowed kernel's transform
+    f = make()
+    d = f.support_radius
+    for t in (0.0, 1.7, -5.3, 31.4, -60.0):
+        res = integrate_interval(
+            lambda xi: np.real(f.fourier_closed(xi) * np.exp(2j * math.pi * xi * t)),
+            -d, d, 1e-10, breakpoints=[-0.5 * d, 0.0, 0.5 * d])
+        assert res.value == pytest.approx(float(f.value(t)), abs=1e-10)
+
+
 def test_windowed_fejer_tail_reconstruction():
-    w = windowed_fejer(14.13, DELTA0)
+    w = windowed_fejer(14.13, PRIME_FREE_RADIUS)
     tail = w.envelope.tail
     ts = np.concatenate([np.linspace(tail.t_valid, tail.t_valid + 300.0, 3001),
                          -np.linspace(tail.t_valid, tail.t_valid + 300.0, 3001)])
@@ -227,21 +254,9 @@ def test_windowed_fejer_tail_reconstruction():
 
 def test_windowed_fejer_validation():
     with pytest.raises(DomainError):
-        windowed_fejer(0.0, DELTA0)
+        windowed_fejer(0.0, PRIME_FREE_RADIUS)
     with pytest.raises(DomainError):
         windowed_fejer(14.13, 0.0)
-
-
-def test_fourier_even_function_leakage_guard(cert_minorant):
-    # even input: the quadrature imaginary part must vanish; a rigged odd
-    # "even" function trips the consistency check
-    from dataclasses import replace
-
-    bad = replace(cert_minorant,
-                  value=lambda t: np.asarray(t) * np.exp(-np.asarray(t) ** 2),
-                  envelope=DecayEnvelope(m=1.0, t0=5.0), even=True)
-    with pytest.raises(AccuracyError):
-        fourier_at(bad, 0.07, tol=1e-9)
 
 
 def test_beurling_excess_integral_unit():

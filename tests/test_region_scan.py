@@ -1,10 +1,11 @@
-import math
+from collections import Counter
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from zerogap.errors import DomainError
-from zerogap.explicit_formula import rhs
+from zerogap.explicit_formula import PRIME_FREE_RADIUS, rhs
 from zerogap.extremal import fejer, windowed_fejer
 from zerogap.lfunctions import FunctionalEquation
 from zerogap.region_scan import (
@@ -16,8 +17,6 @@ from zerogap.region_scan import (
     _verdict,
 )
 
-DELTA0 = math.log(2.0) / (2.0 * math.pi)
-
 GOLDEN_CSV = (
     "# t0 = 14.13\n"
     "# delta = 0.1103178001\n"
@@ -25,10 +24,10 @@ GOLDEN_CSV = (
     "# step = 1\n"
     "# convention = halved\n"
     "nu1,nu2,fejer_rhs,windowed_rhs,verdict\n"
-    "0,0,-7.022135793,-1655.828789,Impossible\n"
-    "0,1,-6.889422023,-1635.541227,Impossible\n"
-    "1,0,-6.889422023,-1635.541227,Impossible\n"
-    "1,1,-6.756708253,-1615.253665,Impossible\n"
+    "0,0,-7.022135792,-1655.828789,Impossible\n"
+    "0,1,-6.889422022,-1635.541227,Impossible\n"
+    "1,0,-6.889422022,-1635.541227,Impossible\n"
+    "1,1,-6.756708252,-1615.253665,Impossible\n"
 )
 
 
@@ -62,7 +61,7 @@ def test_classify_matches_rhs_assembly():
     # same Fejer kernel, same spectral data, assembled through the general
     # report path: the sums must agree bit for bit
     nu1, nu2 = 2.0, 5.0
-    fk = fejer(DELTA0)
+    fk = fejer(PRIME_FREE_RADIUS)
     fe = FunctionalEquation(degree=4, conductor=1.0,
                             spectral=(1j * nu1, -1j * nu1, 1j * nu2, -1j * nu2),
                             root_number=1.0 + 0.0j)
@@ -123,9 +122,40 @@ def test_scan_threaded_deterministic():
 
 def test_scan_csv_golden():
     rows = scan_region(1.0, 1.0)
-    text = scan_to_csv(rows, t0=14.13, delta=DELTA0, conductor=1.0,
+    text = scan_to_csv(rows, t0=14.13, delta=PRIME_FREE_RADIUS, conductor=1.0,
                        step=1.0, convention="halved")
     assert text == GOLDEN_CSV
+
+
+def _mpmath_fejer_rhs(nu):
+    # 4 ell(i nu, fejer)/(2 pi) at conductor 1, from Gauss's integral for psi
+    # against the triangular transform, at 30 digits
+    with mpmath.workdps(30):
+        d = mpmath.mpf(PRIME_FREE_RADIUS)
+        z = mpmath.mpf(1) / 4 + 0.5j * mpmath.mpf(nu)
+        big_x = 4 * mpmath.pi * d
+
+        def integrand(x):
+            fhat = (1 - x / (4 * mpmath.pi * d)) / d
+            return mpmath.exp(-x) / (d * x) - mpmath.exp(-z * x) * fhat / (1 - mpmath.exp(-x))
+
+        total = mpmath.quad(integrand, [0, big_x]) + mpmath.e1(big_x) / d
+        ell = mpmath.re(total) - mpmath.log(mpmath.pi) / d
+        return float(4 * ell / (2 * mpmath.pi))
+
+
+def test_scan_csv_golden_fejer_column_against_mpmath():
+    for nu, golden in ((0.0, "-7.022135792"), (1.0, "-6.756708252")):
+        want = _mpmath_fejer_rhs(nu)
+        assert f"{want:.10g}" == golden
+        assert classify_point(nu, nu).fejer_rhs == pytest.approx(want, abs=1e-11)
+
+
+def test_scan_figure2_verdict_counts():
+    rows = scan_region(16.0, 0.5, t0=14.13)
+    assert len(rows) == 33 * 33
+    counts = Counter(r.verdict for r in rows)
+    assert counts == {"Impossible": 528, "ForcedLowZero": 440, "Unconstrained": 121}
 
 
 def test_scan_validation():
@@ -138,7 +168,7 @@ def test_scan_validation():
 def test_windowed_kernel_is_what_scan_uses():
     # ForcedLowZero reads a positive windowed total as mass that only
     # ordinates inside (-t0, t0) can supply
-    w = windowed_fejer(14.13, DELTA0)
+    w = windowed_fejer(14.13, PRIME_FREE_RADIUS)
     assert w.value(0.0) > 0.0
     assert w.value(20.0) <= 0.0
     assert w.positivity_window == (-14.13, 14.13)

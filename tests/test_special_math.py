@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 
 from zerogap.errors import AccuracyError, DomainError
 from zerogap.special_math import (
-    DecayEnvelope,
     QuadratureResult,
     digamma,
     integrate_interval,
-    integrate_line,
     log_gamma,
     trigamma_real,
 )
@@ -138,21 +136,6 @@ def test_accuracy_error_carries_best_estimate():
     assert best is not None
     assert best.error_estimate > 1e-8
     assert best.evaluations < 5000  # cap plus one trailing batch
-
-
-def test_lorentzian_whole_line():
-    env = DecayEnvelope(m=1.0, t0=1.0)
-    res = integrate_line(lambda t: 1.0 / (1.0 + t * t), 1e-8, env)
-    assert abs(res.value - math.pi) < 1e-8
-
-
-def test_oscillatory_whole_line():
-    # int (1 + cos 5t)/(1+t^2)^2 = (pi/2)(1 + 6 e^-5)
-    env = DecayEnvelope(m=2.0, t0=1.0)
-    res = integrate_line(
-        lambda t: (1.0 + np.cos(5.0 * t)) / (1.0 + t * t) ** 2, 1e-8, env)
-    want = 0.5 * math.pi * (1.0 + 6.0 * math.exp(-5.0))
-    assert abs(res.value - want) < 1e-7
 
 
 @given(st.floats(min_value=-5.0, max_value=5.0),

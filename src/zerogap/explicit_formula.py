@@ -32,10 +32,17 @@ that W depends on t and y only through t + y: with a uniform Simpson
 lattice in t whose spacing divides the Im-mu step, every required psi value
 lies on one shifted copy of a single lattice table per Re-mu row, and the
 whole row of integrals is one FFT cross-correlation of that table against
-the Simpson-weighted f samples.  The tails beyond the lattice are finished
-analytically from the test function's tail decomposition.  The lattice stays
-because the headline certificate's pinned margin, 0.185885, is the
-lattice's value: the exact minimum, 0.1858822, rounds differently.
+the Simpson-weighted f samples, whose transform is taken once per grid.
+Most rows need no psi evaluation at all: psi(z+1) = psi(z) + 1/z (DLMF
+5.5.2) gives Re psi(a + 1 + iv) = Re psi(a + iv) + a/(a^2 + v^2), so a row
+one unit of a above a row already computed is that row plus one rational
+term (on the default grid only the 8 rows with a < 1.25 evaluate psi).  The
+recurrence's rounding, below 2e-13 over the default grid, is far inside
+grid_tol.  The tails beyond the lattice are finished analytically from the
+test function's tail decomposition, with everything that does not depend on
+a computed once per grid.  The lattice stays because the headline
+certificate's pinned margin, 0.185885, is the lattice's value: the exact
+minimum, 0.1858822, rounds differently.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import exp1
 
 from .errors import AccuracyError, DomainError, IncompletenessError
@@ -126,11 +133,14 @@ _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
 
 
-def _smooth_tail_matrix(a: float, ys: np.ndarray, tail, t3: float, eps: float,
-                        sign: int, y_stride: int) -> np.ndarray:
-    """int_{t3}^{inf} W(sign*t) P(sign*t) dt for every y, evaluated exactly
-    on a coarse y subgrid and linearly interpolated between (the integral's
-    y-curvature is O(t3^-3))."""
+def _smooth_tail_nodes(ys: np.ndarray, tail, t3: float, eps: float, sign: int,
+                       y_stride: int):
+    """The a-independent part of int_{t3}^{inf} W(sign*t) P(sign*t) dt.
+
+    The integral is evaluated exactly on a coarse y subgrid `idx` and
+    linearly interpolated between (its y-curvature is O(t3^-3)); for a row a
+    it is Re psi(a + iv) @ weights, with v of shape (len(idx), nodes).
+    """
     c0, clog = 3.0, 1.0
     t2 = t3
     while tail.c_p * (c0 + clog * (math.log(t2) + 1.0)) / t2 > eps:
@@ -139,16 +149,11 @@ def _smooth_tail_matrix(a: float, ys: np.ndarray, tail, t3: float, eps: float,
     lo, hi = breaks[:-1], breaks[1:]
     pts = (lo[:, None] + (hi - lo)[:, None] * _GL_X[None, :]).ravel()
     wts = ((hi - lo)[:, None] * _GL_W[None, :]).ravel()
-    pv = np.asarray(tail.smooth(sign * pts), dtype=float)
     idx = np.arange(0, len(ys), y_stride)
     if idx[-1] != len(ys) - 1:
         idx = np.append(idx, len(ys) - 1)
-    coarse = np.empty(len(idx))
-    fw = wts * pv
-    for j, iy in enumerate(idx):
-        wv = np.real(digamma(a + 0.5j * (sign * pts + ys[iy])))
-        coarse[j] = float(wv @ fw)
-    return np.interp(np.arange(len(ys)), idx, coarse)
+    v = 0.5 * (sign * pts[None, :] + ys[idx, None])
+    return idx, v, wts * np.asarray(tail.smooth(sign * pts), dtype=float)
 
 
 def ell_grid(
@@ -164,7 +169,12 @@ def ell_grid(
 
     Uses a shared Simpson lattice per Re-mu row plus analytic tail finishing;
     requires an even test function with a structured tail and an equispaced
-    Im grid whose step is a multiple of lattice_h.
+    Im grid whose step is a multiple of lattice_h.  The Simpson kernel is
+    transformed once per grid.  A row whose psi argument a lies one unit above
+    a row already computed is built from it by psi(z+1) = psi(z) + 1/z, on
+    the lattice table and the smooth-tail nodes alike; other rows evaluate
+    psi.  The recurrence's rounding (below 2e-13 on the default grid) is far
+    inside grid_tol.
     """
     tail = f.envelope.tail
     if tail is None or not f.even:
@@ -228,37 +238,62 @@ def ell_grid(
     sw[2:-1:2] = 2.0
     sw *= lattice_h / 3.0
     fw = sw * np.asarray(f.value(t_nodes), dtype=float)
-    fw_rev = fw[::-1].copy()
 
-    n_shift = stride * (len(ys) - 1) if len(ys) > 1 else 0
-    u_lo = -t3  # lattice of psi arguments: u = t + y
-    u_nodes = u_lo + np.arange(nt + n_shift) * lattice_h
+    # lattice of psi arguments a + iv, v = (t + y)/2: shift k of the Simpson
+    # nodes is y = ys[0] + k h, so the Im-mu grid is every stride-th shift and
+    # the boundary points t = +-t3 of y = ys[j] are table entries
+    n_shift = stride * (len(ys) - 1)
+    n_table = nt + n_shift
+    v_table = 0.5 * (ys[0] - t3 + np.arange(n_table) * lattice_h)
+    # shifts 0..n_shift of a circular correlation are free of wrap-around
+    # once the transform length is at least n_table
+    nfft = next_fast_len(n_table, real=True)
+    fw_hat = rfft(fw[::-1], nfft)
 
     rem_total = sum(2.0 * rem2(c, t3) for c in tail.components)
     eps_s = grid_tol / 8.0
 
+    # the a-independent tail data of each side: the boundary terms of the two
+    # integrations by parts are amp_w W + amp_dw W' at t = sign t3
+    sides = []
+    v_rows = [v_table]
+    edges = ((+1, slice(nt - 1, None, stride)), (-1, slice(0, n_shift + 1, stride)))
+    for sign, edge in edges:
+        amp_w = amp_dw = 0.0
+        for comp in tail.components:
+            q = float(np.asarray(comp.amplitude(np.array([sign * t3])))[0])
+            dq = comp.d_amplitude(sign * t3) * sign
+            om, ph = comp.omega, comp.phase
+            theta = om * t3 + (ph if sign > 0 else -ph)
+            amp_w -= q * math.sin(theta) / om + dq * math.cos(theta) / om**2
+            amp_dw -= q * math.cos(theta) / om**2
+        idx, v_smooth, p_wts = _smooth_tail_nodes(ys, tail, t3, eps_s, sign, 16)
+        sides.append((sign, edge, amp_w, amp_dw, idx, p_wts))
+        v_rows.append(v_smooth)
+    y_index = np.arange(len(ys))
+
+    # Re psi rows of the last unit of a, keyed by a
+    kept = {}
     out = np.empty((len(re_values), len(ys)))
     for i, a in enumerate(a_row):
-        table = np.real(digamma(a + 0.5j * u_nodes))
+        below = kept.get(a - 1.0)
+        if below is None:
+            psi = [np.real(digamma(a + 1j * v)) for v in v_rows]
+        else:  # Re psi(b + 1 + iv) = Re psi(b + iv) + b/(b^2 + v^2), b = a - 1
+            b = a - 1.0
+            psi = [r + b / (b * b + v * v) for r, v in zip(below, v_rows)]
+        kept = {k: r for k, r in kept.items() if k > a - 1.0}
+        kept[a] = psi
+        table = psi[0]
+
         # core: Simpson cross-correlation, one value per y shift
-        corr = fftconvolve(table, fw_rev, mode="valid")
-        core = corr[:: stride] if len(ys) > 1 else corr[:1]
-        row = core[: len(ys)].copy()
+        row = irfft(rfft(table, nfft) * fw_hat, nfft)[nt - 1:n_table:stride]
 
         # analytic tails, vectorized over y
-        for sign in (+1, -1):
-            zb = a + 0.5j * (sign * t3 + ys)
-            wv = np.real(digamma(zb))
-            wd = -0.5 * np.imag(_trigamma_complex(zb)) * sign
-            for comp in tail.components:
-                q = float(np.asarray(comp.amplitude(np.array([sign * t3])))[0])
-                dq = comp.d_amplitude(sign * t3) * sign
-                om, ph = comp.omega, comp.phase
-                theta = om * t3 + (ph if sign > 0 else -ph)
-                a_val = wv * q
-                a_der = wd * q + wv * dq
-                row += -a_val * math.sin(theta) / om - a_der * math.cos(theta) / om**2
-            row += _smooth_tail_matrix(a, ys, tail, t3, eps_s, sign, 16)
+        for (sign, edge, amp_w, amp_dw, idx, p_wts), smooth in zip(sides, psi[1:]):
+            wd = -0.5 * sign * np.imag(_trigamma_complex(a + 1j * v_table[edge]))
+            row += amp_w * table[edge] + amp_dw * wd
+            row += np.interp(y_index, idx, smooth @ p_wts)
         out[i] = row - f.integral * LOG_PI
     # rem_total and eps_s are certification budget, reported by callers
     out_err = rem_total + 2.0 * eps_s

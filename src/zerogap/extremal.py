@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import DomainError
 from .special_math import (
@@ -140,21 +141,15 @@ _DW_BOUND = 1.60
 _DDW_BOUND = 5.00
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float, iters: int = 80) -> float:
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0 if flo <= 0.0 else f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+# edge tolerances: the tightest relative one brentq accepts, and an
+# absolute one that only matters for an edge within about 1 of t = 0
+_RTOL = 4.0 * np.finfo(float).eps
+_XTOL = 1e-15
 
 
 def _find_window(value: Callable, alpha: float, beta: float, delta: float):
     """Sign-change bracket of value around [alpha, beta]; None if no
     positive point is found inside."""
-    mid = 0.5 * (alpha + beta)
     pad = 2.0 / delta
     grid = np.linspace(alpha - pad, beta + pad, 8193)
     vals = value(grid)
@@ -171,8 +166,12 @@ def _find_window(value: Callable, alpha: float, beta: float, delta: float):
         j += 1
     if i == 0 or j == len(grid) - 1:
         return None  # positive out to the pad: not a confined window
-    lo = _bisect(lambda t: float(value(np.array([t]))[0]), grid[i - 1], grid[i])
-    hi = _bisect(lambda t: -float(value(np.array([t]))[0]), grid[j], grid[j + 1])
+
+    def scalar(t):
+        return float(value(np.array([t]))[0])
+
+    lo = brentq(scalar, grid[i - 1], grid[i], xtol=_XTOL, rtol=_RTOL)
+    hi = brentq(scalar, grid[j], grid[j + 1], xtol=_XTOL, rtol=_RTOL)
     return (lo, hi)
 
 

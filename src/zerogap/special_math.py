@@ -1,11 +1,11 @@
 """Special functions, interval quadrature, and test-function tail data.
 
-The digamma and trigamma implementations use the classical scheme: the
-recurrence psi(z+1) = psi(z) + 1/z pushes the argument into a region where
-the Bernoulli asymptotic series converges to double precision, and the
-series is then evaluated by Horner's rule in 1/z^2.  Arguments left of
-Re z = 1/2 go through the reflection formula with an exactly reduced
-cotangent so that accuracy does not degrade near the negative real axis.
+``digamma`` and ``log_gamma`` are scipy's, behind a check that turns their
+poles into a domain error.  scipy has no complex trigamma, so the trigamma
+implementations use the classical scheme: the recurrence
+psi'(z+1) = psi'(z) - 1/z^2 pushes the argument into a region where the
+Bernoulli asymptotic series converges to double precision, and the series
+is then evaluated by Horner's rule in 1/z^2.
 
 ``integrate_interval`` is adaptive Gauss-Kronrod quadrature on a finite
 interval.  It is all the pointwise explicit-formula terms need: they are
@@ -47,18 +47,6 @@ __all__ = [
 # digamma / trigamma / log_gamma
 # ---------------------------------------------------------------------------
 
-# B_{2k}/(2k) for k = 1..8; psi(z) ~ ln z - 1/(2z) - sum_k B_{2k}/(2k z^{2k})
-_PSI_SERIES = np.array([
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-])
-
 # B_{2k} for k = 1..8; psi'(z) ~ 1/z + 1/(2z^2) + sum_k B_{2k}/z^{2k+1}
 _TRI_SERIES = np.array([
     1.0 / 6.0,
@@ -71,7 +59,6 @@ _TRI_SERIES = np.array([
     -3617.0 / 510.0,
 ])
 
-_PSI_SHIFT = 16.0  # asymptotic series used once |z| >= this
 _TRI_SHIFT = 12.0
 
 
@@ -81,57 +68,16 @@ def _is_nonpositive_integer(z: np.ndarray) -> np.ndarray:
     return (im == 0.0) & (re <= 0.0) & (re == np.floor(re))
 
 
-def _digamma_right(z: np.ndarray) -> np.ndarray:
-    # Re z >= 0.5 assumed; recurrence then Bernoulli series.
-    w = np.array(z, dtype=complex, copy=True)
-    acc = np.zeros(w.shape, dtype=complex)
-    for _ in range(int(_PSI_SHIFT) + 1):
-        mask = np.abs(w) < _PSI_SHIFT
-        if not mask.any():
-            break
-        acc[mask] -= 1.0 / w[mask]
-        w[mask] += 1.0
-    iw = 1.0 / w
-    iw2 = iw * iw
-    s = np.full(w.shape, _PSI_SERIES[-1], dtype=complex)
-    for c in _PSI_SERIES[-2::-1]:
-        s = s * iw2 + c
-    return acc + np.log(w) - 0.5 * iw - s * iw2
-
-
-def _cot_pi(z: np.ndarray) -> np.ndarray:
-    # cot(pi z), stable for large |Im z| and near-integer Re z.
-    out = np.empty(z.shape, dtype=complex)
-    big = np.abs(z.imag) > 18.0
-    out[big] = -1j * np.sign(z.imag[big])
-    zs = z[~big]
-    # period-1 reduction of the real part is exact in floating point
-    r = zs.real - np.round(zs.real)
-    w = np.pi * (r + 1j * zs.imag)
-    out[~big] = np.cos(w) / np.sin(w)
-    return out
-
-
 def digamma(z):
     """psi(z) = Gamma'(z)/Gamma(z) for complex z away from the poles.
 
-    Absolute accuracy is ~1e-13 or better for |z| <= 1e6 at points a few
-    ulps away from the poles at the nonpositive integers.
+    Backed by scipy's psi; real input gives real output, and the poles at
+    the nonpositive integers raise a domain error.
     """
     arr = np.asarray(z)
-    scalar = arr.ndim == 0
-    zc = np.atleast_1d(arr).astype(complex)
-    if _is_nonpositive_integer(zc).any():
+    if _is_nonpositive_integer(arr).any():
         raise DomainError("digamma pole: z is a nonpositive integer")
-    out = np.empty(zc.shape, dtype=complex)
-    left = zc.real < 0.5
-    if left.any():
-        out[left] = _digamma_right(1.0 - zc[left]) - np.pi * _cot_pi(zc[left])
-    if (~left).any():
-        out[~left] = _digamma_right(zc[~left])
-    if np.isrealobj(arr):
-        out = out.real
-    return out[0] if scalar else out.reshape(arr.shape)
+    return _sp.psi(arr)
 
 
 def trigamma_real(x):

@@ -18,6 +18,14 @@ CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 
 # frozen from the default 201 x 801 grid run
 CERT_MARGIN = 0.18588499153844687
+CERT_SEARCH_DOMAIN = {
+    "re_max": 50.0, "im_max": 200.0, "step": 0.25, "convention": "halved",
+    "grid_shape": [201, 801], "boundary_clear": True,
+    "error_bound": 0.00011209850782897441,
+}
+# the same run on the FAST rectangle below: the lattice's extent follows the
+# rectangle, so the margin differs from CERT_MARGIN by 1.6e-7
+FAST_MARGIN = 0.18588514992730618
 MIN_ELL_VALUE = 0.2919874619148928
 MINIMAL_LENGTH = 45.04973444192862
 
@@ -56,6 +64,7 @@ def test_certificate_margin_and_flags():
     cert = certify_gap(4, CERT_LENGTH, **FAST)
     assert cert.certified is True
     assert cert.margin == pytest.approx(CERT_MARGIN, abs=1e-6)
+    assert cert.margin == pytest.approx(FAST_MARGIN, abs=1e-11)
     assert cert.margin == pytest.approx(
         4.0 * min_ell_over_mu_cached().value / (2.0 * math.pi), abs=1e-12)
     assert cert.degree == 4
@@ -67,6 +76,14 @@ def test_certificate_margin_and_flags():
     assert d["certified"] is True
     assert d["window_length"] == pytest.approx(CERT_LENGTH, abs=1e-12)
     json.dumps(d)  # must be serializable as-is
+
+
+def test_headline_certificate_pins():
+    d = certify_gap(4, CERT_LENGTH).to_dict()
+    assert d["margin"] == pytest.approx(CERT_MARGIN, abs=1e-11)
+    assert round(d["margin"], 6) == 0.185885
+    assert d["positivity_window"] == [-22.661800709135967, 22.661800709135967]
+    assert d["search_domain"] == CERT_SEARCH_DOMAIN
 
 
 def test_certificate_degree_free():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zerogap.explicit_formula as ef
 from zerogap.errors import AccuracyError, DomainError, IncompletenessError
 from zerogap.explicit_formula import (
     PRIME_FREE_RADIUS,
@@ -92,6 +93,41 @@ def test_ell_grid_matches_pointwise(cert_minorant):
         p = ell(complex(re_v[i], im_v[j]), cert_minorant)
         assert abs(grid[i, j] - p) < bound
         assert abs(grid[i, j] - p) < 5e-5
+
+
+def test_ell_grid_recurrence_rows_match_direct_rows(cert_minorant, monkeypatch):
+    # a = 1/4 + re/2 moves by 1/8 per row, so every row with re >= 2 lies one
+    # unit of a above an earlier row and takes its psi values from it
+    re_v = np.arange(0.0, 4.0 + 1e-9, 0.25)
+    im_v = np.arange(0.0, 50.0 + 1e-9, 0.25)
+    psi_rows = set()
+    direct = ef.digamma
+
+    def counting(z):
+        psi_rows.add(float(np.real(z).flat[0]))
+        return direct(z)
+
+    monkeypatch.setattr(ef, "digamma", counting)
+    grid = ell_grid(cert_minorant, re_v, im_v)
+    monkeypatch.undo()
+    assert psi_rows == {0.25 + 0.125 * k for k in range(8)}
+    for k in range(8, len(re_v)):
+        row = ell_grid(cert_minorant, [re_v[k]], im_v)[0]
+        assert np.max(np.abs(grid[k] - row)) < 1e-12
+
+
+@pytest.mark.parametrize("re_v, im_v", [
+    (np.arange(0.0, 3.0 + 1e-9, 0.3), np.arange(0.0, 30.0 + 1e-9, 0.5)),  # no row 1 below
+    (np.array([0.0, 1.5]), np.array([5.0, 5.25, 5.5])),  # Im grid off the origin
+    (np.array([0.5]), np.array([7.0])),
+])
+def test_ell_grid_irregular_grids_match_pointwise(cert_minorant, re_v, im_v):
+    grid = ell_grid(cert_minorant, re_v, im_v)
+    bound = ell_grid.last_error_bound
+    for i in {0, len(re_v) // 2, len(re_v) - 1}:
+        for j in {0, len(im_v) // 3, len(im_v) - 1}:
+            p = ell(complex(re_v[i], im_v[j]), cert_minorant)
+            assert abs(grid[i, j] - p) < bound
 
 
 def test_ell_grid_input_validation(cert_minorant):

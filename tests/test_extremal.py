@@ -103,8 +103,8 @@ def test_selberg_minorizes_indicator(cert_minorant):
 
 def test_selberg_positivity_window_regression(cert_minorant):
     lo, hi = cert_minorant.positivity_window
-    assert lo == pytest.approx(-22.661800709135967, abs=1e-6)
-    assert hi == pytest.approx(22.661800709135967, abs=1e-6)
+    assert lo == pytest.approx(-22.661800709135967, abs=1e-12)
+    assert hi == pytest.approx(22.661800709135967, abs=1e-12)
     assert hi <= CERT_LENGTH / 2.0 + 1e-9
 
 

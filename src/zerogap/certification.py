@@ -17,9 +17,9 @@ check suffices.  The result is labeled numerical evidence, grid-based; it
 is not a proof.
 
 The two Gamma-factor normalizations give pointwise-identical values under
-mu -> 2 mu, so certificates under the `literal` convention are evaluated on
-the halved grid (re_max/2, im_max/2, step/2); verdicts and bisection paths
-then agree with the `halved` convention exactly.
+mu -> k mu, k = `convention_scale(convention)`; `certify_gap` divides its
+rectangle by k, so both conventions visit the same kernel parameters and
+their verdicts and bisection paths agree exactly.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .explicit_formula import PRIME_FREE_RADIUS, TWO_PI, ell_grid
+from .explicit_formula import PRIME_FREE_RADIUS, TWO_PI, convention_scale, ell_grid
 from .extremal import TestFunction, selberg_minorant
 
 __all__ = [
@@ -125,7 +125,6 @@ def min_ell_over_mu(
     im_max: float = 200.0,
     step: float = 0.25,
     convention: str = "halved",
-    grid_tol: float = 2.5e-4,
 ) -> MinEllSearch:
     """Minimum of ell(mu, f) over the grid on [0, re_max] x [0, im_max].
 
@@ -133,11 +132,12 @@ def min_ell_over_mu(
     under mu -> conj(mu) for even f.  Ties go to the smallest Re mu, then
     the smallest Im mu (row-major first hit).
     """
+    k = convention_scale(convention)
     if step <= 0 or re_max < step or im_max < 0:
         raise DomainError("need step > 0, re_max >= step, im_max >= 0")
     re_values = _grid_values(re_max, step)
     im_values = _grid_values(im_max, step)
-    vals = ell_grid(f, re_values, im_values, convention, grid_tol=grid_tol)
+    vals, error_bound = ell_grid(f, k * re_values, k * im_values)
     flat = int(np.argmin(vals))
     i, j = np.unravel_index(flat, vals.shape)
     boundary_clear = bool(vals[-1, :].min() > vals[:-1, :].min()) if len(re_values) > 1 else False
@@ -148,23 +148,13 @@ def min_ell_over_mu(
         convention=convention,
         grid_shape=vals.shape,
         boundary_clear=boundary_clear,
-        error_bound=float(ell_grid.last_error_bound),
+        error_bound=float(error_bound),
     )
     return MinEllSearch(
         value=float(vals[i, j]),
         argmin=complex(re_values[i], im_values[j]),
         domain=domain,
     )
-
-
-def _mapped_search(convention, re_max, im_max, step):
-    # literal ell on (re, im) equals halved ell on (2 re, 2 im); searching
-    # the halved rectangle means handing literal the same mu set, halved
-    if convention == "literal":
-        return re_max / 2.0, im_max / 2.0, step / 2.0
-    if convention != "halved":
-        raise DomainError(f"unknown convention {convention!r}")
-    return re_max, im_max, step
 
 
 def certify_gap(
@@ -176,7 +166,6 @@ def certify_gap(
     im_max: float = 200.0,
     step: float = 0.25,
     convention: str = "halved",
-    grid_tol: float = 2.5e-4,
 ) -> GapCertificate:
     """Certify that every degree-`degree` L-function (unit conductor or
     larger, transform-trivial prime side) has a zero in every window of the
@@ -193,10 +182,10 @@ def certify_gap(
             f"window_length must exceed 1/delta = {1.0 / delta:.10g}; the minorant "
             "carries no mass below that"
         )
+    k = convention_scale(convention)
     half = window_length / 2.0
     s_minus = selberg_minorant(-half, half, delta)
-    grid = _mapped_search(convention, re_max, im_max, step)
-    search = min_ell_over_mu(s_minus, *grid, convention=convention, grid_tol=grid_tol)
+    search = min_ell_over_mu(s_minus, re_max / k, im_max / k, step / k, convention)
     margin = degree * search.value / TWO_PI
     window = s_minus.positivity_window
     window_ok = isinstance(window, tuple)
@@ -220,7 +209,6 @@ def minimal_certified_length(
     im_max: float = 200.0,
     step: float = 1.0,
     convention: str = "halved",
-    grid_tol: float = 2.5e-4,
 ) -> float:
     """Smallest window length the grid search certifies, by bisection to
     the given precision.  Uses a coarser default search step than
@@ -232,8 +220,7 @@ def minimal_certified_length(
     def certified(length: float) -> bool:
         return certify_gap(
             degree, length, delta,
-            re_max=re_max, im_max=im_max, step=step,
-            convention=convention, grid_tol=grid_tol,
+            re_max=re_max, im_max=im_max, step=step, convention=convention,
         ).certified
 
     lo = 1.0 / delta  # exclusive: no mass, uncertifiable by construction

@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .explicit_formula import PRIME_FREE_RADIUS, verify
+from .explicit_formula import CONVENTIONS, PRIME_FREE_RADIUS, verify
 from .extremal import beurling, fejer, fourier_at, selberg_minorant, windowed_fejer
 from .lfunctions import (
     _factorize,
@@ -175,7 +175,7 @@ def _add_common_grid(p) -> None:
                    help="search bound for Im mu (default 200)")
     p.add_argument("--step", type=float, default=0.25,
                    help="grid step in both directions (default 0.25)")
-    p.add_argument("--convention", choices=("halved", "literal"),
+    p.add_argument("--convention", choices=CONVENTIONS,
                    default="halved", help="Gamma-factor normalization")
 
 
@@ -227,7 +227,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t0", type=float, default=14.13)
     p.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS)
     p.add_argument("--conductor", type=float, default=1.0, help="assumed Q >= 1")
-    p.add_argument("--convention", choices=("halved", "literal"), default="halved")
+    p.add_argument("--convention", choices=CONVENTIONS, default="halved")
     p.add_argument("--threads", type=int, default=1,
                    help="parallel archimedean integrals; output is identical "
                         "for any thread count")
@@ -238,7 +238,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", default=None, help="L-function JSON (default: bundled)")
     p.add_argument("--length", type=float, default=DEFAULT_LENGTH)
     p.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS)
-    p.add_argument("--convention", choices=("halved", "literal"), default="halved")
+    p.add_argument("--convention", choices=CONVENTIONS, default="halved")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_example)

@@ -11,6 +11,9 @@ pi^{-(s+mu)/2} Gamma((s+mu)/2)); the `literal` convention uses
 z = 1/4 + mu instead, so ell_literal(mu) = ell_halved(2 mu) identically,
 which is what makes the certification verdict insensitive to the
 convention: mu -> 2 mu maps the closed right half-plane onto itself.
+`convention_scale` is the one place that maps a convention name to that
+factor (1 or 2); `ell_grid` takes halved parameters only, and its callers
+scale their grid by that factor.
 
 `ell` evaluates the integral on the frequency side.  Gauss's integral
 psi(w) = int_0^inf [e^-x/x - e^-wx/(1 - e^-x)] dx (DLMF 5.9), integrated
@@ -25,11 +28,12 @@ Analytic Number Theory, 5.5).  Every test function's transform vanishes for
 integrates to fhat(0) E1(X).  What remains is a smooth integral over the
 finite interval [0, X] of the closed-form transform, integrated adaptively.
 
-`ell_grid` evaluates ell over a rectangular (Re mu, Im mu) grid at reduced
-tolerance for the certification search.  It still integrates in the time
-domain, W(t) = Re psi(a + i (t + y)/2) against f(t), and exploits the fact
-that W depends on t and y only through t + y: with a uniform Simpson
-lattice in t whose spacing divides the Im-mu step, every required psi value
+`ell_grid` evaluates ell (halved) over a rectangular (Re mu, Im mu) grid at
+reduced tolerance for the certification search, and returns the values
+with their error bound.  It still integrates in the time domain,
+W(t) = Re psi(a + i (t + y)/2) against f(t), and exploits the fact that W
+depends on t and y only through t + y: with a uniform Simpson lattice in t
+of spacing 1/16, which divides the Im-mu step, every required psi value
 lies on one shifted copy of a single lattice table per Re-mu row, and the
 whole row of integrals is one FFT cross-correlation of that table against
 the Simpson-weighted f samples, whose transform is taken once per grid.
@@ -38,11 +42,12 @@ Most rows need no psi evaluation at all: psi(z+1) = psi(z) + 1/z (DLMF
 one unit of a above a row already computed is that row plus one rational
 term (on the default grid only the 8 rows with a < 1.25 evaluate psi).  The
 recurrence's rounding, below 2e-13 over the default grid, is far inside
-grid_tol.  The tails beyond the lattice are finished analytically from the
-test function's tail decomposition, with everything that does not depend on
-a computed once per grid.  The lattice stays because the headline
-certificate's pinned margin, 0.185885, is the lattice's value: the exact
-minimum, 0.1858822, rounds differently.
+the grid's error budget of 2.5e-4.  The tails beyond the lattice are
+finished analytically from the tail decomposition that only the Selberg
+minorant carries, with everything that does not depend on a computed once
+per grid.  The lattice stays because the headline certificate's pinned
+margin, 0.185885, is the lattice's value: the exact minimum, 0.1858822,
+rounds differently.
 """
 
 from __future__ import annotations
@@ -61,7 +66,9 @@ from .lfunctions import LFunctionData, FunctionalEquation, LogDerivativeCoeffici
 from .special_math import _trigamma_complex, digamma, integrate_interval
 
 __all__ = [
+    "CONVENTIONS",
     "ExplicitFormulaReport",
+    "convention_scale",
     "ell",
     "ell_grid",
     "rhs",
@@ -73,19 +80,29 @@ LOG_PI = math.log(math.pi)
 TWO_PI = 2.0 * math.pi
 PRIME_FREE_RADIUS = math.log(2.0) / TWO_PI  # support below this kills the prime sum
 
-_CONVENTIONS = ("halved", "literal")
+CONVENTIONS = ("halved", "literal")
+
+# the certification lattice: Simpson spacing in t, and the error budget per
+# grid value that fixes the oscillatory cutoff and the smooth-tail length
+_LATTICE_H = 0.0625
+_GRID_TOL = 2.5e-4
+
+
+def convention_scale(convention: str) -> int:
+    """The factor k with ell(mu, f, convention) = ell(k mu, f, "halved"):
+    1 for `halved`, 2 for `literal`.  Doubling a float is exact, so mapping
+    a literal mu or grid through k loses nothing."""
+    if convention not in CONVENTIONS:
+        raise DomainError(f"unknown convention {convention!r}; use halved or literal")
+    return 2 if convention == "literal" else 1
 
 
 def _kernel_params(mu: complex, convention: str) -> Tuple[float, float]:
-    if convention not in _CONVENTIONS:
-        raise DomainError(f"unknown convention {convention!r}; use halved or literal")
+    k = convention_scale(convention)
     x, y = mu.real, mu.imag
     if x < -1e-12:
         raise DomainError(f"ell requires Re(mu) >= 0, got {mu!r}")
-    x = max(x, 0.0)
-    if convention == "halved":
-        return 0.25 + 0.5 * x, y
-    return 0.25 + x, 2.0 * y
+    return 0.25 + 0.5 * (k * max(x, 0.0)), k * y
 
 
 def ell(mu: complex, f: TestFunction, convention: str = "halved",
@@ -160,59 +177,43 @@ def ell_grid(
     f: TestFunction,
     re_values: Sequence[float],
     im_values: Sequence[float],
-    convention: str = "halved",
-    *,
-    lattice_h: float = 0.0625,
-    grid_tol: float = 2.5e-4,
-) -> np.ndarray:
-    """ell(mu, f) on the grid {re x im}, shape (len(re), len(im)).
+) -> Tuple[np.ndarray, float]:
+    """ell(mu, f), halved convention, on the grid {re x im}.
 
-    Uses a shared Simpson lattice per Re-mu row plus analytic tail finishing;
-    requires an even test function with a structured tail and an equispaced
-    Im grid whose step is a multiple of lattice_h.  The Simpson kernel is
-    transformed once per grid.  A row whose psi argument a lies one unit above
-    a row already computed is built from it by psi(z+1) = psi(z) + 1/z, on
-    the lattice table and the smooth-tail nodes alike; other rows evaluate
-    psi.  The recurrence's rounding (below 2e-13 on the default grid) is far
-    inside grid_tol.
+    Returns (values of shape (len(re), len(im)), error bound per value).
+    Needs an even test function with tail data and a nonempty, equispaced
+    Im grid whose step is a multiple of the lattice spacing 1/16; the method
+    is described in the module docstring.
     """
     tail = f.envelope.tail
     if tail is None or not f.even:
         raise DomainError("ell_grid requires an even test function with tail data")
     re_values = np.asarray(re_values, dtype=float)
-    im_values = np.asarray(im_values, dtype=float)
-    if re_values.ndim != 1 or im_values.ndim != 1:
+    ys = np.asarray(im_values, dtype=float)
+    if re_values.ndim != 1 or ys.ndim != 1:
         raise DomainError("re_values and im_values must be 1-d")
-    if (re_values < -1e-12).any() or (im_values < -1e-12).any():
+    if not len(re_values) or not len(ys):
+        raise DomainError("re_values and im_values must be nonempty")
+    if (re_values < -1e-12).any() or (ys < -1e-12).any():
         raise DomainError("grid must lie in the closed upper-right quadrant")
-    if len(im_values) > 1:
-        steps = np.diff(im_values)
+    h = _LATTICE_H
+    stride = 1
+    if len(ys) > 1:
+        steps = np.diff(ys)
         if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
             raise DomainError("im_values must be equispaced")
-        ratio = steps[0] / lattice_h
+        ratio = steps[0] / h
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise DomainError("im step must be a positive multiple of lattice_h")
+            raise DomainError(f"im step must be a positive multiple of {h}")
         stride = int(round(ratio))
-    else:
-        stride = 1
+    a_row = 0.25 + 0.5 * re_values
 
-    if convention == "halved":
-        a_row = 0.25 + 0.5 * re_values
-        ys = im_values.copy()
-    elif convention == "literal":
-        a_row = 0.25 + re_values
-        ys = 2.0 * im_values
-        if len(ys) > 1:
-            stride = int(round((ys[1] - ys[0]) / lattice_h))
-    else:
-        raise DomainError(f"unknown convention {convention!r}")
-
-    y_max = float(ys[-1]) if len(ys) else 0.0
+    y_max = float(ys[-1])
     a_max = float(a_row.max())
 
     # oscillatory cutoff: after two integrations by parts the remainder per
-    # component is rem2(T); pick T3 so the total stays within grid_tol/4
-    eps_o = grid_tol / (8.0 * max(len(tail.components), 1))
+    # component is rem2(T); pick T3 so the total stays within _GRID_TOL/4
+    eps_o = _GRID_TOL / (8.0 * max(len(tail.components), 1))
     c0, clog, cd, cdd = 3.0, 1.0, 4.0, 8.0
     t3 = max(tail.t_valid, 2.0 * y_max + 20.0, 4.0 * a_max + 20.0, 64.0)
 
@@ -225,18 +226,18 @@ def ell_grid(
         while rem2(comp, t3) > eps_o and t3 < 5e4:
             t3 *= 1.2
     # snap to the lattice
-    n_half = int(math.ceil(t3 / lattice_h))
+    n_half = int(math.ceil(t3 / h))
     if n_half % 2:
         n_half += 1
-    t3 = n_half * lattice_h
+    t3 = n_half * h
 
     # Simpson weights on [-t3, t3]
     nt = 2 * n_half + 1
-    t_nodes = (np.arange(nt) - n_half) * lattice_h
+    t_nodes = (np.arange(nt) - n_half) * h
     sw = np.ones(nt)
     sw[1:-1:2] = 4.0
     sw[2:-1:2] = 2.0
-    sw *= lattice_h / 3.0
+    sw *= h / 3.0
     fw = sw * np.asarray(f.value(t_nodes), dtype=float)
 
     # lattice of psi arguments a + iv, v = (t + y)/2: shift k of the Simpson
@@ -244,14 +245,14 @@ def ell_grid(
     # the boundary points t = +-t3 of y = ys[j] are table entries
     n_shift = stride * (len(ys) - 1)
     n_table = nt + n_shift
-    v_table = 0.5 * (ys[0] - t3 + np.arange(n_table) * lattice_h)
+    v_table = 0.5 * (ys[0] - t3 + np.arange(n_table) * h)
     # shifts 0..n_shift of a circular correlation are free of wrap-around
     # once the transform length is at least n_table
     nfft = next_fast_len(n_table, real=True)
     fw_hat = rfft(fw[::-1], nfft)
 
     rem_total = sum(2.0 * rem2(c, t3) for c in tail.components)
-    eps_s = grid_tol / 8.0
+    eps_s = _GRID_TOL / 8.0
 
     # the a-independent tail data of each side: the boundary terms of the two
     # integrations by parts are amp_w W + amp_dw W' at t = sign t3
@@ -295,10 +296,7 @@ def ell_grid(
             row += amp_w * table[edge] + amp_dw * wd
             row += np.interp(y_index, idx, smooth @ p_wts)
         out[i] = row - f.integral * LOG_PI
-    # rem_total and eps_s are certification budget, reported by callers
-    out_err = rem_total + 2.0 * eps_s
-    ell_grid.last_error_bound = out_err  # introspection for tests/certificates
-    return out
+    return out, rem_total + 2.0 * eps_s
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +346,14 @@ class ExplicitFormulaReport:
         }
 
 
+def _prime_range(f: TestFunction) -> int:
+    # largest n with log n / 2 pi in the transform support; 0 when the
+    # support is prime-free and the prime sum vanishes identically
+    if f.support_radius <= PRIME_FREE_RADIUS + 1e-15:
+        return 0
+    return int(math.floor(math.exp(TWO_PI * f.support_radius) + 1e-9))
+
+
 def rhs(
     fe: FunctionalEquation,
     f: TestFunction,
@@ -373,8 +379,8 @@ def rhs(
 
     budget = len(fe.spectral) * tol
     prime_term = 0.0
-    n_max = int(math.floor(math.exp(TWO_PI * f.support_radius) + 1e-9))
-    if f.support_radius > PRIME_FREE_RADIUS + 1e-15 and n_max >= 2:
+    n_max = _prime_range(f)
+    if n_max:
         if primes is None:
             raise IncompletenessError(
                 "prime-coefficient data required: transform support radius "
@@ -460,10 +466,10 @@ def verify(
     """Full consistency report: zero side vs right side, residual, and the
     conductor the residual would imply (a check on an assumed Q)."""
     primes = None
-    if f.support_radius > PRIME_FREE_RADIUS + 1e-15:
+    n_max = _prime_range(f)
+    if n_max:
         from .lfunctions import c_coefficients
 
-        n_max = int(math.floor(math.exp(TWO_PI * f.support_radius) + 1e-9))
         primes = c_coefficients(data, n_max)
     right = rhs(data.fe, f, primes, convention, tol)
     value, tail = zero_sum(data, f)

@@ -23,10 +23,11 @@ Every constructor also sets the exact Fourier transform, supported in
 Vaaler, "Some extremal functions in Fourier analysis", Bull. AMS 12, 1985),
 a triangle for the Fejer kernel, and t0^2 g^ + g^''/(4 pi^2) for the windowed
 kernel, where g^ is a scaled cubic B-spline.  The pointwise explicit-formula
-term and ``fourier_at`` read only this transform.  Each function is also
-carried beyond its last sign change as an explicit tail decomposition
-(smooth part plus amplitude-times-cosine components with derivative bounds);
-only the lattice evaluator ``explicit_formula.ell_grid`` reads it.
+term and ``fourier_at`` read only this transform.  The Selberg minorant is
+also carried beyond its last sign change as an explicit tail decomposition
+(smooth part plus amplitude-times-cosine components with derivative bounds)
+for the lattice evaluator ``explicit_formula.ell_grid``, which certification
+runs on it alone; the Fejer kernels carry only their decay envelope.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class TestFunction:
     positivity_window is the open interval outside of which f <= 0, the
     string "everywhere" for nonnegative kernels, or None when no positive
     region could be confirmed.  envelope declares |f(t)| <= M/t^2 beyond
-    T0 and optionally carries the structured tail.  fourier_closed is the
+    T0; the Selberg minorant's also carries the structured tail.  fourier_closed is the
     exact transform xi -> f^(xi), vectorized, complex in general and zero
     for |xi| >= support_radius.
     """
@@ -297,22 +298,6 @@ def fejer(delta: float) -> TestFunction:
         s = np.sinc(delta * np.asarray(t, dtype=float))
         return s * s
 
-    c = 1.0 / (2.0 * math.pi**2 * delta**2)
-    omega = 2.0 * math.pi * delta
-    tail = TailDecomposition(
-        t_valid=1.0 / delta,
-        smooth=lambda t: c / np.asarray(t, dtype=float) ** 2,
-        c_p=c,
-        components=(
-            OscComponent(
-                amplitude=lambda t: -c / np.asarray(t, dtype=float) ** 2,
-                d_amplitude=lambda t: 2.0 * c / t**3,
-                omega=omega, phase=0.0,
-                c_q=c, c_dq=2.0 * c, c_ddq=6.0 * c,
-            ),
-        ),
-    )
-
     def ft(x):
         xv = np.abs(np.asarray(x, dtype=float))
         return np.where(xv <= delta, (1.0 - xv / delta) / delta, 0.0)
@@ -322,7 +307,7 @@ def fejer(delta: float) -> TestFunction:
         integral=1.0 / delta,
         support_radius=delta,
         positivity_window=EVERYWHERE,
-        envelope=DecayEnvelope(m=1.0 / (math.pi * delta) ** 2, t0=1.0 / delta, tail=tail),
+        envelope=DecayEnvelope(m=1.0 / (math.pi * delta) ** 2, t0=1.0 / delta),
         even=True,
         fourier_closed=ft,
         label=f"fejer@{delta:g}",
@@ -352,41 +337,6 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
     #            = (4 t0^2)/(3 delta) - 4/(pi^2 delta^3)
     integral = 4.0 * t0 * t0 / (3.0 * delta) - 4.0 / (math.pi**2 * delta**3)
 
-    # sin^4(v) = 3/8 - cos(2v)/2 + cos(4v)/8 with v = pi delta t / 2 gives
-    # f = A(t) (6 - 8 cos(pi delta t) + 2 cos(2 pi delta t)),
-    # A(t) = (t0^2 - t^2)/(pi delta t)^4
-    pd4 = (math.pi * delta) ** 4
-    t_valid = 2.0 * t0
-
-    def amp(t):
-        tv = np.asarray(t, dtype=float)
-        return (t0 * t0 - tv * tv) / (pd4 * tv**4)
-
-    def d_amp(t):
-        return (2.0 * t * t - 4.0 * t0 * t0) / (pd4 * t**5)
-
-    # for |t| >= 2 t0: |A| <= 1.25/(pd4 t^2), |A'| <= 3/(pd4 |t|^3),
-    # |A''| <= 11/(pd4 t^4)
-    c_a, c_da, c_dda = 1.25 / pd4, 3.0 / pd4, 11.0 / pd4
-    om = math.pi * delta
-
-    def scaled(k):
-        return (
-            lambda t: k * amp(t),
-            lambda t: k * d_amp(t),
-        )
-
-    a8, da8 = scaled(-8.0)
-    a2, da2 = scaled(2.0)
-    tail = TailDecomposition(
-        t_valid=t_valid,
-        smooth=lambda t: 6.0 * amp(t), c_p=6.0 * c_a,
-        components=(
-            OscComponent(a8, da8, om, 0.0, 8.0 * c_a, 8.0 * c_da, 8.0 * c_dda),
-            OscComponent(a2, da2, 2.0 * om, 0.0, 2.0 * c_a, 2.0 * c_da, 2.0 * c_dda),
-        ),
-    )
-
     # sinc^4(a t) has transform g^(xi) = M4(xi/a)/a, a = delta/2, with the
     # centred cubic B-spline M4(s) = ((2 - |s|)_+^3 - 4 (1 - |s|)_+^3)/6;
     # multiplying by t^2 maps g^ to -g^''/(4 pi^2)
@@ -399,13 +349,14 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
         m4_dd = p2 - 4.0 * p1
         return t0 * t0 * m4 / a + m4_dd / (4.0 * math.pi**2 * a**3)
 
-    m_env = 16.0 / pd4  # (t^2 - t0^2) sinc^4 <= t^2 (2/(pi delta t))^4
+    # beyond 2 t0: (t^2 - t0^2) sinc^4 <= t^2 (2/(pi delta t))^4
+    m_env = 16.0 / (math.pi * delta) ** 4
     return TestFunction(
         value=value,
         integral=integral,
         support_radius=delta,
         positivity_window=(-t0, t0),
-        envelope=DecayEnvelope(m=m_env, t0=t_valid, tail=tail),
+        envelope=DecayEnvelope(m=m_env, t0=2.0 * t0),
         even=True,
         fourier_closed=ft,
         label=f"windowed_fejer@{t0:g},{delta:g}",

@@ -17,8 +17,9 @@ of unlisted zeros.  Its optional ``TailDecomposition``
 
     f(t) = P(t) + sum_i Q_i(t) * cos(omega_i t + phi_i)   for |t| >= t_valid
 
-feeds only the lattice evaluator ``explicit_formula.ell_grid``, which still
-integrates in the time domain and finishes the tails analytically.
+is set only by the Selberg minorant and feeds only the lattice evaluator
+``explicit_formula.ell_grid``, which still integrates in the time domain and
+finishes the tails analytically.
 """
 
 from __future__ import annotations
@@ -322,7 +323,8 @@ class DecayEnvelope:
     """Quadratic-decay declaration |g(t)| <= m/t^2 for |t| >= t0.
 
     ``tail`` optionally supplies the structured decomposition that the
-    lattice evaluator ``ell_grid`` finishes analytically.
+    lattice evaluator ``ell_grid`` finishes analytically; only the Selberg
+    minorant sets it.
     """
 
     m: float

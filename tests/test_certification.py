@@ -120,13 +120,25 @@ def test_parameter_validation():
 
 def test_conventions_give_identical_certificates():
     # the literal search runs on the halved rectangle scaled by 1/2, which
-    # visits the same kernel parameters point for point
-    a = certify_gap(4, CERT_LENGTH, **FAST)
-    b = certify_gap(4, CERT_LENGTH, convention="literal", **FAST)
-    assert b.margin == a.margin
-    assert b.certified is True
-    assert b.search.re_max == pytest.approx(FAST["re_max"] / 2.0)
-    assert b.search.convention == "literal"
+    # visits the same kernel parameters point for point: every field agrees
+    # except the convention and the rectangle, which is the halved one / 2
+    a = certify_gap(4, CERT_LENGTH, **FAST).to_dict()
+    b = certify_gap(4, CERT_LENGTH, convention="literal", **FAST).to_dict()
+    da, db = a.pop("search_domain"), b.pop("search_domain")
+    assert b == a
+    assert b["certified"] is True
+    assert (da.pop("convention"), db.pop("convention")) == ("halved", "literal")
+    for key in ("re_max", "im_max", "step"):
+        assert db.pop(key) == da.pop(key) / 2.0
+    assert db == da  # grid_shape, boundary_clear, error_bound
+    # min-ell searches the caller's rectangle: literal on (R, I, s) is halved
+    # on (2R, 2I, 2s) with the argmin doubled
+    lit = min_ell_over_mu(cert_fn(), FAST["re_max"] / 2.0, FAST["im_max"] / 2.0,
+                          FAST["step"] / 2.0, "literal")
+    half = min_ell_over_mu_cached()
+    assert (lit.value, 2.0 * lit.argmin) == (half.value, half.argmin)
+    assert (lit.domain.grid_shape, lit.domain.boundary_clear, lit.domain.error_bound) == (
+        half.domain.grid_shape, half.domain.boundary_clear, half.domain.error_bound)
 
 
 def test_refinement_stability():

@@ -17,7 +17,7 @@ from zerogap.explicit_formula import (
     verify,
     zero_sum,
 )
-from zerogap.extremal import fourier_at, selberg_minorant
+from zerogap.extremal import fejer, fourier_at, selberg_minorant, windowed_fejer
 from zerogap.lfunctions import FunctionalEquation, LogDerivativeCoefficients
 from zerogap.special_math import DecayEnvelope, digamma, integrate_interval
 
@@ -87,8 +87,7 @@ def test_ell_conjugation_property(cert_minorant, x, y):
 def test_ell_grid_matches_pointwise(cert_minorant):
     re_v = np.arange(0.0, 2.0 + 1e-9, 0.25)
     im_v = np.arange(0.0, 200.0 + 1e-9, 0.25)
-    grid = ell_grid(cert_minorant, re_v, im_v)
-    bound = ell_grid.last_error_bound
+    grid, bound = ell_grid(cert_minorant, re_v, im_v)
     for (i, j) in ((0, 0), (3, 100), (8, 800), (5, 399), (0, 800)):
         p = ell(complex(re_v[i], im_v[j]), cert_minorant)
         assert abs(grid[i, j] - p) < bound
@@ -108,11 +107,11 @@ def test_ell_grid_recurrence_rows_match_direct_rows(cert_minorant, monkeypatch):
         return direct(z)
 
     monkeypatch.setattr(ef, "digamma", counting)
-    grid = ell_grid(cert_minorant, re_v, im_v)
+    grid, _ = ell_grid(cert_minorant, re_v, im_v)
     monkeypatch.undo()
     assert psi_rows == {0.25 + 0.125 * k for k in range(8)}
     for k in range(8, len(re_v)):
-        row = ell_grid(cert_minorant, [re_v[k]], im_v)[0]
+        row = ell_grid(cert_minorant, [re_v[k]], im_v)[0][0]
         assert np.max(np.abs(grid[k] - row)) < 1e-12
 
 
@@ -122,8 +121,7 @@ def test_ell_grid_recurrence_rows_match_direct_rows(cert_minorant, monkeypatch):
     (np.array([0.5]), np.array([7.0])),
 ])
 def test_ell_grid_irregular_grids_match_pointwise(cert_minorant, re_v, im_v):
-    grid = ell_grid(cert_minorant, re_v, im_v)
-    bound = ell_grid.last_error_bound
+    grid, bound = ell_grid(cert_minorant, re_v, im_v)
     for i in {0, len(re_v) // 2, len(re_v) - 1}:
         for j in {0, len(im_v) // 3, len(im_v) - 1}:
             p = ell(complex(re_v[i], im_v[j]), cert_minorant)
@@ -135,10 +133,16 @@ def test_ell_grid_input_validation(cert_minorant):
         ell_grid(cert_minorant, [0.0], [0.0, 0.1])  # step not on the lattice
     with pytest.raises(DomainError):
         ell_grid(cert_minorant, [-1.0], [0.0])
+    with pytest.raises(DomainError):
+        ell_grid(cert_minorant, [], [0.0])
+    with pytest.raises(DomainError):
+        ell_grid(cert_minorant, [0.0], [])
     crude = replace(cert_minorant,
                     envelope=DecayEnvelope(m=1.0, t0=30.0, tail=None))
-    with pytest.raises(DomainError):
-        ell_grid(crude, [0.0], [0.0])
+    # only the Selberg minorant carries the tail data the lattice finishes
+    for f in (crude, fejer(PRIME_FREE_RADIUS), windowed_fejer(14.13, PRIME_FREE_RADIUS)):
+        with pytest.raises(DomainError):
+            ell_grid(f, [0.0], [0.0])
 
 
 def _fe(spectral, q=1.0):

@@ -174,16 +174,6 @@ def test_fejer_basics():
         assert fourier_at(f, x) == 0.0
 
 
-def test_fejer_tail_exact():
-    f = fejer(PRIME_FREE_RADIUS)
-    tail = f.envelope.tail
-    ts = np.array([60.0, -123.4, 500.0])
-    rec = np.asarray(tail.smooth(ts), dtype=float)
-    for comp in tail.components:
-        rec = rec + np.asarray(comp.amplitude(ts)) * np.cos(comp.omega * ts + comp.phase)
-    assert np.max(np.abs(rec - np.asarray(f.value(ts)))) < 1e-16
-
-
 def test_fejer_delta_validation():
     with pytest.raises(DomainError):
         fejer(-0.1)
@@ -237,19 +227,6 @@ def test_closed_transform_inverts_to_value(make):
             lambda xi: np.real(f.fourier_closed(xi) * np.exp(2j * math.pi * xi * t)),
             -d, d, 1e-10, breakpoints=[-0.5 * d, 0.0, 0.5 * d])
         assert res.value == pytest.approx(float(f.value(t)), abs=1e-10)
-
-
-def test_windowed_fejer_tail_reconstruction():
-    w = windowed_fejer(14.13, PRIME_FREE_RADIUS)
-    tail = w.envelope.tail
-    ts = np.concatenate([np.linspace(tail.t_valid, tail.t_valid + 300.0, 3001),
-                         -np.linspace(tail.t_valid, tail.t_valid + 300.0, 3001)])
-    rec = np.asarray(tail.smooth(ts), dtype=float)
-    for comp in tail.components:
-        rec = rec + np.asarray(comp.amplitude(ts)) * np.cos(comp.omega * ts + comp.phase)
-    direct = np.asarray(w.value(ts))
-    scale = np.abs(direct).max()
-    assert np.max(np.abs(rec - direct)) < 1e-12 * scale
 
 
 def test_windowed_fejer_validation():

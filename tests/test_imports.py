@@ -1,3 +1,4 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +19,16 @@ def test_import_does_not_load_scipy_signal():
     done = subprocess.run([sys.executable, "-c", PROBE, src], capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_tracer_patch_points_resolve(monkeypatch):
+    # the traced benchmark run replaces these bindings; a rename that leaves
+    # one unbound would break it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _ in tracer.PATCH_POINTS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+            f"{module_name}.{attr}")

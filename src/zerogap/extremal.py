@@ -28,6 +28,16 @@ also carried beyond its last sign change as an explicit tail decomposition
 (smooth part plus amplitude-times-cosine components with derivative bounds)
 for the lattice evaluator ``explicit_formula.ell_grid``, which certification
 runs on it alone; the Fejer kernels carry only their decay envelope.
+
+Every decay envelope |f(t)| <= m/t^2 holds on both tails, |t| >= t0.  The
+Fejer kernels' constants are closed forms.  The Selberg minorant's comes in
+two parts.  Over the first lobes beyond t0, +-[t0, t1], t^2 |f| is sampled
+64 times per period 1/delta and the sampled sup is inflated 5%: that part is
+sampled, not proved.  Beyond t1 the sgn parts of the two Beurling terms
+cancel, B(u) - sgn(u) = (1 - cos 2 pi u) w(u)/pi^2, and the trigamma bounds
+1/x + 1/(2x^2) < psi'(x) < 1/x + 1/(2x^2) + 1/(6x^3) for x > 0 (H. Alzer,
+"On some inequalities for the gamma and psi functions", Math. Comp. 66,
+1997) give |w(u)| <= 1/(2u^2) + 1/(6|u|^3), hence a closed-form bound.
 """
 
 from __future__ import annotations
@@ -66,10 +76,13 @@ class TestFunction:
 
     positivity_window is the open interval outside of which f <= 0, the
     string "everywhere" for nonnegative kernels, or None when no positive
-    region could be confirmed.  envelope declares |f(t)| <= M/t^2 beyond
-    T0; the Selberg minorant's also carries the structured tail.  fourier_closed is the
-    exact transform xi -> f^(xi), vectorized, complex in general and zero
-    for |xi| >= support_radius.
+    region could be confirmed.  envelope declares |f(t)| <= M/t^2 for
+    |t| >= T0, on both tails: in closed form for the Fejer kernels; for the
+    Selberg minorant, M is the larger of a 5%-inflated sample of t^2 |f| over
+    the first lobes beyond T0 and an analytic bound past them (see the
+    module docstring), and the envelope also carries the structured tail.
+    fourier_closed is the exact transform xi -> f^(xi), vectorized, complex
+    in general and zero for |xi| >= support_radius.
     """
 
     value: Callable
@@ -192,13 +205,63 @@ def _vaaler_j(u: np.ndarray) -> np.ndarray:
     return np.where(a <= 0.5, near, np.where(a < 1.0, far, 0.0))
 
 
+# near-field sampling of t^2 |S(t)| on +-[t0, t1]: samples per lobe (one
+# period 1/delta of the oscillation), and the first and last t1 - t0 in lobes
+_LOBE_SAMPLES = 64
+_NEAR_LOBES = (3, 7)
+
+
+def _selberg_far_bound(alpha: float, beta: float, delta: float, t1: float) -> float:
+    """Closed-form sup of t^2 |S(t)| over |t| >= t1, for t1 beyond both edges.
+
+    There the sgn parts of the two Beurling terms cancel, and with
+    |w(u)| <= 1/(2u^2) + 1/(6|u|^3) (module docstring)
+
+        t^2 |S(t)| <= (t^2/pi^2) sum_edges [1/(2u^2) + 1/(6|u|^3)],
+
+    u = delta (distance to the edge).  A term whose edge lies on the side of
+    t decreases in |t| and is taken at t1; any other is at most
+    1/(2 delta^2) + 1/(6 delta^3 t1)."""
+    worst = 0.0
+    for side in (1.0, -1.0):
+        total = 0.0
+        for edge in (side * alpha, side * beta):  # mirrored onto t > 0
+            if edge >= 0.0:
+                d = delta * (t1 - edge)
+                total += t1 * t1 * (1.0 / (2.0 * d * d) + 1.0 / (6.0 * d**3))
+            else:
+                total += 1.0 / (2.0 * delta**2) + 1.0 / (6.0 * delta**3 * t1)
+        worst = max(worst, total)
+    return worst / math.pi**2
+
+
+def _selberg_envelope_m(value: Callable, alpha: float, beta: float, delta: float,
+                        t0: float) -> float:
+    """M with |S(t)| <= M/t^2 for |t| >= t0: the sampled sup of t^2 |S| on
+    +-[t0, t1] inflated 5%, or the closed-form bound beyond t1 if larger.
+    t1 grows a lobe at a time until the far bound is at most the sampled
+    sup, or the last lobe of _NEAR_LOBES is reached."""
+    step = 1.0 / (_LOBE_SAMPLES * delta)
+    near, first = 0.0, 0
+    for lobes in range(_NEAR_LOBES[0], _NEAR_LOBES[1] + 1):
+        s = t0 + step * np.arange(first, lobes * _LOBE_SAMPLES + 1)
+        ts = np.concatenate([s, -s])
+        near = max(near, float(np.max(ts * ts * np.abs(value(ts)))))
+        far = _selberg_far_bound(alpha, beta, delta, float(s[-1]))
+        if far <= near:
+            break
+        first = lobes * _LOBE_SAMPLES + 1
+    return max(1.05 * near, far)
+
+
 def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
     """Selberg's minorant of the indicator of [alpha, beta]:
 
         S_-(t) = -1/2 (B(delta (alpha - t)) + B(delta (t - beta)))
 
     S_- <= indicator everywhere, integral = beta - alpha - 1/delta exactly,
-    Fourier transform supported in [-delta, delta]."""
+    Fourier transform supported in [-delta, delta].  The decay envelope
+    holds on both tails: sampled over the first lobes, analytic beyond."""
     if not (alpha < beta):
         raise DomainError("selberg_minorant requires alpha < beta")
     if not (delta > 0):
@@ -268,12 +331,8 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
                 - np.maximum(1.0 - np.abs(u), 0.0) / delta * np.cos(math.pi * xi * length))
         return body * np.exp(-1j * math.pi * centre * xi)
 
-    # numeric sup of t^2 |f| beyond T0 (sampled over several phase wraps
-    # and out to 10 T0, inflated 5%)
     t0_env = s_max + 0.66 / delta
-    span = max(10.0 * t0_env, t0_env + 30.0 / delta)
-    ts = np.linspace(t0_env, span, 100_001)
-    m_env = 1.05 * float(np.max(ts * ts * np.abs(value(ts))))
+    m_env = _selberg_envelope_m(value, alpha, beta, delta, t0_env)
     envelope = DecayEnvelope(m=m_env, t0=t0_env, tail=tail)
 
     return TestFunction(

@@ -8,12 +8,11 @@ import math
 import time
 
 import numpy as np
-import pytest
 import scipy.special as sps
 
 from zerogap.certification import certify_gap, minimal_certified_length
 from zerogap.explicit_formula import PRIME_FREE_RADIUS, verify
-from zerogap.extremal import beurling, fourier_at, selberg_minorant
+from zerogap.extremal import beurling, fourier_at
 from zerogap.region_scan import classify_point
 from zerogap.special_math import digamma, integrate_interval, trigamma_real
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zerogap.explicit_formula as ef
-from zerogap.errors import AccuracyError, DomainError, IncompletenessError
+from zerogap.errors import DomainError, IncompletenessError
 from zerogap.explicit_formula import (
     PRIME_FREE_RADIUS,
     ExplicitFormulaReport,
@@ -257,6 +257,52 @@ def test_verify_bundled_report(cert_minorant, bundled):
         assert key in d
     assert d["rhs_total"] == pytest.approx(
         d["rhs_conductor"] + sum(d["rhs_archimedean"]) + d["rhs_primes"], abs=1e-14)
+
+
+# verify-example reports at the three fixed apertures: delta0, just above
+# the n = 2 edge, and the widest prime-path aperture
+VERIFY_REPORTS = {
+    PRIME_FREE_RADIUS: {
+        "zero_side": 4.03665393538893, "tail_bound": 5.509495615671456,
+        "rhs_conductor": 0.0,
+        "rhs_archimedean": [0.2227533424278592, 0.2227533424278592,
+                            1.477710548589216, 1.477710548589216],
+        "rhs_primes": 0.0, "rhs_total": 3.40092778203415,
+        "residual": 0.63572615335478, "implied_log_Q": 0.05508147385076065,
+        "convention": "halved", "tolerance_budget": 4e-08,
+    },
+    PRIME_FREE_RADIUS * (1.0 + 1e-2): {
+        "zero_side": 4.077002301624426, "tail_bound": 5.461132189486813,
+        "rhs_conductor": 0.0,
+        "rhs_archimedean": [0.23892246449212823, 0.23892246449212823,
+                            1.4918761641957814, 1.4918761641957814],
+        "rhs_primes": -0.018613152766202994, "rhs_total": 3.442984104609616,
+        "residual": 0.63401819701481, "implied_log_Q": 0.054797852461896376,
+        "convention": "halved", "tolerance_budget": 4e-08,
+    },
+    math.log(7.9) / (2.0 * math.pi): {
+        "zero_side": 7.079449077999889, "tail_bound": 4.006414428883505,
+        "rhs_conductor": 0.0,
+        "rhs_archimedean": [1.3496544946085198, 1.3496544946085198,
+                            2.4291763963766, 2.4291763963766],
+        "rhs_primes": -0.5701761008840505, "rhs_total": 6.98748568108619,
+        "residual": 0.09196339691369904, "implied_log_Q": 0.006832702662766066,
+        "convention": "halved", "tolerance_budget": 4e-08,
+    },
+}
+
+
+@pytest.mark.parametrize("delta", list(VERIFY_REPORTS), ids=["delta0", "n2-edge", "log7.9"])
+def test_verify_report_regression(bundled, delta):
+    half = 5.0 / (2.0 * PRIME_FREE_RADIUS)
+    got = verify(bundled, selberg_minorant(-half, half, delta)).to_dict()
+    want = VERIFY_REPORTS[delta]
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, str):
+            assert got[key] == value
+        else:
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
 
 
 def test_verify_just_above_prime_edge(bundled):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from zerogap.errors import DomainError
 from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.extremal import (
+    _NEAR_LOBES,
+    _beurling_w,
+    _selberg_far_bound,
     beurling,
     fejer,
     fourier_at,
@@ -108,11 +112,70 @@ def test_selberg_positivity_window_regression(cert_minorant):
     assert hi <= CERT_LENGTH / 2.0 + 1e-9
 
 
-def test_selberg_envelope_truly_bounds(cert_minorant):
-    env = cert_minorant.envelope
-    ts = np.linspace(env.t0, env.t0 + 500.0, 20001)
-    vals = np.abs(np.asarray(cert_minorant.value(ts)))
-    assert np.all(vals * ts**2 <= env.m * (1.0 + 1e-12))
+# the headline minorant and asymmetric windows whose larger tail is the
+# negative one (the first two) or the positive one
+ENVELOPE_WINDOWS = [
+    pytest.param(-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0, PRIME_FREE_RADIUS, id="headline"),
+    pytest.param(-30.0, 10.0, PRIME_FREE_RADIUS, id="left-heavy"),
+    pytest.param(-40.0, 5.0, 0.3, id="left-heavy-wide-aperture"),
+    pytest.param(5.0, 40.0, PRIME_FREE_RADIUS, id="right-only"),
+]
+
+
+def _both_tails(lo, hi, n):
+    s = np.linspace(lo, hi, n)
+    return np.concatenate([s, -s])
+
+
+def test_selberg_envelope_truly_bounds():
+    for param in ENVELOPE_WINDOWS:
+        f = selberg_minorant(*param.values)
+        env = f.envelope
+        ts = _both_tails(env.t0, 40.0 * env.t0, 200_001)
+        vals = np.abs(np.asarray(f.value(ts)))
+        assert np.all(vals * ts**2 <= env.m * (1.0 + 1e-12)), param.id
+
+
+@pytest.mark.parametrize("alpha,beta,delta", ENVELOPE_WINDOWS)
+@pytest.mark.parametrize("lobes", _NEAR_LOBES)
+def test_selberg_far_bound_dominates_beyond_t1(alpha, beta, delta, lobes):
+    # the closed-form part of the envelope, at the first and last t1 the
+    # constructor may pick
+    f = selberg_minorant(alpha, beta, delta)
+    t0 = f.envelope.t0
+    t1 = t0 + lobes / delta
+    far = _selberg_far_bound(alpha, beta, delta, t1)
+    ts = _both_tails(t1, 40.0 * t0, 200_001)
+    assert np.max(ts**2 * np.abs(np.asarray(f.value(ts)))) <= far
+
+
+def test_beurling_w_far_field_bound_oracle():
+    # |w(u)| <= 1/(2u^2) + 1/(6|u|^3), the one analytic input of the far
+    # bound, against 30-digit trigamma; the float w must agree and obey it too
+    rng = np.random.default_rng(31)
+    mag = np.exp(rng.uniform(math.log(0.66), math.log(1e3), 200))
+    us = np.concatenate([mag, -mag, [0.66, -0.66, 1e3, -1e3]])
+    got = _beurling_w(us)
+    with mpmath.workdps(30):
+        for u, w in zip(us, got):
+            x = mpmath.mpf(float(u))
+            want = 1 / x - mpmath.psi(1, 1 + x) if x > 0 else mpmath.psi(1, -x) + 1 / x
+            bound = 1 / (2 * x**2) + 1 / (6 * abs(x) ** 3)
+            assert abs(want) < bound
+            assert abs(w) <= float(bound)
+            assert abs(w - float(want)) <= 1e-11 * float(abs(want))
+
+
+@pytest.mark.parametrize("delta,m", [
+    (PRIME_FREE_RADIUS, 47.83054802033401),
+    (PRIME_FREE_RADIUS * (1.0 + 1e-2), 47.41068214876991),
+    (math.log(7.9) / (2.0 * math.pi), 34.781586391500774),
+])
+def test_selberg_envelope_m_regression(delta, m):
+    # the headline minorant and the verify apertures; the sup of these
+    # symmetric windows sits at t0
+    f = selberg_minorant(-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0, delta)
+    assert f.envelope.m == pytest.approx(m, rel=1e-14, abs=0.0)
 
 
 def test_selberg_tail_reconstructs_function(cert_minorant):

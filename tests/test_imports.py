@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -32,3 +33,32 @@ def test_tracer_patch_points_resolve(monkeypatch):
     for module_name, attr, _ in tracer.PATCH_POINTS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (
             f"{module_name}.{attr}")
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    # a name listed in __all__ is re-exported, which counts as a read
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return [f"{line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # no linter is a dependency; this keeps imported-but-unread names out
+    root = Path(__file__).resolve().parents[1]
+    unused = [f"{path.relative_to(root)}:{entry}" for folder in ("src", "tests", "scripts")
+              for path in sorted((root / folder).rglob("*.py"))
+              for entry in _unused_imports(path)]
+    assert unused == []

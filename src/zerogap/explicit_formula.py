@@ -16,17 +16,22 @@ factor (1 or 2); `ell_grid` takes halved parameters only, and its callers
 scale their grid by that factor.
 
 `ell` evaluates the integral on the frequency side.  Gauss's integral
-psi(w) = int_0^inf [e^-x/x - e^-wx/(1 - e^-x)] dx (DLMF 5.9), integrated
-against f, gives for Re z > 0
+psi(w) = int_0^inf [e^-x/x - e^-wx/(1 - e^-x)] dx (DLMF 5.9.13), integrated
+against f and split at fhat(0), gives for Re z > 0 the frequency-side
+explicit formula (Iwaniec-Kowalski, Analytic Number Theory, 5.5) in the form
 
-    int psi(z + it/2) f(t) dt
-        = int_0^inf [fhat(0) e^-x/x - e^-zx fhat(x/4 pi)/(1 - e^-x)] dx,
+    ell = fhat(0) (Re psi(z) - log pi)
+          + Re [int_0^Y e^-zx h(x) dx + fhat(0) sum_{k>=0} e^-(z+k)Y/(z+k)],
+    h(x) = (fhat(0) - fhat(x/4 pi))/(1 - e^-x),   Y = max(X, 1):
 
-the usual frequency-side form of the explicit formula (Iwaniec-Kowalski,
-Analytic Number Theory, 5.5).  Every test function's transform vanishes for
-|xi| >= delta, so past X = 4 pi delta only the first term is left, and it
-integrates to fhat(0) E1(X).  What remains is a smooth integral over the
-finite interval [0, X] of the closed-form transform, integrated adaptively.
+every transform vanishes for |xi| >= delta, so past X = 4 pi delta, h is
+fhat(0)/(1 - e^-x), whose integral from Y on is the series.  h is bounded,
+unlike the unsplit form's fhat(0) e^-x/x, so the integrand stays finite at
+x = 0.  The integral takes fixed Gauss-Legendre
+panels with X/2 (the windowed kernel's kink) and X as edges, two per period
+of e^{-i Im z x}, so that the cost is linear in |Im mu|, and graded toward 0
+when e^{-Re z x} decays within the first one.  The 48-point rule gives the
+value, the 24-point rule its error estimate.
 
 `ell_grid` evaluates ell (halved) over a rectangular (Re mu, Im mu) grid at
 reduced tolerance for the certification search, and returns the values
@@ -45,25 +50,26 @@ recurrence's rounding, below 2e-13 over the default grid, is far inside
 the grid's error budget of 2.5e-4.  The tails beyond the lattice are
 finished analytically from the tail decomposition that only the Selberg
 minorant carries, with everything that does not depend on a computed once
-per grid.  The lattice stays because the headline certificate's pinned
-margin, 0.185885, is the lattice's value: the exact minimum, 0.1858822,
-rounds differently.
+per grid, the smooth part on `ell`'s Gauss-Legendre panels.  The lattice
+stays because the headline certificate's pinned margin, 0.185885, is the
+lattice's value: the exact minimum, 0.1858822, rounds differently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.special import exp1
 
 from .errors import AccuracyError, DomainError, IncompletenessError
 from .extremal import TestFunction, fourier_at
 from .lfunctions import LFunctionData, FunctionalEquation, LogDerivativeCoefficients
-from .special_math import _trigamma_complex, digamma, integrate_interval
+from .special_math import _trigamma_complex, digamma
 
 __all__ = [
     "CONVENTIONS",
@@ -87,6 +93,11 @@ CONVENTIONS = ("halved", "literal")
 _LATTICE_H = 0.0625
 _GRID_TOL = 2.5e-4
 
+# ell: points per panel of its error-estimating rule (the value's has twice
+# as many), and panels per block of work, which bounds memory at large |Im mu|
+_NODES = 24
+_PANEL_BLOCK = 2048
+
 
 def convention_scale(convention: str) -> int:
     """The factor k with ell(mu, f, convention) = ell(k mu, f, "halved"):
@@ -97,36 +108,84 @@ def convention_scale(convention: str) -> int:
     return 2 if convention == "literal" else 1
 
 
-def _kernel_params(mu: complex, convention: str) -> Tuple[float, float]:
-    k = convention_scale(convention)
-    x, y = mu.real, mu.imag
-    if x < -1e-12:
-        raise DomainError(f"ell requires Re(mu) >= 0, got {mu!r}")
-    return 0.25 + 0.5 * (k * max(x, 0.0)), k * y
-
-
 def ell(mu: complex, f: TestFunction, convention: str = "halved",
         tol: float = 1e-8) -> float:
-    """Archimedean explicit-formula term for one Gamma factor.
-
-    Computed on the frequency side from Gauss's integral for psi; tol bounds
-    the quadrature error of the finite integral over [0, 4 pi delta].
+    """Archimedean explicit-formula term for one Gamma factor, in the split
+    form of the module docstring.  tol bounds the error of its integral,
+    estimated from the 24- against the 48-point rule plus the rounding of the
+    sum; AccuracyError, with the value as `best`, says it was not met.  The
+    value does not depend on tol, and the cost is linear in |Im mu|.
     """
-    a, y = _kernel_params(complex(mu), convention)
-    z = complex(a, 0.5 * y)
-    f0 = f.integral
+    scale, mu = convention_scale(convention), complex(mu)
+    if mu.real < -1e-12:
+        raise DomainError(f"ell requires Re(mu) >= 0, got {mu!r}")
+    z = complex(0.25 + 0.5 * (scale * max(mu.real, 0.0)), 0.5 * (scale * mu.imag))
     big_x = 4.0 * math.pi * f.support_radius
+    x_end = max(big_x, 1.0)  # Y
 
-    def integrand(x):
-        fhat = f.fourier_closed(x / (4.0 * math.pi))
-        return np.real(f0 * np.exp(-x) / x + np.exp(-z * x) * fhat / np.expm1(-x))
+    edges = _ell_edges(z, big_x, x_end)
+    coarse = integral = mass = 0.0
+    for i in range(0, len(edges) - 1, _PANEL_BLOCK):
+        x, w = _gauss_panels(edges[i:i + _PANEL_BLOCK + 1], _NODES, 2 * _NODES)
+        # fhat(0) from the transform itself, so that fhat(0) - fhat(x/4 pi)
+        # vanishes at x = 0 in floating point too and h stays bounded there
+        fhat = f.fourier_closed(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
+        f0 = float(np.real(fhat[0]))
+        terms = w * np.real(np.exp(-z * x) * (f0 - fhat[1:].reshape(x.shape)) / -np.expm1(-x))
+        coarse += float(terms[:, :_NODES].sum())
+        integral += float(terms[:, _NODES:].sum())
+        mass += float(np.abs(terms[:, _NODES:]).sum())
+    err = abs(integral - coarse) + np.finfo(float).eps * mass
 
-    # at least one initial panel per period of e^{-zx}, in multiples of 8 so
-    # that X/2, the kink of the windowed kernel's transform, stays a node
-    panels = 8 * max(1, math.ceil(abs(z.imag) * big_x / (16.0 * math.pi)))
-    res = integrate_interval(integrand, 0.0, big_x, tol,
-                             breakpoints=np.linspace(0.0, big_x, panels + 1))
-    return res.value + f0 * (exp1(big_x) - LOG_PI)
+    k = np.arange(math.ceil(40.0 / x_end))  # e^{-k Y} < 4e-18 beyond
+    series = float(np.sum(np.exp(-(z + k) * x_end) / (z + k)).real)
+    value = f0 * (float(np.real(digamma(z))) - LOG_PI + series) + integral
+    if err > tol:
+        raise AccuracyError(f"ell quadrature error {err:.3e} > tol {tol:.3e} at mu = {mu!r}",
+                            best=value)
+    return value
+
+
+@lru_cache(maxsize=None)
+def _unit_gauss(*sizes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rules on [0, 1] with these numbers of points,
+    concatenated and correctly rounded: numpy's leggauss weights are up to
+    1e-12 off at 48 points, so its nodes only seed Newton steps in 40 digits."""
+    rule = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for n in sizes:
+            for x in map(Decimal, np.polynomial.legendre.leggauss(n)[0]):
+                for _ in range(2):
+                    p_prev, p = Decimal(1), x  # P_{n-1}(x), P_n(x)
+                    for k in range(2, n + 1):
+                        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+                    dp = n * (p_prev - x * p) / (1 - x * x)
+                    x -= p / dp
+                rule.append(((1 + x) / 2, 1 / ((1 - x * x) * dp * dp)))
+    return tuple(np.array(v, dtype=float) for v in zip(*rule))
+
+
+def _gauss_panels(edges: np.ndarray, *sizes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """`_unit_gauss(*sizes)` on each panel between consecutive edges, by row."""
+    x, w = _unit_gauss(*sizes)
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return lo + width * x, width * w
+
+
+def _ell_edges(z: complex, big_x: float, x_end: float) -> np.ndarray:
+    """Panel edges of ell's integral over [0, x_end] (module docstring)."""
+    breaks = [0.0, 0.5 * big_x, *_geom_nodes(big_x, x_end)]
+    edges = []
+    for lo, hi in zip(breaks, breaks[1:]):
+        m = max(1, math.ceil((hi - lo) * abs(z.imag) / math.pi))
+        edges += [lo + (hi - lo) * j / m for j in range(m)]
+    edges.append(x_end)
+    first = edges[1]
+    if z.real * first > 1.0:
+        grade = math.ceil(math.log2(z.real * first))
+        edges[1:1] = [first * 2.0 ** -j for j in range(grade, 0, -1)]
+    return np.array(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +194,11 @@ def ell(mu: complex, f: TestFunction, convention: str = "halved",
 
 
 def _geom_nodes(t_from: float, t_to: float) -> np.ndarray:
+    # t_from, then doubling, clipped to end at t_to
     pts = [t_from]
-    t = t_from
-    while t * 2.0 < t_to:
-        t *= 2.0
-        pts.append(t)
-    pts.append(t_to)
+    while pts[-1] < t_to:
+        pts.append(min(2.0 * pts[-1], t_to))
     return np.array(pts)
-
-
-# 15-point Gauss-Legendre on [0,1] for the fixed smooth-tail panels
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
-_GL_X = 0.5 * (_GL_X + 1.0)
-_GL_W = 0.5 * _GL_W
 
 
 def _smooth_tail_nodes(ys: np.ndarray, tail, t3: float, eps: float, sign: int,
@@ -162,10 +213,7 @@ def _smooth_tail_nodes(ys: np.ndarray, tail, t3: float, eps: float, sign: int,
     t2 = t3
     while tail.c_p * (c0 + clog * (math.log(t2) + 1.0)) / t2 > eps:
         t2 *= 1.5
-    breaks = _geom_nodes(t3, t2)
-    lo, hi = breaks[:-1], breaks[1:]
-    pts = (lo[:, None] + (hi - lo)[:, None] * _GL_X[None, :]).ravel()
-    wts = ((hi - lo)[:, None] * _GL_W[None, :]).ravel()
+    pts, wts = (a.ravel() for a in _gauss_panels(_geom_nodes(t3, t2), 15))
     idx = np.arange(0, len(ys), y_stride)
     if idx[-1] != len(ys) - 1:
         idx = np.append(idx, len(ys) - 1)

@@ -1,16 +1,11 @@
-"""Special functions, interval quadrature, and test-function tail data.
+"""Special functions and test-function tail data.
 
-``digamma`` and ``log_gamma`` are scipy's, behind a check that turns their
-poles into a domain error.  scipy has no complex trigamma, so the trigamma
-implementations use the classical scheme: the recurrence
-psi'(z+1) = psi'(z) - 1/z^2 pushes the argument into a region where the
-Bernoulli asymptotic series converges to double precision, and the series
-is then evaluated by Horner's rule in 1/z^2.
-
-``integrate_interval`` is adaptive Gauss-Kronrod quadrature on a finite
-interval.  It is all the pointwise explicit-formula terms need: they are
-computed on the frequency side, where every test function's transform is
-supported in [-delta, delta], so no integral runs over the whole line.
+``digamma`` is scipy's, behind a check that turns its poles into a domain
+error.  scipy has no complex trigamma, so the trigamma implementations use
+the classical scheme: the recurrence psi'(z+1) = psi'(z) - 1/z^2 pushes the
+argument into a region where the Bernoulli asymptotic series converges to
+double precision, and the series is then evaluated by Horner's rule in
+1/z^2.
 
 ``DecayEnvelope`` declares |f(t)| <= m/t^2 beyond t0, which bounds the mass
 of unlisted zeros.  Its optional ``TailDecomposition``
@@ -25,27 +20,24 @@ finishes the tails analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.special as _sp
 
-from .errors import AccuracyError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "DecayEnvelope",
     "OscComponent",
-    "QuadratureResult",
     "TailDecomposition",
     "digamma",
-    "integrate_interval",
-    "log_gamma",
     "trigamma_real",
 ]
 
 
 # ---------------------------------------------------------------------------
-# digamma / trigamma / log_gamma
+# digamma / trigamma
 # ---------------------------------------------------------------------------
 
 # B_{2k} for k = 1..8; psi'(z) ~ 1/z + 1/(2z^2) + sum_k B_{2k}/z^{2k+1}
@@ -63,12 +55,6 @@ _TRI_SERIES = np.array([
 _TRI_SHIFT = 12.0
 
 
-def _is_nonpositive_integer(z: np.ndarray) -> np.ndarray:
-    re = np.real(z)
-    im = np.imag(z)
-    return (im == 0.0) & (re <= 0.0) & (re == np.floor(re))
-
-
 def digamma(z):
     """psi(z) = Gamma'(z)/Gamma(z) for complex z away from the poles.
 
@@ -76,9 +62,12 @@ def digamma(z):
     the nonpositive integers raise a domain error.
     """
     arr = np.asarray(z)
-    if _is_nonpositive_integer(arr).any():
+    out = _sp.psi(arr)
+    # scipy returns inf or nan at every pole, so only then is z inspected
+    re = arr.real
+    if not np.isfinite(out).all() and ((arr.imag == 0) & (re <= 0) & (re == np.floor(re))).any():
         raise DomainError("digamma pole: z is a nonpositive integer")
-    return _sp.psi(arr)
+    return out
 
 
 def trigamma_real(x):
@@ -139,146 +128,6 @@ def _tetragamma_real(x):
         s = s * iw2 + (2 * k + 3) * _TRI_SERIES[k]
     res = acc - iw2 - iw2 * iw - s * iw2 * iw2
     return res if np.asarray(x).ndim else float(res[0])
-
-
-def log_gamma(z):
-    """Principal branch of log Gamma(z); poles raise a domain error.
-
-    Backed by scipy's loggamma, which implements the standard principal
-    branch (real on the positive axis, continued through the cut plane).
-    """
-    arr = np.asarray(z)
-    scalar = arr.ndim == 0
-    zc = np.atleast_1d(arr).astype(complex)
-    if _is_nonpositive_integer(zc).any():
-        raise DomainError("log_gamma pole: z is a nonpositive integer")
-    out = _sp.loggamma(zc)
-    if np.isrealobj(arr) and (np.atleast_1d(arr) > 0).all():
-        out = out.real
-    return out[0] if scalar else out.reshape(arr.shape)
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Kronrod 15-point panel rule
-# ---------------------------------------------------------------------------
-
-_XGK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-# 7-point Gauss weights spread onto the 15 Kronrod nodes (zeros elsewhere)
-_WG7 = np.zeros(15)
-_WG7[1::2] = [0.129484966168870, 0.279705391489277, 0.381830050505119,
-              0.417959183673469, 0.381830050505119, 0.279705391489277,
-              0.129484966168870]
-_WERR = _WGK - _WG7
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Value of an integral together with its accounting.
-
-    error_estimate combines panel error estimators with any analytic bounds
-    on omitted tails; evaluations counts integrand calls.
-    """
-
-    value: float
-    error_estimate: float
-    evaluations: int
-
-    def __post_init__(self):
-        if not (self.error_estimate >= 0.0):
-            raise DomainError("error_estimate must be nonnegative")
-        if self.evaluations <= 0:
-            raise DomainError("evaluations must be positive")
-
-
-def _vectorized(g: Callable) -> Callable:
-    """Return an ndarray-in / ndarray-out version of g."""
-    probe = np.array([0.25, 0.75])
-    try:
-        out = np.asarray(g(probe), dtype=float)
-        if out.shape == probe.shape:
-            return g
-    except Exception:
-        pass
-    gv = np.vectorize(g, otypes=[float])
-    return lambda t: gv(t)
-
-
-def _gk_batch(g: Callable, lo: np.ndarray, hi: np.ndarray):
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    pts = c[:, None] + h[:, None] * _XGK[None, :]
-    fv = np.asarray(g(pts.ravel()), dtype=float).reshape(pts.shape)
-    if not np.isfinite(fv).all():
-        bad = pts.ravel()[~np.isfinite(fv.ravel())][0]
-        raise DomainError(f"integrand returned a non-finite value near t = {bad!r}")
-    vals = h * (fv @ _WGK)
-    errs = np.abs(h * (fv @ _WERR))
-    return vals, errs, pts.size
-
-
-def integrate_interval(
-    g: Callable,
-    a: float,
-    b: float,
-    tol: float,
-    *,
-    breakpoints: Optional[Sequence[float]] = None,
-    max_evals: int = 4_000_000,
-) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of g over the finite interval [a, b].
-
-    ``breakpoints`` seeds the initial panel mesh (endpoints are added); panels
-    are bisected, worst first, until the summed error estimate meets tol.
-    """
-    if not (b > a):
-        raise DomainError("integrate_interval requires b > a")
-    gv = _vectorized(g)
-    if breakpoints is None:
-        breaks = np.linspace(a, b, 9)
-    else:
-        pts = [p for p in breakpoints if a < p < b]
-        breaks = np.unique(np.concatenate([[a, b], pts]))
-    lo = breaks[:-1].copy()
-    hi = breaks[1:].copy()
-    vals, errs, n = _gk_batch(gv, lo, hi)
-    evals = n
-    while errs.sum() > tol:
-        if evals >= max_evals or lo.size > 400_000:
-            best = QuadratureResult(float(vals.sum()), float(errs.sum()), evals)
-            raise AccuracyError(
-                f"quadrature stalled at error {errs.sum():.3e} > tol {tol:.3e}",
-                best=best,
-            )
-        cutoff = max(errs.max() * 0.3, tol / (4.0 * lo.size))
-        sel = errs >= cutoff
-        if not sel.any():
-            sel = errs == errs.max()
-        # only the halves of bisected panels are new; the rest keep their sums
-        mid = 0.5 * (lo[sel] + hi[sel])
-        split_lo = np.concatenate([lo[sel], mid])
-        split_hi = np.concatenate([mid, hi[sel]])
-        split_vals, split_errs, n = _gk_batch(gv, split_lo, split_hi)
-        evals += n
-        lo = np.concatenate([lo[~sel], split_lo])
-        order = np.argsort(lo, kind="stable")
-        lo = lo[order]
-        hi = np.concatenate([hi[~sel], split_hi])[order]
-        vals = np.concatenate([vals[~sel], split_vals])[order]
-        errs = np.concatenate([errs[~sel], split_errs])[order]
-    return QuadratureResult(float(vals.sum()), float(errs.sum()), evals)
 
 
 # ---------------------------------------------------------------------------

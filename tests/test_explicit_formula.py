@@ -1,13 +1,15 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 import zerogap.explicit_formula as ef
-from zerogap.errors import DomainError, IncompletenessError
+from zerogap.errors import AccuracyError, DomainError, IncompletenessError
 from zerogap.explicit_formula import (
     PRIME_FREE_RADIUS,
     ExplicitFormulaReport,
@@ -19,7 +21,7 @@ from zerogap.explicit_formula import (
 )
 from zerogap.extremal import fejer, fourier_at, selberg_minorant, windowed_fejer
 from zerogap.lfunctions import FunctionalEquation, LogDerivativeCoefficients
-from zerogap.special_math import DecayEnvelope, digamma, integrate_interval
+from zerogap.special_math import DecayEnvelope, digamma
 
 NU2 = 12.4687522615131728082
 
@@ -39,11 +41,9 @@ def test_ell_regression_values(cert_minorant):
 
 def test_core_integral_oracle(cert_minorant):
     s = cert_minorant
-    res = integrate_interval(
-        lambda t: np.real(digamma(0.25 + 0.5j * np.asarray(t))) * np.asarray(s.value(t)),
-        -40.0, 40.0, 1e-11,
-    )
-    assert res.value == pytest.approx(CORE_40, abs=1e-10)
+    value = quad(lambda t: np.real(digamma(0.25 + 0.5j * t)) * s.value(t), -40.0, 40.0,
+                 epsabs=1e-12, epsrel=0.0, limit=200)[0]
+    assert value == pytest.approx(CORE_40, abs=1e-10)
 
 
 def test_ell_conjugation_symmetry(cert_minorant):
@@ -82,6 +82,125 @@ def test_ell_conjugation_property(cert_minorant, x, y):
     mu = complex(x, y)
     assert ell(mu, cert_minorant, tol=1e-6) == pytest.approx(
         ell(mu.conjugate(), cert_minorant, tol=1e-6), abs=1e-5)
+
+
+# the split form of ell (module docstring) at 30 digits: mpmath's own
+# Gauss-Legendre quadrature of e^{-zx} h(x) on [0, X], split at X/2 and
+# about twice per period of e^{-i Im z x}, graded toward 0 for large Re z,
+# and the series summed from X
+HALF = 5.0 * math.pi / math.log(2.0)
+MP_KERNELS = {
+    "headline": ("selberg", (-HALF, HALF, PRIME_FREE_RADIUS)),
+    "asymmetric": ("selberg", (-7.3, 19.1, 0.09)),
+    "fejer": ("fejer", (PRIME_FREE_RADIUS,)),
+    "windowed": ("windowed", (14.13, PRIME_FREE_RADIUS)),
+}
+MAKERS = {"selberg": selberg_minorant, "fejer": fejer, "windowed": windowed_fejer}
+
+
+def _mp_transform(kind, params):
+    """(fhat on [0, delta), fhat(0), delta) from extremal's closed forms."""
+    if kind == "selberg":
+        alpha, beta, delta = map(mpmath.mpf, params)
+        length, centre = beta - alpha, alpha + beta
+
+        def fhat(xi):
+            u = xi / delta
+            j_hat = (1 - u) * mpmath.pi * u * mpmath.cot(mpmath.pi * u) + u
+            body = (j_hat * mpmath.sin(mpmath.pi * xi * length) / (mpmath.pi * xi)
+                    - (1 - u) / delta * mpmath.cos(mpmath.pi * xi * length))
+            return body * mpmath.expj(-mpmath.pi * centre * xi)
+        return fhat, length - 1 / delta, delta
+    if kind == "fejer":
+        delta = mpmath.mpf(params[0])
+        return (lambda xi: (1 - xi / delta) / delta), 1 / delta, delta
+    t0, delta = map(mpmath.mpf, params)
+    a = delta / 2
+
+    def fhat(xi):
+        s = xi / a
+        p2, p1 = 2 - s, max(1 - s, 0)
+        return (t0**2 * (p2**3 - 4 * p1**3) / (6 * a)
+                + (p2 - 4 * p1) / (4 * mpmath.pi**2 * a**3))
+    return fhat, fhat(mpmath.mpf(0)), delta
+
+
+@lru_cache(maxsize=None)
+def _mp_ell(kind, params, mu):
+    with mpmath.workdps(30):
+        fhat, f0, delta = _mp_transform(kind, params)
+        z = mpmath.mpf(1) / 4 + mpmath.mpc(mu) / 2
+        big_x = 4 * mpmath.pi * delta
+
+        def g(x):
+            h = (f0 - fhat(x / (4 * mpmath.pi))) / -mpmath.expm1(-x)
+            return mpmath.re(mpmath.exp(-z * x) * h)
+        pieces = max(1, math.ceil(float(mpmath.im(z) * big_x / (2 * mpmath.pi))))
+        edges = [big_x * k / (2 * pieces) for k in range(2 * pieces + 1)]
+        while mpmath.re(z) * edges[1] > 1:
+            edges.insert(1, edges[1] / 2)
+        integral, error = mpmath.quad(g, edges, method="gauss-legendre", error=True)
+        assert error < 1e-20
+        series = mpmath.fsum(mpmath.exp(-(z + k) * big_x) / (z + k)
+                             for k in range(math.ceil(80 / float(big_x))))
+        return float(f0 * (mpmath.re(mpmath.digamma(z)) - mpmath.log(mpmath.pi))
+                     + integral + mpmath.re(f0 * series))
+
+
+@pytest.mark.parametrize("name", list(MP_KERNELS))
+def test_ell_matches_mpmath(name):
+    kind, params = MP_KERNELS[name]
+    f = MAKERS[kind](*params)
+    bound = 1e-11 if kind == "windowed" else 1e-12  # values near 1e3 there
+    for mu in (0.0, 3.0 + 7.0j, 16.0j, 50.0j):
+        assert abs(ell(mu, f, tol=bound) - _mp_ell(kind, params, mu)) < bound, mu
+
+
+def test_ell_small_support_and_large_re(cert_minorant):
+    # X = 4 pi 1e-3: h is integrated on to x = 1, where the series starts
+    f = fejer(1e-3)
+    for mu in (0.0, 16.0j):
+        assert abs(ell(mu, f, tol=1e-11) - _mp_ell("fejer", (1e-3,), mu)) < 1e-11
+    # e^{-zx} falls by e^{-2000} over [0, 1]: the panels are graded toward 0
+    want = _mp_ell(*MP_KERNELS["headline"], 4000.0)
+    assert abs(ell(4000.0, cert_minorant, tol=1e-12) - want) < 1e-12
+
+
+@pytest.mark.parametrize("name, tol", [("headline", 1e-13), ("windowed", 1e-11)])
+def test_ell_reaches_tight_tolerances(name, tol):
+    # below the cancellation floor of the unsplit integrand, whose
+    # f^(0) e^{-x}/x overflows as x -> 0
+    kind, params = MP_KERNELS[name]
+    f = MAKERS[kind](*params)
+    for mu in (0.0, 16.0j):
+        assert abs(ell(mu, f, tol=tol) - _mp_ell(kind, params, mu)) < tol
+
+
+def test_ell_accuracy_error_carries_best():
+    # 1e-14 is below the rounding of a value near 2.6e3 (one ulp is 4.5e-13)
+    kind, params = MP_KERNELS["windowed"]
+    with pytest.raises(AccuracyError) as info:
+        ell(0.0, windowed_fejer(*params), tol=1e-14)
+    assert abs(info.value.best - _mp_ell(kind, params, 0.0)) < 1e-11
+
+
+def test_gauss_panels_integrate_gaussian():
+    x, w = ef._gauss_panels(np.linspace(-8.0, 8.0, 9), 24)
+    assert abs(np.sum(w * np.exp(-x * x)) - math.sqrt(math.pi)) < 1e-12
+
+
+def test_gauss_rules_match_mpmath():
+    # numpy's own leggauss weights are up to 1e-12 off at 48 points
+    with mpmath.workdps(30):
+        for n in (15, 24, 48):
+            nodes, weights = ef._unit_gauss(n)
+            for x, w in zip(nodes, weights):
+                t = 2 * mpmath.mpf(x) - 1
+                for _ in range(3):
+                    t -= mpmath.legendre(n, t) / mpmath.diff(lambda s: mpmath.legendre(n, s), t)
+                dp = mpmath.diff(lambda s: mpmath.legendre(n, s), t)
+                assert abs(x - (1 + t) / 2) <= 2e-16 * (1 + t) / 2
+                assert abs(w - 1 / ((1 - t * t) * dp * dp)) <= 4e-16 * w
 
 
 def test_ell_grid_matches_pointwise(cert_minorant):
@@ -197,11 +316,11 @@ def test_rhs_prime_term_against_direct_quadrature():
     assert with_primes.rhs_total - zero.rhs_total == pytest.approx(got, abs=1e-14)
     # independent route: c real, f even -> (c/sqrt2) * 2 cos-transform / 2pi
     x2 = math.log(2.0) / (2.0 * math.pi)
-    num = integrate_interval(
-        lambda t: np.asarray(wide.value(t)) * np.cos(2.0 * math.pi * x2 * np.asarray(t)),
-        -4000.0, 4000.0, 1e-7,
-    )
-    want = c2.real * 2.0 * num.value / math.sqrt(2.0) / (2.0 * math.pi)
+    # int_{-4000}^{4000} as int_0^1 of the sum over unit shifts
+    ts = np.arange(-4000.0, 4000.0)
+    num = quad(lambda s: np.sum(wide.value(ts + s) * np.cos(2.0 * math.pi * x2 * (ts + s))),
+               0.0, 1.0, epsabs=1e-9, epsrel=0.0)[0]
+    want = c2.real * 2.0 * num / math.sqrt(2.0) / (2.0 * math.pi)
     assert got == pytest.approx(want, abs=1e-4)
 
 
@@ -225,9 +344,9 @@ def test_zero_sum_tail_bound_matches_density_integral(cert_minorant, bundled):
     d, q, T = bundled.fe.degree, bundled.fe.conductor, bundled.t_max
     m = cert_minorant.envelope.m
     rho = lambda t: (math.log(q) + 0.5 * d * np.log((np.abs(t) + 10.0) / (2.0 * math.pi))) / math.pi
-    num = integrate_interval(lambda t: rho(t) / t**2, T, 1e10, 1e-9,
-                             breakpoints=np.geomspace(T, 1e10, 40))
-    assert tail == pytest.approx(2.0 * m * num.value, rel=1e-6)
+    num = quad(lambda t: rho(t) / t**2, T, 1e10, points=np.geomspace(T, 1e10, 40)[1:-1],
+               epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+    assert tail == pytest.approx(2.0 * m * num, rel=1e-6)
 
 
 def test_zero_sum_incomplete_window_rejected(cert_minorant, bundled):
@@ -286,7 +405,8 @@ VERIFY_REPORTS = {
         "rhs_archimedean": [1.3496544946085198, 1.3496544946085198,
                             2.4291763963766, 2.4291763963766],
         "rhs_primes": -0.5701761008840505, "rhs_total": 6.98748568108619,
-        "residual": 0.09196339691369904, "implied_log_Q": 0.006832702662766066,
+        # these two from _mp_ell's archimedean terms
+        "residual": 0.09196339691355071, "implied_log_Q": 0.006832702662755045,
         "convention": "halved", "tolerance_budget": 4e-08,
     },
 }

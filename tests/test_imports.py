@@ -62,3 +62,42 @@ def test_no_unused_imports():
               for path in sorted((root / folder).rglob("*.py"))
               for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _module_definitions(tree):
+    # functions, classes and constants bound at module level, dunders aside
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if not name.startswith("__")}
+
+
+def _names_read(tree):
+    # a load of the name, an attribute of that name, or an import of it;
+    # the strings of __all__ are not reads
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_unreferenced_definitions():
+    # every module-level function, class and constant of the package is used
+    # somewhere in it; exporting a name in its own module's __all__ is not use
+    package = Path(zerogap.__file__).resolve().parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    read = set().union(*(_names_read(tree) for tree in trees.values()))
+    unread = [f"{path.name}:{name}" for path, tree in trees.items()
+              for name in sorted(_module_definitions(tree) - read)]
+    assert unread == []

@@ -162,30 +162,25 @@ _XTOL = 1e-15
 
 
 def _find_window(value: Callable, alpha: float, beta: float, delta: float):
-    """Sign-change bracket of value around [alpha, beta]; None if no
-    positive point is found inside."""
-    pad = 2.0 / delta
-    grid = np.linspace(alpha - pad, beta + pad, 8193)
-    vals = value(grid)
-    pos = vals > 0.0
-    if not pos.any():
+    """Edges (lo, hi) of the positive part of S_-, or None if it has none.
+
+    S_- <= 1_[alpha, beta] makes S_- <= 0 at and beyond both edges, and once
+    delta L >= 2 (L = beta - alpha), S_-(alpha + 1/delta) = S_-(beta - 1/delta)
+    = (1 - B(1 - delta L))/2 > 0.  So only the last lobe inside each edge,
+    h = min(1/delta, L/2) wide, is sampled, and brentq brackets the sign
+    changes before the first and after the last positive sample.  When
+    delta L is an integer, S_-(alpha) = S_-(beta) = 0.0 exactly, and brentq
+    returns the edge itself."""
+    h = min(1.0 / delta, 0.5 * (beta - alpha))
+    # 256 steps per lobe: a positive run narrower than one step goes unseen
+    grid = np.concatenate([np.linspace(alpha, alpha + h, 257),
+                           np.linspace(beta - h, beta, 257)])
+    pos = np.flatnonzero(value(grid) > 0.0)
+    if pos.size == 0:
         return None
-    # maximal positive run containing the most positive point
-    k = int(np.argmax(vals))
-    i = k
-    while i > 0 and pos[i - 1]:
-        i -= 1
-    j = k
-    while j < len(grid) - 1 and pos[j + 1]:
-        j += 1
-    if i == 0 or j == len(grid) - 1:
-        return None  # positive out to the pad: not a confined window
-
-    def scalar(t):
-        return float(value(np.array([t]))[0])
-
-    lo = brentq(scalar, grid[i - 1], grid[i], xtol=_XTOL, rtol=_RTOL)
-    hi = brentq(scalar, grid[j], grid[j + 1], xtol=_XTOL, rtol=_RTOL)
+    i, j = pos[0], pos[-1]
+    lo = brentq(value, grid[i - 1], grid[i], xtol=_XTOL, rtol=_RTOL)
+    hi = brentq(value, grid[j], grid[j + 1], xtol=_XTOL, rtol=_RTOL)
     return (lo, hi)
 
 
@@ -269,10 +264,7 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
 
     def value(t):
         tv = np.asarray(t, dtype=float)
-        scalar = tv.ndim == 0
-        tv = np.atleast_1d(tv)
-        out = -0.5 * (beurling(delta * (alpha - tv)) + beurling(delta * (tv - beta)))
-        return float(out[0]) if scalar else out.reshape(np.asarray(t).shape)
+        return -0.5 * (beurling(delta * (alpha - tv)) + beurling(delta * (tv - beta)))
 
     window = _find_window(value, alpha, beta, delta)
 

@@ -102,7 +102,8 @@ class LFunctionData:
             raise ValidationError("zeros must be strictly increasing")
         d = self.fe.degree
         for n, a in self.coefficients.items():
-            if _is_prime(n) and abs(a) > d:
+            # |a| first: trial division is slow for a large n
+            if abs(a) > d and _is_prime(n):
                 warnings.warn(
                     f"|a_{n}| = {abs(a):.6g} exceeds the degree {d}", stacklevel=2
                 )
@@ -124,15 +125,23 @@ def bundled_example_path() -> Path:
     return Path(str(resources.files("zerogap") / "data" / "fkl_degree4.json"))
 
 
-def _require(doc: Mapping, key: str, kind, where: str):
+def _require(doc, key: str, kind, where: str):
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{where} must be an object")
     if key not in doc:
         raise SchemaError(f"missing field '{key}' in {where}")
     val = doc[key]
     if kind is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise SchemaError(f"field '{key}' in {where} must be a number")
-        return float(val)
-    if not isinstance(val, kind):
+        try:
+            num = float(val)
+        except OverflowError:
+            raise SchemaError(f"field '{key}' in {where} is beyond the float range") from None
+        if math.isnan(num):
+            raise SchemaError(f"field '{key}' in {where} is NaN")
+        return num
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"field '{key}' in {where} must be {kind.__name__}")
     return val
 
@@ -143,7 +152,6 @@ def load_lfunction(source: Union[str, Path, Mapping]) -> LFunctionData:
     if isinstance(source, Mapping):
         doc = source
     else:
-        text = None
         if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("{")):
             p = Path(source)
             if not p.exists():
@@ -190,17 +198,22 @@ def load_lfunction(source: Union[str, Path, Mapping]) -> LFunctionData:
 
     zblock = _require(doc, "zeros", Mapping, "document")
     zstrings = _require(zblock, "values", list, "zeros")
+    zeros = []
     for i, s in enumerate(zstrings):
-        if not isinstance(s, str):
-            raise SchemaError(f"zeros.values[{i}] must be a decimal string")
-    zeros = tuple(float(s) for s in zstrings)
+        try:
+            z = float(s) if isinstance(s, str) else math.nan
+        except ValueError:
+            z = math.nan
+        if not math.isfinite(z):
+            raise SchemaError(f"zeros.values[{i}] must be a finite decimal string, got {s!r}")
+        zeros.append(z)
     t_max = _require(zblock, "t_max", float, "zeros")
     self_dual = _require(zblock, "self_dual", bool, "zeros")
 
     return LFunctionData(
         fe=fe,
         coefficients=coefficients,
-        zeros=zeros,
+        zeros=tuple(zeros),
         zero_strings=tuple(zstrings),
         t_max=t_max,
         self_dual=self_dual,

@@ -1,11 +1,13 @@
 """Special functions and test-function tail data.
 
 ``digamma`` is scipy's, behind a check that turns its poles into a domain
-error.  scipy has no complex trigamma, so the trigamma implementations use
-the classical scheme: the recurrence psi'(z+1) = psi'(z) - 1/z^2 pushes the
-argument into a region where the Bernoulli asymptotic series converges to
-double precision, and the series is then evaluated by Horner's rule in
-1/z^2.
+error.  ``trigamma_real`` is scipy's Hurwitz zeta, psi'(x) = zeta(2, x),
+behind a domain check.  Only the internal helpers for the lattice tails,
+``_trigamma_complex`` (scipy has no complex trigamma) and
+``_tetragamma_real``, use the classical scheme: the recurrence
+psi'(z+1) = psi'(z) - 1/z^2 pushes the argument into a region where the
+Bernoulli asymptotic series converges to double precision, and the series
+is then evaluated by Horner's rule in 1/z^2.
 
 ``DecayEnvelope`` declares |f(t)| <= m/t^2 beyond t0, which bounds the mass
 of unlisted zeros.  Its optional ``TailDecomposition``
@@ -71,26 +73,15 @@ def digamma(z):
 
 
 def trigamma_real(x):
-    """psi'(x) for real x > 0, absolute accuracy better than 1e-12."""
+    """psi'(x) for finite real x > 0, as scipy's Hurwitz zeta(2, x).
+
+    A 0-d input gives a Python float; arrays keep their shape.
+    """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    w = np.atleast_1d(arr).astype(float).copy()
-    if (w <= 0.0).any() or not np.isfinite(w).all():
-        raise DomainError("trigamma_real requires x > 0")
-    acc = np.zeros(w.shape)
-    for _ in range(int(_TRI_SHIFT) + 1):
-        mask = w < _TRI_SHIFT
-        if not mask.any():
-            break
-        acc[mask] += 1.0 / (w[mask] * w[mask])
-        w[mask] += 1.0
-    iw = 1.0 / w
-    iw2 = iw * iw
-    s = np.full(w.shape, _TRI_SERIES[-1])
-    for c in _TRI_SERIES[-2::-1]:
-        s = s * iw2 + c
-    res = acc + iw + 0.5 * iw2 + s * iw2 * iw
-    return float(res[0]) if scalar else res.reshape(arr.shape)
+    if (arr <= 0.0).any() or not np.isfinite(arr).all():
+        raise DomainError("trigamma_real requires finite x > 0")
+    out = _sp.zeta(2.0, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _trigamma_complex(z: np.ndarray) -> np.ndarray:

@@ -179,6 +179,17 @@ def test_verify_example_detects_wrong_conductor(capsys, tmp_path):
     assert rep["implied_log_Q"] == pytest.approx(0.055081473846852344, abs=1e-4)
 
 
+def test_verify_example_malformed_data_exit(capsys, tmp_path):
+    doc = json.loads(bundled_example_path().read_text())
+    doc["spectral"][0] = 3.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "verify-example", "--data", str(bad))
+    assert rc == 1
+    assert out == ""
+    assert "spectral[0] must be an object" in err
+
+
 def test_coefficients_golden(capsys):
     rc, out, _ = run(capsys, "coefficients")
     assert rc == 0

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from zerogap.errors import DomainError
 from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.extremal import (
     _NEAR_LOBES,
+    _RTOL,
+    _XTOL,
     _beurling_w,
     _selberg_far_bound,
     beurling,
@@ -105,13 +108,6 @@ def test_selberg_minorizes_indicator(cert_minorant):
     assert np.max(vals - indicator) <= 1e-12
 
 
-def test_selberg_positivity_window_regression(cert_minorant):
-    lo, hi = cert_minorant.positivity_window
-    assert lo == pytest.approx(-22.661800709135967, abs=1e-12)
-    assert hi == pytest.approx(22.661800709135967, abs=1e-12)
-    assert hi <= CERT_LENGTH / 2.0 + 1e-9
-
-
 # the headline minorant and asymmetric windows whose larger tail is the
 # negative one (the first two) or the positive one
 ENVELOPE_WINDOWS = [
@@ -120,6 +116,72 @@ ENVELOPE_WINDOWS = [
     pytest.param(-40.0, 5.0, 0.3, id="left-heavy-wide-aperture"),
     pytest.param(5.0, 40.0, PRIME_FREE_RADIUS, id="right-only"),
 ]
+
+
+def test_selberg_positivity_window_regression(cert_minorant):
+    # delta L = 5 is an integer, so the edges are the window's own ends
+    assert cert_minorant.positivity_window == (-22.661800709135967, 22.661800709135967)
+    assert cert_minorant.positivity_window[1] == CERT_LENGTH / 2.0
+
+
+def _scan_window(value, alpha, beta, delta):
+    # the former window search, kept as the oracle: scan the interval padded
+    # by two lobes on each side at 8193 points, take the maximal positive run
+    # through the largest sample, and bracket both of its ends
+    pad = 2.0 / delta
+    grid = np.linspace(alpha - pad, beta + pad, 8193)
+    vals = value(grid)
+    pos = vals > 0.0
+    if not pos.any():
+        return None
+    k = int(np.argmax(vals))
+    i = k
+    while i > 0 and pos[i - 1]:
+        i -= 1
+    j = k
+    while j < len(grid) - 1 and pos[j + 1]:
+        j += 1
+    if i == 0 or j == len(grid) - 1:
+        return None
+
+    def scalar(t):
+        return float(value(np.array([t]))[0])
+
+    return (brentq(scalar, grid[i - 1], grid[i], xtol=_XTOL, rtol=_RTOL),
+            brentq(scalar, grid[j], grid[j + 1], xtol=_XTOL, rtol=_RTOL))
+
+
+def _assert_window_matches_scan(alpha, beta, delta):
+    f = selberg_minorant(alpha, beta, delta)
+    want = _scan_window(f.value, alpha, beta, delta)
+    got = f.positivity_window
+    if want is None:
+        assert got is None
+    else:
+        # brentq fixes an edge to xtol + rtol |edge|, so one at 0 only to xtol
+        assert got == pytest.approx(want, rel=1e-13, abs=_XTOL)
+    return got
+
+
+@pytest.mark.parametrize("alpha,beta,delta", ENVELOPE_WINDOWS)
+def test_selberg_window_matches_scan_pinned(alpha, beta, delta):
+    assert _assert_window_matches_scan(alpha, beta, delta) is not None
+
+
+def test_selberg_window_none_below_threshold():
+    # delta L = 0.6 < 1: neither search finds a positive point
+    assert _assert_window_matches_scan(-3.5943385512272243, -2.542049346218941,
+                                       0.5702996851100295) is None
+
+
+@settings(max_examples=100)
+@given(
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=0.5, max_value=80.0),
+    st.floats(min_value=0.02, max_value=1.0),
+)
+def test_selberg_window_matches_scan(alpha, length, delta):
+    _assert_window_matches_scan(alpha, alpha + length, delta)
 
 
 def _both_tails(lo, hi, n):

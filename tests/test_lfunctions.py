@@ -1,13 +1,15 @@
+import copy
 import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zerogap.errors import IncompletenessError, SchemaError, ValidationError
 from zerogap.lfunctions import (
     FunctionalEquation,
     LFunctionData,
+    bundled_example_path,
     c_coefficients,
     extend_multiplicatively,
     load_lfunction,
@@ -123,6 +125,75 @@ def test_spectral_left_halfplane_rejected(bundled):
     doc["spectral"][0]["re"] = -0.3
     with pytest.raises(ValidationError):
         load_lfunction(doc)
+
+
+_BUNDLED_DOC = json.loads(bundled_example_path().read_text())
+_DELETE = object()
+
+
+def _mutated(doc, path, new):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc
+
+
+@pytest.mark.parametrize("path,new", [
+    pytest.param(("spectral", 0), 3.0, id="spectral-entry-not-object"),
+    pytest.param(("coefficients", 1), 2.0, id="coefficient-not-object"),
+    pytest.param(("zeros", "values", 0), "14.49x", id="zero-unparseable"),
+    pytest.param(("zeros", "values", 0), "nan", id="zero-nan"),
+    pytest.param(("zeros", "values", 10), "inf", id="zero-inf"),
+    pytest.param(("zeros", "t_max"), math.nan, id="t-max-nan"),
+    pytest.param(("coefficients", 0, "n"), True, id="n-bool"),
+    pytest.param(("degree",), True, id="degree-bool"),
+    pytest.param(("conductor", "value"), 10**400, id="conductor-beyond-float"),
+])
+def test_malformed_field_is_schema_error(path, new):
+    with pytest.raises(SchemaError):
+        load_lfunction(_mutated(_BUNDLED_DOC, path, new))
+
+
+def test_infinite_t_max_accepted():
+    doc = _mutated(_BUNDLED_DOC, ("zeros", "t_max"), math.inf)
+    assert load_lfunction(doc).t_max == math.inf
+
+
+def _field_paths(node, path=()):
+    if path:
+        yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _field_paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _field_paths(v, path + (i,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["nan", "-inf", "1e400", "14.2", ""]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "re", "im", "value"]) | st.text(max_size=3),
+                      inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@pytest.mark.filterwarnings("ignore:.*exceeds the degree:UserWarning")
+@settings(max_examples=200)
+@given(st.sampled_from(list(_field_paths(_BUNDLED_DOC))), st.just(_DELETE) | _JSON_VALUES)
+def test_single_field_mutation_loads_or_raises_schema_error(path, new):
+    # anything a malformed document can do is one of the two documented errors
+    try:
+        load_lfunction(_mutated(_BUNDLED_DOC, path, new))
+    except (SchemaError, ValidationError):
+        pass
 
 
 def test_multiplicative_extension_exact(bundled):

@@ -67,11 +67,28 @@ def test_digamma_pole_rejected():
         digamma(-3.0)
 
 
+def test_trigamma_matches_mpmath_log_uniform():
+    rng = np.random.default_rng(17)
+    xs = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 1000))
+    got = trigamma_real(xs)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.psi(1, mpmath.mpf(float(x)))) for x in xs])
+    assert np.max(np.abs(got / want - 1.0)) <= 2e-15
+
+
+def test_trigamma_shapes():
+    assert type(trigamma_real(1.0)) is float
+    assert type(trigamma_real(np.float64(2.0))) is float
+    xs = np.linspace(0.5, 9.0, 12).reshape(3, 4)
+    out = trigamma_real(xs)
+    assert out.shape == (3, 4)
+    assert out[1, 2] == trigamma_real(xs[1, 2])
+
+
 def test_trigamma_domain():
-    with pytest.raises(DomainError):
-        trigamma_real(0.0)
-    with pytest.raises(DomainError):
-        trigamma_real(-1.5)
+    for x in (0.0, -1.5, np.nan, np.inf, [1.0, -1.0]):
+        with pytest.raises(DomainError):
+            trigamma_real(x)
 
 
 @given(st.complex_numbers(min_magnitude=1e-2, max_magnitude=40.0,

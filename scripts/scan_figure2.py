@@ -21,12 +21,11 @@ def main():
     ap.add_argument("--t0", type=float, default=14.13)
     ap.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS)
     ap.add_argument("--conductor", type=float, default=1.0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default=None, help="CSV path (default: stdout)")
     args = ap.parse_args()
 
     rows = scan_region(args.nu_max, args.step, t0=args.t0, delta=args.delta,
-                       conductor=args.conductor, threads=args.threads)
+                       conductor=args.conductor)
     csv = scan_to_csv(rows, t0=args.t0, delta=args.delta,
                       conductor=args.conductor, step=args.step,
                       convention="halved")

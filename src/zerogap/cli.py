@@ -127,7 +127,6 @@ def _cmd_scan_region(args) -> Tuple[str, int]:
         delta=args.delta,
         conductor=args.conductor,
         convention=args.convention,
-        threads=args.threads,
     )
     csv = scan_to_csv(
         rows,
@@ -227,9 +226,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS)
     p.add_argument("--conductor", type=float, default=1.0, help="assumed Q >= 1")
     p.add_argument("--convention", choices=CONVENTIONS, default="halved")
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel archimedean integrals; output is identical "
-                        "for any thread count")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_scan_region)
 

@@ -31,7 +31,12 @@ x = 0.  The integral takes fixed Gauss-Legendre
 panels with X/2 (the windowed kernel's kink) and X as edges, two per period
 of e^{-i Im z x}, so that the cost is linear in |Im mu|, and graded toward 0
 when e^{-Re z x} decays within the first one.  The 48-point rule gives the
-value, the 24-point rule its error estimate.
+value, the 24-point rule its error estimate.  `ell` takes one mu or a 1-d
+array of them: each mu keeps its own panels, all panels of the batch share
+one evaluation of fhat and of e^{-zx} (in blocks of `_PANEL_BLOCK` panels),
+and each mu's value is reduced from its own panel sums alone, so that
+ell(mus)[i] is bit-identical to ell(mus[i]).  The cost is linear in the
+total number of panels.
 
 `ell_grid` evaluates ell (halved) over a rectangular (Re mu, Im mu) grid at
 reduced tolerance for the certification search, and returns the values
@@ -61,7 +66,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -108,42 +113,69 @@ def convention_scale(convention: str) -> int:
     return 2 if convention == "literal" else 1
 
 
-def ell(mu: complex, f: TestFunction, convention: str = "halved",
-        tol: float = 1e-8) -> float:
+def ell(mu, f: TestFunction, convention: str = "halved",
+        tol: float = 1e-8) -> Union[float, np.ndarray]:
     """Archimedean explicit-formula term for one Gamma factor, in the split
-    form of the module docstring.  tol bounds the error of its integral,
-    estimated from the 24- against the 48-point rule plus the rounding of the
-    sum; AccuracyError, with the value as `best`, says it was not met.  The
-    value does not depend on tol, and the cost is linear in |Im mu|.
+    form of the module docstring, at a scalar mu (a float is returned) or at
+    each entry of a 1-d array of mu (an array is returned).  tol bounds the
+    error of each integral, estimated from the 24- against the 48-point rule
+    plus the rounding of the sum; AccuracyError, with the value or the array
+    of values as `best`, says it was not met.  The values do not depend on
+    tol, and ell(mus)[i] is bit-identical to ell(mus[i]) whatever else is in
+    the batch: each mu keeps its own panels and sums.  The cost is linear in
+    the total number of panels, about 2 + 4 delta |Im z| per mu for a
+    transform supported in [-delta, delta].
     """
-    scale, mu = convention_scale(convention), complex(mu)
-    if mu.real < -1e-12:
-        raise DomainError(f"ell requires Re(mu) >= 0, got {mu!r}")
-    z = complex(0.25 + 0.5 * (scale * max(mu.real, 0.0)), 0.5 * (scale * mu.imag))
+    scale, mus = convention_scale(convention), np.asarray(mu, dtype=complex)
+    if mus.ndim > 1:
+        raise DomainError(f"mu must be a scalar or a 1-d array, got shape {mus.shape}")
     big_x = 4.0 * math.pi * f.support_radius
     x_end = max(big_x, 1.0)  # Y
 
-    edges = _ell_edges(z, big_x, x_end)
-    coarse = integral = mass = 0.0
-    for i in range(0, len(edges) - 1, _PANEL_BLOCK):
-        x, w = _gauss_panels(edges[i:i + _PANEL_BLOCK + 1], _NODES, 2 * _NODES)
+    # every mu's panels in one list, with the index of its first panel
+    points = mus.reshape(-1).tolist()
+    z, z_panel, lo, hi, starts = [], [], [], [], []
+    for m in points:
+        if m.real < -1e-12:
+            raise DomainError(f"ell requires Re(mu) >= 0, got {m!r}")
+        zm = complex(0.25 + 0.5 * (scale * max(m.real, 0.0)), 0.5 * (scale * m.imag))
+        edges = _ell_edges(zm, big_x, x_end)
+        z.append(zm)
+        starts.append(len(lo))
+        z_panel += [zm] * (len(edges) - 1)
+        lo += edges[:-1]
+        hi += edges[1:]
+    if not z:
+        return np.empty(0)
+    z, z_panel, lo = np.array(z), np.array(z_panel), np.array(lo)
+    width = np.array(hi) - lo
+    x_unit, w_unit = _unit_gauss(_NODES, 2 * _NODES)
+    sums = np.empty((3, len(lo)))  # coarse, value and |value| rules per panel
+    for i in range(0, len(lo), _PANEL_BLOCK):
+        block = slice(i, i + _PANEL_BLOCK)
+        x = lo[block, None] + width[block, None] * x_unit
         # fhat(0) from the transform itself, so that fhat(0) - fhat(x/4 pi)
         # vanishes at x = 0 in floating point too and h stays bounded there
         fhat = f.fourier_closed(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
         f0 = float(np.real(fhat[0]))
-        terms = w * np.real(np.exp(-z * x) * (f0 - fhat[1:].reshape(x.shape)) / -np.expm1(-x))
-        coarse += float(terms[:, :_NODES].sum())
-        integral += float(terms[:, _NODES:].sum())
-        mass += float(np.abs(terms[:, _NODES:]).sum())
-    err = abs(integral - coarse) + np.finfo(float).eps * mass
+        terms = width[block, None] * w_unit * np.real(
+            np.exp(-z_panel[block, None] * x) * (f0 - fhat[1:].reshape(x.shape)) / -np.expm1(-x))
+        sums[0, block] = terms[:, :_NODES].sum(axis=1)
+        sums[1, block] = terms[:, _NODES:].sum(axis=1)
+        sums[2, block] = np.abs(terms[:, _NODES:]).sum(axis=1)
+    # each mu's totals come from its own panel sums alone, whatever the batch
+    coarse, integral, mass = np.add.reduceat(sums, starts, axis=1)
+    err = np.abs(integral - coarse) + math.ulp(1.0) * mass
 
-    k = np.arange(math.ceil(40.0 / x_end))  # e^{-k Y} < 4e-18 beyond
-    series = float(np.sum(np.exp(-(z + k) * x_end) / (z + k)).real)
-    value = f0 * (float(np.real(digamma(z))) - LOG_PI + series) + integral
-    if err > tol:
-        raise AccuracyError(f"ell quadrature error {err:.3e} > tol {tol:.3e} at mu = {mu!r}",
-                            best=value)
-    return value
+    zk = z[:, None] + np.arange(math.ceil(40.0 / x_end))  # e^{-k Y} < 4e-18 beyond
+    series = np.sum(np.exp(-zk * x_end) / zk, axis=1).real
+    value = f0 * (np.real(digamma(z)) - LOG_PI + series) + integral
+    best = float(value[0]) if mus.ndim == 0 else value
+    if (err > tol).any():
+        worst = int(np.argmax(err))
+        raise AccuracyError(f"ell quadrature error {err[worst]:.3e} > tol {tol:.3e} "
+                            f"at mu = {points[worst]!r}", best=best)
+    return best
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +205,7 @@ def _gauss_panels(edges: np.ndarray, *sizes: int) -> Tuple[np.ndarray, np.ndarra
     return lo + width * x, width * w
 
 
-def _ell_edges(z: complex, big_x: float, x_end: float) -> np.ndarray:
+def _ell_edges(z: complex, big_x: float, x_end: float) -> list:
     """Panel edges of ell's integral over [0, x_end] (module docstring)."""
     breaks = [0.0, 0.5 * big_x, *_geom_nodes(big_x, x_end)]
     edges = []
@@ -185,7 +217,7 @@ def _ell_edges(z: complex, big_x: float, x_end: float) -> np.ndarray:
     if z.real * first > 1.0:
         grade = math.ceil(math.log2(z.real * first))
         edges[1:1] = [first * 2.0 ** -j for j in range(grade, 0, -1)]
-    return np.array(edges)
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +225,12 @@ def _ell_edges(z: complex, big_x: float, x_end: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _geom_nodes(t_from: float, t_to: float) -> np.ndarray:
+def _geom_nodes(t_from: float, t_to: float) -> list:
     # t_from, then doubling, clipped to end at t_to
     pts = [t_from]
     while pts[-1] < t_to:
         pts.append(min(2.0 * pts[-1], t_to))
-    return np.array(pts)
+    return pts
 
 
 def _smooth_tail_nodes(ys: np.ndarray, tail, t3: float, eps: float, sign: int,
@@ -213,7 +245,7 @@ def _smooth_tail_nodes(ys: np.ndarray, tail, t3: float, eps: float, sign: int,
     t2 = t3
     while tail.c_p * (c0 + clog * (math.log(t2) + 1.0)) / t2 > eps:
         t2 *= 1.5
-    pts, wts = (a.ravel() for a in _gauss_panels(_geom_nodes(t3, t2), 15))
+    pts, wts = (a.ravel() for a in _gauss_panels(np.array(_geom_nodes(t3, t2)), 15))
     idx = np.arange(0, len(ys), y_stride)
     if idx[-1] != len(ys) - 1:
         idx = np.append(idx, len(ys) - 1)
@@ -417,13 +449,14 @@ def rhs(
     """
     conductor = f.integral * math.log(fe.conductor) / math.pi
 
-    cache = {}
-    arch = []
-    for mu in fe.spectral:
-        key = (mu.real, abs(mu.imag)) if f.even else (mu.real, mu.imag)
-        if key not in cache:
-            cache[key] = ell(mu, f, convention, tol)
-        arch.append(cache[key] / TWO_PI)
+    # one batched ell over the distinct keys, each at its first mu
+    keys = [(mu.real, abs(mu.imag)) if f.even else (mu.real, mu.imag) for mu in fe.spectral]
+    first = {}
+    for key, mu in zip(keys, fe.spectral):
+        first.setdefault(key, mu)
+    values = ell(np.array(list(first.values())), f, convention, tol) / TWO_PI
+    by_key = dict(zip(first, values.tolist()))
+    arch = [by_key[key] for key in keys]
 
     budget = len(fe.spectral) * tol
     prime_term = 0.0

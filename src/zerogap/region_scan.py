@@ -18,7 +18,6 @@ prime sum vanishes no matter the (unknown) coefficients.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -63,11 +62,20 @@ def _check_params(t0: float, delta: float, conductor: float) -> None:
         raise DomainError("conductor must be >= 1")
 
 
-def _assemble(f: TestFunction, l1: float, l2: float, conductor: float) -> float:
-    # mirrors rhs().rhs_total for spectral order (i nu1, -i nu1, i nu2, -i nu2):
-    # fsum is exact, which also makes the value symmetric in (nu1, nu2)
-    cond = f.integral * math.log(conductor) / math.pi
-    return math.fsum((cond, l1 / TWO_PI, l1 / TWO_PI, l2 / TWO_PI, l2 / TWO_PI, 0.0))
+def _conductor_term(f: TestFunction, conductor: float) -> float:
+    return f.integral * math.log(conductor) / math.pi
+
+
+def _assemble(cond: float, a1: float, a2: float) -> float:
+    # mirrors rhs().rhs_total for spectral order (i nu1, -i nu1, i nu2, -i nu2),
+    # a = ell(i nu)/(2 pi): fsum is exact, which also makes the value
+    # symmetric in (nu1, nu2)
+    return math.fsum((cond, a1, a1, a2, a2, 0.0))
+
+
+def _arch_terms(nus, f: TestFunction, convention: str, tol: float) -> List[float]:
+    # ell(i nu, f)/(2 pi) for every nu, from one batched ell call
+    return (ell(1j * np.asarray(nus, dtype=float), f, convention, tol) / TWO_PI).tolist()
 
 
 def _verdict(fejer_rhs: float, windowed_rhs: float) -> str:
@@ -93,12 +101,10 @@ def classify_point(
     _check_params(t0, delta, conductor)
     f = fejer(delta)
     w = windowed_fejer(t0, delta)
-    lf1 = ell(1j * nu1, f, convention, tol)
-    lf2 = lf1 if nu2 == nu1 else ell(1j * nu2, f, convention, tol)
-    lw1 = ell(1j * nu1, w, convention, tol)
-    lw2 = lw1 if nu2 == nu1 else ell(1j * nu2, w, convention, tol)
-    fr = _assemble(f, lf1, lf2, conductor)
-    wr = _assemble(w, lw1, lw2, conductor)
+    af1, af2 = _arch_terms((nu1, nu2), f, convention, tol)
+    aw1, aw2 = _arch_terms((nu1, nu2), w, convention, tol)
+    fr = _assemble(_conductor_term(f, conductor), af1, af2)
+    wr = _assemble(_conductor_term(w, conductor), aw1, aw2)
     return RegionClassification(
         nu1=float(nu1), nu2=float(nu2), fejer_rhs=fr, windowed_rhs=wr,
         verdict=_verdict(fr, wr),
@@ -117,10 +123,11 @@ def scan_region(
 ) -> List[RegionClassification]:
     """Classify the full grid [0, nu_max]^2, row-major in (nu1, nu2).
 
-    The archimedean integrals depend on one nu at a time, so each unique nu
-    is integrated once per kernel and the grid is assembled from the cache;
-    output is byte-for-byte reproducible for fixed inputs regardless of
-    thread count.
+    The archimedean integrals depend on one nu at a time, so each kernel
+    takes one batched ell call over all nu and the grid is assembled from
+    those values: the rows are bit-identical to classify_point's.  threads
+    is accepted for the callers that pass it and does not affect the result;
+    the scan runs on the calling thread.
     """
     if not step > 0 or not nu_max >= 0:
         raise DomainError("need step > 0 and nu_max >= 0")
@@ -128,25 +135,14 @@ def scan_region(
     nus = [float(v) for v in step * np.arange(int(math.floor(nu_max / step + 1e-9)) + 1)]
     f = fejer(delta)
     w = windowed_fejer(t0, delta)
-
-    def one(job):
-        kernel, nu = job
-        return ell(1j * nu, kernel, convention, tol)
-
-    jobs = [(f, nu) for nu in nus] + [(w, nu) for nu in nus]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
-    ell_f = dict(zip(nus, results[: len(nus)]))
-    ell_w = dict(zip(nus, results[len(nus):]))
+    cond_f, arch_f = _conductor_term(f, conductor), _arch_terms(nus, f, convention, tol)
+    cond_w, arch_w = _conductor_term(w, conductor), _arch_terms(nus, w, convention, tol)
 
     rows = []
-    for n1 in nus:
-        for n2 in nus:
-            fr = _assemble(f, ell_f[n1], ell_f[n2], conductor)
-            wr = _assemble(w, ell_w[n1], ell_w[n2], conductor)
+    for n1, af1, aw1 in zip(nus, arch_f, arch_w):
+        for n2, af2, aw2 in zip(nus, arch_f, arch_w):
+            fr = _assemble(cond_f, af1, af2)
+            wr = _assemble(cond_w, aw1, aw2)
             rows.append(RegionClassification(n1, n2, fr, wr, _verdict(fr, wr)))
     return rows
 

@@ -151,9 +151,17 @@ def test_scan_region_out_reproducible(capsys, tmp_path):
     rc1, _, _ = run(capsys, "scan-region", "--nu-max", "1", "--step", "0.5",
                     "--out", str(a))
     rc2, _, _ = run(capsys, "scan-region", "--nu-max", "1", "--step", "0.5",
-                    "--threads", "2", "--out", str(b))
+                    "--out", str(b))
     assert rc1 == rc2 == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_region_has_no_threads_option(capsys):
+    # the scan runs on the calling thread: one batched ell call per kernel
+    with pytest.raises(SystemExit) as exc:
+        main(["scan-region", "--nu-max", "1", "--step", "1", "--threads", "2"])
+    assert exc.value.code == 1
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_verify_example_passes(capsys):

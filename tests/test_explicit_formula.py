@@ -184,6 +184,59 @@ def test_ell_accuracy_error_carries_best():
     assert abs(info.value.best - _mp_ell(kind, params, 0.0)) < 1e-11
 
 
+BATCH_KERNELS = {
+    "selberg": selberg_minorant(-HALF, HALF, PRIME_FREE_RADIUS),
+    "fejer": fejer(PRIME_FREE_RADIUS),
+    "windowed": windowed_fejer(14.13, PRIME_FREE_RADIUS),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(BATCH_KERNELS)),
+       st.lists(st.builds(complex, st.floats(0.0, 40.0), st.floats(-80.0, 80.0)),
+                min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_ell_batch_bit_identical_to_pointwise(name, mus, rnd):
+    f = BATCH_KERNELS[name]
+    rnd.shuffle(mus)
+    batch = ell(np.array(mus), f)
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(mus),)
+    for mu, value in zip(mus, batch):
+        single = ell(mu, f)
+        assert type(single) is float
+        assert value == single, mu
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_KERNELS))
+def test_ell_batch_across_panel_blocks(name):
+    # 2e4 i needs more than _PANEL_BLOCK panels, so its panels and those of
+    # its neighbours straddle block boundaries in either order
+    f = BATCH_KERNELS[name]
+    mus = [3.0 + 1.0j, 2e4j, 0.5, 7.25j]
+    big_x = 4.0 * math.pi * f.support_radius
+    assert len(ef._ell_edges(0.25 + 1e4j, big_x, max(big_x, 1.0))) > ef._PANEL_BLOCK + 1
+    singles = [ell(mu, f, tol=1e-6) for mu in mus]
+    assert ell(np.array(mus), f, tol=1e-6).tolist() == singles
+    assert ell(np.array(mus[::-1]), f, tol=1e-6).tolist() == singles[::-1]
+
+
+def test_ell_batch_accuracy_error_carries_array():
+    f = BATCH_KERNELS["windowed"]
+    mus = np.array([16.0j, 0.0])
+    with pytest.raises(AccuracyError) as info:
+        ell(mus, f, tol=1e-14)
+    assert isinstance(info.value.best, np.ndarray)
+    assert info.value.best.tolist() == [ell(mu, f, tol=1.0) for mu in mus]
+
+
+def test_ell_batch_input_validation(cert_minorant):
+    assert ell(np.array([], dtype=complex), cert_minorant).shape == (0,)
+    with pytest.raises(DomainError):
+        ell(np.zeros((2, 2)), cert_minorant)
+    with pytest.raises(DomainError):
+        ell(np.array([1.0, -0.5]), cert_minorant)
+
+
 def test_gauss_panels_integrate_gaussian():
     x, w = ef._gauss_panels(np.linspace(-8.0, 8.0, 9), 24)
     assert abs(np.sum(w * np.exp(-x * x)) - math.sqrt(math.pi)) < 1e-12

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import zerogap
+from zerogap import region_scan
 
 # import zerogap in a fresh interpreter and list the scipy.signal modules it
 # loaded; scipy.signal pulls in scipy.stats and scipy.interpolate, about a
@@ -22,17 +23,35 @@ def test_import_does_not_load_scipy_signal():
     assert done.stdout.strip() == "[]"
 
 
-def test_tracer_patch_points_resolve(monkeypatch):
-    # the traced benchmark run replaces these bindings; a rename that leaves
-    # one unbound would break it
+def _load_tracer(monkeypatch):
+    # the benchmark's tracer, loaded by path and only read
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_patch_points_resolve(monkeypatch):
+    # the traced benchmark run replaces these bindings; a rename that leaves
+    # one unbound would break it
+    tracer = _load_tracer(monkeypatch)
     for module_name, attr, _ in tracer.PATCH_POINTS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (
             f"{module_name}.{attr}")
+
+
+def test_scan_makes_one_ell_call_per_kernel(monkeypatch):
+    # the benchmark's scan operation: every nu of a kernel goes through one
+    # batched ell call, whatever the grid
+    tr = _load_tracer(monkeypatch).Tracer()
+    with tr.patched(), tr.operation():
+        region_scan.scan_region(16.0, 2.0)
+    layers = tr.summary(1)
+    for kernel in ("fejer", "windowed_fejer"):
+        assert layers[f"explicit_formula.ell.{kernel}"]["calls"] == 1
+    assert layers["region_scan.scan_region"]["calls"] == 1
 
 
 def _unused_imports(path):

@@ -1,14 +1,17 @@
 import copy
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zerogap.errors import IncompletenessError, SchemaError, ValidationError
 from zerogap.lfunctions import (
+    _MR_LIMIT,
     FunctionalEquation,
     LFunctionData,
+    _is_prime,
     bundled_example_path,
     c_coefficients,
     extend_multiplicatively,
@@ -153,10 +156,19 @@ def _mutated(doc, path, new):
     pytest.param(("coefficients", 0, "n"), True, id="n-bool"),
     pytest.param(("degree",), True, id="degree-bool"),
     pytest.param(("conductor", "value"), 10**400, id="conductor-beyond-float"),
+    pytest.param(("conductor", "assumed"), "no", id="conductor-assumed-string"),
+    pytest.param(("root_number", "assumed"), 1, id="root-number-assumed-int"),
 ])
 def test_malformed_field_is_schema_error(path, new):
     with pytest.raises(SchemaError):
         load_lfunction(_mutated(_BUNDLED_DOC, path, new))
+
+
+def test_assumed_flags_default_to_false():
+    doc = _mutated(_mutated(_BUNDLED_DOC, ("conductor", "assumed"), _DELETE),
+                   ("root_number", "assumed"), _DELETE)
+    fe = load_lfunction(doc).fe
+    assert fe.conductor_assumed is False and fe.root_number_assumed is False
 
 
 def test_infinite_t_max_accepted():
@@ -279,3 +291,43 @@ def test_large_prime_coefficient_warns():
     with pytest.warns(UserWarning):
         LFunctionData(fe=fe, coefficients={1: 1 + 0j, 2: 5.0 + 0j},
                       zeros=(), zero_strings=(), t_max=math.inf, self_dual=True)
+
+
+def _trial_division_is_prime(n):
+    # the trial division _is_prime used to be, kept as the oracle
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n) != _trial_division_is_prime(n)] == []
+
+
+def test_is_prime_large():
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime((2**31 - 1) * 1000003)
+    # a strong pseudoprime to every prime base up to 37 (399165290221 *
+    # 798330580441): base 41 is what makes the test exact up to _MR_LIMIT
+    assert not _is_prime(318665857834031151167461)
+    with pytest.raises(ValueError):
+        _is_prime(_MR_LIMIT)
+
+
+def test_large_prime_index_loads_fast():
+    # a large prime n with |a_n| above the degree used to cost O(sqrt n)
+    doc = copy.deepcopy(_BUNDLED_DOC)
+    doc["coefficients"].append({"n": 2**61 - 1, "re": 5.0, "im": 0.0})
+    start = time.perf_counter()
+    with pytest.warns(UserWarning, match="exceeds the degree"):
+        load_lfunction(doc)
+    assert time.perf_counter() - start < 1.0

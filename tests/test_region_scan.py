@@ -114,12 +114,6 @@ def test_scan_matches_pointwise():
             assert row.verdict == direct.verdict
 
 
-def test_scan_threaded_deterministic():
-    a = scan_region(1.0, 1.0, threads=1)
-    b = scan_region(1.0, 1.0, threads=3)
-    assert a == b
-
-
 def test_scan_csv_golden():
     rows = scan_region(1.0, 1.0)
     text = scan_to_csv(rows, t0=14.13, delta=PRIME_FREE_RADIUS, conductor=1.0,

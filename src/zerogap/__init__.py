@@ -5,7 +5,12 @@ critical-line zeros by evaluating a Weil-type explicit formula against
 extremal (Beurling-Selberg) test functions, scans spectral-parameter space
 for functional equations that the formula rules out, and checks bundled
 L-function data for explicit-formula consistency.
+
+The package logs to the ``zerogap`` logger, which is silent until the
+application configures logging.
 """
+
+import logging
 
 from .certification import (
     GapCertificate,
@@ -50,6 +55,8 @@ from .lfunctions import (
 from .region_scan import RegionClassification, classify_point, scan_region, scan_to_csv
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "AccuracyError",

@@ -13,8 +13,12 @@ ell over the closed right half-plane is positive, no such L-function exists
 and every degree-d L-function must have a zero in every window of length L.
 The half-plane minimum is searched on a finite grid: ell grows like
 fhat(0) log|mu| for large |mu|, so a bounded rectangle plus a boundary-row
-check suffices.  The result is labeled numerical evidence, grid-based; it
-is not a proof.
+check suffices.  Within the rectangle, `explicit_formula.ell_floor` bounds
+ell from below over a whole Re-mu row; rows whose floor lies above the
+incumbent ell(0) by more than twice the grid's error budget cannot hold
+the minimum and are not evaluated, and when the Re mu = re_max row is one
+of them the floor, not its grid values, clears the boundary.  The result
+is labeled numerical evidence, grid-based; it is not a proof.
 
 The two Gamma-factor normalizations give pointwise-identical values under
 mu -> k mu, k = `convention_scale(convention)`; `certify_gap` divides its
@@ -24,6 +28,7 @@ their verdicts and bisection paths agree exactly.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -31,7 +36,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .explicit_formula import PRIME_FREE_RADIUS, TWO_PI, convention_scale, ell_grid
+from .explicit_formula import (
+    _GRID_TOL,
+    PRIME_FREE_RADIUS,
+    TWO_PI,
+    convention_scale,
+    ell,
+    ell_floor,
+    ell_grid,
+)
 from .extremal import TestFunction, selberg_minorant
 
 __all__ = [
@@ -45,6 +58,11 @@ __all__ = [
 
 EVIDENCE_KIND = "numerical evidence, grid-based"
 
+# tolerance of the pointwise incumbent ell(0) in min_ell_over_mu
+_INCUMBENT_TOL = 1e-8
+
+_log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class SearchDomain:
@@ -52,7 +70,9 @@ class SearchDomain:
 
     boundary_clear records that the minimum over the Re mu = re_max edge
     exceeds the interior minimum, supporting the asymptotic-growth cutoff;
-    error_bound is the quadrature budget per grid value.
+    it is read off that row's grid values, or established by `ell_floor`
+    when the row was skipped.  grid_shape is the whole rectangle's, skipped
+    rows included; error_bound is the quadrature budget per grid value.
     """
 
     re_max: float
@@ -131,22 +151,49 @@ def min_ell_over_mu(
     Only the closed upper-right quadrant is searched: ell is invariant
     under mu -> conj(mu) for even f.  Ties go to the smallest Re mu, then
     the smallest Im mu (row-major first hit).
+
+    Only the leading Re-mu rows are evaluated on the lattice.  mu = 0 is a
+    grid point, so the lattice minimum is at most u + error_bound, with u
+    the pointwise ell(0); a row whose `ell_floor` exceeds u + 2 _GRID_TOL
+    (twice ell_grid's budget of _GRID_TOL / 2, plus room for u's
+    tolerance, checked after the call) lies wholly above that minimum.
+    The floor is nondecreasing in Re mu, so the skipped rows are a suffix
+    of the grid, and the result is the full grid's: bit for bit when
+    2 re_max + 1 <= 2 im_max in halved parameters, within error_bound
+    otherwise, where ell_grid sizes its lattice by the largest Re mu it is
+    given.  A skipped Re mu = re_max row is boundary_clear by the floor.
     """
     k = convention_scale(convention)
     if step <= 0 or re_max < step or im_max < 0:
         raise DomainError("need step > 0, re_max >= step, im_max >= 0")
     re_values = _grid_values(re_max, step)
     im_values = _grid_values(im_max, step)
-    vals, error_bound = ell_grid(f, k * re_values, k * im_values)
-    flat = int(np.argmin(vals))
-    i, j = np.unravel_index(flat, vals.shape)
-    boundary_clear = bool(vals[-1, :].min() > vals[:-1, :].min()) if len(re_values) > 1 else False
+
+    u = ell(0.0, f, tol=_INCUMBENT_TOL)
+    floor = ell_floor(k * re_values, f)
+    ruled_out = floor > u + 2.0 * _GRID_TOL  # a nan floor rules nothing out
+    rows = int(max(np.flatnonzero(~ruled_out), default=0)) + 1
+    vals, error_bound = ell_grid(f, k * re_values[:rows], k * im_values)
+    if 2.0 * error_bound + _INCUMBENT_TOL > 2.0 * _GRID_TOL:
+        raise AccuracyError(f"ell_grid error bound {error_bound:.3e} leaves no room in "
+                            f"the row-skipping pad 2 x {_GRID_TOL:.3e}", best=None)
+
+    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    if rows < len(re_values):
+        # its lattice values are >= floor - eb > u + eb >= the minimum found
+        boundary_clear = True
+    else:
+        boundary_clear = bool(vals[-1, :].min() > vals[:-1, :].min())
+    _log.debug("min_ell_over_mu: %d of %d Re-mu rows on the lattice, incumbent "
+               "ell(0) = %r, floor at the first skipped row = %s",
+               rows, len(re_values), u,
+               repr(float(floor[rows])) if rows < len(re_values) else "none skipped")
     domain = SearchDomain(
         re_max=float(re_values[-1]),
         im_max=float(im_values[-1]),
         step=step,
         convention=convention,
-        grid_shape=vals.shape,
+        grid_shape=(len(re_values), len(im_values)),
         boundary_clear=boundary_clear,
         error_bound=float(error_bound),
     )

@@ -38,6 +38,13 @@ and each mu's value is reduced from its own panel sums alone, so that
 ell(mus)[i] is bit-identical to ell(mus[i]).  The cost is linear in the
 total number of panels.
 
+The same form bounds ell below uniformly in Im mu: `ell_floor` replaces
+Re psi(z) by psi(Re z), which is smaller (DLMF 5.7.6, term by term), and
+the bracket by minus the integral of e^{-Re z x} |h(x)| and the series'
+modulus.  The bound is nondecreasing in Re mu and grows like
+fhat(0) log Re mu, so the certification search skips every Re-mu row
+whose floor lies above its incumbent.
+
 `ell_grid` evaluates ell (halved) over a rectangular (Re mu, Im mu) grid at
 reduced tolerance for the certification search, and returns the values
 with their error bound.  It still integrates in the time domain,
@@ -81,6 +88,7 @@ __all__ = [
     "ExplicitFormulaReport",
     "convention_scale",
     "ell",
+    "ell_floor",
     "ell_grid",
     "rhs",
     "verify",
@@ -176,6 +184,44 @@ def ell(mu, f: TestFunction, convention: str = "halved",
         raise AccuracyError(f"ell quadrature error {err[worst]:.3e} > tol {tol:.3e} "
                             f"at mu = {points[worst]!r}", best=best)
     return best
+
+
+def ell_floor(re_mu, f: TestFunction) -> np.ndarray:
+    """A lower bound of ell(mu, f) (halved) that holds for every Im mu, at
+    each Re mu of a 1-d array.  With a = 1/4 + Re mu/2 and h, Y as in the
+    module docstring,
+
+        ell >= fhat(0) (psi(a) - log pi) - int_0^Y e^-ax |h(x)| dx
+               - fhat(0) sum_{k>=0} e^-(a+k)Y/(a+k),
+
+    because Re psi(a + iy) >= psi(a) term by term in DLMF 5.7.6, which needs
+    fhat(0) > 0; otherwise the floor is -inf.  It is nondecreasing in a.
+    The integral takes `ell`'s panels for the largest a (so each value
+    depends, in its last bits, on the largest entry), and the floor is
+    lowered by its estimated quadrature error and rounding.
+    """
+    re_mu = np.asarray(re_mu, dtype=float)
+    if re_mu.ndim != 1 or not len(re_mu) or (re_mu < -1e-12).any():
+        raise DomainError("ell_floor needs a nonempty 1-d array of Re(mu) >= 0")
+    a = 0.25 + 0.5 * np.maximum(re_mu, 0.0)
+    big_x = 4.0 * math.pi * f.support_radius
+    x_end = max(big_x, 1.0)
+    edges = np.array(_ell_edges(complex(a.max(), 0.0), big_x, x_end))
+    x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
+    fhat = f.fourier_closed(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
+    f0 = float(np.real(fhat[0]))
+    if not f0 > 0.0:
+        return np.full(a.shape, -np.inf)
+    h_abs = w * np.abs(np.real(f0 - fhat[1:].reshape(x.shape)) / -np.expm1(-x))
+    terms = np.exp(-a[:, None, None] * x) * h_abs
+    coarse = terms[..., :_NODES].sum(axis=(1, 2))
+    integral = terms[..., _NODES:].sum(axis=(1, 2))
+    ak = a[:, None] + np.arange(math.ceil(40.0 / x_end))  # as in ell
+    series = np.sum(np.exp(-ak * x_end) / ak, axis=1)
+    psi = digamma(a)
+    mass = integral + f0 * (np.abs(psi) + LOG_PI + series)
+    err = np.abs(integral - coarse) + 16.0 * math.ulp(1.0) * mass
+    return f0 * (psi - LOG_PI - series) - integral - err
 
 
 @lru_cache(maxsize=None)

@@ -1,18 +1,23 @@
 import json
+import logging
 import math
 
+import numpy as np
 import pytest
 
+from zerogap import certification
 from zerogap.certification import (
     GapCertificate,
     MinEllSearch,
     SearchDomain,
+    _grid_values,
     certify_gap,
     min_ell_over_mu,
     minimal_certified_length,
 )
-from zerogap.errors import DomainError
-from zerogap.explicit_formula import PRIME_FREE_RADIUS
+from zerogap.errors import AccuracyError, DomainError
+from zerogap.explicit_formula import PRIME_FREE_RADIUS, convention_scale, ell_grid
+from zerogap.extremal import selberg_minorant
 
 CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 
@@ -172,3 +177,90 @@ def test_certificate_invariant():
         GapCertificate(interval=(-1.0, 1.0), delta=PRIME_FREE_RADIUS, degree=4,
                        margin=-0.5, certified=True, positivity_window=(-1.0, 1.0),
                        search=s.domain, kind="numerical evidence, grid-based")
+
+
+def _full_grid_search(f, re_max, im_max, step, convention="halved"):
+    """What min_ell_over_mu returns, from one ell_grid call over every row."""
+    k = convention_scale(convention)
+    re_values, im_values = _grid_values(re_max, step), _grid_values(im_max, step)
+    vals, error_bound = ell_grid(f, k * re_values, k * im_values)
+    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    return (float(vals[i, j]), complex(re_values[i], im_values[j]),
+            bool(vals[-1].min() > vals[:-1].min()), float(error_bound), vals.shape)
+
+
+def _fields(search):
+    d = search.domain
+    return search.value, search.argmin, d.boundary_clear, d.error_bound, d.grid_shape
+
+
+EXACT_CASES = [
+    *((length, dict(re_max=50.0, im_max=200.0, step=step))
+      for length in (45.06, CERT_LENGTH, 45.5, 52.0, 60.0) for step in (0.25, 1.0)),
+    (CERT_LENGTH, dict(re_max=25.0, im_max=100.0, step=0.5, convention="literal")),
+    (CERT_LENGTH, FAST),  # the floor rules out no row of this rectangle
+]
+
+
+@pytest.mark.parametrize("length, rect", EXACT_CASES)
+def test_pruned_search_equals_full_grid(length, rect):
+    # rows above the floor's cut are skipped, yet every field is the
+    # full grid's, bit for bit
+    f = cert_fn() if length == CERT_LENGTH else selberg_minorant(
+        -length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
+    assert _fields(min_ell_over_mu(f, **rect)) == _full_grid_search(f, **rect)
+
+
+def test_pruned_search_on_wide_re_rectangles():
+    # with 2 re_max + 1 > 2 im_max the lattice's extent follows the largest
+    # Re mu it is given (`t3` in ell_grid), so skipping rows changes the
+    # lattice: values agree within the error bound, not bit for bit
+    rect = dict(re_max=50.0, im_max=10.0, step=1.0)
+    got = min_ell_over_mu(cert_fn(), **rect)
+    value, argmin, boundary_clear, error_bound, shape = _full_grid_search(cert_fn(), **rect)
+    assert (got.argmin, got.domain.boundary_clear, got.domain.grid_shape) == (
+        argmin, boundary_clear, shape)
+    assert abs(got.value - value) < min(got.domain.error_bound, error_bound)
+
+
+def test_headline_certificate_evaluates_few_rows(monkeypatch):
+    calls = []
+
+    def spy(f, re_values, im_values):
+        calls.append((len(re_values), len(im_values)))
+        return ell_grid(f, re_values, im_values)
+
+    monkeypatch.setattr(certification, "ell_grid", spy)
+    cert = certify_gap(4, CERT_LENGTH)
+    assert len(calls) == 1
+    rows, cols = calls[0]
+    assert rows <= 60 and cols == 801
+    assert cert.search.grid_shape == (201, 801)
+    assert cert.search.boundary_clear is True
+
+
+def test_pruning_pad_checked_against_grid_bound(monkeypatch):
+    def loose(f, re_values, im_values):
+        values, _ = ell_grid(f, re_values, im_values)
+        return values, 1e-3  # above the pad the skipped rows were sized with
+
+    monkeypatch.setattr(certification, "ell_grid", loose)
+    with pytest.raises(AccuracyError):
+        min_ell_over_mu(cert_fn(), **FAST)
+
+
+def test_min_ell_logs_rows_evaluated(caplog):
+    with caplog.at_level(logging.DEBUG, logger="zerogap"):
+        search = min_ell_over_mu(cert_fn(), re_max=50.0, im_max=200.0, step=1.0)
+    records = [r for r in caplog.records if r.name == "zerogap.certification"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG
+    message = records[0].getMessage()
+    assert "10 of 51 Re-mu rows" in message
+    assert "incumbent ell(0) = 0.2919830149572" in message
+    assert search.domain.grid_shape == (51, 201)
+
+
+def test_package_logger_silent_by_default():
+    logger = logging.getLogger("zerogap")
+    assert any(isinstance(h, logging.NullHandler) for h in logger.handlers)

@@ -1,8 +1,12 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zerogap
 from zerogap.cli import main
 from zerogap.lfunctions import bundled_example_path
 
@@ -120,6 +124,22 @@ def test_certify_gap_json(capsys):
     assert doc["window_length"] == pytest.approx(float(CERT_LENGTH))
     assert "evidence" in doc["kind"]
     assert doc["search_domain"]["grid_shape"] == [13, 41]
+
+
+def test_certify_gap_cli_output_unaffected_by_logging(capsys):
+    # the search logs at DEBUG to the `zerogap` logger; a fresh interpreter
+    # that configures no logging must print the JSON and nothing else
+    argv = ["certify-gap", "--degree", "4", "--length", CERT_LENGTH,
+            "--re-max", "50", "--im-max", "20", "--step", "1"]
+    rc, out, err = run(capsys, *argv)
+    src = str(Path(zerogap.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); from zerogap.cli import main; "
+         "sys.exit(main(sys.argv[2:]))", src, *argv],
+        capture_output=True, text=True, timeout=120)
+    assert (rc, err) == (0, "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
 
 
 def test_certify_gap_short_window(capsys):

@@ -14,6 +14,7 @@ from zerogap.explicit_formula import (
     PRIME_FREE_RADIUS,
     ExplicitFormulaReport,
     ell,
+    ell_floor,
     ell_grid,
     rhs,
     verify,
@@ -298,6 +299,68 @@ def test_ell_grid_irregular_grids_match_pointwise(cert_minorant, re_v, im_v):
         for j in {0, len(im_v) // 3, len(im_v) - 1}:
             p = ell(complex(re_v[i], im_v[j]), cert_minorant)
             assert abs(grid[i, j] - p) < bound
+
+
+FLOOR_KERNELS = {
+    "headline": selberg_minorant(-HALF, HALF, PRIME_FREE_RADIUS),
+    "asymmetric": selberg_minorant(-7.3, 19.1, 0.09),
+    "narrow": selberg_minorant(-30.0, 30.0, 0.05),
+    "offset": selberg_minorant(0.0, 45.5, PRIME_FREE_RADIUS),
+    "fejer": fejer(PRIME_FREE_RADIUS),
+    "windowed": windowed_fejer(14.13, PRIME_FREE_RADIUS),
+}
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(FLOOR_KERNELS)), st.floats(0.0, 80.0),
+       st.floats(-200.0, 200.0))
+def test_ell_floor_below_ell(name, re, im):
+    f = FLOOR_KERNELS[name]
+    assert ell_floor(np.array([re]), f)[0] <= ell(complex(re, im), f, tol=1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(FLOOR_KERNELS))
+def test_ell_floor_below_ell_on_real_axis(name):
+    # Re psi(a + iy) >= psi(a) is an equality at y = 0, and for large a the
+    # integral bound is tight too where h < 0 near x = 0
+    f = FLOOR_KERNELS[name]
+    re = np.array([0.0, 0.5, 3.0, 19.0, 80.0, 400.0, 3000.0])
+    floor = ell_floor(re, f)
+    for r, bound in zip(re, floor):
+        assert bound <= ell(r, f), r
+
+
+@pytest.mark.parametrize("name", sorted(FLOOR_KERNELS))
+def test_ell_floor_nondecreasing(name):
+    floor = ell_floor(np.linspace(0.0, 200.0, 801), FLOOR_KERNELS[name])
+    assert np.isfinite(floor).all()
+    assert (np.diff(floor) >= 0.0).all()
+
+
+@settings(max_examples=40)
+@given(st.floats(1e-3, 100.0), st.floats(-1e3, 1e3))
+def test_re_digamma_above_real_digamma(a, y):
+    # the inequality behind the floor: Re psi(a + iy) >= psi(a) for a > 0,
+    # up to 30-digit rounding (the two agree to O(y^2) as y -> 0)
+    with mpmath.workdps(30):
+        psi_a = mpmath.digamma(a)
+        slack = mpmath.mpf(10) ** -25 * (1 + abs(psi_a))
+        assert mpmath.re(mpmath.digamma(mpmath.mpc(a, y))) >= psi_a - slack
+
+
+def test_ell_floor_needs_positive_mass():
+    # a window shorter than 1/delta gives fhat(0) = L - 1/delta < 0
+    short = selberg_minorant(-3.0, 3.0, 0.1)
+    assert short.integral < 0.0
+    assert (ell_floor(np.array([0.0, 5.0, 50.0]), short) == -np.inf).all()
+    zero_mass = replace(FLOOR_KERNELS["fejer"], fourier_closed=lambda xi: 0.0 * xi)
+    assert (ell_floor(np.array([0.0, 50.0]), zero_mass) == -np.inf).all()
+
+
+def test_ell_floor_input_validation(cert_minorant):
+    for bad in (np.array([]), np.array([1.0, -0.5]), np.zeros((2, 2))):
+        with pytest.raises(DomainError):
+            ell_floor(bad, cert_minorant)
 
 
 def test_ell_grid_input_validation(cert_minorant):

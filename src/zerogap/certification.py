@@ -164,8 +164,8 @@ def min_ell_over_mu(
     given.  A skipped Re mu = re_max row is boundary_clear by the floor.
     """
     k = convention_scale(convention)
-    if step <= 0 or re_max < step or im_max < 0:
-        raise DomainError("need step > 0, re_max >= step, im_max >= 0")
+    if not (0 < step <= re_max < math.inf and 0 <= im_max < math.inf):
+        raise DomainError("need finite step > 0, re_max >= step, im_max >= 0")
     re_values = _grid_values(re_max, step)
     im_values = _grid_values(im_max, step)
 
@@ -261,8 +261,8 @@ def minimal_certified_length(
     the given precision.  Uses a coarser default search step than
     certify_gap; the returned length is only meaningful together with the
     search parameters that produced it."""
-    if not precision > 0:
-        raise DomainError("precision must be positive")
+    if not 0 < precision < math.inf:
+        raise DomainError("precision must be positive and finite")
 
     def certified(length: float) -> bool:
         return certify_gap(

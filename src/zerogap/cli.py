@@ -73,8 +73,8 @@ def _build_test_function(args, *, for_fourier: bool):
 def _cmd_eval_extremal(args) -> Tuple[str, int]:
     if args.samples < 1:
         raise DomainError("--samples must be at least 1")
-    if args.to < args.from_:
-        raise DomainError("--to must not be below --from")
+    if not -np.inf < args.from_ <= args.to < np.inf:
+        raise DomainError("--from and --to must be finite, --to not below --from")
     xs = np.linspace(args.from_, args.to, args.samples)
     f = _build_test_function(args, for_fourier=args.fourier)
     if args.kind == "beurling":

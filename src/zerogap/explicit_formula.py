@@ -128,7 +128,8 @@ def ell(mu, f: TestFunction, convention: str = "halved",
     each entry of a 1-d array of mu (an array is returned).  tol bounds the
     error of each integral, estimated from the 24- against the 48-point rule
     plus the rounding of the sum; AccuracyError, with the value or the array
-    of values as `best`, says it was not met.  The values do not depend on
+    of values as `best`, says it was not met.  Every mu must be finite with
+    Re mu >= 0, and tol finite and positive.  The values do not depend on
     tol, and ell(mus)[i] is bit-identical to ell(mus[i]) whatever else is in
     the batch: each mu keeps its own panels and sums.  The cost is linear in
     the total number of panels, about 2 + 4 delta |Im z| per mu for a
@@ -137,6 +138,10 @@ def ell(mu, f: TestFunction, convention: str = "halved",
     scale, mus = convention_scale(convention), np.asarray(mu, dtype=complex)
     if mus.ndim > 1:
         raise DomainError(f"mu must be a scalar or a 1-d array, got shape {mus.shape}")
+    if not np.isfinite(mus).all():
+        raise DomainError("ell requires finite mu")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"ell requires a finite tol > 0, got {tol!r}")
     big_x = 4.0 * math.pi * f.support_radius
     x_end = max(big_x, 1.0)  # Y
 

@@ -3,7 +3,13 @@
 Every constructor returns a TestFunction: a real-valued function on the
 line with quadratic decay, compactly supported Fourier transform, a known
 integral, and a positivity window (the interval outside of which the
-function is <= 0, or "everywhere" for nonnegative kernels).
+function is <= 0, or "everywhere" for nonnegative kernels).  The Selberg
+minorant's window edges are its outermost sign changes, bracketed by
+samples of the last lobe inside each edge and solved together by
+Anderson-Bjorck false position (N. Anderson and A. Bjorck, "A new high
+order method of regula falsi type for computing a root of an equation",
+BIT 13, 1973): one vectorized evaluation per step serves both edges, each
+solved to the tolerance given to the tests' reference, scipy's brentq.
 
 The Beurling function B is evaluated on two exact branches,
 
@@ -47,9 +53,8 @@ from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .special_math import (
     DecayEnvelope,
     OscComponent,
@@ -108,7 +113,7 @@ def beurling(x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     xv = np.atleast_1d(arr).astype(float)
-    out = np.empty(xv.shape)
+    out = np.full(xv.shape, np.nan)  # nan meets no branch below
     s2 = _sinpi_over_pi_sq(xv)
 
     zero = xv == 0.0
@@ -155,10 +160,52 @@ _DW_BOUND = 1.60
 _DDW_BOUND = 5.00
 
 
-# edge tolerances: the tightest relative one brentq accepts, and an
-# absolute one that only matters for an edge within about 1 of t = 0
+# edge tolerances: the tightest relative one scipy's brentq accepts, and an
+# absolute one that only matters for an edge within about 1 of t = 0; an
+# edge is done once its bracket is narrower than _XTOL + _RTOL |edge|
 _RTOL = 4.0 * np.finfo(float).eps
 _XTOL = 1e-15
+# Anderson-Bjorck steps before an edge counts as unconverged (brentq's
+# default cap); the minorant's edges took at most 6 on 2000 random windows
+_MAX_STEPS = 100
+
+
+def _bracketed_roots(value: Callable, a: np.ndarray, b: np.ndarray,
+                     fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """A sign change of value in each bracket [a[k], b[k]], all brackets at
+    once: every step evaluates value once, on the unconverged brackets.
+
+    fa and fb are value at a and b, of opposite signs or zero.  An endpoint
+    whose value is exactly 0.0 is the root.  Otherwise each step takes the
+    Anderson-Bjorck false-position point, moved at least half a tolerance
+    inside the bracket so that every step shrinks it, and a bracket is done
+    once narrower than _XTOL + _RTOL |x|, x its latest point, or when value
+    vanishes there; x is returned.  AccuracyError if a bracket is not done
+    after _MAX_STEPS steps.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    # b is always the latest point, a the other end of its bracket
+    for _ in range(_MAX_STEPS):
+        tol = _XTOL + _RTOL * np.abs(b)
+        narrow = np.isnan(root) & (np.abs(b - a) < tol)
+        root[narrow] = b[narrow]
+        k = np.flatnonzero(np.isnan(root))
+        if not k.size:
+            return root
+        lo, hi = np.minimum(a[k], b[k]) + 0.5 * tol[k], np.maximum(a[k], b[k]) - 0.5 * tol[k]
+        c = np.clip(b[k] - fb[k] * (b[k] - a[k]) / (fb[k] - fa[k]), lo, hi)
+        fc = np.asarray(value(c), dtype=float)
+        same = np.sign(fc) == np.sign(fb[k])
+        # a kept twice in a row has its value scaled down, Anderson-Bjorck's
+        # factor 1 - fc/fb, or Illinois' 1/2 when that is not positive
+        m = 1.0 - fc / fb[k]
+        fa[k] = np.where(same, fa[k] * np.where(m > 0.0, m, 0.5), fb[k])
+        a[k] = np.where(same, a[k], b[k])
+        b[k], fb[k] = c, fc
+        root[k[fc == 0.0]] = c[fc == 0.0]
+    raise AccuracyError(f"positivity-window edge not converged in {_MAX_STEPS} "
+                        f"steps: bracket {a[k]} .. {b[k]}", best=b[k])
 
 
 def _find_window(value: Callable, alpha: float, beta: float, delta: float):
@@ -167,20 +214,22 @@ def _find_window(value: Callable, alpha: float, beta: float, delta: float):
     S_- <= 1_[alpha, beta] makes S_- <= 0 at and beyond both edges, and once
     delta L >= 2 (L = beta - alpha), S_-(alpha + 1/delta) = S_-(beta - 1/delta)
     = (1 - B(1 - delta L))/2 > 0.  So only the last lobe inside each edge,
-    h = min(1/delta, L/2) wide, is sampled, and brentq brackets the sign
-    changes before the first and after the last positive sample.  When
-    delta L is an integer, S_-(alpha) = S_-(beta) = 0.0 exactly, and brentq
-    returns the edge itself."""
+    h = min(1/delta, L/2) wide, is sampled, and the sign changes before the
+    first and after the last positive sample are bracketed and solved
+    together by `_bracketed_roots`.  When delta L is an integer,
+    S_-(alpha) = S_-(beta) = 0.0 exactly, and the edges are alpha and beta
+    themselves."""
     h = min(1.0 / delta, 0.5 * (beta - alpha))
     # 256 steps per lobe: a positive run narrower than one step goes unseen
     grid = np.concatenate([np.linspace(alpha, alpha + h, 257),
                            np.linspace(beta - h, beta, 257)])
-    pos = np.flatnonzero(value(grid) > 0.0)
+    vals = value(grid)
+    pos = np.flatnonzero(vals > 0.0)
     if pos.size == 0:
         return None
-    i, j = pos[0], pos[-1]
-    lo = brentq(value, grid[i - 1], grid[i], xtol=_XTOL, rtol=_RTOL)
-    hi = brentq(value, grid[j], grid[j + 1], xtol=_XTOL, rtol=_RTOL)
+    outside, inside = [pos[0] - 1, pos[-1] + 1], [pos[0], pos[-1]]
+    lo, hi = _bracketed_roots(value, grid[outside], grid[inside],
+                              vals[outside], vals[inside]).tolist()
     return (lo, hi)
 
 
@@ -257,10 +306,10 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
     S_- <= indicator everywhere, integral = beta - alpha - 1/delta exactly,
     Fourier transform supported in [-delta, delta].  The decay envelope
     holds on both tails: sampled over the first lobes, analytic beyond."""
-    if not (alpha < beta):
-        raise DomainError("selberg_minorant requires alpha < beta")
-    if not (delta > 0):
-        raise DomainError("selberg_minorant requires delta > 0")
+    if not (-math.inf < alpha < beta < math.inf):
+        raise DomainError("selberg_minorant requires finite alpha < beta")
+    if not (0 < delta < math.inf):
+        raise DomainError("selberg_minorant requires a finite delta > 0")
 
     def value(t):
         tv = np.asarray(t, dtype=float)
@@ -342,8 +391,8 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
 def fejer(delta: float) -> TestFunction:
     """Fejer kernel (sin(pi delta t)/(pi delta t))^2: nonnegative, integral
     1/delta, triangular Fourier transform supported in [-delta, delta]."""
-    if not (delta > 0):
-        raise DomainError("fejer requires delta > 0")
+    if not (0 < delta < math.inf):
+        raise DomainError("fejer requires a finite delta > 0")
 
     def value(t):
         s = np.sinc(delta * np.asarray(t, dtype=float))
@@ -376,8 +425,8 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
     the t0^2 - t^2 window leaves the function integrable with quadratic
     decay, as the explicit formula requires.
     """
-    if not (t0 > 0 and delta > 0):
-        raise DomainError("windowed_fejer requires t0 > 0 and delta > 0")
+    if not (0 < t0 < math.inf and 0 < delta < math.inf):
+        raise DomainError("windowed_fejer requires finite t0 > 0 and delta > 0")
 
     def value(t):
         tv = np.asarray(t, dtype=float)

@@ -51,15 +51,15 @@ class RegionClassification:
 
 
 def _check_params(t0: float, delta: float, conductor: float) -> None:
-    if not t0 > 0:
-        raise DomainError("t0 must be positive")
+    if not 0 < t0 < math.inf:
+        raise DomainError("t0 must be positive and finite")
     if not 0.0 < delta <= PRIME_FREE_RADIUS + 1e-15:
         raise DomainError(
             f"delta must lie in (0, log2/(2 pi) ~ {PRIME_FREE_RADIUS:.10g}] so the "
             "scan is coefficient-free"
         )
-    if not conductor >= 1.0:
-        raise DomainError("conductor must be >= 1")
+    if not 1.0 <= conductor < math.inf:
+        raise DomainError("conductor must be finite and >= 1")
 
 
 def _conductor_term(f: TestFunction, conductor: float) -> float:
@@ -96,8 +96,8 @@ def classify_point(
     tol: float = 1e-8,
 ) -> RegionClassification:
     """Feasibility verdict for one (nu1, nu2) pair."""
-    if nu1 < 0 or nu2 < 0:
-        raise DomainError("spectral parameters must be nonnegative")
+    if not (0 <= nu1 < math.inf and 0 <= nu2 < math.inf):
+        raise DomainError("spectral parameters must be nonnegative and finite")
     _check_params(t0, delta, conductor)
     f = fejer(delta)
     w = windowed_fejer(t0, delta)
@@ -129,8 +129,8 @@ def scan_region(
     is accepted for the callers that pass it and does not affect the result;
     the scan runs on the calling thread.
     """
-    if not step > 0 or not nu_max >= 0:
-        raise DomainError("need step > 0 and nu_max >= 0")
+    if not (0 < step < math.inf and 0 <= nu_max < math.inf):
+        raise DomainError("need finite step > 0 and nu_max >= 0")
     _check_params(t0, delta, conductor)
     nus = [float(v) for v in step * np.arange(int(math.floor(nu_max / step + 1e-9)) + 1)]
     f = fejer(delta)

@@ -121,6 +121,16 @@ def test_parameter_validation():
         min_ell_over_mu(cert_fn(), re_max=6.0, im_max=20.0, step=-0.5)
     with pytest.raises(DomainError):
         min_ell_over_mu(cert_fn(), re_max=0.0, im_max=20.0, step=0.5)
+    # comparisons with nan are false, so non-finite bounds need their own check
+    for bad in ({"re_max": math.nan}, {"im_max": math.nan}, {"step": math.nan},
+                {"re_max": math.inf}, {"im_max": math.inf}, {"step": math.inf}):
+        with pytest.raises(DomainError):
+            min_ell_over_mu(cert_fn(), **{**FAST, **bad})
+        with pytest.raises(DomainError):
+            certify_gap(4, CERT_LENGTH, **{**FAST, **bad})
+    for precision in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            minimal_certified_length(4, precision=precision, **FAST)
 
 
 def test_conventions_give_identical_certificates():

@@ -242,6 +242,31 @@ def test_coefficients_skip_gaps(capsys):
     assert not any(line.startswith("8,") for line in lines)
 
 
+@pytest.mark.parametrize("argv", [
+    ("certify-gap", "--degree", "4", "--length", "46", "--re-max", "nan"),
+    ("certify-gap", "--degree", "4", "--length", "46", "--im-max", "inf"),
+    ("certify-gap", "--degree", "4", "--length", "46", "--step", "nan"),
+    ("min-ell", "--length", "46", "--re-max", "inf"),
+    ("scan-region", "--step", "inf"),
+    ("scan-region", "--nu-max", "nan"),
+    ("verify-example", "--tol", "nan"),
+    ("verify-example", "--tol", "inf"),
+    ("scan-region", "--nu-max", "1", "--t0", "inf"),
+    ("scan-region", "--nu-max", "1", "--conductor", "inf"),
+    ("eval-extremal", "--kind", "selberg", "--length", "inf",
+     "--from", "0", "--to", "1", "--samples", "2"),
+    ("eval-extremal", "--kind", "fejer", "--delta", "inf",
+     "--from", "0", "--to", "1", "--samples", "2"),
+    ("eval-extremal", "--kind", "beurling", "--from", "nan", "--to", "1", "--samples", "2"),
+], ids=" ".join)
+def test_non_finite_arguments_exit_domain_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_unknown_command_exits_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -236,6 +236,13 @@ def test_ell_batch_input_validation(cert_minorant):
         ell(np.zeros((2, 2)), cert_minorant)
     with pytest.raises(DomainError):
         ell(np.array([1.0, -0.5]), cert_minorant)
+    for mu in (math.nan, 1j * math.inf, math.inf, np.array([0.0, complex(1.0, math.nan)])):
+        with pytest.raises(DomainError):
+            ell(mu, cert_minorant)
+    # err > nan is always false: a nan tol would switch the check off
+    for tol in (math.nan, math.inf, 0.0, -1e-8):
+        with pytest.raises(DomainError):
+            ell(0.0, cert_minorant, tol=tol)
 
 
 def test_gauss_panels_integrate_gaussian():

@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from zerogap.errors import DomainError
+from zerogap.errors import AccuracyError, DomainError
 from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.extremal import (
     _NEAR_LOBES,
     _RTOL,
     _XTOL,
     _beurling_w,
+    _bracketed_roots,
+    _find_window,
     _selberg_far_bound,
     beurling,
     fejer,
@@ -47,6 +49,13 @@ def test_beurling_branch_point_closed_form():
 def test_beurling_integers_exact():
     xs = np.array([-6.0, -1.0, 0.0, 1.0, 2.0, 9.0])
     assert np.array_equal(beurling(xs), np.array([-1.0, -1.0, 1.0, 1.0, 1.0, 1.0]))
+
+
+def test_beurling_nan_is_nan():
+    # nan meets none of the branches; its entry must not be left unwritten
+    assert np.isnan(beurling(math.nan))
+    got = beurling(np.array([0.5, math.nan, -2.0] * 100))
+    assert np.isnan(got[1::3]).all() and not np.isnan(got[0::3]).any()
 
 
 def test_beurling_majorizes_sign_dense():
@@ -83,6 +92,10 @@ def test_selberg_interval_validation():
         selberg_minorant(3.0, -3.0, PRIME_FREE_RADIUS)
     with pytest.raises(DomainError):
         selberg_minorant(-1.0, 1.0, 0.0)
+    for alpha, beta, delta in [(-math.inf, 1.0, 0.1), (-1.0, math.inf, 0.1),
+                               (math.nan, 1.0, 0.1), (-1.0, 1.0, math.inf)]:
+        with pytest.raises(DomainError):
+            selberg_minorant(alpha, beta, delta)
 
 
 def test_selberg_integral_closed_form(cert_minorant):
@@ -182,6 +195,66 @@ def test_selberg_window_none_below_threshold():
 )
 def test_selberg_window_matches_scan(alpha, length, delta):
     _assert_window_matches_scan(alpha, alpha + length, delta)
+
+
+def _brentq_window(value, alpha, beta, delta):
+    # the independent reference: the same lobe samples and brackets, each
+    # edge by its own scalar brentq
+    h = min(1.0 / delta, 0.5 * (beta - alpha))
+    grid = np.concatenate([np.linspace(alpha, alpha + h, 257),
+                           np.linspace(beta - h, beta, 257)])
+    pos = np.flatnonzero(value(grid) > 0.0)
+    if pos.size == 0:
+        return None
+    i, j = pos[0], pos[-1]
+    return (brentq(value, grid[i - 1], grid[i], xtol=_XTOL, rtol=_RTOL),
+            brentq(value, grid[j], grid[j + 1], xtol=_XTOL, rtol=_RTOL))
+
+
+@settings(max_examples=40)
+@given(
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=0.5, max_value=80.0),
+    st.floats(min_value=0.02, max_value=1.0),
+)
+def test_selberg_window_matches_brentq(alpha, length, delta):
+    beta = alpha + length
+    f = selberg_minorant(alpha, beta, delta)
+    want = _brentq_window(f.value, alpha, beta, delta)
+    if want is None:
+        assert f.positivity_window is None
+    else:
+        assert f.positivity_window == pytest.approx(want, rel=1e-13, abs=_XTOL)
+
+
+def test_bracketed_roots_solve_together_and_keep_exact_zero_endpoints():
+    sizes = []
+
+    def value(t):
+        sizes.append(len(t))
+        return t * t - 4.0
+
+    # the first bracket's endpoint 2 is an exact zero: it is returned as is
+    # and never evaluated again
+    roots = _bracketed_roots(value, [2.0, 0.0], [5.0, 3.0], [0.0, -4.0], [21.0, 5.0])
+    assert roots[0] == 2.0
+    assert roots[1] == pytest.approx(2.0, rel=0.0, abs=_XTOL + _RTOL * 2.0)
+    assert set(sizes) == {1}
+
+    sizes.clear()
+    roots = _bracketed_roots(value, [1.0, -1.0], [3.0, -3.0], [-3.0, -3.0], [5.0, 5.0])
+    assert roots == pytest.approx([2.0, -2.0], rel=0.0, abs=_XTOL + _RTOL * 2.0)
+    assert sizes[0] == 2  # both brackets in one call
+
+
+def test_find_window_raises_when_an_edge_does_not_converge():
+    # a jump from -1 to 1e30 across each edge: every false-position step
+    # lands next to the same end of its bracket and moves it by a hair
+    def value(t):
+        return np.where(np.abs(t) < 9.3, 1e30, -1.0)
+
+    with pytest.raises(AccuracyError, match="not converged"):
+        _find_window(value, -10.0, 10.0, 0.5)
 
 
 def _both_tails(lo, hi, n):
@@ -300,8 +373,9 @@ def test_fejer_basics():
 
 
 def test_fejer_delta_validation():
-    with pytest.raises(DomainError):
-        fejer(-0.1)
+    for delta in (-0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            fejer(delta)
 
 
 def test_windowed_fejer_sign_structure():
@@ -360,6 +434,10 @@ def test_windowed_fejer_validation():
         windowed_fejer(0.0, PRIME_FREE_RADIUS)
     with pytest.raises(DomainError):
         windowed_fejer(14.13, 0.0)
+    for t0, delta in [(math.inf, PRIME_FREE_RADIUS), (math.nan, PRIME_FREE_RADIUS),
+                      (14.13, math.inf), (14.13, math.nan)]:
+        with pytest.raises(DomainError):
+            windowed_fejer(t0, delta)
 
 
 def test_beurling_excess_integral_unit():

@@ -7,20 +7,26 @@ from pathlib import Path
 import zerogap
 from zerogap import region_scan
 
-# import zerogap in a fresh interpreter and list the scipy.signal modules it
-# loaded; scipy.signal pulls in scipy.stats and scipy.interpolate, about a
-# second of import time that the package does not need
+# import zerogap in a fresh interpreter and list the scipy subpackages it
+# loaded: only scipy.special and scipy.fft are needed.  scipy.optimize pulls
+# in scipy.linalg, scipy.sparse and scipy.spatial, about 0.3 s of import
+# time, and scipy.signal pulls in scipy.stats and scipy.interpolate, about
+# a second
 PROBE = (
     "import sys; sys.path.insert(0, sys.argv[1]); import zerogap; "
-    "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+    "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules "
+    "if m.startswith('scipy.') and not m.startswith('scipy._')}))"
 )
+UNNEEDED_SCIPY = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.spatial",
+                  "scipy.signal")
 
 
-def test_import_does_not_load_scipy_signal():
+def test_import_loads_no_unneeded_scipy_subpackage():
     src = str(Path(zerogap.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", PROBE, src], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    loaded = ast.literal_eval(done.stdout.strip())
+    assert [name for name in UNNEEDED_SCIPY if name in loaded] == []
 
 
 def _load_tracer(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import mpmath
@@ -90,6 +91,15 @@ def test_classification_validation():
                              windowed_rhs=0.0, verdict="Maybe")
     with pytest.raises(DomainError):
         classify_point(-1.0, 0.0)
+    for nu in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            classify_point(nu, 0.0)
+        with pytest.raises(DomainError):
+            classify_point(0.0, nu)
+        with pytest.raises(DomainError):
+            classify_point(0.0, 0.0, t0=nu)
+        with pytest.raises(DomainError):
+            classify_point(0.0, 0.0, conductor=nu)
     with pytest.raises(DomainError):
         classify_point(0.0, 0.0, t0=0.0)
     with pytest.raises(DomainError):
@@ -157,6 +167,10 @@ def test_scan_validation():
         scan_region(1.0, 0.0)
     with pytest.raises(DomainError):
         scan_region(-1.0, 0.5)
+    for nu_max, step in [(math.inf, 0.5), (math.nan, 0.5), (16.0, math.inf),
+                         (16.0, math.nan)]:
+        with pytest.raises(DomainError):
+            scan_region(nu_max, step)
 
 
 def test_windowed_kernel_is_what_scan_uses():

@@ -40,6 +40,8 @@ from .explicit_formula import (
     _GRID_TOL,
     PRIME_FREE_RADIUS,
     TWO_PI,
+    _check_prime_free,
+    _step_grid,
     convention_scale,
     ell,
     ell_floor,
@@ -134,11 +136,6 @@ class GapCertificate:
         }
 
 
-def _grid_values(lo_excl_max: float, step: float) -> np.ndarray:
-    n = int(math.floor(lo_excl_max / step + 1e-9))
-    return step * np.arange(n + 1)
-
-
 def min_ell_over_mu(
     f: TestFunction,
     re_max: float = 50.0,
@@ -166,8 +163,8 @@ def min_ell_over_mu(
     k = convention_scale(convention)
     if not (0 < step <= re_max < math.inf and 0 <= im_max < math.inf):
         raise DomainError("need finite step > 0, re_max >= step, im_max >= 0")
-    re_values = _grid_values(re_max, step)
-    im_values = _grid_values(im_max, step)
+    re_values = _step_grid(re_max, step)
+    im_values = _step_grid(im_max, step)
 
     u = ell(0.0, f, tol=_INCUMBENT_TOL)
     floor = ell_floor(k * re_values, f)
@@ -219,11 +216,7 @@ def certify_gap(
     given length, by positivity of the minimized archimedean term."""
     if not isinstance(degree, int) or degree < 1:
         raise DomainError("degree must be a positive integer")
-    if not 0.0 < delta <= PRIME_FREE_RADIUS + 1e-15:
-        raise DomainError(
-            f"delta must lie in (0, log2/(2 pi) ~ {PRIME_FREE_RADIUS:.10g}] so the "
-            "prime sum vanishes"
-        )
+    _check_prime_free(delta)
     if not window_length > 1.0 / delta:
         raise DomainError(
             f"window_length must exceed 1/delta = {1.0 / delta:.10g}; the minorant "

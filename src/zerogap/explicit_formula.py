@@ -36,7 +36,10 @@ array of them: each mu keeps its own panels, all panels of the batch share
 one evaluation of fhat and of e^{-zx} (in blocks of `_PANEL_BLOCK` panels),
 and each mu's value is reduced from its own panel sums alone, so that
 ell(mus)[i] is bit-identical to ell(mus[i]).  The cost is linear in the
-total number of panels.
+total number of panels.  A test function even about centre != 0 goes
+through its centred copy, ell(mu, f) = ell(mu + i centre, f(. + centre)) in
+halved units: that copy's transform fhat(xi) e^{2 pi i xi centre} is real,
+so the panels count every oscillation of the integrand.
 
 The same form bounds ell below uniformly in Im mu: `ell_floor` replaces
 Re psi(z) by psi(Re z), which is smaller (DLMF 5.7.6, term by term), and
@@ -70,7 +73,7 @@ lattice's value: the exact minimum, 0.1858822, rounds differently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
@@ -98,6 +101,23 @@ __all__ = [
 LOG_PI = math.log(math.pi)
 TWO_PI = 2.0 * math.pi
 PRIME_FREE_RADIUS = math.log(2.0) / TWO_PI  # support below this kills the prime sum
+
+
+def _check_prime_free(delta: float) -> None:
+    """DomainError unless 0 < delta <= PRIME_FREE_RADIUS, the largest
+    aperture whose transforms miss every prime power: the prime sum then
+    vanishes whatever the coefficients."""
+    if not 0.0 < delta <= PRIME_FREE_RADIUS + 1e-15:
+        raise DomainError(
+            f"delta must lie in (0, log2/(2 pi) ~ {PRIME_FREE_RADIUS:.10g}] so the "
+            "prime sum vanishes"
+        )
+
+
+def _step_grid(top: float, step: float) -> np.ndarray:
+    """The grid 0, step, 2 step, ... through top (and a 1e-9 step beyond)."""
+    return step * np.arange(int(math.floor(top / step + 1e-9)) + 1)
+
 
 CONVENTIONS = ("halved", "literal")
 
@@ -145,13 +165,14 @@ def ell(mu, f: TestFunction, convention: str = "halved",
     big_x = 4.0 * math.pi * f.support_radius
     x_end = max(big_x, 1.0)  # Y
 
-    # every mu's panels in one list, with the index of its first panel
+    # every mu's panels in one list, with the index of its first panel; z is
+    # that of f's centred copy, at mu + i centre in halved units
     points = mus.reshape(-1).tolist()
     z, z_panel, lo, hi, starts = [], [], [], [], []
     for m in points:
         if m.real < -1e-12:
             raise DomainError(f"ell requires Re(mu) >= 0, got {m!r}")
-        zm = complex(0.25 + 0.5 * (scale * max(m.real, 0.0)), 0.5 * (scale * m.imag))
+        zm = complex(0.25 + 0.5 * (scale * max(m.real, 0.0)), 0.5 * (scale * m.imag + f.centre))
         edges = _ell_edges(zm, big_x, x_end)
         z.append(zm)
         starts.append(len(lo))
@@ -167,12 +188,9 @@ def ell(mu, f: TestFunction, convention: str = "halved",
     for i in range(0, len(lo), _PANEL_BLOCK):
         block = slice(i, i + _PANEL_BLOCK)
         x = lo[block, None] + width[block, None] * x_unit
-        # fhat(0) from the transform itself, so that fhat(0) - fhat(x/4 pi)
-        # vanishes at x = 0 in floating point too and h stays bounded there
-        fhat = f.fourier_closed(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
-        f0 = float(np.real(fhat[0]))
+        f0, diff = _split_transform(f, x)
         terms = width[block, None] * w_unit * np.real(
-            np.exp(-z_panel[block, None] * x) * (f0 - fhat[1:].reshape(x.shape)) / -np.expm1(-x))
+            np.exp(-z_panel[block, None] * x) * diff / -np.expm1(-x))
         sums[0, block] = terms[:, :_NODES].sum(axis=1)
         sums[1, block] = terms[:, _NODES:].sum(axis=1)
         sums[2, block] = np.abs(terms[:, _NODES:]).sum(axis=1)
@@ -180,8 +198,7 @@ def ell(mu, f: TestFunction, convention: str = "halved",
     coarse, integral, mass = np.add.reduceat(sums, starts, axis=1)
     err = np.abs(integral - coarse) + math.ulp(1.0) * mass
 
-    zk = z[:, None] + np.arange(math.ceil(40.0 / x_end))  # e^{-k Y} < 4e-18 beyond
-    series = np.sum(np.exp(-zk * x_end) / zk, axis=1).real
+    series = _series(z, x_end).real
     value = f0 * (np.real(digamma(z)) - LOG_PI + series) + integral
     best = float(value[0]) if mus.ndim == 0 else value
     if (err > tol).any():
@@ -201,28 +218,27 @@ def ell_floor(re_mu, f: TestFunction) -> np.ndarray:
 
     because Re psi(a + iy) >= psi(a) term by term in DLMF 5.7.6, which needs
     fhat(0) > 0; otherwise the floor is -inf.  It is nondecreasing in a.
-    The integral takes `ell`'s panels for the largest a (so each value
-    depends, in its last bits, on the largest entry), and the floor is
+    h is that of f's centred copy, which bounds ell at every Im mu all the
+    same.  The integral takes `ell`'s panels for the largest a (so each
+    value depends, in its last bits, on the largest entry), and the floor is
     lowered by its estimated quadrature error and rounding.
     """
     re_mu = np.asarray(re_mu, dtype=float)
-    if re_mu.ndim != 1 or not len(re_mu) or (re_mu < -1e-12).any():
-        raise DomainError("ell_floor needs a nonempty 1-d array of Re(mu) >= 0")
+    if re_mu.ndim != 1 or not len(re_mu) or not (np.isfinite(re_mu) & (re_mu >= -1e-12)).all():
+        raise DomainError("ell_floor needs a nonempty 1-d array of finite Re(mu) >= 0")
     a = 0.25 + 0.5 * np.maximum(re_mu, 0.0)
     big_x = 4.0 * math.pi * f.support_radius
     x_end = max(big_x, 1.0)
     edges = np.array(_ell_edges(complex(a.max(), 0.0), big_x, x_end))
     x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
-    fhat = f.fourier_closed(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
-    f0 = float(np.real(fhat[0]))
+    f0, diff = _split_transform(f, x)
     if not f0 > 0.0:
         return np.full(a.shape, -np.inf)
-    h_abs = w * np.abs(np.real(f0 - fhat[1:].reshape(x.shape)) / -np.expm1(-x))
+    h_abs = w * (np.abs(diff) / -np.expm1(-x))
     terms = np.exp(-a[:, None, None] * x) * h_abs
     coarse = terms[..., :_NODES].sum(axis=(1, 2))
     integral = terms[..., _NODES:].sum(axis=(1, 2))
-    ak = a[:, None] + np.arange(math.ceil(40.0 / x_end))  # as in ell
-    series = np.sum(np.exp(-ak * x_end) / ak, axis=1)
+    series = _series(a, x_end)
     psi = digamma(a)
     mass = integral + f0 * (np.abs(psi) + LOG_PI + series)
     err = np.abs(integral - coarse) + 16.0 * math.ulp(1.0) * mass
@@ -269,6 +285,25 @@ def _ell_edges(z: complex, big_x: float, x_end: float) -> list:
         grade = math.ceil(math.log2(z.real * first))
         edges[1:1] = [first * 2.0 ** -j for j in range(grade, 0, -1)]
     return edges
+
+
+def _split_transform(f: TestFunction, x: np.ndarray) -> Tuple[float, np.ndarray]:
+    """fhat(0) and fhat(0) - fhat(x/4 pi) of f's centred copy, whose
+    transform is fhat(xi) e^{2 pi i xi centre}.  fhat(0) comes from the same
+    transform call, so that the difference vanishes at x = 0 in floating
+    point too and h stays bounded there."""
+    xi = np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi)
+    fhat = f.fourier_closed(xi)
+    if f.centre:
+        fhat = fhat * np.exp(2j * math.pi * f.centre * xi)
+    f0 = float(np.real(fhat[0]))
+    return f0, f0 - fhat[1:].reshape(x.shape)
+
+
+def _series(z: np.ndarray, x_end: float) -> np.ndarray:
+    """sum_{k>=0} e^{-(z+k)Y}/(z+k) at each z of a 1-d array, Y = x_end."""
+    zk = z[:, None] + np.arange(math.ceil(40.0 / x_end))  # e^{-k Y} < 4e-18 beyond
+    return np.sum(np.exp(-zk * x_end) / zk, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +360,8 @@ def ell_grid(
         raise DomainError("re_values and im_values must be 1-d")
     if not len(re_values) or not len(ys):
         raise DomainError("re_values and im_values must be nonempty")
+    if not (np.isfinite(re_values).all() and np.isfinite(ys).all()):
+        raise DomainError("grid values must be finite")
     if (re_values < -1e-12).any() or (ys < -1e-12).any():
         raise DomainError("grid must lie in the closed upper-right quadrant")
     h = _LATTICE_H
@@ -527,19 +564,14 @@ def rhs(
             )
         if not f.even:
             raise DomainError("the prime sum path requires an even test function")
-        acc = 0j
+        # f even: fhat(-x) = fhat(x), so c fhat(x) + conj(c) fhat(-x) = 2 Re(c) fhat(x)
+        acc = 0.0
         for n in range(2, n_max + 1):
             c = primes(n)
             if c == 0:
                 continue
-            x = math.log(n) / TWO_PI
-            acc += (c * fourier_at(f, x) + c.conjugate() * fourier_at(f, -x)) / math.sqrt(n)
-        acc /= TWO_PI
-        if abs(acc.imag) > 1e-9:
-            raise AccuracyError(
-                f"imaginary leakage {acc.imag:.3e} in the prime sum", best=acc.real
-            )
-        prime_term = acc.real
+            acc += 2.0 * c.real * fourier_at(f, math.log(n) / TWO_PI) / math.sqrt(n)
+        prime_term = acc / TWO_PI
 
     return ExplicitFormulaReport(
         rhs_conductor=conductor,
@@ -607,14 +639,5 @@ def verify(
     value, tail = zero_sum(data, f)
     residual = value - right.rhs_total
     implied = math.pi * residual / f.integral + math.log(data.fe.conductor)
-    return ExplicitFormulaReport(
-        rhs_conductor=right.rhs_conductor,
-        rhs_archimedean=right.rhs_archimedean,
-        rhs_primes=right.rhs_primes,
-        convention=convention,
-        tolerance_budget=right.tolerance_budget,
-        zero_side=value,
-        tail_bound=tail,
-        residual=residual,
-        implied_log_Q=implied,
-    )
+    return replace(right, zero_side=value, tail_bound=tail, residual=residual,
+                   implied_log_Q=implied)

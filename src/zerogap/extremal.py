@@ -29,7 +29,10 @@ Every constructor also sets the exact Fourier transform, supported in
 Vaaler, "Some extremal functions in Fourier analysis", Bull. AMS 12, 1985),
 a triangle for the Fejer kernel, and t0^2 g^ + g^''/(4 pi^2) for the windowed
 kernel, where g^ is a scaled cubic B-spline.  The pointwise explicit-formula
-term and ``fourier_at`` read only this transform.  The Selberg minorant is
+term and ``fourier_at`` read only this transform.  Every function is even
+about its ``centre``, 0 for the kernels and (alpha + beta)/2 for the Selberg
+minorant, whose transform carries the phase e^{-2 pi i xi centre}; the
+explicit-formula term takes it off.  The Selberg minorant is
 also carried beyond its last sign change as an explicit tail decomposition
 (smooth part plus amplitude-times-cosine components with derivative bounds)
 for the lattice evaluator ``explicit_formula.ell_grid``, which certification
@@ -87,7 +90,9 @@ class TestFunction:
     the first lobes beyond T0 and an analytic bound past them (see the
     module docstring), and the envelope also carries the structured tail.
     fourier_closed is the exact transform xi -> f^(xi), vectorized, complex
-    in general and zero for |xi| >= support_radius.
+    in general and zero for |xi| >= support_radius.  f is even about centre:
+    f(centre + t) = f(centre - t), so its centred copy f(t + centre) has the
+    real transform f^(xi) e^{2 pi i xi centre}.
     """
 
     value: Callable
@@ -96,8 +101,12 @@ class TestFunction:
     positivity_window: Union[Tuple[float, float], str, None]
     envelope: DecayEnvelope
     fourier_closed: Callable
-    even: bool = True
+    centre: float = 0.0
     label: str = ""
+
+    @property
+    def even(self) -> bool:
+        return self.centre == 0.0
 
 
 def _sinpi_over_pi_sq(x: np.ndarray) -> np.ndarray:
@@ -363,14 +372,14 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
     # Vaaler (1985): S^(xi) = J^(xi/delta) chi^(xi)
     #   - (1/delta) K^(xi/delta) cos(pi xi L) e^{-pi i xi (alpha + beta)},
     # chi^(xi) = L sinc(xi L) e^{-pi i xi (alpha + beta)}, K^(u) = (1 - |u|)_+
-    length, centre = beta - alpha, alpha + beta
+    length, shift = beta - alpha, alpha + beta
 
     def ft(x):
         xi = np.asarray(x, dtype=float)
         u = xi / delta
         body = (_vaaler_j(u) * length * np.sinc(xi * length)
                 - np.maximum(1.0 - np.abs(u), 0.0) / delta * np.cos(math.pi * xi * length))
-        return body * np.exp(-1j * math.pi * centre * xi)
+        return body * np.exp(-1j * math.pi * shift * xi)
 
     t0_env = s_max + 0.66 / delta
     m_env = _selberg_envelope_m(value, alpha, beta, delta, t0_env)
@@ -382,7 +391,7 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         support_radius=delta,
         positivity_window=window,
         envelope=envelope,
-        even=(alpha == -beta),
+        centre=0.5 * (alpha + beta),
         fourier_closed=ft,
         label=f"selberg[{alpha:g},{beta:g}]@{delta:g}",
     )
@@ -408,7 +417,6 @@ def fejer(delta: float) -> TestFunction:
         support_radius=delta,
         positivity_window=EVERYWHERE,
         envelope=DecayEnvelope(m=1.0 / (math.pi * delta) ** 2, t0=1.0 / delta),
-        even=True,
         fourier_closed=ft,
         label=f"fejer@{delta:g}",
     )
@@ -457,7 +465,6 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
         support_radius=delta,
         positivity_window=(-t0, t0),
         envelope=DecayEnvelope(m=m_env, t0=2.0 * t0),
-        even=True,
         fourier_closed=ft,
         label=f"windowed_fejer@{t0:g},{delta:g}",
     )

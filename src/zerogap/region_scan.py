@@ -12,7 +12,10 @@ into the explicit formula with two nonnegative test functions:
 
 Anything else is "Unconstrained" at this delta/t0.  Both kernels have
 transform support inside [-delta, delta] with delta <= log2/(2 pi), so the
-prime sum vanishes no matter the (unknown) coefficients.
+prime sum vanishes no matter the (unknown) coefficients.  One row builder
+serves both entry points: `scan_region` is the scan over the step grid
+0, step, ..., nu_max, and `classify_point(nu1, nu2)` is the (nu1, nu2) row
+of the two-value scan over [nu1, nu2].
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .explicit_formula import PRIME_FREE_RADIUS, TWO_PI, ell
-from .extremal import TestFunction, fejer, windowed_fejer
+from .explicit_formula import PRIME_FREE_RADIUS, TWO_PI, _check_prime_free, _step_grid, ell
+from .extremal import fejer, windowed_fejer
 
 __all__ = [
     "RegionClassification",
@@ -50,40 +53,39 @@ class RegionClassification:
             raise DomainError(f"unknown verdict {self.verdict!r}")
 
 
-def _check_params(t0: float, delta: float, conductor: float) -> None:
-    if not 0 < t0 < math.inf:
-        raise DomainError("t0 must be positive and finite")
-    if not 0.0 < delta <= PRIME_FREE_RADIUS + 1e-15:
-        raise DomainError(
-            f"delta must lie in (0, log2/(2 pi) ~ {PRIME_FREE_RADIUS:.10g}] so the "
-            "scan is coefficient-free"
-        )
-    if not 1.0 <= conductor < math.inf:
-        raise DomainError("conductor must be finite and >= 1")
-
-
-def _conductor_term(f: TestFunction, conductor: float) -> float:
-    return f.integral * math.log(conductor) / math.pi
-
-
-def _assemble(cond: float, a1: float, a2: float) -> float:
-    # mirrors rhs().rhs_total for spectral order (i nu1, -i nu1, i nu2, -i nu2),
-    # a = ell(i nu)/(2 pi): fsum is exact, which also makes the value
-    # symmetric in (nu1, nu2)
-    return math.fsum((cond, a1, a1, a2, a2, 0.0))
-
-
-def _arch_terms(nus, f: TestFunction, convention: str, tol: float) -> List[float]:
-    # ell(i nu, f)/(2 pi) for every nu, from one batched ell call
-    return (ell(1j * np.asarray(nus, dtype=float), f, convention, tol) / TWO_PI).tolist()
-
-
 def _verdict(fejer_rhs: float, windowed_rhs: float) -> str:
     if fejer_rhs < 0.0:
         return "Impossible"
     if windowed_rhs > 0.0:
         return "ForcedLowZero"
     return "Unconstrained"
+
+
+def _scan(nus: List[float], t0: float, delta: float, conductor: float, convention: str,
+          tol: float) -> List[RegionClassification]:
+    """The rows over nus x nus, row-major in (nu1, nu2).  The archimedean
+    integrals depend on one nu at a time, so each kernel takes one batched
+    ell call over all nu, and each right side is rhs().rhs_total's fsum for
+    the spectral order (i nu1, -i nu1, i nu2, -i nu2), which also makes it
+    symmetric in (nu1, nu2)."""
+    if not 0 < t0 < math.inf:
+        raise DomainError("t0 must be positive and finite")
+    _check_prime_free(delta)
+    if not 1.0 <= conductor < math.inf:
+        raise DomainError("conductor must be finite and >= 1")
+    sides = []
+    for f in (fejer(delta), windowed_fejer(t0, delta)):
+        arch = (ell(1j * np.asarray(nus, dtype=float), f, convention, tol) / TWO_PI).tolist()
+        sides.append((f.integral * math.log(conductor) / math.pi, arch))
+    (cond_f, arch_f), (cond_w, arch_w) = sides
+
+    rows = []
+    for n1, af1, aw1 in zip(nus, arch_f, arch_w):
+        for n2, af2, aw2 in zip(nus, arch_f, arch_w):
+            fr = math.fsum((cond_f, af1, af1, af2, af2, 0.0))
+            wr = math.fsum((cond_w, aw1, aw1, aw2, aw2, 0.0))
+            rows.append(RegionClassification(n1, n2, fr, wr, _verdict(fr, wr)))
+    return rows
 
 
 def classify_point(
@@ -95,20 +97,11 @@ def classify_point(
     convention: str = "halved",
     tol: float = 1e-8,
 ) -> RegionClassification:
-    """Feasibility verdict for one (nu1, nu2) pair."""
+    """Feasibility verdict for one (nu1, nu2) pair: the (nu1, nu2) row of
+    the scan over [nu1, nu2]."""
     if not (0 <= nu1 < math.inf and 0 <= nu2 < math.inf):
         raise DomainError("spectral parameters must be nonnegative and finite")
-    _check_params(t0, delta, conductor)
-    f = fejer(delta)
-    w = windowed_fejer(t0, delta)
-    af1, af2 = _arch_terms((nu1, nu2), f, convention, tol)
-    aw1, aw2 = _arch_terms((nu1, nu2), w, convention, tol)
-    fr = _assemble(_conductor_term(f, conductor), af1, af2)
-    wr = _assemble(_conductor_term(w, conductor), aw1, aw2)
-    return RegionClassification(
-        nu1=float(nu1), nu2=float(nu2), fejer_rhs=fr, windowed_rhs=wr,
-        verdict=_verdict(fr, wr),
-    )
+    return _scan([float(nu1), float(nu2)], t0, delta, conductor, convention, tol)[1]
 
 
 def scan_region(
@@ -121,30 +114,14 @@ def scan_region(
     tol: float = 1e-8,
     threads: int = 1,
 ) -> List[RegionClassification]:
-    """Classify the full grid [0, nu_max]^2, row-major in (nu1, nu2).
-
-    The archimedean integrals depend on one nu at a time, so each kernel
-    takes one batched ell call over all nu and the grid is assembled from
-    those values: the rows are bit-identical to classify_point's.  threads
-    is accepted for the callers that pass it and does not affect the result;
-    the scan runs on the calling thread.
+    """Classify the full grid [0, nu_max]^2, row-major in (nu1, nu2); each
+    row is bit-identical to classify_point's.  threads is accepted for the
+    callers that pass it and does not affect the result; the scan runs on
+    the calling thread.
     """
     if not (0 < step < math.inf and 0 <= nu_max < math.inf):
         raise DomainError("need finite step > 0 and nu_max >= 0")
-    _check_params(t0, delta, conductor)
-    nus = [float(v) for v in step * np.arange(int(math.floor(nu_max / step + 1e-9)) + 1)]
-    f = fejer(delta)
-    w = windowed_fejer(t0, delta)
-    cond_f, arch_f = _conductor_term(f, conductor), _arch_terms(nus, f, convention, tol)
-    cond_w, arch_w = _conductor_term(w, conductor), _arch_terms(nus, w, convention, tol)
-
-    rows = []
-    for n1, af1, aw1 in zip(nus, arch_f, arch_w):
-        for n2, af2, aw2 in zip(nus, arch_f, arch_w):
-            fr = _assemble(cond_f, af1, af2)
-            wr = _assemble(cond_w, aw1, aw2)
-            rows.append(RegionClassification(n1, n2, fr, wr, _verdict(fr, wr)))
-    return rows
+    return _scan(_step_grid(nu_max, step).tolist(), t0, delta, conductor, convention, tol)
 
 
 def scan_to_csv(

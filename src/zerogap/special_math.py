@@ -2,12 +2,12 @@
 
 ``digamma`` is scipy's, behind a check that turns its poles into a domain
 error.  ``trigamma_real`` is scipy's Hurwitz zeta, psi'(x) = zeta(2, x),
-behind a domain check.  Only the internal helpers for the lattice tails,
-``_trigamma_complex`` (scipy has no complex trigamma) and
-``_tetragamma_real``, use the classical scheme: the recurrence
-psi'(z+1) = psi'(z) - 1/z^2 pushes the argument into a region where the
-Bernoulli asymptotic series converges to double precision, and the series
-is then evaluated by Horner's rule in 1/z^2.
+behind a domain check, and the internal ``_tetragamma_real`` is
+psi''(x) = -2 zeta(3, x).  Only ``_trigamma_complex``, for the lattice
+tails, uses the classical scheme, because scipy has no complex trigamma: the
+recurrence psi'(z+1) = psi'(z) - 1/z^2 pushes the argument into a region
+where the Bernoulli asymptotic series converges to double precision, and
+the series is then evaluated by Horner's rule in 1/z^2.
 
 ``DecayEnvelope`` declares |f(t)| <= m/t^2 beyond t0, which bounds the mass
 of unlisted zeros.  Its optional ``TailDecomposition``
@@ -103,22 +103,8 @@ def _trigamma_complex(z: np.ndarray) -> np.ndarray:
 
 
 def _tetragamma_real(x):
-    # psi''(x) for real x > 0 (internal).  d/dx of the trigamma series.
-    w = np.atleast_1d(np.asarray(x, dtype=float)).copy()
-    acc = np.zeros(w.shape)
-    for _ in range(int(_TRI_SHIFT) + 1):
-        mask = w < _TRI_SHIFT
-        if not mask.any():
-            break
-        acc[mask] -= 2.0 / w[mask] ** 3
-        w[mask] += 1.0
-    iw = 1.0 / w
-    iw2 = iw * iw
-    s = np.zeros(w.shape)
-    for k in range(len(_TRI_SERIES) - 1, -1, -1):
-        s = s * iw2 + (2 * k + 3) * _TRI_SERIES[k]
-    res = acc - iw2 - iw2 * iw - s * iw2 * iw2
-    return res if np.asarray(x).ndim else float(res[0])
+    # psi''(x) = -2 zeta(3, x) for real x > 0 (internal)
+    return -2.0 * _sp.zeta(3.0, x)
 
 
 # ---------------------------------------------------------------------------

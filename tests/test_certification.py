@@ -10,13 +10,12 @@ from zerogap.certification import (
     GapCertificate,
     MinEllSearch,
     SearchDomain,
-    _grid_values,
     certify_gap,
     min_ell_over_mu,
     minimal_certified_length,
 )
 from zerogap.errors import AccuracyError, DomainError
-from zerogap.explicit_formula import PRIME_FREE_RADIUS, convention_scale, ell_grid
+from zerogap.explicit_formula import PRIME_FREE_RADIUS, _step_grid, convention_scale, ell_grid
 from zerogap.extremal import selberg_minorant
 
 CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
@@ -192,7 +191,7 @@ def test_certificate_invariant():
 def _full_grid_search(f, re_max, im_max, step, convention="halved"):
     """What min_ell_over_mu returns, from one ell_grid call over every row."""
     k = convention_scale(convention)
-    re_values, im_values = _grid_values(re_max, step), _grid_values(im_max, step)
+    re_values, im_values = _step_grid(re_max, step), _step_grid(im_max, step)
     vals, error_bound = ell_grid(f, k * re_values, k * im_values)
     i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
     return (float(vals[i, j]), complex(re_values[i], im_values[j]),

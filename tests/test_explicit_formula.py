@@ -337,6 +337,34 @@ def test_ell_floor_below_ell_on_real_axis(name):
         assert bound <= ell(r, f), r
 
 
+OFF_CENTRE_WINDOWS = [(177.5, 222.5), (-322.75, -277.25), (950.0, 1050.0), (-3.0, 60.0)]
+
+
+@pytest.mark.parametrize("alpha, beta", OFF_CENTRE_WINDOWS)
+@pytest.mark.parametrize("convention, k", [("halved", 1), ("literal", 2)])
+def test_ell_off_centre_is_centred_at_shifted_mu(alpha, beta, convention, k):
+    # S(t) = S0(t - c), S0 the window centred at 0, so
+    # ell(mu, S) = ell(mu + i c, S0) in halved units (mu + i c/2 literal)
+    c, half = 0.5 * (alpha + beta), 0.5 * (beta - alpha)
+    f = selberg_minorant(alpha, beta, PRIME_FREE_RADIUS)
+    centred = selberg_minorant(-half, half, PRIME_FREE_RADIUS)
+    mus = np.array([0.0, 2j, 3.0 + 5j, 10.0 - 40j, 0.5 - 1j])
+    got = ell(mus, f, convention)
+    want = ell(mus + 1j * c / k, centred, convention)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.25, 45.25), *OFF_CENTRE_WINDOWS])
+def test_ell_floor_below_ell_on_off_centre_line(alpha, beta):
+    # on Im mu = -centre, ell is its centred window's on the real axis,
+    # where the floor is tightest
+    f = selberg_minorant(alpha, beta, PRIME_FREE_RADIUS)
+    re = np.array([0.0, 0.5, 10.0, 100.0, 1000.0, 2000.0, 4000.0])
+    floor = ell_floor(re, f)
+    values = ell(re - 0.5j * (alpha + beta), f)
+    assert (floor <= values).all(), (values - floor).tolist()
+
+
 @pytest.mark.parametrize("name", sorted(FLOOR_KERNELS))
 def test_ell_floor_nondecreasing(name):
     floor = ell_floor(np.linspace(0.0, 200.0, 801), FLOOR_KERNELS[name])
@@ -365,7 +393,8 @@ def test_ell_floor_needs_positive_mass():
 
 
 def test_ell_floor_input_validation(cert_minorant):
-    for bad in (np.array([]), np.array([1.0, -0.5]), np.zeros((2, 2))):
+    for bad in (np.array([]), np.array([1.0, -0.5]), np.zeros((2, 2)),
+                np.array([0.0, np.nan]), np.array([np.inf])):
         with pytest.raises(DomainError):
             ell_floor(bad, cert_minorant)
 
@@ -379,6 +408,10 @@ def test_ell_grid_input_validation(cert_minorant):
         ell_grid(cert_minorant, [], [0.0])
     with pytest.raises(DomainError):
         ell_grid(cert_minorant, [0.0], [])
+    for re_v, im_v in (([np.inf], [0.0]), ([np.nan], [0.0]), ([0.0], [np.inf]),
+                       ([0.0], [np.nan])):
+        with pytest.raises(DomainError):
+            ell_grid(cert_minorant, re_v, im_v)
     crude = replace(cert_minorant,
                     envelope=DecayEnvelope(m=1.0, t0=30.0, tail=None))
     # only the Selberg minorant carries the tail data the lattice finishes

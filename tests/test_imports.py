@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,54 @@ def test_scan_makes_one_ell_call_per_kernel(monkeypatch):
     for kernel in ("fejer", "windowed_fejer"):
         assert layers[f"explicit_formula.ell.{kernel}"]["calls"] == 1
     assert layers["region_scan.scan_region"]["calls"] == 1
+
+
+def test_benchmark_output_checks_pass():
+    # the benchmark's own checks (pinned margin, scan counts, classify_point
+    # against the scan, consistency) on the fixed and the first seeded input
+    # of every workload, so that tier-1 sees what would fail a benchmark run;
+    # its files are loaded by path and only read
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    refs = json.loads((root / "references.json").read_text(encoding="utf-8"))
+    for name, kind in workloads.WORKLOADS.items():
+        w = kind()
+        for x, fixed in ((w.fixed, True), (next(iter(w.inputs(1))), False)):
+            assert w.check(x, w.run(x), fixed, refs).problems == [], (name, x)
+
+
+# the same calls in either order; each output line is a call's name and the
+# repr of its result, floats in full
+CALLS = {
+    "ell": "explicit_formula.ell(np.array([0.0, 2j, 3.5 - 7j]), f).tolist()",
+    "floor": "explicit_formula.ell_floor(np.array([0.0, 3.0, 40.0]), f).tolist()",
+    "certify": "certification.certify_gap(4, L, re_max=3.0, im_max=10.0, step=0.5)",
+    "scan": "region_scan.scan_region(4.0, 1.0)",
+    "verify": "explicit_formula.verify(lfunctions.load_lfunction("
+              "lfunctions.bundled_example_path()), f)",
+}
+ORDER_PROBE = (
+    "import math, sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+    "from zerogap import certification, explicit_formula, extremal, lfunctions, region_scan; "
+    "L = 10 * math.pi / math.log(2); "
+    "f = extremal.selberg_minorant(-L / 2, L / 2, explicit_formula.PRIME_FREE_RADIUS); "
+    "calls = dict(arg.split('=', 1) for arg in sys.argv[2:]); "
+    "[print(name, repr(eval(code))) for name, code in calls.items()]"
+)
+
+
+def test_results_do_not_depend_on_call_order():
+    src = str(Path(zerogap.__file__).resolve().parents[1])
+    outputs = []
+    for names in (list(CALLS), list(reversed(CALLS))):
+        done = subprocess.run(
+            [sys.executable, "-c", ORDER_PROBE, src, *(f"{n}={CALLS[n]}" for n in names)],
+            capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(sorted(done.stdout.splitlines()))
+    assert len(outputs[0]) == len(CALLS)
+    assert outputs[0] == outputs[1]
 
 
 def _unused_imports(path):

@@ -65,9 +65,7 @@ def _build_test_function(args, *, for_fourier: bool):
         raise DomainError("selberg needs --length or both --alpha and --beta")
     if kind == "fejer":
         return fejer(args.delta)
-    if kind == "windowed-fejer":
-        return windowed_fejer(args.t0, args.delta)
-    raise DomainError(f"unknown kind {kind!r}")
+    return windowed_fejer(args.t0, args.delta)
 
 
 def _cmd_eval_extremal(args) -> Tuple[str, int]:

@@ -606,8 +606,6 @@ def zero_sum(data: LFunctionData, f: TestFunction) -> Tuple[float, float]:
             at_zero = int((zs == 0.0).sum())
             value = float(np.sum(f.value(pos)) + np.sum(f.value(-pos)))
             value += at_zero * float(np.asarray(f.value(np.array([0.0])))[0])
-            if (zs < 0).any():
-                raise DomainError("self-dual zero lists store only gamma >= 0")
         else:
             value = float(np.sum(f.value(zs)))
 

@@ -88,6 +88,7 @@ class LFunctionData:
 
     `zeros` holds the parsed ordinates; `zero_strings` the decimal strings
     they were loaded from.  `t_max` is the completeness height of the list.
+    A self-dual list stores only ordinates >= 0; its zeros are +-gamma.
     Immutable after load; safe to share across threads.
     """
 
@@ -106,6 +107,8 @@ class LFunctionData:
         zs = self.zeros
         if any(zs[i] >= zs[i + 1] for i in range(len(zs) - 1)):
             raise ValidationError("zeros must be strictly increasing")
+        if self.self_dual and min(zs, default=0.0) < 0:
+            raise ValidationError("self-dual zero lists store only gamma >= 0")
         d = self.fe.degree
         for n, a in self.coefficients.items():
             # beyond the primality test's range the check is skipped: no

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, settings
 
+from zerogap.certification import minimal_certified_length
 from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.extremal import selberg_minorant
 from zerogap.lfunctions import bundled_example_path, load_lfunction
@@ -23,6 +24,18 @@ CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 def cert_minorant():
     half = CERT_LENGTH / 2.0
     return selberg_minorant(-half, half, PRIME_FREE_RADIUS)
+
+
+@pytest.fixture(scope="session")
+def minimal_lengths():
+    # the two bisections test_minimal_length and acceptance criterion 8 both
+    # check, on the small rectangle with step 1.0, in each convention
+    return {
+        convention: minimal_certified_length(
+            4, PRIME_FREE_RADIUS, 1e-3, re_max=6.0, im_max=20.0, step=1.0,
+            convention=convention)
+        for convention in ("halved", "literal")
+    }
 
 
 @pytest.fixture(scope="session")

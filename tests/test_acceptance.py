@@ -11,7 +11,7 @@ import numpy as np
 import scipy.special as sps
 from scipy.integrate import quad
 
-from zerogap.certification import certify_gap, minimal_certified_length
+from zerogap.certification import certify_gap
 from zerogap.explicit_formula import PRIME_FREE_RADIUS, verify
 from zerogap.extremal import beurling, fourier_at
 from zerogap.region_scan import classify_point
@@ -155,14 +155,12 @@ def test_criterion_7_digamma_oracle(capsys):
                f"on 1000 points {prop_err:.2e}")
 
 
-def test_criterion_8_convention_agreement(capsys):
+def test_criterion_8_convention_agreement(capsys, minimal_lengths):
     kw = dict(re_max=6.0, im_max=20.0, step=1.0)
     cert_h = certify_gap(4, LENGTH, convention="halved", **kw)
     cert_l = certify_gap(4, LENGTH, convention="literal", **kw)
-    len_h = minimal_certified_length(4, PRIME_FREE_RADIUS, 1e-3,
-                                     convention="halved", **kw)
-    len_l = minimal_certified_length(4, PRIME_FREE_RADIUS, 1e-3,
-                                     convention="literal", **kw)
+    # minimal_certified_length(4, PRIME_FREE_RADIUS, 1e-3, convention=..., **kw)
+    len_h, len_l = minimal_lengths["halved"], minimal_lengths["literal"]
     ok = (cert_h.certified == cert_l.certified is True
           and abs(len_h - len_l) <= 1e-3)
     _criterion(capsys, 8, ok,

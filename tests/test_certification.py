@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -167,14 +168,45 @@ def test_boundary_flag():
     assert s.domain.boundary_clear is True
 
 
-def test_minimal_length():
-    got = minimal_certified_length(4, PRIME_FREE_RADIUS, re_max=6.0, im_max=20.0)
+def test_minimal_length(minimal_lengths):
+    got = minimal_lengths["halved"]
     assert got == pytest.approx(MINIMAL_LENGTH, abs=2e-3)
     assert got < CERT_LENGTH
     assert got > 28.992  # must exceed twice the first zero of the example
-    lit = minimal_certified_length(4, PRIME_FREE_RADIUS, re_max=6.0, im_max=20.0,
-                                   convention="literal")
+    lit = minimal_lengths["literal"]
     assert lit == got
+
+
+def _certified_above(threshold, probes):
+    # stands in for certify_gap: certifies exactly the lengths above threshold
+    def fake(degree, length, delta, **kwargs):
+        probes.append(length)
+        return SimpleNamespace(certified=length > threshold)
+    return fake
+
+
+def test_minimal_length_grows_bracket(monkeypatch):
+    # 5/delta certifies on every real search, so the growing loop needs a stub
+    probes = []
+    monkeypatch.setattr(certification, "certify_gap", _certified_above(100.0, probes))
+    got = minimal_certified_length(4, PRIME_FREE_RADIUS, 1e-3)
+    assert 100.0 < got <= 100.0 + 1e-3
+    start = 5.0 / PRIME_FREE_RADIUS
+    # 5/delta * 1.3^k for k = 0..4 brackets 100, then bisection takes over
+    assert probes[:5] == pytest.approx([start * 1.3**k for k in range(5)], rel=1e-12)
+    assert probes[3] < 100.0 < probes[4]
+
+
+def test_minimal_length_gives_up_after_twelve_growths(monkeypatch):
+    probes = []
+    monkeypatch.setattr(certification, "certify_gap", _certified_above(math.inf, probes))
+    with pytest.raises(AccuracyError) as info:
+        minimal_certified_length(4, PRIME_FREE_RADIUS, 1e-3)
+    assert info.value.best is None
+    assert "no certified window length" in str(info.value)
+    # the first probe and twelve growths, each probe refused
+    assert len(probes) == 13
+    assert probes[-1] == pytest.approx(5.0 / PRIME_FREE_RADIUS * 1.3**12, rel=1e-12)
 
 
 def test_certificate_invariant():

@@ -1,7 +1,9 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,15 @@ def test_eval_fejer_fourier_block(capsys):
     head, block = out.split("x,fhat\n")
     assert head.startswith("x,value\n")
     assert block == "0,9.064720284\n0.15,0\n0.3,0\n"
+
+
+def test_eval_windowed_fejer(capsys):
+    rc, out, _ = run(capsys, "eval-extremal", "--kind", "windowed-fejer",
+                     "--from", "0", "--to", "20", "--samples", "3", "--fourier")
+    assert rc == 0
+    # the value at 0 is t0^2 = 14.13^2; the transform vanishes past delta
+    assert out == ("x,value\n0,199.6569\n10,10.48405997\n20,-0.01428935573\n"
+                   "x,fhat\n0,2111.239493\n10,0\n20,0\n")
 
 
 def test_eval_selberg_length(capsys):
@@ -207,6 +218,24 @@ def test_verify_example_detects_wrong_conductor(capsys, tmp_path):
     assert rep["implied_log_Q"] == pytest.approx(0.055081473846852344, abs=1e-4)
 
 
+def test_verify_example_unreachable_tol_exits_accuracy(capsys):
+    rc, out, err = run(capsys, "verify-example", "--tol", "1e-20")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("accuracy failure: ell quadrature error")
+
+
+def test_negative_self_dual_zero_exits_at_load(capsys, tmp_path):
+    doc = json.loads(bundled_example_path().read_text())
+    doc["zeros"]["values"].insert(0, "-1.5")
+    bad = tmp_path / "negative_zero.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (("coefficients", "--data", str(bad)), ("verify-example", "--data", str(bad))):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert "gamma >= 0" in err
+
+
 def test_verify_example_malformed_data_exit(capsys, tmp_path):
     doc = json.loads(bundled_example_path().read_text())
     doc["spectral"][0] = 3.0
@@ -265,6 +294,37 @@ def test_non_finite_arguments_exit_domain_error(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _readme_commands():
+    # the zerogap lines of README.md's reproduction section, `time` dropped
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Reproducing the headline numbers")[1]
+    lines = [line.removeprefix("time ") for line in section.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("zerogap ")]
+
+
+def test_readme_reproduction_commands(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = {argv[0]: argv for argv in _readme_commands()}
+    assert sorted(commands) == ["certify-gap", "scan-region"]
+
+    rc, out, err = run(capsys, *commands["certify-gap"])
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["certified"] is True
+    assert doc["window_length"] == 10.0 * math.pi / math.log(2.0)
+    assert round(doc["margin"], 6) == 0.185885
+    assert doc["positivity_window"] == [-22.661800709135967, 22.661800709135967]
+    assert doc["search_domain"]["grid_shape"] == [201, 801]
+
+    rc, out, err = run(capsys, *commands["scan-region"])
+    assert (rc, out, err) == (0, "", "")
+    csv = (tmp_path / "figure2.csv").read_text()
+    verdicts = Counter(line.rsplit(",", 1)[1] for line in csv.splitlines()
+                       if not line.startswith(("#", "nu1")))
+    assert verdicts == {"Impossible": 528, "ForcedLowZero": 440, "Unconstrained": 121}
+    assert csv.startswith("# t0 = 14.13\n# delta = 0.1103178001\n# Q = 1\n# step = 0.5\n")
 
 
 def test_unknown_command_exits_usage(capsys):

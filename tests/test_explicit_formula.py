@@ -408,6 +408,12 @@ def test_ell_grid_input_validation(cert_minorant):
         ell_grid(cert_minorant, [], [0.0])
     with pytest.raises(DomainError):
         ell_grid(cert_minorant, [0.0], [])
+    with pytest.raises(DomainError, match="1-d"):
+        ell_grid(cert_minorant, [[0.0, 1.0]], [0.0])
+    with pytest.raises(DomainError, match="1-d"):
+        ell_grid(cert_minorant, [0.0], [[0.0, 0.25]])
+    with pytest.raises(DomainError, match="equispaced"):
+        ell_grid(cert_minorant, [0.0], [0.0, 0.25, 0.75])
     for re_v, im_v in (([np.inf], [0.0]), ([np.nan], [0.0]), ([0.0], [np.inf]),
                        ([0.0], [np.nan])):
         with pytest.raises(DomainError):
@@ -461,6 +467,15 @@ def test_rhs_prime_sum_gate():
         rhs(fe, wide, short)
 
 
+def test_rhs_prime_sum_needs_even_f():
+    # an off-centre window past the prime-free radius: archimedean terms go
+    # through the centred copy, the prime sum has no such path
+    off = selberg_minorant(0.0, 40.0, 0.2)
+    primes = LogDerivativeCoefficients(values={2: 0j, 3: 0j}, bound=3)
+    with pytest.raises(DomainError, match="even test function"):
+        rhs(_fe((0j, 0j)), off, primes)
+
+
 def test_rhs_prime_term_against_direct_quadrature():
     wide = selberg_minorant(-30.0, 30.0, 0.15)
     fe = _fe((0j, 0j))
@@ -492,6 +507,16 @@ def test_zero_sum_doubles_self_dual(cert_minorant, bundled):
     direct = float(np.sum(np.asarray(cert_minorant.value(np.array(sym)))))
     value, _ = zero_sum(bundled, cert_minorant)
     assert value == pytest.approx(direct, abs=1e-12)
+
+
+def test_zero_sum_not_self_dual_sums_listed_zeros(cert_minorant, bundled):
+    # the same zeros listed with both signs, not self-dual: same value
+    both = tuple(sorted([-z for z in bundled.zeros] + list(bundled.zeros)))
+    value, tail = zero_sum(replace(bundled, zeros=both, self_dual=False), cert_minorant)
+    assert value == float(np.sum(cert_minorant.value(np.array(both))))
+    assert (value, tail) == pytest.approx(zero_sum(bundled, cert_minorant), abs=1e-12)
+    one_sided = replace(bundled, self_dual=False)
+    assert zero_sum(one_sided, cert_minorant)[0] == pytest.approx(0.5 * value, abs=1e-12)
 
 
 def test_zero_sum_tail_bound_matches_density_integral(cert_minorant, bundled):

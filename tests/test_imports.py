@@ -132,7 +132,7 @@ def _unused_imports(path):
 def test_no_unused_imports():
     # no linter is a dependency; this keeps imported-but-unread names out
     root = Path(__file__).resolve().parents[1]
-    unused = [f"{path.relative_to(root)}:{entry}" for folder in ("src", "tests", "scripts")
+    unused = [f"{path.relative_to(root)}:{entry}" for folder in ("src", "tests")
               for path in sorted((root / folder).rglob("*.py"))
               for entry in _unused_imports(path)]
     assert unused == []

@@ -60,6 +60,8 @@ def test_roundtrip_through_json_text(bundled, tmp_path):
     again = load_lfunction(p)
     assert again.fe == bundled.fe
     assert again.zeros == bundled.zeros
+    # text that opens with "{" (after whitespace) is JSON, not a path
+    assert load_lfunction("  \n" + p.read_text()) == again
 
 
 def test_missing_file_rejected(tmp_path):
@@ -120,6 +122,23 @@ def test_zeros_must_increase(bundled):
     doc["zeros"]["values"][1] = "14.0"
     with pytest.raises(ValidationError):
         load_lfunction(doc)
+
+
+def test_self_dual_negative_zero_rejected_at_load(bundled):
+    doc = serialize_lfunction(bundled)
+    doc["zeros"] = dict(doc["zeros"], values=["-1.5"] + doc["zeros"]["values"])
+    with pytest.raises(ValidationError, match="gamma >= 0"):
+        load_lfunction(doc)
+    # a list that is not self-dual stores both signs and loads as given
+    doc["zeros"]["self_dual"] = False
+    assert load_lfunction(doc).zeros[:2] == (-1.5, bundled.zeros[0])
+
+
+def test_top_level_json_must_be_an_object(tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    with pytest.raises(SchemaError, match="top-level"):
+        load_lfunction(p)
 
 
 def test_spectral_left_halfplane_rejected(bundled):
@@ -276,6 +295,8 @@ def test_c_coefficients_degree_one_powers(w):
 
 
 def test_functional_equation_validation():
+    with pytest.raises(ValidationError):
+        FunctionalEquation(degree=0, conductor=1.0, spectral=(), root_number=1 + 0j)
     with pytest.raises(ValidationError):
         FunctionalEquation(degree=2, conductor=1.0, spectral=(0j,), root_number=1 + 0j)
     with pytest.raises(ValidationError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zerogap.errors import DomainError
-from zerogap.special_math import digamma, trigamma_real
+from zerogap.special_math import _trigamma_complex, digamma, trigamma_real
 
 # independently computed anchors (30-digit arbitrary-precision run)
 GAMMA_E = 0.5772156649015328606065
@@ -74,6 +74,18 @@ def test_trigamma_matches_mpmath_log_uniform():
     with mpmath.workdps(40):
         want = np.array([float(mpmath.psi(1, mpmath.mpf(float(x)))) for x in xs])
     assert np.max(np.abs(got / want - 1.0)) <= 2e-15
+
+
+def test_trigamma_complex_small_argument_against_mpmath():
+    # |z| < 12 takes the shift loop psi'(z) = psi'(z + 1) + 1/z^2 before the
+    # asymptotic series; 12.5 + 1j goes straight to the series
+    zs = np.array([0.25, 0.25 + 0.5j, 0.01 + 0.02j, 0.75 + 3j, 1.0, 2.5 - 7j,
+                   5 + 10j, 11.5 + 0.5j, 0.1 + 11.9j, 12.5 + 1j])
+    got = _trigamma_complex(zs)
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.psi(1, mpmath.mpc(z.real, z.imag))) for z in zs])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+    assert abs(got[4] - np.pi**2 / 6.0) <= 1e-15
 
 
 def test_trigamma_shapes():

@@ -60,14 +60,18 @@ the Simpson-weighted f samples, whose transform is taken once per grid.
 Most rows need no psi evaluation at all: psi(z+1) = psi(z) + 1/z (DLMF
 5.5.2) gives Re psi(a + 1 + iv) = Re psi(a + iv) + a/(a^2 + v^2), so a row
 one unit of a above a row already computed is that row plus one rational
-term (on the default grid only the 8 rows with a < 1.25 evaluate psi).  The
-recurrence's rounding, below 2e-13 over the default grid, is far inside
-the grid's error budget of 2.5e-4.  The tails beyond the lattice are
-finished analytically from the tail decomposition that only the Selberg
-minorant carries, with everything that does not depend on a computed once
-per grid, the smooth part on `ell`'s Gauss-Legendre panels.  The lattice
-stays because the headline certificate's pinned margin, 0.185885, is the
-lattice's value: the exact minimum, 0.1858822, rounds differently.
+term (on the default grid only the 8 rows with a < 1.25 evaluate psi).
+Those rows take `special_math._re_digamma`, which computes Re psi(a + iv)
+from its asymptotic series in real arithmetic; `ell` and `ell_floor` keep
+scipy's complex `digamma`.  The recurrence's rounding, below 2e-13 over
+the default grid, and the kernel's, within 1.5e-13 of scipy's rows there,
+are far inside the grid's error budget of 2.5e-4.  The tails beyond the
+lattice are finished analytically from the tail decomposition that only
+the Selberg minorant carries, with everything that does not depend on a
+computed once per grid, the smooth part on `ell`'s Gauss-Legendre panels.
+The lattice stays because the headline certificate's pinned margin,
+0.185885, is the lattice's value: the exact minimum, 0.1858822, rounds
+differently.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from .errors import AccuracyError, DomainError, IncompletenessError
 from .extremal import TestFunction, fourier_at
 from .lfunctions import LFunctionData, FunctionalEquation, LogDerivativeCoefficients
-from .special_math import _trigamma_complex, digamma
+from .special_math import _re_digamma, _trigamma_complex, digamma
 
 __all__ = [
     "CONVENTIONS",
@@ -447,7 +451,7 @@ def ell_grid(
     for i, a in enumerate(a_row):
         below = kept.get(a - 1.0)
         if below is None:
-            psi = [np.real(digamma(a + 1j * v)) for v in v_rows]
+            psi = [_re_digamma(a, v) for v in v_rows]
         else:  # Re psi(b + 1 + iv) = Re psi(b + iv) + b/(b^2 + v^2), b = a - 1
             b = a - 1.0
             psi = [r + b / (b * b + v * v) for r, v in zip(below, v_rows)]

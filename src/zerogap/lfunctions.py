@@ -158,11 +158,13 @@ def _require(doc, key: str, kind, where: str):
 
 def load_lfunction(source: Union[str, Path, Mapping]) -> LFunctionData:
     """Load and validate an L-function document from a path, JSON text, or
-    an already-parsed mapping."""
+    an already-parsed mapping.  A str whose first non-space character is
+    ``{`` or ``[`` is JSON text; any other str is a file name."""
     if isinstance(source, Mapping):
         doc = source
     else:
-        if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("{")):
+        if isinstance(source, Path) or (isinstance(source, str)
+                                        and not source.lstrip().startswith(("{", "["))):
             p = Path(source)
             if not p.exists():
                 raise ValidationError(f"no such data file: {p}")

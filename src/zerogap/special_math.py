@@ -1,13 +1,19 @@
 """Special functions and test-function tail data.
 
 ``digamma`` is scipy's, behind a check that turns its poles into a domain
-error.  ``trigamma_real`` is scipy's Hurwitz zeta, psi'(x) = zeta(2, x),
-behind a domain check, and the internal ``_tetragamma_real`` is
-psi''(x) = -2 zeta(3, x).  Only ``_trigamma_complex``, for the lattice
-tails, uses the classical scheme, because scipy has no complex trigamma: the
-recurrence psi'(z+1) = psi'(z) - 1/z^2 pushes the argument into a region
-where the Bernoulli asymptotic series converges to double precision, and
-the series is then evaluated by Horner's rule in 1/z^2.
+error; ``ell`` and ``ell_floor`` use it.  ``trigamma_real`` is scipy's
+Hurwitz zeta, psi'(x) = zeta(2, x), behind a domain check, and the internal
+``_tetragamma_real`` is psi''(x) = -2 zeta(3, x).  The lattice evaluator
+``explicit_formula.ell_grid`` takes two internal functions that share one
+series rule, the classical scheme: the recurrence psi(z+1) = psi(z) + 1/z
+(DLMF 5.5.2) pushes every argument out to |z| >= 16, where the Bernoulli
+asymptotic series of psi and psi' (DLMF 5.11.2) converge to double
+precision with six terms from one table.  ``_trigamma_complex`` gives the
+lattice edges' psi', which scipy lacks, by Horner's rule in 1/z^2.
+``_re_digamma(a, v)`` gives Re psi(a + iv) for a scalar a and a real array
+v in real arithmetic, several times faster than scipy's complex psi: its
+series needs only log|z|, a/|z|^2 and a three-term recurrence for
+Re z^-2k, so no point takes a complex log or a complex division.
 
 ``DecayEnvelope`` declares |f(t)| <= m/t^2 beyond t0, which bounds the mass
 of unlisted zeros.  Its optional ``TailDecomposition``
@@ -21,6 +27,7 @@ finishes the tails analytically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,19 +49,21 @@ __all__ = [
 # digamma / trigamma
 # ---------------------------------------------------------------------------
 
-# B_{2k} for k = 1..8; psi'(z) ~ 1/z + 1/(2z^2) + sum_k B_{2k}/z^{2k+1}
-_TRI_SERIES = np.array([
+# B_{2k} for k = 1..6, the one table of both Bernoulli series:
+#   psi(z)  ~ log z - 1/(2z) - sum_k B_{2k}/(2k z^{2k})        (DLMF 5.11.2)
+#   psi'(z) ~ 1/z + 1/(2z^2) + sum_k B_{2k}/z^{2k+1}
+# For |z| >= _SERIES_RADIUS the first omitted terms are below 2e-17 relative.
+_BERNOULLI = np.array([
     1.0 / 6.0,
     -1.0 / 30.0,
     1.0 / 42.0,
     -1.0 / 30.0,
     5.0 / 66.0,
     -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
 ])
+_PSI_SERIES = _BERNOULLI / (2.0 * np.arange(1, len(_BERNOULLI) + 1))
 
-_TRI_SHIFT = 12.0
+_SERIES_RADIUS = 16.0
 
 
 def digamma(z):
@@ -84,20 +93,73 @@ def trigamma_real(x):
     return float(out) if arr.ndim == 0 else out
 
 
+def _re_digamma(a: float, v) -> np.ndarray:
+    # Re psi(a + iv) for a scalar a > 0 and a real array v (internal; the
+    # lattice rows of ell_grid).  Points inside the series radius are shifted
+    # up by n with Re psi(z) = Re psi(z + n) - sum_{k<n} (a + k)/((a + k)^2 + v^2)
+    # (DLMF 5.5.2), the small terms summed first.
+    v = np.asarray(v, dtype=float)
+    v2 = v * v
+    out = _re_digamma_series(float(a), v2)
+    near = v2 < _SERIES_RADIUS**2 - a * a
+    if near.any():
+        n = math.ceil(_SERIES_RADIUS - a)
+        v2_near = v2[near]
+        acc = np.zeros(v2_near.shape)
+        for k in range(n - 1, -1, -1):
+            acc += (a + k) / ((a + k) ** 2 + v2_near)
+        out[near] = _re_digamma_series(a + n, v2_near) - acc
+    return out
+
+
+def _re_digamma_series(a: float, v2: np.ndarray) -> np.ndarray:
+    # the psi series at z = a + iv, |z| >= _SERIES_RADIUS, in real arithmetic:
+    # Re log z = log|z|, Re 1/z = a/|z|^2 and Re z^-2k = Re w^k for
+    # w = conj(z)^2/|z|^4.  Those powers obey
+    # Re w^{k+1} = 2 Re w Re w^k - |w|^2 Re w^{k-1}, so the Bernoulli sum is
+    # Clenshaw's recurrence b_k = c_k + 2 Re w b_{k+1} - |w|^2 b_{k+2}, equal
+    # to Re w b_1 - |w|^2 b_2.  It runs in place: the arrays are lattice
+    # tables, and allocating them would cost as much as the arithmetic.
+    r2 = v2 + a * a
+    w2 = r2 * r2
+    np.reciprocal(w2, out=w2)  # |w|^2
+    wr = a * a - v2
+    wr *= w2  # Re w
+    p = 2.0 * wr
+    b2 = np.full(v2.shape, _PSI_SERIES[-1])
+    b1 = p * b2
+    b1 += _PSI_SERIES[-2]
+    b0 = np.empty(v2.shape)
+    for c in _PSI_SERIES[-3::-1]:
+        np.multiply(p, b1, out=b0)
+        b2 *= w2
+        b0 -= b2
+        b0 += c
+        b0, b1, b2 = b2, b0, b1
+    b1 *= wr
+    b2 *= w2
+    b1 -= b2
+    out = np.log(r2)
+    out *= 0.5
+    out -= np.divide(0.5 * a, r2, out=r2)
+    out -= b1
+    return out
+
+
 def _trigamma_complex(z: np.ndarray) -> np.ndarray:
     # psi'(z) for Re z > 0 (internal; used for tail boundary terms).
     w = np.array(z, dtype=complex, copy=True)
     acc = np.zeros(w.shape, dtype=complex)
-    for _ in range(int(_TRI_SHIFT) + 1):
-        mask = np.abs(w) < _TRI_SHIFT
+    for _ in range(int(_SERIES_RADIUS) + 1):
+        mask = np.abs(w) < _SERIES_RADIUS
         if not mask.any():
             break
         acc[mask] += 1.0 / (w[mask] * w[mask])
         w[mask] += 1.0
     iw = 1.0 / w
     iw2 = iw * iw
-    s = np.full(w.shape, _TRI_SERIES[-1], dtype=complex)
-    for c in _TRI_SERIES[-2::-1]:
+    s = np.full(w.shape, _BERNOULLI[-1], dtype=complex)
+    for c in _BERNOULLI[-2::-1]:
         s = s * iw2 + c
     return acc + iw + 0.5 * iw2 + s * iw2 * iw
 

@@ -5,6 +5,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -280,19 +281,31 @@ def test_ell_grid_recurrence_rows_match_direct_rows(cert_minorant, monkeypatch):
     re_v = np.arange(0.0, 4.0 + 1e-9, 0.25)
     im_v = np.arange(0.0, 50.0 + 1e-9, 0.25)
     psi_rows = set()
-    direct = ef.digamma
+    direct = ef._re_digamma
 
-    def counting(z):
-        psi_rows.add(float(np.real(z).flat[0]))
-        return direct(z)
+    def counting(a, v):
+        psi_rows.add(float(a))
+        return direct(a, v)
 
-    monkeypatch.setattr(ef, "digamma", counting)
+    monkeypatch.setattr(ef, "_re_digamma", counting)
     grid, _ = ell_grid(cert_minorant, re_v, im_v)
     monkeypatch.undo()
     assert psi_rows == {0.25 + 0.125 * k for k in range(8)}
     for k in range(8, len(re_v)):
         row = ell_grid(cert_minorant, [re_v[k]], im_v)[0][0]
         assert np.max(np.abs(grid[k] - row)) < 1e-12
+
+
+def test_ell_grid_psi_kernel_matches_scipy_rows(cert_minorant, monkeypatch):
+    # the headline grid with the real-arithmetic Re psi kernel, against the
+    # same call whose direct rows take scipy's complex psi
+    re_v, im_v = ef._step_grid(50.0, 0.25), ef._step_grid(200.0, 0.25)
+    grid, bound = ell_grid(cert_minorant, re_v, im_v)
+    monkeypatch.setattr(ef, "_re_digamma",
+                        lambda a, v: np.real(scipy.special.psi(a + 1j * v)))
+    reference, reference_bound = ell_grid(cert_minorant, re_v, im_v)
+    assert bound == reference_bound
+    assert np.max(np.abs(grid - reference)) < 1e-12
 
 
 @pytest.mark.parametrize("re_v, im_v", [

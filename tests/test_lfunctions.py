@@ -139,6 +139,11 @@ def test_top_level_json_must_be_an_object(tmp_path):
     p.write_text("[1, 2]")
     with pytest.raises(SchemaError, match="top-level"):
         load_lfunction(p)
+    # the same text passed directly is JSON too, not a file name
+    with pytest.raises(SchemaError, match="top-level"):
+        load_lfunction(" [1, 2]")
+    with pytest.raises(SchemaError, match="parse error"):
+        load_lfunction("[1, 2")
 
 
 def test_spectral_left_halfplane_rejected(bundled):

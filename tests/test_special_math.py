@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zerogap.errors import DomainError
-from zerogap.special_math import _trigamma_complex, digamma, trigamma_real
+from zerogap.special_math import (
+    _SERIES_RADIUS,
+    _re_digamma,
+    _trigamma_complex,
+    digamma,
+    trigamma_real,
+)
 
 # independently computed anchors (30-digit arbitrary-precision run)
 GAMMA_E = 0.5772156649015328606065
@@ -52,6 +58,24 @@ def test_digamma_matches_mpmath_on_random_cloud():
     assert np.max(np.abs(got - ref)) < 1e-13
 
 
+@pytest.mark.parametrize("a", [0.25, 0.375, 0.5, 0.875, 1.0, 1.125, 2.0, 3.3, 5.0])
+def test_re_digamma_matches_mpmath(a):
+    # v = 0, the shift branch |a + iv| < 16 and its edge, the lattice range
+    # +-536 and the smooth-tail range out to 1.7e7
+    rng = np.random.default_rng(int(8 * a))
+    edge = np.sqrt(_SERIES_RADIUS**2 - a * a)
+    v = np.concatenate([
+        [0.0, 1e-3, -1e-3, edge, -edge, np.nextafter(edge, 0.0), 536.0, -1.7e7],
+        rng.uniform(-16.0, 16.0, 30),
+        rng.uniform(-536.0, 536.0, 30),
+        np.exp(rng.uniform(np.log(536.0), np.log(1.7e7), 30)),
+    ])
+    got = _re_digamma(a, v)
+    want = np.array([_mp_digamma(complex(a, x)).real for x in v])
+    assert got.shape == v.shape
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 6 * np.finfo(float).eps
+
+
 def test_digamma_real_input_real_output():
     xs = [0.3, 1.7, 25.0, -2.5]
     out = digamma(np.array(xs))
@@ -77,10 +101,10 @@ def test_trigamma_matches_mpmath_log_uniform():
 
 
 def test_trigamma_complex_small_argument_against_mpmath():
-    # |z| < 12 takes the shift loop psi'(z) = psi'(z + 1) + 1/z^2 before the
-    # asymptotic series; 12.5 + 1j goes straight to the series
+    # |z| < 16 takes the shift loop psi'(z) = psi'(z + 1) + 1/z^2 before the
+    # asymptotic series; 16.5 + 1j goes straight to the series
     zs = np.array([0.25, 0.25 + 0.5j, 0.01 + 0.02j, 0.75 + 3j, 1.0, 2.5 - 7j,
-                   5 + 10j, 11.5 + 0.5j, 0.1 + 11.9j, 12.5 + 1j])
+                   5 + 10j, 11.5 + 0.5j, 0.1 + 15.9j, 16.5 + 1j])
     got = _trigamma_complex(zs)
     with mpmath.workdps(30):
         want = np.array([complex(mpmath.psi(1, mpmath.mpc(z.real, z.imag))) for z in zs])

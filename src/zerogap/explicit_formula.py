@@ -27,19 +27,21 @@ explicit formula (Iwaniec-Kowalski, Analytic Number Theory, 5.5) in the form
 every transform vanishes for |xi| >= delta, so past X = 4 pi delta, h is
 fhat(0)/(1 - e^-x), whose integral from Y on is the series.  h is bounded,
 unlike the unsplit form's fhat(0) e^-x/x, so the integrand stays finite at
-x = 0.  The integral takes fixed Gauss-Legendre
-panels with X/2 (the windowed kernel's kink) and X as edges, two per period
-of e^{-i Im z x}, so that the cost is linear in |Im mu|, and graded toward 0
-when e^{-Re z x} decays within the first one.  The 48-point rule gives the
-value, the 24-point rule its error estimate.  `ell` takes one mu or a 1-d
-array of them: each mu keeps its own panels, all panels of the batch share
-one evaluation of fhat and of e^{-zx} (in blocks of `_PANEL_BLOCK` panels),
-and each mu's value is reduced from its own panel sums alone, so that
-ell(mus)[i] is bit-identical to ell(mus[i]).  The cost is linear in the
-total number of panels.  A test function even about centre != 0 goes
-through its centred copy, ell(mu, f) = ell(mu + i centre, f(. + centre)) in
-halved units: that copy's transform fhat(xi) e^{2 pi i xi centre} is real,
-so the panels count every oscillation of the integrand.
+x = 0.  h is real for the centred copy below, so the integrand's real part
+is e^{-Re z x} cos(Im z x) h(x), computed in real arithmetic.  The
+integral takes fixed Gauss-Legendre panels with X/2 (the windowed kernel's
+kink) and X as edges, two per period of e^{-i Im z x}, so that the cost is
+linear in |Im mu|, and graded toward 0 when e^{-Re z x} decays within the
+first one.  The 48-point rule gives the value, the 24-point rule its error
+estimate.  `ell` takes one mu or a 1-d array of them: each mu keeps its
+own panels, all panels of the batch share one evaluation of fhat and of
+e^{-zx} h (in blocks of `_PANEL_BLOCK` panels), and each mu's value is
+reduced from its own panel sums alone, so that ell(mus)[i] is
+bit-identical to ell(mus[i]).  The cost is linear in the total number of
+panels.  A test function even about centre != 0 goes through its centred
+copy, ell(mu, f) = ell(mu + i centre, f(. + centre)) in halved units:
+that copy's transform fhat(xi) e^{2 pi i xi centre} is real, so the panels
+count every oscillation of the integrand.
 
 The same form bounds ell below uniformly in Im mu: `ell_floor` replaces
 Re psi(z) by psi(Re z), which is smaller (DLMF 5.7.6, term by term), and
@@ -48,30 +50,31 @@ modulus.  The bound is nondecreasing in Re mu and grows like
 fhat(0) log Re mu, so the certification search skips every Re-mu row
 whose floor lies above its incumbent.
 
-`ell_grid` evaluates ell (halved) over a rectangular (Re mu, Im mu) grid at
-reduced tolerance for the certification search, and returns the values
-with their error bound.  It still integrates in the time domain,
-W(t) = Re psi(a + i (t + y)/2) against f(t), and exploits the fact that W
-depends on t and y only through t + y: with a uniform Simpson lattice in t
-of spacing 1/16, which divides the Im-mu step, every required psi value
-lies on one shifted copy of a single lattice table per Re-mu row, and the
-whole row of integrals is one FFT cross-correlation of that table against
-the Simpson-weighted f samples, whose transform is taken once per grid.
-Most rows need no psi evaluation at all: psi(z+1) = psi(z) + 1/z (DLMF
-5.5.2) gives Re psi(a + 1 + iv) = Re psi(a + iv) + a/(a^2 + v^2), so a row
-one unit of a above a row already computed is that row plus one rational
-term (on the default grid only the 8 rows with a < 1.25 evaluate psi).
-Those rows take `special_math._re_digamma`, which computes Re psi(a + iv)
-from its asymptotic series in real arithmetic; `ell` and `ell_floor` keep
-scipy's complex `digamma`.  The recurrence's rounding, below 2e-13 over
-the default grid, and the kernel's, within 1.5e-13 of scipy's rows there,
-are far inside the grid's error budget of 2.5e-4.  The tails beyond the
-lattice are finished analytically from the tail decomposition that only
-the Selberg minorant carries, with everything that does not depend on a
-computed once per grid, the smooth part on `ell`'s Gauss-Legendre panels.
-The lattice stays because the headline certificate's pinned margin,
-0.185885, is the lattice's value: the exact minimum, 0.1858822, rounds
-differently.
+`ell_grid` evaluates ell (halved) over a rectangular (Re mu, Im mu) grid
+at reduced tolerance for the certification search, and returns the values
+with their error bound.  It still integrates in the time domain, W(t) = Re
+psi(a + i (t + y)/2) against f(t), and exploits the fact that W depends on
+t and y only through t + y: with a uniform Simpson lattice in t of spacing
+1/16, which divides the Im-mu step, every required psi value lies on one
+shifted copy of a single lattice table per Re-mu row, and the whole row of
+integrals is one FFT cross-correlation of that table against the
+Simpson-weighted f samples, whose transform is taken once per grid
+(numpy's real FFT, at the 5-smooth length `_next_fast_len`).  Most rows
+need no psi evaluation at all: psi(z+1) = psi(z) + 1/z (DLMF 5.5.2) gives
+Re psi(a + 1 + iv) = Re psi(a + iv) + a/(a^2 + v^2), so a row one unit of
+a above a row already computed is that row plus one rational term (on the
+default grid only the 8 rows with a < 1.25 evaluate psi).  Those rows take
+`special_math._re_digamma`, which computes Re psi(a + iv) from the
+asymptotic series in real arithmetic; `ell` and `ell_floor` take the
+complex `digamma`, the same series behind a fixed shift.  The recurrence's
+rounding, below 2e-13 over the default grid, and the kernel's, within
+1.5e-13 of a complex psi's rows there, are far inside the grid's error
+budget of 2.5e-4.  The tails beyond the lattice are finished analytically
+from the tail decomposition that only the Selberg minorant carries, with
+everything that does not depend on a computed once per grid, the smooth
+part on `ell`'s Gauss-Legendre panels.  The lattice stays because the
+headline certificate's pinned margin, 0.185885, is the lattice's value:
+the exact minimum, 0.1858822, rounds differently.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ from functools import lru_cache
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import AccuracyError, DomainError, IncompletenessError
 from .extremal import TestFunction, fourier_at
@@ -168,6 +170,7 @@ def ell(mu, f: TestFunction, convention: str = "halved",
         raise DomainError(f"ell requires a finite tol > 0, got {tol!r}")
     big_x = 4.0 * math.pi * f.support_radius
     x_end = max(big_x, 1.0)  # Y
+    spans = _ell_spans(big_x, x_end)
 
     # every mu's panels in one list, with the index of its first panel; z is
     # that of f's centred copy, at mu + i centre in halved units
@@ -177,7 +180,7 @@ def ell(mu, f: TestFunction, convention: str = "halved",
         if m.real < -1e-12:
             raise DomainError(f"ell requires Re(mu) >= 0, got {m!r}")
         zm = complex(0.25 + 0.5 * (scale * max(m.real, 0.0)), 0.5 * (scale * m.imag + f.centre))
-        edges = _ell_edges(zm, big_x, x_end)
+        edges = _ell_edges(zm, spans, x_end)
         z.append(zm)
         starts.append(len(lo))
         z_panel += [zm] * (len(edges) - 1)
@@ -186,6 +189,7 @@ def ell(mu, f: TestFunction, convention: str = "halved",
     if not z:
         return np.empty(0)
     z, z_panel, lo = np.array(z), np.array(z_panel), np.array(lo)
+    re_panel, im_panel = z_panel.real[:, None], z_panel.imag[:, None]
     width = np.array(hi) - lo
     x_unit, w_unit = _unit_gauss(_NODES, 2 * _NODES)
     sums = np.empty((3, len(lo)))  # coarse, value and |value| rules per panel
@@ -193,8 +197,9 @@ def ell(mu, f: TestFunction, convention: str = "halved",
         block = slice(i, i + _PANEL_BLOCK)
         x = lo[block, None] + width[block, None] * x_unit
         f0, diff = _split_transform(f, x)
-        terms = width[block, None] * w_unit * np.real(
-            np.exp(-z_panel[block, None] * x) * diff / -np.expm1(-x))
+        # Re[e^-zx h(x)] with h real
+        terms = width[block, None] * w_unit * (
+            np.exp(-re_panel[block] * x) * np.cos(im_panel[block] * x) * diff / -np.expm1(-x))
         sums[0, block] = terms[:, :_NODES].sum(axis=1)
         sums[1, block] = terms[:, _NODES:].sum(axis=1)
         sums[2, block] = np.abs(terms[:, _NODES:]).sum(axis=1)
@@ -233,7 +238,7 @@ def ell_floor(re_mu, f: TestFunction) -> np.ndarray:
     a = 0.25 + 0.5 * np.maximum(re_mu, 0.0)
     big_x = 4.0 * math.pi * f.support_radius
     x_end = max(big_x, 1.0)
-    edges = np.array(_ell_edges(complex(a.max(), 0.0), big_x, x_end))
+    edges = np.array(_ell_edges(complex(a.max(), 0.0), _ell_spans(big_x, x_end), x_end))
     x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
     f0, diff = _split_transform(f, x)
     if not f0 > 0.0:
@@ -276,13 +281,19 @@ def _gauss_panels(edges: np.ndarray, *sizes: int) -> Tuple[np.ndarray, np.ndarra
     return lo + width * x, width * w
 
 
-def _ell_edges(z: complex, big_x: float, x_end: float) -> list:
-    """Panel edges of ell's integral over [0, x_end] (module docstring)."""
+def _ell_spans(big_x: float, x_end: float) -> list:
+    """(start, width) of each span between the fixed edges 0, X/2, X, 2X,
+    ..., x_end of ell's integral; every mu subdivides them alike."""
     breaks = [0.0, 0.5 * big_x, *_geom_nodes(big_x, x_end)]
+    return [(lo, hi - lo) for lo, hi in zip(breaks, breaks[1:])]
+
+
+def _ell_edges(z: complex, spans: list, x_end: float) -> list:
+    """Panel edges of ell's integral over [0, x_end] (module docstring)."""
     edges = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        m = max(1, math.ceil((hi - lo) * abs(z.imag) / math.pi))
-        edges += [lo + (hi - lo) * j / m for j in range(m)]
+    for lo, width in spans:
+        m = max(1, math.ceil(width * abs(z.imag) / math.pi))
+        edges += [lo + width * j / m for j in range(m)]
     edges.append(x_end)
     first = edges[1]
     if z.real * first > 1.0:
@@ -293,14 +304,16 @@ def _ell_edges(z: complex, big_x: float, x_end: float) -> list:
 
 def _split_transform(f: TestFunction, x: np.ndarray) -> Tuple[float, np.ndarray]:
     """fhat(0) and fhat(0) - fhat(x/4 pi) of f's centred copy, whose
-    transform is fhat(xi) e^{2 pi i xi centre}.  fhat(0) comes from the same
-    transform call, so that the difference vanishes at x = 0 in floating
-    point too and h stays bounded there."""
+    transform fhat(xi) e^{2 pi i xi centre} is real, f being even about
+    centre: only its real part is kept, the imaginary part being rounding.
+    fhat(0) comes from the same transform call, so that the difference
+    vanishes at x = 0 in floating point too and h stays bounded there."""
     xi = np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi)
     fhat = f.fourier_closed(xi)
     if f.centre:
         fhat = fhat * np.exp(2j * math.pi * f.centre * xi)
-    f0 = float(np.real(fhat[0]))
+    fhat = np.real(fhat)
+    f0 = float(fhat[0])
     return f0, f0 - fhat[1:].reshape(x.shape)
 
 
@@ -321,6 +334,21 @@ def _geom_nodes(t_from: float, t_to: float) -> list:
     while pts[-1] < t_to:
         pts.append(min(2.0 * pts[-1], t_to))
     return pts
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n >= 1, the lengths pocketfft
+    transforms fastest: for each 3^j 5^k below the best so far, the least
+    power-of-two multiple that reaches n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _smooth_tail_nodes(ys: np.ndarray, tail, t3: float, eps: float, sign: int,
@@ -420,8 +448,8 @@ def ell_grid(
     v_table = 0.5 * (ys[0] - t3 + np.arange(n_table) * h)
     # shifts 0..n_shift of a circular correlation are free of wrap-around
     # once the transform length is at least n_table
-    nfft = next_fast_len(n_table, real=True)
-    fw_hat = rfft(fw[::-1], nfft)
+    nfft = _next_fast_len(n_table)
+    fw_hat = np.fft.rfft(fw[::-1], nfft)
 
     rem_total = sum(2.0 * rem2(c, t3) for c in tail.components)
     eps_s = _GRID_TOL / 8.0
@@ -460,7 +488,7 @@ def ell_grid(
         table = psi[0]
 
         # core: Simpson cross-correlation, one value per y shift
-        row = irfft(rfft(table, nfft) * fw_hat, nfft)[nt - 1:n_table:stride]
+        row = np.fft.irfft(np.fft.rfft(table, nfft) * fw_hat, nfft)[nt - 1:n_table:stride]
 
         # analytic tails, vectorized over y
         for (sign, edge, amp_w, amp_dw, idx, p_wts), smooth in zip(sides, psi[1:]):

@@ -16,7 +16,8 @@ The Beurling function B is evaluated on two exact branches,
     B(x) = 1 + 2 (sin pi x / pi)^2 (1/x - psi'(1+x))      for x > -1/2
     B(x) = -1 + 2 (sin pi x / pi)^2 (psi'(-x) + 1/x)      for x <= -1/2
 
-which are equal by the trigamma reflection formula.  The split keeps the
+which are equal by the trigamma reflection formula; one trigamma call
+serves both, at -x or 1 + x by branch.  The split keeps the
 trigamma argument positive and keeps each branch well conditioned on its
 domain: the only singular points of the first form are the negative
 integers and of the second form x = 0, and neither lies in the branch that
@@ -123,36 +124,27 @@ def beurling(x):
     scalar = arr.ndim == 0
     xv = np.atleast_1d(arr).astype(float)
     out = np.full(xv.shape, np.nan)  # nan meets no branch below
-    s2 = _sinpi_over_pi_sq(xv)
-
     zero = xv == 0.0
     tiny = ~zero & (np.abs(xv) < 1e-9)  # 1/x overflows near subnormals
-    right = (xv > -0.5) & ~zero & ~tiny
-    left = xv <= -0.5
+    branch = ~(zero | tiny | np.isnan(xv))
 
     out[zero] = 1.0
     out[tiny] = 1.0 + 2.0 * xv[tiny]  # B = 1 + 2x + O(x^2)
-    if right.any():
-        xr = xv[right]
-        out[right] = 1.0 + 2.0 * s2[right] * (1.0 / xr - trigamma_real(1.0 + xr))
-    if left.any():
-        xl = xv[left]
-        out[left] = -1.0 + 2.0 * s2[left] * (trigamma_real(-xl) + 1.0 / xl)
+    if branch.any():
+        xb = xv[branch]
+        sgn = np.where(xb <= -0.5, -1.0, 1.0)
+        out[branch] = sgn + 2.0 * _sinpi_over_pi_sq(xb) * _beurling_w(xb)
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def _beurling_w(u: np.ndarray) -> np.ndarray:
-    # B(u) = sgn(u) + (1 - cos 2 pi u)/pi^2 * w(u) for |u| >= 1/2;
-    # w(u) = 1/u - psi'(1+u) on u > 0 and psi'(-u) + 1/u on u < 0.
+    # the module docstring's branches as B(u) = -+1 + 2 (sin pi u/pi)^2 w(u):
+    # w(u) = psi'(-u) + 1/u for u <= -1/2, 1/u - psi'(1+u) above, from one
+    # trigamma call.  For |u| >= 1/2 that is sgn(u) + (1 - cos 2 pi u)/pi^2 w(u)
     u = np.asarray(u, dtype=float)
-    out = np.empty(u.shape)
-    pos = u > 0
-    if pos.any():
-        out[pos] = 1.0 / u[pos] - trigamma_real(1.0 + u[pos])
-    if (~pos).any():
-        un = u[~pos]
-        out[~pos] = trigamma_real(-un) + 1.0 / un
-    return out
+    left = u <= -0.5
+    tri = trigamma_real(np.where(left, -u, 1.0 + u))
+    return np.where(left, tri, -tri) + 1.0 / u
 
 
 def _beurling_w_deriv(u: float) -> float:
@@ -322,7 +314,9 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
 
     def value(t):
         tv = np.asarray(t, dtype=float)
-        return -0.5 * (beurling(delta * (alpha - tv)) + beurling(delta * (tv - beta)))
+        b = beurling(np.stack([delta * (alpha - tv), delta * (tv - beta)]))
+        out = -0.5 * (b[0] + b[1])
+        return float(out) if tv.ndim == 0 else out
 
     window = _find_window(value, alpha, beta, delta)
 

@@ -66,8 +66,9 @@ def _scan(nus: List[float], t0: float, delta: float, conductor: float, conventio
     """The rows over nus x nus, row-major in (nu1, nu2).  The archimedean
     integrals depend on one nu at a time, so each kernel takes one batched
     ell call over all nu, and each right side is rhs().rhs_total's fsum for
-    the spectral order (i nu1, -i nu1, i nu2, -i nu2), which also makes it
-    symmetric in (nu1, nu2)."""
+    the spectral order (i nu1, -i nu1, i nu2, -i nu2).  fsum is exact, so
+    that sum is symmetric in (nu1, nu2): the rows (nu1, nu2) and (nu2, nu1)
+    share one pair of fsum calls."""
     if not 0 < t0 < math.inf:
         raise DomainError("t0 must be positive and finite")
     _check_prime_free(delta)
@@ -79,12 +80,17 @@ def _scan(nus: List[float], t0: float, delta: float, conductor: float, conventio
         sides.append((f.integral * math.log(conductor) / math.pi, arch))
     (cond_f, arch_f), (cond_w, arch_w) = sides
 
-    rows = []
-    for n1, af1, aw1 in zip(nus, arch_f, arch_w):
-        for n2, af2, aw2 in zip(nus, arch_f, arch_w):
+    n = len(nus)
+    rows = [None] * (n * n)
+    for i in range(n):
+        n1, af1, aw1 = nus[i], arch_f[i], arch_w[i]
+        for j in range(i, n):
+            n2, af2, aw2 = nus[j], arch_f[j], arch_w[j]
             fr = math.fsum((cond_f, af1, af1, af2, af2, 0.0))
             wr = math.fsum((cond_w, aw1, aw1, aw2, aw2, 0.0))
-            rows.append(RegionClassification(n1, n2, fr, wr, _verdict(fr, wr)))
+            verdict = _verdict(fr, wr)
+            rows[i * n + j] = RegionClassification(n1, n2, fr, wr, verdict)
+            rows[j * n + i] = RegionClassification(n2, n1, fr, wr, verdict)
     return rows
 
 

@@ -1,17 +1,21 @@
 """Special functions and test-function tail data.
 
-``digamma`` is scipy's, behind a check that turns its poles into a domain
-error; ``ell`` and ``ell_floor`` use it.  ``trigamma_real`` is scipy's
-Hurwitz zeta, psi'(x) = zeta(2, x), behind a domain check, and the internal
-``_tetragamma_real`` is psi''(x) = -2 zeta(3, x).  The lattice evaluator
-``explicit_formula.ell_grid`` takes two internal functions that share one
-series rule, the classical scheme: the recurrence psi(z+1) = psi(z) + 1/z
-(DLMF 5.5.2) pushes every argument out to |z| >= 16, where the Bernoulli
-asymptotic series of psi and psi' (DLMF 5.11.2) converge to double
-precision with six terms from one table.  ``_trigamma_complex`` gives the
-lattice edges' psi', which scipy lacks, by Horner's rule in 1/z^2.
-``_re_digamma(a, v)`` gives Re psi(a + iv) for a scalar a and a real array
-v in real arithmetic, several times faster than scipy's complex psi: its
+Every function here sums one Bernoulli table, the classical scheme: the
+recurrence psi(z+1) = psi(z) + 1/z (DLMF 5.5.2) moves the argument out to
+|z| >= 16, where the asymptotic series of psi and its derivatives (DLMF
+5.11.2) converge to double precision with six terms.  ``digamma`` shifts
+every point by exactly 16, psi(z) = psi(z + 16) - sum_{k<16} 1/(z + k),
+whatever its modulus, so each value depends on its own point alone and a
+batch returns the values of its points one at a time; a point with Re z < 0
+goes through the reflection psi(z) = psi(1 - z) - pi cot(pi z) (DLMF 5.5.4)
+first, and the poles at the nonpositive integers raise a domain error.
+``ell`` and ``ell_floor`` use it.  ``trigamma_real`` and the internal
+``_tetragamma_real`` are the same shift and the series' first and second
+derivatives, in real arithmetic.  The lattice evaluator
+``explicit_formula.ell_grid`` takes two internal functions that shift only
+the points inside the radius: ``_trigamma_complex`` gives the lattice
+edges' psi' by Horner's rule in 1/z^2, and ``_re_digamma(a, v)`` gives
+Re psi(a + iv) for a scalar a and a real array v in real arithmetic: its
 series needs only log|z|, a/|z|^2 and a three-term recurrence for
 Re z^-2k, so no point takes a complex log or a complex division.
 
@@ -32,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.special as _sp
 
 from .errors import DomainError
 
@@ -49,10 +52,12 @@ __all__ = [
 # digamma / trigamma
 # ---------------------------------------------------------------------------
 
-# B_{2k} for k = 1..6, the one table of both Bernoulli series:
-#   psi(z)  ~ log z - 1/(2z) - sum_k B_{2k}/(2k z^{2k})        (DLMF 5.11.2)
-#   psi'(z) ~ 1/z + 1/(2z^2) + sum_k B_{2k}/z^{2k+1}
-# For |z| >= _SERIES_RADIUS the first omitted terms are below 2e-17 relative.
+# B_{2k} for k = 1..6, the one table of every Bernoulli series:
+#   psi(z)   ~ log z - 1/(2z) - sum_k B_{2k}/(2k z^{2k})        (DLMF 5.11.2)
+#   psi'(z)  ~ 1/z + 1/(2z^2) + sum_k B_{2k}/z^{2k+1}
+#   psi''(z) ~ -1/z^2 - 1/z^3 - sum_k (2k+1) B_{2k}/z^{2k+2}
+# For |z| >= _SERIES_RADIUS the first omitted terms are below 2e-17
+# relative for psi and psi', 3e-16 for psi''.
 _BERNOULLI = np.array([
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -62,35 +67,82 @@ _BERNOULLI = np.array([
     -691.0 / 2730.0,
 ])
 _PSI_SERIES = _BERNOULLI / (2.0 * np.arange(1, len(_BERNOULLI) + 1))
+_TETRAGAMMA_SERIES = _BERNOULLI * (2.0 * np.arange(1, len(_BERNOULLI) + 1) + 1.0)
 
 _SERIES_RADIUS = 16.0
+# 0, 1, ..., 15: the shift of digamma and the real derivatives, one row of
+# terms per point
+_SHIFT = np.arange(_SERIES_RADIUS)
+
+
+def _horner(coefficients: np.ndarray, w):
+    """sum_k coefficients[k] w^k at each point of w."""
+    s = coefficients[-1] * w + coefficients[-2]
+    for c in coefficients[-3::-1]:
+        s *= w
+        s += c
+    return s
 
 
 def digamma(z):
     """psi(z) = Gamma'(z)/Gamma(z) for complex z away from the poles.
 
-    Backed by scipy's psi; real input gives real output, and the poles at
-    the nonpositive integers raise a domain error.
+    Real input gives real output, a scalar gives a numpy scalar, and the
+    poles at the nonpositive integers raise a domain error.  Each value
+    depends on its own point alone: digamma(z)[i] is bit-identical to
+    digamma(z[i]).
     """
     arr = np.asarray(z)
-    out = _sp.psi(arr)
-    # scipy returns inf or nan at every pole, so only then is z inspected
-    re = arr.real
-    if not np.isfinite(out).all() and ((arr.imag == 0) & (re <= 0) & (re == np.floor(re))).any():
+    if not np.iscomplexobj(arr):
+        arr = arr.astype(float)
+    flat = arr.reshape(-1)
+    re = flat.real
+    # fmin passes over nan, so a nan entry hides no negative one
+    lowest = np.fmin.reduce(re, initial=math.inf)
+    if lowest <= 0.0 and ((flat.imag == 0.0) & (re <= 0.0) & (re == np.floor(re))).any():
         raise DomainError("digamma pole: z is a nonpositive integer")
-    return out
+    left = re < 0.0 if lowest < 0.0 else None
+    w = flat if left is None else np.where(left, 1.0 - flat, flat)
+    acc = np.reciprocal(w[:, None] + _SHIFT).sum(axis=1)
+    w = w + _SERIES_RADIUS
+    iw = np.reciprocal(w)
+    iw2 = iw * iw
+    out = np.log(w) - 0.5 * iw - _horner(_PSI_SERIES, iw2) * iw2 - acc
+    if left is not None:
+        # cot has period pi, so the argument is reduced exactly by round(Re z)
+        # first; only the reflected points reach the cotangent, whose poles
+        # the others may sit on
+        zl = flat[left]
+        out[left] -= math.pi / np.tan(math.pi * (zl - np.round(zl.real)))
+    return out.reshape(arr.shape)[()]
 
 
 def trigamma_real(x):
-    """psi'(x) for finite real x > 0, as scipy's Hurwitz zeta(2, x).
+    """psi'(x) for finite real x > 0: psi'(x + 16) + sum_{k<16} 1/(x + k)^2,
+    the first from the series.
 
     A 0-d input gives a Python float; arrays keep their shape.
     """
     arr = np.asarray(x, dtype=float)
-    if (arr <= 0.0).any() or not np.isfinite(arr).all():
+    if not ((arr > 0.0) & (arr < math.inf)).all():
         raise DomainError("trigamma_real requires finite x > 0")
-    out = _sp.zeta(2.0, arr)
+    terms = arr[..., None] + _SHIFT
+    terms *= terms
+    acc = np.reciprocal(terms, out=terms).sum(axis=-1)
+    iw = 1.0 / (arr + _SERIES_RADIUS)
+    iw2 = iw * iw
+    out = iw + iw2 * (0.5 + iw * _horner(_BERNOULLI, iw2)) + acc
     return float(out) if arr.ndim == 0 else out
+
+
+def _tetragamma_real(x):
+    # psi''(x) for real x > 0 (internal): psi''(x + 16) - 2 sum_{k<16} 1/(x + k)^3
+    arr = np.asarray(x, dtype=float)
+    terms = arr[..., None] + _SHIFT
+    acc = (1.0 / (terms * terms * terms)).sum(axis=-1)
+    iw = 1.0 / (arr + _SERIES_RADIUS)
+    iw2 = iw * iw
+    return -(iw2 * (1.0 + iw + iw2 * _horner(_TETRAGAMMA_SERIES, iw2)) + 2.0 * acc)
 
 
 def _re_digamma(a: float, v) -> np.ndarray:
@@ -158,15 +210,7 @@ def _trigamma_complex(z: np.ndarray) -> np.ndarray:
         w[mask] += 1.0
     iw = 1.0 / w
     iw2 = iw * iw
-    s = np.full(w.shape, _BERNOULLI[-1], dtype=complex)
-    for c in _BERNOULLI[-2::-1]:
-        s = s * iw2 + c
-    return acc + iw + 0.5 * iw2 + s * iw2 * iw
-
-
-def _tetragamma_real(x):
-    # psi''(x) = -2 zeta(3, x) for real x > 0 (internal)
-    return -2.0 * _sp.zeta(3.0, x)
+    return acc + iw + 0.5 * iw2 + _horner(_BERNOULLI, iw2) * iw2 * iw
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
@@ -216,7 +217,8 @@ def test_ell_batch_across_panel_blocks(name):
     f = BATCH_KERNELS[name]
     mus = [3.0 + 1.0j, 2e4j, 0.5, 7.25j]
     big_x = 4.0 * math.pi * f.support_radius
-    assert len(ef._ell_edges(0.25 + 1e4j, big_x, max(big_x, 1.0))) > ef._PANEL_BLOCK + 1
+    x_end = max(big_x, 1.0)
+    assert len(ef._ell_edges(0.25 + 1e4j, ef._ell_spans(big_x, x_end), x_end)) > ef._PANEL_BLOCK + 1
     singles = [ell(mu, f, tol=1e-6) for mu in mus]
     assert ell(np.array(mus), f, tol=1e-6).tolist() == singles
     assert ell(np.array(mus[::-1]), f, tol=1e-6).tolist() == singles[::-1]
@@ -306,6 +308,12 @@ def test_ell_grid_psi_kernel_matches_scipy_rows(cert_minorant, monkeypatch):
     reference, reference_bound = ell_grid(cert_minorant, re_v, im_v)
     assert bound == reference_bound
     assert np.max(np.abs(grid - reference)) < 1e-12
+
+
+def test_next_fast_len_matches_scipy():
+    # ell_grid's transform length: the one scipy.fft picks for a real transform
+    assert [ef._next_fast_len(n) for n in range(1, 50_001)] == [
+        scipy.fft.next_fast_len(n, real=True) for n in range(1, 50_001)]
 
 
 @pytest.mark.parametrize("re_v, im_v", [

@@ -8,26 +8,51 @@ from pathlib import Path
 import zerogap
 from zerogap import region_scan
 
-# import zerogap in a fresh interpreter and list the scipy subpackages it
-# loaded: only scipy.special and scipy.fft are needed.  scipy.optimize pulls
-# in scipy.linalg, scipy.sparse and scipy.spatial, about 0.3 s of import
-# time, and scipy.signal pulls in scipy.stats and scipy.interpolate, about
-# a second
+# import zerogap in a fresh interpreter and list the scipy modules it loaded:
+# none are needed.  The special functions are the package's own series and
+# the lattice FFT is numpy's; scipy.special and scipy.fft alone took about
+# 0.35 s of import time and 25 MB
 PROBE = (
     "import sys; sys.path.insert(0, sys.argv[1]); import zerogap; "
-    "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules "
-    "if m.startswith('scipy.') and not m.startswith('scipy._')}))"
+    "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
 )
-UNNEEDED_SCIPY = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.spatial",
-                  "scipy.signal")
 
 
 def test_import_loads_no_unneeded_scipy_subpackage():
     src = str(Path(zerogap.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", PROBE, src], capture_output=True,
                           text=True, timeout=120, check=True)
-    loaded = ast.literal_eval(done.stdout.strip())
-    assert [name for name in UNNEEDED_SCIPY if name in loaded] == []
+    assert ast.literal_eval(done.stdout.strip()) == []
+
+
+# the three workloads' entry points in an interpreter where `import scipy`
+# fails; each output line is the repr of a result, floats in full, and must
+# match the same call here
+NO_SCIPY_CALLS = (
+    "certification.certify_gap(4, L, re_max=3.0, im_max=10.0, step=0.5).to_dict()",
+    "[vars(r) for r in region_scan.scan_region(2.0, 2.0)]",
+    "[explicit_formula.verify(data, extremal.selberg_minorant(-H, H, d)).to_dict() "
+    "for d in (explicit_formula.PRIME_FREE_RADIUS, math.log(7.9) / (2 * math.pi))]",
+)
+NO_SCIPY_SETUP = (
+    "import math; "
+    "from zerogap import certification, explicit_formula, extremal, lfunctions, region_scan; "
+    "L = 10 * math.pi / math.log(2); H = 2.5 / explicit_formula.PRIME_FREE_RADIUS; "
+    "data = lfunctions.load_lfunction(lfunctions.bundled_example_path())"
+)
+NO_SCIPY_PROBE = (
+    "import sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]); "
+    + NO_SCIPY_SETUP + "; [print(repr(eval(code))) for code in sys.argv[2:]]"
+)
+
+
+def test_workloads_run_without_scipy():
+    src = str(Path(zerogap.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, src, *NO_SCIPY_CALLS],
+                          capture_output=True, text=True, timeout=300, check=True)
+    scope = {}
+    exec(NO_SCIPY_SETUP, scope)
+    assert done.stdout.splitlines() == [repr(eval(code, scope)) for code in NO_SCIPY_CALLS]
 
 
 def _load_tracer(monkeypatch):

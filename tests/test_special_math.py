@@ -1,13 +1,17 @@
 
+import math
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from zerogap.errors import DomainError
 from zerogap.special_math import (
     _SERIES_RADIUS,
     _re_digamma,
+    _tetragamma_real,
     _trigamma_complex,
     digamma,
     trigamma_real,
@@ -150,3 +154,50 @@ def test_trigamma_recurrence(x):
     lhs = trigamma_real(x + 1.0)
     rhs = trigamma_real(x) - 1.0 / x**2
     assert abs(lhs - rhs) <= 1e-11 * (1.0 + abs(rhs))
+
+
+def _off_poles(z):
+    # hypothesis favours 0 and the negative integers, where digamma raises;
+    # points within 1e-6 of them add nothing to an elementwise test
+    return not (z.real <= 0.5 and abs(z - round(z.real)) < 1e-6)
+
+
+@given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=12),
+       st.booleans())
+def test_digamma_is_elementwise(zs, real):
+    # each value depends on its own point alone, whatever else is in the
+    # batch: points inside and outside the series radius, on either side of
+    # Re z = 0, real or complex; ell's batch contract rests on this
+    z = np.array([w.real for w in zs] if real else zs)
+    assume(all(_off_poles(complex(w)) for w in z))
+    batch = digamma(z)
+    assert batch.dtype == z.dtype and batch.shape == z.shape
+    for i, w in enumerate(z):
+        assert batch[i] == digamma(w)
+        assert batch[i] == digamma(z[i:i + 1])[0]
+
+
+def test_digamma_reflection_near_poles():
+    # reflected points close to the negative-axis poles, in one batch with
+    # positive integers, where pi cot(pi z) itself has poles: only the
+    # reflected points may reach the cotangent, and none may warn
+    z = np.array([-3.0 + 1e-12, -3.0 - 1e-12, -1e-9, -7.5, -2.0 + 1e-10j,
+                  -10.0 - 1e-8j, -0.5, 1.0, 2.0, 3.0, 16.0, 0.25 + 1e-300j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = digamma(z)
+        got_real = digamma(z.real[z.imag == 0])
+    want = np.array([_mp_digamma(w) for w in z])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+    assert np.max(np.abs(got_real / want[z.imag == 0].real - 1.0)) <= 1e-13
+
+
+def test_tetragamma_matches_mpmath_log_uniform():
+    rng = np.random.default_rng(19)
+    xs = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 1000))
+    got = _tetragamma_real(xs)
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.psi(2, mpmath.mpf(float(x)))) for x in xs])
+    assert np.max(np.abs(got / want - 1.0)) <= 4e-15
+    assert _tetragamma_real(xs[-1]) == got[-1]

@@ -57,24 +57,32 @@ psi(a + i (t + y)/2) against f(t), and exploits the fact that W depends on
 t and y only through t + y: with a uniform Simpson lattice in t of spacing
 1/16, which divides the Im-mu step, every required psi value lies on one
 shifted copy of a single lattice table per Re-mu row, and the whole row of
-integrals is one FFT cross-correlation of that table against the
-Simpson-weighted f samples, whose transform is taken once per grid
-(numpy's real FFT, at the 5-smooth length `_next_fast_len`).  Most rows
-need no psi evaluation at all: psi(z+1) = psi(z) + 1/z (DLMF 5.5.2) gives
-Re psi(a + 1 + iv) = Re psi(a + iv) + a/(a^2 + v^2), so a row one unit of
-a above a row already computed is that row plus one rational term (on the
-default grid only the 8 rows with a < 1.25 evaluate psi).  Those rows take
-`special_math._re_digamma`, which computes Re psi(a + iv) from the
-asymptotic series in real arithmetic; `ell` and `ell_floor` take the
-complex `digamma`, the same series behind a fixed shift.  The recurrence's
-rounding, below 2e-13 over the default grid, and the kernel's, within
-1.5e-13 of a complex psi's rows there, are far inside the grid's error
-budget of 2.5e-4.  The tails beyond the lattice are finished analytically
-from the tail decomposition that only the Selberg minorant carries, with
-everything that does not depend on a computed once per grid, the smooth
-part on `ell`'s Gauss-Legendre panels.  The lattice stays because the
-headline certificate's pinned margin, 0.185885, is the lattice's value:
-the exact minimum, 0.1858822, rounds differently.
+integrals is a cross-correlation of that table against the
+Simpson-weighted f samples.  f is even, so it is sampled on the t >= 0
+half of the lattice and mirrored.  The row needs the correlation only at
+every stride-th shift, stride being the Im step over 1/16, so each row is
+one real FFT of the table at a 5-smooth length N = stride M and, since
+decimation in time is aliasing in frequency (Oppenheim and Schafer,
+Discrete-Time Signal Processing, 4.6), one inverse FFT of length M of the
+product's stride aliases summed.  Most rows need no psi evaluation at all:
+psi(z+1) = psi(z) + 1/z (DLMF 5.5.2) gives Re psi(a + 1 + iv) =
+Re psi(a + iv) + a/(a^2 + v^2), so a row one unit of a above a row already
+computed is that row plus one rational term (on the default grid only the
+8 rows with a < 1.25 evaluate psi).  That dependence on the row eight
+steps below, and the cache, keep the loop one row at a time: a level of
+eight rows at once moves temporaries of 2 MB and runs slower per row.
+Those rows take `special_math._re_digamma`, which computes Re psi(a + iv)
+from the asymptotic series in real arithmetic; `ell` and `ell_floor` take
+the complex `digamma`, the same series behind a fixed shift.  The
+recurrence's rounding, below 2e-13 over the default grid, and the
+kernel's, within 1.5e-13 of a complex psi's rows there, are far inside the
+grid's error budget of 2.5e-4.  The tails beyond the lattice are finished
+analytically from the tail decomposition that only the Selberg minorant
+carries, with everything that does not depend on a computed once per grid,
+the smooth part on `ell`'s Gauss-Legendre panels, and the psi' of the
+boundary terms after the row loop, a block of rows per call.  The lattice
+stays because the headline certificate's pinned margin, 0.185885, is the
+lattice's value: the exact minimum, 0.1858822, rounds differently.
 """
 
 from __future__ import annotations
@@ -131,11 +139,23 @@ CONVENTIONS = ("halved", "literal")
 # grid value that fixes the oscillatory cutoff and the smooth-tail length
 _LATTICE_H = 0.0625
 _GRID_TOL = 2.5e-4
+# Simpson nodes per f.value call: Beurling's (n, 16) trigamma shift rows then
+# stay near 1 MB
+_VALUE_BLOCK = 4096
+# boundary points per psi' call at the end of ell_grid: its temporaries stay
+# near 1.5 MiB whatever the grid (one call over the headline grid's 61k
+# points peaks at 5.6 MiB)
+_TRIGAMMA_BLOCK = 16384
 
 # ell: points per panel of its error-estimating rule (the value's has twice
 # as many), and panels per block of work, which bounds memory at large |Im mu|
 _NODES = 24
 _PANEL_BLOCK = 2048
+# ell: the most panels one call may take, beyond which it raises DomainError.
+# A panel costs about 6 us (2 cores, numpy 2.4), so a call stays under about
+# 1 s; the kernels at delta0 take about 0.22 |Im mu| panels per mu, so a
+# single mu may reach |Im mu| ~ 5e5
+_MAX_PANELS = 120_000
 
 
 def convention_scale(convention: str) -> int:
@@ -159,7 +179,8 @@ def ell(mu, f: TestFunction, convention: str = "halved",
     tol, and ell(mus)[i] is bit-identical to ell(mus[i]) whatever else is in
     the batch: each mu keeps its own panels and sums.  The cost is linear in
     the total number of panels, about 2 + 4 delta |Im z| per mu for a
-    transform supported in [-delta, delta].
+    transform supported in [-delta, delta]; a call that would need more than
+    `_MAX_PANELS` raises DomainError before building any panel.
     """
     scale, mus = convention_scale(convention), np.asarray(mu, dtype=complex)
     if mus.ndim > 1:
@@ -176,10 +197,16 @@ def ell(mu, f: TestFunction, convention: str = "halved",
     # that of f's centred copy, at mu + i centre in halved units
     points = mus.reshape(-1).tolist()
     z, z_panel, lo, hi, starts = [], [], [], [], []
+    n_panels = 0
     for m in points:
         if m.real < -1e-12:
             raise DomainError(f"ell requires Re(mu) >= 0, got {m!r}")
         zm = complex(0.25 + 0.5 * (scale * max(m.real, 0.0)), 0.5 * (scale * m.imag + f.centre))
+        # counted before any list is built, so a huge |Im mu| fails at once
+        n_panels += sum(_span_panels(spans, zm.imag))
+        if n_panels > _MAX_PANELS:
+            raise DomainError(f"ell at mu = {m!r} needs more than {_MAX_PANELS} panels in one "
+                              "call: |Im mu| is too large for the panel rule")
         edges = _ell_edges(zm, spans, x_end)
         z.append(zm)
         starts.append(len(lo))
@@ -288,11 +315,15 @@ def _ell_spans(big_x: float, x_end: float) -> list:
     return [(lo, hi - lo) for lo, hi in zip(breaks, breaks[1:])]
 
 
+def _span_panels(spans: list, im: float) -> list:
+    """Panels of each span at Im z = im: two per period of e^{-i im x}."""
+    return [max(1, math.ceil(width * abs(im) / math.pi)) for _, width in spans]
+
+
 def _ell_edges(z: complex, spans: list, x_end: float) -> list:
     """Panel edges of ell's integral over [0, x_end] (module docstring)."""
     edges = []
-    for lo, width in spans:
-        m = max(1, math.ceil(width * abs(z.imag) / math.pi))
+    for (lo, width), m in zip(spans, _span_panels(spans, z.imag)):
         edges += [lo + width * j / m for j in range(m)]
     edges.append(x_end)
     first = edges[1]
@@ -381,7 +412,9 @@ def ell_grid(
     Returns (values of shape (len(re), len(im)), error bound per value).
     Needs an even test function with tail data and a nonempty, equispaced
     Im grid whose step is a multiple of the lattice spacing 1/16; the method
-    is described in the module docstring.
+    is described in the module docstring.  Per row it takes one forward FFT
+    of length stride M and, for a stride above 1, one inverse FFT of length
+    M of the folded spectrum; f is sampled once, on half the lattice.
     """
     tail = f.envelope.tail
     if tail is None or not f.even:
@@ -431,25 +464,44 @@ def ell_grid(
         n_half += 1
     t3 = n_half * h
 
-    # Simpson weights on [-t3, t3]
+    # Simpson weights on [-t3, t3]; f is even, so f.value runs on the nodes
+    # t = k h >= 0 alone, in blocks of _VALUE_BLOCK, and is mirrored
     nt = 2 * n_half + 1
-    t_nodes = (np.arange(nt) - n_half) * h
     sw = np.ones(nt)
     sw[1:-1:2] = 4.0
     sw[2:-1:2] = 2.0
     sw *= h / 3.0
-    fw = sw * np.asarray(f.value(t_nodes), dtype=float)
+    t_half = np.arange(n_half + 1) * h
+    half = np.concatenate([np.asarray(f.value(t_half[k:k + _VALUE_BLOCK]), dtype=float)
+                           for k in range(0, n_half + 1, _VALUE_BLOCK)])
+    fw = sw * np.concatenate((half[:0:-1], half))
 
     # lattice of psi arguments a + iv, v = (t + y)/2: shift k of the Simpson
     # nodes is y = ys[0] + k h, so the Im-mu grid is every stride-th shift and
     # the boundary points t = +-t3 of y = ys[j] are table entries
-    n_shift = stride * (len(ys) - 1)
+    n_cols = len(ys)
+    n_shift = stride * (n_cols - 1)
     n_table = nt + n_shift
     v_table = 0.5 * (ys[0] - t3 + np.arange(n_table) * h)
-    # shifts 0..n_shift of a circular correlation are free of wrap-around
-    # once the transform length is at least n_table
-    nfft = _next_fast_len(n_table)
-    fw_hat = np.fft.rfft(fw[::-1], nfft)
+
+    # the correlation c[s] = sum_t fw[t] table[s + t] as a circular
+    # convolution with g[0] = fw[0], g[N - t] = fw[t], so that c[s] lands at
+    # index s; N >= n_table keeps shifts 0..n_shift free of wrap-around.
+    # Only s = 0, stride, 2 stride, ... is wanted: with N = stride M,
+    # decimation in time is aliasing in frequency, C[k] = sum_r X[k + r M]
+    # / stride, so the stride aliases of the half spectrum, conjugated past
+    # its Nyquist bin, go into one inverse transform of length M (at stride
+    # 1 the fold is a copy of the spectrum)
+    m_len = _next_fast_len(-(-n_table // stride))
+    nfft = stride * m_len
+    g = np.zeros(nfft)
+    g[0] = fw[0]
+    g[nfft - nt + 1:] = fw[:0:-1]
+    g_hat = np.fft.rfft(g)
+    g_hat /= stride
+    alias = np.arange(m_len // 2 + 1) + m_len * np.arange(stride)[:, None]
+    mirrored = alias > nfft // 2
+    alias[mirrored] = nfft - alias[mirrored]
 
     rem_total = sum(2.0 * rem2(c, t3) for c in tail.components)
     eps_s = _GRID_TOL / 8.0
@@ -471,31 +523,52 @@ def ell_grid(
         idx, v_smooth, p_wts = _smooth_tail_nodes(ys, tail, t3, eps_s, sign, 16)
         sides.append((sign, edge, amp_w, amp_dw, idx, p_wts))
         v_rows.append(v_smooth)
-    y_index = np.arange(len(ys))
+    y_index = np.arange(n_cols)
+    v2_rows = [v * v for v in v_rows]
 
-    # Re psi rows of the last unit of a, keyed by a
-    kept = {}
-    out = np.empty((len(re_values), len(ys)))
+    # per row: the correlation into out, and per side the table at t = +-t3
+    # and the interpolated smooth tail, assembled after the loop
+    n_rows = len(a_row)
+    out = np.empty((n_rows, n_cols))
+    ends = np.empty((2, n_rows, n_cols))
+    smooth_tails = np.empty((2, n_rows, n_cols))
+    kept = {}  # Re psi rows of the last unit of a, keyed by a
     for i, a in enumerate(a_row):
         below = kept.get(a - 1.0)
         if below is None:
             psi = [_re_digamma(a, v) for v in v_rows]
         else:  # Re psi(b + 1 + iv) = Re psi(b + iv) + b/(b^2 + v^2), b = a - 1
             b = a - 1.0
-            psi = [r + b / (b * b + v * v) for r, v in zip(below, v_rows)]
+            psi = [np.add(v2, b * b) for v2 in v2_rows]
+            for p, r in zip(psi, below):
+                np.divide(b, p, out=p)
+                p += r
         kept = {k: r for k, r in kept.items() if k > a - 1.0}
         kept[a] = psi
         table = psi[0]
 
-        # core: Simpson cross-correlation, one value per y shift
-        row = np.fft.irfft(np.fft.rfft(table, nfft) * fw_hat, nfft)[nt - 1:n_table:stride]
+        spectrum = np.fft.rfft(table, nfft)
+        spectrum *= g_hat
+        folded = spectrum[alias]
+        np.conjugate(folded, out=folded, where=mirrored)
+        out[i] = np.fft.irfft(folded.sum(axis=0), m_len)[:n_cols]
+        for s, ((_, edge, _, _, idx, p_wts), smooth) in enumerate(zip(sides, psi[1:])):
+            ends[s, i] = table[edge]
+            smooth_tails[s, i] = np.interp(y_index, idx, smooth @ p_wts)
+    del kept, psi  # up to 2 MB of rows, freed before psi' adds its temporaries
 
-        # analytic tails, vectorized over y
-        for (sign, edge, amp_w, amp_dw, idx, p_wts), smooth in zip(sides, psi[1:]):
-            wd = -0.5 * sign * np.imag(_trigamma_complex(a + 1j * v_table[edge]))
-            row += amp_w * table[edge] + amp_dw * wd
-            row += np.interp(y_index, idx, smooth @ p_wts)
-        out[i] = row - f.integral * LOG_PI
+    # analytic tails: psi' at the boundary points of both sides, a block of
+    # rows per call
+    v_ends = np.stack([v_table[edge] for _, edge in edges])
+    block = max(1, _TRIGAMMA_BLOCK // (2 * n_cols))
+    for r in range(0, n_rows, block):
+        rows = slice(r, r + block)
+        trigamma = _trigamma_complex(a_row[None, rows, None] + 1j * v_ends[:, None, :])
+        for s, (sign, _, amp_w, amp_dw, _, _) in enumerate(sides):
+            wd = -0.5 * sign * np.imag(trigamma[s])
+            out[rows] += amp_w * ends[s, rows] + amp_dw * wd
+            out[rows] += smooth_tails[s, rows]
+    out -= f.integral * LOG_PI
     return out, rem_total + 2.0 * eps_s
 
 

@@ -153,6 +153,14 @@ def test_certify_gap_cli_output_unaffected_by_logging(capsys):
     assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
 
 
+def test_scan_region_huge_nu_is_an_error(capsys):
+    rc, out, err = run(capsys, "scan-region", "--nu-max", "1e9", "--step", "1e9")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "panels" in err
+    assert "Traceback" not in err
+
+
 def test_certify_gap_short_window(capsys):
     rc, _, err = run(capsys, "certify-gap", "--degree", "4", "--length", "8")
     assert rc == 1

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -69,6 +71,25 @@ def test_ell_large_re_asymptote(cert_minorant):
         z = 0.25 + mu / 2.0
         want = cert_minorant.integral * (float(np.real(digamma(z + 0j))) - math.log(math.pi))
         assert got == pytest.approx(want, rel=1e-4)
+
+
+def test_ell_panel_count_is_the_edges_count():
+    f = fejer(PRIME_FREE_RADIUS)
+    big_x = 4.0 * math.pi * f.support_radius
+    x_end = max(big_x, 1.0)
+    spans = ef._ell_spans(big_x, x_end)
+    for im in (0.0, 3.7, 2e4):
+        edges = ef._ell_edges(complex(0.25, im), spans, x_end)
+        assert sum(ef._span_panels(spans, im)) == len(edges) - 1
+
+
+def test_ell_refuses_huge_im_mu_at_once():
+    # the panel count is checked before any panel is built: without the cap
+    # this call would take about half an hour
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="panels"):
+        ell(1e9j, fejer(PRIME_FREE_RADIUS))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ell_rejects_left_halfplane(cert_minorant):
@@ -327,6 +348,88 @@ def test_ell_grid_irregular_grids_match_pointwise(cert_minorant, re_v, im_v):
         for j in {0, len(im_v) // 3, len(im_v) - 1}:
             p = ell(complex(re_v[i], im_v[j]), cert_minorant)
             assert abs(grid[i, j] - p) < bound
+
+
+# rows 0.25 and 1.0 are one unit of a below rows 2.25 and 3.0, so both the
+# direct and the recurrence rows go through the fold
+FOLD_RE = [0.0, 0.25, 1.0, 2.25, 3.0]
+FOLD_IM_MAX = 30.0
+
+
+def _grid_with_exact_tails(f, im_v):
+    # ell_grid interpolates the smooth tails between every 16th column,
+    # which differ between Im steps (up to 3.5e-8 apart here); evaluated at
+    # every column, only the correlation's rounding separates two steps
+    smooth_tail_nodes = ef._smooth_tail_nodes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ef, "_smooth_tail_nodes",
+                   lambda ys, tail, t3, eps, sign, y_stride:
+                   smooth_tail_nodes(ys, tail, t3, eps, sign, 1))
+        return ell_grid(f, FOLD_RE, im_v)
+
+
+@pytest.fixture(scope="module")
+def stride_one_grid(cert_minorant):
+    # Im step 1/16: every shift of the correlation, no folding
+    return _grid_with_exact_tails(cert_minorant, ef._step_grid(FOLD_IM_MAX, 0.0625))
+
+
+@pytest.mark.parametrize("step, stride", [
+    (0.25, 4),    # the alias band that starts on the Nyquist bin N/2 is mirrored past it
+    (0.1875, 3),  # odd M and N: the middle alias band ends on the last half-spectrum bin
+    (0.5, 8),
+])
+def test_ell_grid_fold_matches_stride_one(cert_minorant, stride_one_grid, step, stride):
+    # the same lattice (t3 follows im_max), read at every stride-th shift
+    grid, bound = _grid_with_exact_tails(cert_minorant, ef._step_grid(FOLD_IM_MAX, step))
+    reference, reference_bound = stride_one_grid
+    assert bound == reference_bound
+    assert grid.shape == (len(FOLD_RE), int(FOLD_IM_MAX / step) + 1)
+    assert np.max(np.abs(grid - reference[:, ::stride])) < 1e-12
+    # with the default tails, the columns where both grids interpolate from
+    # a node: every 16th of the coarse grid
+    coarse, _ = ell_grid(cert_minorant, FOLD_RE, ef._step_grid(FOLD_IM_MAX, step))
+    fine, _ = ell_grid(cert_minorant, FOLD_RE, ef._step_grid(FOLD_IM_MAX, 0.0625))
+    assert np.max(np.abs(coarse[:, ::16] - fine[:, ::16 * stride])) < 1e-12
+
+
+def test_ell_grid_single_point_and_column_match_stride_one(cert_minorant, stride_one_grid):
+    # one column is stride 1 with a single shift: the last column of the
+    # stride-one grid, whose lattice has the same t3; the last column's smooth
+    # tail is a node of every interpolation
+    reference, _ = stride_one_grid
+    column, _ = ell_grid(cert_minorant, FOLD_RE, [FOLD_IM_MAX])
+    point, _ = ell_grid(cert_minorant, [FOLD_RE[2]], [FOLD_IM_MAX])
+    assert column.shape == (len(FOLD_RE), 1) and point.shape == (1, 1)
+    assert np.max(np.abs(column[:, 0] - reference[:, -1])) < 1e-12
+    assert abs(point[0, 0] - reference[2, -1]) < 1e-12
+
+
+@pytest.mark.parametrize("length", [10.0 * math.pi / math.log(2.0), 45.5, 60.0])
+def test_minorant_is_bitwise_even_on_the_lattice(length):
+    # ell_grid samples f on the t >= 0 half of its Simpson lattice, in blocks
+    # of _VALUE_BLOCK nodes, and mirrors it: that is exact only if f.value is
+    # bitwise even there and each value depends on its own node alone
+    f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
+    t = np.arange(16384) * ef._LATTICE_H  # past t3 ~ 972 of the headline grid
+    values = f.value(t)
+    assert f.value(-t).tobytes() == values.tobytes()
+    blocks = [f.value(t[k:k + ef._VALUE_BLOCK]) for k in range(0, len(t), ef._VALUE_BLOCK)]
+    assert np.concatenate(blocks).tobytes() == values.tobytes()
+
+
+def test_ell_grid_headline_memory_peak(cert_minorant):
+    # the 38 x 801 grid certify_gap evaluates for the headline certificate;
+    # Beurling's shift rows on the full lattice alone once took 7.6 MiB
+    re_v, im_v = ef._step_grid(9.25, 0.25), ef._step_grid(200.0, 0.25)
+    ell_grid(cert_minorant, re_v, im_v)
+    tracemalloc.start()
+    try:
+        ell_grid(cert_minorant, re_v, im_v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20
 
 
 FLOOR_KERNELS = {

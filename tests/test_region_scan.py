@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import mpmath
@@ -30,6 +31,13 @@ GOLDEN_CSV = (
     "1,0,-6.889422022,-1635.541227,Impossible\n"
     "1,1,-6.756708252,-1615.253665,Impossible\n"
 )
+
+
+def test_classify_point_refuses_huge_nu_at_once():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="panels"):
+        classify_point(1e9, 0.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_classify_known_points():

@@ -14,11 +14,14 @@ and every degree-d L-function must have a zero in every window of length L.
 The half-plane minimum is searched on a finite grid: ell grows like
 fhat(0) log|mu| for large |mu|, so a bounded rectangle plus a boundary-row
 check suffices.  Within the rectangle, `explicit_formula.ell_floor` bounds
-ell from below over a whole Re-mu row; rows whose floor lies above the
-incumbent ell(0) by more than twice the grid's error budget cannot hold
-the minimum and are not evaluated, and when the Re mu = re_max row is one
-of them the floor, not its grid values, clears the boundary.  The result
-is labeled numerical evidence, grid-based; it is not a proof.
+ell from below over a whole Re-mu row: it is ell's frequency-side integral
+with the transform's phase e^{-i Im z x} fhat replaced by its modulus, so
+it holds at every Im mu and rises with Re mu.  Rows whose floor lies above
+the incumbent ell(0) by more than twice the grid's error budget cannot
+hold the minimum and are not evaluated (8 of the headline grid's 201 rows
+are), and when the Re mu = re_max row is one of them the floor, not its
+grid values, clears the boundary.  The result is labeled numerical
+evidence, grid-based; it is not a proof.
 
 The two Gamma-factor normalizations give pointwise-identical values under
 mu -> k mu, k = `convention_scale(convention)`; `certify_gap` divides its
@@ -74,7 +77,9 @@ class SearchDomain:
     exceeds the interior minimum, supporting the asymptotic-growth cutoff;
     it is read off that row's grid values, or established by `ell_floor`
     when the row was skipped.  grid_shape is the whole rectangle's, skipped
-    rows included; error_bound is the quadrature budget per grid value.
+    rows included, and rows_evaluated the number of its leading Re-mu rows
+    that went on the lattice; error_bound is the quadrature budget per grid
+    value.
     """
 
     re_max: float
@@ -82,6 +87,7 @@ class SearchDomain:
     step: float
     convention: str
     grid_shape: Tuple[int, int]
+    rows_evaluated: int
     boundary_clear: bool
     error_bound: float
 
@@ -92,6 +98,7 @@ class SearchDomain:
             "step": self.step,
             "convention": self.convention,
             "grid_shape": list(self.grid_shape),
+            "rows_evaluated": self.rows_evaluated,
             "boundary_clear": self.boundary_clear,
             "error_bound": self.error_bound,
         }
@@ -154,8 +161,11 @@ def min_ell_over_mu(
     the pointwise ell(0); a row whose `ell_floor` exceeds u + 2 _GRID_TOL
     (twice ell_grid's budget of _GRID_TOL / 2, plus room for u's
     tolerance, checked after the call) lies wholly above that minimum.
-    The floor is nondecreasing in Re mu, so the skipped rows are a suffix
-    of the grid, and the result is the full grid's: bit for bit when
+    The floor is nondecreasing in Re mu (its derivative is an integral of
+    |fhat| against a positive weight), so the skipped rows are a suffix of
+    the grid, and the lattice takes the rows up to the last one the floor
+    keeps, counted in the domain's rows_evaluated.  The result is the full
+    grid's: bit for bit when
     2 re_max + 1 <= 2 im_max in halved parameters, within error_bound
     otherwise, where ell_grid sizes its lattice by the largest Re mu it is
     given.  A skipped Re mu = re_max row is boundary_clear by the floor.
@@ -191,6 +201,7 @@ def min_ell_over_mu(
         step=step,
         convention=convention,
         grid_shape=(len(re_values), len(im_values)),
+        rows_evaluated=rows,
         boundary_clear=boundary_clear,
         error_bound=float(error_bound),
     )

@@ -43,12 +43,23 @@ copy, ell(mu, f) = ell(mu + i centre, f(. + centre)) in halved units:
 that copy's transform fhat(xi) e^{2 pi i xi centre} is real, so the panels
 count every oscillation of the integrand.
 
-The same form bounds ell below uniformly in Im mu: `ell_floor` replaces
-Re psi(z) by psi(Re z), which is smaller (DLMF 5.7.6, term by term), and
-the bracket by minus the integral of e^{-Re z x} |h(x)| and the series'
-modulus.  The bound is nondecreasing in Re mu and grows like
-fhat(0) log Re mu, so the certification search skips every Re-mu row
-whose floor lies above its incumbent.
+The same integral bounds ell below uniformly in Im mu.  Before the split,
+with a = Re z and y = Im z,
+
+    ell = int_0^inf [fhat(0) e^-x/x
+                     - e^-ax Re(e^-iyx fhat(x/4 pi))/(1 - e^-x)] dx
+          - fhat(0) log pi,
+
+and Re(e^-iyx fhat) <= |fhat| gives ell >= F(a) at every y, F being the
+same integral with |fhat| in place of e^-iyx fhat.  Split as above, F(a)
+is fhat(0) (psi(a) - log pi + series(a)) plus the integral of
+e^-ax (fhat(0) - |fhat|)/(1 - e^-x) on [0, Y], which `ell_floor`
+evaluates.  dF/da = int x e^-ax |fhat|/(1 - e^-x) dx >= 0, so F is
+nondecreasing in Re mu; it grows like fhat(0) log Re mu, and it is ell
+itself on the real axis where fhat >= 0, as for both Fejer kernels.  The
+certification search skips every Re-mu row whose floor lies above its
+incumbent.  |fhat| does not depend on the centre, and is kinked where
+fhat changes sign, so those points are panel edges of the floor's integral.
 
 `ell_grid` evaluates ell (halved) over a rectangular (Re mu, Im mu) grid
 at reduced tolerance for the certification search, and returns the values
@@ -96,7 +107,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import AccuracyError, DomainError, IncompletenessError
-from .extremal import TestFunction, fourier_at
+from .extremal import TestFunction, _bracketed_roots, fourier_at
 from .lfunctions import LFunctionData, FunctionalEquation, LogDerivativeCoefficients
 from .special_math import _re_digamma, _trigamma_complex, digamma
 
@@ -246,18 +257,28 @@ def ell(mu, f: TestFunction, convention: str = "halved",
 
 def ell_floor(re_mu, f: TestFunction) -> np.ndarray:
     """A lower bound of ell(mu, f) (halved) that holds for every Im mu, at
-    each Re mu of a 1-d array.  With a = 1/4 + Re mu/2 and h, Y as in the
-    module docstring,
+    each Re mu of a 1-d array: with a = 1/4 + Re mu/2 and h's split, Y and
+    the series as in the module docstring,
 
-        ell >= fhat(0) (psi(a) - log pi) - int_0^Y e^-ax |h(x)| dx
-               - fhat(0) sum_{k>=0} e^-(a+k)Y/(a+k),
+        F(a) = fhat(0) (psi(a) - log pi + sum_{k>=0} e^-(a+k)Y/(a+k))
+               + int_0^Y e^-ax (fhat(0) - |fhat(x/4 pi)|)/(1 - e^-x) dx,
 
-    because Re psi(a + iy) >= psi(a) term by term in DLMF 5.7.6, which needs
-    fhat(0) > 0; otherwise the floor is -inf.  It is nondecreasing in a.
-    h is that of f's centred copy, which bounds ell at every Im mu all the
-    same.  The integral takes `ell`'s panels for the largest a (so each
-    value depends, in its last bits, on the largest entry), and the floor is
-    lowered by its estimated quadrature error and rounding.
+    fhat being the centred copy's real transform.  It is -inf unless
+    fhat(0) > 0.  The integral takes `ell`'s panels for the largest a at
+    Im z = 0 (so each value depends, in its last bits, on the largest
+    entry), with the sign changes of fhat on (0, X), the kinks of |fhat|,
+    as further edges (`_transform_sign_changes`), and the floor is lowered
+    by its estimated quadrature error and rounding.
+
+    F is ell's Gauss integral with Re(e^{-iyx} fhat) replaced by |fhat|
+    (module docstring), so ell(a + iy) >= F(a) at every y, and:
+    (a) F is at least fhat(0) (psi(a) - log pi - series) minus the integral
+        of e^-ax |h|, since fhat(0) - |fhat| >= -|fhat(0) - fhat| and the
+        series is positive;
+    (b) F is nondecreasing in a, since dF/da = int_0^inf x e^-ax |fhat|
+        /(1 - e^-x) dx >= 0, so the rows a floor clears above some Re mu
+        are a suffix of any grid;
+    (c) F(a) = ell at Im z = 0 when fhat >= 0, as for both Fejer kernels.
     """
     re_mu = np.asarray(re_mu, dtype=float)
     if re_mu.ndim != 1 or not len(re_mu) or not (np.isfinite(re_mu) & (re_mu >= -1e-12)).all():
@@ -265,20 +286,47 @@ def ell_floor(re_mu, f: TestFunction) -> np.ndarray:
     a = 0.25 + 0.5 * np.maximum(re_mu, 0.0)
     big_x = 4.0 * math.pi * f.support_radius
     x_end = max(big_x, 1.0)
-    edges = np.array(_ell_edges(complex(a.max(), 0.0), _ell_spans(big_x, x_end), x_end))
+    spans = _ell_spans(big_x, x_end, _transform_sign_changes(f, big_x))
+    edges = np.array(_ell_edges(complex(a.max(), 0.0), spans, x_end))
     x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
-    f0, diff = _split_transform(f, x)
+    fhat = _centred_transform(f, np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
+    f0 = float(fhat[0])
     if not f0 > 0.0:
         return np.full(a.shape, -np.inf)
-    h_abs = w * (np.abs(diff) / -np.expm1(-x))
-    terms = np.exp(-a[:, None, None] * x) * h_abs
-    coarse = terms[..., :_NODES].sum(axis=(1, 2))
-    integral = terms[..., _NODES:].sum(axis=(1, 2))
+    g = w * ((f0 - np.abs(fhat[1:].reshape(x.shape))) / -np.expm1(-x))
+    sums = []
+    for rule in (slice(None, _NODES), slice(_NODES, None)):
+        e = np.multiply.outer(-a, x[:, rule].ravel())
+        # in place: a fresh output array tripled exp's cost on 201 rows
+        sums.append(np.exp(e, out=e) @ g[:, rule].ravel())
+    coarse, integral = sums
     series = _series(a, x_end)
     psi = digamma(a)
-    mass = integral + f0 * (np.abs(psi) + LOG_PI + series)
+    # e^-ax <= 1 bounds every node's term by its |g|
+    mass = np.abs(g[:, _NODES:]).sum() + f0 * (np.abs(psi) + LOG_PI + series)
     err = np.abs(integral - coarse) + 16.0 * math.ulp(1.0) * mass
-    return f0 * (psi - LOG_PI - series) - integral - err
+    return f0 * (psi - LOG_PI + series) + integral - err
+
+
+def _transform_sign_changes(f: TestFunction, big_x: float) -> list:
+    """The x in (0, X) where the centred copy's transform fhat(x/4 pi)
+    changes sign, bracketed on a sample and solved together by
+    `extremal._bracketed_roots`.  f lives mostly in |t| <= t0, the
+    envelope's onset (measured from 0, so an off-centre f is oversampled),
+    so fhat changes sign about 2 delta t0 times on [0, delta]; the sample
+    takes 32 points per such change.  Two sign changes closer than its step
+    go unseen; ell_floor's error estimate still sees the kinks they leave."""
+    n = 32 * math.ceil(2.0 * f.support_radius * f.envelope.t0 + 1.0)
+    x = big_x * np.arange(1, n) / n
+
+    def value(x):
+        return _centred_transform(f, x / (4.0 * math.pi))
+
+    v = value(x)
+    k = np.flatnonzero((v[:-1] >= 0.0) != (v[1:] >= 0.0))
+    if not k.size:
+        return []
+    return _bracketed_roots(value, x[k], x[k + 1], v[k], v[k + 1]).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -308,10 +356,11 @@ def _gauss_panels(edges: np.ndarray, *sizes: int) -> Tuple[np.ndarray, np.ndarra
     return lo + width * x, width * w
 
 
-def _ell_spans(big_x: float, x_end: float) -> list:
+def _ell_spans(big_x: float, x_end: float, kinks: Sequence[float] = ()) -> list:
     """(start, width) of each span between the fixed edges 0, X/2, X, 2X,
-    ..., x_end of ell's integral; every mu subdivides them alike."""
-    breaks = [0.0, 0.5 * big_x, *_geom_nodes(big_x, x_end)]
+    ..., x_end of ell's integral, and any kinks in (0, X) given; every mu
+    subdivides them alike."""
+    breaks = sorted({0.0, 0.5 * big_x, *kinks, *_geom_nodes(big_x, x_end)})
     return [(lo, hi - lo) for lo, hi in zip(breaks, breaks[1:])]
 
 
@@ -333,17 +382,21 @@ def _ell_edges(z: complex, spans: list, x_end: float) -> list:
     return edges
 
 
-def _split_transform(f: TestFunction, x: np.ndarray) -> Tuple[float, np.ndarray]:
-    """fhat(0) and fhat(0) - fhat(x/4 pi) of f's centred copy, whose
-    transform fhat(xi) e^{2 pi i xi centre} is real, f being even about
-    centre: only its real part is kept, the imaginary part being rounding.
-    fhat(0) comes from the same transform call, so that the difference
-    vanishes at x = 0 in floating point too and h stays bounded there."""
-    xi = np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi)
+def _centred_transform(f: TestFunction, xi: np.ndarray) -> np.ndarray:
+    """The transform fhat(xi) e^{2 pi i xi centre} of f's centred copy, real
+    because f is even about centre: only its real part is kept, the
+    imaginary part being rounding."""
     fhat = f.fourier_closed(xi)
     if f.centre:
         fhat = fhat * np.exp(2j * math.pi * f.centre * xi)
-    fhat = np.real(fhat)
+    return np.real(fhat)
+
+
+def _split_transform(f: TestFunction, x: np.ndarray) -> Tuple[float, np.ndarray]:
+    """fhat(0) and fhat(0) - fhat(x/4 pi) of f's centred copy.  fhat(0)
+    comes from the same transform call, so that the difference vanishes at
+    x = 0 in floating point too and h stays bounded there."""
+    fhat = _centred_transform(f, np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
     f0 = float(fhat[0])
     return f0, f0 - fhat[1:].reshape(x.shape)
 

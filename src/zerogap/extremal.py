@@ -205,7 +205,7 @@ def _bracketed_roots(value: Callable, a: np.ndarray, b: np.ndarray,
         a[k] = np.where(same, a[k], b[k])
         b[k], fb[k] = c, fc
         root[k[fc == 0.0]] = c[fc == 0.0]
-    raise AccuracyError(f"positivity-window edge not converged in {_MAX_STEPS} "
+    raise AccuracyError(f"sign change not converged in {_MAX_STEPS} "
                         f"steps: bracket {a[k]} .. {b[k]}", best=b[k])
 
 

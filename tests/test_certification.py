@@ -25,7 +25,7 @@ CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 CERT_MARGIN = 0.18588499153844687
 CERT_SEARCH_DOMAIN = {
     "re_max": 50.0, "im_max": 200.0, "step": 0.25, "convention": "halved",
-    "grid_shape": [201, 801], "boundary_clear": True,
+    "grid_shape": [201, 801], "rows_evaluated": 8, "boundary_clear": True,
     "error_bound": 0.00011209850782897441,
 }
 # the same run on the FAST rectangle below: the lattice's extent follows the
@@ -213,7 +213,8 @@ def test_certificate_invariant():
     s = MinEllSearch(value=-1.0, argmin=0j,
                      domain=SearchDomain(re_max=1.0, im_max=1.0, step=1.0,
                                          convention="halved", grid_shape=(2, 2),
-                                         boundary_clear=True, error_bound=1e-4))
+                                         rows_evaluated=2, boundary_clear=True,
+                                         error_bound=1e-4))
     with pytest.raises(DomainError):
         GapCertificate(interval=(-1.0, 1.0), delta=PRIME_FREE_RADIUS, degree=4,
                        margin=-0.5, certified=True, positivity_window=(-1.0, 1.0),
@@ -239,7 +240,8 @@ EXACT_CASES = [
     *((length, dict(re_max=50.0, im_max=200.0, step=step))
       for length in (45.06, CERT_LENGTH, 45.5, 52.0, 60.0) for step in (0.25, 1.0)),
     (CERT_LENGTH, dict(re_max=25.0, im_max=100.0, step=0.5, convention="literal")),
-    (CERT_LENGTH, FAST),  # the floor rules out no row of this rectangle
+    (CERT_LENGTH, FAST),  # the floor rules out 9 of its 13 rows
+    (CERT_LENGTH, dict(re_max=1.5, im_max=20.0, step=0.5)),  # and none of these 4
 ]
 
 
@@ -275,7 +277,7 @@ def test_headline_certificate_evaluates_few_rows(monkeypatch):
     cert = certify_gap(4, CERT_LENGTH)
     assert len(calls) == 1
     rows, cols = calls[0]
-    assert rows <= 60 and cols == 801
+    assert rows <= 8 and cols == 801
     assert cert.search.grid_shape == (201, 801)
     assert cert.search.boundary_clear is True
 
@@ -297,7 +299,7 @@ def test_min_ell_logs_rows_evaluated(caplog):
     assert len(records) == 1
     assert records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
-    assert "10 of 51 Re-mu rows" in message
+    assert "2 of 51 Re-mu rows" in message
     assert "incumbent ell(0) = 0.2919830149572" in message
     assert search.domain.grid_shape == (51, 201)
 

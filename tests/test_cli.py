@@ -325,6 +325,7 @@ def test_readme_reproduction_commands(capsys, tmp_path, monkeypatch):
     assert round(doc["margin"], 6) == 0.185885
     assert doc["positivity_window"] == [-22.661800709135967, 22.661800709135967]
     assert doc["search_domain"]["grid_shape"] == [201, 801]
+    assert doc["search_domain"]["rows_evaluated"] == 8
 
     rc, out, err = run(capsys, *commands["scan-region"])
     assert (rc, out, err) == (0, "", "")

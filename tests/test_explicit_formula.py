@@ -452,8 +452,8 @@ def test_ell_floor_below_ell(name, re, im):
 
 @pytest.mark.parametrize("name", sorted(FLOOR_KERNELS))
 def test_ell_floor_below_ell_on_real_axis(name):
-    # Re psi(a + iy) >= psi(a) is an equality at y = 0, and for large a the
-    # integral bound is tight too where h < 0 near x = 0
+    # at Im mu = 0 the floor and ell differ only by |fhat| - fhat, which
+    # vanishes near x = 0, where e^-ax puts its weight for large a
     f = FLOOR_KERNELS[name]
     re = np.array([0.0, 0.5, 3.0, 19.0, 80.0, 400.0, 3000.0])
     floor = ell_floor(re, f)
@@ -496,11 +496,93 @@ def test_ell_floor_nondecreasing(name):
     assert (np.diff(floor) >= 0.0).all()
 
 
+def _mp_floor(kind, params, re):
+    """ell_floor's F(a) at 30 digits in the unsplit form
+
+        int_0^inf [fhat(0) e^-x/x - e^-ax |fhat(x/4 pi)|/(1 - e^-x)] dx
+        - fhat(0) log pi,
+
+    whose integrand past X is fhat(0) e^-x/x alone, with integral
+    fhat(0) E1(X).  The quadrature on [0, X] is split at X/2 and at the sign
+    changes of fhat, bracketed on 400 samples and solved by mpmath."""
+    with mpmath.workdps(30):
+        fhat, f0, delta = _mp_transform(kind, params)
+        a = mpmath.mpf(1) / 4 + mpmath.mpf(re) / 2
+        big_x = 4 * mpmath.pi * delta
+
+        def real_fhat(x):
+            return mpmath.re(fhat(x / (4 * mpmath.pi)))
+
+        xs = [big_x * k / 400 for k in range(1, 400)]
+        vals = [real_fhat(x) for x in xs]
+        kinks = [mpmath.findroot(real_fhat, (x0, x1), solver="anderson")
+                 for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:])
+                 if (v0 >= 0) != (v1 >= 0)]
+        edges = sorted([mpmath.mpf(0), big_x / 2, big_x, *kinks])
+        while a * edges[1] > 1:
+            edges.insert(1, edges[1] / 2)
+
+        def g(x):
+            return (f0 * mpmath.exp(-x) / x
+                    - mpmath.exp(-a * x) * abs(real_fhat(x)) / -mpmath.expm1(-x))
+        integral, error = mpmath.quad(g, edges, method="gauss-legendre", error=True)
+        assert error < 1e-20
+        return float(integral + f0 * mpmath.e1(big_x) - f0 * mpmath.log(mpmath.pi))
+
+
+def test_ell_floor_matches_mpmath_unsplit_form():
+    # the split form's psi, series and |fhat| panels against the unsplit
+    # integral; the floor sits below it by its own error estimate, ~1e-13
+    kind, params = MP_KERNELS["headline"]
+    re = np.array([0.0, 2.0, 10.0])
+    floor = ell_floor(re, selberg_minorant(*params))
+    for r, bound in zip(re, floor):
+        want = _mp_floor(kind, params, r)
+        assert bound <= want and want - bound <= 1e-10, (r, want - bound)
+
+
+@pytest.mark.parametrize("name", ["fejer", "windowed"])
+def test_ell_floor_tight_for_nonnegative_transforms(name):
+    # fhat >= 0 makes |fhat| = fhat, so the floor is ell on the real axis
+    f = FLOOR_KERNELS[name]
+    re = np.array([0.0, 0.5, 3.0, 19.0])
+    assert np.abs(ell_floor(re, f) - ell(re, f)).max() <= 1e-9
+
+
+def _first_floor(re_mu, f):
+    """The floor's first form: psi(a) for Re psi(a + iy), and minus the
+    integral of e^-ax |h| and the series' modulus for the bracket."""
+    a = 0.25 + 0.5 * re_mu
+    big_x = 4.0 * math.pi * f.support_radius
+    x_end = max(big_x, 1.0)
+    edges = np.array(ef._ell_edges(complex(a.max(), 0.0), ef._ell_spans(big_x, x_end), x_end))
+    x, w = ef._gauss_panels(edges, 24, 48)
+    f0, diff = ef._split_transform(f, x)
+    terms = np.exp(-a[:, None, None] * x) * (w * (np.abs(diff) / -np.expm1(-x)))
+    coarse, integral = terms[..., :24].sum(axis=(1, 2)), terms[..., 24:].sum(axis=(1, 2))
+    series, psi = ef._series(a, x_end), digamma(a)
+    mass = integral + f0 * (np.abs(psi) + math.log(math.pi) + series)
+    err = np.abs(integral - coarse) + 16.0 * math.ulp(1.0) * mass
+    return f0 * (psi - math.log(math.pi) - series) - integral - err
+
+
+@pytest.mark.parametrize("name", sorted(FLOOR_KERNELS))
+def test_ell_floor_at_least_first_form(name):
+    # property (a) of ell_floor: the triangle inequality.  For large Re mu
+    # both forms reduce to the same integral, where fhat > fhat(0) near
+    # x = 0 (h < 0) or fhat >= 0, and differ there by rounding alone
+    f = FLOOR_KERNELS[name]
+    re = np.array([0.0, 0.5, 3.0, 19.0, 80.0, 400.0, 3000.0])
+    first = _first_floor(re, f)
+    assert (ell_floor(re, f) - first >= -1e-14 * np.abs(first)).all()
+
+
 @settings(max_examples=40)
 @given(st.floats(1e-3, 100.0), st.floats(-1e3, 1e3))
 def test_re_digamma_above_real_digamma(a, y):
-    # the inequality behind the floor: Re psi(a + iy) >= psi(a) for a > 0,
-    # up to 30-digit rounding (the two agree to O(y^2) as y -> 0)
+    # the floor's bound Re(e^{-iyx} fhat) <= |fhat| with fhat = 1, in
+    # Gauss's integral of psi: Re psi(a + iy) >= psi(a) for a > 0, up to
+    # 30-digit rounding (the two agree to O(y^2) as y -> 0)
     with mpmath.workdps(30):
         psi_a = mpmath.digamma(a)
         slack = mpmath.mpf(10) ** -25 * (1 + abs(psi_a))

@@ -373,7 +373,8 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         u = xi / delta
         body = (_vaaler_j(u) * length * np.sinc(xi * length)
                 - np.maximum(1.0 - np.abs(u), 0.0) / delta * np.cos(math.pi * xi * length))
-        return body * np.exp(-1j * math.pi * shift * xi)
+        # a centred window's phase is 1, and its transform real
+        return body * np.exp(-1j * math.pi * shift * xi) if shift else body
 
     t0_env = s_max + 0.66 / delta
     m_env = _selberg_envelope_m(value, alpha, beta, delta, t0_env)

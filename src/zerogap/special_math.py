@@ -10,14 +10,21 @@ batch returns the values of its points one at a time; a point with Re z < 0
 goes through the reflection psi(z) = psi(1 - z) - pi cot(pi z) (DLMF 5.5.4)
 first, and the poles at the nonpositive integers raise a domain error.
 ``ell`` and ``ell_floor`` use it.  ``trigamma_real`` and the internal
-``_tetragamma_real`` are the same shift and the series' first and second
-derivatives, in real arithmetic.  The lattice evaluator
-``explicit_formula.ell_grid`` takes two internal functions that shift only
-the points inside the radius: ``_trigamma_complex`` gives the lattice
-edges' psi' by Horner's rule in 1/z^2, and ``_re_digamma(a, v)`` gives
-Re psi(a + iv) for a scalar a and a real array v in real arithmetic: its
-series needs only log|z|, a/|z|^2 and a three-term recurrence for
-Re z^-2k, so no point takes a complex log or a complex division.
+``_tetragamma_real`` are the series' first and second derivatives, in real
+arithmetic, on one near/far split: a point x < 16 is shifted by 16, its
+sixteen reciprocal powers summed in one block over the near points alone,
+and a point x >= 16 takes the series directly.  Which path a point takes
+depends on that point alone, so their batches are elementwise too.  The
+lattice evaluator ``explicit_formula.ell_grid`` takes two internal
+functions that shift only the points inside the radius:
+``_trigamma_complex`` gives the lattice edges' psi' by Horner's rule in
+1/z^2, and ``_re_digamma(a, v)`` gives Re psi(a + iv) for a scalar a and a
+real array v in real arithmetic: its series needs only log|z|, a/|z|^2 and
+a three-term recurrence for Re z^-2k, so no point takes a complex log or a
+complex division, and it reads v only through v^2, so it is even in v bit
+for bit.  Its series sums only the terms that the smallest |z| of the call
+needs, down to 1e-17: all six at |z| = 16, two on the lattice's smooth
+tails (|z| >= 338).
 
 ``DecayEnvelope`` declares |f(t)| <= m/t^2 beyond t0, which bounds the mass
 of unlisted zeros.  Its optional ``TailDecomposition``
@@ -70,8 +77,12 @@ _PSI_SERIES = _BERNOULLI / (2.0 * np.arange(1, len(_BERNOULLI) + 1))
 _TETRAGAMMA_SERIES = _BERNOULLI * (2.0 * np.arange(1, len(_BERNOULLI) + 1) + 1.0)
 
 _SERIES_RADIUS = 16.0
+# _re_digamma_series drops the Bernoulli terms below this at the smallest
+# |z| of its call: all 6 at |z| = 16, 2 at the lattice's smooth tails
+# (|z| >= 338)
+_TERM_FLOOR = 1e-17
 # 0, 1, ..., 15: the shift of digamma and the real derivatives, one row of
-# terms per point
+# terms per shifted point
 _SHIFT = np.arange(_SERIES_RADIUS)
 
 
@@ -117,32 +128,46 @@ def digamma(z):
     return out.reshape(arr.shape)[()]
 
 
+def _near_shift(x: np.ndarray, power: int):
+    """The series argument of the real polygammas at each point of a 1-d x >
+    0: x + 16 where x < 16 and x itself elsewhere, the mask of those near
+    points, and sum_{k<16} 1/(x + k)^power at each near point, by rows of the
+    near subset alone."""
+    near = x < _SERIES_RADIUS
+    terms = x[near][:, None] + _SHIFT
+    p = terms * terms
+    if power == 3:
+        p *= terms
+    return x + _SERIES_RADIUS * near, near, np.reciprocal(p, out=p).sum(axis=-1)
+
+
 def trigamma_real(x):
-    """psi'(x) for finite real x > 0: psi'(x + 16) + sum_{k<16} 1/(x + k)^2,
-    the first from the series.
+    """psi'(x) for finite real x > 0: the series at x >= 16, and
+    psi'(x + 16) + sum_{k<16} 1/(x + k)^2 below.
 
     A 0-d input gives a Python float; arrays keep their shape.
     """
     arr = np.asarray(x, dtype=float)
     if not ((arr > 0.0) & (arr < math.inf)).all():
         raise DomainError("trigamma_real requires finite x > 0")
-    terms = arr[..., None] + _SHIFT
-    terms *= terms
-    acc = np.reciprocal(terms, out=terms).sum(axis=-1)
-    iw = 1.0 / (arr + _SERIES_RADIUS)
+    w, near, acc = _near_shift(arr.reshape(-1), 2)
+    iw = 1.0 / w
     iw2 = iw * iw
-    out = iw + iw2 * (0.5 + iw * _horner(_BERNOULLI, iw2)) + acc
-    return float(out) if arr.ndim == 0 else out
+    out = iw + iw2 * (0.5 + iw * _horner(_BERNOULLI, iw2))
+    out[near] += acc
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _tetragamma_real(x):
-    # psi''(x) for real x > 0 (internal): psi''(x + 16) - 2 sum_{k<16} 1/(x + k)^3
+    # psi''(x) for real x > 0 (internal): the series at x >= 16, and
+    # psi''(x + 16) - 2 sum_{k<16} 1/(x + k)^3 below
     arr = np.asarray(x, dtype=float)
-    terms = arr[..., None] + _SHIFT
-    acc = (1.0 / (terms * terms * terms)).sum(axis=-1)
-    iw = 1.0 / (arr + _SERIES_RADIUS)
+    w, near, acc = _near_shift(arr.reshape(-1), 3)
+    iw = 1.0 / w
     iw2 = iw * iw
-    return -(iw2 * (1.0 + iw + iw2 * _horner(_TETRAGAMMA_SERIES, iw2)) + 2.0 * acc)
+    out = iw2 * (1.0 + iw + iw2 * _horner(_TETRAGAMMA_SERIES, iw2))
+    out[near] += 2.0 * acc
+    return -out.reshape(arr.shape)[()]
 
 
 def _re_digamma(a: float, v) -> np.ndarray:
@@ -170,23 +195,31 @@ def _re_digamma_series(a: float, v2: np.ndarray) -> np.ndarray:
     # w = conj(z)^2/|z|^4.  Those powers obey
     # Re w^{k+1} = 2 Re w Re w^k - |w|^2 Re w^{k-1}, so the Bernoulli sum is
     # Clenshaw's recurrence b_k = c_k + 2 Re w b_{k+1} - |w|^2 b_{k+2}, equal
-    # to Re w b_1 - |w|^2 b_2.  It runs in place: the arrays are lattice
-    # tables, and allocating them would cost as much as the arithmetic.
+    # to Re w b_1 - |w|^2 b_2.  It takes the terms c_k |z|^-2k down to
+    # _TERM_FLOOR at the smallest |z| of the call (they fall with k there),
+    # and at least two, where the recurrence starts.  It runs in place: the
+    # arrays are lattice tables, and allocating them would cost as much as
+    # the arithmetic.
+    inv = 1.0 / (a * a + np.min(v2, initial=math.inf))
+    n = len(_PSI_SERIES)
+    while n > 2 and abs(_PSI_SERIES[n - 1]) * inv**n < _TERM_FLOOR:
+        n -= 1
+    c = _PSI_SERIES[:n]
     r2 = v2 + a * a
     w2 = r2 * r2
     np.reciprocal(w2, out=w2)  # |w|^2
     wr = a * a - v2
     wr *= w2  # Re w
     p = 2.0 * wr
-    b2 = np.full(v2.shape, _PSI_SERIES[-1])
+    b2 = np.full(v2.shape, c[-1])
     b1 = p * b2
-    b1 += _PSI_SERIES[-2]
+    b1 += c[-2]
     b0 = np.empty(v2.shape)
-    for c in _PSI_SERIES[-3::-1]:
+    for ck in c[-3::-1]:
         np.multiply(p, b1, out=b0)
         b2 *= w2
         b0 -= b2
-        b0 += c
+        b0 += ck
         b0, b1, b2 = b2, b0, b1
     b1 *= wr
     b2 *= w2

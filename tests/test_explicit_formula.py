@@ -350,6 +350,52 @@ def test_ell_grid_irregular_grids_match_pointwise(cert_minorant, re_v, im_v):
             assert abs(grid[i, j] - p) < bound
 
 
+def _grid_and_psi_tables(f, re_v, im_v, monkeypatch):
+    # ell_grid's values, and the (a, v) of each direct psi row: its table
+    # first, then the two smooth tails
+    calls = []
+    direct = ef._re_digamma
+
+    def spy(a, v):
+        calls.append((float(a), v.copy()))
+        return direct(a, v)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ef, "_re_digamma", spy)
+        return ell_grid(f, re_v, im_v), calls[::3]
+
+
+def test_ell_grid_mirrors_its_psi_table(cert_minorant, monkeypatch):
+    # from Im mu = 0 the table holds v = 0, and each row is evaluated on its
+    # v >= 0 half alone; read back at |k - c|, a direct row (a = 1/4) and the
+    # recurrence row one unit above it equal the same rows on the full table
+    im_v = ef._step_grid(20.0, 0.25)
+    _, tables = _grid_and_psi_tables(cert_minorant, [0.0, 2.0], im_v, monkeypatch)
+    [(a, half)] = tables
+    assert half[0] == 0.0 and (np.diff(half) > 0.0).all()
+    c = len(half) - 1 - 4 * (len(im_v) - 1)  # the half is c + 1 + n_shift long
+    full = np.concatenate((-half[c:0:-1], half))
+    mirror = np.abs(np.arange(len(full)) - c)
+    row_half, row_full = ef._re_digamma(a, half), ef._re_digamma(a, full)
+    assert row_half[mirror].tobytes() == row_full.tobytes()
+    up_half = a / (half * half + a * a) + row_half
+    up_full = a / (full * full + a * a) + row_full
+    assert up_half[mirror].tobytes() == up_full.tobytes()
+
+
+def test_ell_grid_off_lattice_start_matches_pointwise(cert_minorant, monkeypatch):
+    # an Im grid from 0.1 puts v = 0 on no table point, so the rows take the
+    # whole table, both signs of v, through the identity index
+    re_v, im_v = [0.0, 0.5, 2.5], 0.1 + 0.5 * np.arange(41)
+    (grid, bound), tables = _grid_and_psi_tables(cert_minorant, re_v, im_v, monkeypatch)
+    assert [a for a, _ in tables] == [0.25, 0.5]  # 2.5 is a recurrence row
+    assert all(v[0] < 0.0 < v[-1] for _, v in tables)
+    for i in range(len(re_v)):
+        for j in (0, 7, 20, 40):
+            p = ell(complex(re_v[i], im_v[j]), cert_minorant)
+            assert abs(grid[i, j] - p) < bound
+
+
 # rows 0.25 and 1.0 are one unit of a below rows 2.25 and 3.0, so both the
 # direct and the recurrence rows go through the fold
 FOLD_RE = [0.0, 0.25, 1.0, 2.25, 3.0]
@@ -713,6 +759,21 @@ def test_zero_sum_doubles_self_dual(cert_minorant, bundled):
     direct = float(np.sum(np.asarray(cert_minorant.value(np.array(sym)))))
     value, _ = zero_sum(bundled, cert_minorant)
     assert value == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("delta", [PRIME_FREE_RADIUS, 1.01 * PRIME_FREE_RADIUS,
+                                   math.log(7.9) / (2.0 * math.pi)])
+@pytest.mark.parametrize("with_zero", [False, True])
+def test_zero_sum_one_call_is_bitwise_the_three_sums(bundled, delta, with_zero):
+    # one f.value call over (pos, -pos, 0), each half summed on its own, is
+    # the sum of three separate calls bit for bit
+    half = 5.0 / (2.0 * PRIME_FREE_RADIUS)
+    f = selberg_minorant(-half, half, delta)
+    data = replace(bundled, zeros=(0.0, *bundled.zeros)) if with_zero else bundled
+    pos = np.asarray(bundled.zeros, dtype=float)
+    want = float(np.sum(f.value(pos)) + np.sum(f.value(-pos)))
+    want += int(with_zero) * float(f.value(np.array([0.0]))[0])
+    assert zero_sum(data, f)[0] == want
 
 
 def test_zero_sum_not_self_dual_sums_listed_zeros(cert_minorant, bundled):

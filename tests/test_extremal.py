@@ -429,6 +429,20 @@ def test_closed_transform_inverts_to_value(make):
         assert value == pytest.approx(float(f.value(t)), abs=1e-10)
 
 
+def test_selberg_transform_of_centred_window_is_real():
+    # a centred window's phase e^{-i pi xi (alpha + beta)} is 1 and is not
+    # built; a translated window's transform is the centred one times it
+    xi = np.linspace(-1.2, 1.2, 97) * PRIME_FREE_RADIUS
+    centred = selberg_minorant(-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0, PRIME_FREE_RADIUS)
+    got = centred.fourier_closed(xi)
+    assert not np.iscomplexobj(got)
+    shift = 31.5
+    moved = selberg_minorant(shift - CERT_LENGTH / 2.0, shift + CERT_LENGTH / 2.0,
+                             PRIME_FREE_RADIUS)
+    want = got * np.exp(-2j * math.pi * shift * xi)
+    assert np.max(np.abs(moved.fourier_closed(xi) - want)) <= 1e-14 * centred.integral
+
+
 def test_windowed_fejer_validation():
     with pytest.raises(DomainError):
         windowed_fejer(0.0, PRIME_FREE_RADIUS)

@@ -11,6 +11,7 @@ from zerogap.errors import DomainError
 from zerogap.special_math import (
     _SERIES_RADIUS,
     _re_digamma,
+    _re_digamma_series,
     _tetragamma_real,
     _trigamma_complex,
     digamma,
@@ -95,9 +96,16 @@ def test_digamma_pole_rejected():
         digamma(-3.0)
 
 
+def _polygamma_cloud(seed):
+    # log-uniform on [1e-6, 1e6], plus both sides of the shift's edge x = 16
+    rng = np.random.default_rng(seed)
+    return np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 1000)),
+                           rng.uniform(15.5, 16.5, 200),
+                           [_SERIES_RADIUS, np.nextafter(_SERIES_RADIUS, 0.0)]])
+
+
 def test_trigamma_matches_mpmath_log_uniform():
-    rng = np.random.default_rng(17)
-    xs = np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 1000))
+    xs = _polygamma_cloud(17)
     got = trigamma_real(xs)
     with mpmath.workdps(40):
         want = np.array([float(mpmath.psi(1, mpmath.mpf(float(x)))) for x in xs])
@@ -194,10 +202,44 @@ def test_digamma_reflection_near_poles():
 
 
 def test_tetragamma_matches_mpmath_log_uniform():
-    rng = np.random.default_rng(19)
-    xs = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 1000))
+    xs = _polygamma_cloud(19)
     got = _tetragamma_real(xs)
     with mpmath.workdps(30):
         want = np.array([float(mpmath.psi(2, mpmath.mpf(float(x)))) for x in xs])
     assert np.max(np.abs(got / want - 1.0)) <= 4e-15
     assert _tetragamma_real(xs[-1]) == got[-1]
+
+
+@pytest.mark.parametrize("polygamma", [trigamma_real, _tetragamma_real])
+def test_real_polygammas_are_elementwise_across_the_shift(polygamma):
+    # only the points below 16 are shifted, so a batch mixes two evaluation
+    # paths; each value still depends on its own point alone
+    rng = np.random.default_rng(23)
+    xs = np.concatenate([rng.uniform(0.01, 40.0, 60), [16.0, np.nextafter(16.0, 0.0), 1e6]])
+    rng.shuffle(xs)
+    batch = polygamma(xs)
+    assert batch.shape == xs.shape
+    for i, x in enumerate(xs):
+        assert batch[i] == polygamma(x)
+        assert batch[i] == polygamma(xs[i:i + 1])[0]
+    assert polygamma(xs.reshape(7, 9)).tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("a", [0.25, 0.875, 1.25, 7.0])
+def test_re_digamma_is_bitwise_even_in_v(a):
+    # ell_grid evaluates its psi table on v >= 0 alone and mirrors it
+    rng = np.random.default_rng(int(8 * a))
+    v = np.concatenate([[0.0, 1e-3, 15.9, 16.0], rng.uniform(0.0, 16.0, 40),
+                        np.exp(rng.uniform(math.log(16.0), math.log(1e7), 40))])
+    assert _re_digamma(a, v).tobytes() == _re_digamma(a, -v).tobytes()
+
+
+@pytest.mark.parametrize("modulus", [16.0, 64.0, 338.0, 1e4, 1e7])
+def test_re_digamma_series_truncation_matches_mpmath(modulus):
+    # the series keeps the terms that the smallest |z| of its call needs: 6
+    # at |z| = 16, 2 from 338 on; here every point of a call has |z| = modulus
+    for a in (0.25, 0.5 * modulus, modulus):
+        v = np.array([1.0, -1.0]) * math.sqrt(modulus * modulus - a * a)
+        got = _re_digamma_series(a, v * v)
+        want = _mp_digamma(complex(a, v[0])).real
+        assert np.max(np.abs(got - want)) <= 2 * np.finfo(float).eps * abs(want)

@@ -89,7 +89,7 @@ is even in v (psi(conj z) = conj psi(z)), and `_re_digamma` is even bit for
 bit.  So when v = 0 is a table point, as on every grid whose Im values
 start at 0 (t3 lies on the lattice), every row, direct or recurrence, is
 computed on the v >= 0 part of its table alone and read back at |k - k0|,
-k0 the entry of v = 0: 17,137 of the headline grid's 31,073 points, and the
+k0 the entry of v = 0: 9,921 of the headline grid's 16,641 points, and the
 same row bit for bit.  Other grids read their whole table through the
 identity index.  The recurrence's rounding, below 2e-13 over the default
 grid, and the kernel's, within 1.5e-13 of a complex psi's rows there, are
@@ -101,6 +101,21 @@ and the psi' of the boundary terms after the row loop, a block of rows per
 call.  The lattice stays because the headline certificate's pinned margin,
 0.185885, is the lattice's value: the exact minimum, 0.1858822, rounds
 differently.
+
+The lattice spans |t| <= t3.  t3 starts at the floor the grid itself needs,
+max(t_valid, 2 max Im mu + 20, 4 max a + 20, 64), and grows by a fifth at a
+time until the remainder after two integrations by parts of each tail
+component is within its share of the budget.  That remainder is bounded
+with the component's amplitude bounds beyond t3 (`OscComponent.bounds`),
+closed forms in the distance of t3 from the window's farther edge
+(`extremal` module docstring), so they tighten as t3 grows; on the headline
+grid the floor, t3 = 420, already meets the budget.  The smooth part is
+integrated from t3 out to t2, where c_p/t^2 bounds it, c_p being one
+constant fixed at t_valid and about ten times its sup beyond t3 on the
+headline grid.  c_p is left that loose on purpose: the smooth tail beyond
+t2 is one-signed and most of the lattice's bias at mu = 0 (+4.1e-6), so
+sizing t2 from a cutoff-dependent c_p (t2 from 3.6e7 down to 3.1e6) moves
+the headline margin to 0.185908, off the pinned 0.185885.
 """
 
 from __future__ import annotations
@@ -157,9 +172,6 @@ CONVENTIONS = ("halved", "literal")
 # grid value that fixes the oscillatory cutoff and the smooth-tail length
 _LATTICE_H = 0.0625
 _GRID_TOL = 2.5e-4
-# Simpson nodes per f.value call: Beurling's (n, 16) trigamma shift rows then
-# stay near 1 MB
-_VALUE_BLOCK = 4096
 # boundary points per psi' call at the end of ell_grid: its temporaries stay
 # near 1.5 MiB whatever the grid (one call over the headline grid's 61k
 # points peaks at 5.6 MiB)
@@ -472,11 +484,15 @@ def ell_grid(
     Returns (values of shape (len(re), len(im)), error bound per value).
     Needs an even test function with tail data and a nonempty, equispaced
     Im grid whose step is a multiple of the lattice spacing 1/16; the method
-    is described in the module docstring.  Per row it takes one forward FFT
+    is described in the module docstring.  The lattice's half-width t3 is
+    the grid's own floor, widened only while the tail components' bounds
+    beyond it leave the integration-by-parts remainder over budget; the
+    smooth-tail constant c_p stays the loose one that fixes the pinned
+    headline margin (module docstring).  Per row it takes one forward FFT
     of length stride M and, for a stride above 1, one inverse FFT of length
-    M of the folded spectrum; f is sampled once, on half the lattice, and
-    when v = 0 is a table point each row's psi values are computed on the
-    v >= 0 half of the table and mirrored.
+    M of the folded spectrum; f is sampled once, in one call on half the
+    lattice, and when v = 0 is a table point each row's psi values are
+    computed on the v >= 0 half of the table and mirrored.
     """
     tail = f.envelope.tail
     if tail is None or not f.even:
@@ -507,14 +523,16 @@ def ell_grid(
     a_max = float(a_row.max())
 
     # oscillatory cutoff: after two integrations by parts the remainder per
-    # component is rem2(T); pick T3 so the total stays within _GRID_TOL/4
+    # component is rem2(T), with the component's bounds beyond T; pick T3 so
+    # the total stays within _GRID_TOL/4
     eps_o = _GRID_TOL / (8.0 * max(len(tail.components), 1))
     c0, clog, cd, cdd = 3.0, 1.0, 4.0, 8.0
     t3 = max(tail.t_valid, 2.0 * y_max + 20.0, 4.0 * a_max + 20.0, 64.0)
 
     def rem2(comp, t):
-        base = (cdd * comp.c_q + 2.0 * cd * comp.c_dq + c0 * comp.c_ddq) / (3.0 * t**3)
-        logp = clog * comp.c_ddq * (3.0 * math.log(t) + 1.0) / (9.0 * t**3)
+        c_q, c_dq, c_ddq = comp.bounds(t)
+        base = (cdd * c_q + 2.0 * cd * c_dq + c0 * c_ddq) / (3.0 * t**3)
+        logp = clog * c_ddq * (3.0 * math.log(t) + 1.0) / (9.0 * t**3)
         return (base + logp) / comp.omega**2
 
     for comp in tail.components:
@@ -527,15 +545,13 @@ def ell_grid(
     t3 = n_half * h
 
     # Simpson weights on [-t3, t3]; f is even, so f.value runs on the nodes
-    # t = k h >= 0 alone, in blocks of _VALUE_BLOCK, and is mirrored
+    # t = k h >= 0 alone, in one call, and is mirrored
     nt = 2 * n_half + 1
     sw = np.ones(nt)
     sw[1:-1:2] = 4.0
     sw[2:-1:2] = 2.0
     sw *= h / 3.0
-    t_half = np.arange(n_half + 1) * h
-    half = np.concatenate([np.asarray(f.value(t_half[k:k + _VALUE_BLOCK]), dtype=float)
-                           for k in range(0, n_half + 1, _VALUE_BLOCK)])
+    half = np.asarray(f.value(np.arange(n_half + 1) * h), dtype=float)
     fw = sw * np.concatenate((half[:0:-1], half))
 
     # lattice of psi arguments a + iv, v = (t + y)/2: shift k of the Simpson

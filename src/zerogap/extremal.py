@@ -35,9 +35,10 @@ about its ``centre``, 0 for the kernels and (alpha + beta)/2 for the Selberg
 minorant, whose transform carries the phase e^{-2 pi i xi centre}; the
 explicit-formula term takes it off.  The Selberg minorant is
 also carried beyond its last sign change as an explicit tail decomposition
-(smooth part plus amplitude-times-cosine components with derivative bounds)
-for the lattice evaluator ``explicit_formula.ell_grid``, which certification
-runs on it alone; the Fejer kernels carry only their decay envelope.
+(smooth part plus amplitude-times-cosine components, whose amplitude and
+derivative bounds are functions of a cutoff) for the lattice evaluator
+``explicit_formula.ell_grid``, which certification runs on it alone; the
+Fejer kernels carry only their decay envelope.
 
 Every decay envelope |f(t)| <= m/t^2 holds on both tails, |t| >= t0.  The
 Fejer kernels' constants are closed forms.  The Selberg minorant's comes in
@@ -48,6 +49,16 @@ cancel, B(u) - sgn(u) = (1 - cos 2 pi u) w(u)/pi^2, and the trigamma bounds
 1/x + 1/(2x^2) < psi'(x) < 1/x + 1/(2x^2) + 1/(6x^3) for x > 0 (H. Alzer,
 "On some inequalities for the gamma and psi functions", Math. Comp. 66,
 1997) give |w(u)| <= 1/(2u^2) + 1/(6|u|^3), hence a closed-form bound.
+
+The same paper's (k-1)!/x^k + k!/(2x^{k+1}) < (-1)^{k+1} psi^(k)(x) <
+(k-1)!/x^k + k!/x^{k+1} for x > 0, at k = 2 and 3, bound the derivatives:
+|w'(u)| <= 2/|u|^3 and |w''(u)| <= 6/u^4 for |u| >= 1/2.  On the branch
+u <= -1/2, with x = -u, w' = -psi''(x) - 1/x^2 lies in (1/x^3, 2/x^3) and
+w'' = psi'''(x) - 2/x^3 in (3/x^4, 6/x^4); for u > 0, psi'(1 + u) =
+psi'(u) - 1/u^2 puts w' in (-1/u^3, 0) and w'' in (0, 3/u^4).  Taken at
+u = delta (t - max(|alpha|, |beta|)), the three bounds give the tail
+components' amplitude bounds beyond a cutoff t (`OscComponent.bounds`),
+from which ``explicit_formula.ell_grid`` sizes its lattice.
 """
 
 from __future__ import annotations
@@ -153,12 +164,15 @@ def _beurling_w_deriv(u: float) -> float:
     return -float(_tetragamma_real(-u)) - 1.0 / u**2
 
 
-# envelope constants for w, valid for |u| >= 1 (endpoint values
-# |w(-1)| = pi^2/6 - 1 ~ 0.645, |w'(-1)| ~ 1.404, |w''(-1)| ~ 4.49,
-# decaying like 1/(2u^2), 1/u^3, 3/u^4)
+def _beurling_w_bounds(x: float) -> Tuple[float, float, float]:
+    """Bounds on |w(u)|, |w'(u)| and |w''(u)| over |u| >= x >= 1/2 (module
+    docstring): 1/(2x^2) + 1/(6x^3), 2/x^3 and 6/x^4."""
+    return 0.5 / x**2 + 1.0 / (6.0 * x**3), 2.0 / x**3, 6.0 / x**4
+
+
+# a constant bound on |w(u)| for |u| >= 1 (|w(-1)| = pi^2/6 - 1 ~ 0.645):
+# only the Selberg tail's smooth-part constant c_p takes it
 _W_BOUND = 0.70
-_DW_BOUND = 1.60
-_DDW_BOUND = 5.00
 
 
 # edge tolerances: the tightest relative one scipy's brentq accepts, and an
@@ -272,8 +286,7 @@ def _selberg_far_bound(alpha: float, beta: float, delta: float, t1: float) -> fl
         total = 0.0
         for edge in (side * alpha, side * beta):  # mirrored onto t > 0
             if edge >= 0.0:
-                d = delta * (t1 - edge)
-                total += t1 * t1 * (1.0 / (2.0 * d * d) + 1.0 / (6.0 * d**3))
+                total += t1 * t1 * _beurling_w_bounds(delta * (t1 - edge))[0]
             else:
                 total += 1.0 / (2.0 * delta**2) + 1.0 / (6.0 * delta**3 * t1)
         worst = max(worst, total)
@@ -348,18 +361,26 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
     def dq_b(t):
         return half * delta * _beurling_w_deriv(float(ub(t)))
 
-    # |u| >= kappa * delta * |t| for |t| >= t_valid converts u-space decay
-    # bounds into t-space constants
+    def bounds(t):
+        # the sups over |s| >= t >= t_valid of s^2 |Q|, |s|^3 |Q'| and
+        # s^4 |Q''| for either component: both have |u| >= x = delta
+        # (|s| - s_max), and s^k/(|s| - s_max)^j, j >= k, falls in |s|, so
+        # each sup is taken at |s| = t
+        w, dw, ddw = _beurling_w_bounds(delta * (t - s_max))
+        return half * t * t * w, half * delta * t**3 * dw, half * delta**2 * t**4 * ddw
+
+    # |P| <= c_p/t^2 for |t| >= t_valid, from |u| >= kappa delta |t| there:
+    # loose on purpose, since it sizes ell_grid's smooth-tail end, whose
+    # one-signed remainder carries the pinned headline margin's rounding
+    # (explicit_formula module docstring)
     kappa = 1.5 / (delta * t_valid)
-    c_q = half * _W_BOUND / (delta * kappa) ** 2
-    c_dq = half * delta * _DW_BOUND / (delta * kappa) ** 3
-    c_ddq = half * delta**2 * _DDW_BOUND / (delta * kappa) ** 4
+    c_p = 2.0 * (half * _W_BOUND / (delta * kappa) ** 2)
     tail = TailDecomposition(
         t_valid=t_valid,
-        smooth=smooth, c_p=2.0 * c_q,
+        smooth=smooth, c_p=c_p,
         components=(
-            OscComponent(q_a, dq_a, omega, -omega * alpha, c_q, c_dq, c_ddq),
-            OscComponent(q_b, dq_b, omega, -omega * beta, c_q, c_dq, c_ddq),
+            OscComponent(q_a, dq_a, omega, -omega * alpha, bounds),
+            OscComponent(q_b, dq_b, omega, -omega * beta, bounds),
         ),
     )
 

@@ -256,17 +256,17 @@ class OscComponent:
     """One oscillatory tail component  Q(t) * cos(omega t + phase).
 
     The amplitude callables must be valid for |t| >= the owning
-    decomposition's t_valid, on both tails, and the constants bound
-    |Q| <= c_q/t^2, |Q'| <= c_dq/|t|^3, |Q''| <= c_ddq/t^4 there.
+    decomposition's t_valid, on both tails.  The bounds are a function of
+    the cutoff: bounds(t), for t >= t_valid, returns (c_q, c_dq, c_ddq)
+    with |Q(s)| <= c_q/s^2, |Q'(s)| <= c_dq/|s|^3 and |Q''(s)| <= c_ddq/s^4
+    for every |s| >= t.
     """
 
     amplitude: Callable
     d_amplitude: Callable
     omega: float
     phase: float
-    c_q: float
-    c_dq: float
-    c_ddq: float
+    bounds: Callable
 
 
 @dataclass(frozen=True)

@@ -130,7 +130,7 @@ def test_certify_gap_json(capsys):
     assert doc["certified"] is True
     assert doc["margin"] == pytest.approx(0.18588499153844687, abs=1e-6)
     # this rectangle's own margin (the lattice's extent follows the rectangle)
-    assert doc["margin"] == pytest.approx(0.18588514992730618, abs=1e-11)
+    assert doc["margin"] == pytest.approx(0.18588487951695654, abs=1e-11)
     assert doc["degree"] == 4
     assert doc["window_length"] == pytest.approx(float(CERT_LENGTH))
     assert "evidence" in doc["kind"]

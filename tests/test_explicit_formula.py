@@ -1,8 +1,10 @@
+import json
 import math
 import time
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -453,15 +455,50 @@ def test_ell_grid_single_point_and_column_match_stride_one(cert_minorant, stride
 
 @pytest.mark.parametrize("length", [10.0 * math.pi / math.log(2.0), 45.5, 60.0])
 def test_minorant_is_bitwise_even_on_the_lattice(length):
-    # ell_grid samples f on the t >= 0 half of its Simpson lattice, in blocks
-    # of _VALUE_BLOCK nodes, and mirrors it: that is exact only if f.value is
-    # bitwise even there and each value depends on its own node alone
+    # ell_grid samples f on the t >= 0 half of its Simpson lattice in one
+    # call and mirrors it: that is exact only if f.value is bitwise even
+    # there and each value depends on its own node alone
     f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
-    t = np.arange(16384) * ef._LATTICE_H  # past t3 ~ 972 of the headline grid
-    values = f.value(t)
-    assert f.value(-t).tobytes() == values.tobytes()
-    blocks = [f.value(t[k:k + ef._VALUE_BLOCK]) for k in range(0, len(t), ef._VALUE_BLOCK)]
-    assert np.concatenate(blocks).tobytes() == values.tobytes()
+    n = 16384  # t up to 1024, past the headline grid's t3 = 420
+    values = f.value(np.arange(n) * ef._LATTICE_H)
+    assert f.value(-np.arange(n) * ef._LATTICE_H).tobytes() == values.tobytes()
+    full = f.value(np.arange(1 - n, n) * ef._LATTICE_H)
+    assert np.concatenate((values[:0:-1], values)).tobytes() == full.tobytes()
+
+
+# the rows certify_gap(4, 10 pi/log 2) evaluates, and its Im grid
+HEADLINE_RE, HEADLINE_IM = ef._step_grid(1.75, 0.25), ef._step_grid(200.0, 0.25)
+
+
+def test_ell_grid_headline_cutoff_is_the_column_floor(cert_minorant, monkeypatch):
+    # beyond 2 im_max + 20 = 420 the tail components' bounds already keep the
+    # integration-by-parts remainder inside its budget, so the lattice is no
+    # wider than the Im grid needs; t3 is read off each side's smooth-tail call
+    cutoffs = []
+    smooth_tail_nodes = ef._smooth_tail_nodes
+
+    def spy(ys, tail, t3, eps, sign, y_stride):
+        cutoffs.append(t3)
+        return smooth_tail_nodes(ys, tail, t3, eps, sign, y_stride)
+
+    monkeypatch.setattr(ef, "_smooth_tail_nodes", spy)
+    ell_grid(cert_minorant, HEADLINE_RE, HEADLINE_IM)
+    assert cutoffs == [420.0, 420.0]
+
+
+@pytest.mark.parametrize("length", [2.0 * HALF, 45.5, 60.0])
+def test_ell_grid_at_zero_within_bound_of_pointwise(length):
+    # the lattice value at mu = 0 on the headline Im grid, against the
+    # frequency-side ell and, for the headline window, the benchmark's pinned
+    # ell(0), which test_ell_reaches_tight_tolerances holds within 1e-13 of
+    # the 30-digit mpmath oracle
+    f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
+    grid, bound = ell_grid(f, [0.0], HEADLINE_IM)
+    assert abs(grid[0, 0] - ell(0.0, f, tol=1e-10)) < bound
+    if length == 2.0 * HALF:
+        refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "references.json").read_text(encoding="utf-8"))
+        assert abs(grid[0, 0] - refs["certify"]["ell_at_argmin"]) < bound
 
 
 def test_ell_grid_headline_memory_peak(cert_minorant):
@@ -475,7 +512,7 @@ def test_ell_grid_headline_memory_peak(cert_minorant):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11 * 2**20
+    assert peak <= 8 * 2**20
 
 
 FLOOR_KERNELS = {

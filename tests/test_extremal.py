@@ -14,6 +14,7 @@ from zerogap.extremal import (
     _RTOL,
     _XTOL,
     _beurling_w,
+    _beurling_w_bounds,
     _bracketed_roots,
     _find_window,
     _selberg_far_bound,
@@ -285,20 +286,26 @@ def test_selberg_far_bound_dominates_beyond_t1(alpha, beta, delta, lobes):
 
 
 def test_beurling_w_far_field_bound_oracle():
-    # |w(u)| <= 1/(2u^2) + 1/(6|u|^3), the one analytic input of the far
-    # bound, against 30-digit trigamma; the float w must agree and obey it too
+    # |w| <= 1/(2u^2) + 1/(6|u|^3), |w'| <= 2/|u|^3 and |w''| <= 6/u^4, the
+    # analytic inputs of the far bound and of the tail components' bounds,
+    # against 30-digit polygammas; the float w must agree and obey its bound
     rng = np.random.default_rng(31)
-    mag = np.exp(rng.uniform(math.log(0.66), math.log(1e3), 200))
-    us = np.concatenate([mag, -mag, [0.66, -0.66, 1e3, -1e3]])
+    mag = np.exp(rng.uniform(math.log(0.5), math.log(1e3), 200))
+    us = np.concatenate([mag, -mag, [0.5, -0.5, 1e3, -1e3]])
     got = _beurling_w(us)
     with mpmath.workdps(30):
         for u, w in zip(us, got):
             x = mpmath.mpf(float(u))
-            want = 1 / x - mpmath.psi(1, 1 + x) if x > 0 else mpmath.psi(1, -x) + 1 / x
-            bound = 1 / (2 * x**2) + 1 / (6 * abs(x) ** 3)
-            assert abs(want) < bound
-            assert abs(w) <= float(bound)
-            assert abs(w - float(want)) <= 1e-11 * float(abs(want))
+            if x > 0:  # w = 1/u - psi'(1 + u)
+                want = [1 / x - mpmath.psi(1, 1 + x), -1 / x**2 - mpmath.psi(2, 1 + x),
+                        2 / x**3 - mpmath.psi(3, 1 + x)]
+            else:  # w = psi'(-u) + 1/u
+                want = [mpmath.psi(1, -x) + 1 / x, -mpmath.psi(2, -x) - 1 / x**2,
+                        mpmath.psi(3, -x) + 2 / x**3]
+            bounds = _beurling_w_bounds(abs(float(u)))
+            assert all(abs(g) < b for g, b in zip(want, bounds)), u
+            assert abs(w) <= bounds[0]
+            assert abs(w - float(want[0])) <= 1e-11 * float(abs(want[0]))
 
 
 @pytest.mark.parametrize("delta,m", [
@@ -324,14 +331,36 @@ def test_selberg_tail_reconstructs_function(cert_minorant):
     assert np.max(np.abs(rec - direct)) < 1e-10
 
 
-def test_selberg_tail_component_bounds(cert_minorant):
-    tail = cert_minorant.envelope.tail
-    ts = np.linspace(tail.t_valid, tail.t_valid + 2000.0, 5001)
-    for comp in tail.components:
-        q = np.abs(np.asarray(comp.amplitude(ts)))
-        assert np.all(q <= comp.c_q / ts**2 + 1e-15)
-        dq = np.abs(np.array([comp.d_amplitude(float(t)) for t in ts[::250]]))
-        assert np.all(dq <= comp.c_dq / np.abs(ts[::250]) ** 3 + 1e-15)
+# the Selberg windows of test_explicit_formula's FLOOR_KERNELS
+TAIL_WINDOWS = {
+    "headline": (-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0, PRIME_FREE_RADIUS),
+    "asymmetric": (-7.3, 19.1, 0.09),
+    "narrow": (-30.0, 30.0, 0.05),
+    "offset": (0.0, 45.5, PRIME_FREE_RADIUS),
+}
+
+
+def test_selberg_tail_component_bounds():
+    # at each cutoff t, s^2 |Q|, |s|^3 |Q'| and s^4 |Q''| stay within the
+    # component's bounds(t) at every sampled |s| >= t on both tails: 40 steps
+    # of 1/delta past t, then geometrically out to 1e4 t.  Q'' is a central
+    # difference of d_amplitude, with 1e-6 relative allowed for its error
+    h = 1e-2
+    for window in TAIL_WINDOWS.values():
+        f = selberg_minorant(*window)
+        tail = f.envelope.tail
+        for t in (tail.t_valid, 2.0 * tail.t_valid, 420.0, 1000.0):
+            s = np.concatenate([t + np.arange(40) / f.support_radius,
+                                t * np.geomspace(1.0, 1e4, 41)])
+            s = np.concatenate([s, -s])
+            for comp in tail.components:
+                c_q, c_dq, c_ddq = comp.bounds(t)
+                assert np.all(s * s * np.abs(comp.amplitude(s)) <= c_q)
+                dq = np.array([comp.d_amplitude(v) for v in s])
+                assert np.all(np.abs(s) ** 3 * np.abs(dq) <= c_dq)
+                ddq = np.array([comp.d_amplitude(v + h) - comp.d_amplitude(v - h)
+                                for v in s]) / (2.0 * h)
+                assert np.all(s**4 * np.abs(ddq) <= c_ddq * (1.0 + 1e-6))
 
 
 def test_selberg_transform_compactly_supported(cert_minorant):

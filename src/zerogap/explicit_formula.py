@@ -84,7 +84,7 @@ steps below, and the cache, keep the loop one row at a time: a level of
 eight rows at once moves temporaries of 2 MB and runs slower per row.
 Those rows take `special_math._re_digamma`, which computes Re psi(a + iv)
 from the asymptotic series in real arithmetic; `ell` and `ell_floor` take
-the complex `digamma`, the same series behind a fixed shift.  Re psi(a + iv)
+the complex `digamma`, the same series and shift rule.  Re psi(a + iv)
 is even in v (psi(conj z) = conj psi(z)), and `_re_digamma` is even bit for
 bit.  So when v = 0 is a table point, as on every grid whose Im values
 start at 0 (t3 lies on the lattice), every row, direct or recurrence, is
@@ -131,7 +131,7 @@ import numpy as np
 from .errors import AccuracyError, DomainError, IncompletenessError
 from .extremal import TestFunction, _bracketed_roots, fourier_at
 from .lfunctions import LFunctionData, FunctionalEquation, LogDerivativeCoefficients
-from .special_math import _re_digamma, _trigamma_complex, digamma
+from .special_math import _polygamma, _re_digamma, digamma
 
 __all__ = [
     "CONVENTIONS",
@@ -173,8 +173,8 @@ CONVENTIONS = ("halved", "literal")
 _LATTICE_H = 0.0625
 _GRID_TOL = 2.5e-4
 # boundary points per psi' call at the end of ell_grid: its temporaries stay
-# near 1.5 MiB whatever the grid (one call over the headline grid's 61k
-# points peaks at 5.6 MiB)
+# near 1.5 MiB whatever the grid (the headline grid's 8 evaluated rows have
+# 12,816 boundary points, one call)
 _TRIGAMMA_BLOCK = 16384
 
 # ell: points per panel of its error-estimating rule (the value's has twice
@@ -649,7 +649,7 @@ def ell_grid(
     block = max(1, _TRIGAMMA_BLOCK // (2 * n_cols))
     for r in range(0, n_rows, block):
         rows = slice(r, r + block)
-        trigamma = _trigamma_complex(a_row[None, rows, None] + 1j * v_ends[:, None, :])
+        trigamma = _polygamma(1, a_row[None, rows, None] + 1j * v_ends[:, None, :])
         for s, (sign, _, amp_w, amp_dw, _, _) in enumerate(sides):
             wd = -0.5 * sign * np.imag(trigamma[s])
             out[rows] += amp_w * ends[s, rows] + amp_dw * wd
@@ -755,14 +755,14 @@ def rhs(
             )
         if not f.even:
             raise DomainError("the prime sum path requires an even test function")
-        # f even: fhat(-x) = fhat(x), so c fhat(x) + conj(c) fhat(-x) = 2 Re(c) fhat(x)
-        acc = 0.0
-        for n in range(2, n_max + 1):
-            c = primes(n)
-            if c == 0:
-                continue
-            acc += 2.0 * c.real * fourier_at(f, math.log(n) / TWO_PI) / math.sqrt(n)
-        prime_term = acc / TWO_PI
+        # f even: fhat(-x) = fhat(x), so c fhat(x) + conj(c) fhat(-x) = 2 Re(c) fhat(x);
+        # one transform call over every n with c(n) != 0, and cumsum, not sum,
+        # so that the terms are added in n order
+        ns = [n for n in range(2, n_max + 1) if primes(n) != 0]
+        x = np.array([math.log(n) for n in ns]) / TWO_PI
+        c = np.array([primes(n).real for n in ns])
+        terms = 2.0 * c * fourier_at(f, x) / np.sqrt(ns)
+        prime_term = float(np.cumsum(terms)[-1]) / TWO_PI if ns else 0.0
 
     return ExplicitFormulaReport(
         rhs_conductor=conductor,

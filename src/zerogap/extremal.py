@@ -74,8 +74,8 @@ from .special_math import (
     DecayEnvelope,
     OscComponent,
     TailDecomposition,
+    _polygamma,
     trigamma_real,
-    _tetragamma_real,
 )
 
 __all__ = [
@@ -160,8 +160,8 @@ def _beurling_w(u: np.ndarray) -> np.ndarray:
 
 def _beurling_w_deriv(u: float) -> float:
     if u > 0:
-        return -1.0 / u**2 - float(_tetragamma_real(1.0 + u))
-    return -float(_tetragamma_real(-u)) - 1.0 / u**2
+        return -1.0 / u**2 - float(_polygamma(2, 1.0 + u))
+    return -float(_polygamma(2, -u)) - 1.0 / u**2
 
 
 def _beurling_w_bounds(x: float) -> Tuple[float, float, float]:
@@ -486,10 +486,12 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
     )
 
 
-def fourier_at(f: TestFunction, x: float, tol: float = 1e-7) -> float:
-    """Re f^(x), f^(x) = int f(u) e^{-2 pi i u x} du, from the closed form.
+def fourier_at(f: TestFunction, x, tol: float = 1e-7):
+    """Re f^(x), f^(x) = int f(u) e^{-2 pi i u x} du, from the closed form,
+    at each point of x: a scalar x gives a Python float, an array an array.
 
-    The value is exact to rounding; tol is accepted for the callers that
-    pass a quadrature tolerance and does not affect the result.
+    The value is exact to rounding.  tol does not affect it; it stays
+    because perfbench/make_references.py passes one positionally.
     """
-    return float(np.real(f.fourier_closed(x)))
+    out = np.real(f.fourier_closed(np.asarray(x, dtype=float)))
+    return float(out) if np.ndim(x) == 0 else out

@@ -1,30 +1,23 @@
 """Special functions and test-function tail data.
 
-Every function here sums one Bernoulli table, the classical scheme: the
-recurrence psi(z+1) = psi(z) + 1/z (DLMF 5.5.2) moves the argument out to
-|z| >= 16, where the asymptotic series of psi and its derivatives (DLMF
-5.11.2) converge to double precision with six terms.  ``digamma`` shifts
-every point by exactly 16, psi(z) = psi(z + 16) - sum_{k<16} 1/(z + k),
-whatever its modulus, so each value depends on its own point alone and a
-batch returns the values of its points one at a time; a point with Re z < 0
-goes through the reflection psi(z) = psi(1 - z) - pi cot(pi z) (DLMF 5.5.4)
-first, and the poles at the nonpositive integers raise a domain error.
-``ell`` and ``ell_floor`` use it.  ``trigamma_real`` and the internal
-``_tetragamma_real`` are the series' first and second derivatives, in real
-arithmetic, on one near/far split: a point x < 16 is shifted by 16, its
-sixteen reciprocal powers summed in one block over the near points alone,
-and a point x >= 16 takes the series directly.  Which path a point takes
-depends on that point alone, so their batches are elementwise too.  The
-lattice evaluator ``explicit_formula.ell_grid`` takes two internal
-functions that shift only the points inside the radius:
-``_trigamma_complex`` gives the lattice edges' psi' by Horner's rule in
-1/z^2, and ``_re_digamma(a, v)`` gives Re psi(a + iv) for a scalar a and a
-real array v in real arithmetic: its series needs only log|z|, a/|z|^2 and
-a three-term recurrence for Re z^-2k, so no point takes a complex log or a
-complex division, and it reads v only through v^2, so it is even in v bit
-for bit.  Its series sums only the terms that the smallest |z| of the call
-needs, down to 1e-17: all six at |z| = 16, two on the lattice's smooth
-tails (|z| >= 338).
+Every polygamma here comes from one kernel, ``_polygamma(m, z)`` for
+m = 0, 1, 2 and real or complex z with Re z > 0, on one Bernoulli table: the
+asymptotic series of psi and its derivatives (DLMF 5.11.2), six terms of
+which reach double precision at |z| >= 16.  A point with |z| < 16 is first
+shifted by 16, psi(z) = psi(z + 16) - sum_{k<16} 1/(z + k) and its
+derivatives (DLMF 5.15.5), its sixteen reciprocal powers summed in one block
+over the near points alone; every other point takes the series directly.
+So each value depends on its own point alone, whatever the batch.
+``digamma`` adds the reflection psi(z) = psi(1 - z) - pi cot(pi z) (DLMF
+5.5.4) for Re z < 0 and a domain error at the poles, the nonpositive
+integers; ``trigamma_real`` adds the check x > 0.  The lattice evaluator
+``explicit_formula.ell_grid`` takes its edges' psi' from the kernel and its
+rows from ``_re_digamma(a, v)``, Re psi(a + iv) for a scalar a and a real
+array v, on the same shift rule but with the series in real arithmetic: it
+needs only log|z|, a/|z|^2 and a three-term recurrence for Re z^-2k, so no
+point takes a complex log or division, and it reads v only through v^2, so
+it is even in v bit for bit.  That series sums only the terms that the
+smallest |z| of its call needs, down to 1e-17.
 
 ``DecayEnvelope`` declares |f(t)| <= m/t^2 beyond t0, which bounds the mass
 of unlisted zeros.  Its optional ``TailDecomposition``
@@ -56,7 +49,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# digamma / trigamma
+# polygammas
 # ---------------------------------------------------------------------------
 
 # B_{2k} for k = 1..6, the one table of every Bernoulli series:
@@ -65,34 +58,59 @@ __all__ = [
 #   psi''(z) ~ -1/z^2 - 1/z^3 - sum_k (2k+1) B_{2k}/z^{2k+2}
 # For |z| >= _SERIES_RADIUS the first omitted terms are below 2e-17
 # relative for psi and psi', 3e-16 for psi''.
-_BERNOULLI = np.array([
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-])
-_PSI_SERIES = _BERNOULLI / (2.0 * np.arange(1, len(_BERNOULLI) + 1))
-_TETRAGAMMA_SERIES = _BERNOULLI * (2.0 * np.arange(1, len(_BERNOULLI) + 1) + 1.0)
+_BERNOULLI = np.array([1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+                       -691.0 / 2730.0])
+# row m: psi^(m)'s coefficients B_{2k} (2k + m - 1)!/(2k)!, kept as Python scalars
+# of the input's kind, real or complex, which numpy takes faster than a cast one
+_ROWS = (_BERNOULLI / np.arange(2.0, 13.0, 2.0), _BERNOULLI, _BERNOULLI * np.arange(3.0, 14.0, 2.0))
+_SERIES = {"f": [r.tolist() for r in _ROWS], "c": [[complex(c) for c in r] for r in _ROWS]}
 
 _SERIES_RADIUS = 16.0
+# 0, 1, ..., 15: the shift, one row of reciprocal terms per near point, in
+# each input kind (an add that casts costs more)
+_SHIFT = {"f": np.arange(_SERIES_RADIUS), "c": np.arange(_SERIES_RADIUS) + 0j}
 # _re_digamma_series drops the Bernoulli terms below this at the smallest
-# |z| of its call: all 6 at |z| = 16, 2 at the lattice's smooth tails
-# (|z| >= 338)
+# |z| of its call: all 6 at |z| = 16, 2 from |z| = 338 on
 _TERM_FLOOR = 1e-17
-# 0, 1, ..., 15: the shift of digamma and the real derivatives, one row of
-# terms per shifted point
-_SHIFT = np.arange(_SERIES_RADIUS)
 
 
-def _horner(coefficients: np.ndarray, w):
-    """sum_k coefficients[k] w^k at each point of w."""
-    s = coefficients[-1] * w + coefficients[-2]
-    for c in coefficients[-3::-1]:
-        s *= w
-        s += c
-    return s
+def _polygamma(m: int, z):
+    """psi^(m)(z), m = 0, 1, 2, at each point of a real or complex z with
+    Re z > 0, on the module docstring's shift rule (internal: no domain
+    check; a 0-d z gives a numpy scalar)."""
+    z = np.asarray(z)
+    flat = z.reshape(-1)
+    kind = flat.dtype.kind
+    near = (np.abs(flat) if kind == "c" else flat) < _SERIES_RADIUS
+    n_near = np.count_nonzero(near)
+    if n_near == len(flat):  # all near: basic indexing, no masks
+        w, near = flat + _SERIES_RADIUS, slice(None)
+    else:
+        w = flat + _SERIES_RADIUS * near
+    iw = np.reciprocal(w)
+    iw2 = iw * iw
+    c = _SERIES[kind][m]
+    s = c[-1] * iw2 + c[-2]  # Horner's rule in 1/z^2
+    for ck in c[-3::-1]:
+        s *= iw2
+        s += ck
+    if m == 0:
+        out = np.log(w) - 0.5 * iw - s * iw2
+    elif m == 1:
+        out = iw + iw2 * (0.5 + iw * s)
+    else:
+        out = -(iw2 * (1.0 + iw + iw2 * s))
+    if n_near:
+        p = t = flat[near, None] + _SHIFT[kind]
+        for _ in range(m):
+            p = p * t
+        acc = np.add.reduce(np.reciprocal(p, out=p), axis=1)
+        # psi^(m)(z) = psi^(m)(z + 16) + (-1)^(m+1) m! sum_{k<16} (z + k)^-(m+1)
+        if m == 1:
+            out[near] += acc
+        else:
+            out[near] -= acc if m == 0 else 2.0 * acc
+    return out.reshape(z.shape)[()]
 
 
 def digamma(z):
@@ -104,88 +122,52 @@ def digamma(z):
     digamma(z[i]).
     """
     arr = np.asarray(z)
-    if not np.iscomplexobj(arr):
-        arr = arr.astype(float)
+    if arr.dtype.kind != "c":
+        arr = arr.astype(float, copy=False)
     flat = arr.reshape(-1)
     re = flat.real
-    # fmin passes over nan, so a nan entry hides no negative one
-    lowest = np.fmin.reduce(re, initial=math.inf)
-    if lowest <= 0.0 and ((flat.imag == 0.0) & (re <= 0.0) & (re == np.floor(re))).any():
+    nonpositive = re <= 0.0
+    if not np.count_nonzero(nonpositive):
+        return _polygamma(0, arr)
+    if (nonpositive & (flat.imag == 0.0) & (re == np.floor(re))).any():
         raise DomainError("digamma pole: z is a nonpositive integer")
-    left = re < 0.0 if lowest < 0.0 else None
-    w = flat if left is None else np.where(left, 1.0 - flat, flat)
-    acc = np.reciprocal(w[:, None] + _SHIFT).sum(axis=1)
-    w = w + _SERIES_RADIUS
-    iw = np.reciprocal(w)
-    iw2 = iw * iw
-    out = np.log(w) - 0.5 * iw - _horner(_PSI_SERIES, iw2) * iw2 - acc
-    if left is not None:
-        # cot has period pi, so the argument is reduced exactly by round(Re z)
-        # first; only the reflected points reach the cotangent, whose poles
-        # the others may sit on
-        zl = flat[left]
-        out[left] -= math.pi / np.tan(math.pi * (zl - np.round(zl.real)))
+    left = re < 0.0
+    out = _polygamma(0, np.where(left, 1.0 - flat, flat))
+    # cot has period pi, so the argument is reduced exactly by round(Re z)
+    # first; only the reflected points reach the cotangent, whose poles the
+    # others may sit on
+    zl = flat[left]
+    out[left] -= math.pi / np.tan(math.pi * (zl - np.round(zl.real)))
     return out.reshape(arr.shape)[()]
 
 
-def _near_shift(x: np.ndarray, power: int):
-    """The series argument of the real polygammas at each point of a 1-d x >
-    0: x + 16 where x < 16 and x itself elsewhere, the mask of those near
-    points, and sum_{k<16} 1/(x + k)^power at each near point, by rows of the
-    near subset alone."""
-    near = x < _SERIES_RADIUS
-    terms = x[near][:, None] + _SHIFT
-    p = terms * terms
-    if power == 3:
-        p *= terms
-    return x + _SERIES_RADIUS * near, near, np.reciprocal(p, out=p).sum(axis=-1)
-
-
 def trigamma_real(x):
-    """psi'(x) for finite real x > 0: the series at x >= 16, and
-    psi'(x + 16) + sum_{k<16} 1/(x + k)^2 below.
+    """psi'(x) for finite real x > 0, from the shared kernel.
 
     A 0-d input gives a Python float; arrays keep their shape.
     """
     arr = np.asarray(x, dtype=float)
     if not ((arr > 0.0) & (arr < math.inf)).all():
         raise DomainError("trigamma_real requires finite x > 0")
-    w, near, acc = _near_shift(arr.reshape(-1), 2)
-    iw = 1.0 / w
-    iw2 = iw * iw
-    out = iw + iw2 * (0.5 + iw * _horner(_BERNOULLI, iw2))
-    out[near] += acc
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def _tetragamma_real(x):
-    # psi''(x) for real x > 0 (internal): the series at x >= 16, and
-    # psi''(x + 16) - 2 sum_{k<16} 1/(x + k)^3 below
-    arr = np.asarray(x, dtype=float)
-    w, near, acc = _near_shift(arr.reshape(-1), 3)
-    iw = 1.0 / w
-    iw2 = iw * iw
-    out = iw2 * (1.0 + iw + iw2 * _horner(_TETRAGAMMA_SERIES, iw2))
-    out[near] += 2.0 * acc
-    return -out.reshape(arr.shape)[()]
+    out = _polygamma(1, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _re_digamma(a: float, v) -> np.ndarray:
     # Re psi(a + iv) for a scalar a > 0 and a real array v (internal; the
-    # lattice rows of ell_grid).  Points inside the series radius are shifted
-    # up by n with Re psi(z) = Re psi(z + n) - sum_{k<n} (a + k)/((a + k)^2 + v^2)
-    # (DLMF 5.5.2), the small terms summed first.
+    # lattice rows of ell_grid), on _polygamma's rule: the series, replaced
+    # where |z| < 16 by Re psi(z + 16) - sum_{k<16} (a + k)/((a + k)^2 + v^2).
+    # Masking the near points, about 5% of a lattice row, out of the first
+    # series call measured slower than evaluating them twice
     v = np.asarray(v, dtype=float)
     v2 = v * v
     out = _re_digamma_series(float(a), v2)
     near = v2 < _SERIES_RADIUS**2 - a * a
     if near.any():
-        n = math.ceil(_SERIES_RADIUS - a)
         v2_near = v2[near]
-        acc = np.zeros(v2_near.shape)
-        for k in range(n - 1, -1, -1):
-            acc += (a + k) / ((a + k) ** 2 + v2_near)
-        out[near] = _re_digamma_series(a + n, v2_near) - acc
+        ak = a + _SHIFT["f"]
+        acc = (ak / (ak * ak + v2_near[:, None])).sum(axis=1)
+        out[near] = _re_digamma_series(a + _SERIES_RADIUS, v2_near) - acc
     return out
 
 
@@ -201,10 +183,11 @@ def _re_digamma_series(a: float, v2: np.ndarray) -> np.ndarray:
     # arrays are lattice tables, and allocating them would cost as much as
     # the arithmetic.
     inv = 1.0 / (a * a + np.min(v2, initial=math.inf))
-    n = len(_PSI_SERIES)
-    while n > 2 and abs(_PSI_SERIES[n - 1]) * inv**n < _TERM_FLOOR:
+    c = _SERIES["f"][0]
+    n = len(c)
+    while n > 2 and abs(c[n - 1]) * inv**n < _TERM_FLOOR:
         n -= 1
-    c = _PSI_SERIES[:n]
+    c = c[:n]
     r2 = v2 + a * a
     w2 = r2 * r2
     np.reciprocal(w2, out=w2)  # |w|^2
@@ -229,21 +212,6 @@ def _re_digamma_series(a: float, v2: np.ndarray) -> np.ndarray:
     out -= np.divide(0.5 * a, r2, out=r2)
     out -= b1
     return out
-
-
-def _trigamma_complex(z: np.ndarray) -> np.ndarray:
-    # psi'(z) for Re z > 0 (internal; used for tail boundary terms).
-    w = np.array(z, dtype=complex, copy=True)
-    acc = np.zeros(w.shape, dtype=complex)
-    for _ in range(int(_SERIES_RADIUS) + 1):
-        mask = np.abs(w) < _SERIES_RADIUS
-        if not mask.any():
-            break
-        acc[mask] += 1.0 / (w[mask] * w[mask])
-        w[mask] += 1.0
-    iw = 1.0 / w
-    iw2 = iw * iw
-    return acc + iw + 0.5 * iw2 + _horner(_BERNOULLI, iw2) * iw2 * iw
 
 
 # ---------------------------------------------------------------------------

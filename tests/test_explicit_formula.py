@@ -27,7 +27,7 @@ from zerogap.explicit_formula import (
     zero_sum,
 )
 from zerogap.extremal import fejer, fourier_at, selberg_minorant, windowed_fejer
-from zerogap.lfunctions import FunctionalEquation, LogDerivativeCoefficients
+from zerogap.lfunctions import FunctionalEquation, LogDerivativeCoefficients, c_coefficients
 from zerogap.special_math import DecayEnvelope, digamma
 
 NU2 = 12.4687522615131728082
@@ -782,6 +782,19 @@ def test_rhs_prime_term_against_direct_quadrature():
                0.0, 1.0, epsabs=1e-9, epsrel=0.0)[0]
     want = c2.real * 2.0 * num / math.sqrt(2.0) / (2.0 * math.pi)
     assert got == pytest.approx(want, abs=1e-4)
+
+
+def test_rhs_prime_sum_is_the_pointwise_sum_in_n_order(bundled):
+    # one transform call over every n with c(n) != 0 gives, bit for bit, the
+    # sum of the pointwise terms 2 Re c(n) fhat(log n/2 pi)/sqrt(n) in n order
+    half = 5.0 / (2.0 * PRIME_FREE_RADIUS)
+    f = selberg_minorant(-half, half, math.log(7.9) / (2.0 * math.pi))
+    primes = c_coefficients(bundled, 7)
+    acc = 0.0
+    for n in range(2, 8):
+        if primes(n) != 0:
+            acc += 2.0 * primes(n).real * fourier_at(f, math.log(n) / (2.0 * math.pi)) / math.sqrt(n)
+    assert rhs(bundled.fe, f, primes).rhs_primes == acc / (2.0 * math.pi)
 
 
 def test_zero_sum_bundled(cert_minorant, bundled):

@@ -401,6 +401,20 @@ def test_fejer_basics():
         assert fourier_at(f, x) == 0.0
 
 
+@pytest.mark.parametrize("kernel", ["selberg", "fejer", "windowed_fejer"])
+def test_fourier_at_takes_arrays(kernel):
+    # an array of points gives the values of its points one at a time; a
+    # scalar gives a Python float
+    f = {"selberg": lambda: selberg_minorant(-3.0, 5.0, 0.4),
+         "fejer": lambda: fejer(0.4),
+         "windowed_fejer": lambda: windowed_fejer(2.0, 0.4)}[kernel]()
+    xs = np.linspace(-0.5, 0.5, 12).reshape(3, 4)
+    got = fourier_at(f, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert type(fourier_at(f, 0.1)) is float
+    assert got.tolist() == [[fourier_at(f, x) for x in row] for row in xs.tolist()]
+
+
 def test_fejer_delta_validation():
     for delta in (-0.1, math.nan, math.inf):
         with pytest.raises(DomainError):

@@ -67,10 +67,13 @@ def _load_tracer(monkeypatch):
 
 def test_tracer_patch_points_resolve(monkeypatch):
     # the traced benchmark run replaces these bindings; a rename that leaves
-    # one unbound would break it
+    # one unbound would break it, and one that rebinds it to another
+    # function would time that function under the old span name
     tracer = _load_tracer(monkeypatch)
-    for module_name, attr, _ in tracer.PATCH_POINTS:
-        assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+    for module_name, attr, span_name in tracer.PATCH_POINTS:
+        fn = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(fn), f"{module_name}.{attr}"
+        assert f"{fn.__module__}.{fn.__name__}" == f"zerogap.{span_name}", (
             f"{module_name}.{attr}")
 
 

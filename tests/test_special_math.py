@@ -10,10 +10,9 @@ from hypothesis import assume, given, strategies as st
 from zerogap.errors import DomainError
 from zerogap.special_math import (
     _SERIES_RADIUS,
+    _polygamma,
     _re_digamma,
     _re_digamma_series,
-    _tetragamma_real,
-    _trigamma_complex,
     digamma,
     trigamma_real,
 )
@@ -113,11 +112,11 @@ def test_trigamma_matches_mpmath_log_uniform():
 
 
 def test_trigamma_complex_small_argument_against_mpmath():
-    # |z| < 16 takes the shift loop psi'(z) = psi'(z + 1) + 1/z^2 before the
-    # asymptotic series; 16.5 + 1j goes straight to the series
+    # |z| < 16 takes the shift psi'(z) = psi'(z + 16) + sum_{k<16} 1/(z + k)^2
+    # before the asymptotic series; 16.5 + 1j goes straight to the series
     zs = np.array([0.25, 0.25 + 0.5j, 0.01 + 0.02j, 0.75 + 3j, 1.0, 2.5 - 7j,
                    5 + 10j, 11.5 + 0.5j, 0.1 + 15.9j, 16.5 + 1j])
-    got = _trigamma_complex(zs)
+    got = _polygamma(1, zs)
     with mpmath.workdps(30):
         want = np.array([complex(mpmath.psi(1, mpmath.mpc(z.real, z.imag))) for z in zs])
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
@@ -203,26 +202,53 @@ def test_digamma_reflection_near_poles():
 
 def test_tetragamma_matches_mpmath_log_uniform():
     xs = _polygamma_cloud(19)
-    got = _tetragamma_real(xs)
+    got = _polygamma(2, xs)
     with mpmath.workdps(30):
         want = np.array([float(mpmath.psi(2, mpmath.mpf(float(x)))) for x in xs])
     assert np.max(np.abs(got / want - 1.0)) <= 4e-15
-    assert _tetragamma_real(xs[-1]) == got[-1]
+    assert _polygamma(2, xs[-1]) == got[-1]
 
 
-@pytest.mark.parametrize("polygamma", [trigamma_real, _tetragamma_real])
-def test_real_polygammas_are_elementwise_across_the_shift(polygamma):
-    # only the points below 16 are shifted, so a batch mixes two evaluation
-    # paths; each value still depends on its own point alone
-    rng = np.random.default_rng(23)
-    xs = np.concatenate([rng.uniform(0.01, 40.0, 60), [16.0, np.nextafter(16.0, 0.0), 1e6]])
-    rng.shuffle(xs)
-    batch = polygamma(xs)
-    assert batch.shape == xs.shape
-    for i, x in enumerate(xs):
-        assert batch[i] == polygamma(x)
-        assert batch[i] == polygamma(xs[i:i + 1])[0]
-    assert polygamma(xs.reshape(7, 9)).tobytes() == batch.tobytes()
+def _shift_edge_points(kind, seed):
+    # 48 points on both sides of |z| = 16, the shift's edge, with 16 itself
+    # and its neighbours; complex ones at random arguments in (-1.5, 1.5)
+    rng = np.random.default_rng(seed)
+    edge = [_SERIES_RADIUS, np.nextafter(_SERIES_RADIUS, 0.0), np.nextafter(_SERIES_RADIUS, 20.0)]
+    if kind == "real":
+        return np.concatenate([edge, [1e-3, 0.5, 1.0, 1e6], rng.uniform(0.01, 32.0, 41)])
+    modulus, arg = rng.uniform(0.05, 32.0, 41), rng.uniform(-1.5, 1.5, 41)
+    return np.concatenate([np.array(edge, dtype=complex), modulus * np.exp(1j * arg),
+                           [0.01 + 15.99j, 0.01 + 16.01j, 1e-3 + 1j, 5.0 + 1e5j]])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_polygamma_matches_mpmath_across_the_shift(m, kind):
+    # relative to max(1, |psi|) for psi, which has a zero at 1.4616...
+    z = _shift_edge_points(kind, 29)
+    got = _polygamma(m, z)
+    assert got.dtype == z.dtype
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.psi(m, mpmath.mpc(w.real, w.imag))) for w in z + 0j])
+    scale = np.maximum(np.abs(want), 1.0) if m == 0 else np.abs(want)
+    assert np.max(np.abs(got - want) / scale) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_polygammas_are_elementwise_across_the_shift(m, kind):
+    # only the points with |z| < 16 are shifted, so a batch mixes two
+    # evaluation paths; each value still depends on its own point alone
+    zs = _shift_edge_points(kind, 23)
+    np.random.default_rng(31).shuffle(zs)
+    batch = _polygamma(m, zs)
+    assert batch.shape == zs.shape
+    for i, z in enumerate(zs):
+        assert batch[i] == _polygamma(m, z)
+        assert batch[i] == _polygamma(m, zs[i:i + 1])[0]
+    assert _polygamma(m, zs.reshape(6, 8)).tobytes() == batch.tobytes()
+    if m == 1 and kind == "real":
+        assert trigamma_real(zs).tobytes() == batch.tobytes()
 
 
 @pytest.mark.parametrize("a", [0.25, 0.875, 1.25, 7.0])

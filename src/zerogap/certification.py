@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -92,16 +92,7 @@ class SearchDomain:
     error_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "re_max": self.re_max,
-            "im_max": self.im_max,
-            "step": self.step,
-            "convention": self.convention,
-            "grid_shape": list(self.grid_shape),
-            "rows_evaluated": self.rows_evaluated,
-            "boundary_clear": self.boundary_clear,
-            "error_bound": self.error_bound,
-        }
+        return {**asdict(self), "grid_shape": list(self.grid_shape)}
 
 
 @dataclass(frozen=True)

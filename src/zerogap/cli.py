@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .explicit_formula import CONVENTIONS, PRIME_FREE_RADIUS, verify
-from .extremal import beurling, fejer, selberg_minorant, windowed_fejer
+from .extremal import beurling, fejer, fourier_at, selberg_minorant, windowed_fejer
 from .lfunctions import (
     _factorize,
     bundled_example_path,
@@ -83,7 +83,7 @@ def _cmd_eval_extremal(args) -> Tuple[str, int]:
     lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals)]
     if args.fourier:
         lines.append("x,fhat")
-        lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, np.real(f.fourier_closed(xs)))]
+        lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, fourier_at(f, xs))]
     return "\n".join(lines) + "\n", 0
 
 

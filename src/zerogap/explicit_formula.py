@@ -39,9 +39,9 @@ e^{-zx} h (in blocks of `_PANEL_BLOCK` panels), and each mu's value is
 reduced from its own panel sums alone, so that ell(mus)[i] is
 bit-identical to ell(mus[i]).  The cost is linear in the total number of
 panels.  A test function even about centre != 0 goes through its centred
-copy, ell(mu, f) = ell(mu + i centre, f(. + centre)) in halved units:
-that copy's transform fhat(xi) e^{2 pi i xi centre} is real, so the panels
-count every oscillation of the integrand.
+copy, ell(mu, f) = ell(mu + i centre, f(. + centre)) in halved units, whose
+real transform `TestFunction.fourier_centred` is all that `ell` reads, so
+the panels count every oscillation of the integrand.
 
 The same integral bounds ell below uniformly in Im mu.  Before the split,
 with a = Re z and y = Im z,
@@ -75,14 +75,15 @@ every stride-th shift, stride being the Im step over 1/16, so each row is
 one real FFT of the table at a 5-smooth length N = stride M and, since
 decimation in time is aliasing in frequency (Oppenheim and Schafer,
 Discrete-Time Signal Processing, 4.6), one inverse FFT of length M of the
-product's stride aliases summed.  Most rows need no psi evaluation at all:
-psi(z+1) = psi(z) + 1/z (DLMF 5.5.2) gives Re psi(a + 1 + iv) =
-Re psi(a + iv) + a/(a^2 + v^2), so a row one unit of a above a row already
-computed is that row plus one rational term (on the default grid only the
-8 rows with a < 1.25 evaluate psi).  That dependence on the row eight
-steps below, and the cache, keep the loop one row at a time: a level of
-eight rows at once moves temporaries of 2 MB and runs slower per row.
-Those rows take `special_math._re_digamma`, which computes Re psi(a + iv)
+product's stride aliases summed.  psi(z+1) = psi(z) + 1/z (DLMF 5.5.2)
+gives Re psi(a + 1 + iv) = Re psi(a + iv) + a/(a^2 + v^2): on the default
+grids every row with a >= 1.25 is the row one unit of a below plus one
+rational term, as at certify lengths L >= 50 (9 rows evaluated at L = 50,
+11 at L = 60) and on `minimal_certified_length`'s step-1 grid, and the
+headline's 8 evaluated rows all have a < 1.25.  That dependence, and the
+cache, keep the loop one row at a time: a level of eight rows at once
+moves temporaries of 2 MB and runs slower per row.
+The other rows take `special_math._re_digamma`, which computes Re psi(a + iv)
 from the asymptotic series in real arithmetic; `ell` and `ell_floor` take
 the complex `digamma`, the same series and shift rule.  Re psi(a + iv)
 is even in v (psi(conj z) = conj psi(z)), and `_re_digamma` is even bit for
@@ -308,7 +309,7 @@ def ell_floor(re_mu, f: TestFunction) -> np.ndarray:
     spans = _ell_spans(big_x, x_end, _transform_sign_changes(f, big_x))
     edges = np.array(_ell_edges(complex(a.max(), 0.0), spans, x_end))
     x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
-    fhat = _centred_transform(f, np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
+    fhat = f.fourier_centred(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
     f0 = float(fhat[0])
     if not f0 > 0.0:
         return np.full(a.shape, -np.inf)
@@ -330,16 +331,16 @@ def ell_floor(re_mu, f: TestFunction) -> np.ndarray:
 def _transform_sign_changes(f: TestFunction, big_x: float) -> list:
     """The x in (0, X) where the centred copy's transform fhat(x/4 pi)
     changes sign, bracketed on a sample and solved together by
-    `extremal._bracketed_roots`.  f lives mostly in |t| <= t0, the
-    envelope's onset (measured from 0, so an off-centre f is oversampled),
-    so fhat changes sign about 2 delta t0 times on [0, delta]; the sample
-    takes 32 points per such change.  Two sign changes closer than its step
-    go unseen; ell_floor's error estimate still sees the kinks they leave."""
-    n = 32 * math.ceil(2.0 * f.support_radius * f.envelope.t0 + 1.0)
+    `extremal._bracketed_roots`.  The centred copy lives mostly in
+    |t| <= t0 - |centre|, t0 the envelope's onset, so fhat changes sign
+    about 2 delta (t0 - |centre|) times on [0, delta]; the sample takes 32
+    points per such change.  Two sign changes closer than its step go
+    unseen; ell_floor's error estimate still sees the kinks they leave."""
+    n = 32 * math.ceil(2.0 * f.support_radius * (f.envelope.t0 - abs(f.centre)) + 1.0)
     x = big_x * np.arange(1, n) / n
 
     def value(x):
-        return _centred_transform(f, x / (4.0 * math.pi))
+        return f.fourier_centred(x / (4.0 * math.pi))
 
     v = value(x)
     k = np.flatnonzero((v[:-1] >= 0.0) != (v[1:] >= 0.0))
@@ -401,21 +402,11 @@ def _ell_edges(z: complex, spans: list, x_end: float) -> list:
     return edges
 
 
-def _centred_transform(f: TestFunction, xi: np.ndarray) -> np.ndarray:
-    """The transform fhat(xi) e^{2 pi i xi centre} of f's centred copy, real
-    because f is even about centre: only its real part is kept, the
-    imaginary part being rounding."""
-    fhat = f.fourier_closed(xi)
-    if f.centre:
-        fhat = fhat * np.exp(2j * math.pi * f.centre * xi)
-    return np.real(fhat)
-
-
 def _split_transform(f: TestFunction, x: np.ndarray) -> Tuple[float, np.ndarray]:
     """fhat(0) and fhat(0) - fhat(x/4 pi) of f's centred copy.  fhat(0)
     comes from the same transform call, so that the difference vanishes at
     x = 0 in floating point too and h stays bounded there."""
-    fhat = _centred_transform(f, np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
+    fhat = f.fourier_centred(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
     f0 = float(fhat[0])
     return f0, f0 - fhat[1:].reshape(x.shape)
 

@@ -29,14 +29,15 @@ Every constructor also sets the exact Fourier transform, supported in
 [-delta, delta]: Vaaler's closed form for the Selberg minorant (J. D.
 Vaaler, "Some extremal functions in Fourier analysis", Bull. AMS 12, 1985),
 a triangle for the Fejer kernel, and t0^2 g^ + g^''/(4 pi^2) for the windowed
-kernel, where g^ is a scaled cubic B-spline.  The pointwise explicit-formula
-term and ``fourier_at`` read only this transform.  Every function is even
-about its ``centre``, 0 for the kernels and (alpha + beta)/2 for the Selberg
-minorant, whose transform carries the phase e^{-2 pi i xi centre}; the
-explicit-formula term takes it off.  The Selberg minorant is
-also carried beyond its last sign change as an explicit tail decomposition
-(smooth part plus amplitude-times-cosine components, whose amplitude and
-derivative bounds are functions of a cutoff) for the lattice evaluator
+kernel, where g^ is a scaled cubic B-spline.  Every function is even about
+its ``centre``, 0 for the kernels and (alpha + beta)/2 for the Selberg
+minorant, and the transform stored is that of its centred copy
+f(. + centre): real, even, and for the minorant a function of beta - alpha
+alone.  The pointwise explicit-formula term and ``fourier_at`` read only
+this transform.  The Selberg minorant is also carried beyond its last sign
+change as an explicit tail decomposition (smooth part plus
+amplitude-times-cosine components, whose amplitude and derivative bounds
+are functions of a cutoff) for the lattice evaluator
 ``explicit_formula.ell_grid``, which certification runs on it alone; the
 Fejer kernels carry only their decay envelope.
 
@@ -101,10 +102,10 @@ class TestFunction:
     Selberg minorant, M is the larger of a 5%-inflated sample of t^2 |f| over
     the first lobes beyond T0 and an analytic bound past them (see the
     module docstring), and the envelope also carries the structured tail.
-    fourier_closed is the exact transform xi -> f^(xi), vectorized, complex
-    in general and zero for |xi| >= support_radius.  f is even about centre:
-    f(centre + t) = f(centre - t), so its centred copy f(t + centre) has the
-    real transform f^(xi) e^{2 pi i xi centre}.
+    f is even about centre, f(centre + t) = f(centre - t), and
+    fourier_centred is the exact transform of its centred copy f(. + centre),
+    xi -> f^(xi) e^{2 pi i xi centre}: vectorized, real, even, and zero for
+    |xi| >= support_radius.
     """
 
     value: Callable
@@ -112,7 +113,7 @@ class TestFunction:
     support_radius: float
     positivity_window: Union[Tuple[float, float], str, None]
     envelope: DecayEnvelope
-    fourier_closed: Callable
+    fourier_centred: Callable
     centre: float = 0.0
     label: str = ""
 
@@ -384,18 +385,16 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         ),
     )
 
-    # Vaaler (1985): S^(xi) = J^(xi/delta) chi^(xi)
-    #   - (1/delta) K^(xi/delta) cos(pi xi L) e^{-pi i xi (alpha + beta)},
-    # chi^(xi) = L sinc(xi L) e^{-pi i xi (alpha + beta)}, K^(u) = (1 - |u|)_+
-    length, shift = beta - alpha, alpha + beta
+    # Vaaler (1985), for the window centred at 0 (L = beta - alpha):
+    # S^(xi) = J^(xi/delta) L sinc(xi L) - (1/delta) K^(xi/delta) cos(pi xi L),
+    # K^(u) = (1 - |u|)_+
+    length = beta - alpha
 
     def ft(x):
         xi = np.asarray(x, dtype=float)
         u = xi / delta
-        body = (_vaaler_j(u) * length * np.sinc(xi * length)
+        return (_vaaler_j(u) * length * np.sinc(xi * length)
                 - np.maximum(1.0 - np.abs(u), 0.0) / delta * np.cos(math.pi * xi * length))
-        # a centred window's phase is 1, and its transform real
-        return body * np.exp(-1j * math.pi * shift * xi) if shift else body
 
     t0_env = s_max + 0.66 / delta
     m_env = _selberg_envelope_m(value, alpha, beta, delta, t0_env)
@@ -408,7 +407,7 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         positivity_window=window,
         envelope=envelope,
         centre=0.5 * (alpha + beta),
-        fourier_closed=ft,
+        fourier_centred=ft,
         label=f"selberg[{alpha:g},{beta:g}]@{delta:g}",
     )
 
@@ -433,7 +432,7 @@ def fejer(delta: float) -> TestFunction:
         support_radius=delta,
         positivity_window=EVERYWHERE,
         envelope=DecayEnvelope(m=1.0 / (math.pi * delta) ** 2, t0=1.0 / delta),
-        fourier_closed=ft,
+        fourier_centred=ft,
         label=f"fejer@{delta:g}",
     )
 
@@ -481,17 +480,18 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
         support_radius=delta,
         positivity_window=(-t0, t0),
         envelope=DecayEnvelope(m=m_env, t0=2.0 * t0),
-        fourier_closed=ft,
+        fourier_centred=ft,
         label=f"windowed_fejer@{t0:g},{delta:g}",
     )
 
 
 def fourier_at(f: TestFunction, x, tol: float = 1e-7):
-    """Re f^(x), f^(x) = int f(u) e^{-2 pi i u x} du, from the closed form,
-    at each point of x: a scalar x gives a Python float, an array an array.
-
-    The value is exact to rounding.  tol does not affect it; it stays
+    """Re f^(x), f^(x) = int f(u) e^{-2 pi i u x} du, at each point of x: a
+    scalar x gives a Python float, an array an array.  f is its centred
+    copy translated by centre, so Re f^(x) = fourier_centred(x)
+    cos(2 pi x centre), exact to rounding.  tol does not affect it; it stays
     because perfbench/make_references.py passes one positionally.
     """
-    out = np.real(f.fourier_closed(np.asarray(x, dtype=float)))
+    xs = np.asarray(x, dtype=float)
+    out = f.fourier_centred(xs) * np.cos(2.0 * math.pi * f.centre * xs)
     return float(out) if np.ndim(x) == 0 else out

@@ -20,6 +20,7 @@ von Mangoldt values.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
@@ -74,12 +75,12 @@ class FunctionalEquation:
                 f"spectral parameter count {len(self.spectral)} != degree {self.degree}"
             )
         for mu in self.spectral:
-            if mu.real < -_UNIT_TOL:
-                raise ValidationError(f"Re(mu) >= 0 violated by {mu!r}")
-        if abs(abs(self.root_number) - 1.0) > _UNIT_TOL:
+            if not (cmath.isfinite(mu) and mu.real >= -_UNIT_TOL):
+                raise ValidationError(f"finite mu with Re(mu) >= 0 violated by {mu!r}")
+        if not abs(abs(self.root_number) - 1.0) <= _UNIT_TOL:
             raise ValidationError(f"|root_number| = 1 violated: {self.root_number!r}")
-        if not (self.conductor >= 1.0):
-            raise ValidationError(f"conductor >= 1 violated: {self.conductor!r}")
+        if not (1.0 <= self.conductor < math.inf):
+            raise ValidationError(f"finite conductor >= 1 violated: {self.conductor!r}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,8 @@ class LFunctionData:
         a1 = self.coefficients.get(1)
         if a1 is None or a1 != 1:
             raise ValidationError("a_1 = 1 normalization violated")
+        if not self.t_max > -math.inf:
+            raise ValidationError(f"t_max must be a height or +inf, got {self.t_max!r}")
         zs = self.zeros
         if any(zs[i] >= zs[i + 1] for i in range(len(zs) - 1)):
             raise ValidationError("zeros must be strictly increasing")
@@ -111,6 +114,8 @@ class LFunctionData:
             raise ValidationError("self-dual zero lists store only gamma >= 0")
         d = self.fe.degree
         for n, a in self.coefficients.items():
+            if not cmath.isfinite(a):
+                raise ValidationError(f"a_{n} = {a!r} is not finite")
             # beyond the primality test's range the check is skipped: no
             # consumer reads a coefficient that far out
             if abs(a) > d and n < _MR_LIMIT and _is_prime(n):
@@ -135,7 +140,7 @@ def bundled_example_path() -> Path:
     return Path(str(resources.files("zerogap") / "data" / "fkl_degree4.json"))
 
 
-def _require(doc, key: str, kind, where: str):
+def _require(doc, key: str, kind, where: str, admit_inf: bool = False):
     if not isinstance(doc, Mapping):
         raise SchemaError(f"{where} must be an object")
     if key not in doc:
@@ -148,8 +153,8 @@ def _require(doc, key: str, kind, where: str):
             num = float(val)
         except OverflowError:
             raise SchemaError(f"field '{key}' in {where} is beyond the float range") from None
-        if math.isnan(num):
-            raise SchemaError(f"field '{key}' in {where} is NaN")
+        if not (math.isfinite(num) or (admit_inf and num == math.inf)):
+            raise SchemaError(f"field '{key}' in {where} is {num!r}")
         return num
     if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise SchemaError(f"field '{key}' in {where} must be {kind.__name__}")
@@ -219,7 +224,7 @@ def load_lfunction(source: Union[str, Path, Mapping]) -> LFunctionData:
         if not math.isfinite(z):
             raise SchemaError(f"zeros.values[{i}] must be a finite decimal string, got {s!r}")
         zeros.append(z)
-    t_max = _require(zblock, "t_max", float, "zeros")
+    t_max = _require(zblock, "t_max", float, "zeros", admit_inf=True)
     self_dual = _require(zblock, "self_dual", bool, "zeros")
 
     return LFunctionData(

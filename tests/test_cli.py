@@ -6,10 +6,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import zerogap
 from zerogap.cli import main
+from zerogap.explicit_formula import PRIME_FREE_RADIUS
+from zerogap.extremal import fourier_at, selberg_minorant
 from zerogap.lfunctions import bundled_example_path
 
 CERT_LENGTH = "45.323601418271934"
@@ -66,6 +69,34 @@ def test_eval_fejer_fourier_block(capsys):
     head, block = out.split("x,fhat\n")
     assert head.startswith("x,value\n")
     assert block == "0,9.064720284\n0.15,0\n0.3,0\n"
+
+
+def test_eval_off_centre_selberg_fourier_golden(capsys):
+    # Re f^ of the window [-3, 5], centre 1: first the full-precision values
+    # against Vaaler's closed form with its phase at 30 digits, then the
+    # printed block
+    argv = ("--alpha", "-3", "--beta", "5", "--from", "-0.2", "--to", "0.2", "--samples", "5")
+    f = selberg_minorant(-3.0, 5.0, PRIME_FREE_RADIUS)
+    xs = [-0.2, -0.1, 0.0, 0.1, 0.2]
+    with mpmath.workdps(30):
+        delta, length = mpmath.mpf(PRIME_FREE_RADIUS), mpmath.mpf(8)
+        for x in xs:
+            xi = abs(mpmath.mpf(x))
+            u = xi / delta
+            if xi == 0:
+                want = length - 1 / delta
+            elif u >= 1:
+                want = mpmath.mpf(0)
+            else:
+                j_hat = (1 - u) * mpmath.pi * u * mpmath.cot(mpmath.pi * u) + u
+                want = ((j_hat * mpmath.sin(mpmath.pi * xi * length) / (mpmath.pi * xi)
+                         - (1 - u) / delta * mpmath.cos(mpmath.pi * xi * length))
+                        * mpmath.cos(2 * mpmath.pi * xi))
+            assert abs(fourier_at(f, x) - float(want)) < 1e-12, x
+    rc, out, _ = run(capsys, "eval-extremal", "--kind", "selberg", *argv, "--fourier")
+    assert rc == 0
+    assert out.split("x,fhat\n")[1] == (
+        "-0.2,0\n-0.1,0.5946105941\n0,-1.064720284\n0.1,0.5946105941\n0.2,0\n")
 
 
 def test_eval_windowed_fejer(capsys):

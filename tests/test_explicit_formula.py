@@ -151,6 +151,19 @@ def _mp_transform(kind, params):
     return fhat, fhat(mpmath.mpf(0)), delta
 
 
+def test_fourier_at_off_centre_matches_mpmath():
+    # Re f^ of a translated window, against the phased 30-digit oracle; f is
+    # real, so Re f^ is even and the oracle on [0, delta) covers both signs
+    params = (-7.3, 19.1, 0.09)
+    f = selberg_minorant(*params)
+    xi = np.linspace(0.0, params[2], 41)[1:-1]
+    with mpmath.workdps(30):
+        fhat = _mp_transform("selberg", params)[0]
+        want = np.array([float(mpmath.re(fhat(mpmath.mpf(x)))) for x in xi])
+    for sign in (1.0, -1.0):
+        assert np.abs(fourier_at(f, sign * xi) - want).max() < 1e-12
+
+
 @lru_cache(maxsize=None)
 def _mp_ell(kind, params, mu):
     with mpmath.workdps(30):
@@ -564,12 +577,16 @@ def test_ell_off_centre_is_centred_at_shifted_mu(alpha, beta, convention, k):
 @pytest.mark.parametrize("alpha, beta", [(0.25, 45.25), *OFF_CENTRE_WINDOWS])
 def test_ell_floor_below_ell_on_off_centre_line(alpha, beta):
     # on Im mu = -centre, ell is its centred window's on the real axis,
-    # where the floor is tightest
+    # where the floor is tightest; the floor reads only the centred copy's
+    # transform, so it is that window's floor bit for bit
     f = selberg_minorant(alpha, beta, PRIME_FREE_RADIUS)
     re = np.array([0.0, 0.5, 10.0, 100.0, 1000.0, 2000.0, 4000.0])
     floor = ell_floor(re, f)
     values = ell(re - 0.5j * (alpha + beta), f)
     assert (floor <= values).all(), (values - floor).tolist()
+    half = 0.5 * (beta - alpha)
+    centred = selberg_minorant(-half, half, PRIME_FREE_RADIUS)
+    assert np.array_equal(floor, ell_floor(re, centred))
 
 
 @pytest.mark.parametrize("name", sorted(FLOOR_KERNELS))
@@ -677,7 +694,7 @@ def test_ell_floor_needs_positive_mass():
     short = selberg_minorant(-3.0, 3.0, 0.1)
     assert short.integral < 0.0
     assert (ell_floor(np.array([0.0, 5.0, 50.0]), short) == -np.inf).all()
-    zero_mass = replace(FLOOR_KERNELS["fejer"], fourier_closed=lambda xi: 0.0 * xi)
+    zero_mass = replace(FLOOR_KERNELS["fejer"], fourier_centred=lambda xi: 0.0 * xi)
     assert (ell_floor(np.array([0.0, 50.0]), zero_mass) == -np.inf).all()
 
 

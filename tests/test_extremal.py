@@ -397,7 +397,7 @@ def test_fejer_basics():
     for x in (0.0, 0.3 * PRIME_FREE_RADIUS, -0.8 * PRIME_FREE_RADIUS):
         assert abs(fourier_at(f, x) - (1.0 - abs(x) / PRIME_FREE_RADIUS) / PRIME_FREE_RADIUS) < 1e-12
     for x in (1.2 * PRIME_FREE_RADIUS, 2.0 * PRIME_FREE_RADIUS):
-        assert f.fourier_closed(x) == 0.0
+        assert f.fourier_centred(x) == 0.0
         assert fourier_at(f, x) == 0.0
 
 
@@ -454,36 +454,52 @@ def test_windowed_fejer_transform_support():
         assert abs(fourier_at(w, x)) < 2e-4 * w.integral
 
 
-@pytest.mark.parametrize("make", [
+TRANSFORM_KERNELS = [
     pytest.param(lambda: selberg_minorant(-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0,
                                           PRIME_FREE_RADIUS), id="selberg-symmetric"),
     pytest.param(lambda: selberg_minorant(-7.3, 19.1, 0.09), id="selberg-asymmetric"),
     pytest.param(lambda: fejer(PRIME_FREE_RADIUS), id="fejer"),
     pytest.param(lambda: windowed_fejer(14.13, PRIME_FREE_RADIUS), id="windowed-fejer"),
-])
+]
+
+
+@pytest.mark.parametrize("make", TRANSFORM_KERNELS)
 def test_closed_transform_inverts_to_value(make):
-    # f(t) = int_{-delta}^{delta} f^(xi) e^{2 pi i xi t} dxi; the breakpoints
-    # sit on the kinks of the windowed kernel's transform
+    # f(t) = int_{-delta}^{delta} fc^(xi) e^{2 pi i xi (t - centre)} dxi, fc^
+    # the centred copy's real, even transform; the breakpoints sit on the
+    # kinks of the windowed kernel's transform
     f = make()
     d = f.support_radius
     for t in (0.0, 1.7, -5.3, 31.4, -60.0):
-        value = quad(lambda xi: np.real(f.fourier_closed(xi) * np.exp(2j * math.pi * xi * t)),
+        value = quad(lambda xi: f.fourier_centred(xi) * np.cos(2.0 * math.pi * xi * (t - f.centre)),
                      -d, d, points=[-0.5 * d, 0.0, 0.5 * d], epsabs=1e-11, epsrel=0.0)[0]
         assert value == pytest.approx(float(f.value(t)), abs=1e-10)
 
 
-def test_selberg_transform_of_centred_window_is_real():
-    # a centred window's phase e^{-i pi xi (alpha + beta)} is 1 and is not
-    # built; a translated window's transform is the centred one times it
+@pytest.mark.parametrize("make", [
+    *TRANSFORM_KERNELS,
+    pytest.param(lambda: selberg_minorant(950.0, 1050.0, PRIME_FREE_RADIUS), id="selberg-far"),
+])
+def test_centred_transform_is_a_real_float_array(make):
+    f = make()
+    xi = np.linspace(-1.2, 1.2, 97).reshape(1, 97) * f.support_radius
+    got = f.fourier_centred(xi)
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == xi.shape
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (-7.3, 19.1), (177.5, 222.5), (-322.75, -277.25),
+    pytest.param(31.5 - CERT_LENGTH / 2.0, 31.5 + CERT_LENGTH / 2.0, id="headline-moved"),
+])
+def test_translated_window_transform_is_the_centred_one(alpha, beta):
+    # the centred copy of S on [alpha, beta] is S on [-L/2, L/2], L = beta - alpha
+    # (halving is exact, so both windows have the same L bit for bit)
+    length = beta - alpha
     xi = np.linspace(-1.2, 1.2, 97) * PRIME_FREE_RADIUS
-    centred = selberg_minorant(-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0, PRIME_FREE_RADIUS)
-    got = centred.fourier_closed(xi)
-    assert not np.iscomplexobj(got)
-    shift = 31.5
-    moved = selberg_minorant(shift - CERT_LENGTH / 2.0, shift + CERT_LENGTH / 2.0,
-                             PRIME_FREE_RADIUS)
-    want = got * np.exp(-2j * math.pi * shift * xi)
-    assert np.max(np.abs(moved.fourier_closed(xi) - want)) <= 1e-14 * centred.integral
+    moved = selberg_minorant(alpha, beta, PRIME_FREE_RADIUS)
+    centred = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
+    assert moved.centre == 0.5 * (alpha + beta) and centred.centre == 0.0
+    assert np.array_equal(moved.fourier_centred(xi), centred.fourier_centred(xi))
 
 
 def test_windowed_fejer_validation():

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +107,10 @@ def test_conductor_below_one_rejected(bundled):
     doc["conductor"] = dict(doc["conductor"], value=0.5)
     with pytest.raises(ValidationError):
         load_lfunction(doc)
+    # nor above every bound: an infinite Q sends verify's residual to -inf
+    for q in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            replace(bundled.fe, conductor=q)
 
 
 def test_root_number_must_be_unimodular(bundled):
@@ -152,6 +157,9 @@ def test_spectral_left_halfplane_rejected(bundled):
     doc["spectral"][0]["re"] = -0.3
     with pytest.raises(ValidationError):
         load_lfunction(doc)
+    for mu in (complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0)):
+        with pytest.raises(ValidationError):
+            replace(bundled.fe, spectral=(mu,) + bundled.fe.spectral[1:])
 
 
 _BUNDLED_DOC = json.loads(bundled_example_path().read_text())
@@ -180,6 +188,13 @@ def _mutated(doc, path, new):
     pytest.param(("coefficients", 0, "n"), True, id="n-bool"),
     pytest.param(("degree",), True, id="degree-bool"),
     pytest.param(("conductor", "value"), 10**400, id="conductor-beyond-float"),
+    pytest.param(("conductor", "value"), json.loads("1e400"), id="conductor-1e400"),
+    pytest.param(("conductor", "value"), json.loads("Infinity"), id="conductor-infinity"),
+    pytest.param(("spectral", 0, "re"), json.loads("1e400"), id="spectral-re-1e400"),
+    pytest.param(("spectral", 1, "im"), json.loads("-Infinity"), id="spectral-im-infinity"),
+    pytest.param(("coefficients", 1, "re"), json.loads("-1e400"), id="coefficient-re-1e400"),
+    pytest.param(("coefficients", 2, "im"), json.loads("Infinity"), id="coefficient-im-infinity"),
+    pytest.param(("root_number", "im"), json.loads("1e400"), id="root-number-1e400"),
     pytest.param(("conductor", "assumed"), "no", id="conductor-assumed-string"),
     pytest.param(("root_number", "assumed"), 1, id="root-number-assumed-int"),
 ])
@@ -197,7 +212,13 @@ def test_assumed_flags_default_to_false():
 
 def test_infinite_t_max_accepted():
     doc = _mutated(_BUNDLED_DOC, ("zeros", "t_max"), math.inf)
-    assert load_lfunction(doc).t_max == math.inf
+    data = load_lfunction(doc)
+    assert data.t_max == math.inf
+    # -inf is no completeness height: verify would read it as a complete list
+    with pytest.raises(SchemaError):
+        load_lfunction(_mutated(_BUNDLED_DOC, ("zeros", "t_max"), -math.inf))
+    with pytest.raises(ValidationError):
+        replace(data, t_max=-math.inf)
 
 
 def _field_paths(node, path=()):
@@ -316,6 +337,10 @@ def test_large_prime_coefficient_warns():
     fe = FunctionalEquation(degree=1, conductor=1.0, spectral=(0j,), root_number=1 + 0j)
     with pytest.warns(UserWarning):
         LFunctionData(fe=fe, coefficients={1: 1 + 0j, 2: 5.0 + 0j},
+                      zeros=(), zero_strings=(), t_max=math.inf, self_dual=True)
+    # a non-finite one is refused
+    with pytest.raises(ValidationError):
+        LFunctionData(fe=fe, coefficients={1: 1 + 0j, 2: complex(math.inf, 0.0)},
                       zeros=(), zero_strings=(), t_max=math.inf, self_dual=True)
 
 

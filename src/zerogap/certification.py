@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
@@ -216,8 +217,8 @@ def certify_gap(
     """Certify that every degree-`degree` L-function (unit conductor or
     larger, transform-trivial prime side) has a zero in every window of the
     given length, by positivity of the minimized archimedean term."""
-    if not isinstance(degree, int) or degree < 1:
-        raise DomainError("degree must be a positive integer")
+    if type(degree) is not int or not 1 <= degree <= sys.float_info.max:
+        raise DomainError("degree must be a positive integer within the float range")
     _check_prime_free(delta)
     if not window_length > 1.0 / delta:
         raise DomainError(

@@ -95,13 +95,13 @@ same row bit for bit.  Other grids read their whole table through the
 identity index.  The recurrence's rounding, below 2e-13 over the default
 grid, and the kernel's, within 1.5e-13 of a complex psi's rows there, are
 far inside the grid's error budget of 2.5e-4.  The tails beyond the
-lattice are finished analytically from the tail decomposition that only
-the Selberg minorant carries, with everything that does not depend on a
-computed once per grid, the smooth part on `ell`'s Gauss-Legendre panels,
-and the psi' of the boundary terms after the row loop, a block of rows per
-call.  The lattice stays because the headline certificate's pinned margin,
-0.185885, is the lattice's value: the exact minimum, 0.1858822, rounds
-differently.
+lattice are finished analytically, in the row's loop with one psi' call on
+its boundary points, from the tail decomposition that only the Selberg
+minorant carries; what does not depend on a is computed once per grid, and
+the smooth part P is even, as f is, so both sides share its nodes and
+weights on `ell`'s Gauss-Legendre panels.  The lattice stays because the
+headline certificate's pinned margin, 0.185885, is the lattice's value:
+the exact minimum, 0.1858822, rounds differently.
 
 The lattice spans |t| <= t3.  t3 starts at the floor the grid itself needs,
 max(t_valid, 2 max Im mu + 20, 4 max a + 20, 64), and grows by a fifth at a
@@ -173,10 +173,6 @@ CONVENTIONS = ("halved", "literal")
 # grid value that fixes the oscillatory cutoff and the smooth-tail length
 _LATTICE_H = 0.0625
 _GRID_TOL = 2.5e-4
-# boundary points per psi' call at the end of ell_grid: its temporaries stay
-# near 1.5 MiB whatever the grid (the headline grid's 8 evaluated rows have
-# 12,816 boundary points, one call)
-_TRIGAMMA_BLOCK = 16384
 
 # ell: points per panel of its error-estimating rule (the value's has twice
 # as many), and panels per block of work, which bounds memory at large |Im mu|
@@ -445,13 +441,13 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _smooth_tail_nodes(ys: np.ndarray, tail, t3: float, eps: float, sign: int,
-                       y_stride: int):
-    """The a-independent part of int_{t3}^{inf} W(sign*t) P(sign*t) dt.
+def _smooth_tail_nodes(ys: np.ndarray, tail, t3: float, eps: float, y_stride: int):
+    """idx, pts and the weights of int_{t3}^{inf} W(sign*t) P(t) dt, the
+    a-independent part, alike for both signs because P is even.
 
     The integral is evaluated exactly on a coarse y subgrid `idx` and
     linearly interpolated between (its y-curvature is O(t3^-3)); for a row a
-    it is Re psi(a + iv) @ weights, with v of shape (len(idx), nodes).
+    it is Re psi(a + iv) @ weights, with v = (sign*pts + ys[idx])/2.
     """
     c0, clog = 3.0, 1.0
     t2 = t3
@@ -461,8 +457,7 @@ def _smooth_tail_nodes(ys: np.ndarray, tail, t3: float, eps: float, sign: int,
     idx = np.arange(0, len(ys), y_stride)
     if idx[-1] != len(ys) - 1:
         idx = np.append(idx, len(ys) - 1)
-    v = 0.5 * (sign * pts[None, :] + ys[idx, None])
-    return idx, v, wts * np.asarray(tail.smooth(sign * pts), dtype=float)
+    return idx, pts, wts * np.asarray(tail.smooth(pts), dtype=float)
 
 
 def ell_grid(
@@ -474,16 +469,15 @@ def ell_grid(
 
     Returns (values of shape (len(re), len(im)), error bound per value).
     Needs an even test function with tail data and a nonempty, equispaced
-    Im grid whose step is a multiple of the lattice spacing 1/16; the method
-    is described in the module docstring.  The lattice's half-width t3 is
-    the grid's own floor, widened only while the tail components' bounds
-    beyond it leave the integration-by-parts remainder over budget; the
-    smooth-tail constant c_p stays the loose one that fixes the pinned
-    headline margin (module docstring).  Per row it takes one forward FFT
+    Im grid whose step is a multiple of the lattice spacing 1/16; the method,
+    the lattice's half-width t3 and the smooth-tail constant c_p are
+    described in the module docstring.  Per row it takes one forward FFT
     of length stride M and, for a stride above 1, one inverse FFT of length
-    M of the folded spectrum; f is sampled once, in one call on half the
-    lattice, and when v = 0 is a table point each row's psi values are
-    computed on the v >= 0 half of the table and mirrored.
+    M of the folded spectrum, and the row is finished in the loop, with one
+    psi' call; both sides share the smooth tail's weights, P being even.
+    f is sampled once, in one call on half the lattice, and when v = 0 is a
+    table point each row's psi values are computed on the v >= 0 half of
+    the table and mirrored.
     """
     tail = f.envelope.tail
     if tail is None or not f.even:
@@ -584,7 +578,9 @@ def ell_grid(
     eps_s = _GRID_TOL / 8.0
 
     # the a-independent tail data of each side: the boundary terms of the two
-    # integrations by parts are amp_w W + amp_dw W' at t = sign t3
+    # integrations by parts are amp_w W + amp_dw W' at t = sign t3, and P is
+    # even, so both sides share the smooth tail's nodes and weights
+    idx, pts, p_wts = _smooth_tail_nodes(ys, tail, t3, eps_s, 16)
     sides = []
     v_rows = [v_table[k0:]]
     edges = ((+1, slice(nt - 1, None, stride)), (-1, slice(0, n_shift + 1, stride)))
@@ -597,18 +593,15 @@ def ell_grid(
             theta = om * t3 + (ph if sign > 0 else -ph)
             amp_w -= q * math.sin(theta) / om + dq * math.cos(theta) / om**2
             amp_dw -= q * math.cos(theta) / om**2
-        idx, v_smooth, p_wts = _smooth_tail_nodes(ys, tail, t3, eps_s, sign, 16)
-        sides.append((sign, edge, amp_w, amp_dw, idx, p_wts))
-        v_rows.append(v_smooth)
+        sides.append((sign, edge, amp_w, amp_dw))
+        v_rows.append(0.5 * (sign * pts[None, :] + ys[idx, None]))
+    v_ends = np.stack([v_table[edge] for _, edge in edges])
     y_index = np.arange(n_cols)
     v2_rows = [v * v for v in v_rows]
 
-    # per row: the correlation into out, and per side the table at t = +-t3
-    # and the interpolated smooth tail, assembled after the loop
-    n_rows = len(a_row)
-    out = np.empty((n_rows, n_cols))
-    ends = np.empty((2, n_rows, n_cols))
-    smooth_tails = np.empty((2, n_rows, n_cols))
+    # per row: the correlation, then per side the boundary terms, with psi'
+    # at the row's boundary points, and the interpolated smooth tail
+    out = np.empty((len(a_row), n_cols))
     kept = {}  # Re psi rows of the last unit of a, keyed by a
     for i, a in enumerate(a_row):
         below = kept.get(a - 1.0)
@@ -629,22 +622,10 @@ def ell_grid(
         folded = spectrum[alias]
         np.conjugate(folded, out=folded, where=mirrored)
         out[i] = np.fft.irfft(folded.sum(axis=0), m_len)[:n_cols]
-        for s, ((_, edge, _, _, idx, p_wts), smooth) in enumerate(zip(sides, psi[1:])):
-            ends[s, i] = table[edge]
-            smooth_tails[s, i] = np.interp(y_index, idx, smooth @ p_wts)
-    del kept, psi  # up to 2 MB of rows, freed before psi' adds its temporaries
-
-    # analytic tails: psi' at the boundary points of both sides, a block of
-    # rows per call
-    v_ends = np.stack([v_table[edge] for _, edge in edges])
-    block = max(1, _TRIGAMMA_BLOCK // (2 * n_cols))
-    for r in range(0, n_rows, block):
-        rows = slice(r, r + block)
-        trigamma = _polygamma(1, a_row[None, rows, None] + 1j * v_ends[:, None, :])
-        for s, (sign, _, amp_w, amp_dw, _, _) in enumerate(sides):
-            wd = -0.5 * sign * np.imag(trigamma[s])
-            out[rows] += amp_w * ends[s, rows] + amp_dw * wd
-            out[rows] += smooth_tails[s, rows]
+        trigamma = _polygamma(1, a + 1j * v_ends)
+        for (sign, edge, amp_w, amp_dw), smooth, tri in zip(sides, psi[1:], trigamma):
+            out[i] += amp_w * table[edge] + amp_dw * (-0.5 * sign * np.imag(tri))
+            out[i] += np.interp(y_index, idx, smooth @ p_wts)
     out -= f.integral * LOG_PI
     return out, rem_total + 2.0 * eps_s
 

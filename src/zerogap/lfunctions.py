@@ -68,7 +68,7 @@ class FunctionalEquation:
     root_number_assumed: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.degree, int) and self.degree >= 1):
+        if not (type(self.degree) is int and self.degree >= 1):  # a bool is no degree
             raise ValidationError("degree must be a positive integer")
         if len(self.spectral) != self.degree:
             raise ValidationError(

@@ -113,6 +113,12 @@ def test_parameter_validation():
         certify_gap(0, CERT_LENGTH, **FAST)
     with pytest.raises(DomainError):
         certify_gap(2.5, CERT_LENGTH, **FAST)
+    # a bool is an int, and a degree beyond the float range overflows the margin
+    for degree in (True, 10**400):
+        with pytest.raises(DomainError):
+            certify_gap(degree, CERT_LENGTH, **FAST)
+        with pytest.raises(DomainError):
+            minimal_certified_length(degree, **FAST)
     with pytest.raises(DomainError):
         certify_gap(4, CERT_LENGTH, delta=0.2, **FAST)
     with pytest.raises(DomainError):

@@ -314,6 +314,8 @@ def test_coefficients_skip_gaps(capsys):
     ("certify-gap", "--degree", "4", "--length", "46", "--re-max", "nan"),
     ("certify-gap", "--degree", "4", "--length", "46", "--im-max", "inf"),
     ("certify-gap", "--degree", "4", "--length", "46", "--step", "nan"),
+    # a degree beyond the float range is refused before the search
+    ("certify-gap", "--degree", "1" + "0" * 400, "--length", "46"),
     ("min-ell", "--length", "46", "--re-max", "inf"),
     ("scan-region", "--step", "inf"),
     ("scan-region", "--nu-max", "nan"),

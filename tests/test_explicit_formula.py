@@ -424,8 +424,7 @@ def _grid_with_exact_tails(f, im_v):
     smooth_tail_nodes = ef._smooth_tail_nodes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ef, "_smooth_tail_nodes",
-                   lambda ys, tail, t3, eps, sign, y_stride:
-                   smooth_tail_nodes(ys, tail, t3, eps, sign, 1))
+                   lambda ys, tail, t3, eps, y_stride: smooth_tail_nodes(ys, tail, t3, eps, 1))
         return ell_grid(f, FOLD_RE, im_v)
 
 
@@ -486,17 +485,18 @@ HEADLINE_RE, HEADLINE_IM = ef._step_grid(1.75, 0.25), ef._step_grid(200.0, 0.25)
 def test_ell_grid_headline_cutoff_is_the_column_floor(cert_minorant, monkeypatch):
     # beyond 2 im_max + 20 = 420 the tail components' bounds already keep the
     # integration-by-parts remainder inside its budget, so the lattice is no
-    # wider than the Im grid needs; t3 is read off each side's smooth-tail call
+    # wider than the Im grid needs; t3 is read off the one smooth-tail call,
+    # whose nodes and weights both sides share
     cutoffs = []
     smooth_tail_nodes = ef._smooth_tail_nodes
 
-    def spy(ys, tail, t3, eps, sign, y_stride):
+    def spy(ys, tail, t3, eps, y_stride):
         cutoffs.append(t3)
-        return smooth_tail_nodes(ys, tail, t3, eps, sign, y_stride)
+        return smooth_tail_nodes(ys, tail, t3, eps, y_stride)
 
     monkeypatch.setattr(ef, "_smooth_tail_nodes", spy)
     ell_grid(cert_minorant, HEADLINE_RE, HEADLINE_IM)
-    assert cutoffs == [420.0, 420.0]
+    assert cutoffs == [420.0]
 
 
 @pytest.mark.parametrize("length", [2.0 * HALF, 45.5, 60.0])

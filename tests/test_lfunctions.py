@@ -326,6 +326,8 @@ def test_functional_equation_validation():
     with pytest.raises(ValidationError):
         FunctionalEquation(degree=2, conductor=1.0, spectral=(0j,), root_number=1 + 0j)
     with pytest.raises(ValidationError):
+        FunctionalEquation(degree=True, conductor=1.0, spectral=(0j,), root_number=1 + 0j)
+    with pytest.raises(ValidationError):
         FunctionalEquation(degree=1, conductor=0.5, spectral=(0j,), root_number=1 + 0j)
     with pytest.raises(ValidationError):
         FunctionalEquation(degree=1, conductor=1.0, spectral=(-0.2 + 0j,), root_number=1 + 0j)

@@ -20,8 +20,14 @@ it holds at every Im mu and rises with Re mu.  Rows whose floor lies above
 the incumbent ell(0) by more than twice the grid's error budget cannot
 hold the minimum and are not evaluated (8 of the headline grid's 201 rows
 are), and when the Re mu = re_max row is one of them the floor, not its
-grid values, clears the boundary.  The result is labeled numerical
-evidence, grid-based; it is not a proof.
+grid values, clears the boundary.  Within the rows kept,
+`explicit_formula.ell_column_floor` bounds ell from below point by point,
+rising with Im mu: one integration by parts of the same integral.  The
+columns whose floor lies above the same level in every kept row are a
+suffix of the grid, and the lattice finishes only the columns before it
+(66 of the headline grid's 801), on the full rectangle's lattice, so that
+every value it returns is the full grid's.  The result is labeled
+numerical evidence, grid-based; it is not a proof.
 
 The two Gamma-factor normalizations give pointwise-identical values under
 mu -> k mu, k = `convention_scale(convention)`; `certify_gap` divides its
@@ -44,10 +50,13 @@ from .explicit_formula import (
     _GRID_TOL,
     PRIME_FREE_RADIUS,
     TWO_PI,
+    _check_grid_size,
     _check_prime_free,
+    _cutoff_floor,
     _step_grid,
     convention_scale,
     ell,
+    ell_column_floor,
     ell_floor,
     ell_grid,
 )
@@ -78,9 +87,9 @@ class SearchDomain:
     exceeds the interior minimum, supporting the asymptotic-growth cutoff;
     it is read off that row's grid values, or established by `ell_floor`
     when the row was skipped.  grid_shape is the whole rectangle's, skipped
-    rows included, and rows_evaluated the number of its leading Re-mu rows
-    that went on the lattice; error_bound is the quadrature budget per grid
-    value.
+    rows and columns included; rows_evaluated and columns_evaluated count
+    its leading Re-mu rows and Im-mu columns that went on the lattice.
+    error_bound is the quadrature budget per grid value.
     """
 
     re_max: float
@@ -89,6 +98,7 @@ class SearchDomain:
     convention: str
     grid_shape: Tuple[int, int]
     rows_evaluated: int
+    columns_evaluated: int
     boundary_clear: bool
     error_bound: float
 
@@ -148,45 +158,73 @@ def min_ell_over_mu(
     under mu -> conj(mu) for even f.  Ties go to the smallest Re mu, then
     the smallest Im mu (row-major first hit).
 
-    Only the leading Re-mu rows are evaluated on the lattice.  mu = 0 is a
-    grid point, so the lattice minimum is at most u + error_bound, with u
-    the pointwise ell(0); a row whose `ell_floor` exceeds u + 2 _GRID_TOL
-    (twice ell_grid's budget of _GRID_TOL / 2, plus room for u's
-    tolerance, checked after the call) lies wholly above that minimum.
-    The floor is nondecreasing in Re mu (its derivative is an integral of
-    |fhat| against a positive weight), so the skipped rows are a suffix of
-    the grid, and the lattice takes the rows up to the last one the floor
-    keeps, counted in the domain's rows_evaluated.  The result is the full
-    grid's: bit for bit when
-    2 re_max + 1 <= 2 im_max in halved parameters, within error_bound
-    otherwise, where ell_grid sizes its lattice by the largest Re mu it is
-    given.  A skipped Re mu = re_max row is boundary_clear by the floor.
+    Only the leading Re-mu rows and Im-mu columns are evaluated on the
+    lattice.  mu = 0 is a grid point, so the lattice minimum is at most
+    u + error_bound, with u the pointwise ell(0); a point whose floor
+    exceeds the pad u + 2 _GRID_TOL (twice ell_grid's budget of
+    _GRID_TOL / 2, plus room for u's tolerance, checked after the call)
+    lies above that minimum.  `ell_floor` bounds a whole row and is
+    nondecreasing in Re mu (its derivative is an integral of |fhat|
+    against a positive weight), so the skipped rows are a suffix of the
+    grid, and the lattice takes the rows up to the last one the floor
+    keeps, counted in the domain's rows_evaluated.  On those rows
+    `ell_column_floor` bounds each point and is nondecreasing in Im mu, so
+    the columns it clears in every kept row are a suffix too, found on
+    every 16th column and then column by column; ell_grid finishes the
+    columns before it, at least 2, counted in columns_evaluated, on the
+    full grid's lattice (its leading-columns call).  The result is the
+    full grid's: bit for bit when 2 re_max + 1 <= 2 im_max in halved
+    parameters, within error_bound otherwise, where ell_grid sizes its
+    lattice by the largest Re mu it is given.  A skipped Re mu = re_max
+    row is boundary_clear by the floor; otherwise the skipped columns lie
+    above u + error_bound >= the lattice value at mu = 0 in every row,
+    so the kept columns decide it.  A rectangle whose grid or lattice is
+    past `explicit_formula._check_grid_size`'s limits raises DomainError
+    before either is built.
     """
     k = convention_scale(convention)
     if not (0 < step <= re_max < math.inf and 0 <= im_max < math.inf):
         raise DomainError("need finite step > 0, re_max >= step, im_max >= 0")
+    _check_grid_size(re_max / step + 1.0, im_max / step + 1.0,
+                     _cutoff_floor(k * im_max, 0.25 + 0.5 * k * re_max), k * im_max)
     re_values = _step_grid(re_max, step)
     im_values = _step_grid(im_max, step)
 
     u = ell(0.0, f, tol=_INCUMBENT_TOL)
+    pad = u + 2.0 * _GRID_TOL
     floor = ell_floor(k * re_values, f)
-    ruled_out = floor > u + 2.0 * _GRID_TOL  # a nan floor rules nothing out
+    ruled_out = floor > pad  # a nan floor rules nothing out
     rows = int(max(np.flatnonzero(~ruled_out), default=0)) + 1
-    vals, error_bound = ell_grid(f, k * re_values[:rows], k * im_values)
+    # the column floor rises with Im mu in every row, so the columns whose
+    # floor lies above the pad in every kept row are a suffix: every 16th
+    # column finds the last kept one to within 16, and the 17 columns from
+    # there the first skipped one, with its floor for the log
+    column_floor = ell_column_floor(k * re_values[:rows], f)
+    coarse = column_floor(k * im_values[::16]).min(axis=0) > pad
+    j0 = 16 * int(max(np.flatnonzero(~coarse), default=0))
+    fine = column_floor(k * im_values[j0:j0 + 17]).min(axis=0)
+    cols = j0 + int(max(np.flatnonzero(~(fine > pad)), default=0)) + 1
+    cols = min(max(cols, 2), len(im_values))
+    vals, error_bound = ell_grid(f, k * re_values[:rows], k * im_values[:cols],
+                                 im_max=k * im_values[-1])
     if 2.0 * error_bound + _INCUMBENT_TOL > 2.0 * _GRID_TOL:
         raise AccuracyError(f"ell_grid error bound {error_bound:.3e} leaves no room in "
-                            f"the row-skipping pad 2 x {_GRID_TOL:.3e}", best=None)
+                            f"the pruning pad 2 x {_GRID_TOL:.3e}", best=None)
 
     i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
     if rows < len(re_values):
         # its lattice values are >= floor - eb > u + eb >= the minimum found
         boundary_clear = True
     else:
+        # the skipped columns lie above u + eb >= vals[0, 0] in every row
         boundary_clear = bool(vals[-1, :].min() > vals[:-1, :].min())
     _log.debug("min_ell_over_mu: %d of %d Re-mu rows on the lattice, incumbent "
-               "ell(0) = %r, floor at the first skipped row = %s",
+               "ell(0) = %r, floor at the first skipped row = %s; %d of %d Im-mu "
+               "columns on the lattice, column floor at the first skipped column = %s",
                rows, len(re_values), u,
-               repr(float(floor[rows])) if rows < len(re_values) else "none skipped")
+               repr(float(floor[rows])) if rows < len(re_values) else "none skipped",
+               cols, len(im_values),
+               repr(float(fine[cols - j0])) if cols < len(im_values) else "none skipped")
     domain = SearchDomain(
         re_max=float(re_values[-1]),
         im_max=float(im_values[-1]),
@@ -194,6 +232,7 @@ def min_ell_over_mu(
         convention=convention,
         grid_shape=(len(re_values), len(im_values)),
         rows_evaluated=rows,
+        columns_evaluated=cols,
         boundary_clear=boundary_clear,
         error_bound=float(error_bound),
     )

@@ -61,6 +61,20 @@ certification search skips every Re-mu row whose floor lies above its
 incumbent.  |fhat| does not depend on the centre, and is kinked where
 fhat changes sign, so those points are panel edges of the floor's integral.
 
+One integration by parts bounds ell below column by column.  h is
+absolutely continuous on [0, Y], so the integral is (h(0+) - e^-zY h(Y-)
++ int_0^Y e^-zx h' dx)/z, and with the series bounded alike,
+
+    ell >= G(a, y) = fhat(0) (Re psi(z) - log pi) - C(a)/|z|,
+
+C(a) being |h(0+)| + e^-aY |h(Y-)| + int_0^Y e^-ax |h'| plus the series'
+bound.  G rises with |y| (`ell_column_floor`), so within the rows the
+first floor keeps, the certification search evaluates only the leading
+Im-mu columns whose G does not clear its incumbent: 66 of the headline
+grid's 801.  h' comes in closed form from the transform's derivative
+(`TestFunction.fourier_centred_deriv`), and its sign changes, the kinks of
+|h'|, are panel edges of C's integral, as fhat's are of the first floor's.
+
 `ell_grid` evaluates ell (halved) over a rectangular (Re mu, Im mu) grid
 at reduced tolerance for the certification search, and returns the values
 with their error bound.  It still integrates in the time domain, W(t) = Re
@@ -101,7 +115,13 @@ minorant carries; what does not depend on a is computed once per grid, and
 the smooth part P is even, as f is, so both sides share its nodes and
 weights on `ell`'s Gauss-Legendre panels.  The lattice stays because the
 headline certificate's pinned margin, 0.185885, is the lattice's value:
-the exact minimum, 0.1858822, rounds differently.
+the exact minimum, 0.1858822, rounds differently.  Its values depend on
+the rectangle, through t3, the table and the FFT length, so a call given
+only the leading columns of a grid and the grid's im_max keeps all three
+and finishes those columns alone, bit for bit the full grid's: the smooth
+tail at the nodes that cover them, psi' at their boundary points, and
+each node's weighted sum a row sum, whose rounding does not depend on how
+many nodes the call keeps.
 
 The lattice spans |t| <= t3.  t3 starts at the floor the grid itself needs,
 max(t_valid, 2 max Im mu + 20, 4 max a + 20, 64), and grows by a fifth at a
@@ -125,7 +145,7 @@ import math
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -139,6 +159,7 @@ __all__ = [
     "ExplicitFormulaReport",
     "convention_scale",
     "ell",
+    "ell_column_floor",
     "ell_floor",
     "ell_grid",
     "rhs",
@@ -173,6 +194,13 @@ CONVENTIONS = ("halved", "literal")
 # grid value that fixes the oscillatory cutoff and the smooth-tail length
 _LATTICE_H = 0.0625
 _GRID_TOL = 2.5e-4
+# the largest grid the certification search takes: values, Re-mu rows
+# (ell_floor holds e^-ax at a few hundred nodes for each) and lattice
+# entries (Simpson nodes plus Im shifts), so that no array of the search
+# passes 64 MiB
+_MAX_GRID_VALUES = 1 << 23
+_MAX_GRID_ROWS = 1 << 14
+_MAX_LATTICE = 1 << 23
 
 # ell: points per panel of its error-estimating rule (the value's has twice
 # as many), and panels per block of work, which bounds memory at large |Im mu|
@@ -283,8 +311,8 @@ def ell_floor(re_mu, f: TestFunction) -> np.ndarray:
     fhat(0) > 0.  The integral takes `ell`'s panels for the largest a at
     Im z = 0 (so each value depends, in its last bits, on the largest
     entry), with the sign changes of fhat on (0, X), the kinks of |fhat|,
-    as further edges (`_transform_sign_changes`), and the floor is lowered
-    by its estimated quadrature error and rounding.
+    as further edges (`_floor_panels`), and the floor is lowered by its
+    estimated quadrature error and rounding.
 
     F is ell's Gauss integral with Re(e^{-iyx} fhat) replaced by |fhat|
     (module docstring), so ell(a + iy) >= F(a) at every y, and:
@@ -300,44 +328,128 @@ def ell_floor(re_mu, f: TestFunction) -> np.ndarray:
     if re_mu.ndim != 1 or not len(re_mu) or not (np.isfinite(re_mu) & (re_mu >= -1e-12)).all():
         raise DomainError("ell_floor needs a nonempty 1-d array of finite Re(mu) >= 0")
     a = 0.25 + 0.5 * np.maximum(re_mu, 0.0)
-    big_x = 4.0 * math.pi * f.support_radius
-    x_end = max(big_x, 1.0)
-    spans = _ell_spans(big_x, x_end, _transform_sign_changes(f, big_x))
-    edges = np.array(_ell_edges(complex(a.max(), 0.0), spans, x_end))
-    x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
+    x_end = max(4.0 * math.pi * f.support_radius, 1.0)
+    x, w = _floor_panels(f, a, lambda x: f.fourier_centred(x / (4.0 * math.pi)))
     fhat = f.fourier_centred(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
     f0 = float(fhat[0])
     if not f0 > 0.0:
         return np.full(a.shape, -np.inf)
     g = w * ((f0 - np.abs(fhat[1:].reshape(x.shape))) / -np.expm1(-x))
+    integral, quad_err = _damped_integrals(a, x, g)
+    series = _series(a, x_end)
+    psi = digamma(a)
+    # e^-ax <= 1 bounds every node's term by its |g|
+    mass = np.abs(g[:, _NODES:]).sum() + f0 * (np.abs(psi) + LOG_PI + series)
+    err = quad_err + 16.0 * math.ulp(1.0) * mass
+    return f0 * (psi - LOG_PI + series) + integral - err
+
+
+def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """A lower bound of ell(mu, f) (halved) at each Re mu of a 1-d array,
+    as a function of Im mu, from one integration by parts of ell's
+    frequency-side integral.  With z = a + iy that of the centred copy
+    (a = 1/4 + Re mu/2, y = (Im mu + centre)/2) and h, Y as in the module
+    docstring,
+
+        G(a, y) = fhat(0) (Re psi(z) - log pi) - C(a)/|z|,
+        C(a) = |h(0+)| + e^-aY |h(Y-)| + int_0^Y e^-ax |h'(x)| dx
+               + fhat(0) e^-aY/(1 - e^-Y).
+
+    h is absolutely continuous on [0, Y], so int_0^Y e^-zx h dx =
+    (h(0+) - e^-zY h(Y-) + int_0^Y e^-zx h' dx)/z, and the series is at
+    most e^-aY/(|z| (1 - e^-Y)) in modulus since |z + k| >= |z|: so
+    ell >= G.  G is nondecreasing in |y|: Re psi(a + iy) = -gamma +
+    sum_k [1/(k + 1) - (a + k)/((a + k)^2 + y^2)] (DLMF 5.7.6) rises with
+    y^2, and C(a)/|z| falls, so the columns a row's floor clears beyond
+    Im mu = -centre are a suffix of any grid there.  G is -inf unless
+    fhat(0) > 0.
+
+    C depends on f and a alone and is computed here, once; the function
+    returned takes a 1-d array of Im mu and gives G of shape
+    (len(re_mu), len(im_mu)).  h' = -(fhat'(x/4 pi)/4 pi + e^-x h(x))
+    /(1 - e^-x) is closed-form, from `TestFunction.fourier_centred_deriv`,
+    and h(0+) = -fhat'(0+)/4 pi.  The integral takes `ell_floor`'s panels
+    for the largest a, with the sign changes of h' on (0, X) as further
+    edges, and C is raised by its estimated quadrature error and rounding,
+    the standard of `ell_floor`.
+    """
+    re_mu = np.asarray(re_mu, dtype=float)
+    if re_mu.ndim != 1 or not len(re_mu) or not (np.isfinite(re_mu) & (re_mu >= -1e-12)).all():
+        raise DomainError("ell_column_floor needs a nonempty 1-d array of finite Re(mu) >= 0")
+    deriv = f.fourier_centred_deriv
+    if deriv is None:
+        raise DomainError("ell_column_floor needs the transform's derivative "
+                          "(TestFunction.fourier_centred_deriv)")
+    a = 0.25 + 0.5 * np.maximum(re_mu, 0.0)
+    x_end = max(4.0 * math.pi * f.support_radius, 1.0)
+    f0 = float(f.fourier_centred(0.0))
+
+    def h_deriv(x):
+        xi = x / (4.0 * math.pi)
+        tail = -np.expm1(-x)
+        return -(deriv(xi) / (4.0 * math.pi)
+                 + np.exp(-x) * (f0 - f.fourier_centred(xi)) / tail) / tail
+
+    if f0 > 0.0:
+        x, w = _floor_panels(f, a, h_deriv)
+        g = w * np.abs(h_deriv(x))
+        integral, quad_err = _damped_integrals(a, x, g)
+        damp = np.exp(-a * x_end)
+        h_end = abs(f0 - float(f.fourier_centred(x_end / (4.0 * math.pi))))
+        c = (abs(float(deriv(0.0))) / (4.0 * math.pi) + integral
+             + damp * (h_end + f0) / -math.expm1(-x_end))
+        c += quad_err + 16.0 * math.ulp(1.0) * (c + np.abs(g[:, _NODES:]).sum())
+
+    def floor_at(im_mu) -> np.ndarray:
+        im_mu = np.asarray(im_mu, dtype=float)
+        if im_mu.ndim != 1 or not np.isfinite(im_mu).all():
+            raise DomainError("the column floor needs a 1-d array of finite Im(mu)")
+        if not f0 > 0.0:
+            return np.full((len(a), len(im_mu)), -np.inf)
+        z = a[:, None] + 0.5j * (im_mu + f.centre)
+        psi = np.real(digamma(z))
+        slack = c[:, None] / np.abs(z)
+        rounding = 16.0 * math.ulp(1.0) * (f0 * (np.abs(psi) + LOG_PI) + slack)
+        return f0 * (psi - LOG_PI) - slack - rounding
+
+    return floor_at
+
+
+def _floor_panels(f: TestFunction, a: np.ndarray, value: Callable) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights, by panel, of the floors' integrals over
+    [0, Y]: `ell`'s panels for the largest a at Im z = 0, with the sign
+    changes of value on (0, X), the kinks of |value|, as further edges."""
+    big_x = 4.0 * math.pi * f.support_radius
+    x_end = max(big_x, 1.0)
+    spans = _ell_spans(big_x, x_end, _sign_changes(value, f, big_x))
+    edges = np.array(_ell_edges(complex(a.max(), 0.0), spans, x_end))
+    return _gauss_panels(edges, _NODES, 2 * _NODES)
+
+
+def _damped_integrals(a: np.ndarray, x: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """int e^-ax g at each a, from Gauss weights folded into g by panel
+    (`_gauss_panels(edges, _NODES, 2 _NODES)`): the 48-point value and its
+    distance from the 24-point one."""
     sums = []
     for rule in (slice(None, _NODES), slice(_NODES, None)):
         e = np.multiply.outer(-a, x[:, rule].ravel())
         # in place: a fresh output array tripled exp's cost on 201 rows
         sums.append(np.exp(e, out=e) @ g[:, rule].ravel())
     coarse, integral = sums
-    series = _series(a, x_end)
-    psi = digamma(a)
-    # e^-ax <= 1 bounds every node's term by its |g|
-    mass = np.abs(g[:, _NODES:]).sum() + f0 * (np.abs(psi) + LOG_PI + series)
-    err = np.abs(integral - coarse) + 16.0 * math.ulp(1.0) * mass
-    return f0 * (psi - LOG_PI + series) + integral - err
+    return integral, np.abs(integral - coarse)
 
 
-def _transform_sign_changes(f: TestFunction, big_x: float) -> list:
-    """The x in (0, X) where the centred copy's transform fhat(x/4 pi)
+def _sign_changes(value: Callable, f: TestFunction, big_x: float) -> list:
+    """The x in (0, X) where value, fhat(x/4 pi) of the centred copy or h',
     changes sign, bracketed on a sample and solved together by
     `extremal._bracketed_roots`.  The centred copy lives mostly in
-    |t| <= t0 - |centre|, t0 the envelope's onset, so fhat changes sign
-    about 2 delta (t0 - |centre|) times on [0, delta]; the sample takes 32
-    points per such change.  Two sign changes closer than its step go
-    unseen; ell_floor's error estimate still sees the kinks they leave."""
+    |t| <= t0 - |centre|, t0 the envelope's onset, so fhat and its
+    derivative change sign about 2 delta (t0 - |centre|) times on
+    [0, delta]; the sample takes 32 points per such change.  Two sign
+    changes closer than its step go unseen; the floors' error estimates
+    still see the kinks they leave."""
     n = 32 * math.ceil(2.0 * f.support_radius * (f.envelope.t0 - abs(f.centre)) + 1.0)
     x = big_x * np.arange(1, n) / n
-
-    def value(x):
-        return f.fourier_centred(x / (4.0 * math.pi))
-
     v = value(x)
     k = np.flatnonzero((v[:-1] >= 0.0) != (v[1:] >= 0.0))
     if not k.size:
@@ -426,6 +538,25 @@ def _geom_nodes(t_from: float, t_to: float) -> list:
     return pts
 
 
+def _cutoff_floor(y_max: float, a_max: float) -> float:
+    """The least lattice half-width t3 a grid up to Im mu = y_max and
+    a = a_max takes, before the tail bounds (`ell_grid`)."""
+    return max(2.0 * y_max + 20.0, 4.0 * a_max + 20.0, 64.0)
+
+
+def _check_grid_size(n_re: float, n_im: float, t3: float, y_span: float) -> None:
+    """DomainError for a grid of n_re x n_im values, or a lattice of
+    half-width t3 whose shifts span y_span in Im mu, past the sizes the
+    certification search evaluates (`_MAX_GRID_VALUES`, `_MAX_GRID_ROWS`,
+    `_MAX_LATTICE`); callers check before allocating either."""
+    lattice = (2.0 * t3 + y_span) / _LATTICE_H
+    if n_re * n_im > _MAX_GRID_VALUES or n_re > _MAX_GRID_ROWS or lattice > _MAX_LATTICE:
+        raise DomainError(
+            f"a {n_re:.6g} x {n_im:.6g} grid on a lattice of {lattice:.6g} entries is "
+            f"too large: at most {_MAX_GRID_VALUES} values, {_MAX_GRID_ROWS} Re-mu rows "
+            f"and {_MAX_LATTICE} lattice entries")
+
+
 def _next_fast_len(n: int) -> int:
     """The smallest 5-smooth integer >= n >= 1, the lengths pocketfft
     transforms fastest: for each 3^j 5^k below the best so far, the least
@@ -441,22 +572,23 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _smooth_tail_nodes(ys: np.ndarray, tail, t3: float, eps: float, y_stride: int):
+def _smooth_tail_nodes(n_cols: int, tail, t3: float, eps: float, y_stride: int):
     """idx, pts and the weights of int_{t3}^{inf} W(sign*t) P(t) dt, the
     a-independent part, alike for both signs because P is even.
 
-    The integral is evaluated exactly on a coarse y subgrid `idx` and
-    linearly interpolated between (its y-curvature is O(t3^-3)); for a row a
-    it is Re psi(a + iv) @ weights, with v = (sign*pts + ys[idx])/2.
+    The integral is evaluated exactly on a coarse subgrid `idx` of the
+    n_cols Im columns and linearly interpolated between (its y-curvature is
+    O(t3^-3)); for a row a it is Re psi(a + iv) weighted and summed, with
+    v = (sign*pts + ys[idx])/2.
     """
     c0, clog = 3.0, 1.0
     t2 = t3
     while tail.c_p * (c0 + clog * (math.log(t2) + 1.0)) / t2 > eps:
         t2 *= 1.5
     pts, wts = (a.ravel() for a in _gauss_panels(np.array(_geom_nodes(t3, t2)), 15))
-    idx = np.arange(0, len(ys), y_stride)
-    if idx[-1] != len(ys) - 1:
-        idx = np.append(idx, len(ys) - 1)
+    idx = np.arange(0, n_cols, y_stride)
+    if idx[-1] != n_cols - 1:
+        idx = np.append(idx, n_cols - 1)
     return idx, pts, wts * np.asarray(tail.smooth(pts), dtype=float)
 
 
@@ -464,6 +596,8 @@ def ell_grid(
     f: TestFunction,
     re_values: Sequence[float],
     im_values: Sequence[float],
+    im_max: Optional[float] = None,
+    im_step: Optional[float] = None,
 ) -> Tuple[np.ndarray, float]:
     """ell(mu, f), halved convention, on the grid {re x im}.
 
@@ -478,6 +612,16 @@ def ell_grid(
     f is sampled once, in one call on half the lattice, and when v = 0 is a
     table point each row's psi values are computed on the v >= 0 half of
     the table and mirrored.
+
+    Leading columns: with im_max, im_values are the first columns of the
+    grid that runs on in the same step to im_max (im_step gives that step
+    when a single column is passed), and the values are that grid's first
+    columns, bit for bit when its columns are im_values[0] + k step, as
+    `_step_grid`'s are.  The lattice, its table, the FFT length and the
+    error budget stay the full grid's; only the given columns are finished,
+    with the smooth-tail nodes that cover them and psi' at their boundary
+    points.  A grid or lattice past `_check_grid_size`'s limits raises
+    DomainError before any lattice array is allocated.
     """
     tail = f.envelope.tail
     if tail is None or not f.even:
@@ -488,23 +632,37 @@ def ell_grid(
         raise DomainError("re_values and im_values must be 1-d")
     if not len(re_values) or not len(ys):
         raise DomainError("re_values and im_values must be nonempty")
-    if not (np.isfinite(re_values).all() and np.isfinite(ys).all()):
+    y_max = float(ys[-1]) if im_max is None else float(im_max)
+    if not (np.isfinite(re_values).all() and np.isfinite(ys).all() and math.isfinite(y_max)):
         raise DomainError("grid values must be finite")
     if (re_values < -1e-12).any() or (ys < -1e-12).any():
         raise DomainError("grid must lie in the closed upper-right quadrant")
     h = _LATTICE_H
-    stride = 1
+    step = im_step
     if len(ys) > 1:
         steps = np.diff(ys)
         if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
             raise DomainError("im_values must be equispaced")
-        ratio = steps[0] / h
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if step is not None and abs(step - steps[0]) > 1e-9:
+            raise DomainError(f"im_step {step!r} is not the step of im_values")
+        step = float(steps[0])
+    stride = 1  # the step's, when there is one
+    if step is not None:
+        ratio = step / h
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise DomainError(f"im step must be a positive multiple of {h}")
         stride = int(round(ratio))
+    # the full grid's column count
+    n_cols, n_out = len(ys), len(ys)
+    if y_max > ys[-1] + 1e-9:
+        if step is None:
+            raise DomainError("a single column before im_max needs im_step")
+        n_cols = 1 + round((y_max - ys[0]) / step)
+        if abs(ys[0] + (n_cols - 1) * step - y_max) > 1e-9:
+            raise DomainError("im_max must lie on the grid of im_values")
+    elif y_max < ys[-1] - 1e-9:
+        raise DomainError("im_max must not lie below the last of im_values")
     a_row = 0.25 + 0.5 * re_values
-
-    y_max = float(ys[-1])
     a_max = float(a_row.max())
 
     # oscillatory cutoff: after two integrations by parts the remainder per
@@ -512,7 +670,7 @@ def ell_grid(
     # the total stays within _GRID_TOL/4
     eps_o = _GRID_TOL / (8.0 * max(len(tail.components), 1))
     c0, clog, cd, cdd = 3.0, 1.0, 4.0, 8.0
-    t3 = max(tail.t_valid, 2.0 * y_max + 20.0, 4.0 * a_max + 20.0, 64.0)
+    t3 = max(tail.t_valid, _cutoff_floor(y_max, a_max))
 
     def rem2(comp, t):
         c_q, c_dq, c_ddq = comp.bounds(t)
@@ -528,6 +686,8 @@ def ell_grid(
     if n_half % 2:
         n_half += 1
     t3 = n_half * h
+    n_shift = stride * (n_cols - 1)
+    _check_grid_size(len(re_values), n_cols, t3, n_shift * h)
 
     # Simpson weights on [-t3, t3]; f is even, so f.value runs on the nodes
     # t = k h >= 0 alone, in one call, and is mirrored
@@ -542,8 +702,6 @@ def ell_grid(
     # lattice of psi arguments a + iv, v = (t + y)/2: shift k of the Simpson
     # nodes is y = ys[0] + k h, so the Im-mu grid is every stride-th shift and
     # the boundary points t = +-t3 of y = ys[j] are table entries
-    n_cols = len(ys)
-    n_shift = stride * (n_cols - 1)
     n_table = nt + n_shift
     v_table = 0.5 * (ys[0] - t3 + np.arange(n_table) * h)
     # Re psi(a + iv) is even in v: when v = 0 is table entry k0, every row
@@ -579,11 +737,21 @@ def ell_grid(
 
     # the a-independent tail data of each side: the boundary terms of the two
     # integrations by parts are amp_w W + amp_dw W' at t = sign t3, and P is
-    # even, so both sides share the smooth tail's nodes and weights
-    idx, pts, p_wts = _smooth_tail_nodes(ys, tail, t3, eps_s, 16)
+    # even, so both sides share the smooth tail's nodes and weights.  The
+    # smooth tail is evaluated at the full grid's interpolation nodes up to
+    # the first at or past the last column given (one past them takes its y
+    # from the step), and at the full grid's last node, whose t < 0 side
+    # holds the call's smallest |v|: that sets how many series terms
+    # `_re_digamma` sums, so the given columns get the full grid's bits
+    idx, pts, p_wts = _smooth_tail_nodes(n_cols, tail, t3, eps_s, 16)
+    n_used = int(np.searchsorted(idx, n_out - 1)) + 1
+    idx = np.append(idx[:n_used], idx[-1])
+    y_idx = np.where(idx < n_out, ys[np.minimum(idx, n_out - 1)], ys[0] + idx * (step or 0.0))
+    y_idx[idx == n_cols - 1] = y_max
     sides = []
     v_rows = [v_table[k0:]]
-    edges = ((+1, slice(nt - 1, None, stride)), (-1, slice(0, n_shift + 1, stride)))
+    out_span = stride * (n_out - 1) + 1
+    edges = ((+1, slice(nt - 1, nt - 1 + out_span, stride)), (-1, slice(0, out_span, stride)))
     for sign, edge in edges:
         amp_w = amp_dw = 0.0
         for comp in tail.components:
@@ -594,14 +762,14 @@ def ell_grid(
             amp_w -= q * math.sin(theta) / om + dq * math.cos(theta) / om**2
             amp_dw -= q * math.cos(theta) / om**2
         sides.append((sign, edge, amp_w, amp_dw))
-        v_rows.append(0.5 * (sign * pts[None, :] + ys[idx, None]))
+        v_rows.append(0.5 * (sign * pts[None, :] + y_idx[:, None]))
     v_ends = np.stack([v_table[edge] for _, edge in edges])
-    y_index = np.arange(n_cols)
+    y_index = np.arange(n_out)
     v2_rows = [v * v for v in v_rows]
 
     # per row: the correlation, then per side the boundary terms, with psi'
     # at the row's boundary points, and the interpolated smooth tail
-    out = np.empty((len(a_row), n_cols))
+    out = np.empty((len(a_row), n_out))
     kept = {}  # Re psi rows of the last unit of a, keyed by a
     for i, a in enumerate(a_row):
         below = kept.get(a - 1.0)
@@ -621,11 +789,13 @@ def ell_grid(
         spectrum *= g_hat
         folded = spectrum[alias]
         np.conjugate(folded, out=folded, where=mirrored)
-        out[i] = np.fft.irfft(folded.sum(axis=0), m_len)[:n_cols]
+        out[i] = np.fft.irfft(folded.sum(axis=0), m_len)[:n_out]
         trigamma = _polygamma(1, a + 1j * v_ends)
         for (sign, edge, amp_w, amp_dw), smooth, tri in zip(sides, psi[1:], trigamma):
             out[i] += amp_w * table[edge] + amp_dw * (-0.5 * sign * np.imag(tri))
-            out[i] += np.interp(y_index, idx, smooth @ p_wts)
+            # a row sum, not a matrix product, whose rounding would depend
+            # on how many nodes the call keeps
+            out[i] += np.interp(y_index, idx[:n_used], (smooth * p_wts).sum(axis=1)[:n_used])
     out -= f.integral * LOG_PI
     return out, rem_total + 2.0 * eps_s
 

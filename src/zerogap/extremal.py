@@ -34,8 +34,11 @@ its ``centre``, 0 for the kernels and (alpha + beta)/2 for the Selberg
 minorant, and the transform stored is that of its centred copy
 f(. + centre): real, even, and for the minorant a function of beta - alpha
 alone.  The pointwise explicit-formula term and ``fourier_at`` read only
-this transform.  The Selberg minorant is also carried beyond its last sign
-change as an explicit tail decomposition (smooth part plus
+this transform.  The Selberg minorant also carries the transform's exact
+derivative on [0, delta], from the derivatives of Vaaler's J^ and of
+sin(w)/w, with their series where the closed forms cancel, for the column
+floor ``explicit_formula.ell_column_floor``.  It is also carried beyond
+its last sign change as an explicit tail decomposition (smooth part plus
 amplitude-times-cosine components, whose amplitude and derivative bounds
 are functions of a cutoff) for the lattice evaluator
 ``explicit_formula.ell_grid``, which certification runs on it alone; the
@@ -66,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -116,6 +119,7 @@ class TestFunction:
     fourier_centred: Callable
     centre: float = 0.0
     label: str = ""
+    fourier_centred_deriv: Optional[Callable] = None
 
     @property
     def even(self) -> bool:
@@ -210,7 +214,7 @@ def _bracketed_roots(value: Callable, a: np.ndarray, b: np.ndarray,
         if not k.size:
             return root
         lo, hi = np.minimum(a[k], b[k]) + 0.5 * tol[k], np.maximum(a[k], b[k]) - 0.5 * tol[k]
-        c = np.clip(b[k] - fb[k] * (b[k] - a[k]) / (fb[k] - fa[k]), lo, hi)
+        c = np.minimum(np.maximum(b[k] - fb[k] * (b[k] - a[k]) / (fb[k] - fa[k]), lo), hi)
         fc = np.asarray(value(c), dtype=float)
         same = np.sign(fc) == np.sign(fb[k])
         # a kept twice in a row has its value scaled down, Anderson-Bjorck's
@@ -234,7 +238,7 @@ def _find_window(value: Callable, alpha: float, beta: float, delta: float):
     first and after the last positive sample are bracketed and solved
     together by `_bracketed_roots`.  When delta L is an integer,
     S_-(alpha) = S_-(beta) = 0.0 exactly, and the edges are alpha and beta
-    themselves."""
+    themselves (`selberg_minorant` then takes them without a sample)."""
     h = min(1.0 / delta, 0.5 * (beta - alpha))
     # 256 steps per lobe: a positive run narrower than one step goes unseen
     grid = np.concatenate([np.linspace(alpha, alpha + h, 257),
@@ -261,8 +265,43 @@ def _vaaler_j(u: np.ndarray) -> np.ndarray:
     # cotangent's pole at |u| = 1 into the removable point of v cot(pi v).
     a = np.abs(u)
     near = (1.0 - a) * math.pi * _u_cot_pi_u(np.minimum(a, 0.5)) + a
-    far = a - math.pi * a * _u_cot_pi_u(np.clip(1.0 - a, 0.0, 0.5))
+    far = a - math.pi * a * _u_cot_pi_u(np.minimum(np.maximum(1.0 - a, 0.0), 0.5))
     return np.where(a <= 0.5, near, np.where(a < 1.0, far, 0.0))
+
+
+def _vaaler_j_and_deriv(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # J^(u) and d/du J^(u) for 0 <= u < 1, J^'s right derivative at 0 being
+    # 0: with phi(v) = v cot(pi v) at v = u up to 1/2 and v = 1 - u beyond,
+    # the two forms of _vaaler_j read J^ = u + s pi m phi(v) and
+    # J^' = 1 - pi (phi(v) - m phi'(v)), m = 1 - u and s = 1 below 1/2,
+    # m = u and s = -1 above.  phi' = cot w - w/sin(w)^2 (w = pi v) cancels
+    # near 0, so below w = 0.06 both come from w cot w = 1 - w^2/3 - w^4/45
+    # - 2w^6/945 - w^8/4725 (DLMF 4.19.6), within 1e-13 relative there
+    near = u <= 0.5
+    v = np.where(near, u, 1.0 - u)
+    m = np.where(near, 1.0 - u, u)
+    w = math.pi * v
+    w2 = w * w
+    small = w < 0.06
+    safe = np.where(small, 1.0, w)
+    sin = np.sin(safe)
+    cot = np.cos(safe) / sin
+    series = 1.0 - w2 * (1.0 / 3.0 + w2 * (1.0 / 45.0 + w2 * (2.0 / 945.0 + w2 / 4725.0)))
+    phi = np.where(small, series / math.pi, v * cot)
+    series = -w * (2.0 / 3.0 + w2 * (4.0 / 45.0 + w2 * (4.0 / 315.0 + w2 * (8.0 / 4725.0))))
+    dphi = np.where(small, series, cot - safe / (sin * sin))
+    return u + np.where(near, math.pi, -math.pi) * m * phi, 1.0 - math.pi * (phi - m * dphi)
+
+
+def _sinc_and_deriv(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # sin(w)/w and its derivative (cos w - sin(w)/w)/w; below |w| = 0.1, where
+    # the derivative's two terms cancel, the derivative of the series of
+    # sin(w)/w instead, within 1e-14 relative there
+    safe = np.where(w == 0.0, 1.0, w)
+    sinc = np.where(w == 0.0, 1.0, np.sin(safe) / safe)
+    w2 = w * w
+    series = -w * (1.0 / 3.0 - w2 * (1.0 / 30.0 - w2 * (1.0 / 840.0 - w2 / 45360.0)))
+    return sinc, np.where(np.abs(w) < 0.1, series, (np.cos(safe) - sinc) / safe)
 
 
 # near-field sampling of t^2 |S(t)| on +-[t0, t1]: samples per lobe (one
@@ -332,7 +371,12 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         out = -0.5 * (b[0] + b[1])
         return float(out) if tv.ndim == 0 else out
 
-    window = _find_window(value, alpha, beta, delta)
+    # delta L = n, an integer >= 1 in floating point: S_-(alpha) = S_-(beta)
+    # = -(B(0) + B(-n))/2 = 0.0 exactly and S_-(alpha + e) ~ delta e > 0, so
+    # the edges are alpha and beta, the bits _find_window's bracketing gives
+    n = delta * (beta - alpha)
+    window = (alpha, beta) if n >= 1.0 and n == math.floor(n) else _find_window(
+        value, alpha, beta, delta)
 
     # tail structure for |t| >= t_valid: both Beurling arguments have
     # modulus >= 1.5 there, so the w-form of B applies on both sides
@@ -396,6 +440,20 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         return (_vaaler_j(u) * length * np.sinc(xi * length)
                 - np.maximum(1.0 - np.abs(u), 0.0) / delta * np.cos(math.pi * xi * length))
 
+    def ft_deriv(x):
+        # d/dxi of ft for xi >= 0, zero from delta on: with u = xi/delta and
+        # w = pi xi L, J^ contributes J^'(u)/delta, the sinc pi L d/dw
+        # (sin(w)/w), and -K^ cos/delta, K^ = 1 - u, cos(w)/delta^2 +
+        # pi L K^ sin(w)/delta
+        xi = np.asarray(x, dtype=float)
+        u = xi / delta
+        w = math.pi * length * xi
+        j, dj = _vaaler_j_and_deriv(u)
+        sinc, d_sinc = _sinc_and_deriv(w)
+        out = (length * (dj * sinc + j * math.pi * length * delta * d_sinc)
+               + np.cos(w) / delta + math.pi * length * (1.0 - u) * np.sin(w)) / delta
+        return np.where(u < 1.0, out, 0.0)
+
     t0_env = s_max + 0.66 / delta
     m_env = _selberg_envelope_m(value, alpha, beta, delta, t0_env)
     envelope = DecayEnvelope(m=m_env, t0=t0_env, tail=tail)
@@ -408,6 +466,7 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         envelope=envelope,
         centre=0.5 * (alpha + beta),
         fourier_centred=ft,
+        fourier_centred_deriv=ft_deriv,
         label=f"selberg[{alpha:g},{beta:g}]@{delta:g}",
     )
 

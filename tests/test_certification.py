@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,14 @@ from zerogap.certification import (
     minimal_certified_length,
 )
 from zerogap.errors import AccuracyError, DomainError
-from zerogap.explicit_formula import PRIME_FREE_RADIUS, _step_grid, convention_scale, ell_grid
+from zerogap.explicit_formula import (
+    _GRID_TOL,
+    PRIME_FREE_RADIUS,
+    _step_grid,
+    convention_scale,
+    ell_column_floor,
+    ell_grid,
+)
 from zerogap.extremal import selberg_minorant
 
 CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
@@ -25,8 +33,8 @@ CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 CERT_MARGIN = 0.18588479392167442
 CERT_SEARCH_DOMAIN = {
     "re_max": 50.0, "im_max": 200.0, "step": 0.25, "convention": "halved",
-    "grid_shape": [201, 801], "rows_evaluated": 8, "boundary_clear": True,
-    "error_bound": 7.70966042141075e-05,
+    "grid_shape": [201, 801], "rows_evaluated": 8, "columns_evaluated": 66,
+    "boundary_clear": True, "error_bound": 7.70966042141075e-05,
 }
 # the same run on the FAST rectangle below: the lattice's extent follows the
 # rectangle, so the margin differs from CERT_MARGIN by 8.6e-8
@@ -219,7 +227,8 @@ def test_certificate_invariant():
     s = MinEllSearch(value=-1.0, argmin=0j,
                      domain=SearchDomain(re_max=1.0, im_max=1.0, step=1.0,
                                          convention="halved", grid_shape=(2, 2),
-                                         rows_evaluated=2, boundary_clear=True,
+                                         rows_evaluated=2, columns_evaluated=2,
+                                         boundary_clear=True,
                                          error_bound=1e-4))
     with pytest.raises(DomainError):
         GapCertificate(interval=(-1.0, 1.0), delta=PRIME_FREE_RADIUS, degree=4,
@@ -275,22 +284,24 @@ def test_pruned_search_on_wide_re_rectangles():
 def test_headline_certificate_evaluates_few_rows(monkeypatch):
     calls = []
 
-    def spy(f, re_values, im_values):
-        calls.append((len(re_values), len(im_values)))
-        return ell_grid(f, re_values, im_values)
+    def spy(f, re_values, im_values, im_max):
+        calls.append((len(re_values), len(im_values), im_max))
+        return ell_grid(f, re_values, im_values, im_max=im_max)
 
     monkeypatch.setattr(certification, "ell_grid", spy)
     cert = certify_gap(4, CERT_LENGTH)
     assert len(calls) == 1
-    rows, cols = calls[0]
-    assert rows <= 8 and cols == 801
+    rows, cols, im_max = calls[0]
+    # the leading columns the column floor keeps, on the full grid's lattice
+    assert rows <= 8 and cols <= 71 and im_max == 200.0
     assert cert.search.grid_shape == (201, 801)
+    assert (cert.search.rows_evaluated, cert.search.columns_evaluated) == (rows, cols)
     assert cert.search.boundary_clear is True
 
 
 def test_pruning_pad_checked_against_grid_bound(monkeypatch):
-    def loose(f, re_values, im_values):
-        values, _ = ell_grid(f, re_values, im_values)
+    def loose(f, re_values, im_values, im_max):
+        values, _ = ell_grid(f, re_values, im_values, im_max=im_max)
         return values, 1e-3  # above the pad the skipped rows were sized with
 
     monkeypatch.setattr(certification, "ell_grid", loose)
@@ -307,9 +318,43 @@ def test_min_ell_logs_rows_evaluated(caplog):
     message = records[0].getMessage()
     assert "2 of 51 Re-mu rows" in message
     assert "incumbent ell(0) = 0.2919830149572" in message
+    cols = search.domain.columns_evaluated
+    assert f"{cols} of 201 Im-mu columns" in message and 2 <= cols < 201
+    assert "column floor at the first skipped column = " in message
     assert search.domain.grid_shape == (51, 201)
 
 
 def test_package_logger_silent_by_default():
     logger = logging.getLogger("zerogap")
     assert any(isinstance(h, logging.NullHandler) for h in logger.handlers)
+
+
+@pytest.mark.parametrize("rect", [
+    dict(im_max=1e7),  # a lattice of 8e8 entries, a 6 GB table
+    dict(re_max=1e7),  # 4e7 rows
+    dict(step=1e-4),  # 1e11 grid values
+])
+def test_oversized_rectangle_refused_before_allocating(rect):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="too large"):
+            certify_gap(4, CERT_LENGTH, **rect)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20  # the minorant's own samples, not the grid
+
+
+def test_headline_certificate_columns_are_the_column_floors():
+    # the columns kept are those up to the last whose floor is at or below
+    # the pad in some kept row: the floor at the first skipped column is
+    # above it in every kept row, and at the last kept column it is not
+    cert = certify_gap(4, CERT_LENGTH)
+    d = cert.search
+    f = cert_fn()
+    pad = certification.ell(0.0, f, tol=certification._INCUMBENT_TOL) + 2.0 * _GRID_TOL
+    re_values = _step_grid(d.re_max, d.step)[:d.rows_evaluated]
+    floors = ell_column_floor(re_values, f)(_step_grid(d.im_max, d.step))
+    assert d.columns_evaluated < 801
+    assert (floors[:, d.columns_evaluated:] > pad).all()
+    assert not (floors[:, d.columns_evaluated - 1] > pad).all()

@@ -192,6 +192,15 @@ def test_scan_region_huge_nu_is_an_error(capsys):
     assert "Traceback" not in err
 
 
+def test_certify_gap_oversized_grid_is_an_error(capsys):
+    rc, out, err = run(capsys, "certify-gap", "--degree", "4", "--length", CERT_LENGTH,
+                       "--im-max", "1e7")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "too large" in err
+    assert "Traceback" not in err
+
+
 def test_certify_gap_short_window(capsys):
     rc, _, err = run(capsys, "certify-gap", "--degree", "4", "--length", "8")
     assert rc == 1
@@ -359,6 +368,7 @@ def test_readme_reproduction_commands(capsys, tmp_path, monkeypatch):
     assert doc["positivity_window"] == [-22.661800709135967, 22.661800709135967]
     assert doc["search_domain"]["grid_shape"] == [201, 801]
     assert doc["search_domain"]["rows_evaluated"] == 8
+    assert doc["search_domain"]["columns_evaluated"] == 66
 
     rc, out, err = run(capsys, *commands["scan-region"])
     assert (rc, out, err) == (0, "", "")

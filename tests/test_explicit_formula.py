@@ -20,6 +20,7 @@ from zerogap.explicit_formula import (
     PRIME_FREE_RADIUS,
     ExplicitFormulaReport,
     ell,
+    ell_column_floor,
     ell_floor,
     ell_grid,
     rhs,
@@ -526,6 +527,144 @@ def test_ell_grid_headline_memory_peak(cert_minorant):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+# the Im step 3/16 on the rectangle [0, 6] x [0, 20] of the certification
+# tests: stride 3, 33 rows and 107 columns
+LEAD_RE, LEAD_IM = ef._step_grid(6.0, 0.1875), ef._step_grid(20.0, 0.1875)
+
+
+@pytest.fixture(scope="module")
+def lead_full_grid(cert_minorant):
+    return ell_grid(cert_minorant, LEAD_RE, LEAD_IM)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 71, len(LEAD_IM)])
+def test_ell_grid_leading_columns_are_the_full_grids(cert_minorant, lead_full_grid, n):
+    # the full rectangle's lattice, table, FFT and budget, finished on the
+    # first n columns alone: the full grid's values, bit for bit
+    full, bound = lead_full_grid
+    part, part_bound = ell_grid(cert_minorant, LEAD_RE, LEAD_IM[:n], im_max=LEAD_IM[-1],
+                                im_step=0.1875)
+    assert part.shape == (len(LEAD_RE), n)
+    assert part.tobytes() == full[:, :n].tobytes()
+    assert part_bound == bound
+    if n > 1:  # two columns fix the step
+        again, _ = ell_grid(cert_minorant, LEAD_RE, LEAD_IM[:n], im_max=LEAD_IM[-1])
+        assert again.tobytes() == part.tobytes()
+
+
+def test_ell_grid_leading_columns_validation(cert_minorant):
+    with pytest.raises(DomainError, match="im_step"):
+        ell_grid(cert_minorant, [0.0], [0.0], im_max=20.0)  # one column fixes no step
+    with pytest.raises(DomainError, match="im_step"):
+        ell_grid(cert_minorant, [0.0], [0.0, 0.25], im_max=20.0, im_step=0.5)
+    with pytest.raises(DomainError, match="on the grid"):
+        ell_grid(cert_minorant, [0.0], [0.0, 0.25], im_max=20.1)
+    with pytest.raises(DomainError, match="below"):
+        ell_grid(cert_minorant, [0.0], [0.0, 0.25, 0.5], im_max=0.25)
+    with pytest.raises(DomainError):
+        ell_grid(cert_minorant, [0.0], [0.0, 0.25], im_max=math.inf)
+
+
+def test_ell_grid_refuses_oversized_lattice_before_allocating(cert_minorant):
+    # Im mu up to 1e7 needs a lattice of 8e8 entries, a 6 GB table
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="too large"):
+            ell_grid(cert_minorant, [0.0], [0.0, 0.25], im_max=1e7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+# the Re-mu rows certify_gap puts on the lattice for these windows on its
+# default grid: 8 for the headline, 11 at L = 60
+COLUMN_FLOOR_ROWS = {2.0 * HALF: 1.75, 60.0: 2.5}
+
+
+@pytest.mark.parametrize("length", sorted(COLUMN_FLOOR_ROWS))
+def test_column_floor_below_ell(length):
+    # at 240 seeded points of the kept rows, Im mu anywhere in [0, 200]
+    f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
+    re = ef._step_grid(COLUMN_FLOOR_ROWS[length], 0.25)
+    rng = np.random.default_rng(23)
+    rows, im = rng.integers(0, len(re), 240), rng.uniform(0.0, 200.0, 240)
+    floors = ell_column_floor(re, f)(im)[rows, np.arange(240)]
+    values = ell(re[rows] + 1j * im, f, tol=1e-10)
+    assert (floors <= values).all(), (floors - values).max()
+    # and it clears the far columns: above ell(0) past Im mu = 25
+    assert floors[im > 25.0].min() > values.min()
+
+
+@pytest.mark.parametrize("length", sorted(COLUMN_FLOOR_ROWS))
+def test_column_floor_nondecreasing_in_im(length):
+    f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
+    floors = ell_column_floor(ef._step_grid(COLUMN_FLOOR_ROWS[length], 0.25), f)(
+        np.linspace(0.0, 200.0, 1601))
+    assert np.isfinite(floors).all()
+    assert (np.diff(floors, axis=1) >= 0.0).all()
+
+
+def _mp_column_floor(params, re, im):
+    """The column floor at 30 digits: h' from mpmath.diff of the closed-form
+    transform, its integral against e^-ax split at its sign changes,
+    bracketed on 400 samples and solved by mpmath; X > 1, so Y = X."""
+    with mpmath.workdps(30):
+        fhat, f0, delta = _mp_transform("selberg", params)
+        a = mpmath.mpf(1) / 4 + mpmath.mpf(re) / 2
+        big_x = 4 * mpmath.pi * delta
+
+        def h(x):
+            return (f0 - mpmath.re(fhat(x / (4 * mpmath.pi)))) / -mpmath.expm1(-x)
+
+        def dh(x):
+            return mpmath.diff(h, x)
+
+        xs = [big_x * k / 400 for k in range(1, 400)]
+        vals = [dh(x) for x in xs]
+        kinks = [mpmath.findroot(dh, (x0, x1), solver="anderson")
+                 for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:])
+                 if (v0 >= 0) != (v1 >= 0)]
+        edges = sorted([mpmath.mpf(0), big_x / 2, big_x, *kinks])
+        integral, error = mpmath.quad(lambda x: mpmath.exp(-a * x) * abs(dh(x)), edges,
+                                      method="gauss-legendre", error=True)
+        assert error < 1e-20
+        damp = mpmath.exp(-a * big_x)
+        # h(0+) to within |h'| 1e-12
+        c = (abs(h(mpmath.mpf(10) ** -12)) + damp * abs(h(big_x)) + integral
+             + f0 * damp / -mpmath.expm1(-big_x))
+        z = mpmath.mpc(a, mpmath.mpf(im) / 2)
+        return float(f0 * (mpmath.re(mpmath.digamma(z)) - mpmath.log(mpmath.pi)) - c / abs(z))
+
+
+def test_column_floor_matches_mpmath():
+    # the closed-form h', its panels and sign changes against mpmath's
+    # numerical derivative; the floor sits below by its error estimate
+    params = MP_KERNELS["headline"][1]
+    f = selberg_minorant(*params)
+    for re, im in ((0.0, 16.5), (1.75, 40.0)):
+        got = float(ell_column_floor([re], f)([im])[0, 0])
+        want = _mp_column_floor(params, re, im)
+        assert got <= want and want - got <= 1e-9, (re, im, want - got)
+
+
+def test_column_floor_domain():
+    short = selberg_minorant(-3.0, 3.0, 0.1)  # fhat(0) < 0
+    assert (ell_column_floor([0.0, 5.0], short)([0.0, 100.0]) == -np.inf).all()
+    # only the Selberg minorant carries its transform's derivative
+    for f in (fejer(PRIME_FREE_RADIUS), windowed_fejer(14.13, PRIME_FREE_RADIUS)):
+        with pytest.raises(DomainError, match="derivative"):
+            ell_column_floor([0.0], f)
+    f = selberg_minorant(-HALF, HALF, PRIME_FREE_RADIUS)
+    for bad in (np.array([]), np.array([-0.5]), np.zeros((2, 2)), np.array([np.nan])):
+        with pytest.raises(DomainError):
+            ell_column_floor(bad, f)
+    floor_at = ell_column_floor([0.0], f)
+    for bad in (np.zeros((2, 2)), np.array([np.inf])):
+        with pytest.raises(DomainError):
+            floor_at(bad)
 
 
 FLOOR_KERNELS = {

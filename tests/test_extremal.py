@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from zerogap import extremal
 from zerogap.errors import AccuracyError, DomainError
 from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.extremal import (
@@ -172,8 +173,16 @@ def _assert_window_matches_scan(alpha, beta, delta):
     if want is None:
         assert got is None
     else:
-        # brentq fixes an edge to xtol + rtol |edge|, so one at 0 only to xtol
-        assert got == pytest.approx(want, rel=1e-13, abs=_XTOL)
+        # brentq fixes an edge to xtol + rtol |edge|, so one at 0 only to
+        # xtol, unless it meets an exact zero first: where S_- rounds to 0.0
+        # on an interval, as just outside alpha = 0 when delta L is an
+        # integer (S_-(-1.9e-15) = -0.0 for alpha = 0, L = 50, delta = 0.02),
+        # each point of it is an edge, so two edges agree when S_- is 0.0
+        # on a fine sample between them
+        for edge, oracle in zip(got, want):
+            if edge != pytest.approx(oracle, rel=1e-13, abs=_XTOL):
+                between = np.linspace(min(edge, oracle), max(edge, oracle), 65)
+                assert (f.value(between) == 0.0).all(), (edge, oracle)
     return got
 
 
@@ -256,6 +265,62 @@ def test_find_window_raises_when_an_edge_does_not_converge():
 
     with pytest.raises(AccuracyError, match="not converged"):
         _find_window(value, -10.0, 10.0, 0.5)
+
+
+@pytest.mark.parametrize("alpha, beta, delta", [
+    (-5.0 * math.pi / math.log(2.0), 5.0 * math.pi / math.log(2.0), PRIME_FREE_RADIUS),
+    (0.0, 50.0, 0.02), (-7.25, 4.75, 0.25), (-40.0, 0.0, 0.05),
+])
+def test_integer_delta_length_window_takes_no_samples(monkeypatch, alpha, beta, delta):
+    # delta L an integer in floating point (5 for the headline and verify's
+    # delta0 window): the edges are alpha and beta, the bits the bracketing
+    # of _find_window gives, and no sample is taken
+    assert delta * (beta - alpha) == math.floor(delta * (beta - alpha))
+    f = selberg_minorant(alpha, beta, delta)
+    assert f.positivity_window == (alpha, beta) == _find_window(f.value, alpha, beta, delta)
+    assert f.value(np.array([alpha, beta])).tolist() == [0.0, 0.0]
+    assert (f.value(np.array([alpha + 1e-6, beta - 1e-6])) > 0.0).all()
+
+    def unused(*args):
+        raise AssertionError("the window was sampled")
+
+    monkeypatch.setattr(extremal, "_find_window", unused)
+    assert selberg_minorant(alpha, beta, delta).positivity_window == (alpha, beta)
+
+
+@pytest.mark.parametrize("alpha, beta, delta", [
+    (-5.0 * math.pi / math.log(2.0), 5.0 * math.pi / math.log(2.0), PRIME_FREE_RADIUS),
+    (-30.0, 30.0, PRIME_FREE_RADIUS), (-7.3, 19.1, 0.09), (2.0, 9.5, 0.5),
+])
+def test_selberg_transform_derivative_matches_differences(alpha, beta, delta):
+    f = selberg_minorant(alpha, beta, delta)
+    xi = np.linspace(0.0, delta, 801)[1:-1]
+    step = 1e-6 * delta
+    central = (f.fourier_centred(xi + step) - f.fourier_centred(xi - step)) / (2.0 * step)
+    deriv = f.fourier_centred_deriv(xi)
+    assert np.abs(deriv - central).max() <= 1e-9 * np.abs(deriv).max()
+    # the right derivative 1/delta^2 at 0 (Vaaler's K^ = 1 - |u| has the
+    # only kink there), and zero from delta on
+    assert f.fourier_centred_deriv(0.0) == pytest.approx(1.0 / delta**2, rel=1e-15)
+    assert (f.fourier_centred_deriv(np.array([delta, 1.5 * delta])) == 0.0).all()
+
+
+def test_selberg_transform_derivative_matches_mpmath_near_the_ends():
+    # where the closed form switches to its series: small u and small xi L
+    # near 0, small 1 - u near delta
+    alpha, beta, delta = -22.5, 22.8, PRIME_FREE_RADIUS
+    f = selberg_minorant(alpha, beta, delta)
+    length = beta - alpha
+    with mpmath.workdps(40):
+        def fhat(xi):
+            u = xi / delta
+            j_hat = (1 - u) * mpmath.pi * u * mpmath.cot(mpmath.pi * u) + u
+            return (j_hat * mpmath.sin(mpmath.pi * xi * length) / (mpmath.pi * xi)
+                    - (1 - u) / delta * mpmath.cos(mpmath.pi * xi * length))
+        for xi in (1e-9, 1e-5, 5e-4, 2e-3, 0.02, 0.5 * delta, delta - 2e-3, delta - 1e-6):
+            want = float(mpmath.diff(fhat, mpmath.mpf(xi)))
+            got = float(f.fourier_centred_deriv(xi))
+            assert abs(got - want) <= 1e-13 * max(abs(want), 1.0 / delta**2), xi
 
 
 def _both_tails(lo, hi, n):

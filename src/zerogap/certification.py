@@ -169,18 +169,18 @@ def min_ell_over_mu(
     grid, and the lattice takes the rows up to the last one the floor
     keeps, counted in the domain's rows_evaluated.  On those rows
     `ell_column_floor` bounds each point and is nondecreasing in Im mu, so
-    the columns it clears in every kept row are a suffix too, found on
-    every 16th column and then column by column; ell_grid finishes the
-    columns before it, at least 2, counted in columns_evaluated, on the
-    full grid's lattice (its leading-columns call).  The result is the
-    full grid's: bit for bit when 2 re_max + 1 <= 2 im_max in halved
-    parameters, within error_bound otherwise, where ell_grid sizes its
-    lattice by the largest Re mu it is given.  A skipped Re mu = re_max
-    row is boundary_clear by the floor; otherwise the skipped columns lie
-    above u + error_bound >= the lattice value at mu = 0 in every row,
-    so the kept columns decide it.  A rectangle whose grid or lattice is
-    past `explicit_formula._check_grid_size`'s limits raises DomainError
-    before either is built.
+    the columns it clears in every kept row are a suffix too; ell_grid
+    finishes the columns before it, at least 2, counted in
+    columns_evaluated, on the full grid's lattice (its leading-columns
+    call).  The result is the full grid's: bit for bit when
+    2 re_max + 1 <= 2 im_max in halved parameters, within error_bound
+    otherwise, where ell_grid sizes its lattice by the largest Re mu it is
+    given.  A skipped Re mu = re_max row is boundary_clear by the floor;
+    otherwise the skipped columns lie above u + error_bound >= the lattice
+    value at mu = 0 in every row, so the kept columns decide it.  A
+    rectangle whose grid or lattice is past
+    `explicit_formula._check_grid_size`'s limits raises DomainError before
+    either is built.
     """
     k = convention_scale(convention)
     if not (0 < step <= re_max < math.inf and 0 <= im_max < math.inf):
@@ -196,14 +196,9 @@ def min_ell_over_mu(
     ruled_out = floor > pad  # a nan floor rules nothing out
     rows = int(max(np.flatnonzero(~ruled_out), default=0)) + 1
     # the column floor rises with Im mu in every row, so the columns whose
-    # floor lies above the pad in every kept row are a suffix: every 16th
-    # column finds the last kept one to within 16, and the 17 columns from
-    # there the first skipped one, with its floor for the log
-    column_floor = ell_column_floor(k * re_values[:rows], f)
-    coarse = column_floor(k * im_values[::16]).min(axis=0) > pad
-    j0 = 16 * int(max(np.flatnonzero(~coarse), default=0))
-    fine = column_floor(k * im_values[j0:j0 + 17]).min(axis=0)
-    cols = j0 + int(max(np.flatnonzero(~(fine > pad)), default=0)) + 1
+    # floor lies above the pad in every kept row are a suffix
+    column_floor = ell_column_floor(k * re_values[:rows], f)(k * im_values).min(axis=0)
+    cols = int(max(np.flatnonzero(~(column_floor > pad)), default=0)) + 1
     cols = min(max(cols, 2), len(im_values))
     vals, error_bound = ell_grid(f, k * re_values[:rows], k * im_values[:cols],
                                  im_max=k * im_values[-1])
@@ -224,7 +219,7 @@ def min_ell_over_mu(
                rows, len(re_values), u,
                repr(float(floor[rows])) if rows < len(re_values) else "none skipped",
                cols, len(im_values),
-               repr(float(fine[cols - j0])) if cols < len(im_values) else "none skipped")
+               repr(float(column_floor[cols])) if cols < len(im_values) else "none skipped")
     domain = SearchDomain(
         re_max=float(re_values[-1]),
         im_max=float(im_values[-1]),

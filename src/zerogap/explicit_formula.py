@@ -597,7 +597,6 @@ def ell_grid(
     re_values: Sequence[float],
     im_values: Sequence[float],
     im_max: Optional[float] = None,
-    im_step: Optional[float] = None,
 ) -> Tuple[np.ndarray, float]:
     """ell(mu, f), halved convention, on the grid {re x im}.
 
@@ -613,15 +612,15 @@ def ell_grid(
     table point each row's psi values are computed on the v >= 0 half of
     the table and mirrored.
 
-    Leading columns: with im_max, im_values are the first columns of the
-    grid that runs on in the same step to im_max (im_step gives that step
-    when a single column is passed), and the values are that grid's first
-    columns, bit for bit when its columns are im_values[0] + k step, as
-    `_step_grid`'s are.  The lattice, its table, the FFT length and the
-    error budget stay the full grid's; only the given columns are finished,
-    with the smooth-tail nodes that cover them and psi' at their boundary
-    points.  A grid or lattice past `_check_grid_size`'s limits raises
-    DomainError before any lattice array is allocated.
+    Leading columns: with im_max, im_values are the first columns, at
+    least 2, of the grid that runs on in the same step to im_max, and the
+    values are that grid's first columns, bit for bit when its columns are
+    im_values[0] + k step, as `_step_grid`'s are.  The lattice, its table,
+    the FFT length and the error budget stay the full grid's; only the
+    given columns are finished, with the smooth-tail nodes that cover them
+    and psi' at their boundary points.  A grid or lattice past
+    `_check_grid_size`'s limits raises DomainError before any lattice
+    array is allocated.
     """
     tail = f.envelope.tail
     if tail is None or not f.even:
@@ -638,13 +637,11 @@ def ell_grid(
     if (re_values < -1e-12).any() or (ys < -1e-12).any():
         raise DomainError("grid must lie in the closed upper-right quadrant")
     h = _LATTICE_H
-    step = im_step
+    step = None
     if len(ys) > 1:
         steps = np.diff(ys)
         if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
             raise DomainError("im_values must be equispaced")
-        if step is not None and abs(step - steps[0]) > 1e-9:
-            raise DomainError(f"im_step {step!r} is not the step of im_values")
         step = float(steps[0])
     stride = 1  # the step's, when there is one
     if step is not None:
@@ -656,7 +653,7 @@ def ell_grid(
     n_cols, n_out = len(ys), len(ys)
     if y_max > ys[-1] + 1e-9:
         if step is None:
-            raise DomainError("a single column before im_max needs im_step")
+            raise DomainError("leading columns before im_max must be at least 2")
         n_cols = 1 + round((y_max - ys[0]) / step)
         if abs(ys[0] + (n_cols - 1) * step - y_max) > 1e-9:
             raise DomainError("im_max must lie on the grid of im_values")

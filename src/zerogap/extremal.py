@@ -238,7 +238,7 @@ def _find_window(value: Callable, alpha: float, beta: float, delta: float):
     first and after the last positive sample are bracketed and solved
     together by `_bracketed_roots`.  When delta L is an integer,
     S_-(alpha) = S_-(beta) = 0.0 exactly, and the edges are alpha and beta
-    themselves (`selberg_minorant` then takes them without a sample)."""
+    themselves."""
     h = min(1.0 / delta, 0.5 * (beta - alpha))
     # 256 steps per lobe: a positive run narrower than one step goes unseen
     grid = np.concatenate([np.linspace(alpha, alpha + h, 257),
@@ -364,6 +364,8 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         raise DomainError("selberg_minorant requires finite alpha < beta")
     if not (0 < delta < math.inf):
         raise DomainError("selberg_minorant requires a finite delta > 0")
+    if not math.isfinite(delta * (beta - alpha)):
+        raise DomainError("selberg_minorant requires a finite delta (beta - alpha)")
 
     def value(t):
         tv = np.asarray(t, dtype=float)
@@ -371,12 +373,7 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         out = -0.5 * (b[0] + b[1])
         return float(out) if tv.ndim == 0 else out
 
-    # delta L = n, an integer >= 1 in floating point: S_-(alpha) = S_-(beta)
-    # = -(B(0) + B(-n))/2 = 0.0 exactly and S_-(alpha + e) ~ delta e > 0, so
-    # the edges are alpha and beta, the bits _find_window's bracketing gives
-    n = delta * (beta - alpha)
-    window = (alpha, beta) if n >= 1.0 and n == math.floor(n) else _find_window(
-        value, alpha, beta, delta)
+    window = _find_window(value, alpha, beta, delta)
 
     # tail structure for |t| >= t_valid: both Beurling arguments have
     # modulus >= 1.5 there, so the w-form of B applies on both sides

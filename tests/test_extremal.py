@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from zerogap import extremal
 from zerogap.errors import AccuracyError, DomainError
 from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.extremal import (
@@ -94,8 +93,11 @@ def test_selberg_interval_validation():
         selberg_minorant(3.0, -3.0, PRIME_FREE_RADIUS)
     with pytest.raises(DomainError):
         selberg_minorant(-1.0, 1.0, 0.0)
+    # the last three overflow delta (beta - alpha) to inf with finite inputs
     for alpha, beta, delta in [(-math.inf, 1.0, 0.1), (-1.0, math.inf, 0.1),
-                               (math.nan, 1.0, 0.1), (-1.0, 1.0, math.inf)]:
+                               (math.nan, 1.0, 0.1), (-1.0, 1.0, math.inf),
+                               (-1e308, 1e308, 0.1), (-1e10, 0.0, 1e300),
+                               (-1e308, 1e308, 1e-300)]:
         with pytest.raises(DomainError):
             selberg_minorant(alpha, beta, delta)
 
@@ -166,23 +168,40 @@ def _scan_window(value, alpha, beta, delta):
             brentq(scalar, grid[j], grid[j + 1], xtol=_XTOL, rtol=_RTOL))
 
 
+def _zero_between(value, a, b):
+    # value is exactly 0.0 at every float from a to b, checked float by
+    # float: at most 2^16 of them, all of one sign
+    lo, hi = sorted((a, b))
+    sign = 1.0 if lo >= 0.0 else -1.0
+    if sign * hi < 0.0:
+        return False
+    i0, i1 = np.sort(np.abs([lo, hi])).view(np.int64)
+    if i1 - i0 >= 2**16:
+        return False
+    return bool((value(sign * np.arange(i0, i1 + 1).view(np.float64)) == 0.0).all())
+
+
 def _assert_window_matches_scan(alpha, beta, delta):
     f = selberg_minorant(alpha, beta, delta)
     want = _scan_window(f.value, alpha, beta, delta)
     got = f.positivity_window
+    if want is not None and float(delta * (beta - alpha)).is_integer():
+        # delta L an integer: S_-(alpha) = S_-(beta) = 0.0 exactly and the
+        # edges are alpha and beta, where brentq may stop short on a plateau
+        # of exact zeros (S_- = -0.0 on [-1.9e-15, 0] for alpha = 0, L = 50,
+        # delta = 0.02)
+        want = (alpha, beta)
     if want is None:
         assert got is None
     else:
         # brentq fixes an edge to xtol + rtol |edge|, so one at 0 only to
-        # xtol, unless it meets an exact zero first: where S_- rounds to 0.0
-        # on an interval, as just outside alpha = 0 when delta L is an
-        # integer (S_-(-1.9e-15) = -0.0 for alpha = 0, L = 50, delta = 0.02),
-        # each point of it is an edge, so two edges agree when S_- is 0.0
-        # on a fine sample between them
+        # xtol.  Where S_- rounds to exactly 0.0 on a run of consecutive
+        # floats, each of them is an edge and the two searches may stop at
+        # different ones: alpha = 0, L = 49.75, delta = 0.02 has such a run
+        # of 21,613 floats, 2.3e-15 wide, at 8.2e-4
         for edge, oracle in zip(got, want):
-            if edge != pytest.approx(oracle, rel=1e-13, abs=_XTOL):
-                between = np.linspace(min(edge, oracle), max(edge, oracle), 65)
-                assert (f.value(between) == 0.0).all(), (edge, oracle)
+            assert (edge == pytest.approx(oracle, rel=1e-13, abs=_XTOL)
+                    or _zero_between(f.value, edge, oracle)), (edge, oracle)
     return got
 
 
@@ -271,21 +290,15 @@ def test_find_window_raises_when_an_edge_does_not_converge():
     (-5.0 * math.pi / math.log(2.0), 5.0 * math.pi / math.log(2.0), PRIME_FREE_RADIUS),
     (0.0, 50.0, 0.02), (-7.25, 4.75, 0.25), (-40.0, 0.0, 0.05),
 ])
-def test_integer_delta_length_window_takes_no_samples(monkeypatch, alpha, beta, delta):
+def test_integer_delta_length_window_is_alpha_beta(alpha, beta, delta):
     # delta L an integer in floating point (5 for the headline and verify's
-    # delta0 window): the edges are alpha and beta, the bits the bracketing
-    # of _find_window gives, and no sample is taken
-    assert delta * (beta - alpha) == math.floor(delta * (beta - alpha))
+    # delta0 window): S_- is exactly 0.0 at alpha and beta, and the
+    # bracketing of _find_window returns them as the edges
+    assert float(delta * (beta - alpha)).is_integer()
     f = selberg_minorant(alpha, beta, delta)
-    assert f.positivity_window == (alpha, beta) == _find_window(f.value, alpha, beta, delta)
+    assert f.positivity_window == (alpha, beta)
     assert f.value(np.array([alpha, beta])).tolist() == [0.0, 0.0]
     assert (f.value(np.array([alpha + 1e-6, beta - 1e-6])) > 0.0).all()
-
-    def unused(*args):
-        raise AssertionError("the window was sampled")
-
-    monkeypatch.setattr(extremal, "_find_window", unused)
-    assert selberg_minorant(alpha, beta, delta).positivity_window == (alpha, beta)
 
 
 @pytest.mark.parametrize("alpha, beta, delta", [

@@ -30,7 +30,7 @@ from .lfunctions import (
     c_coefficients,
     load_lfunction,
 )
-from .region_scan import scan_region, scan_to_csv
+from .region_scan import _MAX_ROWS, scan_region, scan_to_csv
 
 DEFAULT_LENGTH = 5.0 / PRIME_FREE_RADIUS
 
@@ -69,8 +69,8 @@ def _build_test_function(args, *, for_fourier: bool):
 
 
 def _cmd_eval_extremal(args) -> Tuple[str, int]:
-    if args.samples < 1:
-        raise DomainError("--samples must be at least 1")
+    if not 1 <= args.samples <= _MAX_ROWS:
+        raise DomainError(f"--samples must lie in [1, {_MAX_ROWS}]")
     if not -np.inf < args.from_ <= args.to < np.inf:
         raise DomainError("--from and --to must be finite, --to not below --from")
     xs = np.linspace(args.from_, args.to, args.samples)

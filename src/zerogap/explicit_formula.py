@@ -617,10 +617,11 @@ def ell_grid(
     values are that grid's first columns, bit for bit when its columns are
     im_values[0] + k step, as `_step_grid`'s are.  The lattice, its table,
     the FFT length and the error budget stay the full grid's; only the
-    given columns are finished, with the smooth-tail nodes that cover them
-    and psi' at their boundary points.  A grid or lattice past
-    `_check_grid_size`'s limits raises DomainError before any lattice
-    array is allocated.
+    given columns are finished, with psi' at their boundary points and the
+    smooth tail at the full grid's interpolation nodes (every 16th column
+    and the last) up to the first at or past the last given column.  A grid
+    or lattice past `_check_grid_size`'s limits raises DomainError before
+    any lattice array is allocated.
     """
     tail = f.envelope.tail
     if tail is None or not f.even:
@@ -737,12 +738,9 @@ def ell_grid(
     # even, so both sides share the smooth tail's nodes and weights.  The
     # smooth tail is evaluated at the full grid's interpolation nodes up to
     # the first at or past the last column given (one past them takes its y
-    # from the step), and at the full grid's last node, whose t < 0 side
-    # holds the call's smallest |v|: that sets how many series terms
-    # `_re_digamma` sums, so the given columns get the full grid's bits
+    # from the step)
     idx, pts, p_wts = _smooth_tail_nodes(n_cols, tail, t3, eps_s, 16)
-    n_used = int(np.searchsorted(idx, n_out - 1)) + 1
-    idx = np.append(idx[:n_used], idx[-1])
+    idx = idx[:np.searchsorted(idx, n_out - 1) + 1]
     y_idx = np.where(idx < n_out, ys[np.minimum(idx, n_out - 1)], ys[0] + idx * (step or 0.0))
     y_idx[idx == n_cols - 1] = y_max
     sides = []
@@ -792,7 +790,7 @@ def ell_grid(
             out[i] += amp_w * table[edge] + amp_dw * (-0.5 * sign * np.imag(tri))
             # a row sum, not a matrix product, whose rounding would depend
             # on how many nodes the call keeps
-            out[i] += np.interp(y_index, idx[:n_used], (smooth * p_wts).sum(axis=1)[:n_used])
+            out[i] += np.interp(y_index, idx, (smooth * p_wts).sum(axis=1))
     out -= f.integral * LOG_PI
     return out, rem_total + 2.0 * eps_s
 

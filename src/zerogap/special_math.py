@@ -16,8 +16,8 @@ rows from ``_re_digamma(a, v)``, Re psi(a + iv) for a scalar a and a real
 array v, on the same shift rule but with the series in real arithmetic: it
 needs only log|z|, a/|z|^2 and a three-term recurrence for Re z^-2k, so no
 point takes a complex log or division, and it reads v only through v^2, so
-it is even in v bit for bit.  That series sums only the terms that the
-smallest |z| of its call needs, down to 1e-17.
+it is even in v bit for bit.  Like ``_polygamma``, it sums all six terms
+at every point, so each Re psi value, too, depends on its own point alone.
 
 ``DecayEnvelope`` declares |f(t)| <= m/t^2 beyond t0, which bounds the mass
 of unlisted zeros.  Its optional ``TailDecomposition``
@@ -69,9 +69,6 @@ _SERIES_RADIUS = 16.0
 # 0, 1, ..., 15: the shift, one row of reciprocal terms per near point, in
 # each input kind (an add that casts costs more)
 _SHIFT = {"f": np.arange(_SERIES_RADIUS), "c": np.arange(_SERIES_RADIUS) + 0j}
-# _re_digamma_series drops the Bernoulli terms below this at the smallest
-# |z| of its call: all 6 at |z| = 16, 2 from |z| = 338 on
-_TERM_FLOOR = 1e-17
 
 
 def _polygamma(m: int, z):
@@ -177,17 +174,9 @@ def _re_digamma_series(a: float, v2: np.ndarray) -> np.ndarray:
     # w = conj(z)^2/|z|^4.  Those powers obey
     # Re w^{k+1} = 2 Re w Re w^k - |w|^2 Re w^{k-1}, so the Bernoulli sum is
     # Clenshaw's recurrence b_k = c_k + 2 Re w b_{k+1} - |w|^2 b_{k+2}, equal
-    # to Re w b_1 - |w|^2 b_2.  It takes the terms c_k |z|^-2k down to
-    # _TERM_FLOOR at the smallest |z| of the call (they fall with k there),
-    # and at least two, where the recurrence starts.  It runs in place: the
-    # arrays are lattice tables, and allocating them would cost as much as
-    # the arithmetic.
-    inv = 1.0 / (a * a + np.min(v2, initial=math.inf))
+    # to Re w b_1 - |w|^2 b_2.  It runs in place: the arrays are lattice
+    # tables, and allocating them would cost as much as the arithmetic.
     c = _SERIES["f"][0]
-    n = len(c)
-    while n > 2 and abs(c[n - 1]) * inv**n < _TERM_FLOOR:
-        n -= 1
-    c = c[:n]
     r2 = v2 + a * a
     w2 = r2 * r2
     np.reciprocal(w2, out=w2)  # |w|^2

@@ -192,6 +192,22 @@ def test_scan_region_huge_nu_is_an_error(capsys):
     assert "Traceback" not in err
 
 
+def test_scan_region_too_many_rows_is_an_error(capsys):
+    rc, out, err = run(capsys, "scan-region", "--nu-max", "16", "--step", "0.001")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "larger step" in err
+    assert "Traceback" not in err
+
+
+def test_eval_extremal_too_many_samples_is_an_error(capsys):
+    rc, out, err = run(capsys, "eval-extremal", "--kind", "fejer",
+                       "--from", "0", "--to", "1", "--samples", "1000000000")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "--samples" in err
+
+
 def test_certify_gap_oversized_grid_is_an_error(capsys):
     rc, out, err = run(capsys, "certify-gap", "--degree", "4", "--length", CERT_LENGTH,
                        "--im-max", "1e7")

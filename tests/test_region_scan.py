@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from zerogap import region_scan
 from zerogap.errors import DomainError
 from zerogap.explicit_formula import PRIME_FREE_RADIUS, rhs
 from zerogap.extremal import fejer, windowed_fejer
@@ -179,6 +180,32 @@ def test_scan_validation():
                          (16.0, math.nan)]:
         with pytest.raises(DomainError):
             scan_region(nu_max, step)
+
+
+def test_oversized_scan_is_refused_before_any_work(monkeypatch):
+    # 16,001 nu pass ell's panel cap, but their 256,032,001 rows would not
+    # fit in memory: the row count is refused before a grid is built
+    def fail(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(region_scan, "ell", fail)
+    monkeypatch.setattr(region_scan, "_step_grid", fail)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="larger step"):
+        scan_region(16.0, 1e-3)
+    assert time.perf_counter() - start < 1.0
+    for nu_max, step in [(1e300, 1e-300), (16.0, 5e-324)]:
+        with pytest.raises(DomainError, match="larger step"):
+            scan_region(nu_max, step)
+
+
+def test_scan_row_limit_is_exact(monkeypatch):
+    monkeypatch.setattr(region_scan, "_scan", lambda nus, *args: len(nus))
+    side = math.isqrt(region_scan._MAX_ROWS)
+    assert side * side == region_scan._MAX_ROWS
+    assert scan_region(side - 1.0, 1.0) == side
+    with pytest.raises(DomainError, match="larger step"):
+        scan_region(float(side), 1.0)
 
 
 def test_windowed_kernel_is_what_scan_uses():

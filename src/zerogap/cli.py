@@ -33,6 +33,10 @@ from .lfunctions import (
 from .region_scan import _MAX_ROWS, scan_region, scan_to_csv
 
 DEFAULT_LENGTH = 5.0 / PRIME_FREE_RADIUS
+# samples evaluated per call in an eval-extremal listing, so that its peak
+# memory follows the printed text, not the evaluation's temporaries
+# (region_scan._MAX_ROWS)
+_EVAL_BLOCK = 1 << 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,16 +79,20 @@ def _cmd_eval_extremal(args) -> Tuple[str, int]:
         raise DomainError("--from and --to must be finite, --to not below --from")
     xs = np.linspace(args.from_, args.to, args.samples)
     f = _build_test_function(args, for_fourier=args.fourier)
-    if args.kind == "beurling":
-        vals = beurling(xs)
-    else:
-        vals = np.asarray(f.value(xs), dtype=float)
-    lines = ["x,value"]
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, vals)]
+    text = _listing("x,value", xs, beurling if f is None else f.value)
     if args.fourier:
-        lines.append("x,fhat")
-        lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, fourier_at(f, xs))]
-    return "\n".join(lines) + "\n", 0
+        text += _listing("x,fhat", xs, lambda x: fourier_at(f, x))
+    return text, 0
+
+
+def _listing(header: str, xs: np.ndarray, func) -> str:
+    # func is elementwise, so evaluating it on _EVAL_BLOCK samples at a time
+    # prints the same bytes as one call on all of them
+    chunks = [header + "\n"]
+    for i in range(0, len(xs), _EVAL_BLOCK):
+        block = xs[i:i + _EVAL_BLOCK]
+        chunks.append("".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(block, func(block))))
+    return "".join(chunks)
 
 
 def _cmd_certify_gap(args) -> Tuple[str, int]:

@@ -3,13 +3,14 @@
 Every constructor returns a TestFunction: a real-valued function on the
 line with quadratic decay, compactly supported Fourier transform, a known
 integral, and a positivity window (the interval outside of which the
-function is <= 0, or "everywhere" for nonnegative kernels).  The Selberg
-minorant's window edges are its outermost sign changes, bracketed by
-samples of the last lobe inside each edge and solved together by
-Anderson-Bjorck false position (N. Anderson and A. Bjorck, "A new high
-order method of regula falsi type for computing a root of an equation",
-BIT 13, 1973): one vectorized evaluation per step serves both edges, each
-solved to the tolerance given to the tests' reference, scipy's brentq.
+function is <= 0, or "everywhere" for nonnegative kernels), solved on first
+read and cached.  The Selberg minorant's window edges are its outermost
+sign changes, bracketed by samples of the last lobe inside each edge and
+solved together by Anderson-Bjorck false position (N. Anderson and A.
+Bjorck, "A new high order method of regula falsi type for computing a root
+of an equation", BIT 13, 1973): one vectorized evaluation per step serves
+both edges, each solved to the tolerance given to the tests' reference,
+scipy's brentq.
 
 The Beurling function B is evaluated on two exact branches,
 
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -100,7 +102,11 @@ class TestFunction:
 
     positivity_window is the open interval outside of which f <= 0, the
     string "everywhere" for nonnegative kernels, or None when no positive
-    region could be confirmed.  envelope declares |f(t)| <= M/t^2 for
+    region could be confirmed.  It is solved on first read, by calling
+    find_window, and cached; a function whose window is never read never
+    solves for it.  So the Selberg minorant's AccuracyError for an edge
+    that does not converge is raised by that first read, not by
+    selberg_minorant.  envelope declares |f(t)| <= M/t^2 for
     |t| >= T0, on both tails: in closed form for the Fejer kernels; for the
     Selberg minorant, M is the larger of a 5%-inflated sample of t^2 |f| over
     the first lobes beyond T0 and an analytic bound past them (see the
@@ -114,12 +120,16 @@ class TestFunction:
     value: Callable
     integral: float
     support_radius: float
-    positivity_window: Union[Tuple[float, float], str, None]
+    find_window: Callable[[], Union[Tuple[float, float], str, None]]
     envelope: DecayEnvelope
     fourier_centred: Callable
     centre: float = 0.0
     label: str = ""
     fourier_centred_deriv: Optional[Callable] = None
+
+    @cached_property
+    def positivity_window(self) -> Union[Tuple[float, float], str, None]:
+        return self.find_window()
 
     @property
     def even(self) -> bool:
@@ -373,8 +383,6 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         out = -0.5 * (b[0] + b[1])
         return float(out) if tv.ndim == 0 else out
 
-    window = _find_window(value, alpha, beta, delta)
-
     # tail structure for |t| >= t_valid: both Beurling arguments have
     # modulus >= 1.5 there, so the w-form of B applies on both sides
     s_max = max(abs(alpha), abs(beta))
@@ -459,7 +467,7 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         value=value,
         integral=beta - alpha - 1.0 / delta,
         support_radius=delta,
-        positivity_window=window,
+        find_window=lambda: _find_window(value, alpha, beta, delta),
         envelope=envelope,
         centre=0.5 * (alpha + beta),
         fourier_centred=ft,
@@ -486,7 +494,7 @@ def fejer(delta: float) -> TestFunction:
         value=value,
         integral=1.0 / delta,
         support_radius=delta,
-        positivity_window=EVERYWHERE,
+        find_window=lambda: EVERYWHERE,
         envelope=DecayEnvelope(m=1.0 / (math.pi * delta) ** 2, t0=1.0 / delta),
         fourier_centred=ft,
         label=f"fejer@{delta:g}",
@@ -534,7 +542,7 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
         value=value,
         integral=integral,
         support_radius=delta,
-        positivity_window=(-t0, t0),
+        find_window=lambda: (-t0, t0),
         envelope=DecayEnvelope(m=m_env, t0=2.0 * t0),
         fourier_centred=ft,
         label=f"windowed_fejer@{t0:g},{delta:g}",

@@ -41,9 +41,11 @@ VERDICTS = ("Impossible", "ForcedLowZero", "Unconstrained")
 
 # the most rows one scan, or one `zerogap eval-extremal` listing, may build,
 # refused before any grid is allocated: a scan row measured 145 B under
-# tracemalloc (scan_region(16, 0.125)), an eval-extremal sample 750 B at
-# peak (selberg with --fourier), so a call stays under about 40 MB and
-# 200 MB.  The Figure-2 region [0, 16]^2 passes down to step 1/31
+# tracemalloc (scan_region(16, 0.125)), and an eval-extremal sample 108 B
+# at peak (--kind selberg --fourier --samples 20000 on [-0.2, 0.2]; 739 B
+# before the listing was evaluated in blocks of cli._EVAL_BLOCK), so either
+# call stays under about 40 MB.  The Figure-2 region [0, 16]^2 passes down
+# to step 1/31
 _MAX_ROWS = 1 << 18
 
 

@@ -7,10 +7,11 @@ from collections import Counter
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 import zerogap
-from zerogap.cli import main
+from zerogap.cli import _EVAL_BLOCK, _fmt, main
 from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.extremal import fourier_at, selberg_minorant
 from zerogap.lfunctions import bundled_example_path
@@ -106,6 +107,21 @@ def test_eval_windowed_fejer(capsys):
     # the value at 0 is t0^2 = 14.13^2; the transform vanishes past delta
     assert out == ("x,value\n0,199.6569\n10,10.48405997\n20,-0.01428935573\n"
                    "x,fhat\n0,2111.239493\n10,0\n20,0\n")
+
+
+def test_eval_listing_in_blocks_matches_one_call(capsys):
+    # one sample past a block: the last block holds a single sample
+    n = _EVAL_BLOCK + 1
+    rc, out, _ = run(capsys, "eval-extremal", "--kind", "selberg", "--alpha", "-3",
+                     "--beta", "5", "--from", "-0.2", "--to", "0.2", "--samples", str(n),
+                     "--fourier")
+    assert rc == 0
+    xs = np.linspace(-0.2, 0.2, n)
+    f = selberg_minorant(-3.0, 5.0, PRIME_FREE_RADIUS)
+    want = "x,value\n" + "".join(f"{_fmt(x)},{_fmt(v)}\n" for x, v in zip(xs, f.value(xs)))
+    want += "x,fhat\n" + "".join(f"{_fmt(x)},{_fmt(v)}\n"
+                                 for x, v in zip(xs, fourier_at(f, xs)))
+    assert out == want
 
 
 def test_eval_selberg_length(capsys):

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from zerogap import certification, extremal
+from zerogap.certification import certify_gap
 from zerogap.errors import AccuracyError, DomainError
-from zerogap.explicit_formula import PRIME_FREE_RADIUS
+from zerogap.explicit_formula import PRIME_FREE_RADIUS, verify
 from zerogap.extremal import (
     _NEAR_LOBES,
     _RTOL,
@@ -299,6 +301,41 @@ def test_integer_delta_length_window_is_alpha_beta(alpha, beta, delta):
     assert f.positivity_window == (alpha, beta)
     assert f.value(np.array([alpha, beta])).tolist() == [0.0, 0.0]
     assert (f.value(np.array([alpha + 1e-6, beta - 1e-6])) > 0.0).all()
+
+
+def test_window_is_solved_only_when_read(monkeypatch, bundled):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _find_window(*args)
+
+    monkeypatch.setattr(extremal, "_find_window", spy)
+    f = selberg_minorant(-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0, PRIME_FREE_RADIUS)
+    verify(bundled, f)
+    assert calls == []
+    assert f.positivity_window == f.positivity_window == (-CERT_LENGTH / 2.0,
+                                                          CERT_LENGTH / 2.0)
+    assert len(calls) == 1
+    calls.clear()
+    certify_gap(4, 45.5)
+    assert len(calls) == 1
+
+
+def test_unconverged_window_raises_on_first_read(monkeypatch, bundled):
+    # delta L = 0.2 * 5/delta0 is not an integer, so the edges need steps
+    # that one step cannot finish; only reading the window takes them
+    monkeypatch.setattr(extremal, "_MAX_STEPS", 1)
+    half = 2.5 / PRIME_FREE_RADIUS
+    assert not float(0.2 * 2.0 * half).is_integer()
+    f = selberg_minorant(-half, half, 0.2)
+    verify(bundled, f)
+    with pytest.raises(AccuracyError, match="not converged"):
+        f.positivity_window
+    # certify_gap reads the window before it searches (delta0 L = 5.02)
+    monkeypatch.setattr(certification, "min_ell_over_mu", None)
+    with pytest.raises(AccuracyError, match="not converged"):
+        certify_gap(4, 45.5)
 
 
 @pytest.mark.parametrize("alpha, beta, delta", [

@@ -11,22 +11,35 @@ avoid the window the explicit formula forces
 (conductor and prime terms are nonnegative / vanish).  If the minimum of
 ell over the closed right half-plane is positive, no such L-function exists
 and every degree-d L-function must have a zero in every window of length L.
-The half-plane minimum is searched on a finite grid: ell grows like
-fhat(0) log|mu| for large |mu|, so a bounded rectangle plus a boundary-row
-check suffices.  Within the rectangle, `explicit_formula.ell_floor` bounds
-ell from below over a whole Re-mu row: it is ell's frequency-side integral
-with the transform's phase e^{-i Im z x} fhat replaced by its modulus, so
-it holds at every Im mu and rises with Re mu.  Rows whose floor lies above
-the incumbent ell(0) by more than twice the grid's error budget cannot
-hold the minimum and are not evaluated (8 of the headline grid's 201 rows
-are), and when the Re mu = re_max row is one of them the floor, not its
-grid values, clears the boundary.  Within the rows kept,
-`explicit_formula.ell_column_floor` bounds ell from below point by point,
-rising with Im mu: one integration by parts of the same integral.  The
-columns whose floor lies above the same level in every kept row are a
-suffix of the grid, and the lattice finishes only the columns before it
-(66 of the headline grid's 801), on the full rectangle's lattice, so that
-every value it returns is the full grid's.  The result is labeled
+The half-plane minimum lies on its edge Re mu = 0.  In the split form of
+`explicit_formula`, ell = Re Phi(z) with z = 1/4 + mu/2 (halved) and
+
+    Phi(z) = fhat(0) (psi(z) - log pi + sum_{k>=0} e^-(z+k)Y/(z+k))
+             + int_0^Y e^-zx h(x) dx,
+
+h real, so Phi is analytic on Re z > 0 and ell is harmonic in mu there.
+`explicit_formula.ell_column_floor` bounds ell >= fhat(0) (Re psi(z) -
+log pi) - C(a)/|z|, a = Re z, and C(a) is nonincreasing in a (each of its
+terms is constant or carries a factor e^-ax), so on the closed half-plane
+ell >= fhat(0) (Re psi(z) - log pi) - C(1/4)/|z|.  When fhat(0) > 0 that
+tends to +inf as |mu| grows, Re psi(z) growing like log|z| (DLMF 5.11.2),
+so ell > ell(0) wherever |mu| >= R for some R.  By the minimum principle
+for harmonic functions (S. Axler, P. Bourdon, W. Ramey, Harmonic Function
+Theory, 2nd ed., 2001, ch. 1) the minimum over the half-disc Re mu >= 0,
+|mu| <= R lies on its boundary, and not on the arc: the minimum over the
+half-plane is that of ell(i nu) over real nu.  For an even f, ell(conj mu)
+= ell(mu), since psi(conj z) = conj psi(z) and h is real, so nu >= 0
+suffices.  The argument needs fhat(0) > 0: below it ell falls to -inf
+along the real axis, at it the bound stops growing, and the search refuses
+both.
+
+The search therefore evaluates one Re-mu row of its grid, Re mu = 0.  The
+column floor at a = 1/4 rises with nu, and the columns whose floor lies
+above the incumbent ell(0) by more than twice the grid's error budget are a
+suffix of the row that cannot hold the minimum; the lattice finishes only
+the columns before it (66 of the headline grid's 801), on the full
+rectangle's lattice, so that every value it returns is the full grid's.
+Between grid points the minimum is not bounded, so the result is labeled
 numerical evidence, grid-based; it is not a proof.
 
 The two Gamma-factor normalizations give pointwise-identical values under
@@ -57,7 +70,6 @@ from .explicit_formula import (
     convention_scale,
     ell,
     ell_column_floor,
-    ell_floor,
     ell_grid,
 )
 from .extremal import TestFunction, selberg_minorant
@@ -83,13 +95,10 @@ _log = logging.getLogger(__name__)
 class SearchDomain:
     """Rectangle [0, re_max] x [0, im_max] in (Re mu, Im mu), step-spaced.
 
-    boundary_clear records that the minimum over the Re mu = re_max edge
-    exceeds the interior minimum, supporting the asymptotic-growth cutoff;
-    it is read off that row's grid values, or established by `ell_floor`
-    when the row was skipped.  grid_shape is the whole rectangle's, skipped
-    rows and columns included; rows_evaluated and columns_evaluated count
-    its leading Re-mu rows and Im-mu columns that went on the lattice.
-    error_bound is the quadrature budget per grid value.
+    grid_shape is the whole rectangle's.  Only its Re mu = 0 row is
+    searched (the minimum principle of the module docstring), and
+    columns_evaluated counts that row's leading Im-mu columns that went on
+    the lattice.  error_bound is the quadrature budget per grid value.
     """
 
     re_max: float
@@ -97,9 +106,7 @@ class SearchDomain:
     step: float
     convention: str
     grid_shape: Tuple[int, int]
-    rows_evaluated: int
     columns_evaluated: int
-    boundary_clear: bool
     error_bound: float
 
     def to_dict(self) -> dict:
@@ -154,30 +161,24 @@ def min_ell_over_mu(
 ) -> MinEllSearch:
     """Minimum of ell(mu, f) over the grid on [0, re_max] x [0, im_max].
 
-    Only the closed upper-right quadrant is searched: ell is invariant
-    under mu -> conj(mu) for even f.  Ties go to the smallest Re mu, then
-    the smallest Im mu (row-major first hit).
+    By the minimum principle (module docstring) the minimum over Re mu >= 0
+    lies on Re mu = 0, and ell is invariant under mu -> conj(mu) for even f,
+    so only the grid's Re mu = 0 row is evaluated, at Im mu >= 0; ties go to
+    the smallest Im mu.  The argument needs fhat(0) > 0, and DomainError is
+    raised otherwise: for fhat(0) < 0, ell falls to -inf and has no minimum.
 
-    Only the leading Re-mu rows and Im-mu columns are evaluated on the
-    lattice.  mu = 0 is a grid point, so the lattice minimum is at most
-    u + error_bound, with u the pointwise ell(0); a point whose floor
-    exceeds the pad u + 2 _GRID_TOL (twice ell_grid's budget of
-    _GRID_TOL / 2, plus room for u's tolerance, checked after the call)
-    lies above that minimum.  `ell_floor` bounds a whole row and is
-    nondecreasing in Re mu (its derivative is an integral of |fhat|
-    against a positive weight), so the skipped rows are a suffix of the
-    grid, and the lattice takes the rows up to the last one the floor
-    keeps, counted in the domain's rows_evaluated.  On those rows
-    `ell_column_floor` bounds each point and is nondecreasing in Im mu, so
-    the columns it clears in every kept row are a suffix too; ell_grid
-    finishes the columns before it, at least 2, counted in
-    columns_evaluated, on the full grid's lattice (its leading-columns
-    call).  The result is the full grid's: bit for bit when
-    2 re_max + 1 <= 2 im_max in halved parameters, within error_bound
-    otherwise, where ell_grid sizes its lattice by the largest Re mu it is
-    given.  A skipped Re mu = re_max row is boundary_clear by the floor;
-    otherwise the skipped columns lie above u + error_bound >= the lattice
-    value at mu = 0 in every row, so the kept columns decide it.  A
+    mu = 0 is a grid point, so the row's lattice minimum is at most
+    u + error_bound, with u the pointwise ell(0); a point whose
+    `ell_column_floor` exceeds the pad u + 2 _GRID_TOL (twice ell_grid's
+    budget of _GRID_TOL / 2, plus room for u's tolerance, checked after the
+    call) lies above that minimum.  The floor is nondecreasing in Im mu, so
+    the columns it clears are a suffix; ell_grid finishes the columns
+    before it, at least 2, counted in columns_evaluated, on the full grid's
+    lattice (its leading-columns call).  The values are the full grid's
+    first row: bit for bit when 2 re_max + 1 <= 2 im_max in halved
+    parameters, within error_bound otherwise, where ell_grid sizes its
+    lattice by the largest Re mu it is given.  When the floor clears no
+    column up to im_max, the axis beyond im_max is not searched.  A
     rectangle whose grid or lattice is past
     `explicit_formula._check_grid_size`'s limits raises DomainError before
     either is built.
@@ -187,53 +188,39 @@ def min_ell_over_mu(
         raise DomainError("need finite step > 0, re_max >= step, im_max >= 0")
     _check_grid_size(re_max / step + 1.0, im_max / step + 1.0,
                      _cutoff_floor(k * im_max, 0.25 + 0.5 * k * re_max), k * im_max)
+    if not float(f.fourier_centred(0.0)) > 0.0:
+        raise DomainError("min_ell_over_mu needs fhat(0) > 0: otherwise ell has no "
+                          "minimum over Re mu >= 0")
     re_values = _step_grid(re_max, step)
     im_values = _step_grid(im_max, step)
 
     u = ell(0.0, f, tol=_INCUMBENT_TOL)
     pad = u + 2.0 * _GRID_TOL
-    floor = ell_floor(k * re_values, f)
-    ruled_out = floor > pad  # a nan floor rules nothing out
-    rows = int(max(np.flatnonzero(~ruled_out), default=0)) + 1
-    # the column floor rises with Im mu in every row, so the columns whose
-    # floor lies above the pad in every kept row are a suffix
-    column_floor = ell_column_floor(k * re_values[:rows], f)(k * im_values).min(axis=0)
+    column_floor = ell_column_floor([0.0], f)(k * im_values)[0]
     cols = int(max(np.flatnonzero(~(column_floor > pad)), default=0)) + 1
     cols = min(max(cols, 2), len(im_values))
-    vals, error_bound = ell_grid(f, k * re_values[:rows], k * im_values[:cols],
-                                 im_max=k * im_values[-1])
+    vals, error_bound = ell_grid(f, [0.0], k * im_values[:cols], im_max=k * im_values[-1])
     if 2.0 * error_bound + _INCUMBENT_TOL > 2.0 * _GRID_TOL:
         raise AccuracyError(f"ell_grid error bound {error_bound:.3e} leaves no room in "
                             f"the pruning pad 2 x {_GRID_TOL:.3e}", best=None)
 
-    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    if rows < len(re_values):
-        # its lattice values are >= floor - eb > u + eb >= the minimum found
-        boundary_clear = True
-    else:
-        # the skipped columns lie above u + eb >= vals[0, 0] in every row
-        boundary_clear = bool(vals[-1, :].min() > vals[:-1, :].min())
-    _log.debug("min_ell_over_mu: %d of %d Re-mu rows on the lattice, incumbent "
-               "ell(0) = %r, floor at the first skipped row = %s; %d of %d Im-mu "
-               "columns on the lattice, column floor at the first skipped column = %s",
-               rows, len(re_values), u,
-               repr(float(floor[rows])) if rows < len(re_values) else "none skipped",
-               cols, len(im_values),
-               repr(float(column_floor[cols])) if cols < len(im_values) else "none skipped")
+    j = int(np.argmin(vals[0]))
+    c0 = repr(float(im_values[cols])) if cols < len(im_values) else "none"
+    _log.debug("min_ell_over_mu: incumbent ell(0) = %r; the column floor clears the "
+               "pad from Im mu = c0 = %s; %d of %d Im-mu columns on the lattice",
+               u, c0, cols, len(im_values))
     domain = SearchDomain(
         re_max=float(re_values[-1]),
         im_max=float(im_values[-1]),
         step=step,
         convention=convention,
         grid_shape=(len(re_values), len(im_values)),
-        rows_evaluated=rows,
         columns_evaluated=cols,
-        boundary_clear=boundary_clear,
         error_bound=float(error_bound),
     )
     return MinEllSearch(
-        value=float(vals[i, j]),
-        argmin=complex(re_values[i], im_values[j]),
+        value=float(vals[0, j]),
+        argmin=complex(0.0, im_values[j]),
         domain=domain,
     )
 

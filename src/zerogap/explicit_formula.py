@@ -43,37 +43,20 @@ copy, ell(mu, f) = ell(mu + i centre, f(. + centre)) in halved units, whose
 real transform `TestFunction.fourier_centred` is all that `ell` reads, so
 the panels count every oscillation of the integrand.
 
-The same integral bounds ell below uniformly in Im mu.  Before the split,
-with a = Re z and y = Im z,
-
-    ell = int_0^inf [fhat(0) e^-x/x
-                     - e^-ax Re(e^-iyx fhat(x/4 pi))/(1 - e^-x)] dx
-          - fhat(0) log pi,
-
-and Re(e^-iyx fhat) <= |fhat| gives ell >= F(a) at every y, F being the
-same integral with |fhat| in place of e^-iyx fhat.  Split as above, F(a)
-is fhat(0) (psi(a) - log pi + series(a)) plus the integral of
-e^-ax (fhat(0) - |fhat|)/(1 - e^-x) on [0, Y], which `ell_floor`
-evaluates.  dF/da = int x e^-ax |fhat|/(1 - e^-x) dx >= 0, so F is
-nondecreasing in Re mu; it grows like fhat(0) log Re mu, and it is ell
-itself on the real axis where fhat >= 0, as for both Fejer kernels.  The
-certification search skips every Re-mu row whose floor lies above its
-incumbent.  |fhat| does not depend on the centre, and is kinked where
-fhat changes sign, so those points are panel edges of the floor's integral.
-
-One integration by parts bounds ell below column by column.  h is
-absolutely continuous on [0, Y], so the integral is (h(0+) - e^-zY h(Y-)
-+ int_0^Y e^-zx h' dx)/z, and with the series bounded alike,
+One integration by parts bounds ell below point by point.  With a = Re z
+and y = Im z, h is absolutely continuous on [0, Y], so the integral is
+(h(0+) - e^-zY h(Y-) + int_0^Y e^-zx h' dx)/z, and with the series
+bounded alike,
 
     ell >= G(a, y) = fhat(0) (Re psi(z) - log pi) - C(a)/|z|,
 
 C(a) being |h(0+)| + e^-aY |h(Y-)| + int_0^Y e^-ax |h'| plus the series'
-bound.  G rises with |y| (`ell_column_floor`), so within the rows the
-first floor keeps, the certification search evaluates only the leading
-Im-mu columns whose G does not clear its incumbent: 66 of the headline
-grid's 801.  h' comes in closed form from the transform's derivative
-(`TestFunction.fourier_centred_deriv`), and its sign changes, the kinks of
-|h'|, are panel edges of C's integral, as fhat's are of the first floor's.
+bound.  G rises with |y| (`ell_column_floor`), so on the Re mu = 0 row,
+the only one the certification search evaluates (`certification` module
+docstring), it evaluates only the leading Im-mu columns whose G does not
+clear its incumbent: 66 of the headline grid's 801.  h' comes in closed
+form from the transform's derivative (`TestFunction.fourier_centred_deriv`),
+and its sign changes, the kinks of |h'|, are panel edges of C's integral.
 
 `ell_grid` evaluates ell (halved) over a rectangular (Re mu, Im mu) grid
 at reduced tolerance for the certification search, and returns the values
@@ -92,14 +75,13 @@ Discrete-Time Signal Processing, 4.6), one inverse FFT of length M of the
 product's stride aliases summed.  psi(z+1) = psi(z) + 1/z (DLMF 5.5.2)
 gives Re psi(a + 1 + iv) = Re psi(a + iv) + a/(a^2 + v^2): on the default
 grids every row with a >= 1.25 is the row one unit of a below plus one
-rational term, as at certify lengths L >= 50 (9 rows evaluated at L = 50,
-11 at L = 60) and on `minimal_certified_length`'s step-1 grid, and the
-headline's 8 evaluated rows all have a < 1.25.  That dependence, and the
-cache, keep the loop one row at a time: a level of eight rows at once
+rational term.  The full grids of the tests take it; the certification
+search evaluates one row, a = 1/4, which is direct.  That dependence, and
+the cache, keep the loop one row at a time: a level of eight rows at once
 moves temporaries of 2 MB and runs slower per row.
 The other rows take `special_math._re_digamma`, which computes Re psi(a + iv)
-from the asymptotic series in real arithmetic; `ell` and `ell_floor` take
-the complex `digamma`, the same series and shift rule.  Re psi(a + iv)
+from the asymptotic series in real arithmetic; `ell` and the column floor
+take the complex `digamma`, the same series and shift rule.  Re psi(a + iv)
 is even in v (psi(conj z) = conj psi(z)), and `_re_digamma` is even bit for
 bit.  So when v = 0 is a table point, as on every grid whose Im values
 start at 0 (t3 lies on the lattice), every row, direct or recurrence, is
@@ -160,7 +142,6 @@ __all__ = [
     "convention_scale",
     "ell",
     "ell_column_floor",
-    "ell_floor",
     "ell_grid",
     "rhs",
     "verify",
@@ -195,9 +176,9 @@ CONVENTIONS = ("halved", "literal")
 _LATTICE_H = 0.0625
 _GRID_TOL = 2.5e-4
 # the largest grid the certification search takes: values, Re-mu rows
-# (ell_floor holds e^-ax at a few hundred nodes for each) and lattice
-# entries (Simpson nodes plus Im shifts), so that no array of the search
-# passes 64 MiB
+# (ell_grid finishes one lattice row per Re mu, about 1 ms at 801 columns)
+# and lattice entries (Simpson nodes plus Im shifts), so that no array of
+# the search passes 64 MiB
 _MAX_GRID_VALUES = 1 << 23
 _MAX_GRID_ROWS = 1 << 14
 _MAX_LATTICE = 1 << 23
@@ -299,51 +280,6 @@ def ell(mu, f: TestFunction, convention: str = "halved",
     return best
 
 
-def ell_floor(re_mu, f: TestFunction) -> np.ndarray:
-    """A lower bound of ell(mu, f) (halved) that holds for every Im mu, at
-    each Re mu of a 1-d array: with a = 1/4 + Re mu/2 and h's split, Y and
-    the series as in the module docstring,
-
-        F(a) = fhat(0) (psi(a) - log pi + sum_{k>=0} e^-(a+k)Y/(a+k))
-               + int_0^Y e^-ax (fhat(0) - |fhat(x/4 pi)|)/(1 - e^-x) dx,
-
-    fhat being the centred copy's real transform.  It is -inf unless
-    fhat(0) > 0.  The integral takes `ell`'s panels for the largest a at
-    Im z = 0 (so each value depends, in its last bits, on the largest
-    entry), with the sign changes of fhat on (0, X), the kinks of |fhat|,
-    as further edges (`_floor_panels`), and the floor is lowered by its
-    estimated quadrature error and rounding.
-
-    F is ell's Gauss integral with Re(e^{-iyx} fhat) replaced by |fhat|
-    (module docstring), so ell(a + iy) >= F(a) at every y, and:
-    (a) F is at least fhat(0) (psi(a) - log pi - series) minus the integral
-        of e^-ax |h|, since fhat(0) - |fhat| >= -|fhat(0) - fhat| and the
-        series is positive;
-    (b) F is nondecreasing in a, since dF/da = int_0^inf x e^-ax |fhat|
-        /(1 - e^-x) dx >= 0, so the rows a floor clears above some Re mu
-        are a suffix of any grid;
-    (c) F(a) = ell at Im z = 0 when fhat >= 0, as for both Fejer kernels.
-    """
-    re_mu = np.asarray(re_mu, dtype=float)
-    if re_mu.ndim != 1 or not len(re_mu) or not (np.isfinite(re_mu) & (re_mu >= -1e-12)).all():
-        raise DomainError("ell_floor needs a nonempty 1-d array of finite Re(mu) >= 0")
-    a = 0.25 + 0.5 * np.maximum(re_mu, 0.0)
-    x_end = max(4.0 * math.pi * f.support_radius, 1.0)
-    x, w = _floor_panels(f, a, lambda x: f.fourier_centred(x / (4.0 * math.pi)))
-    fhat = f.fourier_centred(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
-    f0 = float(fhat[0])
-    if not f0 > 0.0:
-        return np.full(a.shape, -np.inf)
-    g = w * ((f0 - np.abs(fhat[1:].reshape(x.shape))) / -np.expm1(-x))
-    integral, quad_err = _damped_integrals(a, x, g)
-    series = _series(a, x_end)
-    psi = digamma(a)
-    # e^-ax <= 1 bounds every node's term by its |g|
-    mass = np.abs(g[:, _NODES:]).sum() + f0 * (np.abs(psi) + LOG_PI + series)
-    err = quad_err + 16.0 * math.ulp(1.0) * mass
-    return f0 * (psi - LOG_PI + series) + integral - err
-
-
 def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
     """A lower bound of ell(mu, f) (halved) at each Re mu of a 1-d array,
     as a function of Im mu, from one integration by parts of ell's
@@ -368,10 +304,10 @@ def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarra
     returned takes a 1-d array of Im mu and gives G of shape
     (len(re_mu), len(im_mu)).  h' = -(fhat'(x/4 pi)/4 pi + e^-x h(x))
     /(1 - e^-x) is closed-form, from `TestFunction.fourier_centred_deriv`,
-    and h(0+) = -fhat'(0+)/4 pi.  The integral takes `ell_floor`'s panels
-    for the largest a, with the sign changes of h' on (0, X) as further
-    edges, and C is raised by its estimated quadrature error and rounding,
-    the standard of `ell_floor`.
+    and h(0+) = -fhat'(0+)/4 pi.  The integral takes `ell`'s panels for the
+    largest a at Im z = 0, with the sign changes of h' on (0, X), the kinks
+    of |h'|, as further edges, and C is raised by its estimated quadrature
+    error (48- against 24-point rule) and 16 ulps of rounding.
     """
     re_mu = np.asarray(re_mu, dtype=float)
     if re_mu.ndim != 1 or not len(re_mu) or not (np.isfinite(re_mu) & (re_mu >= -1e-12)).all():
@@ -381,7 +317,8 @@ def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarra
         raise DomainError("ell_column_floor needs the transform's derivative "
                           "(TestFunction.fourier_centred_deriv)")
     a = 0.25 + 0.5 * np.maximum(re_mu, 0.0)
-    x_end = max(4.0 * math.pi * f.support_radius, 1.0)
+    big_x = 4.0 * math.pi * f.support_radius
+    x_end = max(big_x, 1.0)
     f0 = float(f.fourier_centred(0.0))
 
     def h_deriv(x):
@@ -391,7 +328,9 @@ def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarra
                  + np.exp(-x) * (f0 - f.fourier_centred(xi)) / tail) / tail
 
     if f0 > 0.0:
-        x, w = _floor_panels(f, a, h_deriv)
+        spans = _ell_spans(big_x, x_end, _sign_changes(h_deriv, f, big_x))
+        edges = np.array(_ell_edges(complex(a.max(), 0.0), spans, x_end))
+        x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
         g = w * np.abs(h_deriv(x))
         integral, quad_err = _damped_integrals(a, x, g)
         damp = np.exp(-a * x_end)
@@ -415,17 +354,6 @@ def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarra
     return floor_at
 
 
-def _floor_panels(f: TestFunction, a: np.ndarray, value: Callable) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights, by panel, of the floors' integrals over
-    [0, Y]: `ell`'s panels for the largest a at Im z = 0, with the sign
-    changes of value on (0, X), the kinks of |value|, as further edges."""
-    big_x = 4.0 * math.pi * f.support_radius
-    x_end = max(big_x, 1.0)
-    spans = _ell_spans(big_x, x_end, _sign_changes(value, f, big_x))
-    edges = np.array(_ell_edges(complex(a.max(), 0.0), spans, x_end))
-    return _gauss_panels(edges, _NODES, 2 * _NODES)
-
-
 def _damped_integrals(a: np.ndarray, x: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """int e^-ax g at each a, from Gauss weights folded into g by panel
     (`_gauss_panels(edges, _NODES, 2 _NODES)`): the 48-point value and its
@@ -433,21 +361,21 @@ def _damped_integrals(a: np.ndarray, x: np.ndarray, g: np.ndarray) -> Tuple[np.n
     sums = []
     for rule in (slice(None, _NODES), slice(_NODES, None)):
         e = np.multiply.outer(-a, x[:, rule].ravel())
-        # in place: a fresh output array tripled exp's cost on 201 rows
+        # in place: a fresh output array tripled exp's cost on many rows
         sums.append(np.exp(e, out=e) @ g[:, rule].ravel())
     coarse, integral = sums
     return integral, np.abs(integral - coarse)
 
 
 def _sign_changes(value: Callable, f: TestFunction, big_x: float) -> list:
-    """The x in (0, X) where value, fhat(x/4 pi) of the centred copy or h',
-    changes sign, bracketed on a sample and solved together by
+    """The x in (0, X) where value, the column floor's h', changes sign,
+    bracketed on a sample and solved together by
     `extremal._bracketed_roots`.  The centred copy lives mostly in
     |t| <= t0 - |centre|, t0 the envelope's onset, so fhat and its
     derivative change sign about 2 delta (t0 - |centre|) times on
     [0, delta]; the sample takes 32 points per such change.  Two sign
-    changes closer than its step go unseen; the floors' error estimates
-    still see the kinks they leave."""
+    changes closer than its step go unseen; the floor's error estimate
+    still sees the kinks they leave."""
     n = 32 * math.ceil(2.0 * f.support_radius * (f.envelope.t0 - abs(f.centre)) + 1.0)
     x = big_x * np.arange(1, n) / n
     v = value(x)

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,8 +34,8 @@ CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 CERT_MARGIN = 0.18588479392167442
 CERT_SEARCH_DOMAIN = {
     "re_max": 50.0, "im_max": 200.0, "step": 0.25, "convention": "halved",
-    "grid_shape": [201, 801], "rows_evaluated": 8, "columns_evaluated": 66,
-    "boundary_clear": True, "error_bound": 7.70966042141075e-05,
+    "grid_shape": [201, 801], "columns_evaluated": 66,
+    "error_bound": 7.70966042141075e-05,
 }
 # the same run on the FAST rectangle below: the lattice's extent follows the
 # rectangle, so the margin differs from CERT_MARGIN by 8.6e-8
@@ -159,15 +160,15 @@ def test_conventions_give_identical_certificates():
     assert (da.pop("convention"), db.pop("convention")) == ("halved", "literal")
     for key in ("re_max", "im_max", "step"):
         assert db.pop(key) == da.pop(key) / 2.0
-    assert db == da  # grid_shape, boundary_clear, error_bound
+    assert db == da  # grid_shape, columns_evaluated, error_bound
     # min-ell searches the caller's rectangle: literal on (R, I, s) is halved
     # on (2R, 2I, 2s) with the argmin doubled
     lit = min_ell_over_mu(cert_fn(), FAST["re_max"] / 2.0, FAST["im_max"] / 2.0,
                           FAST["step"] / 2.0, "literal")
     half = min_ell_over_mu_cached()
     assert (lit.value, 2.0 * lit.argmin) == (half.value, half.argmin)
-    assert (lit.domain.grid_shape, lit.domain.boundary_clear, lit.domain.error_bound) == (
-        half.domain.grid_shape, half.domain.boundary_clear, half.domain.error_bound)
+    assert (lit.domain.grid_shape, lit.domain.columns_evaluated, lit.domain.error_bound) == (
+        half.domain.grid_shape, half.domain.columns_evaluated, half.domain.error_bound)
 
 
 def test_refinement_stability():
@@ -177,9 +178,14 @@ def test_refinement_stability():
     assert coarse.certified and fine.certified
 
 
-def test_boundary_flag():
-    s = min_ell_over_mu_cached()
-    assert s.domain.boundary_clear is True
+def test_min_ell_needs_positive_mass():
+    # below 1/delta the minorant's fhat(0) = L - 1/delta is negative, and ell
+    # falls to -inf along the real axis: there is no minimum to search for
+    short = selberg_minorant(-4.0, 4.0, PRIME_FREE_RADIUS)
+    assert short.fourier_centred(0.0) < 0.0
+    for f in (short, replace(cert_fn(), fourier_centred=lambda xi: 0.0 * xi)):
+        with pytest.raises(DomainError, match="fhat"):
+            min_ell_over_mu(f, **FAST)
 
 
 def test_minimal_length(minimal_lengths):
@@ -227,9 +233,7 @@ def test_certificate_invariant():
     s = MinEllSearch(value=-1.0, argmin=0j,
                      domain=SearchDomain(re_max=1.0, im_max=1.0, step=1.0,
                                          convention="halved", grid_shape=(2, 2),
-                                         rows_evaluated=2, columns_evaluated=2,
-                                         boundary_clear=True,
-                                         error_bound=1e-4))
+                                         columns_evaluated=2, error_bound=1e-4))
     with pytest.raises(DomainError):
         GapCertificate(interval=(-1.0, 1.0), delta=PRIME_FREE_RADIUS, degree=4,
                        margin=-0.5, certified=True, positivity_window=(-1.0, 1.0),
@@ -237,33 +241,34 @@ def test_certificate_invariant():
 
 
 def _full_grid_search(f, re_max, im_max, step, convention="halved"):
-    """What min_ell_over_mu returns, from one ell_grid call over every row."""
+    """The minimum over every point of the rectangle, from one ell_grid call
+    over every row: the oracle for the search of the Re mu = 0 row alone."""
     k = convention_scale(convention)
     re_values, im_values = _step_grid(re_max, step), _step_grid(im_max, step)
     vals, error_bound = ell_grid(f, k * re_values, k * im_values)
     i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    return (float(vals[i, j]), complex(re_values[i], im_values[j]),
-            bool(vals[-1].min() > vals[:-1].min()), float(error_bound), vals.shape)
+    return (float(vals[i, j]), complex(re_values[i], im_values[j]), float(error_bound),
+            vals.shape)
 
 
 def _fields(search):
     d = search.domain
-    return search.value, search.argmin, d.boundary_clear, d.error_bound, d.grid_shape
+    return search.value, search.argmin, d.error_bound, d.grid_shape
 
 
 EXACT_CASES = [
     *((length, dict(re_max=50.0, im_max=200.0, step=step))
       for length in (45.06, CERT_LENGTH, 45.5, 52.0, 60.0) for step in (0.25, 1.0)),
     (CERT_LENGTH, dict(re_max=25.0, im_max=100.0, step=0.5, convention="literal")),
-    (CERT_LENGTH, FAST),  # the floor rules out 9 of its 13 rows
-    (CERT_LENGTH, dict(re_max=1.5, im_max=20.0, step=0.5)),  # and none of these 4
+    (CERT_LENGTH, FAST),
+    (CERT_LENGTH, dict(re_max=1.5, im_max=20.0, step=0.5)),
 ]
 
 
 @pytest.mark.parametrize("length, rect", EXACT_CASES)
 def test_pruned_search_equals_full_grid(length, rect):
-    # rows above the floor's cut are skipped, yet every field is the
-    # full grid's, bit for bit
+    # only the Re mu = 0 row is evaluated, yet the minimum, its argmin and
+    # the bound are the full grid's, bit for bit: the minimum principle
     f = cert_fn() if length == CERT_LENGTH else selberg_minorant(
         -length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
     assert _fields(min_ell_over_mu(f, **rect)) == _full_grid_search(f, **rect)
@@ -271,13 +276,12 @@ def test_pruned_search_equals_full_grid(length, rect):
 
 def test_pruned_search_on_wide_re_rectangles():
     # with 2 re_max + 1 > 2 im_max the lattice's extent follows the largest
-    # Re mu it is given (`t3` in ell_grid), so skipping rows changes the
-    # lattice: values agree within the error bound, not bit for bit
+    # Re mu it is given (`t3` in ell_grid), so the one row's lattice is not
+    # the full grid's: values agree within the error bound, not bit for bit
     rect = dict(re_max=50.0, im_max=10.0, step=1.0)
     got = min_ell_over_mu(cert_fn(), **rect)
-    value, argmin, boundary_clear, error_bound, shape = _full_grid_search(cert_fn(), **rect)
-    assert (got.argmin, got.domain.boundary_clear, got.domain.grid_shape) == (
-        argmin, boundary_clear, shape)
+    value, argmin, error_bound, shape = _full_grid_search(cert_fn(), **rect)
+    assert (got.argmin, got.domain.grid_shape) == (argmin, shape)
     assert abs(got.value - value) < min(got.domain.error_bound, error_bound)
 
 
@@ -292,35 +296,34 @@ def test_headline_certificate_evaluates_few_rows(monkeypatch):
     cert = certify_gap(4, CERT_LENGTH)
     assert len(calls) == 1
     rows, cols, im_max = calls[0]
-    # the leading columns the column floor keeps, on the full grid's lattice
-    assert rows <= 8 and cols <= 71 and im_max == 200.0
+    # the Re mu = 0 row's leading columns the column floor keeps, on the
+    # full grid's lattice
+    assert rows == 1 and cols <= 71 and im_max == 200.0
     assert cert.search.grid_shape == (201, 801)
-    assert (cert.search.rows_evaluated, cert.search.columns_evaluated) == (rows, cols)
-    assert cert.search.boundary_clear is True
+    assert cert.search.columns_evaluated == cols
 
 
 def test_pruning_pad_checked_against_grid_bound(monkeypatch):
     def loose(f, re_values, im_values, im_max):
         values, _ = ell_grid(f, re_values, im_values, im_max=im_max)
-        return values, 1e-3  # above the pad the skipped rows were sized with
+        return values, 1e-3  # above the pad the skipped columns were sized with
 
     monkeypatch.setattr(certification, "ell_grid", loose)
     with pytest.raises(AccuracyError):
         min_ell_over_mu(cert_fn(), **FAST)
 
 
-def test_min_ell_logs_rows_evaluated(caplog):
+def test_min_ell_logs_columns_evaluated(caplog):
     with caplog.at_level(logging.DEBUG, logger="zerogap"):
         search = min_ell_over_mu(cert_fn(), re_max=50.0, im_max=200.0, step=1.0)
     records = [r for r in caplog.records if r.name == "zerogap.certification"]
     assert len(records) == 1
     assert records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
-    assert "2 of 51 Re-mu rows" in message
     assert "incumbent ell(0) = 0.2919830149572" in message
     cols = search.domain.columns_evaluated
     assert f"{cols} of 201 Im-mu columns" in message and 2 <= cols < 201
-    assert "column floor at the first skipped column = " in message
+    assert f"clears the pad from Im mu = c0 = {float(cols)!r}" in message
     assert search.domain.grid_shape == (51, 201)
 
 
@@ -346,15 +349,14 @@ def test_oversized_rectangle_refused_before_allocating(rect):
 
 
 def test_headline_certificate_columns_are_the_column_floors():
-    # the columns kept are those up to the last whose floor is at or below
-    # the pad in some kept row: the floor at the first skipped column is
-    # above it in every kept row, and at the last kept column it is not
+    # the columns kept are those of the Re mu = 0 row up to the last whose
+    # floor is at or below the pad: the floor at every skipped column is
+    # above it, and at the last kept column it is not
     cert = certify_gap(4, CERT_LENGTH)
     d = cert.search
     f = cert_fn()
     pad = certification.ell(0.0, f, tol=certification._INCUMBENT_TOL) + 2.0 * _GRID_TOL
-    re_values = _step_grid(d.re_max, d.step)[:d.rows_evaluated]
-    floors = ell_column_floor(re_values, f)(_step_grid(d.im_max, d.step))
+    floor = ell_column_floor([0.0], f)(_step_grid(d.im_max, d.step))[0]
     assert d.columns_evaluated < 801
-    assert (floors[:, d.columns_evaluated:] > pad).all()
-    assert not (floors[:, d.columns_evaluated - 1] > pad).all()
+    assert (floor[d.columns_evaluated:] > pad).all()
+    assert not floor[d.columns_evaluated - 1] > pad

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -46,6 +47,17 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_fresh(*argv, env=None):
+    """The CLI in a fresh interpreter, which configures no logging and
+    reads its environment at import."""
+    src = str(Path(zerogap.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); from zerogap.cli import main; "
+         "sys.exit(main(sys.argv[2:]))", src, *argv],
+        capture_output=True, timeout=120, env=env)
 
 
 def test_eval_beurling_golden(capsys):
@@ -190,14 +202,24 @@ def test_certify_gap_cli_output_unaffected_by_logging(capsys):
     argv = ["certify-gap", "--degree", "4", "--length", CERT_LENGTH,
             "--re-max", "50", "--im-max", "20", "--step", "1"]
     rc, out, err = run(capsys, *argv)
-    src = str(Path(zerogap.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; sys.path.insert(0, sys.argv[1]); from zerogap.cli import main; "
-         "sys.exit(main(sys.argv[2:]))", src, *argv],
-        capture_output=True, text=True, timeout=120)
+    done = run_fresh(*argv)
     assert (rc, err) == (0, "")
-    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, out.encode(), b"")
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify-gap", "--degree", "4", "--length", CERT_LENGTH),
+    ("scan-region", "--nu-max", "4", "--step", "1"),
+], ids=["certify-gap", "scan-region"])
+def test_output_does_not_depend_on_thread_count(argv):
+    # the same bytes under one and two BLAS threads; more threads than the
+    # two cores this was measured on are untested
+    outputs = []
+    for threads in ("1", "2"):
+        done = run_fresh(*argv, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_scan_region_huge_nu_is_an_error(capsys):
@@ -248,7 +270,17 @@ def test_min_ell_json(capsys):
     assert doc["argmin"] == {"re": 0.0, "im": 0.0}
     assert doc["window_length"] == pytest.approx(float(CERT_LENGTH))
     assert doc["delta"] == pytest.approx(math.log(2.0) / (2.0 * math.pi))
-    assert doc["search_domain"]["boundary_clear"] is True
+    assert doc["search_domain"]["columns_evaluated"] < 41
+
+
+def test_min_ell_without_mass_is_an_error(capsys):
+    # 8 < 1/delta: the minorant's fhat(0) is negative, and ell has no minimum
+    rc, out, err = run(capsys, "min-ell", "--length", "8",
+                       "--re-max", "6", "--im-max", "20", "--step", "0.5")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "fhat(0) > 0" in err
+    assert "Traceback" not in err
 
 
 def test_scan_region_stdout_golden(capsys):
@@ -399,7 +431,6 @@ def test_readme_reproduction_commands(capsys, tmp_path, monkeypatch):
     assert round(doc["margin"], 6) == 0.185885
     assert doc["positivity_window"] == [-22.661800709135967, 22.661800709135967]
     assert doc["search_domain"]["grid_shape"] == [201, 801]
-    assert doc["search_domain"]["rows_evaluated"] == 8
     assert doc["search_domain"]["columns_evaluated"] == 66
 
     rc, out, err = run(capsys, *commands["scan-region"])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import zerogap.explicit_formula as ef
@@ -21,7 +21,6 @@ from zerogap.explicit_formula import (
     ExplicitFormulaReport,
     ell,
     ell_column_floor,
-    ell_floor,
     ell_grid,
     rhs,
     verify,
@@ -573,8 +572,8 @@ def test_ell_grid_refuses_oversized_lattice_before_allocating(cert_minorant):
     assert peak <= 2**20
 
 
-# the Re-mu rows certify_gap puts on the lattice for these windows on its
-# default grid: 8 for the headline, 11 at L = 60
+# the Re-mu rows, step 0.25, on which the column floor is checked: more
+# than the one row, Re mu = 0, that certify_gap evaluates
 COLUMN_FLOOR_ROWS = {2.0 * HALF: 1.75, 60.0: 2.5}
 
 
@@ -665,29 +664,53 @@ FLOOR_KERNELS = {
     "headline": selberg_minorant(-HALF, HALF, PRIME_FREE_RADIUS),
     "asymmetric": selberg_minorant(-7.3, 19.1, 0.09),
     "narrow": selberg_minorant(-30.0, 30.0, 0.05),
-    "offset": selberg_minorant(0.0, 45.5, PRIME_FREE_RADIUS),
     "fejer": fejer(PRIME_FREE_RADIUS),
     "windowed": windowed_fejer(14.13, PRIME_FREE_RADIUS),
 }
 
 
+EVEN_KERNELS = sorted(name for name, f in FLOOR_KERNELS.items() if f.even)
+
+
+@lru_cache(maxsize=None)
+def _ell_at_zero(name):
+    return ell(0.0, FLOOR_KERNELS[name])
+
+
 @settings(max_examples=60)
-@given(st.sampled_from(sorted(FLOOR_KERNELS)), st.floats(0.0, 80.0),
-       st.floats(-200.0, 200.0))
-def test_ell_floor_below_ell(name, re, im):
-    f = FLOOR_KERNELS[name]
-    assert ell_floor(np.array([re]), f)[0] <= ell(complex(re, im), f, tol=1e-6)
+@given(st.sampled_from(EVEN_KERNELS), st.floats(0.0, 80.0), st.floats(-200.0, 200.0))
+@example("windowed", 1e-16, 0.0)  # 4 ulps of ell(0) = -2601 below it
+@example("headline", 1e-6, 0.0)
+@example("fejer", 0.0, 1e-6)
+@example("narrow", 80.0, -200.0)
+@example("headline", 0.0, 200.0)
+def test_ell_minimum_over_the_half_plane_is_at_zero(name, re, im):
+    # the minimum principle puts the half-plane minimum on Re mu = 0, and
+    # for these kernels ell(i nu) is least at nu = 0; the slack is 1e-12
+    # plus 8 ulps of ell(0) for rounding
+    floor = _ell_at_zero(name)
+    slack = 1e-12 + 8.0 * math.ulp(floor)
+    assert ell(complex(re, im), FLOOR_KERNELS[name], tol=1e-6) >= floor - slack
 
 
-@pytest.mark.parametrize("name", sorted(FLOOR_KERNELS))
-def test_ell_floor_below_ell_on_real_axis(name):
-    # at Im mu = 0 the floor and ell differ only by |fhat| - fhat, which
-    # vanishes near x = 0, where e^-ax puts its weight for large a
+@pytest.mark.parametrize("name", ["headline", "asymmetric", "fejer", "windowed"])
+def test_ell_is_harmonic_in_mu(name):
+    # ell = Re Phi(z) with Phi analytic, so the 5-point Laplacian of ell is
+    # the stencil's truncation alone, O(h^2): it falls by 4 each time h
+    # halves, up to 10% and the rounding of the five values (32 ulps of the
+    # largest, over h^2).  A Laplacian that did not vanish would stay put
     f = FLOOR_KERNELS[name]
-    re = np.array([0.0, 0.5, 3.0, 19.0, 80.0, 400.0, 3000.0])
-    floor = ell_floor(re, f)
-    for r, bound in zip(re, floor):
-        assert bound <= ell(r, f), r
+    rng = np.random.default_rng(26)
+    centres = rng.uniform(0.1, 10.0, 6) + 1j * rng.uniform(-30.0, 30.0, 6)
+    stencil = np.array([1.0, -1.0, 1j, -1j])
+    for mu in centres:
+        laplacians = []
+        for h in (0.04, 0.02, 0.01):
+            values = ell(np.concatenate(([mu], mu + h * stencil)), f, tol=1e-6)
+            noise = 32.0 * math.ulp(np.abs(values).max()) / h**2
+            laplacians.append(((values[1:].sum() - 4.0 * values[0]) / h**2, noise))
+        for (coarse, _), (fine, noise) in zip(laplacians, laplacians[1:]):
+            assert abs(fine - coarse / 4.0) <= 0.1 * abs(coarse) / 4.0 + noise, (mu, coarse, fine)
 
 
 OFF_CENTRE_WINDOWS = [(177.5, 222.5), (-322.75, -277.25), (950.0, 1050.0), (-3.0, 60.0)]
@@ -707,135 +730,16 @@ def test_ell_off_centre_is_centred_at_shifted_mu(alpha, beta, convention, k):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("alpha, beta", [(0.25, 45.25), *OFF_CENTRE_WINDOWS])
-def test_ell_floor_below_ell_on_off_centre_line(alpha, beta):
-    # on Im mu = -centre, ell is its centred window's on the real axis,
-    # where the floor is tightest; the floor reads only the centred copy's
-    # transform, so it is that window's floor bit for bit
-    f = selberg_minorant(alpha, beta, PRIME_FREE_RADIUS)
-    re = np.array([0.0, 0.5, 10.0, 100.0, 1000.0, 2000.0, 4000.0])
-    floor = ell_floor(re, f)
-    values = ell(re - 0.5j * (alpha + beta), f)
-    assert (floor <= values).all(), (values - floor).tolist()
-    half = 0.5 * (beta - alpha)
-    centred = selberg_minorant(-half, half, PRIME_FREE_RADIUS)
-    assert np.array_equal(floor, ell_floor(re, centred))
-
-
-@pytest.mark.parametrize("name", sorted(FLOOR_KERNELS))
-def test_ell_floor_nondecreasing(name):
-    floor = ell_floor(np.linspace(0.0, 200.0, 801), FLOOR_KERNELS[name])
-    assert np.isfinite(floor).all()
-    assert (np.diff(floor) >= 0.0).all()
-
-
-def _mp_floor(kind, params, re):
-    """ell_floor's F(a) at 30 digits in the unsplit form
-
-        int_0^inf [fhat(0) e^-x/x - e^-ax |fhat(x/4 pi)|/(1 - e^-x)] dx
-        - fhat(0) log pi,
-
-    whose integrand past X is fhat(0) e^-x/x alone, with integral
-    fhat(0) E1(X).  The quadrature on [0, X] is split at X/2 and at the sign
-    changes of fhat, bracketed on 400 samples and solved by mpmath."""
-    with mpmath.workdps(30):
-        fhat, f0, delta = _mp_transform(kind, params)
-        a = mpmath.mpf(1) / 4 + mpmath.mpf(re) / 2
-        big_x = 4 * mpmath.pi * delta
-
-        def real_fhat(x):
-            return mpmath.re(fhat(x / (4 * mpmath.pi)))
-
-        xs = [big_x * k / 400 for k in range(1, 400)]
-        vals = [real_fhat(x) for x in xs]
-        kinks = [mpmath.findroot(real_fhat, (x0, x1), solver="anderson")
-                 for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:])
-                 if (v0 >= 0) != (v1 >= 0)]
-        edges = sorted([mpmath.mpf(0), big_x / 2, big_x, *kinks])
-        while a * edges[1] > 1:
-            edges.insert(1, edges[1] / 2)
-
-        def g(x):
-            return (f0 * mpmath.exp(-x) / x
-                    - mpmath.exp(-a * x) * abs(real_fhat(x)) / -mpmath.expm1(-x))
-        integral, error = mpmath.quad(g, edges, method="gauss-legendre", error=True)
-        assert error < 1e-20
-        return float(integral + f0 * mpmath.e1(big_x) - f0 * mpmath.log(mpmath.pi))
-
-
-def test_ell_floor_matches_mpmath_unsplit_form():
-    # the split form's psi, series and |fhat| panels against the unsplit
-    # integral; the floor sits below it by its own error estimate, ~1e-13
-    kind, params = MP_KERNELS["headline"]
-    re = np.array([0.0, 2.0, 10.0])
-    floor = ell_floor(re, selberg_minorant(*params))
-    for r, bound in zip(re, floor):
-        want = _mp_floor(kind, params, r)
-        assert bound <= want and want - bound <= 1e-10, (r, want - bound)
-
-
-@pytest.mark.parametrize("name", ["fejer", "windowed"])
-def test_ell_floor_tight_for_nonnegative_transforms(name):
-    # fhat >= 0 makes |fhat| = fhat, so the floor is ell on the real axis
-    f = FLOOR_KERNELS[name]
-    re = np.array([0.0, 0.5, 3.0, 19.0])
-    assert np.abs(ell_floor(re, f) - ell(re, f)).max() <= 1e-9
-
-
-def _first_floor(re_mu, f):
-    """The floor's first form: psi(a) for Re psi(a + iy), and minus the
-    integral of e^-ax |h| and the series' modulus for the bracket."""
-    a = 0.25 + 0.5 * re_mu
-    big_x = 4.0 * math.pi * f.support_radius
-    x_end = max(big_x, 1.0)
-    edges = np.array(ef._ell_edges(complex(a.max(), 0.0), ef._ell_spans(big_x, x_end), x_end))
-    x, w = ef._gauss_panels(edges, 24, 48)
-    f0, diff = ef._split_transform(f, x)
-    terms = np.exp(-a[:, None, None] * x) * (w * (np.abs(diff) / -np.expm1(-x)))
-    coarse, integral = terms[..., :24].sum(axis=(1, 2)), terms[..., 24:].sum(axis=(1, 2))
-    series, psi = ef._series(a, x_end), digamma(a)
-    mass = integral + f0 * (np.abs(psi) + math.log(math.pi) + series)
-    err = np.abs(integral - coarse) + 16.0 * math.ulp(1.0) * mass
-    return f0 * (psi - math.log(math.pi) - series) - integral - err
-
-
-@pytest.mark.parametrize("name", sorted(FLOOR_KERNELS))
-def test_ell_floor_at_least_first_form(name):
-    # property (a) of ell_floor: the triangle inequality.  For large Re mu
-    # both forms reduce to the same integral, where fhat > fhat(0) near
-    # x = 0 (h < 0) or fhat >= 0, and differ there by rounding alone
-    f = FLOOR_KERNELS[name]
-    re = np.array([0.0, 0.5, 3.0, 19.0, 80.0, 400.0, 3000.0])
-    first = _first_floor(re, f)
-    assert (ell_floor(re, f) - first >= -1e-14 * np.abs(first)).all()
-
-
 @settings(max_examples=40)
 @given(st.floats(1e-3, 100.0), st.floats(-1e3, 1e3))
 def test_re_digamma_above_real_digamma(a, y):
-    # the floor's bound Re(e^{-iyx} fhat) <= |fhat| with fhat = 1, in
-    # Gauss's integral of psi: Re psi(a + iy) >= psi(a) for a > 0, up to
-    # 30-digit rounding (the two agree to O(y^2) as y -> 0)
+    # the column floor's G rises with |y| because Re psi(a + iy) rises with
+    # y^2 (DLMF 5.7.6): in particular Re psi(a + iy) >= psi(a) for a > 0, up
+    # to 30-digit rounding (the two agree to O(y^2) as y -> 0)
     with mpmath.workdps(30):
         psi_a = mpmath.digamma(a)
         slack = mpmath.mpf(10) ** -25 * (1 + abs(psi_a))
         assert mpmath.re(mpmath.digamma(mpmath.mpc(a, y))) >= psi_a - slack
-
-
-def test_ell_floor_needs_positive_mass():
-    # a window shorter than 1/delta gives fhat(0) = L - 1/delta < 0
-    short = selberg_minorant(-3.0, 3.0, 0.1)
-    assert short.integral < 0.0
-    assert (ell_floor(np.array([0.0, 5.0, 50.0]), short) == -np.inf).all()
-    zero_mass = replace(FLOOR_KERNELS["fejer"], fourier_centred=lambda xi: 0.0 * xi)
-    assert (ell_floor(np.array([0.0, 50.0]), zero_mass) == -np.inf).all()
-
-
-def test_ell_floor_input_validation(cert_minorant):
-    for bad in (np.array([]), np.array([1.0, -0.5]), np.zeros((2, 2)),
-                np.array([0.0, np.nan]), np.array([np.inf])):
-        with pytest.raises(DomainError):
-            ell_floor(bad, cert_minorant)
 
 
 def test_ell_grid_input_validation(cert_minorant):

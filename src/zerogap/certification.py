@@ -37,10 +37,12 @@ The search therefore evaluates one Re-mu row of its grid, Re mu = 0.  The
 column floor at a = 1/4 rises with nu, and the columns whose floor lies
 above the incumbent ell(0) by more than twice the grid's error budget are a
 suffix of the row that cannot hold the minimum; the lattice finishes only
-the columns before it (66 of the headline grid's 801), on the full
-rectangle's lattice, so that every value it returns is the full grid's.
-Between grid points the minimum is not bounded, so the result is labeled
-numerical evidence, grid-based; it is not a proof.
+the columns before it (66 of the headline grid's 801), on the full row's
+lattice, so that every value it returns is the uncut row's.  A suffix that
+starts past im_max leaves the axis beyond the rectangle unsearched, and
+`certify_gap` then certifies nothing.  Between grid points the minimum
+is not bounded, so the result is labeled numerical evidence, grid-based;
+it is not a proof.
 
 The two Gamma-factor normalizations give pointwise-identical values under
 mu -> k mu, k = `convention_scale(convention)`; `certify_gap` divides its
@@ -66,6 +68,7 @@ from .explicit_formula import (
     _check_grid_size,
     _check_prime_free,
     _cutoff_floor,
+    _step_count,
     _step_grid,
     convention_scale,
     ell,
@@ -122,7 +125,11 @@ class MinEllSearch:
 
 @dataclass(frozen=True)
 class GapCertificate:
-    """Outcome of a gap-certification run; certified implies margin > 0."""
+    """Outcome of a gap-certification run.  certified needs margin > 0, a
+    positivity window, and the column floor cleared inside the searched
+    rectangle (columns_evaluated < grid_shape[1]): otherwise the Im-mu axis
+    beyond im_max, where the floor does not yet bound ell above the
+    minimum, was not searched."""
 
     interval: Tuple[float, float]
     delta: float
@@ -173,25 +180,23 @@ def min_ell_over_mu(
     budget of _GRID_TOL / 2, plus room for u's tolerance, checked after the
     call) lies above that minimum.  The floor is nondecreasing in Im mu, so
     the columns it clears are a suffix; ell_grid finishes the columns
-    before it, at least 2, counted in columns_evaluated, on the full grid's
-    lattice (its leading-columns call).  The values are the full grid's
-    first row: bit for bit when 2 re_max + 1 <= 2 im_max in halved
-    parameters, within error_bound otherwise, where ell_grid sizes its
-    lattice by the largest Re mu it is given.  When the floor clears no
-    column up to im_max, the axis beyond im_max is not searched.  A
-    rectangle whose grid or lattice is past
-    `explicit_formula._check_grid_size`'s limits raises DomainError before
-    either is built.
+    before it, at least 2, counted in columns_evaluated, on the full
+    row's lattice (its leading-columns call), so the values are the uncut
+    row's, bit for bit, whatever re_max.  When the floor clears no column
+    up to im_max (columns_evaluated is then grid_shape[1]), the axis beyond
+    im_max is not searched.  A rectangle whose grid or row's lattice is
+    past `explicit_formula._check_grid_size`'s limits raises DomainError
+    before either is built; of the Re grid only its count is taken.
     """
     k = convention_scale(convention)
-    if not (0 < step <= re_max < math.inf and 0 <= im_max < math.inf):
-        raise DomainError("need finite step > 0, re_max >= step, im_max >= 0")
-    _check_grid_size(re_max / step + 1.0, im_max / step + 1.0,
-                     _cutoff_floor(k * im_max, 0.25 + 0.5 * k * re_max), k * im_max)
+    if not (0 < step <= re_max < math.inf and step <= im_max < math.inf):
+        raise DomainError("need finite re_max and im_max, and 0 < step <= both")
+    _check_grid_size((re_max / step + 1.0) * (im_max / step + 1.0),
+                     _cutoff_floor(k * im_max, 0.25), k * im_max)
     if not float(f.fourier_centred(0.0)) > 0.0:
         raise DomainError("min_ell_over_mu needs fhat(0) > 0: otherwise ell has no "
                           "minimum over Re mu >= 0")
-    re_values = _step_grid(re_max, step)
+    n_re = _step_count(re_max, step)
     im_values = _step_grid(im_max, step)
 
     u = ell(0.0, f, tol=_INCUMBENT_TOL)
@@ -210,11 +215,11 @@ def min_ell_over_mu(
                "pad from Im mu = c0 = %s; %d of %d Im-mu columns on the lattice",
                u, c0, cols, len(im_values))
     domain = SearchDomain(
-        re_max=float(re_values[-1]),
+        re_max=float(step * (n_re - 1)),
         im_max=float(im_values[-1]),
         step=step,
         convention=convention,
-        grid_shape=(len(re_values), len(im_values)),
+        grid_shape=(n_re, len(im_values)),
         columns_evaluated=cols,
         error_bound=float(error_bound),
     )
@@ -257,12 +262,13 @@ def certify_gap(
     search = min_ell_over_mu(s_minus, re_max / k, im_max / k, step / k, convention)
     margin = degree * search.value / TWO_PI
     window_ok = isinstance(window, tuple)
+    floor_cleared = search.domain.columns_evaluated < search.domain.grid_shape[1]
     return GapCertificate(
         interval=(-half, half),
         delta=delta,
         degree=degree,
         margin=margin,
-        certified=bool(margin > 0.0 and window_ok),
+        certified=bool(margin > 0.0 and window_ok and floor_cleared),
         positivity_window=window if window_ok else None,
         search=search.domain,
     )

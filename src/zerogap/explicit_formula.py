@@ -58,55 +58,42 @@ clear its incumbent: 66 of the headline grid's 801.  h' comes in closed
 form from the transform's derivative (`TestFunction.fourier_centred_deriv`),
 and its sign changes, the kinks of |h'|, are panel edges of C's integral.
 
-`ell_grid` evaluates ell (halved) over a rectangular (Re mu, Im mu) grid
-at reduced tolerance for the certification search, and returns the values
-with their error bound.  It still integrates in the time domain, W(t) = Re
-psi(a + i (t + y)/2) against f(t), and exploits the fact that W depends on
-t and y only through t + y: with a uniform Simpson lattice in t of spacing
-1/16, which divides the Im-mu step, every required psi value lies on one
-shifted copy of a single lattice table per Re-mu row, and the whole row of
-integrals is a cross-correlation of that table against the
-Simpson-weighted f samples.  f is even, so it is sampled on the t >= 0
-half of the lattice and mirrored.  The row needs the correlation only at
-every stride-th shift, stride being the Im step over 1/16, so each row is
-one real FFT of the table at a 5-smooth length N = stride M and, since
-decimation in time is aliasing in frequency (Oppenheim and Schafer,
-Discrete-Time Signal Processing, 4.6), one inverse FFT of length M of the
-product's stride aliases summed.  psi(z+1) = psi(z) + 1/z (DLMF 5.5.2)
-gives Re psi(a + 1 + iv) = Re psi(a + iv) + a/(a^2 + v^2): on the default
-grids every row with a >= 1.25 is the row one unit of a below plus one
-rational term.  The full grids of the tests take it; the certification
-search evaluates one row, a = 1/4, which is direct.  That dependence, and
-the cache, keep the loop one row at a time: a level of eight rows at once
-moves temporaries of 2 MB and runs slower per row.
-The other rows take `special_math._re_digamma`, which computes Re psi(a + iv)
-from the asymptotic series in real arithmetic; `ell` and the column floor
-take the complex `digamma`, the same series and shift rule.  Re psi(a + iv)
-is even in v (psi(conj z) = conj psi(z)), and `_re_digamma` is even bit for
-bit.  So when v = 0 is a table point, as on every grid whose Im values
-start at 0 (t3 lies on the lattice), every row, direct or recurrence, is
-computed on the v >= 0 part of its table alone and read back at |k - k0|,
-k0 the entry of v = 0: 9,921 of the headline grid's 16,641 points, and the
-same row bit for bit.  Other grids read their whole table through the
-identity index.  The recurrence's rounding, below 2e-13 over the default
-grid, and the kernel's, within 1.5e-13 of a complex psi's rows there, are
-far inside the grid's error budget of 2.5e-4.  The tails beyond the
-lattice are finished analytically, in the row's loop with one psi' call on
-its boundary points, from the tail decomposition that only the Selberg
-minorant carries; what does not depend on a is computed once per grid, and
-the smooth part P is even, as f is, so both sides share its nodes and
-weights on `ell`'s Gauss-Legendre panels.  The lattice stays because the
-headline certificate's pinned margin, 0.185885, is the lattice's value:
-the exact minimum, 0.1858822, rounds differently.  Its values depend on
-the rectangle, through t3, the table and the FFT length, so a call given
-only the leading columns of a grid and the grid's im_max keeps all three
-and finishes those columns alone, bit for bit the full grid's: the smooth
-tail at the nodes that cover them, psi' at their boundary points, and
-each node's weighted sum a row sum, whose rounding does not depend on how
-many nodes the call keeps.
+`ell_grid` evaluates ell (halved) on one lattice row, Re mu fixed and
+Im mu = 0, step, 2 step, ..., at reduced tolerance for the certification
+search, and returns the values with their error bound.  It still
+integrates in the time domain, W(t) = Re psi(a + i (t + y)/2) against f(t),
+and exploits the fact that W depends on t and y only through t + y: with a
+uniform Simpson lattice in t of spacing 1/16, which divides the Im-mu step,
+every required psi value lies on one table, and column j is the sum of the
+Simpson-weighted f samples against the table's slice from j stride on,
+stride being the Im step over 1/16.  f is even, so it is sampled on the
+t >= 0 half of the lattice and mirrored.  All the row's sums are one
+product over a strided view of the table, which copies nothing and calls
+no BLAS, so each column's rounding depends neither on the other columns
+nor on the thread count.  The table takes `special_math._re_digamma`, which
+computes Re psi(a + iv) from the asymptotic series in real arithmetic;
+`ell` and the column floor take the complex `digamma`, the same series and
+shift rule.  Re psi(a + iv) is even in v (psi(conj z) = conj psi(z)),
+`_re_digamma` is even bit for bit, and v = 0 is a table point because the
+Im grid starts at 0 (t3 lies on the lattice), so the table is computed on
+its v >= 0 part alone and read back at |k - k0|, k0 the entry of v = 0:
+6,981 of the headline row's 13,701 entries.  The kernel's rounding, within
+1.5e-13 of a complex psi's, is far inside the error budget of 2.5e-4.  The
+tails beyond the lattice are finished analytically, with one psi' call per
+side on its boundary points, from the tail decomposition that only the
+Selberg minorant carries; the smooth part P is even, as f is, so both
+sides share its nodes and weights on `ell`'s Gauss-Legendre panels.  The
+lattice stays because the headline certificate's pinned margin, 0.185885,
+is the lattice's value: the exact minimum, 0.1858822, rounds differently.
+Its values depend on the row's extent through t3, so a call given only the
+leading columns of a row and the row's im_max keeps t3 and finishes those
+columns alone, bit for bit the full row's: the table up to their last
+column, the smooth tail at the nodes that cover them, psi' at their
+boundary points, and each node's weighted sum a row sum, whose rounding
+does not depend on how many nodes the call keeps.
 
-The lattice spans |t| <= t3.  t3 starts at the floor the grid itself needs,
-max(t_valid, 2 max Im mu + 20, 4 max a + 20, 64), and grows by a fifth at a
+The lattice spans |t| <= t3.  t3 starts at the floor the row itself needs,
+max(t_valid, 2 max Im mu + 20, 4 a + 20, 64), and grows by a fifth at a
 time until the remainder after two integrations by parts of each tail
 component is within its share of the budget.  That remainder is bounded
 with the component's amplitude bounds beyond t3 (`OscComponent.bounds`),
@@ -130,6 +117,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AccuracyError, DomainError, IncompletenessError
 from .extremal import TestFunction, _bracketed_roots, fourier_at
@@ -164,9 +152,15 @@ def _check_prime_free(delta: float) -> None:
         )
 
 
+def _step_count(top: float, step: float) -> int:
+    """The number of points of the grid 0, step, 2 step, ... through top
+    (and a 1e-9 step beyond)."""
+    return int(math.floor(top / step + 1e-9)) + 1
+
+
 def _step_grid(top: float, step: float) -> np.ndarray:
     """The grid 0, step, 2 step, ... through top (and a 1e-9 step beyond)."""
-    return step * np.arange(int(math.floor(top / step + 1e-9)) + 1)
+    return step * np.arange(_step_count(top, step))
 
 
 CONVENTIONS = ("halved", "literal")
@@ -175,12 +169,10 @@ CONVENTIONS = ("halved", "literal")
 # grid value that fixes the oscillatory cutoff and the smooth-tail length
 _LATTICE_H = 0.0625
 _GRID_TOL = 2.5e-4
-# the largest grid the certification search takes: values, Re-mu rows
-# (ell_grid finishes one lattice row per Re mu, about 1 ms at 801 columns)
-# and lattice entries (Simpson nodes plus Im shifts), so that no array of
-# the search passes 64 MiB
+# the largest grid the certification search takes: values (those of the
+# whole rectangle, of which it evaluates one row) and lattice entries
+# (Simpson nodes plus Im shifts), so that no array of the search passes 64 MiB
 _MAX_GRID_VALUES = 1 << 23
-_MAX_GRID_ROWS = 1 << 14
 _MAX_LATTICE = 1 << 23
 
 # ell: points per panel of its error-estimating rule (the value's has twice
@@ -466,38 +458,22 @@ def _geom_nodes(t_from: float, t_to: float) -> list:
     return pts
 
 
-def _cutoff_floor(y_max: float, a_max: float) -> float:
-    """The least lattice half-width t3 a grid up to Im mu = y_max and
-    a = a_max takes, before the tail bounds (`ell_grid`)."""
-    return max(2.0 * y_max + 20.0, 4.0 * a_max + 20.0, 64.0)
+def _cutoff_floor(y_max: float, a: float) -> float:
+    """The least lattice half-width t3 a row up to Im mu = y_max at
+    a = 1/4 + Re mu/2 takes, before the tail bounds (`ell_grid`)."""
+    return max(2.0 * y_max + 20.0, 4.0 * a + 20.0, 64.0)
 
 
-def _check_grid_size(n_re: float, n_im: float, t3: float, y_span: float) -> None:
-    """DomainError for a grid of n_re x n_im values, or a lattice of
+def _check_grid_size(n_values: float, t3: float, y_span: float) -> None:
+    """DomainError for a grid of n_values values, or a lattice of
     half-width t3 whose shifts span y_span in Im mu, past the sizes the
-    certification search evaluates (`_MAX_GRID_VALUES`, `_MAX_GRID_ROWS`,
-    `_MAX_LATTICE`); callers check before allocating either."""
+    certification search evaluates (`_MAX_GRID_VALUES`, `_MAX_LATTICE`);
+    callers check before allocating either."""
     lattice = (2.0 * t3 + y_span) / _LATTICE_H
-    if n_re * n_im > _MAX_GRID_VALUES or n_re > _MAX_GRID_ROWS or lattice > _MAX_LATTICE:
+    if n_values > _MAX_GRID_VALUES or lattice > _MAX_LATTICE:
         raise DomainError(
-            f"a {n_re:.6g} x {n_im:.6g} grid on a lattice of {lattice:.6g} entries is "
-            f"too large: at most {_MAX_GRID_VALUES} values, {_MAX_GRID_ROWS} Re-mu rows "
-            f"and {_MAX_LATTICE} lattice entries")
-
-
-def _next_fast_len(n: int) -> int:
-    """The smallest 5-smooth integer >= n >= 1, the lengths pocketfft
-    transforms fastest: for each 3^j 5^k below the best so far, the least
-    power-of-two multiple that reaches n."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+            f"a grid of {n_values:.6g} values on a lattice of {lattice:.6g} entries is too "
+            f"large: at most {_MAX_GRID_VALUES} values and {_MAX_LATTICE} lattice entries")
 
 
 def _smooth_tail_nodes(n_cols: int, tail, t3: float, eps: float, y_stride: int):
@@ -506,8 +482,8 @@ def _smooth_tail_nodes(n_cols: int, tail, t3: float, eps: float, y_stride: int):
 
     The integral is evaluated exactly on a coarse subgrid `idx` of the
     n_cols Im columns and linearly interpolated between (its y-curvature is
-    O(t3^-3)); for a row a it is Re psi(a + iv) weighted and summed, with
-    v = (sign*pts + ys[idx])/2.
+    O(t3^-3)); it is Re psi(a + iv) weighted and summed, with
+    v = (sign*pts + y)/2 and y the Im mu of column idx.
     """
     c0, clog = 3.0, 1.0
     t2 = t3
@@ -526,30 +502,26 @@ def ell_grid(
     im_values: Sequence[float],
     im_max: Optional[float] = None,
 ) -> Tuple[np.ndarray, float]:
-    """ell(mu, f), halved convention, on the grid {re x im}.
+    """ell(mu, f), halved convention, on one lattice row: Re mu = the one
+    entry of re_values, at each Im mu of im_values.
 
-    Returns (values of shape (len(re), len(im)), error bound per value).
-    Needs an even test function with tail data and a nonempty, equispaced
-    Im grid whose step is a multiple of the lattice spacing 1/16; the method,
+    Returns (values of shape (1, len(im_values)), error bound per value).
+    Needs an even test function with tail data and an equispaced Im grid of
+    at least 2 columns that starts at 0, whose step is a multiple of the
+    lattice spacing 1/16; anything else raises DomainError.  The method,
     the lattice's half-width t3 and the smooth-tail constant c_p are
-    described in the module docstring.  Per row it takes one forward FFT
-    of length stride M and, for a stride above 1, one inverse FFT of length
-    M of the folded spectrum, and the row is finished in the loop, with one
-    psi' call; both sides share the smooth tail's weights, P being even.
-    f is sampled once, in one call on half the lattice, and when v = 0 is a
-    table point each row's psi values are computed on the v >= 0 half of
-    the table and mirrored.
+    described in the module docstring: column j is one Simpson-weighted sum
+    over the psi table's slice from j stride, and both sides share the
+    smooth tail's weights, P being even.
 
-    Leading columns: with im_max, im_values are the first columns, at
-    least 2, of the grid that runs on in the same step to im_max, and the
-    values are that grid's first columns, bit for bit when its columns are
-    im_values[0] + k step, as `_step_grid`'s are.  The lattice, its table,
-    the FFT length and the error budget stay the full grid's; only the
-    given columns are finished, with psi' at their boundary points and the
-    smooth tail at the full grid's interpolation nodes (every 16th column
-    and the last) up to the first at or past the last given column.  A grid
-    or lattice past `_check_grid_size`'s limits raises DomainError before
-    any lattice array is allocated.
+    Leading columns: with im_max, im_values are the first columns of the
+    row that runs on in the same step to im_max, and the values are that
+    row's first columns, bit for bit.  t3 and the error budget stay the
+    full row's; the table spans the given columns alone, and the smooth
+    tail is evaluated at the full row's interpolation nodes (every 16th
+    column and the last) up to the first at or past the last given column.
+    A row or lattice past `_check_grid_size`'s limits raises DomainError
+    before any lattice array is allocated.
     """
     tail = f.envelope.tail
     if tail is None or not f.even:
@@ -558,45 +530,39 @@ def ell_grid(
     ys = np.asarray(im_values, dtype=float)
     if re_values.ndim != 1 or ys.ndim != 1:
         raise DomainError("re_values and im_values must be 1-d")
-    if not len(re_values) or not len(ys):
-        raise DomainError("re_values and im_values must be nonempty")
+    if len(re_values) != 1 or len(ys) < 2:
+        raise DomainError("ell_grid evaluates one lattice row: exactly one Re mu, "
+                          "and Im mu columns at least 2")
     y_max = float(ys[-1]) if im_max is None else float(im_max)
     if not (np.isfinite(re_values).all() and np.isfinite(ys).all() and math.isfinite(y_max)):
         raise DomainError("grid values must be finite")
-    if (re_values < -1e-12).any() or (ys < -1e-12).any():
-        raise DomainError("grid must lie in the closed upper-right quadrant")
+    if re_values[0] < -1e-12 or ys[0] != 0.0:
+        raise DomainError("the row needs Re mu >= 0 and Im mu from 0")
     h = _LATTICE_H
-    step = None
-    if len(ys) > 1:
-        steps = np.diff(ys)
-        if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
-            raise DomainError("im_values must be equispaced")
-        step = float(steps[0])
-    stride = 1  # the step's, when there is one
-    if step is not None:
-        ratio = step / h
-        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-            raise DomainError(f"im step must be a positive multiple of {h}")
-        stride = int(round(ratio))
-    # the full grid's column count
+    steps = np.diff(ys)
+    if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
+        raise DomainError("im_values must be equispaced")
+    step = float(steps[0])
+    ratio = step / h
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        raise DomainError(f"im step must be a positive multiple of {h}")
+    stride = int(round(ratio))
+    # the full row's column count
     n_cols, n_out = len(ys), len(ys)
     if y_max > ys[-1] + 1e-9:
-        if step is None:
-            raise DomainError("leading columns before im_max must be at least 2")
-        n_cols = 1 + round((y_max - ys[0]) / step)
-        if abs(ys[0] + (n_cols - 1) * step - y_max) > 1e-9:
+        n_cols = 1 + round(y_max / step)
+        if abs((n_cols - 1) * step - y_max) > 1e-9:
             raise DomainError("im_max must lie on the grid of im_values")
     elif y_max < ys[-1] - 1e-9:
         raise DomainError("im_max must not lie below the last of im_values")
-    a_row = 0.25 + 0.5 * re_values
-    a_max = float(a_row.max())
+    a = 0.25 + 0.5 * float(re_values[0])
 
     # oscillatory cutoff: after two integrations by parts the remainder per
     # component is rem2(T), with the component's bounds beyond T; pick T3 so
     # the total stays within _GRID_TOL/4
     eps_o = _GRID_TOL / (8.0 * max(len(tail.components), 1))
     c0, clog, cd, cdd = 3.0, 1.0, 4.0, 8.0
-    t3 = max(tail.t_valid, _cutoff_floor(y_max, a_max))
+    t3 = max(tail.t_valid, _cutoff_floor(y_max, a))
 
     def rem2(comp, t):
         c_q, c_dq, c_ddq = comp.bounds(t)
@@ -612,8 +578,7 @@ def ell_grid(
     if n_half % 2:
         n_half += 1
     t3 = n_half * h
-    n_shift = stride * (n_cols - 1)
-    _check_grid_size(len(re_values), n_cols, t3, n_shift * h)
+    _check_grid_size(n_cols, t3, stride * (n_cols - 1) * h)
 
     # Simpson weights on [-t3, t3]; f is even, so f.value runs on the nodes
     # t = k h >= 0 alone, in one call, and is mirrored
@@ -625,57 +590,28 @@ def ell_grid(
     half = np.asarray(f.value(np.arange(n_half + 1) * h), dtype=float)
     fw = sw * np.concatenate((half[:0:-1], half))
 
-    # lattice of psi arguments a + iv, v = (t + y)/2: shift k of the Simpson
-    # nodes is y = ys[0] + k h, so the Im-mu grid is every stride-th shift and
-    # the boundary points t = +-t3 of y = ys[j] are table entries
-    n_table = nt + n_shift
-    v_table = 0.5 * (ys[0] - t3 + np.arange(n_table) * h)
-    # Re psi(a + iv) is even in v: when v = 0 is table entry k0, every row
-    # is evaluated on v_table[k0:] alone and read back at |k - k0|.  Then
-    # ys[0] - t3 is exactly -k0 h, so both sides hold the same |v|, and
-    # ys[0] >= 0 makes v >= 0 the longer side; other grids take k0 = 0, the
-    # identity
-    k0 = float(t3 - ys[0]) / h
-    k0 = int(k0) if k0.is_integer() else 0
-    mirror = np.abs(np.arange(n_table) - k0)
+    # the psi table: entry k holds Re psi(a + iv), v = (k - n_half) h/2, so
+    # column j, y = j stride h, reads entries j stride .. j stride + nt - 1
+    # for t = -t3 .. t3.  Re psi is even in v, so it is evaluated at v >= 0
+    # alone and read back at |k - n_half|
+    n_shift = stride * (n_out - 1)
+    signed = np.arange(nt + n_shift) - n_half
+    table = _re_digamma(a, 0.5 * h * np.arange(n_half + n_shift + 1))[np.abs(signed)]
+    # every column's sum in one product over a strided view of the table:
+    # einsum copies no matrix and calls no BLAS, so a column's sum depends
+    # neither on the other columns nor on the thread count
+    out = np.einsum("jt,t->j", sliding_window_view(table, nt)[::stride], fw)
 
-    # the correlation c[s] = sum_t fw[t] table[s + t] as a circular
-    # convolution with g[0] = fw[0], g[N - t] = fw[t], so that c[s] lands at
-    # index s; N >= n_table keeps shifts 0..n_shift free of wrap-around.
-    # Only s = 0, stride, 2 stride, ... is wanted: with N = stride M,
-    # decimation in time is aliasing in frequency, C[k] = sum_r X[k + r M]
-    # / stride, so the stride aliases of the half spectrum, conjugated past
-    # its Nyquist bin, go into one inverse transform of length M (at stride
-    # 1 the fold is a copy of the spectrum)
-    m_len = _next_fast_len(-(-n_table // stride))
-    nfft = stride * m_len
-    g = np.zeros(nfft)
-    g[0] = fw[0]
-    g[nfft - nt + 1:] = fw[:0:-1]
-    g_hat = np.fft.rfft(g)
-    g_hat /= stride
-    alias = np.arange(m_len // 2 + 1) + m_len * np.arange(stride)[:, None]
-    mirrored = alias > nfft // 2
-    alias[mirrored] = nfft - alias[mirrored]
-
+    # per side, the boundary terms of the two integrations by parts,
+    # amp_w W + amp_dw W' at t = sign t3 with psi' at the boundary points,
+    # and the smooth tail, evaluated at the full row's interpolation nodes up
+    # to the first at or past the last column given and interpolated
     rem_total = sum(2.0 * rem2(c, t3) for c in tail.components)
     eps_s = _GRID_TOL / 8.0
-
-    # the a-independent tail data of each side: the boundary terms of the two
-    # integrations by parts are amp_w W + amp_dw W' at t = sign t3, and P is
-    # even, so both sides share the smooth tail's nodes and weights.  The
-    # smooth tail is evaluated at the full grid's interpolation nodes up to
-    # the first at or past the last column given (one past them takes its y
-    # from the step)
     idx, pts, p_wts = _smooth_tail_nodes(n_cols, tail, t3, eps_s, 16)
     idx = idx[:np.searchsorted(idx, n_out - 1) + 1]
-    y_idx = np.where(idx < n_out, ys[np.minimum(idx, n_out - 1)], ys[0] + idx * (step or 0.0))
-    y_idx[idx == n_cols - 1] = y_max
-    sides = []
-    v_rows = [v_table[k0:]]
-    out_span = stride * (n_out - 1) + 1
-    edges = ((+1, slice(nt - 1, nt - 1 + out_span, stride)), (-1, slice(0, out_span, stride)))
-    for sign, edge in edges:
+    ends = stride * np.arange(n_out)
+    for sign, edge in ((+1, ends + nt - 1), (-1, ends)):
         amp_w = amp_dw = 0.0
         for comp in tail.components:
             q = float(np.asarray(comp.amplitude(np.array([sign * t3])))[0])
@@ -684,43 +620,14 @@ def ell_grid(
             theta = om * t3 + (ph if sign > 0 else -ph)
             amp_w -= q * math.sin(theta) / om + dq * math.cos(theta) / om**2
             amp_dw -= q * math.cos(theta) / om**2
-        sides.append((sign, edge, amp_w, amp_dw))
-        v_rows.append(0.5 * (sign * pts[None, :] + y_idx[:, None]))
-    v_ends = np.stack([v_table[edge] for _, edge in edges])
-    y_index = np.arange(n_out)
-    v2_rows = [v * v for v in v_rows]
-
-    # per row: the correlation, then per side the boundary terms, with psi'
-    # at the row's boundary points, and the interpolated smooth tail
-    out = np.empty((len(a_row), n_out))
-    kept = {}  # Re psi rows of the last unit of a, keyed by a
-    for i, a in enumerate(a_row):
-        below = kept.get(a - 1.0)
-        if below is None:
-            psi = [_re_digamma(a, v) for v in v_rows]
-        else:  # Re psi(b + 1 + iv) = Re psi(b + iv) + b/(b^2 + v^2), b = a - 1
-            b = a - 1.0
-            psi = [np.add(v2, b * b) for v2 in v2_rows]
-            for p, r in zip(psi, below):
-                np.divide(b, p, out=p)
-                p += r
-        kept = {k: r for k, r in kept.items() if k > a - 1.0}
-        kept[a] = psi
-        table = psi[0][mirror]
-
-        spectrum = np.fft.rfft(table, nfft)
-        spectrum *= g_hat
-        folded = spectrum[alias]
-        np.conjugate(folded, out=folded, where=mirrored)
-        out[i] = np.fft.irfft(folded.sum(axis=0), m_len)[:n_out]
-        trigamma = _polygamma(1, a + 1j * v_ends)
-        for (sign, edge, amp_w, amp_dw), smooth, tri in zip(sides, psi[1:], trigamma):
-            out[i] += amp_w * table[edge] + amp_dw * (-0.5 * sign * np.imag(tri))
-            # a row sum, not a matrix product, whose rounding would depend
-            # on how many nodes the call keeps
-            out[i] += np.interp(y_index, idx, (smooth * p_wts).sum(axis=1))
+        smooth = _re_digamma(a, 0.5 * (sign * pts[None, :] + (idx * step)[:, None]))
+        tri = _polygamma(1, a + 1j * (0.5 * h * signed[edge]))
+        out += amp_w * table[edge] + amp_dw * (-0.5 * sign * np.imag(tri))
+        # a row sum, not a matrix product, whose rounding would depend on
+        # how many nodes the call keeps
+        out += np.interp(np.arange(n_out), idx, (smooth * p_wts).sum(axis=1))
     out -= f.integral * LOG_PI
-    return out, rem_total + 2.0 * eps_s
+    return out[None, :], rem_total + 2.0 * eps_s
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ sin(w)/w, with their series where the closed forms cancel, for the column
 floor ``explicit_formula.ell_column_floor``.  It is also carried beyond
 its last sign change as an explicit tail decomposition (smooth part plus
 amplitude-times-cosine components, whose amplitude and derivative bounds
-are functions of a cutoff) for the lattice evaluator
+are functions of a cutoff) for the one-row lattice evaluator
 ``explicit_formula.ell_grid``, which certification runs on it alone; the
 Fejer kernels carry only their decay envelope.
 

@@ -136,6 +136,9 @@ def test_parameter_validation():
         min_ell_over_mu(cert_fn(), re_max=6.0, im_max=20.0, step=-0.5)
     with pytest.raises(DomainError):
         min_ell_over_mu(cert_fn(), re_max=0.0, im_max=20.0, step=0.5)
+    with pytest.raises(DomainError):
+        # one Im-mu column: ell_grid takes at least 2
+        min_ell_over_mu(cert_fn(), re_max=6.0, im_max=0.25, step=0.5)
     # comparisons with nan are false, so non-finite bounds need their own check
     for bad in ({"re_max": math.nan}, {"im_max": math.nan}, {"step": math.nan},
                 {"re_max": math.inf}, {"im_max": math.inf}, {"step": math.inf}):
@@ -176,6 +179,21 @@ def test_refinement_stability():
     fine = certify_gap(4, CERT_LENGTH, re_max=6.0, im_max=50.0, step=0.125)
     assert abs(coarse.margin - fine.margin) < 1e-3
     assert coarse.certified and fine.certified
+
+
+def test_certified_needs_the_floor_cleared_inside_the_rectangle():
+    # up to Im mu = 4 the column floor clears no column (it first does at
+    # 16.5), so the axis beyond the rectangle is unsearched: the margin is
+    # positive, and the same as on a rectangle that does clear, but nothing
+    # is certified
+    short = certify_gap(4, CERT_LENGTH, re_max=50.0, im_max=4.0, step=1.0)
+    assert short.search.columns_evaluated == short.search.grid_shape[1] == 5
+    assert short.certified is False and short.to_dict()["certified"] is False
+    assert short.margin == pytest.approx(0.18588487951692487, abs=1e-12)
+    assert short.margin == pytest.approx(FAST_MARGIN, abs=1e-12)
+    cleared = certify_gap(4, CERT_LENGTH, re_max=50.0, im_max=20.0, step=1.0)
+    assert cleared.search.columns_evaluated < cleared.search.grid_shape[1]
+    assert cleared.certified is True
 
 
 def test_min_ell_needs_positive_mass():
@@ -240,15 +258,16 @@ def test_certificate_invariant():
                        search=s.domain, kind="numerical evidence, grid-based")
 
 
-def _full_grid_search(f, re_max, im_max, step, convention="halved"):
-    """The minimum over every point of the rectangle, from one ell_grid call
-    over every row: the oracle for the search of the Re mu = 0 row alone."""
+def _full_row_search(f, re_max, im_max, step, convention="halved"):
+    """The minimum over every column of the Re mu = 0 row, from one uncut
+    ell_grid call: the oracle for the search, which cuts the row where the
+    column floor clears it."""
     k = convention_scale(convention)
-    re_values, im_values = _step_grid(re_max, step), _step_grid(im_max, step)
-    vals, error_bound = ell_grid(f, k * re_values, k * im_values)
-    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    return (float(vals[i, j]), complex(re_values[i], im_values[j]), float(error_bound),
-            vals.shape)
+    im_values = _step_grid(im_max, step)
+    vals, error_bound = ell_grid(f, [0.0], k * im_values)
+    j = int(np.argmin(vals[0]))
+    return (float(vals[0, j]), complex(0.0, im_values[j]), float(error_bound),
+            (len(_step_grid(re_max, step)), len(im_values)))
 
 
 def _fields(search):
@@ -267,22 +286,24 @@ EXACT_CASES = [
 
 @pytest.mark.parametrize("length, rect", EXACT_CASES)
 def test_pruned_search_equals_full_grid(length, rect):
-    # only the Re mu = 0 row is evaluated, yet the minimum, its argmin and
-    # the bound are the full grid's, bit for bit: the minimum principle
+    # the row cut where the column floor clears it: the minimum, its argmin
+    # and the bound are the uncut Re mu = 0 row's, bit for bit (the rest of
+    # the half-plane is the minimum principle's, checked pointwise by
+    # test_ell_minimum_over_the_half_plane_is_at_zero)
     f = cert_fn() if length == CERT_LENGTH else selberg_minorant(
         -length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
-    assert _fields(min_ell_over_mu(f, **rect)) == _full_grid_search(f, **rect)
+    assert _fields(min_ell_over_mu(f, **rect)) == _full_row_search(f, **rect)
 
 
 def test_pruned_search_on_wide_re_rectangles():
-    # with 2 re_max + 1 > 2 im_max the lattice's extent follows the largest
-    # Re mu it is given (`t3` in ell_grid), so the one row's lattice is not
-    # the full grid's: values agree within the error bound, not bit for bit
-    rect = dict(re_max=50.0, im_max=10.0, step=1.0)
-    got = min_ell_over_mu(cert_fn(), **rect)
-    value, argmin, error_bound, shape = _full_grid_search(cert_fn(), **rect)
-    assert (got.argmin, got.domain.grid_shape) == (argmin, shape)
-    assert abs(got.value - value) < min(got.domain.error_bound, error_bound)
+    # of the Re grid the search takes only its count, so widening the
+    # rectangle from 2 re_max + 1 <= 2 im_max to past it changes re_max and
+    # grid_shape alone
+    narrow = min_ell_over_mu(cert_fn(), re_max=1.5, im_max=10.0, step=1.0)
+    wide = min_ell_over_mu(cert_fn(), re_max=50.0, im_max=10.0, step=1.0)
+    assert (wide.value, wide.argmin) == (narrow.value, narrow.argmin)
+    assert (wide.domain.re_max, wide.domain.grid_shape) == (50.0, (51, 11))
+    assert replace(wide.domain, re_max=1.0, grid_shape=(2, 11)) == narrow.domain
 
 
 def test_headline_certificate_evaluates_few_rows(monkeypatch):

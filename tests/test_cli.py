@@ -209,8 +209,10 @@ def test_certify_gap_cli_output_unaffected_by_logging(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("certify-gap", "--degree", "4", "--length", CERT_LENGTH),
+    # stride 1: every column a 13,441-term sum at its own table offset
+    ("certify-gap", "--degree", "4", "--length", CERT_LENGTH, "--step", "0.0625"),
     ("scan-region", "--nu-max", "4", "--step", "1"),
-], ids=["certify-gap", "scan-region"])
+], ids=["certify-gap", "certify-gap-stride-1", "scan-region"])
 def test_output_does_not_depend_on_thread_count(argv):
     # the same bytes under one and two BLAS threads; more threads than the
     # two cores this was measured on are untested

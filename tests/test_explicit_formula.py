@@ -9,7 +9,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.special
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
@@ -306,68 +305,42 @@ def test_gauss_rules_match_mpmath():
 def test_ell_grid_matches_pointwise(cert_minorant):
     re_v = np.arange(0.0, 2.0 + 1e-9, 0.25)
     im_v = np.arange(0.0, 200.0 + 1e-9, 0.25)
-    grid, bound = ell_grid(cert_minorant, re_v, im_v)
-    for (i, j) in ((0, 0), (3, 100), (8, 800), (5, 399), (0, 800)):
-        p = ell(complex(re_v[i], im_v[j]), cert_minorant)
-        assert abs(grid[i, j] - p) < bound
-        assert abs(grid[i, j] - p) < 5e-5
-
-
-def test_ell_grid_recurrence_rows_match_direct_rows(cert_minorant, monkeypatch):
-    # a = 1/4 + re/2 moves by 1/8 per row, so every row with re >= 2 lies one
-    # unit of a above an earlier row and takes its psi values from it
-    re_v = np.arange(0.0, 4.0 + 1e-9, 0.25)
-    im_v = np.arange(0.0, 50.0 + 1e-9, 0.25)
-    psi_rows = set()
-    direct = ef._re_digamma
-
-    def counting(a, v):
-        psi_rows.add(float(a))
-        return direct(a, v)
-
-    monkeypatch.setattr(ef, "_re_digamma", counting)
-    grid, _ = ell_grid(cert_minorant, re_v, im_v)
-    monkeypatch.undo()
-    assert psi_rows == {0.25 + 0.125 * k for k in range(8)}
-    for k in range(8, len(re_v)):
-        row = ell_grid(cert_minorant, [re_v[k]], im_v)[0][0]
-        assert np.max(np.abs(grid[k] - row)) < 1e-12
+    for i, cols in ((0, (0, 800)), (3, (100,)), (5, (399,)), (8, (800,))):
+        row, bound = ell_grid(cert_minorant, [re_v[i]], im_v)
+        for j in cols:
+            p = ell(complex(re_v[i], im_v[j]), cert_minorant)
+            assert abs(row[0, j] - p) < bound
+            assert abs(row[0, j] - p) < 5e-5
 
 
 def test_ell_grid_psi_kernel_matches_scipy_rows(cert_minorant, monkeypatch):
-    # the headline grid with the real-arithmetic Re psi kernel, against the
-    # same call whose direct rows take scipy's complex psi
-    re_v, im_v = ef._step_grid(50.0, 0.25), ef._step_grid(200.0, 0.25)
-    grid, bound = ell_grid(cert_minorant, re_v, im_v)
+    # the headline row with the real-arithmetic Re psi kernel, against the
+    # same call whose table and smooth tails take scipy's complex psi
+    im_v = ef._step_grid(200.0, 0.25)
+    row, bound = ell_grid(cert_minorant, [0.0], im_v)
     monkeypatch.setattr(ef, "_re_digamma",
                         lambda a, v: np.real(scipy.special.psi(a + 1j * v)))
-    reference, reference_bound = ell_grid(cert_minorant, re_v, im_v)
+    reference, reference_bound = ell_grid(cert_minorant, [0.0], im_v)
     assert bound == reference_bound
-    assert np.max(np.abs(grid - reference)) < 1e-12
-
-
-def test_next_fast_len_matches_scipy():
-    # ell_grid's transform length: the one scipy.fft picks for a real transform
-    assert [ef._next_fast_len(n) for n in range(1, 50_001)] == [
-        scipy.fft.next_fast_len(n, real=True) for n in range(1, 50_001)]
+    assert np.max(np.abs(row - reference)) < 1e-12
 
 
 @pytest.mark.parametrize("re_v, im_v", [
-    (np.arange(0.0, 3.0 + 1e-9, 0.3), np.arange(0.0, 30.0 + 1e-9, 0.5)),  # no row 1 below
-    (np.array([0.0, 1.5]), np.array([5.0, 5.25, 5.5])),  # Im grid off the origin
-    (np.array([0.5]), np.array([7.0])),
+    (np.arange(0.0, 3.0 + 1e-9, 0.3), np.arange(0.0, 30.0 + 1e-9, 0.5)),
+    (np.array([0.0, 1.5]), np.array([0.0, 5.25, 10.5])),  # stride 84
+    (np.array([0.5]), np.array([0.0, 7.0])),  # two columns, stride 112
 ])
 def test_ell_grid_irregular_grids_match_pointwise(cert_minorant, re_v, im_v):
-    grid, bound = ell_grid(cert_minorant, re_v, im_v)
     for i in {0, len(re_v) // 2, len(re_v) - 1}:
+        row, bound = ell_grid(cert_minorant, [re_v[i]], im_v)
         for j in {0, len(im_v) // 3, len(im_v) - 1}:
             p = ell(complex(re_v[i], im_v[j]), cert_minorant)
-            assert abs(grid[i, j] - p) < bound
+            assert abs(row[0, j] - p) < bound
 
 
 def _grid_and_psi_tables(f, re_v, im_v, monkeypatch):
-    # ell_grid's values, and the (a, v) of each direct psi row: its table
-    # first, then the two smooth tails
+    # ell_grid's values, and the (a, v) of its psi table: the first of its
+    # three Re psi calls, the smooth tails being the other two
     calls = []
     direct = ef._re_digamma
 
@@ -381,88 +354,89 @@ def _grid_and_psi_tables(f, re_v, im_v, monkeypatch):
 
 
 def test_ell_grid_mirrors_its_psi_table(cert_minorant, monkeypatch):
-    # from Im mu = 0 the table holds v = 0, and each row is evaluated on its
-    # v >= 0 half alone; read back at |k - c|, a direct row (a = 1/4) and the
-    # recurrence row one unit above it equal the same rows on the full table
+    # from Im mu = 0 the table holds v = 0, and it is evaluated on its
+    # v >= 0 half alone; read back at |k - c|, it equals the same row on the
+    # full table
     im_v = ef._step_grid(20.0, 0.25)
-    _, tables = _grid_and_psi_tables(cert_minorant, [0.0, 2.0], im_v, monkeypatch)
+    _, tables = _grid_and_psi_tables(cert_minorant, [0.0], im_v, monkeypatch)
     [(a, half)] = tables
     assert half[0] == 0.0 and (np.diff(half) > 0.0).all()
     c = len(half) - 1 - 4 * (len(im_v) - 1)  # the half is c + 1 + n_shift long
     full = np.concatenate((-half[c:0:-1], half))
     mirror = np.abs(np.arange(len(full)) - c)
-    row_half, row_full = ef._re_digamma(a, half), ef._re_digamma(a, full)
-    assert row_half[mirror].tobytes() == row_full.tobytes()
-    up_half = a / (half * half + a * a) + row_half
-    up_full = a / (full * full + a * a) + row_full
-    assert up_half[mirror].tobytes() == up_full.tobytes()
+    assert ef._re_digamma(a, half)[mirror].tobytes() == ef._re_digamma(a, full).tobytes()
 
 
-def test_ell_grid_off_lattice_start_matches_pointwise(cert_minorant, monkeypatch):
-    # an Im grid from 0.1 puts v = 0 on no table point, so the rows take the
-    # whole table, both signs of v, through the identity index
-    re_v, im_v = [0.0, 0.5, 2.5], 0.1 + 0.5 * np.arange(41)
-    (grid, bound), tables = _grid_and_psi_tables(cert_minorant, re_v, im_v, monkeypatch)
-    assert [a for a, _ in tables] == [0.25, 0.5]  # 2.5 is a recurrence row
-    assert all(v[0] < 0.0 < v[-1] for _, v in tables)
-    for i in range(len(re_v)):
-        for j in (0, 7, 20, 40):
-            p = ell(complex(re_v[i], im_v[j]), cert_minorant)
-            assert abs(grid[i, j] - p) < bound
+# the Im grid of certify_gap(4, 10 pi/log 2), whose Re mu = 0 row it evaluates
+HEADLINE_IM = ef._step_grid(200.0, 0.25)
 
-
-# rows 0.25 and 1.0 are one unit of a below rows 2.25 and 3.0, so both the
-# direct and the recurrence rows go through the fold
+# several Re mu, each its own row
 FOLD_RE = [0.0, 0.25, 1.0, 2.25, 3.0]
 FOLD_IM_MAX = 30.0
 
 
-def _grid_with_exact_tails(f, im_v):
-    # ell_grid interpolates the smooth tails between every 16th column,
-    # which differ between Im steps (up to 3.5e-8 apart here); evaluated at
-    # every column, only the correlation's rounding separates two steps
+def _rows(f, im_v, y_stride=16):
+    # one ell_grid call per Re mu of FOLD_RE, stacked, and the bound;
+    # y_stride 1 evaluates the smooth tails at every column instead of
+    # interpolating between every 16th, which differ between Im steps (up
+    # to 3.5e-8 apart here)
     smooth_tail_nodes = ef._smooth_tail_nodes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ef, "_smooth_tail_nodes",
-                   lambda ys, tail, t3, eps, y_stride: smooth_tail_nodes(ys, tail, t3, eps, 1))
-        return ell_grid(f, FOLD_RE, im_v)
+                   lambda ys, tail, t3, eps, _: smooth_tail_nodes(ys, tail, t3, eps, y_stride))
+        rows = [ell_grid(f, [re], im_v) for re in FOLD_RE]
+    return np.vstack([row for row, _ in rows]), rows[0][1]
 
 
 @pytest.fixture(scope="module")
 def stride_one_grid(cert_minorant):
-    # Im step 1/16: every shift of the correlation, no folding
-    return _grid_with_exact_tails(cert_minorant, ef._step_grid(FOLD_IM_MAX, 0.0625))
+    # Im step 1/16: every shift of the table
+    return _rows(cert_minorant, ef._step_grid(FOLD_IM_MAX, 0.0625), y_stride=1)
 
 
 @pytest.mark.parametrize("step, stride", [
-    (0.25, 4),    # the alias band that starts on the Nyquist bin N/2 is mirrored past it
-    (0.1875, 3),  # odd M and N: the middle alias band ends on the last half-spectrum bin
+    (0.25, 4),
+    (0.1875, 3),  # odd: the columns fall on every third shift
     (0.5, 8),
 ])
 def test_ell_grid_fold_matches_stride_one(cert_minorant, stride_one_grid, step, stride):
-    # the same lattice (t3 follows im_max), read at every stride-th shift
-    grid, bound = _grid_with_exact_tails(cert_minorant, ef._step_grid(FOLD_IM_MAX, step))
+    # the same lattice (t3 follows im_max), read at every stride-th shift:
+    # each column is the same sum over the same table entries, bit for bit
+    grid, bound = _rows(cert_minorant, ef._step_grid(FOLD_IM_MAX, step), y_stride=1)
     reference, reference_bound = stride_one_grid
     assert bound == reference_bound
     assert grid.shape == (len(FOLD_RE), int(FOLD_IM_MAX / step) + 1)
-    assert np.max(np.abs(grid - reference[:, ::stride])) < 1e-12
+    assert grid.tobytes() == np.ascontiguousarray(reference[:, ::stride]).tobytes()
     # with the default tails, the columns where both grids interpolate from
     # a node: every 16th of the coarse grid
-    coarse, _ = ell_grid(cert_minorant, FOLD_RE, ef._step_grid(FOLD_IM_MAX, step))
-    fine, _ = ell_grid(cert_minorant, FOLD_RE, ef._step_grid(FOLD_IM_MAX, 0.0625))
-    assert np.max(np.abs(coarse[:, ::16] - fine[:, ::16 * stride])) < 1e-12
+    coarse, _ = _rows(cert_minorant, ef._step_grid(FOLD_IM_MAX, step))
+    fine, _ = _rows(cert_minorant, ef._step_grid(FOLD_IM_MAX, 0.0625))
+    assert coarse[:, ::16].tobytes() == np.ascontiguousarray(fine[:, ::16 * stride]).tobytes()
 
 
-def test_ell_grid_single_point_and_column_match_stride_one(cert_minorant, stride_one_grid):
-    # one column is stride 1 with a single shift: the last column of the
-    # stride-one grid, whose lattice has the same t3; the last column's smooth
-    # tail is a node of every interpolation
-    reference, _ = stride_one_grid
-    column, _ = ell_grid(cert_minorant, FOLD_RE, [FOLD_IM_MAX])
-    point, _ = ell_grid(cert_minorant, [FOLD_RE[2]], [FOLD_IM_MAX])
-    assert column.shape == (len(FOLD_RE), 1) and point.shape == (1, 1)
-    assert np.max(np.abs(column[:, 0] - reference[:, -1])) < 1e-12
-    assert abs(point[0, 0] - reference[2, -1]) < 1e-12
+def test_ell_grid_columns_are_sums_of_their_simpson_products(cert_minorant):
+    # the headline row's correlation part alone (no tail components, no
+    # smooth part, no log pi term) against math.fsum of its products, built
+    # here on the whole lattice |t| <= t3 = 420 without the mirroring.  Any
+    # order of summing n products is within (n - 1) u/(1 - (n - 1) u) of
+    # the sum of their moduli (N. J. Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., 2002, (4.4)), 1e-10 here; the row's 66
+    # columns sit 0 to 40 ulps, at most 2.9e-13, from the exact sum
+    env = cert_minorant.envelope
+    bare = replace(cert_minorant, integral=0.0, envelope=replace(
+        env, tail=replace(env.tail, components=(), smooth=np.zeros_like)))
+    row, _ = ell_grid(bare, [0.0], HEADLINE_IM[:66], im_max=200.0)
+    h, n_half = ef._LATTICE_H, 6720
+    n = 2 * n_half + 1
+    k = np.arange(n) - n_half
+    simpson = np.where(k % 2, 4.0, 2.0)
+    simpson[[0, -1]] = 1.0
+    fw = simpson * (h / 3.0) * cert_minorant.value(k * h)
+    u = 2.0**-53
+    for j in (0, 10, 65):
+        terms = fw * ef._re_digamma(0.25, 0.5 * h * (k + 4 * j))
+        bound = (n - 1) * u / (1 - (n - 1) * u) * math.fsum(np.abs(terms))
+        assert abs(row[0, j] - math.fsum(terms)) <= bound
 
 
 @pytest.mark.parametrize("length", [10.0 * math.pi / math.log(2.0), 45.5, 60.0])
@@ -478,10 +452,6 @@ def test_minorant_is_bitwise_even_on_the_lattice(length):
     assert np.concatenate((values[:0:-1], values)).tobytes() == full.tobytes()
 
 
-# the rows certify_gap(4, 10 pi/log 2) evaluates, and its Im grid
-HEADLINE_RE, HEADLINE_IM = ef._step_grid(1.75, 0.25), ef._step_grid(200.0, 0.25)
-
-
 def test_ell_grid_headline_cutoff_is_the_column_floor(cert_minorant, monkeypatch):
     # beyond 2 im_max + 20 = 420 the tail components' bounds already keep the
     # integration-by-parts remainder inside its budget, so the lattice is no
@@ -495,7 +465,7 @@ def test_ell_grid_headline_cutoff_is_the_column_floor(cert_minorant, monkeypatch
         return smooth_tail_nodes(ys, tail, t3, eps, y_stride)
 
     monkeypatch.setattr(ef, "_smooth_tail_nodes", spy)
-    ell_grid(cert_minorant, HEADLINE_RE, HEADLINE_IM)
+    ell_grid(cert_minorant, [0.0], HEADLINE_IM)
     assert cutoffs == [420.0]
 
 
@@ -515,38 +485,38 @@ def test_ell_grid_at_zero_within_bound_of_pointwise(length):
 
 
 def test_ell_grid_headline_memory_peak(cert_minorant):
-    # the 38 x 801 grid certify_gap evaluates for the headline certificate;
-    # Beurling's shift rows on the full lattice alone once took 7.6 MiB
-    re_v, im_v = ef._step_grid(9.25, 0.25), ef._step_grid(200.0, 0.25)
-    ell_grid(cert_minorant, re_v, im_v)
+    # the headline row, all 801 columns: their sums copy no 801 x 13,441
+    # matrix of table windows (86 MB); Beurling's shift rows on the full
+    # lattice alone once took 7.6 MiB
+    ell_grid(cert_minorant, [0.0], HEADLINE_IM)
     tracemalloc.start()
     try:
-        ell_grid(cert_minorant, re_v, im_v)
+        ell_grid(cert_minorant, [0.0], HEADLINE_IM)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
 
 
-# the Im step 3/16 on the rectangle [0, 6] x [0, 20] of the certification
-# tests: stride 3, 33 rows and 107 columns
-LEAD_RE, LEAD_IM = ef._step_grid(6.0, 0.1875), ef._step_grid(20.0, 0.1875)
+# the Im step 3/16 up to 20, stride 3 and 107 columns, on two rows of the
+# rectangle [0, 6] x [0, 20] of the certification tests
+LEAD_RE, LEAD_IM = (0.0, 6.0), ef._step_grid(20.0, 0.1875)
 
 
 @pytest.fixture(scope="module")
-def lead_full_grid(cert_minorant):
-    return ell_grid(cert_minorant, LEAD_RE, LEAD_IM)
+def lead_full_rows(cert_minorant):
+    return [ell_grid(cert_minorant, [re], LEAD_IM) for re in LEAD_RE]
 
 
 @pytest.mark.parametrize("n", [2, 17, 71, len(LEAD_IM)])
-def test_ell_grid_leading_columns_are_the_full_grids(cert_minorant, lead_full_grid, n):
-    # the full rectangle's lattice, table, FFT and budget, finished on the
-    # first n columns alone: the full grid's values, bit for bit
-    full, bound = lead_full_grid
-    part, part_bound = ell_grid(cert_minorant, LEAD_RE, LEAD_IM[:n], im_max=LEAD_IM[-1])
-    assert part.shape == (len(LEAD_RE), n)
-    assert part.tobytes() == full[:, :n].tobytes()
-    assert part_bound == bound
+def test_ell_grid_leading_columns_are_the_full_grids(cert_minorant, lead_full_rows, n):
+    # the full row's t3 and budget, finished on the first n columns alone:
+    # the full row's values, bit for bit
+    for re, (full, bound) in zip(LEAD_RE, lead_full_rows):
+        part, part_bound = ell_grid(cert_minorant, [re], LEAD_IM[:n], im_max=LEAD_IM[-1])
+        assert part.shape == (1, n)
+        assert part.tobytes() == full[:, :n].tobytes()
+        assert part_bound == bound
 
 
 def test_ell_grid_leading_columns_validation(cert_minorant):
@@ -746,19 +716,24 @@ def test_ell_grid_input_validation(cert_minorant):
     with pytest.raises(DomainError):
         ell_grid(cert_minorant, [0.0], [0.0, 0.1])  # step not on the lattice
     with pytest.raises(DomainError):
-        ell_grid(cert_minorant, [-1.0], [0.0])
+        ell_grid(cert_minorant, [-1.0], [0.0, 0.25])
     with pytest.raises(DomainError):
-        ell_grid(cert_minorant, [], [0.0])
+        ell_grid(cert_minorant, [], [0.0, 0.25])
     with pytest.raises(DomainError):
         ell_grid(cert_minorant, [0.0], [])
     with pytest.raises(DomainError, match="1-d"):
-        ell_grid(cert_minorant, [[0.0, 1.0]], [0.0])
+        ell_grid(cert_minorant, [[0.0, 1.0]], [0.0, 0.25])
     with pytest.raises(DomainError, match="1-d"):
         ell_grid(cert_minorant, [0.0], [[0.0, 0.25]])
     with pytest.raises(DomainError, match="equispaced"):
         ell_grid(cert_minorant, [0.0], [0.0, 0.25, 0.75])
-    for re_v, im_v in (([np.inf], [0.0]), ([np.nan], [0.0]), ([0.0], [np.inf]),
-                       ([0.0], [np.nan])):
+    # one row, of at least 2 columns, from Im mu = 0
+    for re_v, im_v in (([0.0, 1.5], [0.0, 0.25]), ([0.0], [0.0]), ([0.5], [7.0]),
+                       ([0.0, 1.5], [5.0, 5.25, 5.5]), ([0.0], [0.1, 0.6, 1.1])):
+        with pytest.raises(DomainError, match="one lattice row|from 0"):
+            ell_grid(cert_minorant, re_v, im_v)
+    for re_v, im_v in (([np.inf], [0.0, 0.25]), ([np.nan], [0.0, 0.25]),
+                       ([0.0], [0.0, np.inf]), ([0.0], [0.0, np.nan])):
         with pytest.raises(DomainError):
             ell_grid(cert_minorant, re_v, im_v)
     crude = replace(cert_minorant,
@@ -766,7 +741,7 @@ def test_ell_grid_input_validation(cert_minorant):
     # only the Selberg minorant carries the tail data the lattice finishes
     for f in (crude, fejer(PRIME_FREE_RADIUS), windowed_fejer(14.13, PRIME_FREE_RADIUS)):
         with pytest.raises(DomainError):
-            ell_grid(f, [0.0], [0.0])
+            ell_grid(f, [0.0], [0.0, 0.25])
 
 
 def _fe(spectral, q=1.0):

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -224,6 +224,10 @@ def test_selberg_window_none_below_threshold():
     st.floats(min_value=0.5, max_value=80.0),
     st.floats(min_value=0.02, max_value=1.0),
 )
+# inputs Hypothesis once drew from float literals it harvests from src/,
+# pinned so that deleting those literals cannot drop them
+@example(0.0, 50.0, 0.02)
+@example(0.0, 49.75, 0.02)
 def test_selberg_window_matches_scan(alpha, length, delta):
     _assert_window_matches_scan(alpha, alpha + length, delta)
 
@@ -248,6 +252,8 @@ def _brentq_window(value, alpha, beta, delta):
     st.floats(min_value=0.5, max_value=80.0),
     st.floats(min_value=0.02, max_value=1.0),
 )
+@example(0.0, 50.0, 0.02)
+@example(0.0, 49.75, 0.02)
 def test_selberg_window_matches_brentq(alpha, length, delta):
     beta = alpha + length
     f = selberg_minorant(alpha, beta, delta)

@@ -1,16 +1,17 @@
 import ast
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import zerogap
-from zerogap import region_scan
+from zerogap import certification, region_scan
 
 # import zerogap in a fresh interpreter and list the scipy modules it loaded:
 # none are needed.  The special functions are the package's own series and
-# the lattice FFT is numpy's; scipy.special and scipy.fft alone took about
+# the lattice's sums numpy's; scipy.special and scipy.fft alone took about
 # 0.35 s of import time and 25 MB
 PROBE = (
     "import sys; sys.path.insert(0, sys.argv[1]); import zerogap; "
@@ -87,6 +88,16 @@ def test_scan_makes_one_ell_call_per_kernel(monkeypatch):
     for kernel in ("fejer", "windowed_fejer"):
         assert layers[f"explicit_formula.ell.{kernel}"]["calls"] == 1
     assert layers["region_scan.scan_region"]["calls"] == 1
+
+
+def test_tracer_counts_the_certify_columns(monkeypatch):
+    # the benchmark's certify operation: one ell_grid span, whose items, the
+    # tracer's len(re_values) * len(im_values), are the columns evaluated
+    tr = _load_tracer(monkeypatch).Tracer()
+    with tr.patched(), tr.operation():
+        cert = certification.certify_gap(4, 10.0 * math.pi / math.log(2.0))
+    spans = [s for s in tr.spans if s.name == "explicit_formula.ell_grid"]
+    assert [s.items for s in spans] == [cert.search.columns_evaluated] == [66]
 
 
 def test_benchmark_output_checks_pass():

@@ -20,7 +20,8 @@ The half-plane minimum lies on its edge Re mu = 0.  In the split form of
 h real, so Phi is analytic on Re z > 0 and ell is harmonic in mu there.
 `explicit_formula.ell_column_floor` bounds ell >= fhat(0) (Re psi(z) -
 log pi) - C(a)/|z|, a = Re z, and C(a) is nonincreasing in a (each of its
-terms is constant or carries a factor e^-ax), so on the closed half-plane
+terms is constant, an integral against e^-ax, or the square root of a
+product of two such integrals), so on the closed half-plane
 ell >= fhat(0) (Re psi(z) - log pi) - C(1/4)/|z|.  When fhat(0) > 0 that
 tends to +inf as |mu| grows, Re psi(z) growing like log|z| (DLMF 5.11.2),
 so ell > ell(0) wherever |mu| >= R for some R.  By the minimum principle
@@ -101,7 +102,10 @@ class SearchDomain:
     grid_shape is the whole rectangle's.  Only its Re mu = 0 row is
     searched (the minimum principle of the module docstring), and
     columns_evaluated counts that row's leading Im-mu columns that went on
-    the lattice.  error_bound is the quadrature budget per grid value.
+    the lattice.  floor_clears_at is c0, the first Im mu of the row from
+    which the column floor clears the pad, or None when it clears no
+    column up to im_max.  error_bound is the quadrature budget per grid
+    value.
     """
 
     re_max: float
@@ -110,6 +114,7 @@ class SearchDomain:
     convention: str
     grid_shape: Tuple[int, int]
     columns_evaluated: int
+    floor_clears_at: Optional[float]
     error_bound: float
 
     def to_dict(self) -> dict:
@@ -127,9 +132,9 @@ class MinEllSearch:
 class GapCertificate:
     """Outcome of a gap-certification run.  certified needs margin > 0, a
     positivity window, and the column floor cleared inside the searched
-    rectangle (columns_evaluated < grid_shape[1]): otherwise the Im-mu axis
-    beyond im_max, where the floor does not yet bound ell above the
-    minimum, was not searched."""
+    rectangle (floor_clears_at not None): otherwise the Im-mu axis beyond
+    im_max, where the floor does not yet bound ell above the minimum, was
+    not searched."""
 
     interval: Tuple[float, float]
     delta: float
@@ -179,14 +184,15 @@ def min_ell_over_mu(
     `ell_column_floor` exceeds the pad u + 2 _GRID_TOL (twice ell_grid's
     budget of _GRID_TOL / 2, plus room for u's tolerance, checked after the
     call) lies above that minimum.  The floor is nondecreasing in Im mu, so
-    the columns it clears are a suffix; ell_grid finishes the columns
-    before it, at least 2, counted in columns_evaluated, on the full
-    row's lattice (its leading-columns call), so the values are the uncut
-    row's, bit for bit, whatever re_max.  When the floor clears no column
-    up to im_max (columns_evaluated is then grid_shape[1]), the axis beyond
-    im_max is not searched.  A rectangle whose grid or row's lattice is
-    past `explicit_formula._check_grid_size`'s limits raises DomainError
-    before either is built; of the Re grid only its count is taken.
+    the columns it clears are a suffix, from floor_clears_at on; ell_grid
+    finishes the columns before it, at least 2, counted in
+    columns_evaluated, on the full row's lattice (its leading-columns
+    call), so the values are the uncut row's, bit for bit, whatever
+    re_max.  When the floor clears no column up to im_max (floor_clears_at
+    is then None), the axis beyond im_max is not searched.  A rectangle
+    whose grid or row's lattice is past `explicit_formula._check_grid_size`'s
+    limits raises DomainError before either is built; of the Re grid only
+    its count is taken.
     """
     k = convention_scale(convention)
     if not (0 < step <= re_max < math.inf and step <= im_max < math.inf):
@@ -203,6 +209,7 @@ def min_ell_over_mu(
     pad = u + 2.0 * _GRID_TOL
     column_floor = ell_column_floor([0.0], f)(k * im_values)[0]
     cols = int(max(np.flatnonzero(~(column_floor > pad)), default=0)) + 1
+    c0 = float(im_values[cols]) if cols < len(im_values) else None
     cols = min(max(cols, 2), len(im_values))
     vals, error_bound = ell_grid(f, [0.0], k * im_values[:cols], im_max=k * im_values[-1])
     if 2.0 * error_bound + _INCUMBENT_TOL > 2.0 * _GRID_TOL:
@@ -210,9 +217,8 @@ def min_ell_over_mu(
                             f"the pruning pad 2 x {_GRID_TOL:.3e}", best=None)
 
     j = int(np.argmin(vals[0]))
-    c0 = repr(float(im_values[cols])) if cols < len(im_values) else "none"
     _log.debug("min_ell_over_mu: incumbent ell(0) = %r; the column floor clears the "
-               "pad from Im mu = c0 = %s; %d of %d Im-mu columns on the lattice",
+               "pad from Im mu = c0 = %r; %d of %d Im-mu columns on the lattice",
                u, c0, cols, len(im_values))
     domain = SearchDomain(
         re_max=float(step * (n_re - 1)),
@@ -221,6 +227,7 @@ def min_ell_over_mu(
         convention=convention,
         grid_shape=(n_re, len(im_values)),
         columns_evaluated=cols,
+        floor_clears_at=c0,
         error_bound=float(error_bound),
     )
     return MinEllSearch(
@@ -262,7 +269,7 @@ def certify_gap(
     search = min_ell_over_mu(s_minus, re_max / k, im_max / k, step / k, convention)
     margin = degree * search.value / TWO_PI
     window_ok = isinstance(window, tuple)
-    floor_cleared = search.domain.columns_evaluated < search.domain.grid_shape[1]
+    floor_cleared = search.domain.floor_clears_at is not None
     return GapCertificate(
         interval=(-half, half),
         delta=delta,

@@ -50,13 +50,15 @@ bounded alike,
 
     ell >= G(a, y) = fhat(0) (Re psi(z) - log pi) - C(a)/|z|,
 
-C(a) being |h(0+)| + e^-aY |h(Y-)| + int_0^Y e^-ax |h'| plus the series'
-bound.  G rises with |y| (`ell_column_floor`), so on the Re mu = 0 row,
-the only one the certification search evaluates (`certification` module
-docstring), it evaluates only the leading Im-mu columns whose G does not
-clear its incumbent: 66 of the headline grid's 801.  h' comes in closed
-form from the transform's derivative (`TestFunction.fourier_centred_deriv`),
-and its sign changes, the kinks of |h'|, are panel edges of C's integral.
+C(a) being |h(0+)| + e^-aY |h(Y-)| plus a bound of int_0^Y e^-ax |h'| and
+the series' bound.  G rises with |y| (`ell_column_floor`), so on the
+Re mu = 0 row, the only one the certification search evaluates
+(`certification` module docstring), it evaluates only the leading Im-mu
+columns whose G does not clear its incumbent: 66 of the headline grid's
+801.  h' comes in closed form from the transform's derivative
+(`TestFunction.fourier_centred_deriv`), and the integral of e^-ax |h'| is
+bounded by Cauchy-Schwarz on fixed equal panels, which integrate the
+smooth e^-ax h'^2 and never look for the kinks of |h'|.
 
 `ell_grid` evaluates ell (halved) on one lattice row, Re mu fixed and
 Im mu = 0, step, 2 step, ..., at reduced tolerance for the certification
@@ -120,7 +122,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AccuracyError, DomainError, IncompletenessError
-from .extremal import TestFunction, _bracketed_roots, fourier_at
+from .extremal import TestFunction, fourier_at
 from .lfunctions import LFunctionData, FunctionalEquation, LogDerivativeCoefficients
 from .special_math import _polygamma, _re_digamma, digamma
 
@@ -184,6 +186,8 @@ _PANEL_BLOCK = 2048
 # 1 s; the kernels at delta0 take about 0.22 |Im mu| panels per mu, so a
 # single mu may reach |Im mu| ~ 5e5
 _MAX_PANELS = 120_000
+# ell_column_floor: equal panels per span of ell's integral
+_FLOOR_PANELS = 16
 
 
 def convention_scale(convention: str) -> int:
@@ -280,26 +284,31 @@ def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarra
     docstring,
 
         G(a, y) = fhat(0) (Re psi(z) - log pi) - C(a)/|z|,
-        C(a) = |h(0+)| + e^-aY |h(Y-)| + int_0^Y e^-ax |h'(x)| dx
-               + fhat(0) e^-aY/(1 - e^-Y).
+        C(a) = |h(0+)| + e^-aY |h(Y-)| + sum_p sqrt(M_p(a) int_p e^-ax h'^2)
+               + fhat(0) e^-aY/(1 - e^-Y),
+        M_p(a) = int_p e^-ax dx = (e^-a x_p - e^-a x_{p+1})/a.
 
     h is absolutely continuous on [0, Y], so int_0^Y e^-zx h dx =
-    (h(0+) - e^-zY h(Y-) + int_0^Y e^-zx h' dx)/z, and the series is at
-    most e^-aY/(|z| (1 - e^-Y)) in modulus since |z + k| >= |z|: so
-    ell >= G.  G is nondecreasing in |y|: Re psi(a + iy) = -gamma +
-    sum_k [1/(k + 1) - (a + k)/((a + k)^2 + y^2)] (DLMF 5.7.6) rises with
-    y^2, and C(a)/|z| falls, so the columns a row's floor clears beyond
-    Im mu = -centre are a suffix of any grid there.  G is -inf unless
-    fhat(0) > 0.
+    (h(0+) - e^-zY h(Y-) + int_0^Y e^-zx h' dx)/z; on each panel p =
+    [x_p, x_{p+1}], Cauchy-Schwarz on e^-ax/2 times e^-ax/2 |h'| bounds
+    int_p e^-ax |h'| by the square root; and the series is at most
+    e^-aY/(|z| (1 - e^-Y)) in modulus since |z + k| >= |z|: so ell >= G.
+    G is nondecreasing in |y|: Re psi(a + iy) = -gamma + sum_k [1/(k + 1)
+    - (a + k)/((a + k)^2 + y^2)] (DLMF 5.7.6) rises with y^2, and C(a)/|z|
+    falls, so the columns a row's floor clears beyond Im mu = -centre are a
+    suffix of any grid there.  C(a) is nonincreasing in a, every term being
+    constant, an integral against e^-ax, or the square root of a product of
+    two such integrals.  G is -inf unless fhat(0) > 0.
 
     C depends on f and a alone and is computed here, once; the function
     returned takes a 1-d array of Im mu and gives G of shape
     (len(re_mu), len(im_mu)).  h' = -(fhat'(x/4 pi)/4 pi + e^-x h(x))
     /(1 - e^-x) is closed-form, from `TestFunction.fourier_centred_deriv`,
-    and h(0+) = -fhat'(0+)/4 pi.  The integral takes `ell`'s panels for the
-    largest a at Im z = 0, with the sign changes of h' on (0, X), the kinks
-    of |h'|, as further edges, and C is raised by its estimated quadrature
-    error (48- against 24-point rule) and 16 ulps of rounding.
+    and h(0+) = -fhat'(0+)/4 pi.  The panels cut each of `ell`'s spans at
+    Im z = 0 (edges 0, X/2, X, 2X, ..., Y) into `_FLOOR_PANELS` equal
+    parts; e^-ax h'^2 is smooth on each, so each panel's integral takes the
+    48-point rule, raised by its distance from the 24-point one, and C by
+    32 ulps of rounding.
     """
     re_mu = np.asarray(re_mu, dtype=float)
     if re_mu.ndim != 1 or not len(re_mu) or not (np.isfinite(re_mu) & (re_mu >= -1e-12)).all():
@@ -313,23 +322,26 @@ def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarra
     x_end = max(big_x, 1.0)
     f0 = float(f.fourier_centred(0.0))
 
-    def h_deriv(x):
-        xi = x / (4.0 * math.pi)
-        tail = -np.expm1(-x)
-        return -(deriv(xi) / (4.0 * math.pi)
-                 + np.exp(-x) * (f0 - f.fourier_centred(xi)) / tail) / tail
-
     if f0 > 0.0:
-        spans = _ell_spans(big_x, x_end, _sign_changes(h_deriv, f, big_x))
-        edges = np.array(_ell_edges(complex(a.max(), 0.0), spans, x_end))
+        edges = np.array([lo + width * j / _FLOOR_PANELS for lo, width in _ell_spans(big_x, x_end)
+                          for j in range(_FLOOR_PANELS)] + [x_end])
         x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
-        g = w * np.abs(h_deriv(x))
-        integral, quad_err = _damped_integrals(a, x, g)
+        xi, tail = x / (4.0 * math.pi), -np.expm1(-x)
+        h_deriv = -(deriv(xi) / (4.0 * math.pi)
+                    + np.exp(-x) * (f0 - f.fourier_centred(xi)) / tail) / tail
+        # by row and panel: int_p e^-ax h'^2, the 48-point value and its
+        # distance from the 24-point one, and M_p(a)
+        rows = a[:, None]
+        terms = np.exp(-rows[..., None] * x) * (w * h_deriv**2)
+        coarse, fine = terms[..., :_NODES].sum(axis=2), terms[..., _NODES:].sum(axis=2)
+        mass = np.exp(-rows * edges[:-1]) * -np.expm1(-rows * np.diff(edges)) / rows
+        integral = np.sqrt(mass * (fine + np.abs(fine - coarse))).sum(axis=1)
         damp = np.exp(-a * x_end)
         h_end = abs(f0 - float(f.fourier_centred(x_end / (4.0 * math.pi))))
         c = (abs(float(deriv(0.0))) / (4.0 * math.pi) + integral
              + damp * (h_end + f0) / -math.expm1(-x_end))
-        c += quad_err + 16.0 * math.ulp(1.0) * (c + np.abs(g[:, _NODES:]).sum())
+        # every term is nonnegative, so the rounding is relative
+        c *= 1.0 + 32.0 * math.ulp(1.0)
 
     def floor_at(im_mu) -> np.ndarray:
         im_mu = np.asarray(im_mu, dtype=float)
@@ -344,37 +356,6 @@ def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarra
         return f0 * (psi - LOG_PI) - slack - rounding
 
     return floor_at
-
-
-def _damped_integrals(a: np.ndarray, x: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """int e^-ax g at each a, from Gauss weights folded into g by panel
-    (`_gauss_panels(edges, _NODES, 2 _NODES)`): the 48-point value and its
-    distance from the 24-point one."""
-    sums = []
-    for rule in (slice(None, _NODES), slice(_NODES, None)):
-        e = np.multiply.outer(-a, x[:, rule].ravel())
-        # in place: a fresh output array tripled exp's cost on many rows
-        sums.append(np.exp(e, out=e) @ g[:, rule].ravel())
-    coarse, integral = sums
-    return integral, np.abs(integral - coarse)
-
-
-def _sign_changes(value: Callable, f: TestFunction, big_x: float) -> list:
-    """The x in (0, X) where value, the column floor's h', changes sign,
-    bracketed on a sample and solved together by
-    `extremal._bracketed_roots`.  The centred copy lives mostly in
-    |t| <= t0 - |centre|, t0 the envelope's onset, so fhat and its
-    derivative change sign about 2 delta (t0 - |centre|) times on
-    [0, delta]; the sample takes 32 points per such change.  Two sign
-    changes closer than its step go unseen; the floor's error estimate
-    still sees the kinks they leave."""
-    n = 32 * math.ceil(2.0 * f.support_radius * (f.envelope.t0 - abs(f.centre)) + 1.0)
-    x = big_x * np.arange(1, n) / n
-    v = value(x)
-    k = np.flatnonzero((v[:-1] >= 0.0) != (v[1:] >= 0.0))
-    if not k.size:
-        return []
-    return _bracketed_roots(value, x[k], x[k + 1], v[k], v[k + 1]).tolist()
 
 
 @lru_cache(maxsize=None)
@@ -404,11 +385,11 @@ def _gauss_panels(edges: np.ndarray, *sizes: int) -> Tuple[np.ndarray, np.ndarra
     return lo + width * x, width * w
 
 
-def _ell_spans(big_x: float, x_end: float, kinks: Sequence[float] = ()) -> list:
+def _ell_spans(big_x: float, x_end: float) -> list:
     """(start, width) of each span between the fixed edges 0, X/2, X, 2X,
-    ..., x_end of ell's integral, and any kinks in (0, X) given; every mu
-    subdivides them alike."""
-    breaks = sorted({0.0, 0.5 * big_x, *kinks, *_geom_nodes(big_x, x_end)})
+    ..., x_end of ell's integral; every mu, and the column floor, subdivide
+    them alike."""
+    breaks = sorted({0.0, 0.5 * big_x, *_geom_nodes(big_x, x_end)})
     return [(lo, hi - lo) for lo, hi in zip(breaks, breaks[1:])]
 
 
@@ -547,15 +528,16 @@ def ell_grid(
     if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise DomainError(f"im step must be a positive multiple of {h}")
     stride = int(round(ratio))
-    # the full row's column count
+    a = 0.25 + 0.5 * float(re_values[0])
+    # the full row's column count, its size checked in floats first
     n_cols, n_out = len(ys), len(ys)
     if y_max > ys[-1] + 1e-9:
+        _check_grid_size(y_max / step + 1.0, _cutoff_floor(y_max, a), y_max)
         n_cols = 1 + round(y_max / step)
         if abs((n_cols - 1) * step - y_max) > 1e-9:
             raise DomainError("im_max must lie on the grid of im_values")
     elif y_max < ys[-1] - 1e-9:
         raise DomainError("im_max must not lie below the last of im_values")
-    a = 0.25 + 0.5 * float(re_values[0])
 
     # oscillatory cutoff: after two integrations by parts the remainder per
     # component is rem2(T), with the component's bounds beyond T; pick T3 so

@@ -34,7 +34,7 @@ CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 CERT_MARGIN = 0.18588479392167442
 CERT_SEARCH_DOMAIN = {
     "re_max": 50.0, "im_max": 200.0, "step": 0.25, "convention": "halved",
-    "grid_shape": [201, 801], "columns_evaluated": 66,
+    "grid_shape": [201, 801], "columns_evaluated": 66, "floor_clears_at": 16.5,
     "error_bound": 7.70966042141075e-05,
 }
 # the same run on the FAST rectangle below: the lattice's extent follows the
@@ -154,14 +154,14 @@ def test_parameter_validation():
 def test_conventions_give_identical_certificates():
     # the literal search runs on the halved rectangle scaled by 1/2, which
     # visits the same kernel parameters point for point: every field agrees
-    # except the convention and the rectangle, which is the halved one / 2
+    # except the convention, the rectangle and c0, which are the halved ones / 2
     a = certify_gap(4, CERT_LENGTH, **FAST).to_dict()
     b = certify_gap(4, CERT_LENGTH, convention="literal", **FAST).to_dict()
     da, db = a.pop("search_domain"), b.pop("search_domain")
     assert b == a
     assert b["certified"] is True
     assert (da.pop("convention"), db.pop("convention")) == ("halved", "literal")
-    for key in ("re_max", "im_max", "step"):
+    for key in ("re_max", "im_max", "step", "floor_clears_at"):
         assert db.pop(key) == da.pop(key) / 2.0
     assert db == da  # grid_shape, columns_evaluated, error_bound
     # min-ell searches the caller's rectangle: literal on (R, I, s) is halved
@@ -188,12 +188,20 @@ def test_certified_needs_the_floor_cleared_inside_the_rectangle():
     # is certified
     short = certify_gap(4, CERT_LENGTH, re_max=50.0, im_max=4.0, step=1.0)
     assert short.search.columns_evaluated == short.search.grid_shape[1] == 5
+    assert short.search.floor_clears_at is None
     assert short.certified is False and short.to_dict()["certified"] is False
     assert short.margin == pytest.approx(0.18588487951692487, abs=1e-12)
     assert short.margin == pytest.approx(FAST_MARGIN, abs=1e-12)
     cleared = certify_gap(4, CERT_LENGTH, re_max=50.0, im_max=20.0, step=1.0)
     assert cleared.search.columns_evaluated < cleared.search.grid_shape[1]
+    assert cleared.search.floor_clears_at == 17.0
     assert cleared.certified is True
+    # two columns, 0 and 20: the floor clears at the second, so the search
+    # evaluates both (it keeps at least 2) and still certifies
+    two = certify_gap(4, CERT_LENGTH, re_max=50.0, im_max=20.0, step=20.0)
+    assert two.search.columns_evaluated == two.search.grid_shape[1] == 2
+    assert two.search.floor_clears_at == 20.0
+    assert two.certified is True and two.to_dict()["certified"] is True
 
 
 def test_min_ell_needs_positive_mass():
@@ -251,7 +259,8 @@ def test_certificate_invariant():
     s = MinEllSearch(value=-1.0, argmin=0j,
                      domain=SearchDomain(re_max=1.0, im_max=1.0, step=1.0,
                                          convention="halved", grid_shape=(2, 2),
-                                         columns_evaluated=2, error_bound=1e-4))
+                                         columns_evaluated=2, floor_clears_at=1.0,
+                                         error_bound=1e-4))
     with pytest.raises(DomainError):
         GapCertificate(interval=(-1.0, 1.0), delta=PRIME_FREE_RADIUS, degree=4,
                        margin=-0.5, certified=True, positivity_window=(-1.0, 1.0),
@@ -345,6 +354,7 @@ def test_min_ell_logs_columns_evaluated(caplog):
     cols = search.domain.columns_evaluated
     assert f"{cols} of 201 Im-mu columns" in message and 2 <= cols < 201
     assert f"clears the pad from Im mu = c0 = {float(cols)!r}" in message
+    assert search.domain.floor_clears_at == float(cols)
     assert search.domain.grid_shape == (51, 201)
 
 
@@ -379,5 +389,6 @@ def test_headline_certificate_columns_are_the_column_floors():
     pad = certification.ell(0.0, f, tol=certification._INCUMBENT_TOL) + 2.0 * _GRID_TOL
     floor = ell_column_floor([0.0], f)(_step_grid(d.im_max, d.step))[0]
     assert d.columns_evaluated < 801
+    assert d.floor_clears_at == d.step * d.columns_evaluated
     assert (floor[d.columns_evaluated:] > pad).all()
     assert not floor[d.columns_evaluated - 1] > pad

@@ -528,6 +528,8 @@ def test_ell_grid_leading_columns_validation(cert_minorant):
         ell_grid(cert_minorant, [0.0], [0.0, 0.25, 0.5], im_max=0.25)
     with pytest.raises(DomainError):
         ell_grid(cert_minorant, [0.0], [0.0, 0.25], im_max=math.inf)
+    with pytest.raises(DomainError, match="too large"):  # its column count overflows
+        ell_grid(cert_minorant, [0.0], [0.0, 0.25], im_max=1e308)
 
 
 def test_ell_grid_refuses_oversized_lattice_before_allocating(cert_minorant):
@@ -543,15 +545,24 @@ def test_ell_grid_refuses_oversized_lattice_before_allocating(cert_minorant):
 
 
 # the Re-mu rows, step 0.25, on which the column floor is checked: more
-# than the one row, Re mu = 0, that certify_gap evaluates
-COLUMN_FLOOR_ROWS = {2.0 * HALF: 1.75, 60.0: 2.5}
+# than the one row, Re mu = 0, that certify_gap evaluates.  Keyed by the
+# length of a centred window at delta0, or by the name of a FLOOR_KERNELS
+# minorant: the asymmetric one has centre 5.9 > 0, so its floor rises over
+# all Im mu >= 0, and the narrow one has delta = 0.05, so Y = 1 > X
+COLUMN_FLOOR_ROWS = {2.0 * HALF: 1.75, 60.0: 2.5, "asymmetric": 1.75, "narrow": 2.5}
 
 
-@pytest.mark.parametrize("length", sorted(COLUMN_FLOOR_ROWS))
-def test_column_floor_below_ell(length):
+def _floor_kernel(key):
+    if isinstance(key, str):
+        return FLOOR_KERNELS[key]
+    return selberg_minorant(-key / 2.0, key / 2.0, PRIME_FREE_RADIUS)
+
+
+@pytest.mark.parametrize("key", list(COLUMN_FLOOR_ROWS))
+def test_column_floor_below_ell(key):
     # at 240 seeded points of the kept rows, Im mu anywhere in [0, 200]
-    f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
-    re = ef._step_grid(COLUMN_FLOOR_ROWS[length], 0.25)
+    f = _floor_kernel(key)
+    re = ef._step_grid(COLUMN_FLOOR_ROWS[key], 0.25)
     rng = np.random.default_rng(23)
     rows, im = rng.integers(0, len(re), 240), rng.uniform(0.0, 200.0, 240)
     floors = ell_column_floor(re, f)(im)[rows, np.arange(240)]
@@ -561,56 +572,101 @@ def test_column_floor_below_ell(length):
     assert floors[im > 25.0].min() > values.min()
 
 
-@pytest.mark.parametrize("length", sorted(COLUMN_FLOOR_ROWS))
-def test_column_floor_nondecreasing_in_im(length):
-    f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
-    floors = ell_column_floor(ef._step_grid(COLUMN_FLOOR_ROWS[length], 0.25), f)(
+@pytest.mark.parametrize("key", list(COLUMN_FLOOR_ROWS))
+def test_column_floor_nondecreasing_in_im(key):
+    floors = ell_column_floor(ef._step_grid(COLUMN_FLOOR_ROWS[key], 0.25), _floor_kernel(key))(
         np.linspace(0.0, 200.0, 1601))
     assert np.isfinite(floors).all()
     assert (np.diff(floors, axis=1) >= 0.0).all()
 
 
-def _mp_column_floor(params, re, im):
-    """The column floor at 30 digits: h' from mpmath.diff of the closed-form
-    transform, its integral against e^-ax split at its sign changes,
-    bracketed on 400 samples and solved by mpmath; X > 1, so Y = X."""
+def test_column_floor_off_centre_is_centred_at_shifted_mu():
+    # like ell, the floor reads the centred copy alone, at mu + i centre
+    f = FLOOR_KERNELS["asymmetric"]
+    half = 0.5 * (19.1 + 7.3)
+    centred = selberg_minorant(-half, half, 0.09)
+    im = np.linspace(0.0, 60.0, 13)
+    got = ell_column_floor([0.0, 1.5], f)(im)
+    want = ell_column_floor([0.0, 1.5], centred)(im + f.centre)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _mp_column_floors(params, points):
+    """The column floor of a centred Selberg minorant at 30 digits at each
+    (Re mu, Im mu) of points, twice: with C's integral of e^-ax |h'| exact,
+    split at the sign changes of h', bracketed on 400 samples and solved by
+    mpmath, and with the integral bounded as the code bounds it, by
+    Cauchy-Schwarz on `_FLOOR_PANELS` equal panels of each span.  h' comes
+    from the transform's derivative taken by hand, checked against
+    mpmath.diff on every fourth sample.  X > 1, so Y = X and the spans are
+    [0, X/2] and [X/2, X]."""
+    assert params[0] == -params[1]
     with mpmath.workdps(30):
         fhat, f0, delta = _mp_transform("selberg", params)
-        a = mpmath.mpf(1) / 4 + mpmath.mpf(re) / 2
-        big_x = 4 * mpmath.pi * delta
+        length, big_x = 2 * mpmath.mpf(params[1]), 4 * mpmath.pi * delta
 
         def h(x):
             return (f0 - mpmath.re(fhat(x / (4 * mpmath.pi)))) / -mpmath.expm1(-x)
 
+        @lru_cache(maxsize=None)
         def dh(x):
-            return mpmath.diff(h, x)
+            # fhat = j(u) sin(pi xi L)/(pi xi) - (1 - u) cos(pi xi L)/delta,
+            # j(u) = (1 - u) pi u cot(pi u) + u, u = xi/delta; each x once,
+            # whatever a
+            pi = mpmath.pi
+            xi, em1 = x / (4 * pi), mpmath.expm1(-x)
+            u, sin, cos = xi / delta, mpmath.sin(pi * xi * length), mpmath.cos(pi * xi * length)
+            cot = mpmath.cot(pi * u)
+            j = (1 - u) * pi * u * cot + u
+            dj = (1 - 2 * u) * pi * cot - (1 - u) * u * pi**2 * (1 + cot**2) + 1
+            dfhat = (dj / delta * sin / (pi * xi) + j * (length * cos / xi - sin / (pi * xi**2))
+                     + cos / delta**2 + (1 - u) / delta * pi * length * sin)
+            h_x = (f0 - j * sin / (pi * xi) + (1 - u) * cos / delta) / -em1
+            return -(dfhat / (4 * pi) + (1 + em1) * h_x) / -em1
+
+        def quad(g, edges):
+            value, error = mpmath.quad(g, edges, method="gauss-legendre", error=True)
+            assert error < 1e-20
+            return value
 
         xs = [big_x * k / 400 for k in range(1, 400)]
+        assert max(abs(dh(x) - mpmath.diff(h, x)) for x in xs[::4]) < 1e-20
         vals = [dh(x) for x in xs]
         kinks = [mpmath.findroot(dh, (x0, x1), solver="anderson")
                  for x0, x1, v0, v1 in zip(xs, xs[1:], vals, vals[1:])
                  if (v0 >= 0) != (v1 >= 0)]
-        edges = sorted([mpmath.mpf(0), big_x / 2, big_x, *kinks])
-        integral, error = mpmath.quad(lambda x: mpmath.exp(-a * x) * abs(dh(x)), edges,
-                                      method="gauss-legendre", error=True)
-        assert error < 1e-20
-        damp = mpmath.exp(-a * big_x)
-        # h(0+) to within |h'| 1e-12
-        c = (abs(h(mpmath.mpf(10) ** -12)) + damp * abs(h(big_x)) + integral
-             + f0 * damp / -mpmath.expm1(-big_x))
-        z = mpmath.mpc(a, mpmath.mpf(im) / 2)
-        return float(f0 * (mpmath.re(mpmath.digamma(z)) - mpmath.log(mpmath.pi)) - c / abs(z))
+        n = 2 * ef._FLOOR_PANELS
+        edges = [big_x * k / n for k in range(n + 1)]
+        floors = []
+        for re, im in points:
+            a = mpmath.mpf(1) / 4 + mpmath.mpf(re) / 2
+            exact = quad(lambda x: mpmath.exp(-a * x) * abs(dh(x)),
+                         sorted([mpmath.mpf(0), big_x / 2, big_x, *kinks]))
+            bound = mpmath.fsum(
+                mpmath.sqrt((mpmath.exp(-a * lo) - mpmath.exp(-a * hi)) / a
+                            * quad(lambda x: mpmath.exp(-a * x) * dh(x)**2, [lo, hi]))
+                for lo, hi in zip(edges, edges[1:]))
+            damp = mpmath.exp(-a * big_x)
+            # h(0+) to within |h'| 1e-12
+            rest = (abs(h(mpmath.mpf(10) ** -12)) + damp * abs(h(big_x))
+                    + f0 * damp / -mpmath.expm1(-big_x))
+            z = mpmath.mpc(a, mpmath.mpf(im) / 2)
+            psi = f0 * (mpmath.re(mpmath.digamma(z)) - mpmath.log(mpmath.pi))
+            floors.append(tuple(float(psi - (rest + c) / abs(z)) for c in (exact, bound)))
+        return floors
 
 
 def test_column_floor_matches_mpmath():
-    # the closed-form h', its panels and sign changes against mpmath's
-    # numerical derivative; the floor sits below by its error estimate
+    # the closed-form h' and its per-panel Cauchy-Schwarz bound against
+    # mpmath's numerical derivative: the floor sits below the same bound at
+    # 30 digits by its error estimate, and so below the floor with the exact
+    # integral of e^-ax |h'|, which Cauchy-Schwarz can only lower
     params = MP_KERNELS["headline"][1]
     f = selberg_minorant(*params)
-    for re, im in ((0.0, 16.5), (1.75, 40.0)):
+    points = ((0.0, 16.5), (1.75, 40.0))
+    for (re, im), (exact, want) in zip(points, _mp_column_floors(params, points)):
         got = float(ell_column_floor([re], f)([im])[0, 0])
-        want = _mp_column_floor(params, re, im)
-        assert got <= want and want - got <= 1e-9, (re, im, want - got)
+        assert got <= want <= exact and want - got <= 1e-9, (re, im, want - got)
 
 
 def test_column_floor_domain():

@@ -69,6 +69,7 @@ from .explicit_formula import (
     _check_grid_size,
     _check_prime_free,
     _cutoff_floor,
+    _lattice_stride,
     _step_count,
     _step_grid,
     convention_scale,
@@ -189,16 +190,17 @@ def min_ell_over_mu(
     columns_evaluated, on the full row's lattice (its leading-columns
     call), so the values are the uncut row's, bit for bit, whatever
     re_max.  When the floor clears no column up to im_max (floor_clears_at
-    is then None), the axis beyond im_max is not searched.  A rectangle
-    whose grid or row's lattice is past `explicit_formula._check_grid_size`'s
-    limits raises DomainError before either is built; of the Re grid only
-    its count is taken.
+    is then None), the axis beyond im_max is not searched.  A row or row
+    lattice past `explicit_formula._check_grid_size`'s limits raises
+    DomainError before either is built, and so does a step off the
+    lattice; of the Re grid only its count is taken, so re_max sizes
+    nothing the search builds.
     """
     k = convention_scale(convention)
     if not (0 < step <= re_max < math.inf and step <= im_max < math.inf):
         raise DomainError("need finite re_max and im_max, and 0 < step <= both")
-    _check_grid_size((re_max / step + 1.0) * (im_max / step + 1.0),
-                     _cutoff_floor(k * im_max, 0.25), k * im_max)
+    _check_grid_size(im_max / step + 1.0, _cutoff_floor(k * im_max, 0.25), k * im_max)
+    _lattice_stride(k * step)
     if not float(f.fourier_centred(0.0)) > 0.0:
         raise DomainError("min_ell_over_mu needs fhat(0) > 0: otherwise ell has no "
                           "minimum over Re mu >= 0")

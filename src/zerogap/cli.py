@@ -268,7 +268,9 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     except IncompletenessError as exc:
         print(f"incomplete data: {exc}", file=sys.stderr)
-        if exc.gaps:
+        if isinstance(exc.gaps, range):
+            print(f"missing n: every n from {exc.gaps[0]} to {exc.gaps[-1]}", file=sys.stderr)
+        elif exc.gaps:
             print(f"missing n: {exc.gaps}", file=sys.stderr)
         return 3
     if args.out is not None:

@@ -34,8 +34,9 @@ class AccuracyError(RuntimeError):
 
 
 class IncompletenessError(ValueError):
-    """Required data is missing.  ``gaps`` lists what would be needed."""
+    """Required data is missing.  ``gaps`` lists what would be needed; a run
+    of consecutive n is kept as the range it is given as, however long."""
 
     def __init__(self, message: str, gaps=None):
         super().__init__(message)
-        self.gaps = list(gaps) if gaps is not None else []
+        self.gaps = gaps if isinstance(gaps, range) else list(gaps) if gaps is not None else []

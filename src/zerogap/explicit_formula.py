@@ -82,32 +82,47 @@ its v >= 0 part alone and read back at |k - k0|, k0 the entry of v = 0:
 6,981 of the headline row's 13,701 entries.  The kernel's rounding, within
 1.5e-13 of a complex psi's, is far inside the error budget of 2.5e-4.  The
 tails beyond the lattice are finished analytically, with one psi' call per
-side on its boundary points, from the tail decomposition that only the
-Selberg minorant carries; the smooth part P is even, as f is, so both
-sides share its nodes and weights on `ell`'s Gauss-Legendre panels.  The
-lattice stays because the headline certificate's pinned margin, 0.185885,
-is the lattice's value: the exact minimum, 0.1858822, rounds differently.
-Its values depend on the row's extent through t3, so a call given only the
-leading columns of a row and the row's im_max keeps t3 and finishes those
-columns alone, bit for bit the full row's: the table up to their last
-column, the smooth tail at the nodes that cover them, psi' at their
-boundary points, and each node's weighted sum a row sum, whose rounding
-does not depend on how many nodes the call keeps.
+side on its boundary points, from the Selberg tail below; its smooth part
+P is even, as f is, so both sides share its nodes and weights on `ell`'s
+Gauss-Legendre panels.  The lattice stays because the headline
+certificate's pinned margin, 0.185885, is the lattice's value: the exact
+minimum, 0.1858822, rounds differently.  Its values depend on the row's
+extent through t3, so a call given only the leading columns of a row and
+the row's im_max keeps t3 and finishes those columns alone, bit for bit the
+full row's: the table up to their last column, the smooth tail at the nodes
+that cover them, psi' at their boundary points, and each node's weighted
+sum a row sum, whose rounding does not depend on how many nodes the call
+keeps.
+
+The lattice takes only the Selberg minorant, and builds its tail from the
+window (alpha, beta) the minorant records (`TestFunction.interval`) in
+`_selberg_tail`.  Beyond t_valid = max(|alpha|, |beta|) + 1.5/delta both
+Beurling arguments, u = delta (alpha - t) and delta (t - beta), have
+|u| >= 1.5, where B(u) = sgn(u) + (1 - cos 2 pi u) w(u)/pi^2 (`extremal`),
+so the sgn parts cancel and
+
+    f(t) = P(t) + sum_edges Q(t) cos(omega t - omega edge),
+
+P = -(w(u_alpha) + w(u_beta))/(2 pi^2), Q = w(u)/(2 pi^2) for each edge,
+omega = 2 pi delta.  H. Alzer's (k-1)!/x^k + k!/(2x^{k+1}) <
+(-1)^{k+1} psi^(k)(x) < (k-1)!/x^k + k!/x^{k+1} for x > 0 (Math. Comp. 66,
+1997), at k = 2 and 3, put w' in (1/x^3, 2/x^3) and w'' in
+(3/x^4, 6/x^4) on u = -x <= -1/2, and in (-1/u^3, 0) and (0, 3/u^4) for
+u > 0, so |w'| <= 2/|u|^3 and |w''| <= 6/u^4; taken at u = delta (t -
+max(|alpha|, |beta|)) they bound s^2 |Q|, |s|^3 |Q'| and s^4 |Q''| over
+|s| >= t for both edges at once.
 
 The lattice spans |t| <= t3.  t3 starts at the floor the row itself needs,
 max(t_valid, 2 max Im mu + 20, 4 a + 20, 64), and grows by a fifth at a
-time until the remainder after two integrations by parts of each tail
-component is within its share of the budget.  That remainder is bounded
-with the component's amplitude bounds beyond t3 (`OscComponent.bounds`),
-closed forms in the distance of t3 from the window's farther edge
-(`extremal` module docstring), so they tighten as t3 grows; on the headline
-grid the floor, t3 = 420, already meets the budget.  The smooth part is
-integrated from t3 out to t2, where c_p/t^2 bounds it, c_p being one
-constant fixed at t_valid and about ten times its sup beyond t3 on the
-headline grid.  c_p is left that loose on purpose: the smooth tail beyond
-t2 is one-signed and most of the lattice's bias at mu = 0 (+4.1e-6), so
-sizing t2 from a cutoff-dependent c_p (t2 from 3.6e7 down to 3.1e6) moves
-the headline margin to 0.185908, off the pinned 0.185885.
+time until the remainder after two integrations by parts of each edge's
+component is within its share of the budget.  Those bounds tighten as t3
+grows; on the headline grid the floor, t3 = 420, already meets the budget.
+The smooth part is integrated from t3 out to t2, where c_p/t^2 bounds it,
+c_p being one constant fixed at t_valid and about ten times its sup beyond
+t3 on the headline grid.  c_p is left that loose on purpose: the smooth
+tail beyond t2 is one-signed and most of the lattice's bias at mu = 0
+(+4.1e-6), so sizing t2 from a cutoff-dependent c_p (t2 from 3.6e7 down to
+3.1e6) moves the headline margin to 0.185908, off the pinned 0.185885.
 """
 
 from __future__ import annotations
@@ -122,7 +137,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AccuracyError, DomainError, IncompletenessError
-from .extremal import TestFunction, fourier_at
+from .extremal import (
+    TestFunction,
+    _beurling_w,
+    _beurling_w_bounds,
+    _beurling_w_deriv,
+    fourier_at,
+)
 from .lfunctions import LFunctionData, FunctionalEquation, LogDerivativeCoefficients
 from .special_math import _polygamma, _re_digamma, digamma
 
@@ -171,10 +192,11 @@ CONVENTIONS = ("halved", "literal")
 # grid value that fixes the oscillatory cutoff and the smooth-tail length
 _LATTICE_H = 0.0625
 _GRID_TOL = 2.5e-4
-# the largest grid the certification search takes: values (those of the
-# whole rectangle, of which it evaluates one row) and lattice entries
-# (Simpson nodes plus Im shifts), so that no array of the search passes 64 MiB
-_MAX_GRID_VALUES = 1 << 23
+# the largest row the certification search takes, in values (the one row
+# it builds; its complex column floor then takes 16 MiB), and the largest
+# lattice, in entries (Simpson nodes plus Im shifts), so that no array of
+# the search passes 64 MiB
+_MAX_GRID_VALUES = 1 << 20
 _MAX_LATTICE = 1 << 23
 
 # ell: points per panel of its error-estimating rule (the value's has twice
@@ -186,8 +208,13 @@ _PANEL_BLOCK = 2048
 # 1 s; the kernels at delta0 take about 0.22 |Im mu| panels per mu, so a
 # single mu may reach |Im mu| ~ 5e5
 _MAX_PANELS = 120_000
-# ell_column_floor: equal panels per span of ell's integral
+# rhs: the largest n of the prime sum, past which n is no longer exact in a
+# float
+_MAX_PRIME_N = 2**53
+# ell_column_floor: equal panels per span of ell's integral, and the
+# rounding allowance of h' in ulps of the magnitudes that enter it
 _FLOOR_PANELS = 16
+_H_DERIV_ULPS = 2.0
 
 
 def convention_scale(convention: str) -> int:
@@ -307,38 +334,47 @@ def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarra
     and h(0+) = -fhat'(0+)/4 pi.  The panels cut each of `ell`'s spans at
     Im z = 0 (edges 0, X/2, X, 2X, ..., Y) into `_FLOOR_PANELS` equal
     parts; e^-ax h'^2 is smooth on each, so each panel's integral takes the
-    48-point rule, raised by its distance from the 24-point one, and C by
-    32 ulps of rounding.
+    48-point rule, with each |h'| raised by its rounding bound (`_h_deriv`),
+    plus its distance from the 24-point one, and C is raised by 32 ulps of
+    rounding.  Only the Selberg minorant carries fhat' and its window.
     """
     re_mu = np.asarray(re_mu, dtype=float)
     if re_mu.ndim != 1 or not len(re_mu) or not (np.isfinite(re_mu) & (re_mu >= -1e-12)).all():
         raise DomainError("ell_column_floor needs a nonempty 1-d array of finite Re(mu) >= 0")
     deriv = f.fourier_centred_deriv
-    if deriv is None:
-        raise DomainError("ell_column_floor needs the transform's derivative "
-                          "(TestFunction.fourier_centred_deriv)")
+    if deriv is None or f.interval is None:
+        raise DomainError("ell_column_floor needs the Selberg minorant's transform derivative "
+                          "(TestFunction.fourier_centred_deriv) and window")
     a = 0.25 + 0.5 * np.maximum(re_mu, 0.0)
     big_x = 4.0 * math.pi * f.support_radius
     x_end = max(big_x, 1.0)
-    f0 = float(f.fourier_centred(0.0))
+    edges = np.array([lo + width * j / _FLOOR_PANELS for lo, width in _ell_spans(big_x, x_end)
+                      for j in range(_FLOOR_PANELS)] + [x_end])
+    x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
+    xi = x.ravel() / (4.0 * math.pi)
+    # one call per transform: fhat at 0, Y/4 pi and the nodes, fhat' at 0
+    # and the nodes
+    fhat = f.fourier_centred(np.concatenate(([0.0, x_end / (4.0 * math.pi)], xi)))
+    d_fhat = deriv(np.concatenate(([0.0], xi)))
+    f0 = float(fhat[0])
 
     if f0 > 0.0:
-        edges = np.array([lo + width * j / _FLOOR_PANELS for lo, width in _ell_spans(big_x, x_end)
-                          for j in range(_FLOOR_PANELS)] + [x_end])
-        x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
-        xi, tail = x / (4.0 * math.pi), -np.expm1(-x)
-        h_deriv = -(deriv(xi) / (4.0 * math.pi)
-                    + np.exp(-x) * (f0 - f.fourier_centred(xi)) / tail) / tail
-        # by row and panel: int_p e^-ax h'^2, the 48-point value and its
-        # distance from the 24-point one, and M_p(a)
+        alpha, beta = f.interval
+        h_deriv, h_err = _h_deriv(x, f0, fhat[2:].reshape(x.shape), d_fhat[1:].reshape(x.shape),
+                                  beta - alpha, f.support_radius)
+        # by row and panel: int_p e^-ax h'^2 by the 48-point rule with each
+        # |h'| raised by its rounding, the 48-point rule's distance from the
+        # 24-point one, and M_p(a)
         rows = a[:, None]
-        terms = np.exp(-rows[..., None] * x) * (w * h_deriv**2)
+        damped = np.exp(-rows[..., None] * x)
+        terms = damped * (w * h_deriv**2)
         coarse, fine = terms[..., :_NODES].sum(axis=2), terms[..., _NODES:].sum(axis=2)
+        value = (damped * (w * (np.abs(h_deriv) + h_err)**2))[..., _NODES:].sum(axis=2)
         mass = np.exp(-rows * edges[:-1]) * -np.expm1(-rows * np.diff(edges)) / rows
-        integral = np.sqrt(mass * (fine + np.abs(fine - coarse))).sum(axis=1)
+        integral = np.sqrt(mass * (value + np.abs(fine - coarse))).sum(axis=1)
         damp = np.exp(-a * x_end)
-        h_end = abs(f0 - float(f.fourier_centred(x_end / (4.0 * math.pi))))
-        c = (abs(float(deriv(0.0))) / (4.0 * math.pi) + integral
+        h_end = abs(f0 - float(fhat[1]))
+        c = (abs(float(d_fhat[0])) / (4.0 * math.pi) + integral
              + damp * (h_end + f0) / -math.expm1(-x_end))
         # every term is nonnegative, so the rounding is relative
         c *= 1.0 + 32.0 * math.ulp(1.0)
@@ -356,6 +392,25 @@ def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarra
         return f0 * (psi - LOG_PI) - slack - rounding
 
     return floor_at
+
+
+def _h_deriv(x: np.ndarray, f0: float, fhat: np.ndarray, d_fhat: np.ndarray,
+             length: float, delta: float) -> Tuple[np.ndarray, np.ndarray]:
+    """h'(x) = -(fhat'(x/4 pi)/4 pi + e^-x h(x))/(1 - e^-x) at nodes x > 0,
+    from fhat(0) and fhat, fhat' at x/4 pi, and a bound of its rounding.
+
+    Vaaler's closed form of a window of length L sums terms of size at most
+    s = L + 1/delta, its derivative terms of size at most pi L s/delta, and
+    each value carries the rounding of those.  Near x = 0, fhat(0) - fhat
+    and the two terms of h' cancel, which leaves that rounding standing
+    against a small h', so h' is taken to lie within `_H_DERIV_ULPS` ulps of
+    s (L/(4 delta) + 2 e^-x/(1 - e^-x))/(1 - e^-x) of the exact value.
+    Against 30-digit values on the first two panels of 40 random windows
+    the error stayed within 0.8 ulps of that scale."""
+    tail, decay = -np.expm1(-x), np.exp(-x)
+    h_deriv = -(d_fhat / (4.0 * math.pi) + decay * (f0 - fhat) / tail) / tail
+    scale = (length + 1.0 / delta) * (length / (4.0 * delta) + 2.0 * decay / tail) / tail
+    return h_deriv, _H_DERIV_ULPS * math.ulp(1.0) * scale
 
 
 @lru_cache(maxsize=None)
@@ -446,18 +501,72 @@ def _cutoff_floor(y_max: float, a: float) -> float:
 
 
 def _check_grid_size(n_values: float, t3: float, y_span: float) -> None:
-    """DomainError for a grid of n_values values, or a lattice of
+    """DomainError for a row of n_values values, or a lattice of
     half-width t3 whose shifts span y_span in Im mu, past the sizes the
     certification search evaluates (`_MAX_GRID_VALUES`, `_MAX_LATTICE`);
     callers check before allocating either."""
     lattice = (2.0 * t3 + y_span) / _LATTICE_H
     if n_values > _MAX_GRID_VALUES or lattice > _MAX_LATTICE:
         raise DomainError(
-            f"a grid of {n_values:.6g} values on a lattice of {lattice:.6g} entries is too "
+            f"a row of {n_values:.6g} values on a lattice of {lattice:.6g} entries is too "
             f"large: at most {_MAX_GRID_VALUES} values and {_MAX_LATTICE} lattice entries")
 
 
-def _smooth_tail_nodes(n_cols: int, tail, t3: float, eps: float, y_stride: int):
+# a constant bound on |w(u)| for |u| >= 1 (|w(-1)| = pi^2/6 - 1 ~ 0.645):
+# only the Selberg tail's smooth-part constant c_p takes it
+_W_BOUND = 0.70
+
+
+def _selberg_tail(alpha: float, beta: float, delta: float):
+    """The Selberg minorant of [alpha, beta] at aperture delta for
+    |t| >= t_valid, as the module docstring splits it: returns t_valid,
+    c_p with |P(t)| <= c_p/t^2 there, P, omega, bounds and, for the edges
+    alpha and beta in that order, (Q, Q', phase).  bounds(t), for
+    t >= t_valid, returns (c_q, c_dq, c_ddq) with |Q(s)| <= c_q/s^2,
+    |Q'(s)| <= c_dq/|s|^3 and |Q''(s)| <= c_ddq/s^4 for every |s| >= t, for
+    both edges."""
+    s_max = max(abs(alpha), abs(beta))
+    t_valid = s_max + 1.5 / delta
+    omega = 2.0 * math.pi * delta
+    half = 1.0 / (2.0 * math.pi**2)
+
+    def smooth(t):
+        return -half * (_beurling_w(delta * (alpha - t)) + _beurling_w(delta * (t - beta)))
+
+    def edge(e: float, sign: float):
+        # u = sign delta (t - e): delta (alpha - t) at alpha, delta (t - beta)
+        # at beta
+        def q(t):
+            return half * _beurling_w(sign * delta * (t - e))
+
+        def dq(t):
+            return sign * half * delta * _beurling_w_deriv(float(sign * delta * (t - e)))
+        return q, dq, -omega * e
+
+    def bounds(t):
+        # both edges have |u| >= x = delta (|s| - s_max), and s^k/(|s| -
+        # s_max)^j, j >= k, falls in |s|, so each sup is taken at |s| = t
+        w, dw, ddw = _beurling_w_bounds(delta * (t - s_max))
+        return half * t * t * w, half * delta * t**3 * dw, half * delta**2 * t**4 * ddw
+
+    # |u| >= kappa delta |t| for |t| >= t_valid: loose on purpose (module
+    # docstring)
+    kappa = 1.5 / (delta * t_valid)
+    c_p = 2.0 * (half * _W_BOUND / (delta * kappa) ** 2)
+    return t_valid, c_p, smooth, omega, bounds, (edge(alpha, -1.0), edge(beta, 1.0))
+
+
+def _lattice_stride(step: float) -> int:
+    """The Im step over the lattice spacing, DomainError unless it is a
+    positive integer."""
+    ratio = step / _LATTICE_H
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        raise DomainError(f"im step must be a positive multiple of {_LATTICE_H}")
+    return int(round(ratio))
+
+
+def _smooth_tail_nodes(n_cols: int, c_p: float, smooth: Callable, t3: float, eps: float,
+                       y_stride: int):
     """idx, pts and the weights of int_{t3}^{inf} W(sign*t) P(t) dt, the
     a-independent part, alike for both signs because P is even.
 
@@ -468,13 +577,13 @@ def _smooth_tail_nodes(n_cols: int, tail, t3: float, eps: float, y_stride: int):
     """
     c0, clog = 3.0, 1.0
     t2 = t3
-    while tail.c_p * (c0 + clog * (math.log(t2) + 1.0)) / t2 > eps:
+    while c_p * (c0 + clog * (math.log(t2) + 1.0)) / t2 > eps:
         t2 *= 1.5
     pts, wts = (a.ravel() for a in _gauss_panels(np.array(_geom_nodes(t3, t2)), 15))
     idx = np.arange(0, n_cols, y_stride)
     if idx[-1] != n_cols - 1:
         idx = np.append(idx, n_cols - 1)
-    return idx, pts, wts * np.asarray(tail.smooth(pts), dtype=float)
+    return idx, pts, wts * np.asarray(smooth(pts), dtype=float)
 
 
 def ell_grid(
@@ -487,9 +596,9 @@ def ell_grid(
     entry of re_values, at each Im mu of im_values.
 
     Returns (values of shape (1, len(im_values)), error bound per value).
-    Needs an even test function with tail data and an equispaced Im grid of
-    at least 2 columns that starts at 0, whose step is a multiple of the
-    lattice spacing 1/16; anything else raises DomainError.  The method,
+    Needs an even Selberg minorant (its `interval` set) and an equispaced
+    Im grid of at least 2 columns that starts at 0, whose step is a
+    multiple of the lattice spacing 1/16; anything else raises DomainError.  The method,
     the lattice's half-width t3 and the smooth-tail constant c_p are
     described in the module docstring: column j is one Simpson-weighted sum
     over the psi table's slice from j stride, and both sides share the
@@ -504,9 +613,8 @@ def ell_grid(
     A row or lattice past `_check_grid_size`'s limits raises DomainError
     before any lattice array is allocated.
     """
-    tail = f.envelope.tail
-    if tail is None or not f.even:
-        raise DomainError("ell_grid requires an even test function with tail data")
+    if f.interval is None or not f.even:
+        raise DomainError("ell_grid requires an even Selberg minorant (TestFunction.interval)")
     re_values = np.asarray(re_values, dtype=float)
     ys = np.asarray(im_values, dtype=float)
     if re_values.ndim != 1 or ys.ndim != 1:
@@ -524,10 +632,7 @@ def ell_grid(
     if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
         raise DomainError("im_values must be equispaced")
     step = float(steps[0])
-    ratio = step / h
-    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise DomainError(f"im step must be a positive multiple of {h}")
-    stride = int(round(ratio))
+    stride = _lattice_stride(step)
     a = 0.25 + 0.5 * float(re_values[0])
     # the full row's column count, its size checked in floats first
     n_cols, n_out = len(ys), len(ys)
@@ -539,22 +644,21 @@ def ell_grid(
     elif y_max < ys[-1] - 1e-9:
         raise DomainError("im_max must not lie below the last of im_values")
 
-    # oscillatory cutoff: after two integrations by parts the remainder per
-    # component is rem2(T), with the component's bounds beyond T; pick T3 so
-    # the total stays within _GRID_TOL/4
-    eps_o = _GRID_TOL / (8.0 * max(len(tail.components), 1))
+    t_valid, c_p, smooth_part, omega, bounds, edges = _selberg_tail(*f.interval, f.support_radius)
+    # oscillatory cutoff: after two integrations by parts the remainder of
+    # each edge's component on each side is rem2(T), with the bounds beyond
+    # T that both edges share; pick T3 so the four stay within _GRID_TOL/4
     c0, clog, cd, cdd = 3.0, 1.0, 4.0, 8.0
-    t3 = max(tail.t_valid, _cutoff_floor(y_max, a))
+    t3 = max(t_valid, _cutoff_floor(y_max, a))
 
-    def rem2(comp, t):
-        c_q, c_dq, c_ddq = comp.bounds(t)
+    def rem2(t):
+        c_q, c_dq, c_ddq = bounds(t)
         base = (cdd * c_q + 2.0 * cd * c_dq + c0 * c_ddq) / (3.0 * t**3)
         logp = clog * c_ddq * (3.0 * math.log(t) + 1.0) / (9.0 * t**3)
-        return (base + logp) / comp.omega**2
+        return (base + logp) / omega**2
 
-    for comp in tail.components:
-        while rem2(comp, t3) > eps_o and t3 < 5e4:
-            t3 *= 1.2
+    while rem2(t3) > _GRID_TOL / 16.0 and t3 < 5e4:
+        t3 *= 1.2
     # snap to the lattice
     n_half = int(math.ceil(t3 / h))
     if n_half % 2:
@@ -588,28 +692,26 @@ def ell_grid(
     # amp_w W + amp_dw W' at t = sign t3 with psi' at the boundary points,
     # and the smooth tail, evaluated at the full row's interpolation nodes up
     # to the first at or past the last column given and interpolated
-    rem_total = sum(2.0 * rem2(c, t3) for c in tail.components)
     eps_s = _GRID_TOL / 8.0
-    idx, pts, p_wts = _smooth_tail_nodes(n_cols, tail, t3, eps_s, 16)
+    idx, pts, p_wts = _smooth_tail_nodes(n_cols, c_p, smooth_part, t3, eps_s, 16)
     idx = idx[:np.searchsorted(idx, n_out - 1) + 1]
     ends = stride * np.arange(n_out)
-    for sign, edge in ((+1, ends + nt - 1), (-1, ends)):
+    for sign, rim in ((+1, ends + nt - 1), (-1, ends)):
         amp_w = amp_dw = 0.0
-        for comp in tail.components:
-            q = float(np.asarray(comp.amplitude(np.array([sign * t3])))[0])
-            dq = comp.d_amplitude(sign * t3) * sign
-            om, ph = comp.omega, comp.phase
-            theta = om * t3 + (ph if sign > 0 else -ph)
-            amp_w -= q * math.sin(theta) / om + dq * math.cos(theta) / om**2
-            amp_dw -= q * math.cos(theta) / om**2
+        for q_of, dq_of, phase in edges:
+            q = float(q_of(sign * t3))
+            dq = dq_of(sign * t3) * sign
+            theta = omega * t3 + (phase if sign > 0 else -phase)
+            amp_w -= q * math.sin(theta) / omega + dq * math.cos(theta) / omega**2
+            amp_dw -= q * math.cos(theta) / omega**2
         smooth = _re_digamma(a, 0.5 * (sign * pts[None, :] + (idx * step)[:, None]))
-        tri = _polygamma(1, a + 1j * (0.5 * h * signed[edge]))
-        out += amp_w * table[edge] + amp_dw * (-0.5 * sign * np.imag(tri))
+        tri = _polygamma(1, a + 1j * (0.5 * h * signed[rim]))
+        out += amp_w * table[rim] + amp_dw * (-0.5 * sign * np.imag(tri))
         # a row sum, not a matrix product, whose rounding would depend on
         # how many nodes the call keeps
         out += np.interp(np.arange(n_out), idx, (smooth * p_wts).sum(axis=1))
     out -= f.integral * LOG_PI
-    return out[None, :], rem_total + 2.0 * eps_s
+    return out[None, :], 4.0 * rem2(t3) + 2.0 * eps_s
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +763,16 @@ class ExplicitFormulaReport:
 
 def _prime_range(f: TestFunction) -> int:
     # largest n with log n / 2 pi in the transform support; 0 when the
-    # support is prime-free and the prime sum vanishes identically
+    # support is prime-free and the prime sum vanishes identically.
+    # DomainError past _MAX_PRIME_N, before anything of that size is built
     if f.support_radius <= PRIME_FREE_RADIUS + 1e-15:
         return 0
-    return int(math.floor(math.exp(TWO_PI * f.support_radius) + 1e-9))
+    log_n = TWO_PI * f.support_radius
+    if log_n > math.log(_MAX_PRIME_N):
+        raise DomainError(f"transform support radius {f.support_radius:.6g} reaches the "
+                          f"prime powers up to n = e^{log_n:.6g}, past the 2^53 the prime "
+                          "sum takes")
+    return int(math.floor(math.exp(log_n) + 1e-9))
 
 
 def rhs(
@@ -681,6 +789,24 @@ def rhs(
     coefficients must cover every n with log n <= 2 pi * support_radius.
     """
     conductor = f.integral * math.log(fe.conductor) / math.pi
+    # the prime data is checked first, and its gaps are ranges, so that a
+    # wide support fails at once
+    n_max = _prime_range(f)
+    if n_max:
+        if primes is None:
+            raise IncompletenessError(
+                "prime-coefficient data required: transform support radius "
+                f"{f.support_radius:.6g} exceeds log2/(2 pi)",
+                gaps=range(2, n_max + 1),
+            )
+        if primes.bound < n_max:
+            raise IncompletenessError(
+                f"prime coefficients cover n <= {primes.bound} but the "
+                f"transform support requires n <= {n_max}",
+                gaps=range(primes.bound + 1, n_max + 1),
+            )
+        if not f.even:
+            raise DomainError("the prime sum path requires an even test function")
 
     # one batched ell over the distinct keys, each at its first mu
     keys = [(mu.real, abs(mu.imag)) if f.even else (mu.real, mu.imag) for mu in fe.spectral]
@@ -693,26 +819,11 @@ def rhs(
 
     budget = len(fe.spectral) * tol
     prime_term = 0.0
-    n_max = _prime_range(f)
     if n_max:
-        if primes is None:
-            raise IncompletenessError(
-                "prime-coefficient data required: transform support radius "
-                f"{f.support_radius:.6g} exceeds log2/(2 pi)",
-                gaps=[n for n in range(2, n_max + 1)],
-            )
-        if primes.bound < n_max:
-            raise IncompletenessError(
-                f"prime coefficients cover n <= {primes.bound} but the "
-                f"transform support requires n <= {n_max}",
-                gaps=[n for n in range(primes.bound + 1, n_max + 1)],
-            )
-        if not f.even:
-            raise DomainError("the prime sum path requires an even test function")
         # f even: fhat(-x) = fhat(x), so c fhat(x) + conj(c) fhat(-x) = 2 Re(c) fhat(x);
         # one transform call over every n with c(n) != 0, and cumsum, not sum,
         # so that the terms are added in n order
-        ns = [n for n in range(2, n_max + 1) if primes(n) != 0]
+        ns = sorted(n for n in primes.values if 2 <= n <= n_max and primes(n) != 0)
         x = np.array([math.log(n) for n in ns]) / TWO_PI
         c = np.array([primes(n).real for n in ns])
         terms = 2.0 * c * fourier_at(f, x) / np.sqrt(ns)

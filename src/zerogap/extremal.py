@@ -38,12 +38,10 @@ alone.  The pointwise explicit-formula term and ``fourier_at`` read only
 this transform.  The Selberg minorant also carries the transform's exact
 derivative on [0, delta], from the derivatives of Vaaler's J^ and of
 sin(w)/w, with their series where the closed forms cancel, for the column
-floor ``explicit_formula.ell_column_floor``.  It is also carried beyond
-its last sign change as an explicit tail decomposition (smooth part plus
-amplitude-times-cosine components, whose amplitude and derivative bounds
-are functions of a cutoff) for the one-row lattice evaluator
-``explicit_formula.ell_grid``, which certification runs on it alone; the
-Fejer kernels carry only their decay envelope.
+floor ``explicit_formula.ell_column_floor``, and records its window
+(alpha, beta) as ``interval``, from which the one-row lattice evaluator
+``explicit_formula.ell_grid`` builds its tail; the Fejer kernels carry
+neither.
 
 Every decay envelope |f(t)| <= m/t^2 holds on both tails, |t| >= t0.  The
 Fejer kernels' constants are closed forms.  The Selberg minorant's comes in
@@ -54,16 +52,6 @@ cancel, B(u) - sgn(u) = (1 - cos 2 pi u) w(u)/pi^2, and the trigamma bounds
 1/x + 1/(2x^2) < psi'(x) < 1/x + 1/(2x^2) + 1/(6x^3) for x > 0 (H. Alzer,
 "On some inequalities for the gamma and psi functions", Math. Comp. 66,
 1997) give |w(u)| <= 1/(2u^2) + 1/(6|u|^3), hence a closed-form bound.
-
-The same paper's (k-1)!/x^k + k!/(2x^{k+1}) < (-1)^{k+1} psi^(k)(x) <
-(k-1)!/x^k + k!/x^{k+1} for x > 0, at k = 2 and 3, bound the derivatives:
-|w'(u)| <= 2/|u|^3 and |w''(u)| <= 6/u^4 for |u| >= 1/2.  On the branch
-u <= -1/2, with x = -u, w' = -psi''(x) - 1/x^2 lies in (1/x^3, 2/x^3) and
-w'' = psi'''(x) - 2/x^3 in (3/x^4, 6/x^4); for u > 0, psi'(1 + u) =
-psi'(u) - 1/u^2 puts w' in (-1/u^3, 0) and w'' in (0, 3/u^4).  Taken at
-u = delta (t - max(|alpha|, |beta|)), the three bounds give the tail
-components' amplitude bounds beyond a cutoff t (`OscComponent.bounds`),
-from which ``explicit_formula.ell_grid`` sizes its lattice.
 """
 
 from __future__ import annotations
@@ -76,13 +64,7 @@ from typing import Callable, Optional, Tuple, Union
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .special_math import (
-    DecayEnvelope,
-    OscComponent,
-    TailDecomposition,
-    _polygamma,
-    trigamma_real,
-)
+from .special_math import DecayEnvelope, _polygamma, trigamma_real
 
 __all__ = [
     "TestFunction",
@@ -110,11 +92,11 @@ class TestFunction:
     |t| >= T0, on both tails: in closed form for the Fejer kernels; for the
     Selberg minorant, M is the larger of a 5%-inflated sample of t^2 |f| over
     the first lobes beyond T0 and an analytic bound past them (see the
-    module docstring), and the envelope also carries the structured tail.
-    f is even about centre, f(centre + t) = f(centre - t), and
-    fourier_centred is the exact transform of its centred copy f(. + centre),
-    xi -> f^(xi) e^{2 pi i xi centre}: vectorized, real, even, and zero for
-    |xi| >= support_radius.
+    module docstring).  f is even about centre, f(centre + t) =
+    f(centre - t), and fourier_centred is the exact transform of its
+    centred copy f(. + centre), xi -> f^(xi) e^{2 pi i xi centre}:
+    vectorized, real, even, and zero for |xi| >= support_radius.  interval
+    is the Selberg minorant's window (alpha, beta), None for the kernels.
     """
 
     value: Callable
@@ -126,6 +108,7 @@ class TestFunction:
     centre: float = 0.0
     label: str = ""
     fourier_centred_deriv: Optional[Callable] = None
+    interval: Optional[Tuple[float, float]] = None
 
     @cached_property
     def positivity_window(self) -> Union[Tuple[float, float], str, None]:
@@ -180,14 +163,10 @@ def _beurling_w_deriv(u: float) -> float:
 
 
 def _beurling_w_bounds(x: float) -> Tuple[float, float, float]:
-    """Bounds on |w(u)|, |w'(u)| and |w''(u)| over |u| >= x >= 1/2 (module
-    docstring): 1/(2x^2) + 1/(6x^3), 2/x^3 and 6/x^4."""
+    """Bounds on |w(u)|, |w'(u)| and |w''(u)| over |u| >= x >= 1/2 (this
+    module's and `explicit_formula`'s docstrings): 1/(2x^2) + 1/(6x^3),
+    2/x^3 and 6/x^4."""
     return 0.5 / x**2 + 1.0 / (6.0 * x**3), 2.0 / x**3, 6.0 / x**4
-
-
-# a constant bound on |w(u)| for |u| >= 1 (|w(-1)| = pi^2/6 - 1 ~ 0.645):
-# only the Selberg tail's smooth-part constant c_p takes it
-_W_BOUND = 0.70
 
 
 # edge tolerances: the tightest relative one scipy's brentq accepts, and an
@@ -383,57 +362,6 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         out = -0.5 * (b[0] + b[1])
         return float(out) if tv.ndim == 0 else out
 
-    # tail structure for |t| >= t_valid: both Beurling arguments have
-    # modulus >= 1.5 there, so the w-form of B applies on both sides
-    s_max = max(abs(alpha), abs(beta))
-    t_valid = s_max + 1.5 / delta
-    omega = 2.0 * math.pi * delta
-    half = 1.0 / (2.0 * math.pi**2)
-
-    def ua(t):
-        return delta * (alpha - np.asarray(t, dtype=float))
-
-    def ub(t):
-        return delta * (np.asarray(t, dtype=float) - beta)
-
-    def smooth(t):
-        return -half * (_beurling_w(ua(t)) + _beurling_w(ub(t)))
-
-    def q_a(t):
-        return half * _beurling_w(ua(t))
-
-    def dq_a(t):
-        return -half * delta * _beurling_w_deriv(float(ua(t)))
-
-    def q_b(t):
-        return half * _beurling_w(ub(t))
-
-    def dq_b(t):
-        return half * delta * _beurling_w_deriv(float(ub(t)))
-
-    def bounds(t):
-        # the sups over |s| >= t >= t_valid of s^2 |Q|, |s|^3 |Q'| and
-        # s^4 |Q''| for either component: both have |u| >= x = delta
-        # (|s| - s_max), and s^k/(|s| - s_max)^j, j >= k, falls in |s|, so
-        # each sup is taken at |s| = t
-        w, dw, ddw = _beurling_w_bounds(delta * (t - s_max))
-        return half * t * t * w, half * delta * t**3 * dw, half * delta**2 * t**4 * ddw
-
-    # |P| <= c_p/t^2 for |t| >= t_valid, from |u| >= kappa delta |t| there:
-    # loose on purpose, since it sizes ell_grid's smooth-tail end, whose
-    # one-signed remainder carries the pinned headline margin's rounding
-    # (explicit_formula module docstring)
-    kappa = 1.5 / (delta * t_valid)
-    c_p = 2.0 * (half * _W_BOUND / (delta * kappa) ** 2)
-    tail = TailDecomposition(
-        t_valid=t_valid,
-        smooth=smooth, c_p=c_p,
-        components=(
-            OscComponent(q_a, dq_a, omega, -omega * alpha, bounds),
-            OscComponent(q_b, dq_b, omega, -omega * beta, bounds),
-        ),
-    )
-
     # Vaaler (1985), for the window centred at 0 (L = beta - alpha):
     # S^(xi) = J^(xi/delta) L sinc(xi L) - (1/delta) K^(xi/delta) cos(pi xi L),
     # K^(u) = (1 - |u|)_+
@@ -459,17 +387,17 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
                + np.cos(w) / delta + math.pi * length * (1.0 - u) * np.sin(w)) / delta
         return np.where(u < 1.0, out, 0.0)
 
-    t0_env = s_max + 0.66 / delta
+    t0_env = max(abs(alpha), abs(beta)) + 0.66 / delta
     m_env = _selberg_envelope_m(value, alpha, beta, delta, t0_env)
-    envelope = DecayEnvelope(m=m_env, t0=t0_env, tail=tail)
 
     return TestFunction(
         value=value,
         integral=beta - alpha - 1.0 / delta,
         support_radius=delta,
         find_window=lambda: _find_window(value, alpha, beta, delta),
-        envelope=envelope,
+        envelope=DecayEnvelope(m=m_env, t0=t0_env),
         centre=0.5 * (alpha + beta),
+        interval=(alpha, beta),
         fourier_centred=ft,
         fourier_centred_deriv=ft_deriv,
         label=f"selberg[{alpha:g},{beta:g}]@{delta:g}",

@@ -343,15 +343,22 @@ def c_coefficients(data: LFunctionData, N: int, *,
     """Log-derivative coefficients c(p^k) for prime powers p^k <= N.
 
     Requires a_p, ..., a_{p^k} for every p^k <= N; anything missing raises
-    an incompleteness error listing the gaps.  With skip_gaps=True each
-    prime is expanded only up to its first missing power and the returned
-    bound shrinks to the last n with complete coverage, so downstream
-    consumers cannot mistake an omitted c(n) for zero.
+    an incompleteness error listing the gaps.  Every prime past the last
+    coefficient given is a gap, so only the primes up to the first of them,
+    P, are expanded, whatever N (Bertrand's postulate puts P below twice
+    the last n given), and the gaps listed are those of the primes up to P.
+    With skip_gaps=True each prime is expanded only up to its first missing
+    power and the returned bound shrinks to the last n with complete
+    coverage, so downstream consumers cannot mistake an omitted c(n) for
+    zero.
     """
     values: Dict[int, complex] = {}
     gaps = []
     first_skipped = None
-    for p in _primes_upto(N):
+    top = max(data.coefficients, default=1) + 1
+    while top < N and not _is_prime(top):
+        top += 1
+    for p in _primes_upto(min(N, top)):
         k_max = int(math.floor(math.log(N) / math.log(p) + 1e-12))
         k_top, missing = k_max, []
         for j in range(1, k_max + 1):
@@ -372,9 +379,11 @@ def c_coefficients(data: LFunctionData, N: int, *,
             psums.append(pk)
             values[p**k] = -pk * logp
     if gaps and not skip_gaps:
+        beyond = (f", and a_n for every prime power n <= {N} of a prime above {top}"
+                  if top < N else "")
         raise IncompletenessError(
             "insufficient local data for c(n): missing "
-            + ", ".join(f"a_{m}" for m in sorted(gaps)),
+            + ", ".join(f"a_{m}" for m in sorted(gaps)) + beyond,
             gaps=sorted(gaps),
         )
     bound = N if first_skipped is None else min(N, first_skipped - 1)

@@ -1,4 +1,4 @@
-"""Special functions and test-function tail data.
+"""Special functions and the decay envelope of a test function.
 
 Every polygamma here comes from one kernel, ``_polygamma(m, z)`` for
 m = 0, 1, 2 and real or complex z with Re z > 0, on one Bernoulli table: the
@@ -21,20 +21,13 @@ Like ``_polygamma``, it sums all six terms at every point, so each Re psi
 value, too, depends on its own point alone.
 
 ``DecayEnvelope`` declares |f(t)| <= m/t^2 beyond t0, which bounds the mass
-of unlisted zeros.  Its optional ``TailDecomposition``
-
-    f(t) = P(t) + sum_i Q_i(t) * cos(omega_i t + phi_i)   for |t| >= t_valid
-
-is set only by the Selberg minorant and feeds only the lattice evaluator
-``explicit_formula.ell_grid``, which still integrates in the time domain and
-finishes the tails analytically.
+of unlisted zeros.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,8 +35,6 @@ from .errors import DomainError
 
 __all__ = [
     "DecayEnvelope",
-    "OscComponent",
-    "TailDecomposition",
     "digamma",
     "trigamma_real",
 ]
@@ -205,51 +196,13 @@ def _re_digamma_series(a: float, v2: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Decay envelopes and structured tails
+# Decay envelopes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class OscComponent:
-    """One oscillatory tail component  Q(t) * cos(omega t + phase).
-
-    The amplitude callables must be valid for |t| >= the owning
-    decomposition's t_valid, on both tails.  The bounds are a function of
-    the cutoff: bounds(t), for t >= t_valid, returns (c_q, c_dq, c_ddq)
-    with |Q(s)| <= c_q/s^2, |Q'(s)| <= c_dq/|s|^3 and |Q''(s)| <= c_ddq/s^4
-    for every |s| >= t.
-    """
-
-    amplitude: Callable
-    d_amplitude: Callable
-    omega: float
-    phase: float
-    bounds: Callable
-
-
-@dataclass(frozen=True)
-class TailDecomposition:
-    """Exact structure of a test function beyond |t| >= t_valid.
-
-    g(t) = smooth(t) + sum_i amplitude_i(t) cos(omega_i t + phase_i),
-    with |smooth| <= c_p/t^2.
-    """
-
-    t_valid: float
-    smooth: Callable
-    c_p: float
-    components: tuple = ()
-
-
-@dataclass(frozen=True)
 class DecayEnvelope:
-    """Quadratic-decay declaration |g(t)| <= m/t^2 for |t| >= t0.
-
-    ``tail`` optionally supplies the structured decomposition that the
-    lattice evaluator ``ell_grid`` finishes analytically; only the Selberg
-    minorant sets it.
-    """
+    """Quadratic-decay declaration |g(t)| <= m/t^2 for |t| >= t0."""
 
     m: float
     t0: float
-    tail: Optional[TailDecomposition] = None

@@ -365,9 +365,8 @@ def test_package_logger_silent_by_default():
 
 @pytest.mark.parametrize("rect", [
     dict(im_max=1e7),  # a lattice of 8e8 entries, a 6 GB table
-    dict(re_max=1e7),  # 4e7 rows
-    dict(step=1e-4),  # 1e11 grid values
-])
+    dict(step=1e-4),  # a row of 2e6 values
+], ids=["im_max", "step"])
 def test_oversized_rectangle_refused_before_allocating(rect):
     tracemalloc.start()
     try:
@@ -377,6 +376,32 @@ def test_oversized_rectangle_refused_before_allocating(rect):
     finally:
         tracemalloc.stop()
     assert peak <= 2**20  # the minorant's own samples, not the grid
+
+
+def test_off_lattice_step_refused_before_allocating():
+    # a row of 1e6 values is within the size limits, but a step of 2e-4 is
+    # off the lattice: refused before the column floor's 150 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="multiple of"):
+            certify_gap(4, CERT_LENGTH, step=2e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+def test_re_max_sizes_nothing_built():
+    # only the Re mu = 0 row is built, so a rectangle of 4e7 rows certifies
+    # as the default one does: the same margin, bit for bit, and the same
+    # certificate apart from re_max and grid_shape
+    wide = certify_gap(4, CERT_LENGTH, re_max=1e7).to_dict()
+    base = certify_gap(4, CERT_LENGTH).to_dict()
+    assert wide["margin"] == base["margin"]
+    assert wide["search_domain"]["grid_shape"] == [40_000_001, 801]
+    for cert in (wide, base):
+        del cert["search_domain"]["re_max"], cert["search_domain"]["grid_shape"]
+    assert wide == base
 
 
 def test_headline_certificate_columns_are_the_column_floors():

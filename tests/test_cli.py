@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -337,6 +338,20 @@ def test_verify_example_unreachable_tol_exits_accuracy(capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("accuracy failure: ell quadrature error")
+
+
+@pytest.mark.parametrize("delta, code", [("2.5", 3), ("3", 3), ("200", 1)])
+def test_verify_example_wide_support_refused_at_once(capsys, delta, code):
+    # the bundled data ends at a_13 (a_8 missing), so every prime from 17
+    # on is a gap: listed without enumerating the primes up to e^(2 pi
+    # delta), and at delta = 200 that bound is past the prime sum's 2^53.
+    # An exception that escaped main would fail the test with its traceback
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "verify-example", "--delta", delta)
+    assert time.perf_counter() - start < 2.0
+    assert (rc, out) == (code, "")
+    assert err.startswith("incomplete data:" if code == 3 else "error:")
+    assert len(err.encode()) < 10_000
 
 
 def test_negative_self_dual_zero_exits_at_load(capsys, tmp_path):

@@ -27,7 +27,7 @@ from zerogap.explicit_formula import (
 )
 from zerogap.extremal import fejer, fourier_at, selberg_minorant, windowed_fejer
 from zerogap.lfunctions import FunctionalEquation, LogDerivativeCoefficients, c_coefficients
-from zerogap.special_math import DecayEnvelope, digamma
+from zerogap.special_math import digamma
 
 NU2 = 12.4687522615131728082
 
@@ -382,8 +382,8 @@ def _rows(f, im_v, y_stride=16):
     # to 3.5e-8 apart here)
     smooth_tail_nodes = ef._smooth_tail_nodes
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ef, "_smooth_tail_nodes",
-                   lambda ys, tail, t3, eps, _: smooth_tail_nodes(ys, tail, t3, eps, y_stride))
+        mp.setattr(ef, "_smooth_tail_nodes", lambda ys, c_p, smooth, t3, eps, _:
+                   smooth_tail_nodes(ys, c_p, smooth, t3, eps, y_stride))
         rows = [ell_grid(f, [re], im_v) for re in FOLD_RE]
     return np.vstack([row for row, _ in rows]), rows[0][1]
 
@@ -414,7 +414,7 @@ def test_ell_grid_fold_matches_stride_one(cert_minorant, stride_one_grid, step, 
     assert coarse[:, ::16].tobytes() == np.ascontiguousarray(fine[:, ::16 * stride]).tobytes()
 
 
-def test_ell_grid_columns_are_sums_of_their_simpson_products(cert_minorant):
+def test_ell_grid_columns_are_sums_of_their_simpson_products(cert_minorant, monkeypatch):
     # the headline row's correlation part alone (no tail components, no
     # smooth part, no log pi term) against math.fsum of its products, built
     # here on the whole lattice |t| <= t3 = 420 without the mirroring.  Any
@@ -422,10 +422,17 @@ def test_ell_grid_columns_are_sums_of_their_simpson_products(cert_minorant):
     # the sum of their moduli (N. J. Higham, Accuracy and Stability of
     # Numerical Algorithms, 2nd ed., 2002, (4.4)), 1e-10 here; the row's 66
     # columns sit 0 to 40 ulps, at most 2.9e-13, from the exact sum
-    env = cert_minorant.envelope
-    bare = replace(cert_minorant, integral=0.0, envelope=replace(
-        env, tail=replace(env.tail, components=(), smooth=np.zeros_like)))
-    row, _ = ell_grid(bare, [0.0], HEADLINE_IM[:66], im_max=200.0)
+    selberg_tail = ef._selberg_tail
+
+    def bare_tail(*window):
+        # the tail's cutoff bounds kept, its values zeroed
+        t_valid, c_p, _, omega, bounds, edges = selberg_tail(*window)
+        zero = np.zeros_like
+        return t_valid, c_p, zero, omega, bounds, tuple((zero, zero, p) for _, _, p in edges)
+
+    monkeypatch.setattr(ef, "_selberg_tail", bare_tail)
+    row, _ = ell_grid(replace(cert_minorant, integral=0.0), [0.0], HEADLINE_IM[:66],
+                      im_max=200.0)
     h, n_half = ef._LATTICE_H, 6720
     n = 2 * n_half + 1
     k = np.arange(n) - n_half
@@ -460,9 +467,9 @@ def test_ell_grid_headline_cutoff_is_the_column_floor(cert_minorant, monkeypatch
     cutoffs = []
     smooth_tail_nodes = ef._smooth_tail_nodes
 
-    def spy(ys, tail, t3, eps, y_stride):
+    def spy(ys, c_p, smooth, t3, eps, y_stride):
         cutoffs.append(t3)
-        return smooth_tail_nodes(ys, tail, t3, eps, y_stride)
+        return smooth_tail_nodes(ys, c_p, smooth, t3, eps, y_stride)
 
     monkeypatch.setattr(ef, "_smooth_tail_nodes", spy)
     ell_grid(cert_minorant, [0.0], HEADLINE_IM)
@@ -591,6 +598,34 @@ def test_column_floor_off_centre_is_centred_at_shifted_mu():
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _mp_h_and_deriv(params):
+    """h, h' (for x < X), fhat(0) and delta of a centred Selberg minorant in
+    the working precision, h' from the transform's derivative taken by hand."""
+    assert params[0] == -params[1]
+    fhat, f0, delta = _mp_transform("selberg", params)
+    length = 2 * mpmath.mpf(params[1])
+
+    def h(x):
+        return (f0 - mpmath.re(fhat(x / (4 * mpmath.pi)))) / -mpmath.expm1(-x)
+
+    @lru_cache(maxsize=None)
+    def dh(x):
+        # fhat = j(u) sin(pi xi L)/(pi xi) - (1 - u) cos(pi xi L)/delta,
+        # j(u) = (1 - u) pi u cot(pi u) + u, u = xi/delta; each x once,
+        # whatever a
+        pi = mpmath.pi
+        xi, em1 = x / (4 * pi), mpmath.expm1(-x)
+        u, sin, cos = xi / delta, mpmath.sin(pi * xi * length), mpmath.cos(pi * xi * length)
+        cot = mpmath.cot(pi * u)
+        j = (1 - u) * pi * u * cot + u
+        dj = (1 - 2 * u) * pi * cot - (1 - u) * u * pi**2 * (1 + cot**2) + 1
+        dfhat = (dj / delta * sin / (pi * xi) + j * (length * cos / xi - sin / (pi * xi**2))
+                 + cos / delta**2 + (1 - u) / delta * pi * length * sin)
+        h_x = (f0 - j * sin / (pi * xi) + (1 - u) * cos / delta) / -em1
+        return -(dfhat / (4 * pi) + (1 + em1) * h_x) / -em1
+    return h, dh, f0, delta
+
+
 def _mp_column_floors(params, points):
     """The column floor of a centred Selberg minorant at 30 digits at each
     (Re mu, Im mu) of points, twice: with C's integral of e^-ax |h'| exact,
@@ -600,29 +635,9 @@ def _mp_column_floors(params, points):
     from the transform's derivative taken by hand, checked against
     mpmath.diff on every fourth sample.  X > 1, so Y = X and the spans are
     [0, X/2] and [X/2, X]."""
-    assert params[0] == -params[1]
     with mpmath.workdps(30):
-        fhat, f0, delta = _mp_transform("selberg", params)
-        length, big_x = 2 * mpmath.mpf(params[1]), 4 * mpmath.pi * delta
-
-        def h(x):
-            return (f0 - mpmath.re(fhat(x / (4 * mpmath.pi)))) / -mpmath.expm1(-x)
-
-        @lru_cache(maxsize=None)
-        def dh(x):
-            # fhat = j(u) sin(pi xi L)/(pi xi) - (1 - u) cos(pi xi L)/delta,
-            # j(u) = (1 - u) pi u cot(pi u) + u, u = xi/delta; each x once,
-            # whatever a
-            pi = mpmath.pi
-            xi, em1 = x / (4 * pi), mpmath.expm1(-x)
-            u, sin, cos = xi / delta, mpmath.sin(pi * xi * length), mpmath.cos(pi * xi * length)
-            cot = mpmath.cot(pi * u)
-            j = (1 - u) * pi * u * cot + u
-            dj = (1 - 2 * u) * pi * cot - (1 - u) * u * pi**2 * (1 + cot**2) + 1
-            dfhat = (dj / delta * sin / (pi * xi) + j * (length * cos / xi - sin / (pi * xi**2))
-                     + cos / delta**2 + (1 - u) / delta * pi * length * sin)
-            h_x = (f0 - j * sin / (pi * xi) + (1 - u) * cos / delta) / -em1
-            return -(dfhat / (4 * pi) + (1 + em1) * h_x) / -em1
+        h, dh, f0, delta = _mp_h_and_deriv(params)
+        big_x = 4 * mpmath.pi * delta
 
         def quad(g, edges):
             value, error = mpmath.quad(g, edges, method="gauss-legendre", error=True)
@@ -667,6 +682,29 @@ def test_column_floor_matches_mpmath():
     for (re, im), (exact, want) in zip(points, _mp_column_floors(params, points)):
         got = float(ell_column_floor([re], f)([im])[0, 0])
         assert got <= want <= exact and want - got <= 1e-9, (re, im, want - got)
+
+
+@pytest.mark.parametrize("name", ["headline", "narrow"])
+def test_column_floor_h_deriv_rounding_is_bounded(name):
+    # near x = 0 the closed-form h' cancels twice, which leaves its float
+    # value about 2.6e-8 relative off at the first node (headline); at the
+    # floor's first 48 Gauss nodes, those of the first panel's value rule,
+    # it lies within the rounding bound the floor adds to |h'| of the
+    # 30-digit h', and that bound stays below 1e-5 of |h'|
+    f = FLOOR_KERNELS[name]
+    alpha, beta = f.interval
+    big_x = 4.0 * math.pi * f.support_radius
+    width = ef._ell_spans(big_x, max(big_x, 1.0))[0][1] / ef._FLOOR_PANELS
+    x = ef._gauss_panels(np.array([0.0, width]), ef._NODES, 2 * ef._NODES)[0][0, ef._NODES:]
+    xi = x / (4.0 * math.pi)
+    h_deriv, h_err = ef._h_deriv(x, float(f.fourier_centred(0.0)), f.fourier_centred(xi),
+                                 f.fourier_centred_deriv(xi), beta - alpha, f.support_radius)
+    with mpmath.workdps(30):
+        dh = _mp_h_and_deriv((alpha, beta, f.support_radius))[1]
+        want = [dh(mpmath.mpf(float(v))) for v in x]
+        err = np.array([float(abs(mpmath.mpf(float(g)) - w)) for g, w in zip(h_deriv, want)])
+    assert (err <= h_err).all()
+    assert (h_err <= 1e-5 * np.abs(np.array(want, dtype=float))).all()
 
 
 def test_column_floor_domain():
@@ -792,11 +830,11 @@ def test_ell_grid_input_validation(cert_minorant):
                        ([0.0], [0.0, np.inf]), ([0.0], [0.0, np.nan])):
         with pytest.raises(DomainError):
             ell_grid(cert_minorant, re_v, im_v)
-    crude = replace(cert_minorant,
-                    envelope=DecayEnvelope(m=1.0, t0=30.0, tail=None))
-    # only the Selberg minorant carries the tail data the lattice finishes
-    for f in (crude, fejer(PRIME_FREE_RADIUS), windowed_fejer(14.13, PRIME_FREE_RADIUS)):
-        with pytest.raises(DomainError):
+    # the lattice builds its tail from an even Selberg minorant's window
+    for f in (replace(cert_minorant, interval=None), fejer(PRIME_FREE_RADIUS),
+              windowed_fejer(14.13, PRIME_FREE_RADIUS),
+              selberg_minorant(0.0, 45.5, PRIME_FREE_RADIUS)):
+        with pytest.raises(DomainError, match="even Selberg minorant"):
             ell_grid(f, [0.0], [0.0, 0.25])
 
 
@@ -839,6 +877,25 @@ def test_rhs_prime_sum_gate():
     short = LogDerivativeCoefficients(values={2: 0j}, bound=1)
     with pytest.raises(IncompletenessError):
         rhs(fe, wide, short)
+
+
+def test_rhs_wide_support_refused_at_once():
+    # delta = 3 needs c(n) up to n = e^(6 pi) ~ 1.5e8: refused before any
+    # work of that size, the gaps kept as ranges; past 2^53 the support is
+    # out of the prime sum's domain
+    wide = selberg_minorant(-30.0, 30.0, 3.0)
+    fe = _fe((0j, 0j))
+    n_max = int(math.exp(6.0 * math.pi))
+    start = time.perf_counter()
+    with pytest.raises(IncompletenessError) as info:
+        rhs(fe, wide)
+    assert info.value.gaps == range(2, n_max + 1)
+    with pytest.raises(IncompletenessError) as info:
+        rhs(fe, wide, LogDerivativeCoefficients(values={2: 0j}, bound=7))
+    assert info.value.gaps == range(8, n_max + 1)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(DomainError, match="2\\^53"):
+        rhs(fe, selberg_minorant(-30.0, 30.0, 200.0))
 
 
 def test_rhs_prime_sum_needs_even_f():

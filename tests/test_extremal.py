@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 from zerogap import certification, extremal
 from zerogap.certification import certify_gap
 from zerogap.errors import AccuracyError, DomainError
-from zerogap.explicit_formula import PRIME_FREE_RADIUS, verify
+from zerogap.explicit_formula import PRIME_FREE_RADIUS, _selberg_tail, verify
 from zerogap.extremal import (
     _NEAR_LOBES,
     _RTOL,
@@ -441,17 +441,6 @@ def test_selberg_envelope_m_regression(delta, m):
     assert f.envelope.m == pytest.approx(m, rel=1e-14, abs=0.0)
 
 
-def test_selberg_tail_reconstructs_function(cert_minorant):
-    tail = cert_minorant.envelope.tail
-    ts = np.concatenate([np.linspace(tail.t_valid, tail.t_valid + 200.0, 4001),
-                         -np.linspace(tail.t_valid, tail.t_valid + 200.0, 4001)])
-    rec = np.asarray(tail.smooth(ts), dtype=float)
-    for comp in tail.components:
-        rec = rec + np.asarray(comp.amplitude(ts)) * np.cos(comp.omega * ts + comp.phase)
-    direct = np.asarray(cert_minorant.value(ts))
-    assert np.max(np.abs(rec - direct)) < 1e-10
-
-
 # the Selberg windows of test_explicit_formula's FLOOR_KERNELS
 TAIL_WINDOWS = {
     "headline": (-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0, PRIME_FREE_RADIUS),
@@ -461,26 +450,38 @@ TAIL_WINDOWS = {
 }
 
 
+def test_selberg_tail_reconstructs_function():
+    # P + sum_edges Q cos(omega t + phase) is the minorant beyond t_valid
+    for window in TAIL_WINDOWS.values():
+        t_valid, _, smooth, omega, _, edges = _selberg_tail(*window)
+        ts = np.concatenate([np.linspace(t_valid, t_valid + 200.0, 4001),
+                             -np.linspace(t_valid, t_valid + 200.0, 4001)])
+        rec = np.asarray(smooth(ts), dtype=float)
+        for q, _, phase in edges:
+            rec = rec + np.asarray(q(ts)) * np.cos(omega * ts + phase)
+        direct = np.asarray(selberg_minorant(*window).value(ts))
+        assert np.max(np.abs(rec - direct)) < 1e-10
+
+
 def test_selberg_tail_component_bounds():
     # at each cutoff t, s^2 |Q|, |s|^3 |Q'| and s^4 |Q''| stay within the
-    # component's bounds(t) at every sampled |s| >= t on both tails: 40 steps
-    # of 1/delta past t, then geometrically out to 1e4 t.  Q'' is a central
-    # difference of d_amplitude, with 1e-6 relative allowed for its error
+    # shared bounds(t) at every sampled |s| >= t on both tails, for both
+    # edges: 40 steps of 1/delta past t, then geometrically out to 1e4 t.
+    # Q'' is a central difference of Q', with 1e-6 relative allowed for its
+    # error
     h = 1e-2
     for window in TAIL_WINDOWS.values():
-        f = selberg_minorant(*window)
-        tail = f.envelope.tail
-        for t in (tail.t_valid, 2.0 * tail.t_valid, 420.0, 1000.0):
-            s = np.concatenate([t + np.arange(40) / f.support_radius,
+        t_valid, _, _, _, bounds, edges = _selberg_tail(*window)
+        for t in (t_valid, 2.0 * t_valid, 420.0, 1000.0):
+            s = np.concatenate([t + np.arange(40) / window[2],
                                 t * np.geomspace(1.0, 1e4, 41)])
             s = np.concatenate([s, -s])
-            for comp in tail.components:
-                c_q, c_dq, c_ddq = comp.bounds(t)
-                assert np.all(s * s * np.abs(comp.amplitude(s)) <= c_q)
-                dq = np.array([comp.d_amplitude(v) for v in s])
+            c_q, c_dq, c_ddq = bounds(t)
+            for q, d_q, _ in edges:
+                assert np.all(s * s * np.abs(q(s)) <= c_q)
+                dq = np.array([d_q(v) for v in s])
                 assert np.all(np.abs(s) ** 3 * np.abs(dq) <= c_dq)
-                ddq = np.array([comp.d_amplitude(v + h) - comp.d_amplitude(v - h)
-                                for v in s]) / (2.0 * h)
+                ddq = np.array([d_q(v + h) - d_q(v - h) for v in s]) / (2.0 * h)
                 assert np.all(s**4 * np.abs(ddq) <= c_ddq * (1.0 + 1e-6))
 
 

@@ -286,6 +286,21 @@ def test_c_coefficients_gap_detection(bundled):
     assert info.value.gaps == [8]
 
 
+def test_c_coefficients_gaps_beyond_the_data_are_bounded(bundled):
+    # the data ends at a_13, so 17 is the first prime past it: only primes
+    # up to 17 are expanded, whatever N, and the message covers the rest
+    with pytest.raises(IncompletenessError) as info:
+        c_coefficients(bundled, 10**8)
+    gaps = info.value.gaps
+    assert gaps[:3] == [8, 16, 17] and 19 not in gaps and max(gaps) <= 10**8
+    assert "prime above 17" in str(info.value)
+    with pytest.raises(IncompletenessError) as info:
+        c_coefficients(bundled, 23)
+    assert info.value.gaps == [8, 16, 17]
+    assert c_coefficients(bundled, 10**8, skip_gaps=True) == c_coefficients(bundled, 23,
+                                                                              skip_gaps=True)
+
+
 def test_c_coefficients_skip_gaps(bundled):
     c = c_coefficients(bundled, 13, skip_gaps=True)
     assert c.bound == 7  # first uncovered prime power caps the guarantee

@@ -57,7 +57,7 @@ import logging
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -71,7 +71,6 @@ from .explicit_formula import (
     _cutoff_floor,
     _lattice_stride,
     _step_count,
-    _step_grid,
     convention_scale,
     ell,
     ell_column_floor,
@@ -165,6 +164,18 @@ class GapCertificate:
         }
 
 
+def _first_cleared(clears: Callable[[np.ndarray], np.ndarray], n: int) -> int:
+    """One past the last column of 0..n-1 where clears (nondecreasing, false
+    at 0) is false, from up to 31 evenly spaced probes a step."""
+    lo, hi = 0, n
+    while hi - lo > 1:
+        ends = np.append(np.arange(lo, hi, -(-(hi - lo) // 32)), hi)
+        below = np.flatnonzero(~clears(ends[1:-1]))
+        j = below[-1] + 1 if below.size else 0
+        lo, hi = int(ends[j]), int(ends[j + 1])
+    return hi
+
+
 def min_ell_over_mu(
     f: TestFunction,
     re_max: float = 50.0,
@@ -185,7 +196,8 @@ def min_ell_over_mu(
     `ell_column_floor` exceeds the pad u + 2 _GRID_TOL (twice ell_grid's
     budget of _GRID_TOL / 2, plus room for u's tolerance, checked after the
     call) lies above that minimum.  The floor is nondecreasing in Im mu, so
-    the columns it clears are a suffix, from floor_clears_at on; ell_grid
+    the columns it clears are a suffix, from floor_clears_at on, found by
+    `_first_cleared` on a few columns of the row, not all of it; ell_grid
     finishes the columns before it, at least 2, counted in
     columns_evaluated, on the full row's lattice (its leading-columns
     call), so the values are the uncut row's, bit for bit, whatever
@@ -204,16 +216,16 @@ def min_ell_over_mu(
     if not float(f.fourier_centred(0.0)) > 0.0:
         raise DomainError("min_ell_over_mu needs fhat(0) > 0: otherwise ell has no "
                           "minimum over Re mu >= 0")
-    n_re = _step_count(re_max, step)
-    im_values = _step_grid(im_max, step)
+    n_re, n_im = _step_count(re_max, step), _step_count(im_max, step)
 
     u = ell(0.0, f, tol=_INCUMBENT_TOL)
     pad = u + 2.0 * _GRID_TOL
-    column_floor = ell_column_floor([0.0], f)(k * im_values)[0]
-    cols = int(max(np.flatnonzero(~(column_floor > pad)), default=0)) + 1
-    c0 = float(im_values[cols]) if cols < len(im_values) else None
-    cols = min(max(cols, 2), len(im_values))
-    vals, error_bound = ell_grid(f, [0.0], k * im_values[:cols], im_max=k * im_values[-1])
+    column_floor = ell_column_floor([0.0], f)
+    cols = _first_cleared(lambda j: column_floor(k * (step * j))[0] > pad, n_im)
+    c0 = float(step * cols) if cols < n_im else None
+    cols = min(max(cols, 2), n_im)
+    im_values = step * np.arange(cols)
+    vals, error_bound = ell_grid(f, [0.0], k * im_values, im_max=k * (step * (n_im - 1)))
     if 2.0 * error_bound + _INCUMBENT_TOL > 2.0 * _GRID_TOL:
         raise AccuracyError(f"ell_grid error bound {error_bound:.3e} leaves no room in "
                             f"the pruning pad 2 x {_GRID_TOL:.3e}", best=None)
@@ -221,13 +233,13 @@ def min_ell_over_mu(
     j = int(np.argmin(vals[0]))
     _log.debug("min_ell_over_mu: incumbent ell(0) = %r; the column floor clears the "
                "pad from Im mu = c0 = %r; %d of %d Im-mu columns on the lattice",
-               u, c0, cols, len(im_values))
+               u, c0, cols, n_im)
     domain = SearchDomain(
         re_max=float(step * (n_re - 1)),
-        im_max=float(im_values[-1]),
+        im_max=float(step * (n_im - 1)),
         step=step,
         convention=convention,
-        grid_shape=(n_re, len(im_values)),
+        grid_shape=(n_re, n_im),
         columns_evaluated=cols,
         floor_clears_at=c0,
         error_bound=float(error_bound),

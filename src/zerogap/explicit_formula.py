@@ -81,18 +81,18 @@ Im grid starts at 0 (t3 lies on the lattice), so the table is computed on
 its v >= 0 part alone and read back at |k - k0|, k0 the entry of v = 0:
 6,981 of the headline row's 13,701 entries.  The kernel's rounding, within
 1.5e-13 of a complex psi's, is far inside the error budget of 2.5e-4.  The
-tails beyond the lattice are finished analytically, with one psi' call per
-side on its boundary points, from the Selberg tail below; its smooth part
-P is even, as f is, so both sides share its nodes and weights on `ell`'s
-Gauss-Legendre panels.  The lattice stays because the headline
-certificate's pinned margin, 0.185885, is the lattice's value: the exact
-minimum, 0.1858822, rounds differently.  Its values depend on the row's
-extent through t3, so a call given only the leading columns of a row and
-the row's im_max keeps t3 and finishes those columns alone, bit for bit the
-full row's: the table up to their last column, the smooth tail at the nodes
-that cover them, psi' at their boundary points, and each node's weighted
-sum a row sum, whose rounding does not depend on how many nodes the call
-keeps.
+tails beyond the lattice are finished analytically from the Selberg tail
+below: each edge's Q and Q' at +-t3 in one call, and psi' in one call per
+side on its boundary points.  Its smooth part P is even, as f is, so both
+sides share its nodes and weights on `ell`'s Gauss-Legendre panels.  The
+lattice stays because the headline certificate's pinned margin, 0.185885,
+is the lattice's value: the exact minimum, 0.1858822, rounds differently.
+Its values depend on the row's extent through t3, so a call given only the
+leading columns of a row and the row's im_max keeps t3 and finishes those
+columns alone, bit for bit the full row's: the table up to their last
+column, the smooth tail at the nodes that cover them, psi' at their
+boundary points, and each node's weighted sum a row sum, whose rounding
+does not depend on how many nodes the call keeps.
 
 The lattice takes only the Selberg minorant, and builds its tail from the
 window (alpha, beta) the minorant records (`TestFunction.interval`) in
@@ -192,10 +192,9 @@ CONVENTIONS = ("halved", "literal")
 # grid value that fixes the oscillatory cutoff and the smooth-tail length
 _LATTICE_H = 0.0625
 _GRID_TOL = 2.5e-4
-# the largest row the certification search takes, in values (the one row
-# it builds; its complex column floor then takes 16 MiB), and the largest
-# lattice, in entries (Simpson nodes plus Im shifts), so that no array of
-# the search passes 64 MiB
+# the largest row the certification search takes, in values, and the
+# largest lattice, in entries (Simpson nodes plus Im shifts), so that no
+# array of the search passes 64 MiB
 _MAX_GRID_VALUES = 1 << 20
 _MAX_LATTICE = 1 << 23
 
@@ -540,7 +539,7 @@ def _selberg_tail(alpha: float, beta: float, delta: float):
             return half * _beurling_w(sign * delta * (t - e))
 
         def dq(t):
-            return sign * half * delta * _beurling_w_deriv(float(sign * delta * (t - e)))
+            return sign * half * delta * _beurling_w_deriv(sign * delta * (t - e))
         return q, dq, -omega * e
 
     def bounds(t):
@@ -696,11 +695,12 @@ def ell_grid(
     idx, pts, p_wts = _smooth_tail_nodes(n_cols, c_p, smooth_part, t3, eps_s, 16)
     idx = idx[:np.searchsorted(idx, n_out - 1) + 1]
     ends = stride * np.arange(n_out)
-    for sign, rim in ((+1, ends + nt - 1), (-1, ends)):
+    at_t3 = np.array([t3, -t3])
+    amps = [(q_of(at_t3).tolist(), dq_of(at_t3).tolist(), phase) for q_of, dq_of, phase in edges]
+    for i, (sign, rim) in enumerate(((+1, ends + nt - 1), (-1, ends))):
         amp_w = amp_dw = 0.0
-        for q_of, dq_of, phase in edges:
-            q = float(q_of(sign * t3))
-            dq = dq_of(sign * t3) * sign
+        for q_at, dq_at, phase in amps:
+            q, dq = q_at[i], dq_at[i] * sign
             theta = omega * t3 + (phase if sign > 0 else -phase)
             amp_w -= q * math.sin(theta) / omega + dq * math.cos(theta) / omega**2
             amp_dw -= q * math.cos(theta) / omega**2

@@ -2,29 +2,26 @@
 
 Every constructor returns a TestFunction: a real-valued function on the
 line with quadratic decay, compactly supported Fourier transform, a known
-integral, and a positivity window (the interval outside of which the
-function is <= 0, or "everywhere" for nonnegative kernels), solved on first
-read and cached.  The Selberg minorant's window edges are its outermost
-sign changes, bracketed by samples of the last lobe inside each edge and
-solved together by Anderson-Bjorck false position (N. Anderson and A.
-Bjorck, "A new high order method of regula falsi type for computing a root
-of an equation", BIT 13, 1973): one vectorized evaluation per step serves
-both edges, each solved to the tolerance given to the tests' reference,
-scipy's brentq.
+integral, a positivity window (the interval outside of which the function
+is <= 0, or "everywhere" for nonnegative kernels) and a decay envelope,
+both solved on first read and cached.  The Selberg minorant's window edges
+are its outermost sign changes, bracketed by samples of the last lobe
+inside each edge and solved together by Anderson-Bjorck false position (N.
+Anderson and A. Bjorck, "A new high order method of regula falsi type for
+computing a root of an equation", BIT 13, 1973): one vectorized evaluation
+per step serves both edges, each solved to the tolerance given to the
+tests' reference, scipy's brentq.
 
 The Beurling function B is evaluated on two exact branches,
 
     B(x) = 1 + 2 (sin pi x / pi)^2 (1/x - psi'(1+x))      for x > -1/2
     B(x) = -1 + 2 (sin pi x / pi)^2 (psi'(-x) + 1/x)      for x <= -1/2
 
-which are equal by the trigamma reflection formula; one trigamma call
-serves both, at -x or 1 + x by branch.  The split keeps the
-trigamma argument positive and keeps each branch well conditioned on its
-domain: the only singular points of the first form are the negative
-integers and of the second form x = 0, and neither lies in the branch that
-would evaluate it.  At integers sin(pi x) vanishes exactly (the reduction
-x - round(x) is exact in floating point), so B(n) = sgn(n) for integer
-n != 0 falls out with no special casing.
+equal by the trigamma reflection formula, in one pass over the whole
+array, in place, with one trigamma call at -x or 1 + x by branch: its
+argument stays positive, and neither form's singular points (the negative
+integers, x = 0) lie in its branch.  At integers sin(pi x) vanishes exactly
+(x - round(x) is exact), so B(n) = sgn(n) for n != 0 needs no special case.
 
 Every constructor also sets the exact Fourier transform, supported in
 [-delta, delta]: Vaaler's closed form for the Selberg minorant (J. D.
@@ -88,9 +85,10 @@ class TestFunction:
     find_window, and cached; a function whose window is never read never
     solves for it.  So the Selberg minorant's AccuracyError for an edge
     that does not converge is raised by that first read, not by
-    selberg_minorant.  envelope declares |f(t)| <= M/t^2 for
-    |t| >= T0, on both tails: in closed form for the Fejer kernels; for the
-    Selberg minorant, M is the larger of a 5%-inflated sample of t^2 |f| over
+    selberg_minorant.  envelope, solved on first read by find_envelope and
+    cached the same way, declares |f(t)| <= M/t^2 for |t| >= T0, on both
+    tails: in closed form for the Fejer kernels; for the Selberg minorant,
+    M is the larger of a 5%-inflated sample of t^2 |f| over
     the first lobes beyond T0 and an analytic bound past them (see the
     module docstring).  f is even about centre, f(centre + t) =
     f(centre - t), and fourier_centred is the exact transform of its
@@ -103,7 +101,7 @@ class TestFunction:
     integral: float
     support_radius: float
     find_window: Callable[[], Union[Tuple[float, float], str, None]]
-    envelope: DecayEnvelope
+    find_envelope: Callable[[], DecayEnvelope]
     fourier_centred: Callable
     centre: float = 0.0
     label: str = ""
@@ -114,52 +112,57 @@ class TestFunction:
     def positivity_window(self) -> Union[Tuple[float, float], str, None]:
         return self.find_window()
 
+    @cached_property
+    def envelope(self) -> DecayEnvelope:
+        return self.find_envelope()
+
     @property
     def even(self) -> bool:
         return self.centre == 0.0
-
-
-def _sinpi_over_pi_sq(x: np.ndarray) -> np.ndarray:
-    # (sin(pi x)/pi)^2 with exact period-1 argument reduction
-    r = x - np.round(x)
-    s = np.sin(np.pi * r) / np.pi
-    return s * s
 
 
 def beurling(x):
     """Beurling's extremal majorant of sgn: entire of exponential type 2*pi,
     B(x) >= sgn(x) everywhere, with integral of B - sgn equal to 1."""
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    xv = np.atleast_1d(arr).astype(float)
-    out = np.full(xv.shape, np.nan)  # nan meets no branch below
-    zero = xv == 0.0
-    tiny = ~zero & (np.abs(xv) < 1e-9)  # 1/x overflows near subnormals
-    branch = ~(zero | tiny | np.isnan(xv))
-
-    out[zero] = 1.0
-    out[tiny] = 1.0 + 2.0 * xv[tiny]  # B = 1 + 2x + O(x^2)
-    if branch.any():
-        xb = xv[branch]
-        sgn = np.where(xb <= -0.5, -1.0, 1.0)
-        out[branch] = sgn + 2.0 * _sinpi_over_pi_sq(xb) * _beurling_w(xb)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    xv = arr.reshape(-1)
+    # 0, nan and 0 < |x| < 1e-9, where 1/x overflows near subnormals, take
+    # 1.0 in the pass and are patched after it to B = 1 + 2x + O(x^2)
+    odd = ~(np.abs(xv) >= 1e-9)
+    u = np.where(odd, 1.0, xv) if odd.any() else xv
+    w = _beurling_w(u)
+    # sgn + (2 s^2) w, s = sin(pi r)/pi with r = u - round(u) exact
+    s = u - np.round(u)
+    s *= np.pi
+    np.sin(s, out=s)
+    s /= np.pi
+    s *= s
+    s *= 2.0
+    s *= w
+    s += np.where(u <= -0.5, -1.0, 1.0)
+    s[odd] = 1.0 + 2.0 * xv[odd]
+    return float(s[0]) if arr.ndim == 0 else s.reshape(arr.shape)
 
 
 def _beurling_w(u: np.ndarray) -> np.ndarray:
     # the module docstring's branches as B(u) = -+1 + 2 (sin pi u/pi)^2 w(u):
     # w(u) = psi'(-u) + 1/u for u <= -1/2, 1/u - psi'(1+u) above, from one
-    # trigamma call.  For |u| >= 1/2 that is sgn(u) + (1 - cos 2 pi u)/pi^2 w(u)
+    # trigamma call, in place (u an array).  For |u| >= 1/2 that is
+    # sgn(u) + (1 - cos 2 pi u)/pi^2 w(u)
     u = np.asarray(u, dtype=float)
     left = u <= -0.5
-    tri = trigamma_real(np.where(left, -u, 1.0 + u))
-    return np.where(left, tri, -tri) + 1.0 / u
+    w = u + 1.0
+    np.negative(u, out=w, where=left)
+    w = trigamma_real(w)
+    np.negative(w, out=w, where=~left)
+    w += 1.0 / u
+    return w
 
 
-def _beurling_w_deriv(u: float) -> float:
-    if u > 0:
-        return -1.0 / u**2 - float(_polygamma(2, 1.0 + u))
-    return -float(_polygamma(2, -u)) - 1.0 / u**2
+def _beurling_w_deriv(u):
+    # w'(u), its u^2 by C's pow, as a Python float's u**2, not numpy's square
+    u = np.asarray(u, dtype=float)
+    return -1.0 / np.float_power(u, 2.0) - _polygamma(2, np.where(u > 0, 1.0 + u, -u))
 
 
 def _beurling_w_bounds(x: float) -> Tuple[float, float, float]:
@@ -388,14 +391,13 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         return np.where(u < 1.0, out, 0.0)
 
     t0_env = max(abs(alpha), abs(beta)) + 0.66 / delta
-    m_env = _selberg_envelope_m(value, alpha, beta, delta, t0_env)
-
     return TestFunction(
         value=value,
         integral=beta - alpha - 1.0 / delta,
         support_radius=delta,
         find_window=lambda: _find_window(value, alpha, beta, delta),
-        envelope=DecayEnvelope(m=m_env, t0=t0_env),
+        find_envelope=lambda: DecayEnvelope(
+            m=_selberg_envelope_m(value, alpha, beta, delta, t0_env), t0=t0_env),
         centre=0.5 * (alpha + beta),
         interval=(alpha, beta),
         fourier_centred=ft,
@@ -423,7 +425,7 @@ def fejer(delta: float) -> TestFunction:
         integral=1.0 / delta,
         support_radius=delta,
         find_window=lambda: EVERYWHERE,
-        envelope=DecayEnvelope(m=1.0 / (math.pi * delta) ** 2, t0=1.0 / delta),
+        find_envelope=lambda: DecayEnvelope(m=1.0 / (math.pi * delta) ** 2, t0=1.0 / delta),
         fourier_centred=ft,
         label=f"fejer@{delta:g}",
     )
@@ -471,7 +473,7 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
         integral=integral,
         support_radius=delta,
         find_window=lambda: (-t0, t0),
-        envelope=DecayEnvelope(m=m_env, t0=2.0 * t0),
+        find_envelope=lambda: DecayEnvelope(m=m_env, t0=2.0 * t0),
         fourier_centred=ft,
         label=f"windowed_fejer@{t0:g},{delta:g}",
     )

@@ -417,3 +417,42 @@ def test_headline_certificate_columns_are_the_column_floors():
     assert d.floor_clears_at == d.step * d.columns_evaluated
     assert (floor[d.columns_evaluated:] > pad).all()
     assert not floor[d.columns_evaluated - 1] > pad
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 801, 1_040_001])
+def test_first_cleared_is_one_past_the_last_column_not_cleared(n):
+    # a nondecreasing clears, column 0 not clearing: the search's answer is
+    # one past the last column at or below the pad, as on the whole row
+    for first in sorted(v for v in {1, 2, n // 3, n - 1, n} if 1 <= v <= n):
+        probed = []
+
+        def clears(j):
+            probed.append(len(j))
+            return j >= first
+
+        assert certification._first_cleared(clears, n) == first
+        assert max(probed, default=0) <= 31
+
+
+def test_c0_search_probes_the_row_not_all_of_it(monkeypatch):
+    # a row of 100,001 columns: c0 and the columns kept are the whole row's
+    # floor's, found on a few probes of it.  The lattice is stubbed out, so
+    # the peak is the search's own: 0.36 MiB measured, against 12.4 MiB when
+    # the floor was evaluated on the whole row
+    f = cert_fn()
+    im_max, step = 6250.0, 0.0625
+    floor = ell_column_floor([0.0], f)(_step_grid(im_max, step))[0]
+    pad = certification.ell(0.0, f, tol=certification._INCUMBENT_TOL) + 2.0 * _GRID_TOL
+    cols = int(np.flatnonzero(~(floor > pad))[-1]) + 1
+    monkeypatch.setattr(certification, "ell_grid", lambda f, re_values, im_values, im_max:
+                        (np.zeros((1, len(im_values))), 0.0))
+    tracemalloc.start()
+    try:
+        search = min_ell_over_mu(f, re_max=1.0, im_max=im_max, step=step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(floor) == 100_001 and 2 < cols < 1000
+    assert search.domain.columns_evaluated == cols
+    assert search.domain.floor_clears_at == step * cols
+    assert peak <= 2**20

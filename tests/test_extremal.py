@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -17,8 +18,10 @@ from zerogap.extremal import (
     _XTOL,
     _beurling_w,
     _beurling_w_bounds,
+    _beurling_w_deriv,
     _bracketed_roots,
     _find_window,
+    _selberg_envelope_m,
     _selberg_far_bound,
     beurling,
     fejer,
@@ -26,6 +29,7 @@ from zerogap.extremal import (
     selberg_minorant,
     windowed_fejer,
 )
+from zerogap.special_math import _polygamma
 
 CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 
@@ -86,6 +90,94 @@ def test_beurling_far_field_decay():
     xs = np.array([-300.0, -37.2, 25.7, 400.1])
     excess = np.abs(beurling(xs) - np.sign(xs))
     assert np.all(excess <= 2.0 * 0.7 / (math.pi**2 * xs**2) + 1e-15)
+
+
+def _masked_beurling(x):
+    # the masked evaluator the one-pass kernel replaced, with the w of
+    # _beurling_w as it was, kept as their reference: the branch points
+    # gathered, computed and scattered back
+    arr = np.asarray(x, dtype=float)
+    xv = np.atleast_1d(arr).astype(float)
+    out = np.full(xv.shape, np.nan)
+    zero = xv == 0.0
+    tiny = ~zero & (np.abs(xv) < 1e-9)
+    branch = ~(zero | tiny | np.isnan(xv))
+    out[zero] = 1.0
+    out[tiny] = 1.0 + 2.0 * xv[tiny]
+    if branch.any():
+        xb = xv[branch]
+        r = xb - np.round(xb)
+        s = np.sin(np.pi * r) / np.pi
+        left = xb <= -0.5
+        tri = _polygamma(1, np.where(left, -xb, 1.0 + xb))
+        w = np.where(left, tri, -tri) + 1.0 / xb
+        out[branch] = np.where(left, -1.0, 1.0) + 2.0 * (s * s) * w
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+BEURLING_SPECIAL = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-10, -1e-10, 1e-9, -1e-9,
+                             0.5, -0.5, math.nan, *range(-20, 21)], dtype=float)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def test_beurling_one_pass_matches_masked_reference():
+    xs = np.concatenate([np.linspace(-80.0, 80.0, 400_001), BEURLING_SPECIAL])
+    given = xs.copy()
+    assert _same_bits(beurling(xs), _masked_beurling(xs))
+    assert _same_bits(xs, given)  # the input is read, never written
+    cols = xs[:, None]
+    assert _same_bits(beurling(cols), _masked_beurling(cols))
+    pairs = xs[:-1].reshape(2, -1)
+    assert _same_bits(beurling(pairs), _masked_beurling(pairs))
+    for x in [*BEURLING_SPECIAL, *xs[::4001]]:
+        got = beurling(x)
+        assert type(got) is float and _same_bits(got, _masked_beurling(x)), x
+
+
+def test_beurling_batch_equals_pointwise():
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.uniform(-80.0, 80.0, 2000), BEURLING_SPECIAL])
+    assert _same_bits(beurling(xs), [beurling(x) for x in xs])
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, np.array([1.0, -math.inf, 0.0])])
+def test_beurling_infinite_raises(x):
+    with pytest.raises(DomainError):
+        beurling(x)
+
+
+@pytest.mark.parametrize("alpha, beta, delta", [
+    (-3.0, 5.0, 1.0), (-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0, PRIME_FREE_RADIUS),
+])
+def test_selberg_at_window_edges_warns_nothing(alpha, beta, delta):
+    # u = 0 in one Beurling term at each edge: no division by it
+    f = selberg_minorant(alpha, beta, delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        vals = f.value(np.array([alpha, beta]))
+        assert vals.tolist() == [f.value(alpha), f.value(beta)]
+    assert np.isfinite(vals).all()
+
+
+def test_beurling_w_deriv_array_equals_scalar_calls():
+    def scalar(u):
+        # the scalar form the array one replaced
+        if u > 0:
+            return -1.0 / u**2 - float(_polygamma(2, 1.0 + u))
+        return -float(_polygamma(2, -u)) - 1.0 / u**2
+
+    rng = np.random.default_rng(9)
+    mag = np.exp(rng.uniform(math.log(0.5), math.log(1e4), 500))
+    us = np.concatenate([mag, -mag, [0.5, -0.5, 1.5, -1.5, 16.0, -16.0, 15.0, -15.0]])
+    got = _beurling_w_deriv(us)
+    assert got.tolist() == [scalar(float(u)) for u in us]
+    assert got.tolist() == [float(_beurling_w_deriv(float(u))) for u in us]
 
 
 def test_selberg_interval_validation():
@@ -439,6 +531,33 @@ def test_selberg_envelope_m_regression(delta, m):
     # symmetric windows sits at t0
     f = selberg_minorant(-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0, delta)
     assert f.envelope.m == pytest.approx(m, rel=1e-14, abs=0.0)
+
+
+def test_envelope_solved_on_first_read_and_cached(monkeypatch, bundled):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _selberg_envelope_m(*args)
+
+    monkeypatch.setattr(extremal, "_selberg_envelope_m", spy)
+    f = selberg_minorant(-CERT_LENGTH / 2.0, CERT_LENGTH / 2.0, PRIME_FREE_RADIUS)
+    assert calls == []
+    verify(bundled, f)
+    assert len(calls) == 1
+    verify(bundled, f)
+    assert len(calls) == 1
+    assert f.envelope is f.envelope
+    assert all(g.envelope is g.envelope for g in (fejer(0.3), windowed_fejer(2.0, 0.3)))
+
+
+def test_certify_never_samples_the_envelope(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the envelope was sampled")
+
+    monkeypatch.setattr(extremal, "_selberg_envelope_m", fail)
+    cert = certify_gap(4, CERT_LENGTH)
+    assert cert.certified and round(cert.margin, 6) == 0.185885
 
 
 # the Selberg windows of test_explicit_formula's FLOOR_KERNELS

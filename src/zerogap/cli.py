@@ -160,8 +160,15 @@ def _cmd_coefficients(args) -> Tuple[str, int]:
     path = args.data if args.data is not None else bundled_example_path()
     data = load_lfunction(path)
     coeffs = c_coefficients(data, args.max_n, skip_gaps=args.skip_gaps)
+    # the listing ends at the last n with a value: past it the data supports
+    # no prime power, and factorizing every n up to --max-n would take longer
+    # than the coefficients themselves
+    last = max(coeffs.values, default=1)
+    if last < args.max_n:
+        print(f"note: listing stops at n = {last}, the last n with a coefficient; "
+              f"n = {last + 1} to {args.max_n} are not listed", file=sys.stderr)
     lines = ["n,re,im"]
-    for n in range(2, args.max_n + 1):
+    for n in range(2, last + 1):
         if n in coeffs.values:
             c = coeffs.values[n]
             lines.append(f"{n},{_fmt(c.real)},{_fmt(c.imag)}")

@@ -38,7 +38,14 @@ own panels, all panels of the batch share one evaluation of fhat and of
 e^{-zx} h (in blocks of `_PANEL_BLOCK` panels), and each mu's value is
 reduced from its own panel sums alone, so that ell(mus)[i] is
 bit-identical to ell(mus[i]).  The cost is linear in the total number of
-panels.  A test function even about centre != 0 goes through its centred
+panels.  `ell` also takes a tuple of test functions with one support
+radius and one centre, as the scan's Fejer and windowed Fejer kernels
+are: the panels depend on z and the support alone, so the kernels share
+every panel list, one digamma(z) and one series per batch, and in each
+block e^{-Re z x} cos(Im z x), 1 - e^-x and the rule's weights; only
+fhat(0) - fhat and the panel sums are taken per kernel, in the same order
+of operations, so that each kernel's row is bit-identical to its own
+call.  A test function even about centre != 0 goes through its centred
 copy, ell(mu, f) = ell(mu + i centre, f(. + centre)) in halved units, whose
 real transform `TestFunction.fourier_centred` is all that `ell` reads, so
 the panels count every oscillation of the integrand.
@@ -202,10 +209,13 @@ _MAX_LATTICE = 1 << 23
 # as many), and panels per block of work, which bounds memory at large |Im mu|
 _NODES = 24
 _PANEL_BLOCK = 2048
-# ell: the most panels one call may take, beyond which it raises DomainError.
-# A panel costs about 6 us (2 cores, numpy 2.4), so a call stays under about
-# 1 s; the kernels at delta0 take about 0.22 |Im mu| panels per mu, so a
-# single mu may reach |Im mu| ~ 5e5
+# ell: the most panels one call may take, beyond which it raises DomainError;
+# the kernels of a tuple share every panel, so a panel counts once however
+# many there are.  A panel costs about 6 us for the windowed Fejer kernel
+# alone and 7 us for the Fejer and windowed Fejer kernels in one call (2
+# cores, numpy 2.4, |Im mu| = 2e5), so a call stays under about 1 s; the
+# kernels at delta0 take about 0.22 |Im mu| panels per mu, so a single mu
+# may reach |Im mu| ~ 5e5
 _MAX_PANELS = 120_000
 # rhs: the largest n of the prime sum, past which n is no longer exact in a
 # float
@@ -225,7 +235,7 @@ def convention_scale(convention: str) -> int:
     return 2 if convention == "literal" else 1
 
 
-def ell(mu, f: TestFunction, convention: str = "halved",
+def ell(mu, f: Union[TestFunction, Tuple[TestFunction, ...]], convention: str = "halved",
         tol: float = 1e-8) -> Union[float, np.ndarray]:
     """Archimedean explicit-formula term for one Gamma factor, in the split
     form of the module docstring, at a scalar mu (a float is returned) or at
@@ -239,7 +249,27 @@ def ell(mu, f: TestFunction, convention: str = "halved",
     the total number of panels, about 2 + 4 delta |Im z| per mu for a
     transform supported in [-delta, delta]; a call that would need more than
     `_MAX_PANELS` raises DomainError before building any panel.
+
+    f may also be a nonempty tuple of k test functions with one
+    support_radius and one centre, which share every panel, digamma(z) and
+    the series (module docstring): the result then has one row per kernel,
+    shape (k,) for a scalar mu and (k, n) for a 1-d one, and row i is
+    bit-identical to ell(mu, f[i]).  A single f is the case k = 1.  tol
+    holds for each kernel at each mu; AccuracyError's `best` is then the
+    (k,) or (k, n) array, and its message names the mu and the kernel's
+    label.  Panels count once however many kernels share them, so a tuple
+    is refused at the same mu as each of its kernels; a tuple that is empty
+    or mixes supports or centres raises DomainError before any panel.
     """
+    single = not isinstance(f, tuple)
+    kernels = (f,) if single else f
+    if not kernels:
+        raise DomainError("ell needs a test function or a nonempty tuple of them")
+    head = kernels[0]
+    if any((g.support_radius, g.centre) != (head.support_radius, head.centre)
+           for g in kernels[1:]):
+        raise DomainError("the test functions of one ell call must share support_radius "
+                          "and centre")
     scale, mus = convention_scale(convention), np.asarray(mu, dtype=complex)
     if mus.ndim > 1:
         raise DomainError(f"mu must be a scalar or a 1-d array, got shape {mus.shape}")
@@ -247,19 +277,20 @@ def ell(mu, f: TestFunction, convention: str = "halved",
         raise DomainError("ell requires finite mu")
     if not 0 < tol < math.inf:
         raise DomainError(f"ell requires a finite tol > 0, got {tol!r}")
-    big_x = 4.0 * math.pi * f.support_radius
+    big_x = 4.0 * math.pi * head.support_radius
     x_end = max(big_x, 1.0)  # Y
     spans = _ell_spans(big_x, x_end)
 
     # every mu's panels in one list, with the index of its first panel; z is
-    # that of f's centred copy, at mu + i centre in halved units
+    # that of the centred copies, at mu + i centre in halved units
     points = mus.reshape(-1).tolist()
     z, z_panel, lo, hi, starts = [], [], [], [], []
     n_panels = 0
     for m in points:
         if m.real < -1e-12:
             raise DomainError(f"ell requires Re(mu) >= 0, got {m!r}")
-        zm = complex(0.25 + 0.5 * (scale * max(m.real, 0.0)), 0.5 * (scale * m.imag + f.centre))
+        zm = complex(0.25 + 0.5 * (scale * max(m.real, 0.0)),
+                     0.5 * (scale * m.imag + head.centre))
         # counted before any list is built, so a huge |Im mu| fails at once
         n_panels += sum(_span_panels(spans, zm.imag))
         if n_panels > _MAX_PANELS:
@@ -272,33 +303,43 @@ def ell(mu, f: TestFunction, convention: str = "halved",
         lo += edges[:-1]
         hi += edges[1:]
     if not z:
-        return np.empty(0)
+        empty = np.empty((len(kernels), 0))
+        return empty[0] if single else empty
     z, z_panel, lo = np.array(z), np.array(z_panel), np.array(lo)
     re_panel, im_panel = z_panel.real[:, None], z_panel.imag[:, None]
     width = np.array(hi) - lo
     x_unit, w_unit = _unit_gauss(_NODES, 2 * _NODES)
-    sums = np.empty((3, len(lo)))  # coarse, value and |value| rules per panel
+    f0 = np.empty(len(kernels))
+    # the coarse, value and |value| rules per kernel and panel
+    sums = np.empty((3, len(kernels), len(lo)))
     for i in range(0, len(lo), _PANEL_BLOCK):
         block = slice(i, i + _PANEL_BLOCK)
         x = lo[block, None] + width[block, None] * x_unit
-        f0, diff = _split_transform(f, x)
-        # Re[e^-zx h(x)] with h real
-        terms = width[block, None] * w_unit * (
-            np.exp(-re_panel[block] * x) * np.cos(im_panel[block] * x) * diff / -np.expm1(-x))
-        sums[0, block] = terms[:, :_NODES].sum(axis=1)
-        sums[1, block] = terms[:, _NODES:].sum(axis=1)
-        sums[2, block] = np.abs(terms[:, _NODES:]).sum(axis=1)
+        # Re[e^-zx h(x)] with h real: every factor but fhat(0) - fhat is
+        # the same for all kernels
+        weight = width[block, None] * w_unit
+        damp = np.exp(-re_panel[block] * x) * np.cos(im_panel[block] * x)
+        tail = -np.expm1(-x)
+        for k, g in enumerate(kernels):
+            f0[k], diff = _split_transform(g, x)
+            terms = weight * (damp * diff / tail)
+            sums[0, k, block] = terms[:, :_NODES].sum(axis=1)
+            sums[1, k, block] = terms[:, _NODES:].sum(axis=1)
+            sums[2, k, block] = np.abs(terms[:, _NODES:]).sum(axis=1)
     # each mu's totals come from its own panel sums alone, whatever the batch
-    coarse, integral, mass = np.add.reduceat(sums, starts, axis=1)
+    coarse, integral, mass = np.add.reduceat(sums, starts, axis=2)
     err = np.abs(integral - coarse) + math.ulp(1.0) * mass
 
     series = _series(z, x_end).real
-    value = f0 * (np.real(digamma(z)) - LOG_PI + series) + integral
-    best = float(value[0]) if mus.ndim == 0 else value
+    value = f0[:, None] * (digamma(z).real - LOG_PI + series) + integral
+    best = value[:, 0] if mus.ndim == 0 else value
+    if single:
+        best = float(best[0]) if mus.ndim == 0 else best[0]
     if (err > tol).any():
-        worst = int(np.argmax(err))
-        raise AccuracyError(f"ell quadrature error {err[worst]:.3e} > tol {tol:.3e} "
-                            f"at mu = {points[worst]!r}", best=best)
+        k, worst = np.unravel_index(np.argmax(err), err.shape)
+        raise AccuracyError(f"ell quadrature error {err[k, worst]:.3e} > tol {tol:.3e} "
+                            f"at mu = {points[worst]!r} for kernel {kernels[k].label!r}",
+                            best=best)
     return best
 
 
@@ -477,7 +518,7 @@ def _split_transform(f: TestFunction, x: np.ndarray) -> Tuple[float, np.ndarray]
 def _series(z: np.ndarray, x_end: float) -> np.ndarray:
     """sum_{k>=0} e^{-(z+k)Y}/(z+k) at each z of a 1-d array, Y = x_end."""
     zk = z[:, None] + np.arange(math.ceil(40.0 / x_end))  # e^{-k Y} < 4e-18 beyond
-    return np.sum(np.exp(-zk * x_end) / zk, axis=1)
+    return (np.exp(-zk * x_end) / zk).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ into the explicit formula with two nonnegative test functions:
 
 Anything else is "Unconstrained" at this delta/t0.  Both kernels have
 transform support inside [-delta, delta] with delta <= log2/(2 pi), so the
-prime sum vanishes no matter the (unknown) coefficients.  One row builder
+prime sum vanishes no matter the (unknown) coefficients, and both are even
+about 0, so one `ell` call over the pair evaluates their archimedean terms
+at every nu of a scan in one frequency-side pass.  One row builder
 serves both entry points: `scan_region` is the scan over the step grid
 0, step, ..., nu_max, and `classify_point(nu1, nu2)` is the (nu1, nu2) row
 of the two-value scan over [nu1, nu2].
@@ -73,21 +75,22 @@ def _verdict(fejer_rhs: float, windowed_rhs: float) -> str:
 def _scan(nus: List[float], t0: float, delta: float, conductor: float, convention: str,
           tol: float) -> List[RegionClassification]:
     """The rows over nus x nus, row-major in (nu1, nu2).  The archimedean
-    integrals depend on one nu at a time, so each kernel takes one batched
-    ell call over all nu, and each right side is rhs().rhs_total's fsum for
-    the spectral order (i nu1, -i nu1, i nu2, -i nu2).  fsum is exact, so
-    that sum is symmetric in (nu1, nu2): the rows (nu1, nu2) and (nu2, nu1)
-    share one pair of fsum calls."""
+    integrals depend on one nu at a time, and both kernels share delta and
+    centre 0, so one ell call over the kernel tuple and all nu gives both
+    sides' terms (the kernels share its panels, digamma and series, and
+    each row is bit-identical to that kernel's own call).  Each right side
+    is rhs().rhs_total's fsum for the spectral order (i nu1, -i nu1, i nu2,
+    -i nu2).  fsum is exact, so that sum is symmetric in (nu1, nu2): the
+    rows (nu1, nu2) and (nu2, nu1) share one pair of fsum calls."""
     if not 0 < t0 < math.inf:
         raise DomainError("t0 must be positive and finite")
     _check_prime_free(delta)
     if not 1.0 <= conductor < math.inf:
         raise DomainError("conductor must be finite and >= 1")
-    sides = []
-    for f in (fejer(delta), windowed_fejer(t0, delta)):
-        arch = (ell(1j * np.asarray(nus, dtype=float), f, convention, tol) / TWO_PI).tolist()
-        sides.append((f.integral * math.log(conductor) / math.pi, arch))
-    (cond_f, arch_f), (cond_w, arch_w) = sides
+    kernels = (fejer(delta), windowed_fejer(t0, delta))
+    arch_f, arch_w = (ell(1j * np.asarray(nus, dtype=float), kernels, convention, tol)
+                      / TWO_PI).tolist()
+    cond_f, cond_w = (f.integral * math.log(conductor) / math.pi for f in kernels)
 
     n = len(nus)
     rows = [None] * (n * n)
@@ -99,7 +102,8 @@ def _scan(nus: List[float], t0: float, delta: float, conductor: float, conventio
             wr = math.fsum((cond_w, aw1, aw1, aw2, aw2, 0.0))
             verdict = _verdict(fr, wr)
             rows[i * n + j] = RegionClassification(n1, n2, fr, wr, verdict)
-            rows[j * n + i] = RegionClassification(n2, n1, fr, wr, verdict)
+            if j > i:
+                rows[j * n + i] = RegionClassification(n2, n1, fr, wr, verdict)
     return rows
 
 

@@ -303,7 +303,7 @@ def test_scan_region_out_reproducible(capsys, tmp_path):
 
 
 def test_scan_region_has_no_threads_option(capsys):
-    # the scan runs on the calling thread: one batched ell call per kernel
+    # the scan runs on the calling thread: one ell call over both kernels
     with pytest.raises(SystemExit) as exc:
         main(["scan-region", "--nu-max", "1", "--step", "1", "--threads", "2"])
     assert exc.value.code == 1
@@ -398,6 +398,18 @@ def test_coefficients_skip_gaps(capsys):
     assert "11,-1.66853819,0" in lines
     assert "13,2.263402778,0" in lines
     assert not any(line.startswith("8,") for line in lines)
+
+
+def test_coefficients_listing_stops_at_the_last_coefficient(capsys):
+    # the bundled data gives c(n) up to n = 13; the listing does not
+    # factorize every n up to --max-n beyond it
+    _, want, _ = run(capsys, "coefficients", "--max-n", "13", "--skip-gaps")
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "coefficients", "--max-n", "3000000", "--skip-gaps")
+    assert time.perf_counter() - start < 5.0
+    assert rc == 0
+    assert out == want
+    assert "listing stops at n = 13" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -283,6 +283,110 @@ def test_ell_batch_input_validation(cert_minorant):
             ell(0.0, cert_minorant, tol=tol)
 
 
+# tuples of test functions with one support radius and one centre: the scan's
+# pair first, then others that share their panels
+SCAN_PAIR = (BATCH_KERNELS["fejer"], BATCH_KERNELS["windowed"])
+KERNEL_TUPLES = {
+    "scan": SCAN_PAIR,
+    "scan_reversed": SCAN_PAIR[::-1],
+    "with_selberg": (BATCH_KERNELS["selberg"], *SCAN_PAIR),
+    "off_centre": (selberg_minorant(-7.3, 19.1, 0.09), selberg_minorant(-5.3, 17.1, 0.09)),
+    "one": (SCAN_PAIR[1],),
+}
+SCAN_NUS = 2.0 * np.arange(9)  # scan_region(16, 2)
+FIG2_NUS = 0.5 * np.arange(33)  # the Figure-2 grid, scan_region(16, 0.5)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("convention", ef.CONVENTIONS)
+@pytest.mark.parametrize("nus", [SCAN_NUS, FIG2_NUS, np.array([0.0, 1.5, 250.0, 3333.3, 1e4])],
+                         ids=["scan", "figure2", "to_1e4"])
+def test_ell_kernel_batch_rows_are_single_calls_bitwise(nus, convention):
+    # at nu = 1e4 one mu's panels cross several _PANEL_BLOCK boundaries
+    mus = 1j * nus
+    rows = ell(mus, SCAN_PAIR, convention, tol=1e-6)
+    assert rows.shape == (2, len(nus))
+    for row, f in zip(rows, SCAN_PAIR):
+        assert _bits(row) == _bits(ell(mus, f, convention, tol=1e-6))
+
+
+@pytest.mark.parametrize("convention", ef.CONVENTIONS)
+@pytest.mark.parametrize("name", sorted(KERNEL_TUPLES))
+def test_ell_kernel_batch_scalar_mu(name, convention):
+    kernels = KERNEL_TUPLES[name]
+    for mu in (0.0, 3.0 + 7.0j, 16.0j):
+        rows = ell(mu, kernels, convention)
+        assert isinstance(rows, np.ndarray) and rows.shape == (len(kernels),)
+        assert _bits(rows) == _bits([ell(mu, f, convention) for f in kernels])
+
+
+def test_ell_kernel_batch_columns_do_not_depend_on_the_batch():
+    full = ell(1j * FIG2_NUS, SCAN_PAIR)
+    assert _bits(full[:, :9]) == _bits(ell(1j * FIG2_NUS[:9], SCAN_PAIR))
+    assert _bits(full[:, ::4]) == _bits(ell(1j * SCAN_NUS, SCAN_PAIR))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_TUPLES)),
+       st.lists(st.builds(complex, st.floats(0.0, 40.0), st.floats(-80.0, 80.0)),
+                min_size=1, max_size=8))
+@example("scan", [0j])  # Im z = 0: one panel per span
+@example("scan", [1j / PRIME_FREE_RADIUS, 2j / PRIME_FREE_RADIUS])  # span counts step here
+@example("off_centre", [complex(40.0, -80.0), 0j])  # graded edges, shifted by the centre
+@example("with_selberg", [complex(1e-300, 0.0), complex(40.0, 80.0)])
+def test_ell_kernel_batch_property(name, mus):
+    kernels = KERNEL_TUPLES[name]
+    rows = ell(np.array(mus), kernels, tol=1e-6)
+    assert rows.shape == (len(kernels), len(mus))
+    for row, f in zip(rows, kernels):
+        assert _bits(row) == _bits([ell(mu, f, tol=1e-6) for mu in mus])
+
+
+def test_ell_kernel_batch_refusals(monkeypatch):
+    def build(*args):
+        raise AssertionError("a panel was built")
+    monkeypatch.setattr(ef, "_ell_spans", build)
+    monkeypatch.setattr(ef, "_ell_edges", build)
+    # empty, two supports, two centres
+    for kernels in ((), (fejer(0.1), fejer(0.11)),
+                    (selberg_minorant(-7.3, 19.1, 0.09), selberg_minorant(-7.3, 18.1, 0.09))):
+        with pytest.raises(DomainError):
+            ell(np.array([0.0, 2.0j]), kernels)
+        with pytest.raises(DomainError):
+            ell(0.0, kernels)
+
+
+def test_ell_kernel_batch_counts_shared_panels_once(monkeypatch):
+    # a tuple is refused where each of its kernels is: at once at a huge
+    # |Im mu|, and not at a mu whose panels just fit the cap
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="panels"):
+        ell(1e9j, SCAN_PAIR)
+    assert time.perf_counter() - start < 1.0
+    big_x = 4.0 * math.pi * PRIME_FREE_RADIUS
+    mu = 400.0j
+    cap = sum(ef._span_panels(ef._ell_spans(big_x, max(big_x, 1.0)), 0.5 * mu.imag))
+    monkeypatch.setattr(ef, "_MAX_PANELS", cap)
+    assert ell(mu, SCAN_PAIR).shape == (2,)
+    with pytest.raises(DomainError, match="panels"):
+        ell(np.array([mu, 0.0]), SCAN_PAIR)
+
+
+def test_ell_kernel_batch_accuracy_error_carries_rows():
+    # 1e-14 is below the windowed kernel's rounding; best keeps every row
+    mus = np.array([16.0j, 0.0])
+    with pytest.raises(AccuracyError, match=r"at mu = .* for kernel 'windowed_fejer@") as info:
+        ell(mus, SCAN_PAIR, tol=1e-14)
+    assert info.value.best.shape == (2, 2)
+    assert _bits(info.value.best) == _bits([ell(mus, f, tol=1.0) for f in SCAN_PAIR])
+    with pytest.raises(AccuracyError) as info:
+        ell(0.0, SCAN_PAIR, tol=1e-14)
+    assert info.value.best.shape == (2,)
+
+
 def test_gauss_panels_integrate_gaussian():
     x, w = ef._gauss_panels(np.linspace(-8.0, 8.0, 9), 24)
     assert abs(np.sum(w * np.exp(-x * x)) - math.sqrt(math.pi)) < 1e-12

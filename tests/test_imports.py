@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import zerogap
-from zerogap import certification, region_scan
+from zerogap import certification, explicit_formula, region_scan
 
 # import zerogap in a fresh interpreter and list the scipy modules it loaded:
 # none are needed.  The special functions are the package's own series and
@@ -79,15 +81,26 @@ def test_tracer_patch_points_resolve(monkeypatch):
 
 
 def test_scan_makes_one_ell_call_per_kernel(monkeypatch):
-    # the benchmark's scan operation: every nu of a kernel goes through one
-    # batched ell call, whatever the grid
+    # the benchmark's scan operation: both kernels and every nu go through
+    # one ell call over the kernel tuple (fejer, windowed_fejer), which
+    # shares the panels and takes digamma once, at the grid's 9 nu
     tr = _load_tracer(monkeypatch).Tracer()
     with tr.patched(), tr.operation():
         region_scan.scan_region(16.0, 2.0)
     layers = tr.summary(1)
-    for kernel in ("fejer", "windowed_fejer"):
-        assert layers[f"explicit_formula.ell.{kernel}"]["calls"] == 1
+    assert sum(row["calls"] for name, row in layers.items()
+               if name.startswith("explicit_formula.ell")) == 1
     assert layers["region_scan.scan_region"]["calls"] == 1
+
+    kernels, psi_sizes = [], []
+    ell, digamma = region_scan.ell, explicit_formula.digamma
+    monkeypatch.setattr(region_scan, "ell",
+                        lambda mu, f, *args: kernels.append(f) or ell(mu, f, *args))
+    monkeypatch.setattr(explicit_formula, "digamma",
+                        lambda z: psi_sizes.append(np.size(z)) or digamma(z))
+    region_scan.scan_region(16.0, 2.0)
+    assert [[g.label.split("@")[0] for g in f] for f in kernels] == [["fejer", "windowed_fejer"]]
+    assert psi_sizes == [9]
 
 
 def test_tracer_counts_the_certify_columns(monkeypatch):

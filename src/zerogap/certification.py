@@ -18,11 +18,12 @@ The half-plane minimum lies on its edge Re mu = 0.  In the split form of
              + int_0^Y e^-zx h(x) dx,
 
 h real, so Phi is analytic on Re z > 0 and ell is harmonic in mu there.
-`explicit_formula.ell_column_floor` bounds ell >= fhat(0) (Re psi(z) -
-log pi) - C(a)/|z|, a = Re z, and C(a) is nonincreasing in a (each of its
-terms is constant, an integral against e^-ax, or the square root of a
-product of two such integrals), so on the closed half-plane
-ell >= fhat(0) (Re psi(z) - log pi) - C(1/4)/|z|.  When fhat(0) > 0 that
+Integration by parts gives ell >= fhat(0) (Re psi(z) - log pi) -
+C(a)/|z|, a = Re z, and C(a) is nonincreasing in a (each of its terms is
+constant, an integral against e^-ax, or the square root of a product of
+two such integrals), so on the closed half-plane
+ell >= fhat(0) (Re psi(z) - log pi) - C(1/4)/|z|, the bound
+`explicit_formula.ell_column_floor` evaluates.  When fhat(0) > 0 that
 tends to +inf as |mu| grows, Re psi(z) growing like log|z| (DLMF 5.11.2),
 so ell > ell(0) wherever |mu| >= R for some R.  By the minimum principle
 for harmonic functions (S. Axler, P. Bourdon, W. Ramey, Harmonic Function
@@ -35,7 +36,7 @@ along the real axis, at it the bound stops growing, and the search refuses
 both.
 
 The search therefore evaluates one Re-mu row of its grid, Re mu = 0.  The
-column floor at a = 1/4 rises with nu, and the columns whose floor lies
+column floor at mu = i nu rises with nu, and the columns whose floor lies
 above the incumbent ell(0) by more than twice the grid's error budget are a
 suffix of the row that cannot hold the minimum; the lattice finishes only
 the columns before it (66 of the headline grid's 801), on the full row's
@@ -220,8 +221,8 @@ def min_ell_over_mu(
 
     u = ell(0.0, f, tol=_INCUMBENT_TOL)
     pad = u + 2.0 * _GRID_TOL
-    column_floor = ell_column_floor([0.0], f)
-    cols = _first_cleared(lambda j: column_floor(k * (step * j))[0] > pad, n_im)
+    column_floor = ell_column_floor(f)
+    cols = _first_cleared(lambda j: column_floor(1j * (k * (step * j))) > pad, n_im)
     c0 = float(step * cols) if cols < n_im else None
     cols = min(max(cols, 2), n_im)
     im_values = step * np.arange(cols)

@@ -58,14 +58,16 @@ bounded alike,
     ell >= G(a, y) = fhat(0) (Re psi(z) - log pi) - C(a)/|z|,
 
 C(a) being |h(0+)| + e^-aY |h(Y-)| plus a bound of int_0^Y e^-ax |h'| and
-the series' bound.  G rises with |y| (`ell_column_floor`), so on the
-Re mu = 0 row, the only one the certification search evaluates
+the series' bound.  C(a) falls as a grows, so `ell_column_floor` takes
+C(1/4), a bound on the whole closed half-plane.  G rises with |y|, so on
+the Re mu = 0 row, the only one the certification search evaluates
 (`certification` module docstring), it evaluates only the leading Im-mu
 columns whose G does not clear its incumbent: 66 of the headline grid's
-801.  h' comes in closed form from the transform's derivative
-(`TestFunction.fourier_centred_deriv`), and the integral of e^-ax |h'| is
-bounded by Cauchy-Schwarz on fixed equal panels, which integrate the
-smooth e^-ax h'^2 and never look for the kinks of |h'|.
+801.  h' comes in closed form from the transform and its derivative,
+taken together at the floor's nodes by the Selberg minorant's
+`extremal._selberg_jet`, and the integral of e^-ax |h'| is bounded by
+Cauchy-Schwarz on fixed equal panels, which integrate the smooth
+e^-ax h'^2 and never look for the kinks of |h'|.
 
 `ell_grid` evaluates ell (halved) on one lattice row, Re mu fixed and
 Im mu = 0, step, 2 step, ..., at reduced tolerance for the certification
@@ -149,6 +151,7 @@ from .extremal import (
     _beurling_w,
     _beurling_w_bounds,
     _beurling_w_deriv,
+    _selberg_jet,
     fourier_at,
 )
 from .lfunctions import LFunctionData, FunctionalEquation, LogDerivativeCoefficients
@@ -343,14 +346,14 @@ def ell(mu, f: Union[TestFunction, Tuple[TestFunction, ...]], convention: str = 
     return best
 
 
-def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """A lower bound of ell(mu, f) (halved) at each Re mu of a 1-d array,
-    as a function of Im mu, from one integration by parts of ell's
+def ell_column_floor(f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
+    """A lower bound of ell(mu, f) (halved) on the closed right half-plane,
+    at each mu of a 1-d array, from one integration by parts of ell's
     frequency-side integral.  With z = a + iy that of the centred copy
     (a = 1/4 + Re mu/2, y = (Im mu + centre)/2) and h, Y as in the module
     docstring,
 
-        G(a, y) = fhat(0) (Re psi(z) - log pi) - C(a)/|z|,
+        G(mu) = fhat(0) (Re psi(z) - log pi) - C(1/4)/|z|,
         C(a) = |h(0+)| + e^-aY |h(Y-)| + sum_p sqrt(M_p(a) int_p e^-ax h'^2)
                + fhat(0) e^-aY/(1 - e^-Y),
         M_p(a) = int_p e^-ax dx = (e^-a x_p - e^-a x_{p+1})/a.
@@ -359,75 +362,71 @@ def ell_column_floor(re_mu, f: TestFunction) -> Callable[[np.ndarray], np.ndarra
     (h(0+) - e^-zY h(Y-) + int_0^Y e^-zx h' dx)/z; on each panel p =
     [x_p, x_{p+1}], Cauchy-Schwarz on e^-ax/2 times e^-ax/2 |h'| bounds
     int_p e^-ax |h'| by the square root; and the series is at most
-    e^-aY/(|z| (1 - e^-Y)) in modulus since |z + k| >= |z|: so ell >= G.
-    G is nondecreasing in |y|: Re psi(a + iy) = -gamma + sum_k [1/(k + 1)
-    - (a + k)/((a + k)^2 + y^2)] (DLMF 5.7.6) rises with y^2, and C(a)/|z|
-    falls, so the columns a row's floor clears beyond Im mu = -centre are a
-    suffix of any grid there.  C(a) is nonincreasing in a, every term being
-    constant, an integral against e^-ax, or the square root of a product of
-    two such integrals.  G is -inf unless fhat(0) > 0.
+    e^-aY/(|z| (1 - e^-Y)) in modulus since |z + k| >= |z|: so
+    ell >= fhat(0) (Re psi(z) - log pi) - C(a)/|z|.  C(a) is nonincreasing
+    in a, every term being constant, an integral against e^-ax, or the
+    square root of a product of two such integrals, so C(1/4) serves every
+    a >= 1/4 and ell >= G on the whole half-plane.  On a line of fixed
+    Re mu, G is nondecreasing in |y|: Re psi(a + iy) = -gamma + sum_k
+    [1/(k + 1) - (a + k)/((a + k)^2 + y^2)] (DLMF 5.7.6) rises with y^2, and
+    C(1/4)/|z| falls, so the columns of the Re mu = 0 row it clears beyond
+    Im mu = -centre are a suffix of any grid there.  G is -inf unless
+    fhat(0) > 0.
 
-    C depends on f and a alone and is computed here, once; the function
-    returned takes a 1-d array of Im mu and gives G of shape
-    (len(re_mu), len(im_mu)).  h' = -(fhat'(x/4 pi)/4 pi + e^-x h(x))
-    /(1 - e^-x) is closed-form, from `TestFunction.fourier_centred_deriv`,
-    and h(0+) = -fhat'(0+)/4 pi.  The panels cut each of `ell`'s spans at
-    Im z = 0 (edges 0, X/2, X, 2X, ..., Y) into `_FLOOR_PANELS` equal
-    parts; e^-ax h'^2 is smooth on each, so each panel's integral takes the
-    48-point rule, with each |h'| raised by its rounding bound (`_h_deriv`),
-    plus its distance from the 24-point one, and C is raised by 32 ulps of
-    rounding.  Only the Selberg minorant carries fhat' and its window.
+    C depends on f alone and is computed here, once; the function returned
+    takes a 1-d array of finite mu with Re mu >= 0 and gives G at each.
+    h' = -(fhat'(x/4 pi)/4 pi + e^-x h(x))/(1 - e^-x) is closed-form, with
+    fhat and fhat' from one `extremal._selberg_jet` call at 0 and the
+    nodes, and h(0+) = -fhat'(0+)/4 pi; Y/4 pi >= delta, where fhat
+    vanishes, so h(Y-) = fhat(0)/(1 - e^-Y).  The panels cut each of
+    `ell`'s spans at Im z = 0 (edges 0, X/2, X, 2X, ..., Y) into
+    `_FLOOR_PANELS` equal parts; e^-ax h'^2 is smooth on each, so each
+    panel's integral takes the 48-point rule, with each |h'| raised by its
+    rounding bound (`_h_deriv`), plus its distance from the 24-point one,
+    and C is raised by 32 ulps of rounding.  The jet takes the Selberg
+    minorant's window (`TestFunction.interval`), which the Fejer kernels
+    do not have.
     """
-    re_mu = np.asarray(re_mu, dtype=float)
-    if re_mu.ndim != 1 or not len(re_mu) or not (np.isfinite(re_mu) & (re_mu >= -1e-12)).all():
-        raise DomainError("ell_column_floor needs a nonempty 1-d array of finite Re(mu) >= 0")
-    deriv = f.fourier_centred_deriv
-    if deriv is None or f.interval is None:
-        raise DomainError("ell_column_floor needs the Selberg minorant's transform derivative "
-                          "(TestFunction.fourier_centred_deriv) and window")
-    a = 0.25 + 0.5 * np.maximum(re_mu, 0.0)
+    if f.interval is None:
+        raise DomainError("ell_column_floor needs the Selberg minorant's window "
+                          "(TestFunction.interval) for its transform's derivative")
+    alpha, beta = f.interval
     big_x = 4.0 * math.pi * f.support_radius
     x_end = max(big_x, 1.0)
     edges = np.array([lo + width * j / _FLOOR_PANELS for lo, width in _ell_spans(big_x, x_end)
                       for j in range(_FLOOR_PANELS)] + [x_end])
     x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
-    xi = x.ravel() / (4.0 * math.pi)
-    # one call per transform: fhat at 0, Y/4 pi and the nodes, fhat' at 0
-    # and the nodes
-    fhat = f.fourier_centred(np.concatenate(([0.0, x_end / (4.0 * math.pi)], xi)))
-    d_fhat = deriv(np.concatenate(([0.0], xi)))
+    fhat, d_fhat = _selberg_jet(beta - alpha, f.support_radius,
+                                np.concatenate(([0.0], x.ravel() / (4.0 * math.pi))))
     f0 = float(fhat[0])
 
     if f0 > 0.0:
-        alpha, beta = f.interval
-        h_deriv, h_err = _h_deriv(x, f0, fhat[2:].reshape(x.shape), d_fhat[1:].reshape(x.shape),
+        h_deriv, h_err = _h_deriv(x, f0, fhat[1:].reshape(x.shape), d_fhat[1:].reshape(x.shape),
                                   beta - alpha, f.support_radius)
-        # by row and panel: int_p e^-ax h'^2 by the 48-point rule with each
-        # |h'| raised by its rounding, the 48-point rule's distance from the
-        # 24-point one, and M_p(a)
-        rows = a[:, None]
-        damped = np.exp(-rows[..., None] * x)
+        # by panel, at a = 1/4: int_p e^-ax h'^2 by the 48-point rule with
+        # each |h'| raised by its rounding, the 48-point rule's distance from
+        # the 24-point one, and M_p(a)
+        a = 0.25
+        damped = np.exp(-a * x)
         terms = damped * (w * h_deriv**2)
-        coarse, fine = terms[..., :_NODES].sum(axis=2), terms[..., _NODES:].sum(axis=2)
-        value = (damped * (w * (np.abs(h_deriv) + h_err)**2))[..., _NODES:].sum(axis=2)
-        mass = np.exp(-rows * edges[:-1]) * -np.expm1(-rows * np.diff(edges)) / rows
-        integral = np.sqrt(mass * (value + np.abs(fine - coarse))).sum(axis=1)
-        damp = np.exp(-a * x_end)
-        h_end = abs(f0 - float(fhat[1]))
+        coarse, fine = terms[:, :_NODES].sum(axis=1), terms[:, _NODES:].sum(axis=1)
+        value = (damped * (w * (np.abs(h_deriv) + h_err)**2))[:, _NODES:].sum(axis=1)
+        mass = np.exp(-a * edges[:-1]) * -np.expm1(-a * np.diff(edges)) / a
+        integral = np.sqrt(mass * (value + np.abs(fine - coarse))).sum()
         c = (abs(float(d_fhat[0])) / (4.0 * math.pi) + integral
-             + damp * (h_end + f0) / -math.expm1(-x_end))
+             + math.exp(-a * x_end) * (2.0 * f0) / -math.expm1(-x_end))
         # every term is nonnegative, so the rounding is relative
         c *= 1.0 + 32.0 * math.ulp(1.0)
 
-    def floor_at(im_mu) -> np.ndarray:
-        im_mu = np.asarray(im_mu, dtype=float)
-        if im_mu.ndim != 1 or not np.isfinite(im_mu).all():
-            raise DomainError("the column floor needs a 1-d array of finite Im(mu)")
+    def floor_at(mu) -> np.ndarray:
+        mu = np.asarray(mu, dtype=complex)
+        if mu.ndim != 1 or not np.isfinite(mu).all() or (mu.real < -1e-12).any():
+            raise DomainError("the column floor needs a 1-d array of finite mu with Re(mu) >= 0")
         if not f0 > 0.0:
-            return np.full((len(a), len(im_mu)), -np.inf)
-        z = a[:, None] + 0.5j * (im_mu + f.centre)
+            return np.full(len(mu), -np.inf)
+        z = 0.25 + 0.5 * np.maximum(mu.real, 0.0) + 0.5j * (mu.imag + f.centre)
         psi = np.real(digamma(z))
-        slack = c[:, None] / np.abs(z)
+        slack = c / np.abs(z)
         rounding = 16.0 * math.ulp(1.0) * (f0 * (np.abs(psi) + LOG_PI) + slack)
         return f0 * (psi - LOG_PI) - slack - rounding
 

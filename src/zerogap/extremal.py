@@ -32,13 +32,14 @@ its ``centre``, 0 for the kernels and (alpha + beta)/2 for the Selberg
 minorant, and the transform stored is that of its centred copy
 f(. + centre): real, even, and for the minorant a function of beta - alpha
 alone.  The pointwise explicit-formula term and ``fourier_at`` read only
-this transform.  The Selberg minorant also carries the transform's exact
-derivative on [0, delta], from the derivatives of Vaaler's J^ and of
-sin(w)/w, with their series where the closed forms cancel, for the column
-floor ``explicit_formula.ell_column_floor``, and records its window
-(alpha, beta) as ``interval``, from which the one-row lattice evaluator
-``explicit_formula.ell_grid`` builds its tail; the Fejer kernels carry
-neither.
+this transform.  The Selberg minorant also records its window (alpha,
+beta) as ``interval``, from which the one-row lattice evaluator
+``explicit_formula.ell_grid`` builds its tail and the column floor
+``explicit_formula.ell_column_floor`` takes the transform with its exact
+derivative on [0, delta] in one pass, `_selberg_jet`: Vaaler's J^ and its
+derivative come from one v cot(pi v), folded at |u| = 1/2, with the
+series of the derivative where its closed form cancels, and the sinc's
+derivative likewise; the Fejer kernels record no window.
 
 Every decay envelope |f(t)| <= m/t^2 holds on both tails, |t| >= t0.  The
 Fejer kernels' constants are closed forms.  The Selberg minorant's comes in
@@ -94,7 +95,9 @@ class TestFunction:
     f(centre - t), and fourier_centred is the exact transform of its
     centred copy f(. + centre), xi -> f^(xi) e^{2 pi i xi centre}:
     vectorized, real, even, and zero for |xi| >= support_radius.  interval
-    is the Selberg minorant's window (alpha, beta), None for the kernels.
+    is the Selberg minorant's window (alpha, beta), None for the kernels;
+    the lattice and the column floor take the minorant's closed forms from
+    it, the floor its transform's derivative too (`_selberg_jet`).
     """
 
     value: Callable
@@ -105,7 +108,6 @@ class TestFunction:
     fourier_centred: Callable
     centre: float = 0.0
     label: str = ""
-    fourier_centred_deriv: Optional[Callable] = None
     interval: Optional[Tuple[float, float]] = None
 
     @cached_property
@@ -245,55 +247,54 @@ def _find_window(value: Callable, alpha: float, beta: float, delta: float):
     return (lo, hi)
 
 
-def _u_cot_pi_u(u: np.ndarray) -> np.ndarray:
-    # u cot(pi u) for |u| <= 1/2, with its removable value 1/pi at u = 0
-    safe = np.where(u == 0.0, 1.0, u)
-    return np.where(u == 0.0, 1.0 / math.pi, safe / np.tan(math.pi * safe))
-
-
-def _vaaler_j(u: np.ndarray) -> np.ndarray:
-    # J^(u) = (1 - |u|) pi u cot(pi u) + |u| on |u| < 1 and 0 beyond.  For
-    # |u| > 1/2 the identity cot(pi |u|) = -cot(pi v), v = 1 - |u|, turns the
-    # cotangent's pole at |u| = 1 into the removable point of v cot(pi v).
+def _vaaler_j(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # J^(u) = (1 - |u|) pi u cot(pi u) + |u| on |u| < 1 and 0 beyond, and its
+    # derivative in |u|, 0 at u = 0 from the right.  With phi(v) = v cot(pi v)
+    # at v = |u| up to 1/2 and v = 1 - |u| beyond, where cot(pi |u|) =
+    # -cot(pi v) turns the pole at |u| = 1 into phi's removable point 1/pi,
+    # J^ = |u| + s pi m phi(v) and J^' = 1 - pi (phi(v) - m phi'(v)), with
+    # m = 1 - |u| and s = 1 below 1/2, m = |u| and s = -1 above.  phi' =
+    # cot w - w (1 + cot(w)^2) (w = pi v) cancels near 0, so below w = 0.06
+    # it is the derivative of the series w cot w = 1 - w^2/3 - w^4/45 -
+    # 2w^6/945 - w^8/4725 (DLMF 4.19.6), within 1e-13 relative there
     a = np.abs(u)
-    near = (1.0 - a) * math.pi * _u_cot_pi_u(np.minimum(a, 0.5)) + a
-    far = a - math.pi * a * _u_cot_pi_u(np.minimum(np.maximum(1.0 - a, 0.0), 0.5))
-    return np.where(a <= 0.5, near, np.where(a < 1.0, far, 0.0))
-
-
-def _vaaler_j_and_deriv(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # J^(u) and d/du J^(u) for 0 <= u < 1, J^'s right derivative at 0 being
-    # 0: with phi(v) = v cot(pi v) at v = u up to 1/2 and v = 1 - u beyond,
-    # the two forms of _vaaler_j read J^ = u + s pi m phi(v) and
-    # J^' = 1 - pi (phi(v) - m phi'(v)), m = 1 - u and s = 1 below 1/2,
-    # m = u and s = -1 above.  phi' = cot w - w/sin(w)^2 (w = pi v) cancels
-    # near 0, so below w = 0.06 both come from w cot w = 1 - w^2/3 - w^4/45
-    # - 2w^6/945 - w^8/4725 (DLMF 4.19.6), within 1e-13 relative there
-    near = u <= 0.5
-    v = np.where(near, u, 1.0 - u)
-    m = np.where(near, 1.0 - u, u)
+    v = np.maximum(np.minimum(a, 1.0 - a), 0.0)
+    m = np.maximum(a, 1.0 - a)
     w = math.pi * v
-    w2 = w * w
-    small = w < 0.06
-    safe = np.where(small, 1.0, w)
-    sin = np.sin(safe)
-    cot = np.cos(safe) / sin
-    series = 1.0 - w2 * (1.0 / 3.0 + w2 * (1.0 / 45.0 + w2 * (2.0 / 945.0 + w2 / 4725.0)))
-    phi = np.where(small, series / math.pi, v * cot)
+    tan = np.tan(np.where(w == 0.0, 1.0, w))
+    phi = np.where(w == 0.0, 1.0 / math.pi, v / tan)
+    w2, cot = w * w, 1.0 / tan
     series = -w * (2.0 / 3.0 + w2 * (4.0 / 45.0 + w2 * (4.0 / 315.0 + w2 * (8.0 / 4725.0))))
-    dphi = np.where(small, series, cot - safe / (sin * sin))
-    return u + np.where(near, math.pi, -math.pi) * m * phi, 1.0 - math.pi * (phi - m * dphi)
+    dphi = np.where(w < 0.06, series, cot - w * (1.0 + cot * cot))
+    inside = a < 1.0
+    return (np.where(inside, a + np.copysign(math.pi, 0.5 - a) * m * phi, 0.0),
+            np.where(inside, 1.0 - math.pi * (phi - m * dphi), 0.0))
 
 
-def _sinc_and_deriv(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # sin(w)/w and its derivative (cos w - sin(w)/w)/w; below |w| = 0.1, where
-    # the derivative's two terms cancel, the derivative of the series of
-    # sin(w)/w instead, within 1e-14 relative there
-    safe = np.where(w == 0.0, 1.0, w)
-    sinc = np.where(w == 0.0, 1.0, np.sin(safe) / safe)
+def _selberg_jet(length: float, delta: float, xi) -> Tuple[np.ndarray, np.ndarray]:
+    """Vaaler's transform of the Selberg minorant of a centred window of
+    this length, and its derivative, at each xi >= 0 of an array, in one
+    pass: fhat is `TestFunction.fourier_centred`'s value bit for bit, and
+    fhat' is d/dxi, 1/delta^2 at 0 (the right derivative) and zero from
+    delta on.  With u = xi/delta and w = pi xi L, J^ contributes
+    J^'(u)/delta, the sinc pi L d/dw (sin(w)/w), and -K^(u) cos(w)/delta,
+    K^ = 1 - u, contributes cos(w)/delta^2 + pi L K^ sin(w)/delta."""
+    xi = np.asarray(xi, dtype=float)
+    u = xi / delta
+    j, dj = _vaaler_j(u)
+    k = np.maximum(1.0 - u, 0.0)
+    sinc, w = np.sinc(xi * length), math.pi * xi * length
+    cos = np.cos(w)
+    fhat = j * length * sinc - k / delta * cos
+    # d/dw sin(w)/w = (cos w - sin(w)/w)/w; below w = 0.1, where its terms
+    # cancel, the derivative of the series of sin(w)/w, within 1e-14
+    # relative there
     w2 = w * w
     series = -w * (1.0 / 3.0 - w2 * (1.0 / 30.0 - w2 * (1.0 / 840.0 - w2 / 45360.0)))
-    return sinc, np.where(np.abs(w) < 0.1, series, (np.cos(safe) - sinc) / safe)
+    d_sinc = np.where(w < 0.1, series, (cos - sinc) / np.where(w == 0.0, 1.0, w))
+    d_fhat = (length * (dj * sinc + j * math.pi * length * delta * d_sinc)
+              + cos / delta + math.pi * length * k * np.sin(w)) / delta
+    return fhat, np.where(u < 1.0, d_fhat, 0.0)
 
 
 # near-field sampling of t^2 |S(t)| on +-[t0, t1]: samples per lobe (one
@@ -367,28 +368,14 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
 
     # Vaaler (1985), for the window centred at 0 (L = beta - alpha):
     # S^(xi) = J^(xi/delta) L sinc(xi L) - (1/delta) K^(xi/delta) cos(pi xi L),
-    # K^(u) = (1 - |u|)_+
+    # K^(u) = (1 - |u|)_+; `_selberg_jet` adds the derivative
     length = beta - alpha
 
     def ft(x):
         xi = np.asarray(x, dtype=float)
         u = xi / delta
-        return (_vaaler_j(u) * length * np.sinc(xi * length)
+        return (_vaaler_j(u)[0] * length * np.sinc(xi * length)
                 - np.maximum(1.0 - np.abs(u), 0.0) / delta * np.cos(math.pi * xi * length))
-
-    def ft_deriv(x):
-        # d/dxi of ft for xi >= 0, zero from delta on: with u = xi/delta and
-        # w = pi xi L, J^ contributes J^'(u)/delta, the sinc pi L d/dw
-        # (sin(w)/w), and -K^ cos/delta, K^ = 1 - u, cos(w)/delta^2 +
-        # pi L K^ sin(w)/delta
-        xi = np.asarray(x, dtype=float)
-        u = xi / delta
-        w = math.pi * length * xi
-        j, dj = _vaaler_j_and_deriv(u)
-        sinc, d_sinc = _sinc_and_deriv(w)
-        out = (length * (dj * sinc + j * math.pi * length * delta * d_sinc)
-               + np.cos(w) / delta + math.pi * length * (1.0 - u) * np.sin(w)) / delta
-        return np.where(u < 1.0, out, 0.0)
 
     t0_env = max(abs(alpha), abs(beta)) + 0.66 / delta
     return TestFunction(
@@ -401,7 +388,6 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
         centre=0.5 * (alpha + beta),
         interval=(alpha, beta),
         fourier_centred=ft,
-        fourier_centred_deriv=ft_deriv,
         label=f"selberg[{alpha:g},{beta:g}]@{delta:g}",
     )
 

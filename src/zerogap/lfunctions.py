@@ -24,10 +24,11 @@ import cmath
 import json
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .errors import IncompletenessError, SchemaError, ValidationError
 

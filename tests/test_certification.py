@@ -412,7 +412,7 @@ def test_headline_certificate_columns_are_the_column_floors():
     d = cert.search
     f = cert_fn()
     pad = certification.ell(0.0, f, tol=certification._INCUMBENT_TOL) + 2.0 * _GRID_TOL
-    floor = ell_column_floor([0.0], f)(_step_grid(d.im_max, d.step))[0]
+    floor = ell_column_floor(f)(1j * _step_grid(d.im_max, d.step))
     assert d.columns_evaluated < 801
     assert d.floor_clears_at == d.step * d.columns_evaluated
     assert (floor[d.columns_evaluated:] > pad).all()
@@ -441,7 +441,7 @@ def test_c0_search_probes_the_row_not_all_of_it(monkeypatch):
     # the floor was evaluated on the whole row
     f = cert_fn()
     im_max, step = 6250.0, 0.0625
-    floor = ell_column_floor([0.0], f)(_step_grid(im_max, step))[0]
+    floor = ell_column_floor(f)(1j * _step_grid(im_max, step))
     pad = certification.ell(0.0, f, tol=certification._INCUMBENT_TOL) + 2.0 * _GRID_TOL
     cols = int(np.flatnonzero(~(floor > pad))[-1]) + 1
     monkeypatch.setattr(certification, "ell_grid", lambda f, re_values, im_values, im_max:

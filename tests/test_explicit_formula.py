@@ -25,7 +25,7 @@ from zerogap.explicit_formula import (
     verify,
     zero_sum,
 )
-from zerogap.extremal import fejer, fourier_at, selberg_minorant, windowed_fejer
+from zerogap.extremal import _selberg_jet, fejer, fourier_at, selberg_minorant, windowed_fejer
 from zerogap.lfunctions import FunctionalEquation, LogDerivativeCoefficients, c_coefficients
 from zerogap.special_math import digamma
 
@@ -675,18 +675,19 @@ def test_column_floor_below_ell(key):
     f = _floor_kernel(key)
     re = ef._step_grid(COLUMN_FLOOR_ROWS[key], 0.25)
     rng = np.random.default_rng(23)
-    rows, im = rng.integers(0, len(re), 240), rng.uniform(0.0, 200.0, 240)
-    floors = ell_column_floor(re, f)(im)[rows, np.arange(240)]
-    values = ell(re[rows] + 1j * im, f, tol=1e-10)
+    mu = re[rng.integers(0, len(re), 240)] + 1j * rng.uniform(0.0, 200.0, 240)
+    floors = ell_column_floor(f)(mu)
+    values = ell(mu, f, tol=1e-10)
     assert (floors <= values).all(), (floors - values).max()
     # and it clears the far columns: above ell(0) past Im mu = 25
-    assert floors[im > 25.0].min() > values.min()
+    assert floors[mu.imag > 25.0].min() > values.min()
 
 
 @pytest.mark.parametrize("key", list(COLUMN_FLOOR_ROWS))
 def test_column_floor_nondecreasing_in_im(key):
-    floors = ell_column_floor(ef._step_grid(COLUMN_FLOOR_ROWS[key], 0.25), _floor_kernel(key))(
-        np.linspace(0.0, 200.0, 1601))
+    re = ef._step_grid(COLUMN_FLOOR_ROWS[key], 0.25)
+    mu = re[:, None] + 1j * np.linspace(0.0, 200.0, 1601)
+    floors = ell_column_floor(_floor_kernel(key))(mu.ravel()).reshape(mu.shape)
     assert np.isfinite(floors).all()
     assert (np.diff(floors, axis=1) >= 0.0).all()
 
@@ -696,9 +697,9 @@ def test_column_floor_off_centre_is_centred_at_shifted_mu():
     f = FLOOR_KERNELS["asymmetric"]
     half = 0.5 * (19.1 + 7.3)
     centred = selberg_minorant(-half, half, 0.09)
-    im = np.linspace(0.0, 60.0, 13)
-    got = ell_column_floor([0.0, 1.5], f)(im)
-    want = ell_column_floor([0.0, 1.5], centred)(im + f.centre)
+    mu = (np.array([0.0, 1.5])[:, None] + 1j * np.linspace(0.0, 60.0, 13)).ravel()
+    got = ell_column_floor(f)(mu)
+    want = ell_column_floor(centred)(mu + 1j * f.centre)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -735,7 +736,8 @@ def _mp_column_floors(params, points):
     (Re mu, Im mu) of points, twice: with C's integral of e^-ax |h'| exact,
     split at the sign changes of h', bracketed on 400 samples and solved by
     mpmath, and with the integral bounded as the code bounds it, by
-    Cauchy-Schwarz on `_FLOOR_PANELS` equal panels of each span.  h' comes
+    Cauchy-Schwarz on `_FLOOR_PANELS` equal panels of each span; C is
+    taken at a = 1/4 and serves every Re mu, as in the code.  h' comes
     from the transform's derivative taken by hand, checked against
     mpmath.diff on every fourth sample.  X > 1, so Y = X and the spans are
     [0, X/2] and [X/2, X]."""
@@ -756,20 +758,20 @@ def _mp_column_floors(params, points):
                  if (v0 >= 0) != (v1 >= 0)]
         n = 2 * ef._FLOOR_PANELS
         edges = [big_x * k / n for k in range(n + 1)]
+        a = mpmath.mpf(1) / 4
+        exact = quad(lambda x: mpmath.exp(-a * x) * abs(dh(x)),
+                     sorted([mpmath.mpf(0), big_x / 2, big_x, *kinks]))
+        bound = mpmath.fsum(
+            mpmath.sqrt((mpmath.exp(-a * lo) - mpmath.exp(-a * hi)) / a
+                        * quad(lambda x: mpmath.exp(-a * x) * dh(x)**2, [lo, hi]))
+            for lo, hi in zip(edges, edges[1:]))
+        damp = mpmath.exp(-a * big_x)
+        # h(0+) to within |h'| 1e-12
+        rest = (abs(h(mpmath.mpf(10) ** -12)) + damp * abs(h(big_x))
+                + f0 * damp / -mpmath.expm1(-big_x))
         floors = []
         for re, im in points:
-            a = mpmath.mpf(1) / 4 + mpmath.mpf(re) / 2
-            exact = quad(lambda x: mpmath.exp(-a * x) * abs(dh(x)),
-                         sorted([mpmath.mpf(0), big_x / 2, big_x, *kinks]))
-            bound = mpmath.fsum(
-                mpmath.sqrt((mpmath.exp(-a * lo) - mpmath.exp(-a * hi)) / a
-                            * quad(lambda x: mpmath.exp(-a * x) * dh(x)**2, [lo, hi]))
-                for lo, hi in zip(edges, edges[1:]))
-            damp = mpmath.exp(-a * big_x)
-            # h(0+) to within |h'| 1e-12
-            rest = (abs(h(mpmath.mpf(10) ** -12)) + damp * abs(h(big_x))
-                    + f0 * damp / -mpmath.expm1(-big_x))
-            z = mpmath.mpc(a, mpmath.mpf(im) / 2)
+            z = mpmath.mpc(a + mpmath.mpf(re) / 2, mpmath.mpf(im) / 2)
             psi = f0 * (mpmath.re(mpmath.digamma(z)) - mpmath.log(mpmath.pi))
             floors.append(tuple(float(psi - (rest + c) / abs(z)) for c in (exact, bound)))
         return floors
@@ -784,7 +786,7 @@ def test_column_floor_matches_mpmath():
     f = selberg_minorant(*params)
     points = ((0.0, 16.5), (1.75, 40.0))
     for (re, im), (exact, want) in zip(points, _mp_column_floors(params, points)):
-        got = float(ell_column_floor([re], f)([im])[0, 0])
+        got = float(ell_column_floor(f)(np.array([re + 1j * im]))[0])
         assert got <= want <= exact and want - got <= 1e-9, (re, im, want - got)
 
 
@@ -797,12 +799,11 @@ def test_column_floor_h_deriv_rounding_is_bounded(name):
     # 30-digit h', and that bound stays below 1e-5 of |h'|
     f = FLOOR_KERNELS[name]
     alpha, beta = f.interval
-    big_x = 4.0 * math.pi * f.support_radius
-    width = ef._ell_spans(big_x, max(big_x, 1.0))[0][1] / ef._FLOOR_PANELS
-    x = ef._gauss_panels(np.array([0.0, width]), ef._NODES, 2 * ef._NODES)[0][0, ef._NODES:]
-    xi = x / (4.0 * math.pi)
-    h_deriv, h_err = ef._h_deriv(x, float(f.fourier_centred(0.0)), f.fourier_centred(xi),
-                                 f.fourier_centred_deriv(xi), beta - alpha, f.support_radius)
+    x = _floor_nodes(f)[0, ef._NODES:]
+    fhat, d_fhat = _selberg_jet(beta - alpha, f.support_radius,
+                                np.concatenate(([0.0], x / (4.0 * math.pi))))
+    h_deriv, h_err = ef._h_deriv(x, float(fhat[0]), fhat[1:], d_fhat[1:], beta - alpha,
+                                 f.support_radius)
     with mpmath.workdps(30):
         dh = _mp_h_and_deriv((alpha, beta, f.support_radius))[1]
         want = [dh(mpmath.mpf(float(v))) for v in x]
@@ -813,19 +814,43 @@ def test_column_floor_h_deriv_rounding_is_bounded(name):
 
 def test_column_floor_domain():
     short = selberg_minorant(-3.0, 3.0, 0.1)  # fhat(0) < 0
-    assert (ell_column_floor([0.0, 5.0], short)([0.0, 100.0]) == -np.inf).all()
-    # only the Selberg minorant carries its transform's derivative
+    assert (ell_column_floor(short)(np.array([0.0, 100j, 5.0, 5.0 + 100j])) == -np.inf).all()
+    # only the Selberg minorant records the window its transform's
+    # derivative is built from
     for f in (fejer(PRIME_FREE_RADIUS), windowed_fejer(14.13, PRIME_FREE_RADIUS)):
         with pytest.raises(DomainError, match="derivative"):
-            ell_column_floor([0.0], f)
-    f = selberg_minorant(-HALF, HALF, PRIME_FREE_RADIUS)
-    for bad in (np.array([]), np.array([-0.5]), np.zeros((2, 2)), np.array([np.nan])):
-        with pytest.raises(DomainError):
-            ell_column_floor(bad, f)
-    floor_at = ell_column_floor([0.0], f)
-    for bad in (np.zeros((2, 2)), np.array([np.inf])):
+            ell_column_floor(f)
+    floor_at = ell_column_floor(selberg_minorant(-HALF, HALF, PRIME_FREE_RADIUS))
+    for bad in (np.array([-0.5]), np.array([-0.5 + 3j]), np.zeros((2, 2)), np.array([np.nan]),
+                np.array([np.inf]), np.array([1j * np.inf])):
         with pytest.raises(DomainError):
             floor_at(bad)
+
+
+def _floor_nodes(f):
+    """The nodes of the column floor's 48- and 24-point rules, one row per
+    panel, as `ell_column_floor` builds them."""
+    big_x = 4.0 * math.pi * f.support_radius
+    x_end = max(big_x, 1.0)
+    edges = np.array([lo + width * j / ef._FLOOR_PANELS
+                      for lo, width in ef._ell_spans(big_x, x_end)
+                      for j in range(ef._FLOOR_PANELS)] + [x_end])
+    return ef._gauss_panels(edges, ef._NODES, 2 * ef._NODES)[0]
+
+
+@pytest.mark.parametrize("name", ["headline", "asymmetric", "narrow", "fejer", "windowed"])
+def test_selberg_jet_value_is_the_transform(name):
+    # the floor's fhat and the transform every other path reads are one
+    # value, bit for bit, at 0 and at the floor's nodes, for xi and -xi; the
+    # Fejer kernels record no window, so they have no jet
+    f = FLOOR_KERNELS[name]
+    if f.interval is None:
+        assert name in ("fejer", "windowed")
+        return
+    xi = np.concatenate(([0.0], _floor_nodes(f).ravel() / (4.0 * math.pi)))
+    fhat = _selberg_jet(f.interval[1] - f.interval[0], f.support_radius, xi)[0]
+    assert fhat.tobytes() == f.fourier_centred(xi).tobytes()
+    assert fhat.tobytes() == f.fourier_centred(-xi).tobytes()
 
 
 FLOOR_KERNELS = {

@@ -23,6 +23,7 @@ from zerogap.extremal import (
     _find_window,
     _selberg_envelope_m,
     _selberg_far_bound,
+    _selberg_jet,
     beurling,
     fejer,
     fourier_at,
@@ -445,19 +446,19 @@ def test_selberg_transform_derivative_matches_differences(alpha, beta, delta):
     xi = np.linspace(0.0, delta, 801)[1:-1]
     step = 1e-6 * delta
     central = (f.fourier_centred(xi + step) - f.fourier_centred(xi - step)) / (2.0 * step)
-    deriv = f.fourier_centred_deriv(xi)
+    deriv = _selberg_jet(beta - alpha, delta, xi)[1]
     assert np.abs(deriv - central).max() <= 1e-9 * np.abs(deriv).max()
     # the right derivative 1/delta^2 at 0 (Vaaler's K^ = 1 - |u| has the
     # only kink there), and zero from delta on
-    assert f.fourier_centred_deriv(0.0) == pytest.approx(1.0 / delta**2, rel=1e-15)
-    assert (f.fourier_centred_deriv(np.array([delta, 1.5 * delta])) == 0.0).all()
+    assert float(_selberg_jet(beta - alpha, delta, 0.0)[1]) == pytest.approx(
+        1.0 / delta**2, rel=1e-15)
+    assert (_selberg_jet(beta - alpha, delta, np.array([delta, 1.5 * delta]))[1] == 0.0).all()
 
 
 def test_selberg_transform_derivative_matches_mpmath_near_the_ends():
     # where the closed form switches to its series: small u and small xi L
     # near 0, small 1 - u near delta
     alpha, beta, delta = -22.5, 22.8, PRIME_FREE_RADIUS
-    f = selberg_minorant(alpha, beta, delta)
     length = beta - alpha
     with mpmath.workdps(40):
         def fhat(xi):
@@ -467,8 +468,40 @@ def test_selberg_transform_derivative_matches_mpmath_near_the_ends():
                     - (1 - u) / delta * mpmath.cos(mpmath.pi * xi * length))
         for xi in (1e-9, 1e-5, 5e-4, 2e-3, 0.02, 0.5 * delta, delta - 2e-3, delta - 1e-6):
             want = float(mpmath.diff(fhat, mpmath.mpf(xi)))
-            got = float(f.fourier_centred_deriv(xi))
+            got = float(_selberg_jet(length, delta, xi)[1])
             assert abs(got - want) <= 1e-13 * max(abs(want), 1.0 / delta**2), xi
+
+
+@pytest.mark.parametrize("alpha, beta, delta", [
+    (-5.0 * math.pi / math.log(2.0), 5.0 * math.pi / math.log(2.0), PRIME_FREE_RADIUS),
+    (-30.0, 30.0, 0.05), (-7.3, 19.1, 0.09), (2.0, 9.5, 0.5),
+])
+def test_selberg_transform_matches_mpmath_across_the_support(alpha, beta, delta):
+    # Vaaler's closed form in 40 digits at u = xi/delta across [0, 1), at
+    # u = 1/2 +- 1e-12 either side of the fold of J^, and at v = min(u, 1 -
+    # u) below 0.06/pi at both ends, where J^'s derivative takes its series,
+    # for xi and -xi.  The tolerance is 4 ulps of L + 1/delta, the size of
+    # the terms Vaaler's form sums; the worst error on these points is 1.26
+    # of those ulps (the fourth window)
+    f = selberg_minorant(alpha, beta, delta)
+    v = np.array([1e-12, 1e-9, 1e-6, 1e-4, 2e-3, 0.01, 0.019])
+    u = np.concatenate([np.linspace(0.0, 1.0, 201)[:-1], [0.5 - 1e-12, 0.5 + 1e-12], v,
+                        1.0 - v])
+    xi = u * delta
+    with mpmath.workdps(40):
+        length, d = mpmath.mpf(beta - alpha), mpmath.mpf(delta)
+
+        def fhat(x):
+            if x == 0:
+                return length - 1 / d
+            w, uu = mpmath.pi * x, x / d
+            j_hat = (1 - uu) * mpmath.pi * uu * mpmath.cot(mpmath.pi * uu) + uu
+            return j_hat * mpmath.sin(w * length) / w - (1 - uu) / d * mpmath.cos(w * length)
+        want = np.array([float(fhat(mpmath.mpf(float(x)))) for x in xi])
+    bound = 4.0 * math.ulp(1.0) * (beta - alpha + 1.0 / delta)
+    for sign in (1.0, -1.0):
+        err = np.abs(f.fourier_centred(sign * xi) - want)
+        assert err.max() <= bound, (u[np.argmax(err)], err.max() / (bound / 4.0))
 
 
 def _both_tails(lo, hi, n):

@@ -29,7 +29,6 @@ from .explicit_formula import (
     PRIME_FREE_RADIUS,
     ExplicitFormulaReport,
     ell,
-    ell_grid,
     rhs,
     verify,
     zero_sum,
@@ -79,7 +78,6 @@ __all__ = [
     "certify_gap",
     "classify_point",
     "ell",
-    "ell_grid",
     "extend_multiplicatively",
     "fejer",
     "fourier_at",

@@ -68,9 +68,9 @@ from .explicit_formula import (
     PRIME_FREE_RADIUS,
     TWO_PI,
     _check_grid_size,
+    _check_lattice_step,
     _check_prime_free,
     _cutoff_floor,
-    _lattice_stride,
     _step_count,
     convention_scale,
     ell,
@@ -198,22 +198,24 @@ def min_ell_over_mu(
     budget of _GRID_TOL / 2, plus room for u's tolerance, checked after the
     call) lies above that minimum.  The floor is nondecreasing in Im mu, so
     the columns it clears are a suffix, from floor_clears_at on, found by
-    `_first_cleared` on a few columns of the row, not all of it; ell_grid
-    finishes the columns before it, at least 2, counted in
-    columns_evaluated, on the full row's lattice (its leading-columns
-    call), so the values are the uncut row's, bit for bit, whatever
-    re_max.  When the floor clears no column up to im_max (floor_clears_at
+    `_first_cleared` on a few columns of the row, not all of it; ell_grid,
+    the row's private lattice evaluator, finishes the columns before it,
+    at least 2, counted in columns_evaluated, on the full row's lattice
+    (its leading-columns call), so the values are the uncut row's, bit for
+    bit, whatever re_max.  When the floor clears no column up to im_max (floor_clears_at
     is then None), the axis beyond im_max is not searched.  A row or row
     lattice past `explicit_formula._check_grid_size`'s limits raises
     DomainError before either is built, and so does a step off the
     lattice; of the Re grid only its count is taken, so re_max sizes
-    nothing the search builds.
+    nothing the search builds.  These checks come before any evaluation,
+    and ell_grid repeats none of them: it gets the Re mu = 0 row's leading
+    columns from Im mu = 0 in the checked step, and the row's last column.
     """
     k = convention_scale(convention)
     if not (0 < step <= re_max < math.inf and step <= im_max < math.inf):
         raise DomainError("need finite re_max and im_max, and 0 < step <= both")
-    _check_grid_size(im_max / step + 1.0, _cutoff_floor(k * im_max, 0.25), k * im_max)
-    _lattice_stride(k * step)
+    _check_grid_size(im_max / step + 1.0, _cutoff_floor(k * im_max), k * im_max)
+    _check_lattice_step(k * step)
     if not float(f.fourier_centred(0.0)) > 0.0:
         raise DomainError("min_ell_over_mu needs fhat(0) > 0: otherwise ell has no "
                           "minimum over Re mu >= 0")

@@ -12,8 +12,8 @@ z = 1/4 + mu instead, so ell_literal(mu) = ell_halved(2 mu) identically,
 which is what makes the certification verdict insensitive to the
 convention: mu -> 2 mu maps the closed right half-plane onto itself.
 `convention_scale` is the one place that maps a convention name to that
-factor (1 or 2); `ell_grid` takes halved parameters only, and its callers
-scale their grid by that factor.
+factor (1 or 2); `ell_grid` takes halved parameters only, and the
+certification search scales its row by that factor.
 
 `ell` evaluates the integral on the frequency side.  Gauss's integral
 psi(w) = int_0^inf [e^-x/x - e^-wx/(1 - e^-x)] dx (DLMF 5.9.13), integrated
@@ -69,69 +69,8 @@ taken together at the floor's nodes by the Selberg minorant's
 Cauchy-Schwarz on fixed equal panels, which integrate the smooth
 e^-ax h'^2 and never look for the kinks of |h'|.
 
-`ell_grid` evaluates ell (halved) on one lattice row, Re mu fixed and
-Im mu = 0, step, 2 step, ..., at reduced tolerance for the certification
-search, and returns the values with their error bound.  It still
-integrates in the time domain, W(t) = Re psi(a + i (t + y)/2) against f(t),
-and exploits the fact that W depends on t and y only through t + y: with a
-uniform Simpson lattice in t of spacing 1/16, which divides the Im-mu step,
-every required psi value lies on one table, and column j is the sum of the
-Simpson-weighted f samples against the table's slice from j stride on,
-stride being the Im step over 1/16.  f is even, so it is sampled on the
-t >= 0 half of the lattice and mirrored.  All the row's sums are one
-product over a strided view of the table, which copies nothing and calls
-no BLAS, so each column's rounding depends neither on the other columns
-nor on the thread count.  The table takes `special_math._re_digamma`, which
-computes Re psi(a + iv) from the asymptotic series in real arithmetic;
-`ell` and the column floor take the complex `digamma`, the same series and
-shift rule.  Re psi(a + iv) is even in v (psi(conj z) = conj psi(z)),
-`_re_digamma` is even bit for bit, and v = 0 is a table point because the
-Im grid starts at 0 (t3 lies on the lattice), so the table is computed on
-its v >= 0 part alone and read back at |k - k0|, k0 the entry of v = 0:
-6,981 of the headline row's 13,701 entries.  The kernel's rounding, within
-1.5e-13 of a complex psi's, is far inside the error budget of 2.5e-4.  The
-tails beyond the lattice are finished analytically from the Selberg tail
-below: each edge's Q and Q' at +-t3 in one call, and psi' in one call per
-side on its boundary points.  Its smooth part P is even, as f is, so both
-sides share its nodes and weights on `ell`'s Gauss-Legendre panels.  The
-lattice stays because the headline certificate's pinned margin, 0.185885,
-is the lattice's value: the exact minimum, 0.1858822, rounds differently.
-Its values depend on the row's extent through t3, so a call given only the
-leading columns of a row and the row's im_max keeps t3 and finishes those
-columns alone, bit for bit the full row's: the table up to their last
-column, the smooth tail at the nodes that cover them, psi' at their
-boundary points, and each node's weighted sum a row sum, whose rounding
-does not depend on how many nodes the call keeps.
-
-The lattice takes only the Selberg minorant, and builds its tail from the
-window (alpha, beta) the minorant records (`TestFunction.interval`) in
-`_selberg_tail`.  Beyond t_valid = max(|alpha|, |beta|) + 1.5/delta both
-Beurling arguments, u = delta (alpha - t) and delta (t - beta), have
-|u| >= 1.5, where B(u) = sgn(u) + (1 - cos 2 pi u) w(u)/pi^2 (`extremal`),
-so the sgn parts cancel and
-
-    f(t) = P(t) + sum_edges Q(t) cos(omega t - omega edge),
-
-P = -(w(u_alpha) + w(u_beta))/(2 pi^2), Q = w(u)/(2 pi^2) for each edge,
-omega = 2 pi delta.  H. Alzer's (k-1)!/x^k + k!/(2x^{k+1}) <
-(-1)^{k+1} psi^(k)(x) < (k-1)!/x^k + k!/x^{k+1} for x > 0 (Math. Comp. 66,
-1997), at k = 2 and 3, put w' in (1/x^3, 2/x^3) and w'' in
-(3/x^4, 6/x^4) on u = -x <= -1/2, and in (-1/u^3, 0) and (0, 3/u^4) for
-u > 0, so |w'| <= 2/|u|^3 and |w''| <= 6/u^4; taken at u = delta (t -
-max(|alpha|, |beta|)) they bound s^2 |Q|, |s|^3 |Q'| and s^4 |Q''| over
-|s| >= t for both edges at once.
-
-The lattice spans |t| <= t3.  t3 starts at the floor the row itself needs,
-max(t_valid, 2 max Im mu + 20, 4 a + 20, 64), and grows by a fifth at a
-time until the remainder after two integrations by parts of each edge's
-component is within its share of the budget.  Those bounds tighten as t3
-grows; on the headline grid the floor, t3 = 420, already meets the budget.
-The smooth part is integrated from t3 out to t2, where c_p/t^2 bounds it,
-c_p being one constant fixed at t_valid and about ten times its sup beyond
-t3 on the headline grid.  c_p is left that loose on purpose: the smooth
-tail beyond t2 is one-signed and most of the lattice's bias at mu = 0
-(+4.1e-6), so sizing t2 from a cutoff-dependent c_p (t2 from 3.6e7 down to
-3.1e6) moves the headline margin to 0.185908, off the pinned 0.185885.
+`ell_grid` is the certification search's private evaluator of the
+Re mu = 0 row, on a time-domain lattice; its docstring holds the method.
 """
 
 from __future__ import annotations
@@ -163,7 +102,6 @@ __all__ = [
     "convention_scale",
     "ell",
     "ell_column_floor",
-    "ell_grid",
     "rhs",
     "verify",
     "zero_sum",
@@ -533,17 +471,17 @@ def _geom_nodes(t_from: float, t_to: float) -> list:
     return pts
 
 
-def _cutoff_floor(y_max: float, a: float) -> float:
-    """The least lattice half-width t3 a row up to Im mu = y_max at
-    a = 1/4 + Re mu/2 takes, before the tail bounds (`ell_grid`)."""
-    return max(2.0 * y_max + 20.0, 4.0 * a + 20.0, 64.0)
+def _cutoff_floor(y_max: float) -> float:
+    """The least lattice half-width t3 the Re mu = 0 row up to Im mu = y_max
+    takes, before the tail bounds (`ell_grid`)."""
+    return max(2.0 * y_max + 20.0, 64.0)
 
 
 def _check_grid_size(n_values: float, t3: float, y_span: float) -> None:
     """DomainError for a row of n_values values, or a lattice of
     half-width t3 whose shifts span y_span in Im mu, past the sizes the
-    certification search evaluates (`_MAX_GRID_VALUES`, `_MAX_LATTICE`);
-    callers check before allocating either."""
+    certification search evaluates (`_MAX_GRID_VALUES`, `_MAX_LATTICE`):
+    the search checks at t3's floor before any work, `ell_grid` at t3."""
     lattice = (2.0 * t3 + y_span) / _LATTICE_H
     if n_values > _MAX_GRID_VALUES or lattice > _MAX_LATTICE:
         raise DomainError(
@@ -558,7 +496,7 @@ _W_BOUND = 0.70
 
 def _selberg_tail(alpha: float, beta: float, delta: float):
     """The Selberg minorant of [alpha, beta] at aperture delta for
-    |t| >= t_valid, as the module docstring splits it: returns t_valid,
+    |t| >= t_valid, as `ell_grid`'s docstring splits it: returns t_valid,
     c_p with |P(t)| <= c_p/t^2 there, P, omega, bounds and, for the edges
     alpha and beta in that order, (Q, Q', phase).  bounds(t), for
     t >= t_valid, returns (c_q, c_dq, c_ddq) with |Q(s)| <= c_q/s^2,
@@ -588,20 +526,18 @@ def _selberg_tail(alpha: float, beta: float, delta: float):
         w, dw, ddw = _beurling_w_bounds(delta * (t - s_max))
         return half * t * t * w, half * delta * t**3 * dw, half * delta**2 * t**4 * ddw
 
-    # |u| >= kappa delta |t| for |t| >= t_valid: loose on purpose (module
-    # docstring)
+    # |u| >= kappa delta |t| for |t| >= t_valid: loose on purpose (`ell_grid`)
     kappa = 1.5 / (delta * t_valid)
     c_p = 2.0 * (half * _W_BOUND / (delta * kappa) ** 2)
     return t_valid, c_p, smooth, omega, bounds, (edge(alpha, -1.0), edge(beta, 1.0))
 
 
-def _lattice_stride(step: float) -> int:
-    """The Im step over the lattice spacing, DomainError unless it is a
-    positive integer."""
+def _check_lattice_step(step: float) -> None:
+    """DomainError unless the Im step is a positive multiple of the lattice
+    spacing; `ell_grid` reads the stride, step/spacing, as checked."""
     ratio = step / _LATTICE_H
     if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise DomainError(f"im step must be a positive multiple of {_LATTICE_H}")
-    return int(round(ratio))
 
 
 def _smooth_tail_nodes(n_cols: int, c_p: float, smooth: Callable, t3: float, eps: float,
@@ -629,66 +565,101 @@ def ell_grid(
     f: TestFunction,
     re_values: Sequence[float],
     im_values: Sequence[float],
-    im_max: Optional[float] = None,
+    im_max: float,
 ) -> Tuple[np.ndarray, float]:
-    """ell(mu, f), halved convention, on one lattice row: Re mu = the one
-    entry of re_values, at each Im mu of im_values.
+    """ell(i y, f), halved convention, on the Re mu = 0 lattice row: the
+    certification search's private evaluator, whose one caller is
+    `certification.min_ell_over_mu`.
 
     Returns (values of shape (1, len(im_values)), error bound per value).
-    Needs an even Selberg minorant (its `interval` set) and an equispaced
-    Im grid of at least 2 columns that starts at 0, whose step is a
-    multiple of the lattice spacing 1/16; anything else raises DomainError.  The method,
-    the lattice's half-width t3 and the smooth-tail constant c_p are
-    described in the module docstring: column j is one Simpson-weighted sum
-    over the psi table's slice from j stride, and both sides share the
-    smooth tail's weights, P being even.
+    re_values must be [0.0], and anything else raises DomainError; it stays
+    a positional argument only because the benchmark's tracer
+    (`perfbench/tracer.py`) counts len(re_values) * len(im_values) values
+    per call.  im_values = 0, step, 2 step, ... are the leading columns, at
+    least 2, of the row that runs on in the same step to the grid point
+    im_max, and the values are that row's first columns, bit for bit.  The
+    caller checks all of that before any work, and also that the step is a
+    multiple of the lattice spacing 1/16 and that the row fits
+    `_check_grid_size` at t3 = `_cutoff_floor(im_max)`.  This function
+    checks only what the caller does not: that f is an even Selberg
+    minorant (its `interval` set), and the lattice's size once t3 is known,
+    before any lattice array is allocated; both raise DomainError.
 
-    Leading columns: with im_max, im_values are the first columns of the
-    row that runs on in the same step to im_max, and the values are that
-    row's first columns, bit for bit.  t3 and the error budget stay the
-    full row's; the table spans the given columns alone, and the smooth
-    tail is evaluated at the full row's interpolation nodes (every 16th
-    column and the last) up to the first at or past the last given column.
-    A row or lattice past `_check_grid_size`'s limits raises DomainError
-    before any lattice array is allocated.
+    The lattice.  ell(i y) = int W(t + y) f(t) dt - fhat(0) log pi with
+    W(s) = Re psi(1/4 + i s/2), which depends on t and y only through t + y.
+    So on a uniform Simpson lattice in t of spacing 1/16, which divides the
+    Im step, every required psi value lies on one table, and column j is
+    the sum of the Simpson-weighted f samples against the table's slice
+    from j stride on, stride being the Im step over 1/16.  f is even, so it
+    is sampled on the t >= 0 half of the lattice and mirrored.  All the
+    row's sums are one product over a strided view of the table, which
+    copies nothing and calls no BLAS, so each column's rounding depends
+    neither on the other columns nor on the thread count.  The table takes
+    `special_math._re_digamma`, Re psi(a + iv) from the asymptotic series in
+    real arithmetic, within 1.5e-13 of a complex psi and so far inside the
+    error budget of 2.5e-4.  Re psi(a + iv) is even in v, `_re_digamma` is
+    even bit for bit, and v = 0 is a table point because the row starts at
+    Im mu = 0 (t3 lies on the lattice), so the table is computed on its
+    v >= 0 part alone and read back at |k - k0|, k0 the entry of v = 0:
+    6,981 of the headline row's 13,701 entries.
+
+    The tails.  Beyond t_valid = max(|alpha|, |beta|) + 1.5/delta both
+    Beurling arguments, u = delta (alpha - t) and delta (t - beta), have
+    |u| >= 1.5, where B(u) = sgn(u) + (1 - cos 2 pi u) w(u)/pi^2
+    (`extremal`), so the sgn parts cancel and (`_selberg_tail`)
+
+        f(t) = P(t) + sum_edges Q(t) cos(omega t - omega edge),
+
+    P = -(w(u_alpha) + w(u_beta))/(2 pi^2), Q = w(u)/(2 pi^2) for each edge,
+    omega = 2 pi delta.  H. Alzer's (k-1)!/x^k + k!/(2x^{k+1}) <
+    (-1)^{k+1} psi^(k)(x) < (k-1)!/x^k + k!/x^{k+1} for x > 0 (Math. Comp. 66,
+    1997), at k = 2 and 3, put w' in (1/x^3, 2/x^3) and w'' in
+    (3/x^4, 6/x^4) on u = -x <= -1/2, and in (-1/u^3, 0) and (0, 3/u^4) for
+    u > 0, so |w'| <= 2/|u|^3 and |w''| <= 6/u^4; taken at u = delta (t -
+    max(|alpha|, |beta|)) they bound s^2 |Q|, |s|^3 |Q'| and s^4 |Q''| over
+    |s| >= t for both edges at once.
+
+    The lattice spans |t| <= t3.  t3 starts at max(t_valid,
+    `_cutoff_floor(im_max)`) and grows by a fifth at a time until the
+    remainder after two integrations by parts of each edge's component is
+    within its share of the budget; on the headline grid the floor,
+    t3 = 420, already meets it.  The boundary terms of those integrations
+    take each edge's Q and Q' at +-t3 in one call, and psi' in one call per
+    side on the row's boundary points.  The smooth part P is even, as f is,
+    so both sides share its nodes and weights on `ell`'s Gauss-Legendre
+    panels, from t3 out to t2, where c_p/t^2 bounds it, c_p being one
+    constant fixed at t_valid and about ten times its sup beyond t3 on the
+    headline grid.  c_p is left that loose on purpose: the smooth tail
+    beyond t2 is one-signed and most of the lattice's bias at mu = 0
+    (+4.1e-6), so sizing t2 from a cutoff-dependent c_p (t2 from 3.6e7 down
+    to 3.1e6) moves the headline margin to 0.185908, off the pinned
+    0.185885.  The lattice stays because that pinned margin is the
+    lattice's value: the exact minimum, 0.1858822, rounds differently.
+
+    Leading columns: t3 and the error budget are the full row's, so the
+    call finishes the given columns alone, bit for bit the full row's: the
+    table up to their last column, the smooth tail at the full row's
+    interpolation nodes (every 16th column and the last) up to the first at
+    or past the last given column, psi' at their boundary points, and each
+    node's weighted sum a row sum, whose rounding does not depend on how
+    many nodes the call keeps.
     """
     if f.interval is None or not f.even:
         raise DomainError("ell_grid requires an even Selberg minorant (TestFunction.interval)")
-    re_values = np.asarray(re_values, dtype=float)
-    ys = np.asarray(im_values, dtype=float)
-    if re_values.ndim != 1 or ys.ndim != 1:
-        raise DomainError("re_values and im_values must be 1-d")
-    if len(re_values) != 1 or len(ys) < 2:
-        raise DomainError("ell_grid evaluates one lattice row: exactly one Re mu, "
-                          "and Im mu columns at least 2")
-    y_max = float(ys[-1]) if im_max is None else float(im_max)
-    if not (np.isfinite(re_values).all() and np.isfinite(ys).all() and math.isfinite(y_max)):
-        raise DomainError("grid values must be finite")
-    if re_values[0] < -1e-12 or ys[0] != 0.0:
-        raise DomainError("the row needs Re mu >= 0 and Im mu from 0")
-    h = _LATTICE_H
-    steps = np.diff(ys)
-    if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
-        raise DomainError("im_values must be equispaced")
-    step = float(steps[0])
-    stride = _lattice_stride(step)
-    a = 0.25 + 0.5 * float(re_values[0])
-    # the full row's column count, its size checked in floats first
-    n_cols, n_out = len(ys), len(ys)
-    if y_max > ys[-1] + 1e-9:
-        _check_grid_size(y_max / step + 1.0, _cutoff_floor(y_max, a), y_max)
-        n_cols = 1 + round(y_max / step)
-        if abs((n_cols - 1) * step - y_max) > 1e-9:
-            raise DomainError("im_max must lie on the grid of im_values")
-    elif y_max < ys[-1] - 1e-9:
-        raise DomainError("im_max must not lie below the last of im_values")
+    if np.asarray(re_values, dtype=float).tolist() != [0.0]:
+        raise DomainError("ell_grid evaluates the Re mu = 0 row alone: re_values must be [0.0]")
+    h, a, y_max = _LATTICE_H, 0.25, float(im_max)
+    step = float(im_values[1] - im_values[0])
+    stride = round(step / h)
+    # the full row's column count, and the columns given
+    n_cols, n_out = 1 + round(y_max / step), len(im_values)
 
     t_valid, c_p, smooth_part, omega, bounds, edges = _selberg_tail(*f.interval, f.support_radius)
     # oscillatory cutoff: after two integrations by parts the remainder of
     # each edge's component on each side is rem2(T), with the bounds beyond
     # T that both edges share; pick T3 so the four stay within _GRID_TOL/4
     c0, clog, cd, cdd = 3.0, 1.0, 4.0, 8.0
-    t3 = max(t_valid, _cutoff_floor(y_max, a))
+    t3 = max(t_valid, _cutoff_floor(y_max))
 
     def rem2(t):
         c_q, c_dq, c_ddq = bounds(t)
@@ -765,7 +736,8 @@ class ExplicitFormulaReport:
 
     rhs_archimedean lists ell(mu_j, f)/(2 pi) in spectral order; rhs_total
     is their sum plus conductor and prime terms.  zero-side fields are None
-    when only the right side was evaluated.  tail_bound is the heuristic
+    when only the right side was evaluated, and implied_log_Q also when f
+    has integral 0.  tail_bound is the heuristic
     density-surrogate bound on the omitted |gamma| > T_max zero mass; the
     tolerance budget collects stated quadrature tolerances so reports can
     be compared against |residual| <= tail_bound + budget.
@@ -925,7 +897,8 @@ def verify(
     tol: float = 1e-8,
 ) -> ExplicitFormulaReport:
     """Full consistency report: zero side vs right side, residual, and the
-    conductor the residual would imply (a check on an assumed Q)."""
+    conductor the residual would imply (a check on an assumed Q), None when
+    f has integral 0 and so carries no conductor term."""
     primes = None
     n_max = _prime_range(f)
     if n_max:
@@ -935,6 +908,7 @@ def verify(
     right = rhs(data.fe, f, primes, convention, tol)
     value, tail = zero_sum(data, f)
     residual = value - right.rhs_total
-    implied = math.pi * residual / f.integral + math.log(data.fe.conductor)
+    implied = (math.pi * residual / f.integral + math.log(data.fe.conductor)
+               if f.integral != 0.0 else None)
     return replace(right, zero_side=value, tail_bound=tail, residual=residual,
                    implied_log_Q=implied)

@@ -33,13 +33,14 @@ minorant, and the transform stored is that of its centred copy
 f(. + centre): real, even, and for the minorant a function of beta - alpha
 alone.  The pointwise explicit-formula term and ``fourier_at`` read only
 this transform.  The Selberg minorant also records its window (alpha,
-beta) as ``interval``, from which the one-row lattice evaluator
-``explicit_formula.ell_grid`` builds its tail and the column floor
-``explicit_formula.ell_column_floor`` takes the transform with its exact
-derivative on [0, delta] in one pass, `_selberg_jet`: Vaaler's J^ and its
-derivative come from one v cot(pi v), folded at |u| = 1/2, with the
-series of the derivative where its closed form cancels, and the sinc's
-derivative likewise; the Fejer kernels record no window.
+beta) as ``interval``, from which the certification search's private
+Re mu = 0 evaluator ``explicit_formula.ell_grid`` builds its tail and the
+column floor ``explicit_formula.ell_column_floor`` takes the transform
+with its exact derivative on [0, delta] in one pass, `_selberg_jet`:
+Vaaler's J^ and its derivative come from one v cot(pi v), folded at
+|u| = 1/2, with the series of the derivative where its closed form
+cancels, and the sinc's derivative likewise; the Fejer kernels record no
+window.
 
 Every decay envelope |f(t)| <= m/t^2 holds on both tails, |t| >= t0.  The
 Fejer kernels' constants are closed forms.  The Selberg minorant's comes in

@@ -10,13 +10,13 @@ over the near points alone; every other point takes the series directly.
 So each value depends on its own point alone, whatever the batch.
 ``digamma`` adds the reflection psi(z) = psi(1 - z) - pi cot(pi z) (DLMF
 5.5.4) for Re z < 0 and a domain error at the poles, the nonpositive
-integers; ``trigamma_real`` adds the check x > 0.  The lattice evaluator
-``explicit_formula.ell_grid`` takes its edges' psi' from the kernel and its
-one row's psi table and smooth tails from ``_re_digamma(a, v)``,
-Re psi(a + iv) for a scalar a and a real array v, on the same shift rule
-but with the series in real arithmetic: it needs only log|z|, a/|z|^2 and
-a three-term recurrence for Re z^-2k, so no point takes a complex log or
-division, and it reads v only through v^2, so it is even in v bit for bit.
+integers; ``trigamma_real`` adds the check x > 0.  The certification
+search's private Re mu = 0 evaluator ``explicit_formula.ell_grid`` takes
+``_re_digamma(a, v)``, Re psi(a + iv) for a scalar a and a real array v,
+on the same shift rule but with the series in real arithmetic: it needs
+only log|z|, a/|z|^2 and a three-term recurrence for Re z^-2k, so no point
+takes a complex log or division, and it reads v only through v^2, so it is
+even in v bit for bit.
 Like ``_polygamma``, it sums all six terms at every point, so each Re psi
 value, too, depends on its own point alone.
 
@@ -143,8 +143,8 @@ def trigamma_real(x):
 
 
 def _re_digamma(a: float, v) -> np.ndarray:
-    # Re psi(a + iv) for a scalar a > 0 and a real array v (internal; the
-    # lattice row of ell_grid), on _polygamma's rule: the series, replaced
+    # Re psi(a + iv) for a scalar a > 0 and a real array v (internal; for
+    # ell_grid's Re mu = 0 row), on _polygamma's rule: the series, replaced
     # where |z| < 16 by Re psi(z + 16) - sum_{k<16} (a + k)/((a + k)^2 + v^2).
     # Masking the near points, about 5% of a lattice table, out of the first
     # series call measured slower than evaluating them twice

@@ -137,7 +137,7 @@ def test_parameter_validation():
     with pytest.raises(DomainError):
         min_ell_over_mu(cert_fn(), re_max=0.0, im_max=20.0, step=0.5)
     with pytest.raises(DomainError):
-        # one Im-mu column: ell_grid takes at least 2
+        # one Im-mu column: the search needs step <= im_max, so ell_grid gets 2 or more
         min_ell_over_mu(cert_fn(), re_max=6.0, im_max=0.25, step=0.5)
     # comparisons with nan are false, so non-finite bounds need their own check
     for bad in ({"re_max": math.nan}, {"im_max": math.nan}, {"step": math.nan},
@@ -273,7 +273,7 @@ def _full_row_search(f, re_max, im_max, step, convention="halved"):
     column floor clears it."""
     k = convention_scale(convention)
     im_values = _step_grid(im_max, step)
-    vals, error_bound = ell_grid(f, [0.0], k * im_values)
+    vals, error_bound = ell_grid(f, [0.0], k * im_values, im_max=k * im_values[-1])
     j = int(np.argmin(vals[0]))
     return (float(vals[0, j]), complex(0.0, im_values[j]), float(error_bound),
             (len(_step_grid(re_max, step)), len(im_values)))
@@ -331,6 +331,53 @@ def test_headline_certificate_evaluates_few_rows(monkeypatch):
     assert rows == 1 and cols <= 71 and im_max == 200.0
     assert cert.search.grid_shape == (201, 801)
     assert cert.search.columns_evaluated == cols
+
+
+def test_ell_grid_gets_the_row_the_search_checked(monkeypatch):
+    # ell_grid repeats none of min_ell_over_mu's checks, so every call must
+    # get the Re mu = 0 row's leading columns, from Im mu = 0 in the search's
+    # step, and the full row's last column, on the grid: bit for bit the
+    # search's own grid, scaled by the convention's k
+    calls = []
+
+    def spy(f, re_values, im_values, im_max):
+        calls.append((re_values, np.array(im_values), im_max))
+        return ell_grid(f, re_values, im_values, im_max=im_max)
+
+    monkeypatch.setattr(certification, "ell_grid", spy)
+    runs = [
+        (1, 0.25, lambda: certify_gap(4, CERT_LENGTH).search),
+        (2, 0.125, lambda: certify_gap(4, CERT_LENGTH, convention="literal").search),
+        (1, 0.5, lambda: min_ell_over_mu(cert_fn(), 6.0, 20.0, 0.5).domain),
+    ]
+    for k, step, search in runs:
+        calls.clear()
+        domain = search()
+        n_im = domain.grid_shape[1]
+        [(re_values, im_values, im_max)] = calls
+        cols = domain.columns_evaluated
+        assert re_values == [0.0]
+        assert cols >= 2 and len(im_values) == cols
+        assert im_values.tobytes() == (k * (step * np.arange(cols))).tobytes()
+        assert im_max == k * (step * (n_im - 1))
+
+
+@pytest.mark.parametrize("rect", [
+    dict(im_max=math.nan), dict(im_max=math.inf), dict(step=math.nan), dict(step=math.inf),
+    dict(step=0.1),  # off the 1/16 lattice
+    dict(im_max=7e4, step=0.0625),  # a row of 1.1e6 values, on a lattice within its limit
+    dict(im_max=2e5),  # a row of 4e5 values, within its limit, on a lattice of 1.6e7
+], ids=["im_max-nan", "im_max-inf", "step-nan", "step-inf", "off-lattice", "row", "lattice"])
+def test_min_ell_refuses_before_any_ell(monkeypatch, rect):
+    # the checks ell_grid relies on come before the incumbent ell(0), the
+    # first evaluation of the search
+    def reached(*args, **kwargs):
+        raise AssertionError("the search evaluated ell before refusing its grid")
+
+    monkeypatch.setattr(certification, "ell", reached)
+    monkeypatch.setattr(certification, "ell_grid", reached)
+    with pytest.raises(DomainError):
+        min_ell_over_mu(cert_fn(), **{**FAST, **rect})
 
 
 def test_pruning_pad_checked_against_grid_bound(monkeypatch):

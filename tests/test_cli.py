@@ -319,6 +319,17 @@ def test_verify_example_passes(capsys):
     assert doc["implied_log_Q"] == pytest.approx(0.055081473846852344, abs=1e-6)
 
 
+def test_verify_example_at_zero_mass(capsys):
+    # L = 1/delta0, where the minorant's integral is exactly 0: the report
+    # has no implied conductor, and the PASS rule still applies
+    rc, out, err = run(capsys, "verify-example", "--length", repr(1.0 / PRIME_FREE_RADIUS))
+    assert rc == 0 and err == ""
+    assert out.endswith("consistency: PASS\n")
+    doc = json.loads(out.rsplit("consistency:", 1)[0])
+    assert doc["implied_log_Q"] is None
+    assert abs(doc["residual"]) <= doc["tail_bound"] + doc["tolerance_budget"]
+
+
 def test_verify_example_detects_wrong_conductor(capsys, tmp_path):
     doc = json.loads(bundled_example_path().read_text())
     doc["conductor"]["value"] = 1000.0

@@ -407,39 +407,36 @@ def test_gauss_rules_match_mpmath():
 
 
 def test_ell_grid_matches_pointwise(cert_minorant):
-    re_v = np.arange(0.0, 2.0 + 1e-9, 0.25)
     im_v = np.arange(0.0, 200.0 + 1e-9, 0.25)
-    for i, cols in ((0, (0, 800)), (3, (100,)), (5, (399,)), (8, (800,))):
-        row, bound = ell_grid(cert_minorant, [re_v[i]], im_v)
-        for j in cols:
-            p = ell(complex(re_v[i], im_v[j]), cert_minorant)
-            assert abs(row[0, j] - p) < bound
-            assert abs(row[0, j] - p) < 5e-5
+    row, bound = ell_grid(cert_minorant, [0.0], im_v, im_max=200.0)
+    for j in (0, 100, 399, 800):
+        p = ell(1j * im_v[j], cert_minorant)
+        assert abs(row[0, j] - p) < bound
+        assert abs(row[0, j] - p) < 5e-5
 
 
 def test_ell_grid_psi_kernel_matches_scipy_rows(cert_minorant, monkeypatch):
     # the headline row with the real-arithmetic Re psi kernel, against the
     # same call whose table and smooth tails take scipy's complex psi
     im_v = ef._step_grid(200.0, 0.25)
-    row, bound = ell_grid(cert_minorant, [0.0], im_v)
+    row, bound = ell_grid(cert_minorant, [0.0], im_v, im_max=200.0)
     monkeypatch.setattr(ef, "_re_digamma",
                         lambda a, v: np.real(scipy.special.psi(a + 1j * v)))
-    reference, reference_bound = ell_grid(cert_minorant, [0.0], im_v)
+    reference, reference_bound = ell_grid(cert_minorant, [0.0], im_v, im_max=200.0)
     assert bound == reference_bound
     assert np.max(np.abs(row - reference)) < 1e-12
 
 
-@pytest.mark.parametrize("re_v, im_v", [
-    (np.arange(0.0, 3.0 + 1e-9, 0.3), np.arange(0.0, 30.0 + 1e-9, 0.5)),
-    (np.array([0.0, 1.5]), np.array([0.0, 5.25, 10.5])),  # stride 84
-    (np.array([0.5]), np.array([0.0, 7.0])),  # two columns, stride 112
+@pytest.mark.parametrize("im_v", [
+    np.arange(0.0, 30.0 + 1e-9, 0.5),
+    np.array([0.0, 5.25, 10.5]),  # stride 84
+    np.array([0.0, 7.0]),  # two columns, stride 112
 ])
-def test_ell_grid_irregular_grids_match_pointwise(cert_minorant, re_v, im_v):
-    for i in {0, len(re_v) // 2, len(re_v) - 1}:
-        row, bound = ell_grid(cert_minorant, [re_v[i]], im_v)
-        for j in {0, len(im_v) // 3, len(im_v) - 1}:
-            p = ell(complex(re_v[i], im_v[j]), cert_minorant)
-            assert abs(row[0, j] - p) < bound
+def test_ell_grid_irregular_grids_match_pointwise(cert_minorant, im_v):
+    row, bound = ell_grid(cert_minorant, [0.0], im_v, im_max=im_v[-1])
+    for j in {0, len(im_v) // 3, len(im_v) - 1}:
+        p = ell(1j * im_v[j], cert_minorant)
+        assert abs(row[0, j] - p) < bound
 
 
 def _grid_and_psi_tables(f, re_v, im_v, monkeypatch):
@@ -454,7 +451,7 @@ def _grid_and_psi_tables(f, re_v, im_v, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(ef, "_re_digamma", spy)
-        return ell_grid(f, re_v, im_v), calls[::3]
+        return ell_grid(f, re_v, im_v, im_max=im_v[-1]), calls[::3]
 
 
 def test_ell_grid_mirrors_its_psi_table(cert_minorant, monkeypatch):
@@ -474,22 +471,18 @@ def test_ell_grid_mirrors_its_psi_table(cert_minorant, monkeypatch):
 # the Im grid of certify_gap(4, 10 pi/log 2), whose Re mu = 0 row it evaluates
 HEADLINE_IM = ef._step_grid(200.0, 0.25)
 
-# several Re mu, each its own row
-FOLD_RE = [0.0, 0.25, 1.0, 2.25, 3.0]
 FOLD_IM_MAX = 30.0
 
 
 def _rows(f, im_v, y_stride=16):
-    # one ell_grid call per Re mu of FOLD_RE, stacked, and the bound;
-    # y_stride 1 evaluates the smooth tails at every column instead of
-    # interpolating between every 16th, which differ between Im steps (up
-    # to 3.5e-8 apart here)
+    # the Re mu = 0 row and its bound; y_stride 1 evaluates the smooth
+    # tails at every column instead of interpolating between every 16th,
+    # which differ between Im steps (up to 3.5e-8 apart here)
     smooth_tail_nodes = ef._smooth_tail_nodes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ef, "_smooth_tail_nodes", lambda ys, c_p, smooth, t3, eps, _:
                    smooth_tail_nodes(ys, c_p, smooth, t3, eps, y_stride))
-        rows = [ell_grid(f, [re], im_v) for re in FOLD_RE]
-    return np.vstack([row for row, _ in rows]), rows[0][1]
+        return ell_grid(f, [0.0], im_v, im_max=FOLD_IM_MAX)
 
 
 @pytest.fixture(scope="module")
@@ -509,7 +502,7 @@ def test_ell_grid_fold_matches_stride_one(cert_minorant, stride_one_grid, step, 
     grid, bound = _rows(cert_minorant, ef._step_grid(FOLD_IM_MAX, step), y_stride=1)
     reference, reference_bound = stride_one_grid
     assert bound == reference_bound
-    assert grid.shape == (len(FOLD_RE), int(FOLD_IM_MAX / step) + 1)
+    assert grid.shape == (1, int(FOLD_IM_MAX / step) + 1)
     assert grid.tobytes() == np.ascontiguousarray(reference[:, ::stride]).tobytes()
     # with the default tails, the columns where both grids interpolate from
     # a node: every 16th of the coarse grid
@@ -576,7 +569,7 @@ def test_ell_grid_headline_cutoff_is_the_column_floor(cert_minorant, monkeypatch
         return smooth_tail_nodes(ys, c_p, smooth, t3, eps, y_stride)
 
     monkeypatch.setattr(ef, "_smooth_tail_nodes", spy)
-    ell_grid(cert_minorant, [0.0], HEADLINE_IM)
+    ell_grid(cert_minorant, [0.0], HEADLINE_IM, im_max=200.0)
     assert cutoffs == [420.0]
 
 
@@ -587,7 +580,7 @@ def test_ell_grid_at_zero_within_bound_of_pointwise(length):
     # ell(0), which test_ell_reaches_tight_tolerances holds within 1e-13 of
     # the 30-digit mpmath oracle
     f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
-    grid, bound = ell_grid(f, [0.0], HEADLINE_IM)
+    grid, bound = ell_grid(f, [0.0], HEADLINE_IM, im_max=200.0)
     assert abs(grid[0, 0] - ell(0.0, f, tol=1e-10)) < bound
     if length == 2.0 * HALF:
         refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
@@ -599,52 +592,40 @@ def test_ell_grid_headline_memory_peak(cert_minorant):
     # the headline row, all 801 columns: their sums copy no 801 x 13,441
     # matrix of table windows (86 MB); Beurling's shift rows on the full
     # lattice alone once took 7.6 MiB
-    ell_grid(cert_minorant, [0.0], HEADLINE_IM)
+    ell_grid(cert_minorant, [0.0], HEADLINE_IM, im_max=200.0)
     tracemalloc.start()
     try:
-        ell_grid(cert_minorant, [0.0], HEADLINE_IM)
+        ell_grid(cert_minorant, [0.0], HEADLINE_IM, im_max=200.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
 
 
-# the Im step 3/16 up to 20, stride 3 and 107 columns, on two rows of the
-# rectangle [0, 6] x [0, 20] of the certification tests
-LEAD_RE, LEAD_IM = (0.0, 6.0), ef._step_grid(20.0, 0.1875)
+# the Im step 3/16 up to 20, stride 3 and 107 columns, on the Re mu = 0 row
+# of the rectangle [0, 6] x [0, 20] of the certification tests
+LEAD_IM = ef._step_grid(20.0, 0.1875)
 
 
 @pytest.fixture(scope="module")
-def lead_full_rows(cert_minorant):
-    return [ell_grid(cert_minorant, [re], LEAD_IM) for re in LEAD_RE]
+def lead_full_row(cert_minorant):
+    return ell_grid(cert_minorant, [0.0], LEAD_IM, im_max=LEAD_IM[-1])
 
 
 @pytest.mark.parametrize("n", [2, 17, 71, len(LEAD_IM)])
-def test_ell_grid_leading_columns_are_the_full_grids(cert_minorant, lead_full_rows, n):
+def test_ell_grid_leading_columns_are_the_full_grids(cert_minorant, lead_full_row, n):
     # the full row's t3 and budget, finished on the first n columns alone:
     # the full row's values, bit for bit
-    for re, (full, bound) in zip(LEAD_RE, lead_full_rows):
-        part, part_bound = ell_grid(cert_minorant, [re], LEAD_IM[:n], im_max=LEAD_IM[-1])
-        assert part.shape == (1, n)
-        assert part.tobytes() == full[:, :n].tobytes()
-        assert part_bound == bound
-
-
-def test_ell_grid_leading_columns_validation(cert_minorant):
-    with pytest.raises(DomainError, match="at least 2"):
-        ell_grid(cert_minorant, [0.0], [0.0], im_max=20.0)  # one column fixes no step
-    with pytest.raises(DomainError, match="on the grid"):
-        ell_grid(cert_minorant, [0.0], [0.0, 0.25], im_max=20.1)
-    with pytest.raises(DomainError, match="below"):
-        ell_grid(cert_minorant, [0.0], [0.0, 0.25, 0.5], im_max=0.25)
-    with pytest.raises(DomainError):
-        ell_grid(cert_minorant, [0.0], [0.0, 0.25], im_max=math.inf)
-    with pytest.raises(DomainError, match="too large"):  # its column count overflows
-        ell_grid(cert_minorant, [0.0], [0.0, 0.25], im_max=1e308)
+    full, bound = lead_full_row
+    part, part_bound = ell_grid(cert_minorant, [0.0], LEAD_IM[:n], im_max=LEAD_IM[-1])
+    assert part.shape == (1, n)
+    assert part.tobytes() == full[:, :n].tobytes()
+    assert part_bound == bound
 
 
 def test_ell_grid_refuses_oversized_lattice_before_allocating(cert_minorant):
-    # Im mu up to 1e7 needs a lattice of 8e8 entries, a 6 GB table
+    # Im mu up to 1e7 needs a lattice of 8e8 entries, a 6 GB table: the
+    # check at t3, the one the search's own check at t3's floor leaves
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="too large"):
@@ -936,35 +917,16 @@ def test_re_digamma_above_real_digamma(a, y):
 
 
 def test_ell_grid_input_validation(cert_minorant):
-    with pytest.raises(DomainError):
-        ell_grid(cert_minorant, [0.0], [0.0, 0.1])  # step not on the lattice
-    with pytest.raises(DomainError):
-        ell_grid(cert_minorant, [-1.0], [0.0, 0.25])
-    with pytest.raises(DomainError):
-        ell_grid(cert_minorant, [], [0.0, 0.25])
-    with pytest.raises(DomainError):
-        ell_grid(cert_minorant, [0.0], [])
-    with pytest.raises(DomainError, match="1-d"):
-        ell_grid(cert_minorant, [[0.0, 1.0]], [0.0, 0.25])
-    with pytest.raises(DomainError, match="1-d"):
-        ell_grid(cert_minorant, [0.0], [[0.0, 0.25]])
-    with pytest.raises(DomainError, match="equispaced"):
-        ell_grid(cert_minorant, [0.0], [0.0, 0.25, 0.75])
-    # one row, of at least 2 columns, from Im mu = 0
-    for re_v, im_v in (([0.0, 1.5], [0.0, 0.25]), ([0.0], [0.0]), ([0.5], [7.0]),
-                       ([0.0, 1.5], [5.0, 5.25, 5.5]), ([0.0], [0.1, 0.6, 1.1])):
-        with pytest.raises(DomainError, match="one lattice row|from 0"):
-            ell_grid(cert_minorant, re_v, im_v)
-    for re_v, im_v in (([np.inf], [0.0, 0.25]), ([np.nan], [0.0, 0.25]),
-                       ([0.0], [0.0, np.inf]), ([0.0], [0.0, np.nan])):
-        with pytest.raises(DomainError):
-            ell_grid(cert_minorant, re_v, im_v)
+    # the Re mu = 0 row alone; the Im columns are min_ell_over_mu's to check
+    for re_v in ([-1.0], [0.5], [], [0.0, 1.5], [[0.0]], [[0.0, 1.0]], [np.inf], [np.nan]):
+        with pytest.raises(DomainError, match="Re mu = 0 row alone"):
+            ell_grid(cert_minorant, re_v, [0.0, 0.25], im_max=0.25)
     # the lattice builds its tail from an even Selberg minorant's window
     for f in (replace(cert_minorant, interval=None), fejer(PRIME_FREE_RADIUS),
               windowed_fejer(14.13, PRIME_FREE_RADIUS),
               selberg_minorant(0.0, 45.5, PRIME_FREE_RADIUS)):
         with pytest.raises(DomainError, match="even Selberg minorant"):
-            ell_grid(f, [0.0], [0.0, 0.25])
+            ell_grid(f, [0.0], [0.0, 0.25], im_max=0.25)
 
 
 def _fe(spectral, q=1.0):
@@ -1192,6 +1154,21 @@ def test_verify_report_regression(bundled, delta):
             assert got[key] == value
         else:
             assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-15), key
+
+
+def test_verify_at_zero_mass_implies_no_conductor(bundled):
+    # at L = 1/delta0 the minorant's integral is exactly 0, so the residual
+    # carries no conductor term to solve for: the report has no implied
+    # log Q, and its residual is inside the tail bound
+    length = 1.0 / PRIME_FREE_RADIUS
+    f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
+    assert f.integral == 0.0
+    rep = verify(bundled, f)
+    assert rep.implied_log_Q is None and rep.to_dict()["implied_log_Q"] is None
+    assert rep.rhs_conductor == 0.0
+    assert abs(rep.residual) <= rep.tail_bound + rep.tolerance_budget
+    assert rep.residual == pytest.approx(0.4123, abs=1e-4)
+    assert rep.tail_bound == pytest.approx(1.0737, abs=1e-4)
 
 
 def test_verify_just_above_prime_edge(bundled):

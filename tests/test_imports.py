@@ -113,6 +113,15 @@ def test_tracer_counts_the_certify_columns(monkeypatch):
     assert [s.items for s in spans] == [cert.search.columns_evaluated] == [66]
 
 
+def test_ell_grid_is_private_to_the_certification_search():
+    # the lattice is not exported; the one binding the search calls, and the
+    # tracer wraps, is explicit_formula's function itself
+    assert not hasattr(zerogap, "ell_grid")
+    assert "ell_grid" not in zerogap.__all__
+    assert "ell_grid" not in explicit_formula.__all__
+    assert certification.ell_grid is explicit_formula.ell_grid
+
+
 def test_benchmark_output_checks_pass():
     # the benchmark's own checks (pinned margin, scan counts, classify_point
     # against the scan, consistency) on the fixed and the first seeded input

@@ -20,35 +20,67 @@ psi(w) = int_0^inf [e^-x/x - e^-wx/(1 - e^-x)] dx (DLMF 5.9.13), integrated
 against f and split at fhat(0), gives for Re z > 0 the frequency-side
 explicit formula (Iwaniec-Kowalski, Analytic Number Theory, 5.5) in the form
 
-    ell = fhat(0) (Re psi(z) - log pi)
-          + Re [int_0^Y e^-zx h(x) dx + fhat(0) sum_{k>=0} e^-(z+k)Y/(z+k)],
-    h(x) = (fhat(0) - fhat(x/4 pi))/(1 - e^-x),   Y = max(X, 1):
+    ell = fhat(0) (Re psi(z) - log pi) + Re I(z),
+    I(z) = int_0^inf e^-zx g(x)/(1 - e^-x) dx,   g(x) = fhat(0) - fhat(x/4 pi):
 
-every transform vanishes for |xi| >= delta, so past X = 4 pi delta, h is
-fhat(0)/(1 - e^-x), whose integral from Y on is the series.  h is bounded,
-unlike the unsplit form's fhat(0) e^-x/x, so the integrand stays finite at
-x = 0.  h is real for the centred copy below, so the integrand's real part
-is e^{-Re z x} cos(Im z x) h(x), computed in real arithmetic.  The
-integral takes fixed Gauss-Legendre panels with X/2 (the windowed kernel's
-kink) and X as edges, two per period of e^{-i Im z x}, so that the cost is
-linear in |Im mu|, and graded toward 0 when e^{-Re z x} decays within the
-first one.  The 48-point rule gives the value, the 24-point rule its error
-estimate.  `ell` takes one mu or a 1-d array of them: each mu keeps its
-own panels, all panels of the batch share one evaluation of fhat and of
+every transform vanishes for |xi| >= delta, so past X = 4 pi delta, g is
+fhat(0).  g vanishes at 0, so unlike the unsplit form's fhat(0) e^-x/x the
+integrand stays finite there.  A test function even about centre != 0
+goes through its centred copy, ell(mu, f) = ell(mu + i centre,
+f(. + centre)) in halved units, whose real transform
+`TestFunction.fourier_centred` is all that `ell` reads of it, or its
+`fourier_pieces`.  `ell` takes I(z) on one of two routes.
+
+The panel rule, for the Selberg minorant.  With h = g/(1 - e^-x) and
+Y = max(X, 1), I(z) = int_0^Y e^-zx h(x) dx + fhat(0) sum_{k>=0}
+e^-(z+k)Y/(z+k), the series being the integral of fhat(0) e^-zx/(1 - e^-x)
+from Y on.  h is real, so the integrand's real part is
+e^{-Re z x} cos(Im z x) h(x), computed in real arithmetic.  The integral
+takes fixed Gauss-Legendre panels with X/2 and X as edges, two per period
+of e^{-i Im z x}, so that the cost is linear in |Im mu|, and graded toward
+0 when e^{-Re z x} decays within the first one.  The 48-point rule gives
+the value, the 24-point rule its error estimate.  Each mu keeps its own
+panels, all panels of the batch share one evaluation of fhat and of
 e^{-zx} h (in blocks of `_PANEL_BLOCK` panels), and each mu's value is
-reduced from its own panel sums alone, so that ell(mus)[i] is
-bit-identical to ell(mus[i]).  The cost is linear in the total number of
-panels.  `ell` also takes a tuple of test functions with one support
-radius and one centre, as the scan's Fejer and windowed Fejer kernels
-are: the panels depend on z and the support alone, so the kernels share
-every panel list, one digamma(z) and one series per batch, and in each
-block e^{-Re z x} cos(Im z x), 1 - e^-x and the rule's weights; only
-fhat(0) - fhat and the panel sums are taken per kernel, in the same order
-of operations, so that each kernel's row is bit-identical to its own
-call.  A test function even about centre != 0 goes through its centred
-copy, ell(mu, f) = ell(mu + i centre, f(. + centre)) in halved units, whose
-real transform `TestFunction.fourier_centred` is all that `ell` reads, so
-the panels count every oscillation of the integrand.
+reduced from its own panel sums alone.  Kernels of one call share every
+panel list, one digamma(z) and one series, and in each block
+e^{-Re z x} cos(Im z x), 1 - e^-x and the rule's weights; only
+fhat(0) - fhat and the panel sums are taken per kernel.
+
+The closed form, for the Fejer kernels.  Their g is a sum of truncated
+powers c_jm (x - a_j)_+^m, m = 1, 2, 3, at the knots a_j = 0, X/2, X
+(`TestFunction.fourier_pieces` in xi = x/4 pi), and
+
+    int_0^inf e^-zx (x - a)_+^m/(1 - e^-x) dx = m! sum_{k>=0} e^-(z+k)a (z+k)^-(m+1),
+
+which at a = 0 is m! zeta(m+1, z) = (-1)^(m+1) psi^(m)(z) (DLMF 25.11.25,
+5.15.1), and for a > 0 a sum whose terms fall by e^-a each, so that its
+first ceil(37/a) terms reach 1e-16.  So ell is fhat(0) Re psi(z) and nine
+such terms, from one polygamma jet (`special_math._polygamma` at orders 0
+to 3) and one geometric sum per knot, both shared by every kernel of the
+call.  Where |z| is small the truncated powers cancel: at nu = 0 the
+windowed kernel's terms reach 8e6 against ell ~ -2601.  So the n shifts k
+with |z + k| X < 3 (`_NEAR_SHIFT`) are taken apart.  With G(s) =
+int_0^inf g e^-sx dx, I(z) = sum_{k<n} G(z + k) + I(z + n), and with
+psi(z) = psi(z + n) - sum_{k<n} 1/(z + k) (DLMF 5.5.2),
+
+    fhat(0) psi(z) + I(z) = fhat(0) psi(z + n) + I(z + n)
+                            - int_0^X fhat(x/4 pi) e^-zx sum_{k<n} e^-kx dx,
+
+whose last integral the 24-point Gauss-Legendre rule on [0, X/2] and
+[X/2, X] takes exactly up to rounding: fhat is a cubic on each, and
+|z + k| X/2 < 3/2 there.  The cost does not grow with |Im mu|, and only
+rounding is left, which `ell` estimates as an ulp of the sum of the
+magnitudes of the terms.  A geometric sum at a < 1/2 (`_MIN_KNOT`) would
+pass 74 terms, so a kernel whose X/2 is smaller takes the panel rule.
+
+`ell` takes one mu or a 1-d array of them, and on either route each mu's
+value comes from its own terms alone, so that ell(mus)[i] is
+bit-identical to ell(mus[i]).  It also takes a tuple of test functions
+with one support radius and one centre, as the scan's two kernels are;
+each route serves its kernels in one pass, in the same order of
+operations as for one kernel, so that each kernel's row is bit-identical
+to its own call, also in a tuple that mixes the routes.
 
 One integration by parts bounds ell below point by point.  With a = Re z
 and y = Im z, h is absolutely continuous on [0, Y], so the integral is
@@ -75,6 +107,7 @@ Re mu = 0 row, on a time-domain lattice; its docstring holds the method.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
@@ -158,6 +191,15 @@ _PANEL_BLOCK = 2048
 # kernels at delta0 take about 0.22 |Im mu| panels per mu, so a single mu
 # may reach |Im mu| ~ 5e5
 _MAX_PANELS = 120_000
+# ell's closed form: a kernel with fourier_pieces takes it when X/2 is at
+# least _MIN_KNOT, so that the geometric sums stay within
+# ceil(37/_MIN_KNOT) = 74 terms; and the shifts k with |z + k| X <
+# _NEAR_SHIFT go to the quadrature, where the truncated powers would cancel
+_MIN_KNOT = 0.5
+_NEAR_SHIFT = 3.0
+# the closed form's unit per coefficient: 1 for fhat(0), then (4 pi)^-m for
+# c_jm (TestFunction.fourier_pieces), xi = x/4 pi
+_PIECE_UNITS = np.array([1.0] + [(4.0 * math.pi) ** -m for m in (1, 2, 3)] * 3)
 # rhs: the largest n of the prime sum, past which n is no longer exact in a
 # float
 _MAX_PRIME_N = 2**53
@@ -180,27 +222,38 @@ def ell(mu, f: Union[TestFunction, Tuple[TestFunction, ...]], convention: str = 
         tol: float = 1e-8) -> Union[float, np.ndarray]:
     """Archimedean explicit-formula term for one Gamma factor, in the split
     form of the module docstring, at a scalar mu (a float is returned) or at
-    each entry of a 1-d array of mu (an array is returned).  tol bounds the
-    error of each integral, estimated from the 24- against the 48-point rule
-    plus the rounding of the sum; AccuracyError, with the value or the array
-    of values as `best`, says it was not met.  Every mu must be finite with
-    Re mu >= 0, and tol finite and positive.  The values do not depend on
-    tol, and ell(mus)[i] is bit-identical to ell(mus[i]) whatever else is in
-    the batch: each mu keeps its own panels and sums.  The cost is linear in
-    the total number of panels, about 2 + 4 delta |Im z| per mu for a
-    transform supported in [-delta, delta]; a call that would need more than
-    `_MAX_PANELS` raises DomainError before building any panel.
+    each entry of a 1-d array of mu (an array is returned).  Every mu must be
+    finite with Re mu >= 0, and tol finite and positive.  The values do not
+    depend on tol, and ell(mus)[i] is bit-identical to ell(mus[i]) whatever
+    else is in the batch.
+
+    Each kernel takes one of the module docstring's two routes.  A kernel
+    with `TestFunction.fourier_pieces`, the Fejer and windowed Fejer kernels,
+    takes the closed form when its support radius is at least
+    _MIN_KNOT/(2 pi) (X/2 >= _MIN_KNOT): its cost does not depend on mu, and
+    only rounding is left, estimated as an ulp of the sum of the magnitudes
+    of its terms, so AccuracyError there says only that tol is below that
+    rounding (1e-14 at a value near 2.6e3, one ulp being 4.5e-13).  Every
+    other kernel, the Selberg minorant above all, takes the panel rule:
+    tol bounds the error of each integral, estimated from the 24- against
+    the 48-point rule plus the rounding of the sum, and the cost is linear
+    in the total number of panels, about 2 + 4 delta |Im z| per mu for a
+    transform supported in [-delta, delta]; a call that would need more
+    than `_MAX_PANELS` raises DomainError before building any panel.
+    AccuracyError carries the value or the array of values as `best`.
 
     f may also be a nonempty tuple of k test functions with one
     support_radius and one centre, which share every panel, digamma(z) and
-    the series (module docstring): the result then has one row per kernel,
-    shape (k,) for a scalar mu and (k, n) for a 1-d one, and row i is
-    bit-identical to ell(mu, f[i]).  A single f is the case k = 1.  tol
-    holds for each kernel at each mu; AccuracyError's `best` is then the
-    (k,) or (k, n) array, and its message names the mu and the kernel's
-    label.  Panels count once however many kernels share them, so a tuple
-    is refused at the same mu as each of its kernels; a tuple that is empty
-    or mixes supports or centres raises DomainError before any panel.
+    the series on the panel rule, and the polygamma jet and the geometric
+    sums in closed form: the result then has one row per kernel, shape (k,)
+    for a scalar mu and (k, n) for a 1-d one, and row i is bit-identical to
+    ell(mu, f[i]), also when the tuple mixes the routes.  A single f is the
+    case k = 1.  tol holds for each kernel at each mu; AccuracyError's
+    `best` is then the (k,) or (k, n) array, and its message names the mu
+    and the kernel's label.  Panels count once however many kernels share
+    them, so a tuple is refused at the same mu as each of its kernels on
+    the panel rule; a tuple that is empty or mixes supports or centres
+    raises DomainError before any panel.
     """
     single = not isinstance(f, tuple)
     kernels = (f,) if single else f
@@ -214,39 +267,72 @@ def ell(mu, f: Union[TestFunction, Tuple[TestFunction, ...]], convention: str = 
     scale, mus = convention_scale(convention), np.asarray(mu, dtype=complex)
     if mus.ndim > 1:
         raise DomainError(f"mu must be a scalar or a 1-d array, got shape {mus.shape}")
-    if not np.isfinite(mus).all():
+    points = mus.reshape(-1).tolist()
+    if not all(map(cmath.isfinite, points)):
         raise DomainError("ell requires finite mu")
     if not 0 < tol < math.inf:
         raise DomainError(f"ell requires a finite tol > 0, got {tol!r}")
-    big_x = 4.0 * math.pi * head.support_radius
-    x_end = max(big_x, 1.0)  # Y
-    spans = _ell_spans(big_x, x_end)
-
-    # every mu's panels in one list, with the index of its first panel; z is
-    # that of the centred copies, at mu + i centre in halved units
-    points = mus.reshape(-1).tolist()
-    z, z_panel, lo, hi, starts = [], [], [], [], []
-    n_panels = 0
+    # z of the centred copies, at mu + i centre in halved units
+    z = []
     for m in points:
         if m.real < -1e-12:
             raise DomainError(f"ell requires Re(mu) >= 0, got {m!r}")
-        zm = complex(0.25 + 0.5 * (scale * max(m.real, 0.0)),
-                     0.5 * (scale * m.imag + head.centre))
+        z.append(complex(0.25 + 0.5 * (scale * max(m.real, 0.0)),
+                         0.5 * (scale * m.imag + head.centre)))
+        if not cmath.isfinite(z[-1]):
+            raise DomainError(f"ell at mu = {m!r}: z = 1/4 + mu/2 in halved units overflows")
+    z = np.array(z, dtype=complex)
+    big_x = 4.0 * math.pi * head.support_radius
+
+    def evaluate(picked, closed_form):
+        return (_ell_closed(z, picked, big_x) if closed_form
+                else _ell_panels(z, points, picked, big_x))
+
+    # the route of each kernel; a mixed tuple takes each route on its own
+    # kernels, so that every row is its kernel's own call
+    closed = [g.fourier_pieces is not None and 0.5 * big_x >= _MIN_KNOT for g in kernels]
+    if len(set(closed)) == 1:
+        value, err = evaluate(kernels, closed[0])
+    else:
+        value, err = np.empty((2, len(kernels), len(z)))
+        for route in (True, False):
+            rows = [k for k, c in enumerate(closed) if c == route]
+            value[rows], err[rows] = evaluate([kernels[k] for k in rows], route)
+
+    best = value[:, 0] if mus.ndim == 0 else value
+    if single:
+        best = float(best[0]) if mus.ndim == 0 else best[0]
+    if (err > tol).any():
+        k, worst = np.unravel_index(np.argmax(err), err.shape)
+        raise AccuracyError(f"ell quadrature error {err[k, worst]:.3e} > tol {tol:.3e} "
+                            f"at mu = {points[worst]!r} for kernel {kernels[k].label!r}",
+                            best=best)
+    return best
+
+
+def _ell_panels(z: np.ndarray, points: list, kernels: Sequence[TestFunction],
+                big_x: float) -> Tuple[np.ndarray, np.ndarray]:
+    """ell and its error estimate, one row per kernel, on the panel rule
+    (module docstring); DomainError past `_MAX_PANELS` before any panel."""
+    x_end = max(big_x, 1.0)  # Y
+    spans = _ell_spans(big_x, x_end)
+    # every mu's panels in one list, with the index of its first panel
+    z_panel, lo, hi, starts = [], [], [], []
+    n_panels = 0
+    for m, zm in zip(points, z.tolist()):
         # counted before any list is built, so a huge |Im mu| fails at once
         n_panels += sum(_span_panels(spans, zm.imag))
         if n_panels > _MAX_PANELS:
             raise DomainError(f"ell at mu = {m!r} needs more than {_MAX_PANELS} panels in one "
                               "call: |Im mu| is too large for the panel rule")
         edges = _ell_edges(zm, spans, x_end)
-        z.append(zm)
         starts.append(len(lo))
         z_panel += [zm] * (len(edges) - 1)
         lo += edges[:-1]
         hi += edges[1:]
-    if not z:
-        empty = np.empty((len(kernels), 0))
-        return empty[0] if single else empty
-    z, z_panel, lo = np.array(z), np.array(z_panel), np.array(lo)
+    if not starts:
+        return np.empty((len(kernels), 0)), np.empty((len(kernels), 0))
+    z_panel, lo = np.array(z_panel), np.array(lo)
     re_panel, im_panel = z_panel.real[:, None], z_panel.imag[:, None]
     width = np.array(hi) - lo
     x_unit, w_unit = _unit_gauss(_NODES, 2 * _NODES)
@@ -272,16 +358,60 @@ def ell(mu, f: Union[TestFunction, Tuple[TestFunction, ...]], convention: str = 
     err = np.abs(integral - coarse) + math.ulp(1.0) * mass
 
     series = _series(z, x_end).real
-    value = f0[:, None] * (digamma(z).real - LOG_PI + series) + integral
-    best = value[:, 0] if mus.ndim == 0 else value
-    if single:
-        best = float(best[0]) if mus.ndim == 0 else best[0]
-    if (err > tol).any():
-        k, worst = np.unravel_index(np.argmax(err), err.shape)
-        raise AccuracyError(f"ell quadrature error {err[k, worst]:.3e} > tol {tol:.3e} "
-                            f"at mu = {points[worst]!r} for kernel {kernels[k].label!r}",
-                            best=best)
-    return best
+    return f0[:, None] * (digamma(z).real - LOG_PI + series) + integral, err
+
+
+def _ell_closed(z: np.ndarray, kernels: Sequence[TestFunction],
+                big_x: float) -> Tuple[np.ndarray, np.ndarray]:
+    """ell and its rounding estimate, one row per kernel, in closed form
+    from each kernel's fourier_pieces (module docstring)."""
+    # n: the shifts k with |z + k| X < _NEAR_SHIFT, which the quadrature takes
+    reach = _NEAR_SHIFT / big_x
+    y = np.minimum(np.abs(z.imag), reach)
+    n = np.maximum(np.ceil(np.sqrt(reach * reach - y * y) - z.real), 0.0)
+    w = z + n
+    psi = _polygamma((0, 1, 2, 3), w).real
+    # the basis, a column per coefficient: psi(w) - log pi for fhat(0), then
+    # m! sum_{k>=0} e^-(w+k)a (w+k)^-(m+1) for m = 1, 2, 3 at each knot
+    # a = 0, X/2, X, which at a = 0 is (-1)^(m+1) psi^(m)(w) (DLMF 25.11.25,
+    # 5.15.1); beyond, the terms past K = ceil(37/(X/2)) are below e^-37 <
+    # 1e-16 of the first, and e^-(w+k)X is the square of e^-(w+k)X/2
+    basis = np.empty((len(z), 10))
+    basis[:, :4] = psi.T
+    basis[:, 0] -= LOG_PI
+    basis[:, 2] *= -1.0
+    wk = w[:, None] + np.arange(math.ceil(74.0 / big_x))
+    r = 1.0 / wk
+    half = np.exp(-0.5 * big_x * wk)
+    p = np.stack((half, half * half), axis=1) * (r * r)[:, None]
+    for m, fact in enumerate((1.0, 2.0, 6.0)):
+        basis[:, 4 + m::3] = fact * p.sum(axis=2).real
+        p = p * r[:, None]
+    # each kernel's fhat(0) and coefficients in x = 4 pi xi against it; every
+    # sum runs along a last axis of fixed length, so each value depends on
+    # its own point and kernel alone
+    coeffs = np.array([(g.integral, *sum(g.fourier_pieces, ())) for g in kernels]) * _PIECE_UNITS
+    terms = coeffs[:, None] * basis
+    value, mass = terms.sum(axis=2), np.abs(terms).sum(axis=2)
+    if n.any():
+        # sum_{k<n} Re int_0^X fhat(x/4 pi) e^-(z+k)x dx by the rule on [0, X/2]
+        # and [X/2, X], 0 where n = 0.  fhat is a cubic on each, taken about 0
+        # on the first, fhat(0) - sum_m c_0m x^m, and about X on the second,
+        # sum_m c_2m (x - X)^m, where it falls to 0.  Every point takes the
+        # rule: on the scan's 9 points that costs less than picking out the
+        # near ones
+        unit, weight, local = _unit_gauss_halves()
+        # the local basis is in powers of the unit nodes, and x = X unit
+        powers = (1.0, big_x, big_x * big_x, big_x**3)
+        scaled = np.concatenate((coeffs[:, :4], coeffs[:, 7:]), axis=1) * (powers + powers[1:])
+        fhat = (scaled[:, :, None] * local).sum(axis=1)
+        x = big_x * unit
+        damp = (np.exp(-z[:, None] * x).real * np.expm1(-n[:, None] * x)
+                * (big_x * weight / np.expm1(-x)))
+        terms = damp * fhat[:, None]
+        value -= terms.sum(axis=2)
+        mass += np.abs(terms).sum(axis=2)
+    return value, math.ulp(1.0) * mass
 
 
 def ell_column_floor(f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
@@ -408,6 +538,18 @@ def _unit_gauss(*sizes: int) -> Tuple[np.ndarray, np.ndarray]:
                     x -= p / dp
                 rule.append(((1 + x) / 2, 1 / ((1 - x * x) * dp * dp)))
     return tuple(np.array(v, dtype=float) for v in zip(*rule))
+
+
+@lru_cache(maxsize=None)
+def _unit_gauss_halves() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_unit_gauss(_NODES)` on [0, 1/2] and on [1/2, 1] as one rule, and at
+    its nodes u the local basis of a cubic on each half about its outer
+    end: 1 and -u^m on the first, (u - 1)^m on the second, m = 1, 2, 3,
+    by row, each 0 on the other half."""
+    x, w = (v.ravel() for v in _gauss_panels(np.array([0.0, 0.5, 1.0]), _NODES))
+    left, right = x < 0.5, x > 0.5
+    local = [left * 1.0] + [-(left * x**m) for m in (1, 2, 3)] + [right * (x - 1.0)**m for m in (1, 2, 3)]
+    return x, w, np.array(local)
 
 
 def _gauss_panels(edges: np.ndarray, *sizes: int) -> Tuple[np.ndarray, np.ndarray]:

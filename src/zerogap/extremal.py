@@ -40,7 +40,10 @@ with its exact derivative on [0, delta] in one pass, `_selberg_jet`:
 Vaaler's J^ and its derivative come from one v cot(pi v), folded at
 |u| = 1/2, with the series of the derivative where its closed form
 cancels, and the sinc's derivative likewise; the Fejer kernels record no
-window.
+window.  Their transforms are piecewise polynomials instead, a linear one
+and cubics with knots at 0, delta/2 and delta, and each records its
+``fourier_pieces``, the truncated powers that ``explicit_formula.ell``
+integrates in closed form.
 
 Every decay envelope |f(t)| <= m/t^2 holds on both tails, |t| >= t0.  The
 Fejer kernels' constants are closed forms.  The Selberg minorant's comes in
@@ -99,6 +102,15 @@ class TestFunction:
     is the Selberg minorant's window (alpha, beta), None for the kernels;
     the lattice and the column floor take the minorant's closed forms from
     it, the floor its transform's derivative too (`_selberg_jet`).
+    fourier_pieces writes a transform that is a cubic on [0, delta/2] and
+    on [delta/2, delta] (delta the support_radius) as truncated powers at
+    the knots k_0, k_1, k_2 = 0, delta/2, delta,
+
+        fourier_centred(xi) = integral - sum_j sum_{m=1..3} c_jm (|xi| - k_j)_+^m,
+
+    the rows (c_j1, c_j2, c_j3) of a 3 x 3 tuple, from which
+    `explicit_formula.ell` takes ell in closed form; None for the Selberg
+    minorant.
     """
 
     value: Callable
@@ -110,6 +122,7 @@ class TestFunction:
     centre: float = 0.0
     label: str = ""
     interval: Optional[Tuple[float, float]] = None
+    fourier_pieces: Optional[Tuple[Tuple[float, float, float], ...]] = None
 
     @cached_property
     def positivity_window(self) -> Union[Tuple[float, float], str, None]:
@@ -415,6 +428,7 @@ def fejer(delta: float) -> TestFunction:
         find_envelope=lambda: DecayEnvelope(m=1.0 / (math.pi * delta) ** 2, t0=1.0 / delta),
         fourier_centred=ft,
         label=f"fejer@{delta:g}",
+        fourier_pieces=((delta**-2, 0.0, 0.0), (0.0, 0.0, 0.0), (-delta**-2, 0.0, 0.0)),
     )
 
 
@@ -443,13 +457,20 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
 
     # sinc^4(a t) has transform g^(xi) = M4(xi/a)/a, a = delta/2, with the
     # centred cubic B-spline M4(s) = ((2 - |s|)_+^3 - 4 (1 - |s|)_+^3)/6;
-    # multiplying by t^2 maps g^ to -g^''/(4 pi^2)
+    # multiplying by t^2 maps g^ to -g^''/(4 pi^2).  So the transform is
+    # A M4(s) + B M4''(s), A = t0^2/a, B = 1/(4 pi^2 a^3), and integral - it
+    # is -3B s + A s^2 - A s^3/2 below s = 1, gaining 4B (s - 1) +
+    # 2A (s - 1)^3/3 at s = 1 and -B (s - 2) - A (s - 2)^3/6 at s = 2
     a = 0.5 * delta
+    big_a, big_b = t0 * t0 / a, 1.0 / (4.0 * math.pi**2 * a**3)
+    pieces = ((-3.0 * big_b / a, big_a / a**2, -big_a / (2.0 * a**3)),
+              (4.0 * big_b / a, 0.0, 2.0 * big_a / (3.0 * a**3)),
+              (-big_b / a, 0.0, -big_a / (6.0 * a**3)))
 
     def ft(x):
         s = np.abs(np.asarray(x, dtype=float)) / a
         p2, p1 = np.maximum(2.0 - s, 0.0), np.maximum(1.0 - s, 0.0)
-        m4 = (p2**3 - 4.0 * p1**3) / 6.0
+        m4 = (p2 * p2 * p2 - 4.0 * (p1 * p1 * p1)) / 6.0
         m4_dd = p2 - 4.0 * p1
         return t0 * t0 * m4 / a + m4_dd / (4.0 * math.pi**2 * a**3)
 
@@ -463,6 +484,7 @@ def windowed_fejer(t0: float, delta: float) -> TestFunction:
         find_envelope=lambda: DecayEnvelope(m=m_env, t0=2.0 * t0),
         fourier_centred=ft,
         label=f"windowed_fejer@{t0:g},{delta:g}",
+        fourier_pieces=pieces,
     )
 
 

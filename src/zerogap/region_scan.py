@@ -14,17 +14,21 @@ Anything else is "Unconstrained" at this delta/t0.  Both kernels have
 transform support inside [-delta, delta] with delta <= log2/(2 pi), so the
 prime sum vanishes no matter the (unknown) coefficients, and both are even
 about 0, so one `ell` call over the pair evaluates their archimedean terms
-at every nu of a scan in one frequency-side pass.  One row builder
-serves both entry points: `scan_region` is the scan over the step grid
-0, step, ..., nu_max, and `classify_point(nu1, nu2)` is the (nu1, nu2) row
-of the two-value scan over [nu1, nu2].
+at every nu of a scan.  Both transforms are piecewise polynomials, so that
+call takes ell in closed form (`explicit_formula` module docstring): one
+polygamma jet and one geometric sum per knot serve both kernels at every
+nu, at a cost that does not grow with nu.  One row builder serves both
+entry points: `scan_region` is the scan over the step grid 0, step, ...,
+nu_max, and `classify_point(nu1, nu2)` is the (nu1, nu2) row of the
+two-value scan over [nu1, nu2].  A row is an immutable tuple
+(nu1, nu2, fejer_rhs, windowed_rhs, verdict) with those fields, so it
+compares equal to the plain tuple of its values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +46,7 @@ __all__ = [
 VERDICTS = ("Impossible", "ForcedLowZero", "Unconstrained")
 
 # the most rows one scan, or one `zerogap eval-extremal` listing, may build,
-# refused before any grid is allocated: a scan row measured 145 B under
+# refused before any grid is allocated: a scan row measured 121 B under
 # tracemalloc (scan_region(16, 0.125)), and an eval-extremal sample 108 B
 # at peak (--kind selberg --fourier --samples 20000 on [-0.2, 0.2]; 739 B
 # before the listing was evaluated in blocks of cli._EVAL_BLOCK), so either
@@ -51,17 +55,26 @@ VERDICTS = ("Impossible", "ForcedLowZero", "Unconstrained")
 _MAX_ROWS = 1 << 18
 
 
-@dataclass(frozen=True)
-class RegionClassification:
+class _Row(NamedTuple):
     nu1: float
     nu2: float
     fejer_rhs: float
     windowed_rhs: float
     verdict: str
 
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise DomainError(f"unknown verdict {self.verdict!r}")
+
+class RegionClassification(_Row):
+    """One scan row: an immutable tuple (nu1, nu2, fejer_rhs, windowed_rhs,
+    verdict) with those fields, which compares equal to the plain tuple of
+    its values; an unknown verdict raises DomainError."""
+
+    __slots__ = ()
+
+    def __new__(cls, nu1: float, nu2: float, fejer_rhs: float, windowed_rhs: float,
+                verdict: str):
+        if verdict not in VERDICTS:
+            raise DomainError(f"unknown verdict {verdict!r}")
+        return tuple.__new__(cls, (nu1, nu2, fejer_rhs, windowed_rhs, verdict))
 
 
 def _verdict(fejer_rhs: float, windowed_rhs: float) -> str:
@@ -77,8 +90,8 @@ def _scan(nus: List[float], t0: float, delta: float, conductor: float, conventio
     """The rows over nus x nus, row-major in (nu1, nu2).  The archimedean
     integrals depend on one nu at a time, and both kernels share delta and
     centre 0, so one ell call over the kernel tuple and all nu gives both
-    sides' terms (the kernels share its panels, digamma and series, and
-    each row is bit-identical to that kernel's own call).  Each right side
+    sides' terms (the kernels share its polygamma jet and geometric sums,
+    and each row is bit-identical to that kernel's own call).  Each right side
     is rhs().rhs_total's fsum for the spectral order (i nu1, -i nu1, i nu2,
     -i nu2).  fsum is exact, so that sum is symmetric in (nu1, nu2): the
     rows (nu1, nu2) and (nu2, nu1) share one pair of fsum calls."""

@@ -1,13 +1,16 @@
 """Special functions and the decay envelope of a test function.
 
 Every polygamma here comes from one kernel, ``_polygamma(m, z)`` for
-m = 0, 1, 2 and real or complex z with Re z > 0, on one Bernoulli table: the
-asymptotic series of psi and its derivatives (DLMF 5.11.2), six terms of
-which reach double precision at |z| >= 16.  A point with |z| < 16 is first
-shifted by 16, psi(z) = psi(z + 16) - sum_{k<16} 1/(z + k) and its
+m = 0, 1, 2, 3 and real or complex z with Re z > 0, on one Bernoulli table:
+the asymptotic series of psi and its derivatives (DLMF 5.11.2), six terms
+of which reach double precision at |z| >= 16.  A point with |z| < 16 is
+first shifted by 16, psi(z) = psi(z + 16) - sum_{k<16} 1/(z + k) and its
 derivatives (DLMF 5.15.5), its sixteen reciprocal powers summed in one block
 over the near points alone; every other point takes the series directly.
-So each value depends on its own point alone, whatever the batch.
+So each value depends on its own point alone, whatever the batch.  A tuple
+of consecutive orders, such as the jet 0-3 of `explicit_formula.ell`'s
+closed form, shares one shift block, in which the powers of z + k are
+built up one order at a time.
 ``digamma`` adds the reflection psi(z) = psi(1 - z) - pi cot(pi z) (DLMF
 5.5.4) for Re z < 0 and a domain error at the poles, the nonpositive
 integers; ``trigamma_real`` adds the check x > 0.  The certification
@@ -48,13 +51,15 @@ __all__ = [
 #   psi(z)   ~ log z - 1/(2z) - sum_k B_{2k}/(2k z^{2k})        (DLMF 5.11.2)
 #   psi'(z)  ~ 1/z + 1/(2z^2) + sum_k B_{2k}/z^{2k+1}
 #   psi''(z) ~ -1/z^2 - 1/z^3 - sum_k (2k+1) B_{2k}/z^{2k+2}
+#   psi'''(z) ~ 2/z^3 + 3/z^4 + sum_k (2k+1)(2k+2) B_{2k}/z^{2k+3}
 # For |z| >= _SERIES_RADIUS the first omitted terms are below 2e-17
-# relative for psi and psi', 3e-16 for psi''.
+# relative for psi and psi', 3e-16 for psi'' and 2e-15 for psi'''.
 _BERNOULLI = np.array([1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
                        -691.0 / 2730.0])
 # row m: psi^(m)'s coefficients B_{2k} (2k + m - 1)!/(2k)!, kept as Python scalars
 # of the input's kind, real or complex, which numpy takes faster than a cast one
-_ROWS = (_BERNOULLI / np.arange(2.0, 13.0, 2.0), _BERNOULLI, _BERNOULLI * np.arange(3.0, 14.0, 2.0))
+_ROWS = (_BERNOULLI / np.arange(2.0, 13.0, 2.0), _BERNOULLI, _BERNOULLI * np.arange(3.0, 14.0, 2.0),
+         _BERNOULLI * np.arange(3.0, 14.0, 2.0) * np.arange(4.0, 15.0, 2.0))
 _SERIES = {"f": [r.tolist() for r in _ROWS], "c": [[complex(c) for c in r] for r in _ROWS]}
 
 _SERIES_RADIUS = 16.0
@@ -63,10 +68,13 @@ _SERIES_RADIUS = 16.0
 _SHIFT = {"f": np.arange(_SERIES_RADIUS), "c": np.arange(_SERIES_RADIUS) + 0j}
 
 
-def _polygamma(m: int, z):
-    """psi^(m)(z), m = 0, 1, 2, at each point of a real or complex z with
+def _polygamma(m, z):
+    """psi^(m)(z), m = 0, 1, 2, 3, at each point of a real or complex z with
     Re z > 0, on the module docstring's shift rule (internal: no domain
-    check; a 0-d z gives a numpy scalar)."""
+    check; a 0-d z gives a numpy scalar).  m may also be a tuple of
+    consecutive orders, whose values come stacked, shape (len(m),) +
+    z.shape, from one shift block: row i is bit for bit _polygamma(m[i], z)."""
+    orders = (m,) if isinstance(m, int) else m
     z = np.asarray(z)
     flat = z.reshape(-1)
     kind = flat.dtype.kind
@@ -78,28 +86,39 @@ def _polygamma(m: int, z):
         w = flat + _SERIES_RADIUS * near
     iw = np.reciprocal(w)
     iw2 = iw * iw
-    c = _SERIES[kind][m]
-    s = c[-1] * iw2 + c[-2]  # Horner's rule in 1/z^2
-    for ck in c[-3::-1]:
-        s *= iw2
-        s += ck
-    if m == 0:
-        out = np.log(w) - 0.5 * iw - s * iw2
-    elif m == 1:
-        out = iw + iw2 * (0.5 + iw * s)
-    else:
-        out = -(iw2 * (1.0 + iw + iw2 * s))
-    if n_near:
-        p = t = flat[near, None] + _SHIFT[kind]
-        for _ in range(m):
-            p = p * t
-        acc = np.add.reduce(np.reciprocal(p, out=p), axis=1)
-        # psi^(m)(z) = psi^(m)(z + 16) + (-1)^(m+1) m! sum_{k<16} (z + k)^-(m+1)
-        if m == 1:
-            out[near] += acc
+    out = []
+    for order in orders:
+        c = _SERIES[kind][order]
+        s = c[-1] * iw2 + c[-2]  # Horner's rule in 1/z^2
+        for ck in c[-3::-1]:
+            s *= iw2
+            s += ck
+        if order == 0:
+            out.append(np.log(w) - 0.5 * iw - s * iw2)
+        elif order == 1:
+            out.append(iw + iw2 * (0.5 + iw * s))
+        elif order == 2:
+            out.append(-(iw2 * (1.0 + iw + iw2 * s)))
         else:
-            out[near] -= acc if m == 0 else 2.0 * acc
-    return out.reshape(z.shape)[()]
+            out.append(iw * iw2 * (2.0 + 3.0 * iw + iw2 * s))
+    if n_near:
+        # psi^(m)(z) = psi^(m)(z + 16) + (-1)^(m+1) m! sum_{k<16} (z + k)^-(m+1),
+        # with p = (z + k)^(m+1) taken up one order at a time
+        p = t = flat[near, None] + _SHIFT[kind]
+        for order in range(orders[-1] + 1):
+            if order:
+                p = p * t
+            if order >= orders[0]:
+                acc = np.add.reduce(np.reciprocal(p, out=p if order == orders[-1] else None), axis=1)
+                if order > 1:
+                    acc *= math.factorial(order)
+                if order % 2:
+                    out[order - orders[0]][near] += acc
+                else:
+                    out[order - orders[0]][near] -= acc
+    if isinstance(m, int):
+        return out[0].reshape(z.shape)[()]
+    return np.stack(out).reshape((len(orders),) + z.shape)
 
 
 def digamma(z):

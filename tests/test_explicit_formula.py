@@ -84,12 +84,13 @@ def test_ell_panel_count_is_the_edges_count():
         assert sum(ef._span_panels(spans, im)) == len(edges) - 1
 
 
-def test_ell_refuses_huge_im_mu_at_once():
+def test_ell_refuses_huge_im_mu_at_once(cert_minorant):
     # the panel count is checked before any panel is built: without the cap
-    # this call would take about half an hour
+    # this call would take about half an hour.  The Selberg minorant is the
+    # kernel that still takes the panel rule
     start = time.perf_counter()
     with pytest.raises(DomainError, match="panels"):
-        ell(1e9j, fejer(PRIME_FREE_RADIUS))
+        ell(1e9j, cert_minorant)
     assert time.perf_counter() - start < 1.0
 
 
@@ -360,19 +361,20 @@ def test_ell_kernel_batch_refusals(monkeypatch):
 
 
 def test_ell_kernel_batch_counts_shared_panels_once(monkeypatch):
-    # a tuple is refused where each of its kernels is: at once at a huge
-    # |Im mu|, and not at a mu whose panels just fit the cap
+    # a tuple on the panel rule is refused where each of its kernels is: at
+    # once at a huge |Im mu|, and not at a mu whose panels just fit the cap
+    pair = (BATCH_KERNELS["selberg"], selberg_minorant(-0.5 * HALF, 0.5 * HALF, PRIME_FREE_RADIUS))
     start = time.perf_counter()
     with pytest.raises(DomainError, match="panels"):
-        ell(1e9j, SCAN_PAIR)
+        ell(1e9j, pair)
     assert time.perf_counter() - start < 1.0
     big_x = 4.0 * math.pi * PRIME_FREE_RADIUS
     mu = 400.0j
     cap = sum(ef._span_panels(ef._ell_spans(big_x, max(big_x, 1.0)), 0.5 * mu.imag))
     monkeypatch.setattr(ef, "_MAX_PANELS", cap)
-    assert ell(mu, SCAN_PAIR).shape == (2,)
+    assert ell(mu, pair).shape == (2,)
     with pytest.raises(DomainError, match="panels"):
-        ell(np.array([mu, 0.0]), SCAN_PAIR)
+        ell(np.array([mu, 0.0]), pair)
 
 
 def test_ell_kernel_batch_accuracy_error_carries_rows():
@@ -385,6 +387,73 @@ def test_ell_kernel_batch_accuracy_error_carries_rows():
     with pytest.raises(AccuracyError) as info:
         ell(0.0, SCAN_PAIR, tol=1e-14)
     assert info.value.best.shape == (2,)
+
+
+# the Fejer kernels' closed form against the 30-digit quadrature of the
+# split form: at nu = 0, 0.5, ..., 16 and a few far points, in both
+# conventions (the literal one at mu is the halved one at 2 mu)
+CLOSED_MUS = [1j * nu for nu in FIG2_NUS] + [3.0 + 7.0j, 50.0j, 200.0j, 4000.0]
+
+
+@pytest.mark.parametrize("convention", ef.CONVENTIONS)
+@pytest.mark.parametrize("name, bound", [("windowed", 3e-12), ("fejer", 1e-13)])
+def test_ell_closed_form_matches_mpmath(name, bound, convention):
+    kind, params = MP_KERNELS[name]
+    got = ell(np.array(CLOSED_MUS), MAKERS[kind](*params), convention)
+    scale = ef.convention_scale(convention)
+    for mu, value in zip(CLOSED_MUS, got):
+        assert abs(value - _mp_ell(kind, params, scale * mu)) <= bound, mu
+
+
+@pytest.mark.parametrize("f", [fejer(PRIME_FREE_RADIUS), windowed_fejer(14.13, PRIME_FREE_RADIUS),
+                               fejer(0.3), windowed_fejer(3.0, 0.05)], ids=lambda f: f.label)
+def test_fourier_pieces_reproduce_the_transform(f):
+    # integral - sum_j sum_m c_jm (xi - k_j)_+^m at knots 0, delta/2, delta,
+    # within 1e-13 of the transform's largest value, also beyond the support
+    delta = f.support_radius
+    xi = np.concatenate((np.random.default_rng(7).uniform(0.0, delta, 1000),
+                         [0.0, 0.5 * delta, delta, 1.5 * delta, 3.0 * delta]))
+    pieces = f.integral - sum(c * np.maximum(xi - knot, 0.0) ** m
+                              for knot, row in zip((0.0, 0.5 * delta, delta), f.fourier_pieces)
+                              for m, c in enumerate(row, 1))
+    want = f.fourier_centred(xi)
+    assert np.max(np.abs(pieces - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(want[-2:] == 0.0)
+
+
+def test_ell_closed_form_batch_and_mixed_tuple_bitwise():
+    # the closed form, like the panel rule, gives each mu and each kernel its
+    # own value, bit for bit: in a batch, and in a tuple that mixes it with a
+    # Selberg minorant on the panel rule
+    selberg = BATCH_KERNELS["selberg"]
+    mus = np.array([0.0, 0.5j, 3.0 + 7.0j, 16.0j, 4000.0, 1e9j])
+    for f in SCAN_PAIR:
+        batch = ell(mus, f)
+        assert _bits(batch) == _bits([ell(mu, f) for mu in mus])
+    mixed = (fejer(PRIME_FREE_RADIUS), selberg, windowed_fejer(14.13, PRIME_FREE_RADIUS))
+    rows = ell(mus[:4], mixed)
+    for row, f in zip(rows, mixed):
+        assert _bits(row) == _bits(ell(mus[:4], f))
+
+
+def test_ell_refuses_a_mu_whose_z_overflows():
+    # doubled in the literal convention, 1e308 leaves the floats
+    for f in (fejer(PRIME_FREE_RADIUS), BATCH_KERNELS["selberg"]):
+        for mu in (1.7e308, 1e308j):
+            with pytest.raises(DomainError, match="overflows"):
+                ell(mu, f, "literal")
+    assert math.isfinite(ell(1e308j, fejer(PRIME_FREE_RADIUS)))
+
+
+def test_ell_closed_form_takes_no_panel(monkeypatch):
+    def build(*args):
+        raise AssertionError("a panel was built")
+    for name in ("_ell_spans", "_ell_edges", "_span_panels"):
+        monkeypatch.setattr(ef, name, build)
+    assert ell(1j * FIG2_NUS, SCAN_PAIR).shape == (2, len(FIG2_NUS))
+    # below X/2 = 1/2 the geometric sums would grow long: the panel rule
+    with pytest.raises(AssertionError, match="panel"):
+        ell(0.0, fejer(0.01))
 
 
 def test_gauss_panels_integrate_gaussian():

@@ -33,7 +33,7 @@ def test_import_loads_no_unneeded_scipy_subpackage():
 # match the same call here
 NO_SCIPY_CALLS = (
     "certification.certify_gap(4, L, re_max=3.0, im_max=10.0, step=0.5).to_dict()",
-    "[vars(r) for r in region_scan.scan_region(2.0, 2.0)]",
+    "[r._asdict() for r in region_scan.scan_region(2.0, 2.0)]",
     "[explicit_formula.verify(data, extremal.selberg_minorant(-H, H, d)).to_dict() "
     "for d in (explicit_formula.PRIME_FREE_RADIUS, math.log(7.9) / (2 * math.pi))]",
 )
@@ -82,8 +82,8 @@ def test_tracer_patch_points_resolve(monkeypatch):
 
 def test_scan_makes_one_ell_call_per_kernel(monkeypatch):
     # the benchmark's scan operation: both kernels and every nu go through
-    # one ell call over the kernel tuple (fejer, windowed_fejer), which
-    # shares the panels and takes digamma once, at the grid's 9 nu
+    # one ell call over the kernel tuple (fejer, windowed_fejer), whose
+    # closed form takes one polygamma jet, orders 0-3, at the grid's 9 nu
     tr = _load_tracer(monkeypatch).Tracer()
     with tr.patched(), tr.operation():
         region_scan.scan_region(16.0, 2.0)
@@ -92,15 +92,15 @@ def test_scan_makes_one_ell_call_per_kernel(monkeypatch):
                if name.startswith("explicit_formula.ell")) == 1
     assert layers["region_scan.scan_region"]["calls"] == 1
 
-    kernels, psi_sizes = [], []
-    ell, digamma = region_scan.ell, explicit_formula.digamma
+    kernels, psi_calls = [], []
+    ell, polygamma = region_scan.ell, explicit_formula._polygamma
     monkeypatch.setattr(region_scan, "ell",
                         lambda mu, f, *args: kernels.append(f) or ell(mu, f, *args))
-    monkeypatch.setattr(explicit_formula, "digamma",
-                        lambda z: psi_sizes.append(np.size(z)) or digamma(z))
+    monkeypatch.setattr(explicit_formula, "_polygamma",
+                        lambda m, z: psi_calls.append((m, np.size(z))) or polygamma(m, z))
     region_scan.scan_region(16.0, 2.0)
     assert [[g.label.split("@")[0] for g in f] for f in kernels] == [["fejer", "windowed_fejer"]]
-    assert psi_sizes == [9]
+    assert psi_calls == [((0, 1, 2, 3), 9)]
 
 
 def test_tracer_counts_the_certify_columns(monkeypatch):

@@ -6,9 +6,9 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from zerogap import region_scan
+from zerogap import explicit_formula, region_scan
 from zerogap.errors import DomainError
-from zerogap.explicit_formula import PRIME_FREE_RADIUS, rhs
+from zerogap.explicit_formula import PRIME_FREE_RADIUS, ell, rhs
 from zerogap.extremal import fejer, windowed_fejer
 from zerogap.lfunctions import FunctionalEquation
 from zerogap.region_scan import (
@@ -34,11 +34,54 @@ GOLDEN_CSV = (
 )
 
 
-def test_classify_point_refuses_huge_nu_at_once():
+def _mp_closed_ell(f, nu):
+    """ell(i nu, f), halved, from the closed form at 30 digits: fhat(0)
+    (Re psi(z) - log pi) plus, for each coefficient c_jm of f's
+    fourier_pieces at knot k_j, c_jm (4 pi)^-m Re m! sum_k e^-(z+k)a
+    (z+k)^-(m+1) with a = 4 pi k_j, which is (-1)^(m+1) psi^(m)(z) at a = 0."""
+    with mpmath.workdps(30):
+        z = mpmath.mpf(1) / 4 + mpmath.mpc(0, nu) / 2
+        delta = mpmath.mpf(f.support_radius)
+        total = mpmath.mpf(f.integral) * (mpmath.re(mpmath.digamma(z)) - mpmath.log(mpmath.pi))
+        for knot, row in zip((0, delta / 2, delta), f.fourier_pieces):
+            a = 4 * mpmath.pi * knot
+            for m, c in enumerate(row, 1):
+                if knot == 0:
+                    s = (-1) ** (m + 1) * mpmath.polygamma(m, z)
+                else:
+                    s = mpmath.factorial(m) * mpmath.nsum(
+                        lambda k: mpmath.exp(-(z + k) * a) / (z + k) ** (m + 1), [0, mpmath.inf])
+                total += mpmath.mpf(c) / (4 * mpmath.pi) ** m * mpmath.re(s)
+        return total
+
+
+def test_classify_point_at_huge_nu_in_closed_form(cert_minorant):
+    # the Fejer kernels take ell in closed form, whose cost does not grow
+    # with |nu|; the Selberg minorant's panel rule still refuses at once
     start = time.perf_counter()
     with pytest.raises(DomainError, match="panels"):
-        classify_point(1e9, 0.0)
+        ell(1e9j, cert_minorant)
     assert time.perf_counter() - start < 1.0
+    classify_point(1e9, 0.0)
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        row = classify_point(1e9, 0.0)
+        times.append(time.perf_counter() - start)
+    assert sorted(times)[2] < 1e-3
+    assert row.verdict == "ForcedLowZero"
+    for got, f in ((row.fejer_rhs, fejer(PRIME_FREE_RADIUS)),
+                   (row.windowed_rhs, windowed_fejer(14.13, PRIME_FREE_RADIUS))):
+        want = (_mp_closed_ell(f, 1e9) + _mp_closed_ell(f, 0)) / mpmath.pi
+        assert abs(got - float(want)) <= 1e-12 * abs(float(want))
+
+
+def test_scan_takes_no_panel(monkeypatch):
+    def build(*args):
+        raise AssertionError("a panel was built")
+    monkeypatch.setattr(explicit_formula, "_ell_edges", build)
+    rows = scan_region(16.0, 0.5)
+    assert len(rows) == 33 * 33
 
 
 def test_classify_known_points():

@@ -251,6 +251,24 @@ def test_polygammas_are_elementwise_across_the_shift(m, kind):
         assert trigamma_real(zs).tobytes() == batch.tobytes()
 
 
+def test_polygamma_jet_matches_mpmath():
+    # orders 0-3 from one call, at random complex z with Re z >= 1/4 on both
+    # sides of the shift's edge; psi relative to max(1, |psi|), which has a
+    # zero at 1.4616...
+    rng = np.random.default_rng(41)
+    z = rng.uniform(0.25, 24.0, 200) + 1j * rng.uniform(-24.0, 24.0, 200)
+    jet = _polygamma((0, 1, 2, 3), z)
+    assert jet.shape == (4, 200)
+    with mpmath.workdps(30):
+        for m in range(4):
+            want = np.array([complex(mpmath.psi(m, mpmath.mpc(w.real, w.imag))) for w in z])
+            scale = np.maximum(np.abs(want), 1.0) if m == 0 else np.abs(want)
+            assert np.max(np.abs(jet[m] - want) / scale) <= 1e-14, m
+            # each row is that order's own call, bit for bit
+            assert jet[m].tobytes() == _polygamma(m, z).tobytes()
+    assert _polygamma((1, 2), z[:3]).tobytes() == jet[1:3, :3].tobytes()
+
+
 @pytest.mark.parametrize("a", [0.25, 1.0])
 def test_re_digamma_is_elementwise(a):
     # ell_grid's rows: v = 0, the shift branch, the lattice-table range and

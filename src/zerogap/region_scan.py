@@ -107,6 +107,8 @@ def _scan(nus: List[float], t0: float, delta: float, conductor: float, conventio
 
     n = len(nus)
     rows = [None] * (n * n)
+    # every verdict comes from _verdict, so the rows skip __new__'s check
+    row = RegionClassification._make
     for i in range(n):
         n1, af1, aw1 = nus[i], arch_f[i], arch_w[i]
         for j in range(i, n):
@@ -114,9 +116,9 @@ def _scan(nus: List[float], t0: float, delta: float, conductor: float, conventio
             fr = math.fsum((cond_f, af1, af1, af2, af2, 0.0))
             wr = math.fsum((cond_w, aw1, aw1, aw2, aw2, 0.0))
             verdict = _verdict(fr, wr)
-            rows[i * n + j] = RegionClassification(n1, n2, fr, wr, verdict)
+            rows[i * n + j] = row((n1, n2, fr, wr, verdict))
             if j > i:
-                rows[j * n + i] = RegionClassification(n2, n1, fr, wr, verdict)
+                rows[j * n + i] = row((n2, n1, fr, wr, verdict))
     return rows
 
 

@@ -39,12 +39,18 @@ The search therefore evaluates one Re-mu row of its grid, Re mu = 0.  The
 column floor at mu = i nu rises with nu, and the columns whose floor lies
 above the incumbent ell(0) by more than twice the grid's error budget are a
 suffix of the row that cannot hold the minimum; the lattice finishes only
-the columns before it (66 of the headline grid's 801), on the full row's
-lattice, so that every value it returns is the uncut row's.  A suffix that
-starts past im_max leaves the axis beyond the rectangle unsearched, and
-`certify_gap` then certifies nothing.  Between grid points the minimum
-is not bounded, so the result is labeled numerical evidence, grid-based;
-it is not a proof.
+the columns before that suffix (66 of the headline grid's 801), on the
+full row's lattice, so that every value it returns is the uncut row's.
+The incumbent comes from the floor's own pass (`ell_column_floor` with
+with_incumbent), which already has the transform on 16 Gauss panels per
+span of [0, Y], 72 nodes each (32 x 72 on the headline window): ell(0) is
+fhat(0) (Re psi(z0) - log pi + the series) + Re int_0^Y e^-z0 x h dx,
+z0 = 1/4 + i centre/2, on the 48-point rule, with the distance from the
+24-point rule plus the rounding as its error estimate, so the search
+takes no panel of `ell`.  A suffix that starts past im_max leaves the
+axis beyond the rectangle unsearched, and `certify_gap` then certifies
+nothing.  Between grid points the minimum is not bounded, so the result
+is labeled numerical evidence, grid-based; it is not a proof.
 
 The two Gamma-factor normalizations give pointwise-identical values under
 mu -> k mu, k = `convention_scale(convention)`; `certify_gap` divides its
@@ -73,7 +79,6 @@ from .explicit_formula import (
     _cutoff_floor,
     _step_count,
     convention_scale,
-    ell,
     ell_column_floor,
     ell_grid,
 )
@@ -90,7 +95,8 @@ __all__ = [
 
 EVIDENCE_KIND = "numerical evidence, grid-based"
 
-# tolerance of the pointwise incumbent ell(0) in min_ell_over_mu
+# tolerance of the incumbent ell(0) in min_ell_over_mu, which the column
+# floor's pass estimates
 _INCUMBENT_TOL = 1e-8
 
 _log = logging.getLogger(__name__)
@@ -193,8 +199,10 @@ def min_ell_over_mu(
     raised otherwise: for fhat(0) < 0, ell falls to -inf and has no minimum.
 
     mu = 0 is a grid point, so the row's lattice minimum is at most
-    u + error_bound, with u the pointwise ell(0); a point whose
-    `ell_column_floor` exceeds the pad u + 2 _GRID_TOL (twice ell_grid's
+    u + error_bound, with u the pointwise ell(0), the incumbent, which
+    `ell_column_floor`'s pass takes on its own nodes (module docstring);
+    AccuracyError when its error estimate exceeds _INCUMBENT_TOL.  A point
+    whose column floor exceeds the pad u + 2 _GRID_TOL (twice ell_grid's
     budget of _GRID_TOL / 2, plus room for u's tolerance, checked after the
     call) lies above that minimum.  The floor is nondecreasing in Im mu, so
     the columns it clears are a suffix, from floor_clears_at on, found by
@@ -221,9 +229,11 @@ def min_ell_over_mu(
                           "minimum over Re mu >= 0")
     n_re, n_im = _step_count(re_max, step), _step_count(im_max, step)
 
-    u = ell(0.0, f, tol=_INCUMBENT_TOL)
+    column_floor, u, u_err = ell_column_floor(f, with_incumbent=True)
+    if u_err > _INCUMBENT_TOL:
+        raise AccuracyError(f"incumbent ell(0) error estimate {u_err:.3e} > tol "
+                            f"{_INCUMBENT_TOL:.3e}", best=u)
     pad = u + 2.0 * _GRID_TOL
-    column_floor = ell_column_floor(f)
     cols = _first_cleared(lambda j: column_floor(1j * (k * (step * j))) > pad, n_im)
     c0 = float(step * cols) if cols < n_im else None
     cols = min(max(cols, 2), n_im)
@@ -234,9 +244,9 @@ def min_ell_over_mu(
                             f"the pruning pad 2 x {_GRID_TOL:.3e}", best=None)
 
     j = int(np.argmin(vals[0]))
-    _log.debug("min_ell_over_mu: incumbent ell(0) = %r; the column floor clears the "
-               "pad from Im mu = c0 = %r; %d of %d Im-mu columns on the lattice",
-               u, c0, cols, n_im)
+    _log.debug("min_ell_over_mu: incumbent ell(0) = %r, estimated within %.1e, from "
+               "the column floor's pass; the column floor clears the pad from Im mu = "
+               "c0 = %r; %d of %d Im-mu columns on the lattice", u, u_err, c0, cols, n_im)
     domain = SearchDomain(
         re_max=float(step * (n_re - 1)),
         im_max=float(step * (n_im - 1)),

@@ -414,7 +414,8 @@ def _ell_closed(z: np.ndarray, kernels: Sequence[TestFunction],
     return value, math.ulp(1.0) * mass
 
 
-def ell_column_floor(f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
+def ell_column_floor(f: TestFunction, with_incumbent: bool = False) -> Union[
+        Callable[[np.ndarray], np.ndarray], Tuple[Callable[[np.ndarray], np.ndarray], float, float]]:
     """A lower bound of ell(mu, f) (halved) on the closed right half-plane,
     at each mu of a 1-d array, from one integration by parts of ell's
     frequency-side integral.  With z = a + iy that of the centred copy
@@ -443,6 +444,14 @@ def ell_column_floor(f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
 
     C depends on f alone and is computed here, once; the function returned
     takes a 1-d array of finite mu with Re mu >= 0 and gives G at each.
+    With with_incumbent, the return is (that function, u, err): u is
+    ell(0, f), the certification search's incumbent, taken in the same
+    pass on the panel rule's split form, fhat(0) (Re psi(z0) - log pi +
+    the series) + Re int_0^Y e^-z0 x h dx at z0 = 1/4 + i centre/2, whose
+    integral the floor's 48-point rule gives on its panels from the
+    transform it already has there; err is its distance from the 24-point
+    rule plus an ulp of the sum of its terms' magnitudes, as `ell`
+    estimates its panel rule.
     h' = -(fhat'(x/4 pi)/4 pi + e^-x h(x))/(1 - e^-x) is closed-form, with
     fhat and fhat' from one `extremal._selberg_jet` call at 0 and the
     nodes, and h(0+) = -fhat'(0+)/4 pi; Y/4 pi >= delta, where fhat
@@ -464,24 +473,24 @@ def ell_column_floor(f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
     edges = np.array([lo + width * j / _FLOOR_PANELS for lo, width in _ell_spans(big_x, x_end)
                       for j in range(_FLOOR_PANELS)] + [x_end])
     x, w = _gauss_panels(edges, _NODES, 2 * _NODES)
-    fhat, d_fhat = _selberg_jet(beta - alpha, f.support_radius,
-                                np.concatenate(([0.0], x.ravel() / (4.0 * math.pi))))
-    f0 = float(fhat[0])
+    jet, d_jet = _selberg_jet(beta - alpha, f.support_radius,
+                              np.concatenate(([0.0], x.ravel() / (4.0 * math.pi))))
+    f0, fhat = float(jet[0]), jet[1:].reshape(x.shape)
+    a = 0.25
+    damped = np.exp(-a * x)
 
     if f0 > 0.0:
-        h_deriv, h_err = _h_deriv(x, f0, fhat[1:].reshape(x.shape), d_fhat[1:].reshape(x.shape),
-                                  beta - alpha, f.support_radius)
+        h_deriv, h_err = _h_deriv(x, f0, fhat, d_jet[1:].reshape(x.shape), beta - alpha,
+                                  f.support_radius)
         # by panel, at a = 1/4: int_p e^-ax h'^2 by the 48-point rule with
         # each |h'| raised by its rounding, the 48-point rule's distance from
         # the 24-point one, and M_p(a)
-        a = 0.25
-        damped = np.exp(-a * x)
         terms = damped * (w * h_deriv**2)
         coarse, fine = terms[:, :_NODES].sum(axis=1), terms[:, _NODES:].sum(axis=1)
         value = (damped * (w * (np.abs(h_deriv) + h_err)**2))[:, _NODES:].sum(axis=1)
         mass = np.exp(-a * edges[:-1]) * -np.expm1(-a * np.diff(edges)) / a
         integral = np.sqrt(mass * (value + np.abs(fine - coarse))).sum()
-        c = (abs(float(d_fhat[0])) / (4.0 * math.pi) + integral
+        c = (abs(float(d_jet[0])) / (4.0 * math.pi) + integral
              + math.exp(-a * x_end) * (2.0 * f0) / -math.expm1(-x_end))
         # every term is nonnegative, so the rounding is relative
         c *= 1.0 + 32.0 * math.ulp(1.0)
@@ -498,7 +507,18 @@ def ell_column_floor(f: TestFunction) -> Callable[[np.ndarray], np.ndarray]:
         rounding = 16.0 * math.ulp(1.0) * (f0 * (np.abs(psi) + LOG_PI) + slack)
         return f0 * (psi - LOG_PI) - slack - rounding
 
-    return floor_at
+    if not with_incumbent:
+        return floor_at
+    # ell(0) at z0 = 1/4 + i centre/2, Re e^-z0 x h with h = (fhat(0) -
+    # fhat)/(1 - e^-x) at the floor's nodes
+    z0 = complex(a, 0.5 * f.centre)
+    if z0.imag:
+        damped = damped * np.cos(z0.imag * x)
+    terms = w * (damped * ((f0 - fhat) / -np.expm1(-x)))
+    coarse, fine = terms[:, :_NODES].sum(), terms[:, _NODES:].sum()
+    err = abs(fine - coarse) + math.ulp(1.0) * np.abs(terms[:, _NODES:]).sum()
+    series = _series(np.array([z0]), x_end)[0].real
+    return floor_at, float(f0 * (_polygamma(0, z0).real - LOG_PI + series) + fine), float(err)
 
 
 def _h_deriv(x: np.ndarray, f0: float, fhat: np.ndarray, d_fhat: np.ndarray,

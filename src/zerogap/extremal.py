@@ -49,8 +49,10 @@ Every decay envelope |f(t)| <= m/t^2 holds on both tails, |t| >= t0.  The
 Fejer kernels' constants are closed forms.  The Selberg minorant's comes in
 two parts.  Over the first lobes beyond t0, +-[t0, t1], t^2 |f| is sampled
 64 times per period 1/delta and the sampled sup is inflated 5%: that part is
-sampled, not proved.  Beyond t1 the sgn parts of the two Beurling terms
-cancel, B(u) - sgn(u) = (1 - cos 2 pi u) w(u)/pi^2, and the trigamma bounds
+sampled, not proved.  The minorant of a centred window (alpha = -beta),
+such as verify-example's, is even bit for bit, so only its tail [t0, t1]
+is sampled.  Beyond t1 the sgn parts of the two Beurling terms cancel,
+B(u) - sgn(u) = (1 - cos 2 pi u) w(u)/pi^2, and the trigamma bounds
 1/x + 1/(2x^2) < psi'(x) < 1/x + 1/(2x^2) + 1/(6x^3) for x > 0 (H. Alzer,
 "On some inequalities for the gamma and psi functions", Math. Comp. 66,
 1997) give |w(u)| <= 1/(2u^2) + 1/(6|u|^3), hence a closed-form bound.
@@ -345,12 +347,16 @@ def _selberg_envelope_m(value: Callable, alpha: float, beta: float, delta: float
     """M with |S(t)| <= M/t^2 for |t| >= t0: the sampled sup of t^2 |S| on
     +-[t0, t1] inflated 5%, or the closed-form bound beyond t1 if larger.
     t1 grows a lobe at a time until the far bound is at most the sampled
-    sup, or the last lobe of _NEAR_LOBES is reached."""
+    sup, or the last lobe of _NEAR_LOBES is reached.  A centred window
+    (alpha = -beta) is sampled on s >= t0 alone: S(-s) swaps its two
+    Beurling arguments, delta (alpha + s) = delta (s - beta) and
+    delta (-s - beta) = delta (alpha - s) exactly, so it equals S(s) bit
+    for bit."""
     step = 1.0 / (_LOBE_SAMPLES * delta)
     near, first = 0.0, 0
     for lobes in range(_NEAR_LOBES[0], _NEAR_LOBES[1] + 1):
         s = t0 + step * np.arange(first, lobes * _LOBE_SAMPLES + 1)
-        ts = np.concatenate([s, -s])
+        ts = s if alpha == -beta else np.concatenate([s, -s])
         near = max(near, float(np.max(ts * ts * np.abs(value(ts)))))
         far = _selberg_far_bound(alpha, beta, delta, float(s[-1]))
         if far <= near:

@@ -5,11 +5,14 @@ m = 0, 1, 2, 3 and real or complex z with Re z > 0, on one Bernoulli table:
 the asymptotic series of psi and its derivatives (DLMF 5.11.2), six terms
 of which reach double precision at |z| >= 16.  A point with |z| < 16 is
 first shifted by 16, psi(z) = psi(z + 16) - sum_{k<16} 1/(z + k) and its
-derivatives (DLMF 5.15.5), its sixteen reciprocal powers summed in one block
-over the near points alone; every other point takes the series directly.
-So each value depends on its own point alone, whatever the batch.  A tuple
+derivatives (DLMF 5.15.5), its sixteen reciprocal powers summed row by row
+over the near points alone, in blocks of at most 256 of them; every other
+point takes the series directly.  The blocks keep the shift's temporaries
+within a core's fast caches: the certification lattice has 4,497 near
+points, whose one (4497, 16) block streamed about 1.2 MB.  So each value
+depends on its own point alone, whatever the batch and its blocks.  A tuple
 of consecutive orders, such as the jet 0-3 of `explicit_formula.ell`'s
-closed form, shares one shift block, in which the powers of z + k are
+closed form, shares each shift block, in which the powers of z + k are
 built up one order at a time.
 ``digamma`` adds the reflection psi(z) = psi(1 - z) - pi cot(pi z) (DLMF
 5.5.4) for Re z < 0 and a domain error at the poles, the nonpositive
@@ -66,6 +69,9 @@ _SERIES_RADIUS = 16.0
 # 0, 1, ..., 15: the shift, one row of reciprocal terms per near point, in
 # each input kind (an add that casts costs more)
 _SHIFT = {"f": np.arange(_SERIES_RADIUS), "c": np.arange(_SERIES_RADIUS) + 0j}
+# near points per shift block: 256 rows of 16 are 32 KiB real and 64 KiB
+# complex, which with their product stay in a 48 KiB L1d and the L2 behind it
+_NEAR_BLOCK = 256
 
 
 def _polygamma(m, z):
@@ -73,7 +79,15 @@ def _polygamma(m, z):
     Re z > 0, on the module docstring's shift rule (internal: no domain
     check; a 0-d z gives a numpy scalar).  m may also be a tuple of
     consecutive orders, whose values come stacked, shape (len(m),) +
-    z.shape, from one shift block: row i is bit for bit _polygamma(m[i], z)."""
+    z.shape, from the same shift blocks: row i is bit for bit
+    _polygamma(m[i], z).
+
+    The near points go _NEAR_BLOCK at a time through the (rows, 16) shift
+    block, so a large batch never builds one block larger than a core's L1
+    and L2 hold.  Each row is summed on its own by numpy's pairwise sum
+    along the 16 shifts, and its powers taken order by order, as without
+    blocks, so every value is bit-identical however the near points fall
+    into blocks, for real and complex z, every order and the jet."""
     orders = (m,) if isinstance(m, int) else m
     z = np.asarray(z)
     flat = z.reshape(-1)
@@ -81,9 +95,10 @@ def _polygamma(m, z):
     near = (np.abs(flat) if kind == "c" else flat) < _SERIES_RADIUS
     n_near = np.count_nonzero(near)
     if n_near == len(flat):  # all near: basic indexing, no masks
-        w, near = flat + _SERIES_RADIUS, slice(None)
+        w, rows = flat + _SERIES_RADIUS, None
     else:
         w = flat + _SERIES_RADIUS * near
+        rows = np.flatnonzero(near) if n_near else None
     iw = np.reciprocal(w)
     iw2 = iw * iw
     out = []
@@ -101,10 +116,12 @@ def _polygamma(m, z):
             out.append(-(iw2 * (1.0 + iw + iw2 * s)))
         else:
             out.append(iw * iw2 * (2.0 + 3.0 * iw + iw2 * s))
-    if n_near:
-        # psi^(m)(z) = psi^(m)(z + 16) + (-1)^(m+1) m! sum_{k<16} (z + k)^-(m+1),
-        # with p = (z + k)^(m+1) taken up one order at a time
-        p = t = flat[near, None] + _SHIFT[kind]
+    # psi^(m)(z) = psi^(m)(z + 16) + (-1)^(m+1) m! sum_{k<16} (z + k)^-(m+1),
+    # with p = (z + k)^(m+1) taken up one order at a time, _NEAR_BLOCK near
+    # points at a time
+    for lo in range(0, n_near, _NEAR_BLOCK):
+        block = slice(lo, lo + _NEAR_BLOCK) if rows is None else rows[lo:lo + _NEAR_BLOCK]
+        p = t = flat[block, None] + _SHIFT[kind]
         for order in range(orders[-1] + 1):
             if order:
                 p = p * t
@@ -113,9 +130,9 @@ def _polygamma(m, z):
                 if order > 1:
                     acc *= math.factorial(order)
                 if order % 2:
-                    out[order - orders[0]][near] += acc
+                    out[order - orders[0]][block] += acc
                 else:
-                    out[order - orders[0]][near] -= acc
+                    out[order - orders[0]][block] -= acc
     if isinstance(m, int):
         return out[0].reshape(z.shape)[()]
     return np.stack(out).reshape((len(orders),) + z.shape)

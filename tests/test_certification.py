@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zerogap import certification
+from zerogap import certification, explicit_formula
 from zerogap.certification import (
     GapCertificate,
     MinEllSearch,
@@ -23,6 +23,7 @@ from zerogap.explicit_formula import (
     PRIME_FREE_RADIUS,
     _step_grid,
     convention_scale,
+    ell,
     ell_column_floor,
     ell_grid,
 )
@@ -369,15 +370,48 @@ def test_ell_grid_gets_the_row_the_search_checked(monkeypatch):
     dict(im_max=2e5),  # a row of 4e5 values, within its limit, on a lattice of 1.6e7
 ], ids=["im_max-nan", "im_max-inf", "step-nan", "step-inf", "off-lattice", "row", "lattice"])
 def test_min_ell_refuses_before_any_ell(monkeypatch, rect):
-    # the checks ell_grid relies on come before the incumbent ell(0), the
-    # first evaluation of the search
+    # the checks ell_grid relies on come before the column floor's pass,
+    # which takes the incumbent ell(0): the first evaluation of the search
     def reached(*args, **kwargs):
         raise AssertionError("the search evaluated ell before refusing its grid")
 
-    monkeypatch.setattr(certification, "ell", reached)
+    monkeypatch.setattr(certification, "ell_column_floor", reached)
     monkeypatch.setattr(certification, "ell_grid", reached)
     with pytest.raises(DomainError):
         min_ell_over_mu(cert_fn(), **{**FAST, **rect})
+
+
+@pytest.mark.parametrize("length", [CERT_LENGTH, 45.5, 52.75, 60.0])
+def test_incumbent_is_ell_at_zero(length):
+    # the column floor's pass takes the search's incumbent on its own
+    # panels: the pointwise ell(0) to within 1e-12, with an estimate within
+    # the incumbent's tolerance
+    f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
+    floor, u, err = ell_column_floor(f, with_incumbent=True)
+    assert type(u) is float and 0.0 < err <= certification._INCUMBENT_TOL
+    assert abs(u - ell(0.0, f, tol=1e-12)) <= 1e-12
+    mu = 1j * _step_grid(40.0, 0.25)
+    assert floor(mu).tobytes() == ell_column_floor(f)(mu).tobytes()
+
+
+def test_certify_takes_no_panel(monkeypatch):
+    # neither the incumbent nor the lattice goes through ell's panel rule
+    want = json.dumps(certify_gap(4, 52.75).to_dict())
+
+    def fail(*args, **kwargs):
+        raise AssertionError("certify_gap took ell's panel rule")
+
+    monkeypatch.setattr(explicit_formula, "_ell_panels", fail)
+    assert json.dumps(certify_gap(4, 52.75).to_dict()) == want
+
+
+def test_incumbent_estimate_checked_against_its_tolerance(monkeypatch):
+    # the incumbent's estimate (about 7.6e-14 on the headline window) must
+    # stay within _INCUMBENT_TOL, which the pad leaves room for
+    monkeypatch.setattr(certification, "_INCUMBENT_TOL", 1e-15)
+    with pytest.raises(AccuracyError, match="incumbent ell\\(0\\) error estimate") as info:
+        min_ell_over_mu(cert_fn(), **FAST)
+    assert info.value.best == ell_column_floor(cert_fn(), with_incumbent=True)[1]
 
 
 def test_pruning_pad_checked_against_grid_bound(monkeypatch):
@@ -458,7 +492,7 @@ def test_headline_certificate_columns_are_the_column_floors():
     cert = certify_gap(4, CERT_LENGTH)
     d = cert.search
     f = cert_fn()
-    pad = certification.ell(0.0, f, tol=certification._INCUMBENT_TOL) + 2.0 * _GRID_TOL
+    pad = ell_column_floor(f, with_incumbent=True)[1] + 2.0 * _GRID_TOL
     floor = ell_column_floor(f)(1j * _step_grid(d.im_max, d.step))
     assert d.columns_evaluated < 801
     assert d.floor_clears_at == d.step * d.columns_evaluated
@@ -489,7 +523,7 @@ def test_c0_search_probes_the_row_not_all_of_it(monkeypatch):
     f = cert_fn()
     im_max, step = 6250.0, 0.0625
     floor = ell_column_floor(f)(1j * _step_grid(im_max, step))
-    pad = certification.ell(0.0, f, tol=certification._INCUMBENT_TOL) + 2.0 * _GRID_TOL
+    pad = ell_column_floor(f, with_incumbent=True)[1] + 2.0 * _GRID_TOL
     cols = int(np.flatnonzero(~(floor > pad))[-1]) + 1
     monkeypatch.setattr(certification, "ell_grid", lambda f, re_values, im_values, im_max:
                         (np.zeros((1, len(im_values))), 0.0))

@@ -566,6 +566,53 @@ def test_selberg_envelope_m_regression(delta, m):
     assert f.envelope.m == pytest.approx(m, rel=1e-14, abs=0.0)
 
 
+def _two_tail_envelope_m(value, alpha, beta, delta, t0):
+    # the envelope's sampled constant on both tails, +-[t0, t1], whatever
+    # the window: the oracle of the one-tail sampling of a centred window
+    step = 1.0 / (extremal._LOBE_SAMPLES * delta)
+    near, first = 0.0, 0
+    for lobes in range(_NEAR_LOBES[0], _NEAR_LOBES[1] + 1):
+        s = t0 + step * np.arange(first, lobes * extremal._LOBE_SAMPLES + 1)
+        ts = np.concatenate([s, -s])
+        near = max(near, float(np.max(ts * ts * np.abs(value(ts)))))
+        far = _selberg_far_bound(alpha, beta, delta, float(s[-1]))
+        if far <= near:
+            break
+        first = lobes * extremal._LOBE_SAMPLES + 1
+    return max(1.05 * near, far)
+
+
+# verify-example's window, +-5/(2 delta0), at the benchmark's three verify
+# apertures; ENVELOPE_WINDOWS, the headline window and three off-centre
+# ones; and a centred window at the narrow aperture delta = 0.05
+VERIFY_HALF = 5.0 / (2.0 * PRIME_FREE_RADIUS)
+ENVELOPE_ORACLE_WINDOWS = [
+    pytest.param(-VERIFY_HALF, VERIFY_HALF, delta, id=f"verify-{k}")
+    for k, delta in enumerate([PRIME_FREE_RADIUS, PRIME_FREE_RADIUS * (1.0 + 1e-2),
+                               math.log(7.9) / (2.0 * math.pi)])
+] + ENVELOPE_WINDOWS + [pytest.param(-30.0, 30.0, 0.05, id="narrow")]
+
+
+@pytest.mark.parametrize("alpha,beta,delta", ENVELOPE_ORACLE_WINDOWS)
+def test_selberg_envelope_m_is_the_two_tail_sup(alpha, beta, delta):
+    f = selberg_minorant(alpha, beta, delta)
+    env = f.envelope
+    assert env.m == _two_tail_envelope_m(f.value, alpha, beta, delta, env.t0)
+    # a centred window samples its positive tail alone
+    seen = []
+
+    def spy(t):
+        seen.append(np.asarray(t))
+        return f.value(t)
+
+    assert _selberg_envelope_m(spy, alpha, beta, delta, env.t0) == env.m
+    every = np.concatenate(seen)
+    if alpha == -beta:
+        assert (every >= env.t0).all()
+    else:
+        assert (every <= -env.t0).any()
+
+
 def test_envelope_solved_on_first_read_and_cached(monkeypatch, bundled):
     calls = []
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 from zerogap.errors import DomainError
 from zerogap.special_math import (
+    _NEAR_BLOCK,
     _SERIES_RADIUS,
     _polygamma,
     _re_digamma,
@@ -234,21 +235,43 @@ def test_polygamma_matches_mpmath_across_the_shift(m, kind):
     assert np.max(np.abs(got - want) / scale) <= 4 * np.finfo(float).eps
 
 
+def _block_batches(kind, seed):
+    # more than two shift blocks of near points (|z| < 16) shuffled among
+    # far ones, and a batch of near points alone that ends inside its third
+    # block; both hold the shift's edge points
+    rng = np.random.default_rng(seed)
+    edge = _shift_edge_points(kind, seed)
+    n_near = 2 * _NEAR_BLOCK + 37
+    modulus = np.concatenate([rng.uniform(1e-3, 16.0, n_near), rng.uniform(16.0, 80.0, 300)])
+    if kind == "real":
+        mixed = np.concatenate([edge, modulus])
+    else:
+        mixed = np.concatenate([edge, modulus * np.exp(1j * rng.uniform(-1.5, 1.5, len(modulus)))])
+    rng.shuffle(mixed)
+    near = mixed[np.abs(mixed) < _SERIES_RADIUS]
+    mixed, near = mixed[:len(mixed) // 8 * 8], near[:len(near) // 8 * 8]
+    assert np.count_nonzero(np.abs(mixed) < _SERIES_RADIUS) > 2 * _NEAR_BLOCK
+    assert 2 * _NEAR_BLOCK < len(near) < 3 * _NEAR_BLOCK
+    return mixed, near
+
+
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_polygammas_are_elementwise_across_the_shift(m, kind):
     # only the points with |z| < 16 are shifted, so a batch mixes two
-    # evaluation paths; each value still depends on its own point alone
+    # evaluation paths, and the shifted ones go _NEAR_BLOCK at a time; each
+    # value still depends on its own point alone
     zs = _shift_edge_points(kind, 23)
     np.random.default_rng(31).shuffle(zs)
-    batch = _polygamma(m, zs)
-    assert batch.shape == zs.shape
-    for i, z in enumerate(zs):
-        assert batch[i] == _polygamma(m, z)
-        assert batch[i] == _polygamma(m, zs[i:i + 1])[0]
-    assert _polygamma(m, zs.reshape(6, 8)).tobytes() == batch.tobytes()
-    if m == 1 and kind == "real":
-        assert trigamma_real(zs).tobytes() == batch.tobytes()
+    for batch_zs in (zs, *_block_batches(kind, 23)):
+        batch = _polygamma(m, batch_zs)
+        assert batch.shape == batch_zs.shape
+        for i, z in enumerate(batch_zs):
+            assert batch[i] == _polygamma(m, z)
+            assert batch[i] == _polygamma(m, batch_zs[i:i + 1])[0]
+        assert _polygamma(m, batch_zs.reshape(8, -1)).tobytes() == batch.tobytes()
+        if m == 1 and kind == "real":
+            assert trigamma_real(batch_zs).tobytes() == batch.tobytes()
 
 
 def test_polygamma_jet_matches_mpmath():
@@ -267,6 +290,17 @@ def test_polygamma_jet_matches_mpmath():
             # each row is that order's own call, bit for bit
             assert jet[m].tobytes() == _polygamma(m, z).tobytes()
     assert _polygamma((1, 2), z[:3]).tobytes() == jet[1:3, :3].tobytes()
+    # over more than two shift blocks, real and complex: each column is its
+    # point's own jet, each row its order's own call, and a reshaped batch
+    # the same
+    for zs in (*_block_batches("real", 47), *_block_batches("complex", 47)):
+        jet = _polygamma((0, 1, 2, 3), zs)
+        assert jet.shape == (4, len(zs))
+        for m in range(4):
+            assert jet[m].tobytes() == _polygamma(m, zs).tobytes()
+        for i, z in enumerate(zs):
+            assert jet[:, i].tobytes() == _polygamma((0, 1, 2, 3), z).tobytes()
+        assert _polygamma((0, 1, 2, 3), zs.reshape(8, -1)).reshape(4, -1).tobytes() == jet.tobytes()
 
 
 @pytest.mark.parametrize("a", [0.25, 1.0])

@@ -41,8 +41,8 @@ above the incumbent ell(0) by more than twice the grid's error budget are a
 suffix of the row that cannot hold the minimum; the lattice finishes only
 the columns before that suffix (66 of the headline grid's 801), on the
 full row's lattice, so that every value it returns is the uncut row's.
-The incumbent comes from the floor's own pass (`ell_column_floor` with
-with_incumbent), which already has the transform on 16 Gauss panels per
+The incumbent comes from the floor's own pass (`ell_column_floor`'s
+incumbent), which already has the transform on 16 Gauss panels per
 span of [0, Y], 72 nodes each (32 x 72 on the headline window): ell(0) is
 fhat(0) (Re psi(z0) - log pi + the series) + Re int_0^Y e^-z0 x h dx,
 z0 = 1/4 + i centre/2, on the 48-point rule, with the distance from the
@@ -201,7 +201,9 @@ def min_ell_over_mu(
     mu = 0 is a grid point, so the row's lattice minimum is at most
     u + error_bound, with u the pointwise ell(0), the incumbent, which
     `ell_column_floor`'s pass takes on its own nodes (module docstring);
-    AccuracyError when its error estimate exceeds _INCUMBENT_TOL.  A point
+    AccuracyError when its error estimate exceeds _INCUMBENT_TOL.  Those
+    nodes do not follow f's centre, so a window centred far from 0 (past
+    |centre| ~ 2,600 at the headline length) raises it.  A point
     whose column floor exceeds the pad u + 2 _GRID_TOL (twice ell_grid's
     budget of _GRID_TOL / 2, plus room for u's tolerance, checked after the
     call) lies above that minimum.  The floor is nondecreasing in Im mu, so
@@ -229,7 +231,7 @@ def min_ell_over_mu(
                           "minimum over Re mu >= 0")
     n_re, n_im = _step_count(re_max, step), _step_count(im_max, step)
 
-    column_floor, u, u_err = ell_column_floor(f, with_incumbent=True)
+    column_floor, u, u_err = ell_column_floor(f)
     if u_err > _INCUMBENT_TOL:
         raise AccuracyError(f"incumbent ell(0) error estimate {u_err:.3e} > tol "
                             f"{_INCUMBENT_TOL:.3e}", best=u)

@@ -381,17 +381,33 @@ def test_min_ell_refuses_before_any_ell(monkeypatch, rect):
         min_ell_over_mu(cert_fn(), **{**FAST, **rect})
 
 
-@pytest.mark.parametrize("length", [CERT_LENGTH, 45.5, 52.75, 60.0])
-def test_incumbent_is_ell_at_zero(length):
+@pytest.mark.parametrize("length, centre", [
+    (CERT_LENGTH, 0.0), (45.5, 0.0), (52.75, 0.0), (60.0, 0.0),
+    (CERT_LENGTH, 3.0), (45.5, 25.0), (60.0, -80.0), (CERT_LENGTH, 1000.0),
+])
+def test_incumbent_is_ell_at_zero(length, centre):
     # the column floor's pass takes the search's incumbent on its own
-    # panels: the pointwise ell(0) to within 1e-12, with an estimate within
-    # the incumbent's tolerance
-    f = selberg_minorant(-length / 2.0, length / 2.0, PRIME_FREE_RADIUS)
-    floor, u, err = ell_column_floor(f, with_incumbent=True)
+    # panels, centred or not: the pointwise ell(0) to within 1e-12, with an
+    # estimate within the incumbent's tolerance
+    f = selberg_minorant(centre - length / 2.0, centre + length / 2.0, PRIME_FREE_RADIUS)
+    _, u, err = ell_column_floor(f)
     assert type(u) is float and 0.0 < err <= certification._INCUMBENT_TOL
     assert abs(u - ell(0.0, f, tol=1e-12)) <= 1e-12
-    mu = 1j * _step_grid(40.0, 0.25)
-    assert floor(mu).tobytes() == ell_column_floor(f)(mu).tobytes()
+
+
+@pytest.mark.parametrize("centre", [5000.0, 10000.0])
+def test_incumbent_estimate_covers_a_far_centre(centre):
+    # the floor's panels do not follow the centre: far off it the
+    # incumbent's estimate exceeds its tolerance, which the search refuses,
+    # and still covers its distance from ell(0)
+    f = selberg_minorant(centre - CERT_LENGTH / 2.0, centre + CERT_LENGTH / 2.0,
+                         PRIME_FREE_RADIUS)
+    _, u, err = ell_column_floor(f)
+    assert err > certification._INCUMBENT_TOL
+    assert abs(u - ell(0.0, f, tol=1e-12)) <= err
+    with pytest.raises(AccuracyError, match="incumbent ell\\(0\\) error estimate") as info:
+        min_ell_over_mu(f, **FAST)
+    assert info.value.best == u
 
 
 def test_certify_takes_no_panel(monkeypatch):
@@ -411,7 +427,7 @@ def test_incumbent_estimate_checked_against_its_tolerance(monkeypatch):
     monkeypatch.setattr(certification, "_INCUMBENT_TOL", 1e-15)
     with pytest.raises(AccuracyError, match="incumbent ell\\(0\\) error estimate") as info:
         min_ell_over_mu(cert_fn(), **FAST)
-    assert info.value.best == ell_column_floor(cert_fn(), with_incumbent=True)[1]
+    assert info.value.best == ell_column_floor(cert_fn()).incumbent
 
 
 def test_pruning_pad_checked_against_grid_bound(monkeypatch):
@@ -492,8 +508,8 @@ def test_headline_certificate_columns_are_the_column_floors():
     cert = certify_gap(4, CERT_LENGTH)
     d = cert.search
     f = cert_fn()
-    pad = ell_column_floor(f, with_incumbent=True)[1] + 2.0 * _GRID_TOL
-    floor = ell_column_floor(f)(1j * _step_grid(d.im_max, d.step))
+    pad = ell_column_floor(f).incumbent + 2.0 * _GRID_TOL
+    floor = ell_column_floor(f).floor(1j * _step_grid(d.im_max, d.step))
     assert d.columns_evaluated < 801
     assert d.floor_clears_at == d.step * d.columns_evaluated
     assert (floor[d.columns_evaluated:] > pad).all()
@@ -522,8 +538,8 @@ def test_c0_search_probes_the_row_not_all_of_it(monkeypatch):
     # the floor was evaluated on the whole row
     f = cert_fn()
     im_max, step = 6250.0, 0.0625
-    floor = ell_column_floor(f)(1j * _step_grid(im_max, step))
-    pad = ell_column_floor(f, with_incumbent=True)[1] + 2.0 * _GRID_TOL
+    floor = ell_column_floor(f).floor(1j * _step_grid(im_max, step))
+    pad = ell_column_floor(f).incumbent + 2.0 * _GRID_TOL
     cols = int(np.flatnonzero(~(floor > pad))[-1]) + 1
     monkeypatch.setattr(certification, "ell_grid", lambda f, re_values, im_values, im_max:
                         (np.zeros((1, len(im_values))), 0.0))

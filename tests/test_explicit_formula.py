@@ -726,7 +726,7 @@ def test_column_floor_below_ell(key):
     re = ef._step_grid(COLUMN_FLOOR_ROWS[key], 0.25)
     rng = np.random.default_rng(23)
     mu = re[rng.integers(0, len(re), 240)] + 1j * rng.uniform(0.0, 200.0, 240)
-    floors = ell_column_floor(f)(mu)
+    floors = ell_column_floor(f).floor(mu)
     values = ell(mu, f, tol=1e-10)
     assert (floors <= values).all(), (floors - values).max()
     # and it clears the far columns: above ell(0) past Im mu = 25
@@ -737,7 +737,7 @@ def test_column_floor_below_ell(key):
 def test_column_floor_nondecreasing_in_im(key):
     re = ef._step_grid(COLUMN_FLOOR_ROWS[key], 0.25)
     mu = re[:, None] + 1j * np.linspace(0.0, 200.0, 1601)
-    floors = ell_column_floor(_floor_kernel(key))(mu.ravel()).reshape(mu.shape)
+    floors = ell_column_floor(_floor_kernel(key)).floor(mu.ravel()).reshape(mu.shape)
     assert np.isfinite(floors).all()
     assert (np.diff(floors, axis=1) >= 0.0).all()
 
@@ -748,8 +748,8 @@ def test_column_floor_off_centre_is_centred_at_shifted_mu():
     half = 0.5 * (19.1 + 7.3)
     centred = selberg_minorant(-half, half, 0.09)
     mu = (np.array([0.0, 1.5])[:, None] + 1j * np.linspace(0.0, 60.0, 13)).ravel()
-    got = ell_column_floor(f)(mu)
-    want = ell_column_floor(centred)(mu + 1j * f.centre)
+    got = ell_column_floor(f).floor(mu)
+    want = ell_column_floor(centred).floor(mu + 1j * f.centre)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -836,7 +836,7 @@ def test_column_floor_matches_mpmath():
     f = selberg_minorant(*params)
     points = ((0.0, 16.5), (1.75, 40.0))
     for (re, im), (exact, want) in zip(points, _mp_column_floors(params, points)):
-        got = float(ell_column_floor(f)(np.array([re + 1j * im]))[0])
+        got = float(ell_column_floor(f).floor(np.array([re + 1j * im]))[0])
         assert got <= want <= exact and want - got <= 1e-9, (re, im, want - got)
 
 
@@ -852,8 +852,8 @@ def test_column_floor_h_deriv_rounding_is_bounded(name):
     x = _floor_nodes(f)[0, ef._NODES:]
     fhat, d_fhat = _selberg_jet(beta - alpha, f.support_radius,
                                 np.concatenate(([0.0], x / (4.0 * math.pi))))
-    h_deriv, h_err = ef._h_deriv(x, float(fhat[0]), fhat[1:], d_fhat[1:], beta - alpha,
-                                 f.support_radius)
+    _, h_deriv, h_err = ef._h_deriv(x, float(fhat[0]), fhat[1:], d_fhat[1:], beta - alpha,
+                                    f.support_radius)
     with mpmath.workdps(30):
         dh = _mp_h_and_deriv((alpha, beta, f.support_radius))[1]
         want = [dh(mpmath.mpf(float(v))) for v in x]
@@ -864,13 +864,13 @@ def test_column_floor_h_deriv_rounding_is_bounded(name):
 
 def test_column_floor_domain():
     short = selberg_minorant(-3.0, 3.0, 0.1)  # fhat(0) < 0
-    assert (ell_column_floor(short)(np.array([0.0, 100j, 5.0, 5.0 + 100j])) == -np.inf).all()
+    assert (ell_column_floor(short).floor(np.array([0.0, 100j, 5.0, 5.0 + 100j])) == -np.inf).all()
     # only the Selberg minorant records the window its transform's
     # derivative is built from
     for f in (fejer(PRIME_FREE_RADIUS), windowed_fejer(14.13, PRIME_FREE_RADIUS)):
         with pytest.raises(DomainError, match="derivative"):
             ell_column_floor(f)
-    floor_at = ell_column_floor(selberg_minorant(-HALF, HALF, PRIME_FREE_RADIUS))
+    floor_at = ell_column_floor(selberg_minorant(-HALF, HALF, PRIME_FREE_RADIUS)).floor
     for bad in (np.array([-0.5]), np.array([-0.5 + 3j]), np.zeros((2, 2)), np.array([np.nan]),
                 np.array([np.inf]), np.array([1j * np.inf])):
         with pytest.raises(DomainError):

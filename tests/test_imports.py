@@ -142,7 +142,7 @@ def test_benchmark_output_checks_pass():
 # repr of its result, floats in full
 CALLS = {
     "ell": "explicit_formula.ell(np.array([0.0, 2j, 3.5 - 7j]), f).tolist()",
-    "floor": "explicit_formula.ell_column_floor(f)("
+    "floor": "explicit_formula.ell_column_floor(f).floor("
              "np.array([0.0, 20j, 200j, 3.0, 3.0 + 20j, 3.0 + 200j])).tolist()",
     "certify": "certification.certify_gap(4, L, re_max=3.0, im_max=10.0, step=0.5)",
     "scan": "region_scan.scan_region(4.0, 1.0)",

@@ -43,7 +43,7 @@ the value, the 24-point rule its error estimate.  Each mu keeps its own
 panels, all panels of the batch share one evaluation of fhat and of
 e^{-zx} h (in blocks of `_PANEL_BLOCK` panels), and each mu's value is
 reduced from its own panel sums alone.  Kernels of one call share every
-panel list, one digamma(z) and one series, and in each block
+panel list, one psi(z) from `_polygamma` and one series, and in each block
 e^{-Re z x} cos(Im z x), 1 - e^-x and the rule's weights; only
 fhat(0) - fhat and the panel sums are taken per kernel.
 
@@ -244,7 +244,7 @@ def ell(mu, f: Union[TestFunction, Tuple[TestFunction, ...]], convention: str = 
     AccuracyError carries the value or the array of values as `best`.
 
     f may also be a nonempty tuple of k test functions with one
-    support_radius and one centre, which share every panel, digamma(z) and
+    support_radius and one centre, which share every panel, psi(z) and
     the series on the panel rule, and the polygamma jet and the geometric
     sums in closed form: the result then has one row per kernel, shape (k,)
     for a scalar mu and (k, n) for a 1-d one, and row i is bit-identical to
@@ -359,7 +359,7 @@ def _ell_panels(z: np.ndarray, points: list, kernels: Sequence[TestFunction],
     err = np.abs(integral - coarse) + math.ulp(1.0) * mass
 
     series = _series(z, x_end).real
-    return f0[:, None] * (digamma(z).real - LOG_PI + series) + integral, err
+    return f0[:, None] * (_polygamma(0, z).real - LOG_PI + series) + integral, err
 
 
 def _ell_closed(z: np.ndarray, kernels: Sequence[TestFunction],

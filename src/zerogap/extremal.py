@@ -36,11 +36,11 @@ this transform.  The Selberg minorant also records its window (alpha,
 beta) as ``interval``, from which the certification search's private
 Re mu = 0 evaluator ``explicit_formula.ell_grid`` builds its tail and the
 column floor ``explicit_formula.ell_column_floor`` takes the transform
-with its exact derivative on [0, delta] in one pass, `_selberg_jet`:
-Vaaler's J^ and its derivative come from one v cot(pi v), folded at
-|u| = 1/2, with the series of the derivative where its closed form
-cancels, and the sinc's derivative likewise; the Fejer kernels record no
-window.  Their transforms are piecewise polynomials instead, a linear one
+with its exact derivative on [0, delta] in one pass, `_selberg_jet`.
+Both take Vaaler's J^ from one v cot(pi v), folded at |u| = 1/2; only the
+jet adds J^'s derivative, with the series where its closed form cancels,
+and the sinc's derivative likewise, so ``fourier_centred`` computes no
+derivative.  The Fejer kernels record no window.  Their transforms are piecewise polynomials instead, a linear one
 and cubics with knots at 0, delta/2 and delta, and each records its
 ``fourier_pieces``, the truncated powers that ``explicit_formula.ell``
 integrates in closed form.
@@ -158,7 +158,8 @@ def beurling(x):
     s *= 2.0
     s *= w
     s += np.where(u <= -0.5, -1.0, 1.0)
-    s[odd] = 1.0 + 2.0 * xv[odd]
+    if u is not xv:
+        s[odd] = 1.0 + 2.0 * xv[odd]
     return float(s[0]) if arr.ndim == 0 else s.reshape(arr.shape)
 
 
@@ -263,13 +264,13 @@ def _find_window(value: Callable, alpha: float, beta: float, delta: float):
     return (lo, hi)
 
 
-def _vaaler_j(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # J^(u) = (1 - |u|) pi u cot(pi u) + |u| on |u| < 1 and 0 beyond, and its
-    # derivative in |u|, 0 at u = 0 from the right.  With phi(v) = v cot(pi v)
-    # at v = |u| up to 1/2 and v = 1 - |u| beyond, where cot(pi |u|) =
-    # -cot(pi v) turns the pole at |u| = 1 into phi's removable point 1/pi,
-    # J^ = |u| + s pi m phi(v) and J^' = 1 - pi (phi(v) - m phi'(v)), with
-    # m = 1 - |u| and s = 1 below 1/2, m = |u| and s = -1 above.  phi' =
+def _vaaler_j(u: np.ndarray, deriv: bool = False):
+    # J^(u) = (1 - |u|) pi u cot(pi u) + |u| on |u| < 1 and 0 beyond, and with
+    # deriv its derivative in |u| beside it, 0 at u = 0 from the right.  With
+    # phi(v) = v cot(pi v) at v = |u| up to 1/2 and v = 1 - |u| beyond, where
+    # cot(pi |u|) = -cot(pi v) turns the pole at |u| = 1 into phi's removable
+    # point 1/pi, J^ = |u| + s pi m phi(v) and J^' = 1 - pi (phi(v) - m phi'(v)),
+    # with m = 1 - |u| and s = 1 below 1/2, m = |u| and s = -1 above.  phi' =
     # cot w - w (1 + cot(w)^2) (w = pi v) cancels near 0, so below w = 0.06
     # it is the derivative of the series w cot w = 1 - w^2/3 - w^4/45 -
     # 2w^6/945 - w^8/4725 (DLMF 4.19.6), within 1e-13 relative there
@@ -279,12 +280,14 @@ def _vaaler_j(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     w = math.pi * v
     tan = np.tan(np.where(w == 0.0, 1.0, w))
     phi = np.where(w == 0.0, 1.0 / math.pi, v / tan)
+    inside = a < 1.0
+    j = np.where(inside, a + np.copysign(math.pi, 0.5 - a) * m * phi, 0.0)
+    if not deriv:
+        return j
     w2, cot = w * w, 1.0 / tan
     series = -w * (2.0 / 3.0 + w2 * (4.0 / 45.0 + w2 * (4.0 / 315.0 + w2 * (8.0 / 4725.0))))
     dphi = np.where(w < 0.06, series, cot - w * (1.0 + cot * cot))
-    inside = a < 1.0
-    return (np.where(inside, a + np.copysign(math.pi, 0.5 - a) * m * phi, 0.0),
-            np.where(inside, 1.0 - math.pi * (phi - m * dphi), 0.0))
+    return j, np.where(inside, 1.0 - math.pi * (phi - m * dphi), 0.0)
 
 
 def _selberg_jet(length: float, delta: float, xi) -> Tuple[np.ndarray, np.ndarray]:
@@ -297,7 +300,7 @@ def _selberg_jet(length: float, delta: float, xi) -> Tuple[np.ndarray, np.ndarra
     K^ = 1 - u, contributes cos(w)/delta^2 + pi L K^ sin(w)/delta."""
     xi = np.asarray(xi, dtype=float)
     u = xi / delta
-    j, dj = _vaaler_j(u)
+    j, dj = _vaaler_j(u, deriv=True)
     k = np.maximum(1.0 - u, 0.0)
     sinc, w = np.sinc(xi * length), math.pi * xi * length
     cos = np.cos(w)
@@ -388,13 +391,13 @@ def selberg_minorant(alpha: float, beta: float, delta: float) -> TestFunction:
 
     # Vaaler (1985), for the window centred at 0 (L = beta - alpha):
     # S^(xi) = J^(xi/delta) L sinc(xi L) - (1/delta) K^(xi/delta) cos(pi xi L),
-    # K^(u) = (1 - |u|)_+; `_selberg_jet` adds the derivative
+    # K^(u) = (1 - |u|)_+; `_selberg_jet` adds the derivative, J^' among it
     length = beta - alpha
 
     def ft(x):
         xi = np.asarray(x, dtype=float)
         u = xi / delta
-        return (_vaaler_j(u)[0] * length * np.sinc(xi * length)
+        return (_vaaler_j(u) * length * np.sinc(xi * length)
                 - np.maximum(1.0 - np.abs(u), 0.0) / delta * np.cos(math.pi * xi * length))
 
     t0_env = max(abs(alpha), abs(beta)) + 0.66 / delta
@@ -498,9 +501,11 @@ def fourier_at(f: TestFunction, x, tol: float = 1e-7):
     """Re f^(x), f^(x) = int f(u) e^{-2 pi i u x} du, at each point of x: a
     scalar x gives a Python float, an array an array.  f is its centred
     copy translated by centre, so Re f^(x) = fourier_centred(x)
-    cos(2 pi x centre), exact to rounding.  tol does not affect it; it stays
-    because perfbench/make_references.py passes one positionally.
+    cos(2 pi x centre), exact to rounding; a centred f takes no factor (it is
+    1.0).  tol, unused, stays for perfbench/make_references.py's positional one.
     """
     xs = np.asarray(x, dtype=float)
-    out = f.fourier_centred(xs) * np.cos(2.0 * math.pi * f.centre * xs)
+    out = f.fourier_centred(xs)
+    if not f.even:
+        out = out * np.cos(2.0 * math.pi * f.centre * xs)
     return float(out) if np.ndim(x) == 0 else out

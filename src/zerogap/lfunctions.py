@@ -26,6 +26,7 @@ import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Dict, Tuple, Union
@@ -136,13 +137,21 @@ class LogDerivativeCoefficients:
         return self.values.get(n, 0j)
 
 
+@cache
 def bundled_example_path() -> Path:
-    """Path of the bundled degree-4 example data file."""
+    """Path of the bundled degree-4 example data file, resolved once."""
     return Path(str(resources.files("zerogap") / "data" / "fkl_degree4.json"))
 
 
+def _is_kind(val, kind) -> bool:
+    # a parsed JSON object is a dict: no ABC isinstance for it.  No bool is an int
+    if type(val) is dict:
+        return kind is Mapping
+    return isinstance(val, kind) and not (kind is int and isinstance(val, bool))
+
+
 def _require(doc, key: str, kind, where: str, admit_inf: bool = False):
-    if not isinstance(doc, Mapping):
+    if not _is_kind(doc, Mapping):
         raise SchemaError(f"{where} must be an object")
     if key not in doc:
         raise SchemaError(f"missing field '{key}' in {where}")
@@ -157,7 +166,7 @@ def _require(doc, key: str, kind, where: str, admit_inf: bool = False):
         if not (math.isfinite(num) or (admit_inf and num == math.inf)):
             raise SchemaError(f"field '{key}' in {where} is {num!r}")
         return num
-    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+    if not _is_kind(val, kind):
         raise SchemaError(f"field '{key}' in {where} must be {kind.__name__}")
     return val
 
@@ -166,7 +175,7 @@ def load_lfunction(source: Union[str, Path, Mapping]) -> LFunctionData:
     """Load and validate an L-function document from a path, JSON text, or
     an already-parsed mapping.  A str whose first non-space character is
     ``{`` or ``[`` is JSON text; any other str is a file name."""
-    if isinstance(source, Mapping):
+    if _is_kind(source, Mapping):
         doc = source
     else:
         if isinstance(source, Path) or (isinstance(source, str)
@@ -181,7 +190,7 @@ def load_lfunction(source: Union[str, Path, Mapping]) -> LFunctionData:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise SchemaError(f"JSON parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    if not isinstance(doc, Mapping):
+    if not _is_kind(doc, Mapping):
         raise SchemaError("top-level JSON value must be an object")
 
     degree = _require(doc, "degree", int, "document")

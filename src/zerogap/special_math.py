@@ -15,8 +15,9 @@ of consecutive orders, such as the jet 0-3 of `explicit_formula.ell`'s
 closed form, shares each shift block, in which the powers of z + k are
 built up one order at a time.
 ``digamma`` adds the reflection psi(z) = psi(1 - z) - pi cot(pi z) (DLMF
-5.5.4) for Re z < 0 and a domain error at the poles, the nonpositive
-integers; ``trigamma_real`` adds the check x > 0.  The certification
+5.5.4) for Re z < 0 and a domain error at its poles, for the column floor
+alone (``ell``, at Re z >= 1/4, takes ``_polygamma``); ``trigamma_real``
+adds the check x > 0, for the Beurling function.  The certification
 search's private Re mu = 0 evaluator ``explicit_formula.ell_grid`` takes
 ``_re_digamma(a, v)``, Re psi(a + iv) for a scalar a and a real array v,
 on the same shift rule but with the series in real arithmetic: it needs

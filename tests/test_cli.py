@@ -321,6 +321,53 @@ def test_verify_example_passes(capsys):
     assert doc["implied_log_Q"] == pytest.approx(0.055081473846852344, abs=1e-6)
 
 
+# verify-example's reports on the benchmark's window +-5/(2 delta0) at its
+# three fixed apertures (delta0, just above the n = 2 edge, log 7.9/2 pi),
+# as printed before the transform's derivative left `fourier_centred`
+VERIFY_EXAMPLE_REPORTS = {
+    PRIME_FREE_RADIUS: {
+        "zero_side": 4.03665393538893, "tail_bound": 5.509495615671456, "rhs_conductor": 0.0,
+        "rhs_archimedean": [0.22275334242787106, 0.22275334242787106,
+                            1.4777105485892368, 1.4777105485892368],
+        "rhs_primes": 0.0, "rhs_total": 3.400927782034216, "residual": 0.6357261533547143,
+        "implied_log_Q": 0.05508147385075495, "convention": "halved",
+        "tolerance_budget": 4e-08,
+    },
+    PRIME_FREE_RADIUS * (1.0 + 1e-2): {
+        "zero_side": 4.077002301624426, "tail_bound": 5.461132189486813, "rhs_conductor": 0.0,
+        "rhs_archimedean": [0.23892246449214435, 0.23892246449214435,
+                            1.4918761641958027, 1.4918761641958027],
+        "rhs_primes": -0.018613152766202994, "rhs_total": 3.442984104609691,
+        "residual": 0.6340181970147349, "implied_log_Q": 0.05479785246188989,
+        "convention": "halved", "tolerance_budget": 4e-08,
+    },
+    math.log(7.9) / (2.0 * math.pi): {
+        "zero_side": 7.0794490779998895, "tail_bound": 4.006414428883505, "rhs_conductor": 0.0,
+        "rhs_archimedean": [1.3496544946085531, 1.3496544946085531,
+                            2.429176396376639, 2.429176396376639],
+        "rhs_primes": -0.5701761008840505, "rhs_total": 6.9874856810863335,
+        "residual": 0.09196339691355604, "implied_log_Q": 0.006832702662755441,
+        "convention": "halved", "tolerance_budget": 4e-08,
+    },
+}
+
+
+@pytest.mark.parametrize("delta", list(VERIFY_EXAMPLE_REPORTS), ids=["delta0", "n2-edge", "log7.9"])
+def test_verify_example_reports_are_pinned(capsys, delta):
+    # every number of the report to 12 significant digits, so that a moved
+    # verify number fails here and not only in the benchmark
+    rc, out, err = run(capsys, "verify-example", "--length", repr(5.0 / PRIME_FREE_RADIUS),
+                       "--delta", repr(delta))
+    assert rc == 0 and err == ""
+    assert out.endswith("consistency: PASS\n")
+    got = json.loads(out.rsplit("consistency:", 1)[0])
+    want = VERIFY_EXAMPLE_REPORTS[delta]
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        expected = value if isinstance(value, str) else pytest.approx(value, rel=1e-12, abs=0.0)
+        assert got[key] == expected, key
+
+
 def test_verify_example_at_zero_mass(capsys):
     # L = 1/delta0, where the minorant's integral is exactly 0: the report
     # has no implied conductor, and the PASS rule still applies

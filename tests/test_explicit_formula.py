@@ -888,19 +888,55 @@ def _floor_nodes(f):
     return ef._gauss_panels(edges, ef._NODES, 2 * ef._NODES)[0]
 
 
-@pytest.mark.parametrize("name", ["headline", "asymmetric", "narrow", "fejer", "windowed"])
-def test_selberg_jet_value_is_the_transform(name):
+def _ell_panel_xi(f, mus):
+    """The transform's arguments in `_ell_panels` at each mu of `ell(mus, f)`:
+    0 and every panel node, over 4 pi."""
+    big_x = 4.0 * math.pi * f.support_radius
+    x_end = max(big_x, 1.0)
+    spans = ef._ell_spans(big_x, x_end)
+    nodes = [ef._gauss_panels(np.array(ef._ell_edges(complex(0.25 + 0.5 * mu.real,
+                                                             0.5 * (mu.imag + f.centre)),
+                                                     spans, x_end)),
+                              ef._NODES, 2 * ef._NODES)[0].ravel() for mu in mus]
+    return np.concatenate([[0.0], *nodes]) / (4.0 * math.pi)
+
+
+# verify-example's window at the benchmark's two prime-path apertures; at
+# delta0 it is the headline window
+VERIFY_HALF = 5.0 / (2.0 * PRIME_FREE_RADIUS)
+JET_WINDOWS = {
+    "n2-edge": selberg_minorant(-VERIFY_HALF, VERIFY_HALF, PRIME_FREE_RADIUS * (1.0 + 1e-2)),
+    "log7.9": selberg_minorant(-VERIFY_HALF, VERIFY_HALF, math.log(7.9) / (2.0 * math.pi)),
+}
+
+
+@pytest.mark.parametrize("name", ["headline", "asymmetric", "narrow", "n2-edge", "log7.9"])
+def test_selberg_jet_value_is_the_transform(name, bundled):
     # the floor's fhat and the transform every other path reads are one
-    # value, bit for bit, at 0 and at the floor's nodes, for xi and -xi; the
-    # Fejer kernels record no window, so they have no jet
+    # value, bit for bit: at the floor's nodes, at ell's panel nodes for
+    # verify's spectral mu, at u = 0, at the fold |u| = 1/2 and the edge
+    # |u| = 1 with their neighbours, and at 200,001 random xi of either sign
+    f = {**FLOOR_KERNELS, **JET_WINDOWS}[name]
+    length, delta = f.interval[1] - f.interval[0], f.support_radius
+    u = np.array([0.0, 0.5, 1.0])
+    special = delta * np.concatenate([u, np.nextafter(u, 2.0), np.nextafter(u, -1.0)])
+    floor = _floor_nodes(f).ravel() / (4.0 * math.pi)
+    rng = np.random.default_rng(36)
+    for xi in (floor, -floor, _ell_panel_xi(f, bundled.fe.spectral), special, -special,
+               rng.uniform(-1.2 * delta, 1.2 * delta, 200_001)):
+        fhat = _selberg_jet(length, delta, np.abs(xi))[0]
+        assert fhat.tobytes() == f.fourier_centred(xi).tobytes()
+
+
+@pytest.mark.parametrize("name", ["headline", "asymmetric", "fejer", "windowed"])
+def test_fourier_at_is_the_centred_transform_and_its_phase(name):
+    # a centred f's Re f^ is its centred transform, bit for bit; an
+    # off-centre window's takes the factor cos(2 pi x centre)
     f = FLOOR_KERNELS[name]
-    if f.interval is None:
-        assert name in ("fejer", "windowed")
-        return
-    xi = np.concatenate(([0.0], _floor_nodes(f).ravel() / (4.0 * math.pi)))
-    fhat = _selberg_jet(f.interval[1] - f.interval[0], f.support_radius, xi)[0]
-    assert fhat.tobytes() == f.fourier_centred(xi).tobytes()
-    assert fhat.tobytes() == f.fourier_centred(-xi).tobytes()
+    xs = np.random.default_rng(7).uniform(-1.2, 1.2, 1001) * f.support_radius
+    phase = np.cos(2.0 * math.pi * f.centre * xs) if f.centre else 1.0
+    assert fourier_at(f, xs).tobytes() == (f.fourier_centred(xs) * phase).tobytes()
+    assert (f.centre != 0.0) == (name == "asymmetric")
 
 
 FLOOR_KERNELS = {

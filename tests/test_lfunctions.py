@@ -2,6 +2,8 @@ import copy
 import json
 import math
 import time
+import types
+from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -187,6 +189,8 @@ def _mutated(doc, path, new):
     pytest.param(("zeros", "t_max"), math.nan, id="t-max-nan"),
     pytest.param(("coefficients", 0, "n"), True, id="n-bool"),
     pytest.param(("degree",), True, id="degree-bool"),
+    pytest.param(("conductor", "value"), True, id="conductor-bool"),
+    pytest.param(("zeros", "t_max"), True, id="t-max-bool"),
     pytest.param(("conductor", "value"), 10**400, id="conductor-beyond-float"),
     pytest.param(("conductor", "value"), json.loads("1e400"), id="conductor-1e400"),
     pytest.param(("conductor", "value"), json.loads("Infinity"), id="conductor-infinity"),
@@ -201,6 +205,41 @@ def _mutated(doc, path, new):
 def test_malformed_field_is_schema_error(path, new):
     with pytest.raises(SchemaError):
         load_lfunction(_mutated(_BUNDLED_DOC, path, new))
+
+
+def _as_mapping(node, mapping):
+    """The document with every JSON object turned into a `mapping`."""
+    if isinstance(node, dict):
+        return mapping({k: _as_mapping(v, mapping) for k, v in node.items()})
+    if isinstance(node, list):
+        return [_as_mapping(v, mapping) for v in node]
+    return node
+
+
+# mappings other than the dict that json.loads makes, which the loader takes
+# by the ABC isinstance
+MAPPINGS = pytest.mark.parametrize("mapping", [types.MappingProxyType, OrderedDict],
+                                   ids=["proxy", "ordered"])
+
+
+@MAPPINGS
+def test_any_mapping_loads_as_the_plain_document(bundled, mapping):
+    assert load_lfunction(_as_mapping(_BUNDLED_DOC, mapping)) == bundled
+
+
+@MAPPINGS
+@pytest.mark.parametrize("path", [("degree",), ("coefficients", 0, "n"), ("conductor", "value"),
+                                  ("zeros", "t_max")], ids=lambda p: ".".join(map(str, p)))
+def test_true_is_no_number_in_any_mapping(path, mapping):
+    # a bool is an int to isinstance, but no degree, index, conductor or
+    # height; the plain-dict cases are test_malformed_field_is_schema_error's
+    with pytest.raises(SchemaError):
+        load_lfunction(_as_mapping(_mutated(_BUNDLED_DOC, path, True), mapping))
+
+
+def test_bundled_example_path_is_stable():
+    first, second = bundled_example_path(), bundled_example_path()
+    assert first == second and first.is_file()
 
 
 def test_assumed_flags_default_to_false():

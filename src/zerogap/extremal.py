@@ -39,10 +39,10 @@ column floor ``explicit_formula.ell_column_floor`` takes the transform
 with its exact derivative on [0, delta] in one pass, `_selberg_jet`.
 Both take Vaaler's J^ from one v cot(pi v), folded at |u| = 1/2; only the
 jet adds J^'s derivative, with the series where its closed form cancels,
-and the sinc's derivative likewise, so ``fourier_centred`` computes no
-derivative.  The Fejer kernels record no window.  Their transforms are piecewise polynomials instead, a linear one
-and cubics with knots at 0, delta/2 and delta, and each records its
-``fourier_pieces``, the truncated powers that ``explicit_formula.ell``
+and the sinc's, so ``fourier_centred`` computes no derivative.  The Fejer
+kernels record no window.  Their transforms are piecewise polynomials, a
+linear one and cubics with knots at 0, delta/2 and delta, and each records
+its ``fourier_pieces``, the truncated powers that ``explicit_formula.ell``
 integrates in closed form.
 
 Every decay envelope |f(t)| <= m/t^2 holds on both tails, |t| >= t0.  The

@@ -29,7 +29,8 @@ integrand stays finite there.  A test function even about centre != 0
 goes through its centred copy, ell(mu, f) = ell(mu + i centre,
 f(. + centre)) in halved units, whose real transform
 `TestFunction.fourier_centred` is all that `ell` reads of it, or its
-`fourier_pieces`.  `ell` takes I(z) on one of two routes.
+`fourier_pieces`.  `ell` takes I(z) on one route per kernel: the closed
+form for a kernel with `fourier_pieces`, the panel rule for any other.
 
 The panel rule, for the Selberg minorant.  With h = g/(1 - e^-x) and
 Y = max(X, 1), I(z) = int_0^Y e^-zx h(x) dx + fhat(0) sum_{k>=0}
@@ -42,14 +43,11 @@ of e^{-i Im z x}, so that the cost is linear in |Im mu|, and graded toward
 the value, the 24-point rule its error estimate.  Each mu keeps its own
 panels, all panels of the batch share one evaluation of fhat and of
 e^{-zx} h (in blocks of `_PANEL_BLOCK` panels), and each mu's value is
-reduced from its own panel sums alone.  Kernels of one call share every
-panel list, one psi(z) from `_polygamma` and one series, and in each block
-e^{-Re z x} cos(Im z x), 1 - e^-x and the rule's weights; only
-fhat(0) - fhat and the panel sums are taken per kernel.
+reduced from its own panel sums alone.
 
-The closed form, for the Fejer kernels.  Their g is a sum of truncated
-powers c_jm (x - a_j)_+^m, m = 1, 2, 3, at the knots a_j = 0, X/2, X
-(`TestFunction.fourier_pieces` in xi = x/4 pi), and
+The closed form, for the Fejer kernels at any support.  Their g is a sum
+of truncated powers c_jm (x - a_j)_+^m, m = 1, 2, 3, at the knots a_j = 0,
+X/2, X (`TestFunction.fourier_pieces` in xi = x/4 pi), and
 
     int_0^inf e^-zx (x - a)_+^m/(1 - e^-x) dx = m! sum_{k>=0} e^-(z+k)a (z+k)^-(m+1),
 
@@ -71,16 +69,15 @@ whose last integral the 24-point Gauss-Legendre rule on [0, X/2] and
 [X/2, X] takes exactly up to rounding: fhat is a cubic on each, and
 |z + k| X/2 < 3/2 there.  The cost does not grow with |Im mu|, and only
 rounding is left, which `ell` estimates as an ulp of the sum of the
-magnitudes of the terms.  A geometric sum at a < 1/2 (`_MIN_KNOT`) would
-pass 74 terms, so a kernel whose X/2 is smaller takes the panel rule.
+magnitudes of the terms.  The geometric sums take ceil(74/X) terms per
+mu (589 at delta = 0.01), and `_MAX_SUM_TERMS` caps them per call.
 
 `ell` takes one mu or a 1-d array of them, and on either route each mu's
 value comes from its own terms alone, so that ell(mus)[i] is
-bit-identical to ell(mus[i]).  It also takes a tuple of test functions
-with one support radius and one centre, as the scan's two kernels are;
-each route serves its kernels in one pass, in the same order of
-operations as for one kernel, so that each kernel's row is bit-identical
-to its own call, also in a tuple that mixes the routes.
+bit-identical to ell(mus[i]).  A tuple of kernels with `fourier_pieces`,
+one support radius and one centre, as the scan's two are, takes one
+closed-form pass in one kernel's order of operations, so that each row
+is bit-identical to its kernel's own call.
 
 One integration by parts bounds ell below point by point.  With a = Re z
 and y = Im z, h is absolutely continuous on [0, Y], so the integral is
@@ -184,19 +181,17 @@ _MAX_LATTICE = 1 << 23
 # as many), and panels per block of work, which bounds memory at large |Im mu|
 _NODES = 24
 _PANEL_BLOCK = 2048
-# ell: the most panels one call may take, beyond which it raises DomainError;
-# the kernels of a tuple share every panel, so a panel counts once however
-# many there are.  A panel costs about 6 us for the windowed Fejer kernel
-# alone and 7 us for the Fejer and windowed Fejer kernels in one call (2
-# cores, numpy 2.4, |Im mu| = 2e5), so a call stays under about 1 s; the
-# kernels at delta0 take about 0.22 |Im mu| panels per mu, so a single mu
-# may reach |Im mu| ~ 5e5
+# ell: the most panels one call may take, beyond which it raises DomainError.
+# A panel of the Selberg minorant at delta0 costs 5-7 us (2 cores, numpy
+# 2.4, |Im mu| = 2e5-4e5), so a call stays under about 1 s; it takes about
+# 0.22 |Im mu| panels per mu, so a single mu may reach |Im mu| ~ 5e5
 _MAX_PANELS = 120_000
-# ell's closed form: a kernel with fourier_pieces takes it when X/2 is at
-# least _MIN_KNOT, so that the geometric sums stay within
-# ceil(37/_MIN_KNOT) = 74 terms; and the shifts k with |z + k| X <
-# _NEAR_SHIFT go to the quadrature, where the truncated powers would cancel
-_MIN_KNOT = 0.5
+# ell's closed form: the most geometric-sum terms one call may take,
+# ceil(74/X) per mu, beyond which it raises DomainError (128 B a term under
+# tracemalloc, so 64 MiB, the certification search's own limit); and the
+# shifts k with |z + k| X < _NEAR_SHIFT go to the quadrature, where the
+# truncated powers would cancel
+_MAX_SUM_TERMS = 1 << 19
 _NEAR_SHIFT = 3.0
 # the closed form's unit per coefficient: 1 for fhat(0), then (4 pi)^-m for
 # c_jm (TestFunction.fourier_pieces), xi = x/4 pi
@@ -228,43 +223,40 @@ def ell(mu, f: Union[TestFunction, Tuple[TestFunction, ...]], convention: str = 
     depend on tol, and ell(mus)[i] is bit-identical to ell(mus[i]) whatever
     else is in the batch.
 
-    Each kernel takes one of the module docstring's two routes.  A kernel
-    with `TestFunction.fourier_pieces`, the Fejer and windowed Fejer kernels,
-    takes the closed form when its support radius is at least
-    _MIN_KNOT/(2 pi) (X/2 >= _MIN_KNOT): its cost does not depend on mu, and
-    only rounding is left, estimated as an ulp of the sum of the magnitudes
-    of its terms, so AccuracyError there says only that tol is below that
-    rounding (1e-14 at a value near 2.6e3, one ulp being 4.5e-13).  Every
-    other kernel, the Selberg minorant above all, takes the panel rule:
-    tol bounds the error of each integral, estimated from the 24- against
-    the 48-point rule plus the rounding of the sum, and the cost is linear
-    in the total number of panels, about 2 + 4 delta |Im z| per mu for a
-    transform supported in [-delta, delta]; a call that would need more
-    than `_MAX_PANELS` raises DomainError before building any panel.
+    Each kernel takes one of the module docstring's routes.  A kernel with
+    `TestFunction.fourier_pieces`, the Fejer and windowed Fejer kernels,
+    takes the closed form at any support: its cost does not depend on mu,
+    and only rounding is left, estimated as an ulp of the sum of the
+    magnitudes of its terms, so AccuracyError there says only that tol is
+    below that rounding (1e-14 at a value near 2.6e3, one ulp being
+    4.5e-13); a call whose geometric sums would take more than
+    `_MAX_SUM_TERMS` terms raises DomainError before building any array.
+    Every other kernel, the Selberg minorant above all, takes the panel
+    rule: tol bounds the error of each integral, estimated from the 24-
+    against the 48-point rule plus the rounding of the sum, and the cost is
+    linear in the total number of panels, about 2 + 4 delta |Im z| per mu
+    for a transform supported in [-delta, delta]; a call that would need
+    more than `_MAX_PANELS` raises DomainError before building any panel.
     AccuracyError carries the value or the array of values as `best`.
 
-    f may also be a nonempty tuple of k test functions with one
-    support_radius and one centre, which share every panel, psi(z) and
-    the series on the panel rule, and the polygamma jet and the geometric
-    sums in closed form: the result then has one row per kernel, shape (k,)
-    for a scalar mu and (k, n) for a 1-d one, and row i is bit-identical to
-    ell(mu, f[i]), also when the tuple mixes the routes.  A single f is the
-    case k = 1.  tol holds for each kernel at each mu; AccuracyError's
-    `best` is then the (k,) or (k, n) array, and its message names the mu
-    and the kernel's label.  Panels count once however many kernels share
-    them, so a tuple is refused at the same mu as each of its kernels on
-    the panel rule; a tuple that is empty or mixes supports or centres
-    raises DomainError before any panel.
+    f may also be a nonempty tuple of k kernels with fourier_pieces, one
+    support_radius and one centre, which share the polygamma jet and the
+    geometric sums: the result then has one row per kernel, shape (k,) for
+    a scalar mu and (k, n) for a 1-d one, and row i is bit-identical to
+    ell(mu, f[i]).  A single f is the case k = 1.  tol holds for each
+    kernel at each mu; AccuracyError's `best` is then the (k,) or (k, n)
+    array, and its message names the mu and the kernel's label.  Any other
+    tuple raises DomainError before any work.
     """
     single = not isinstance(f, tuple)
     kernels = (f,) if single else f
     if not kernels:
         raise DomainError("ell needs a test function or a nonempty tuple of them")
-    head = kernels[0]
-    if any((g.support_radius, g.centre) != (head.support_radius, head.centre)
-           for g in kernels[1:]):
-        raise DomainError("the test functions of one ell call must share support_radius "
-                          "and centre")
+    head, closed = kernels[0], all(g.fourier_pieces is not None for g in kernels)
+    if not (single or (closed and all((g.support_radius, g.centre)
+                                      == (head.support_radius, head.centre) for g in kernels))):
+        raise DomainError("the test functions of a tuple must share support_radius and centre, "
+                          "and each needs fourier_pieces for the closed form")
     scale, mus = convention_scale(convention), np.asarray(mu, dtype=complex)
     if mus.ndim > 1:
         raise DomainError(f"mu must be a scalar or a 1-d array, got shape {mus.shape}")
@@ -285,21 +277,8 @@ def ell(mu, f: Union[TestFunction, Tuple[TestFunction, ...]], convention: str = 
     z = np.array(z, dtype=complex)
     big_x = 4.0 * math.pi * head.support_radius
 
-    def evaluate(picked, closed_form):
-        return (_ell_closed(z, picked, big_x) if closed_form
-                else _ell_panels(z, points, picked, big_x))
-
-    # the route of each kernel; a mixed tuple takes each route on its own
-    # kernels, so that every row is its kernel's own call
-    closed = [g.fourier_pieces is not None and 0.5 * big_x >= _MIN_KNOT for g in kernels]
-    if len(set(closed)) == 1:
-        value, err = evaluate(kernels, closed[0])
-    else:
-        value, err = np.empty((2, len(kernels), len(z)))
-        for route in (True, False):
-            rows = [k for k, c in enumerate(closed) if c == route]
-            value[rows], err[rows] = evaluate([kernels[k] for k in rows], route)
-
+    value, err = (_ell_closed(z, kernels, big_x) if closed
+                  else _ell_panels(z, points, head, big_x))
     best = value[:, 0] if mus.ndim == 0 else value
     if single:
         best = float(best[0]) if mus.ndim == 0 else best[0]
@@ -311,10 +290,10 @@ def ell(mu, f: Union[TestFunction, Tuple[TestFunction, ...]], convention: str = 
     return best
 
 
-def _ell_panels(z: np.ndarray, points: list, kernels: Sequence[TestFunction],
+def _ell_panels(z: np.ndarray, points: list, f: TestFunction,
                 big_x: float) -> Tuple[np.ndarray, np.ndarray]:
-    """ell and its error estimate, one row per kernel, on the panel rule
-    (module docstring); DomainError past `_MAX_PANELS` before any panel."""
+    """ell and its error estimate, as one row, on the panel rule (module
+    docstring); DomainError past `_MAX_PANELS` before any panel."""
     x_end = max(big_x, 1.0)  # Y
     spans = _ell_spans(big_x, x_end)
     # every mu's panels in one list, with the index of its first panel
@@ -332,40 +311,44 @@ def _ell_panels(z: np.ndarray, points: list, kernels: Sequence[TestFunction],
         lo += edges[:-1]
         hi += edges[1:]
     if not starts:
-        return np.empty((len(kernels), 0)), np.empty((len(kernels), 0))
+        return np.empty((1, 0)), np.empty((1, 0))
     z_panel, lo = np.array(z_panel), np.array(lo)
     re_panel, im_panel = z_panel.real[:, None], z_panel.imag[:, None]
     width = np.array(hi) - lo
     x_unit, w_unit = _unit_gauss(_NODES, 2 * _NODES)
-    f0 = np.empty(len(kernels))
-    # the coarse, value and |value| rules per kernel and panel
-    sums = np.empty((3, len(kernels), len(lo)))
+    # the coarse, value and |value| rules per panel
+    sums = np.empty((3, len(lo)))
     for i in range(0, len(lo), _PANEL_BLOCK):
         block = slice(i, i + _PANEL_BLOCK)
         x = lo[block, None] + width[block, None] * x_unit
-        # Re[e^-zx h(x)] with h real: every factor but fhat(0) - fhat is
-        # the same for all kernels
+        # Re[e^-zx h(x)] with h real; fhat(0) comes from the same transform
+        # call, so that fhat(0) - fhat vanishes at x = 0 in floating point
+        # too and h stays bounded there
+        fhat = f.fourier_centred(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
+        f0 = float(fhat[0])
         weight = width[block, None] * w_unit
         damp = np.exp(-re_panel[block] * x) * np.cos(im_panel[block] * x)
-        tail = -np.expm1(-x)
-        for k, g in enumerate(kernels):
-            f0[k], diff = _split_transform(g, x)
-            terms = weight * (damp * diff / tail)
-            sums[0, k, block] = terms[:, :_NODES].sum(axis=1)
-            sums[1, k, block] = terms[:, _NODES:].sum(axis=1)
-            sums[2, k, block] = np.abs(terms[:, _NODES:]).sum(axis=1)
+        terms = weight * (damp * (f0 - fhat[1:].reshape(x.shape)) / -np.expm1(-x))
+        sums[0, block] = terms[:, :_NODES].sum(axis=1)
+        sums[1, block] = terms[:, _NODES:].sum(axis=1)
+        sums[2, block] = np.abs(terms[:, _NODES:]).sum(axis=1)
     # each mu's totals come from its own panel sums alone, whatever the batch
-    coarse, integral, mass = np.add.reduceat(sums, starts, axis=2)
+    coarse, integral, mass = np.add.reduceat(sums, starts, axis=1)
     err = np.abs(integral - coarse) + math.ulp(1.0) * mass
 
     series = _series(z, x_end).real
-    return f0[:, None] * (_polygamma(0, z).real - LOG_PI + series) + integral, err
+    return (f0 * (_polygamma(0, z).real - LOG_PI + series) + integral)[None], err[None]
 
 
 def _ell_closed(z: np.ndarray, kernels: Sequence[TestFunction],
                 big_x: float) -> Tuple[np.ndarray, np.ndarray]:
     """ell and its rounding estimate, one row per kernel, in closed form
-    from each kernel's fourier_pieces (module docstring)."""
+    from each kernel's fourier_pieces (module docstring); DomainError past
+    `_MAX_SUM_TERMS` before any array."""
+    n_terms = math.ceil(74.0 / big_x)
+    if len(z) * n_terms > _MAX_SUM_TERMS:
+        raise DomainError(f"ell's closed form at {len(z)} mu needs {n_terms} terms per mu, more "
+                          f"than {_MAX_SUM_TERMS} in one call: the support is too narrow")
     # n: the shifts k with |z + k| X < _NEAR_SHIFT, which the quadrature takes
     reach = _NEAR_SHIFT / big_x
     y = np.minimum(np.abs(z.imag), reach)
@@ -381,7 +364,7 @@ def _ell_closed(z: np.ndarray, kernels: Sequence[TestFunction],
     basis[:, :4] = psi.T
     basis[:, 0] -= LOG_PI
     basis[:, 2] *= -1.0
-    wk = w[:, None] + np.arange(math.ceil(74.0 / big_x))
+    wk = w[:, None] + np.arange(n_terms)
     r = 1.0 / wk
     half = np.exp(-0.5 * big_x * wk)
     p = np.stack((half, half * half), axis=1) * (r * r)[:, None]
@@ -613,15 +596,6 @@ def _ell_edges(z: complex, spans: list, x_end: float) -> list:
         grade = math.ceil(math.log2(z.real * first))
         edges[1:1] = [first * 2.0 ** -j for j in range(grade, 0, -1)]
     return edges
-
-
-def _split_transform(f: TestFunction, x: np.ndarray) -> Tuple[float, np.ndarray]:
-    """fhat(0) and fhat(0) - fhat(x/4 pi) of f's centred copy.  fhat(0)
-    comes from the same transform call, so that the difference vanishes at
-    x = 0 in floating point too and h stays bounded there."""
-    fhat = f.fourier_centred(np.concatenate(([0.0], x.ravel())) / (4.0 * math.pi))
-    f0 = float(fhat[0])
-    return f0, f0 - fhat[1:].reshape(x.shape)
 
 
 def _series(z: np.ndarray, x_end: float) -> np.ndarray:

@@ -15,7 +15,7 @@ transform support inside [-delta, delta] with delta <= log2/(2 pi), so the
 prime sum vanishes no matter the (unknown) coefficients, and both are even
 about 0, so one `ell` call over the pair evaluates their archimedean terms
 at every nu of a scan.  Both transforms are piecewise polynomials, so that
-call takes ell in closed form (`explicit_formula` module docstring): one
+call takes ell in closed form at any delta (see `explicit_formula`): one
 polygamma jet and one geometric sum per knot serve both kernels at every
 nu, at a cost that does not grow with nu.  One row builder serves both
 entry points: `scan_region` is the scan over the step grid 0, step, ...,
@@ -90,11 +90,12 @@ def _scan(nus: List[float], t0: float, delta: float, conductor: float, conventio
     """The rows over nus x nus, row-major in (nu1, nu2).  The archimedean
     integrals depend on one nu at a time, and both kernels share delta and
     centre 0, so one ell call over the kernel tuple and all nu gives both
-    sides' terms (the kernels share its polygamma jet and geometric sums,
-    and each row is bit-identical to that kernel's own call).  Each right side
-    is rhs().rhs_total's fsum for the spectral order (i nu1, -i nu1, i nu2,
-    -i nu2).  fsum is exact, so that sum is symmetric in (nu1, nu2): the
-    rows (nu1, nu2) and (nu2, nu1) share one pair of fsum calls."""
+    sides' terms in closed form at any delta (the kernels share its
+    polygamma jet and geometric sums, and each row is bit-identical to that
+    kernel's own call).  Each right side is rhs().rhs_total's fsum for the
+    spectral order (i nu1, -i nu1, i nu2, -i nu2).  fsum is exact, so that
+    sum is symmetric in (nu1, nu2): the rows (nu1, nu2) and (nu2, nu1)
+    share one pair of fsum calls."""
     if not 0 < t0 < math.inf:
         raise DomainError("t0 must be positive and finite")
     _check_prime_free(delta)

@@ -1,8 +1,10 @@
 import json
 import math
+import random
 import time
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
 from functools import lru_cache
 from pathlib import Path
 
@@ -180,10 +182,26 @@ def _mp_ell(kind, params, mu):
             edges.insert(1, edges[1] / 2)
         integral, error = mpmath.quad(g, edges, method="gauss-legendre", error=True)
         assert error < 1e-20
-        series = mpmath.fsum(mpmath.exp(-(z + k) * big_x) / (z + k)
-                             for k in range(math.ceil(80 / float(big_x))))
         return float(f0 * (mpmath.re(mpmath.digamma(z)) - mpmath.log(mpmath.pi))
-                     + integral + mpmath.re(f0 * series))
+                     + integral + mpmath.re(f0 * _mp_series(z, big_x)))
+
+
+def _mp_series(z, big_x):
+    """sum_{k>=0} e^-(z+k)X/(z+k) to 30 digits, as e^-zX sum_k q^k conj(z + k)
+    /|z + k|^2 with q = e^-X; a narrow support takes 80/X terms, 6,400 at
+    delta = 1e-3, so the two real sums run in 40-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, b, q = (Decimal(mpmath.nstr(v, 35)) for v in (z.real, z.imag, mpmath.exp(-big_x)))
+        power, re, im = Decimal(1), Decimal(0), Decimal(0)
+        for k in range(math.ceil(80 / float(big_x))):
+            ak = a + k
+            scaled = power / (ak * ak + b * b)
+            re += scaled * ak
+            im += scaled
+            power *= q
+        im *= -b
+    return mpmath.exp(-z * big_x) * mpmath.mpc(str(re), str(im))
 
 
 @pytest.mark.parametrize("name", list(MP_KERNELS))
@@ -227,6 +245,7 @@ BATCH_KERNELS = {
     "selberg": selberg_minorant(-HALF, HALF, PRIME_FREE_RADIUS),
     "fejer": fejer(PRIME_FREE_RADIUS),
     "windowed": windowed_fejer(14.13, PRIME_FREE_RADIUS),
+    "off_centre": selberg_minorant(-7.3, 19.1, 0.09),
 }
 
 
@@ -235,6 +254,9 @@ BATCH_KERNELS = {
        st.lists(st.builds(complex, st.floats(0.0, 40.0), st.floats(-80.0, 80.0)),
                 min_size=1, max_size=8),
        st.randoms(use_true_random=False))
+# graded edges, shifted by the centre
+@example("off_centre", [complex(40.0, -80.0), 0j], random.Random(0))
+@example("selberg", [complex(1e-300, 0.0), complex(40.0, 80.0)], random.Random(0))
 def test_ell_batch_bit_identical_to_pointwise(name, mus, rnd):
     f = BATCH_KERNELS[name]
     rnd.shuffle(mus)
@@ -284,14 +306,12 @@ def test_ell_batch_input_validation(cert_minorant):
             ell(0.0, cert_minorant, tol=tol)
 
 
-# tuples of test functions with one support radius and one centre: the scan's
-# pair first, then others that share their panels
+# tuples of kernels with fourier_pieces, one support radius and one centre:
+# the scan's pair, both ways round, and one kernel alone
 SCAN_PAIR = (BATCH_KERNELS["fejer"], BATCH_KERNELS["windowed"])
 KERNEL_TUPLES = {
     "scan": SCAN_PAIR,
     "scan_reversed": SCAN_PAIR[::-1],
-    "with_selberg": (BATCH_KERNELS["selberg"], *SCAN_PAIR),
-    "off_centre": (selberg_minorant(-7.3, 19.1, 0.09), selberg_minorant(-5.3, 17.1, 0.09)),
     "one": (SCAN_PAIR[1],),
 }
 SCAN_NUS = 2.0 * np.arange(9)  # scan_region(16, 2)
@@ -334,10 +354,8 @@ def test_ell_kernel_batch_columns_do_not_depend_on_the_batch():
 @given(st.sampled_from(sorted(KERNEL_TUPLES)),
        st.lists(st.builds(complex, st.floats(0.0, 40.0), st.floats(-80.0, 80.0)),
                 min_size=1, max_size=8))
-@example("scan", [0j])  # Im z = 0: one panel per span
-@example("scan", [1j / PRIME_FREE_RADIUS, 2j / PRIME_FREE_RADIUS])  # span counts step here
-@example("off_centre", [complex(40.0, -80.0), 0j])  # graded edges, shifted by the centre
-@example("with_selberg", [complex(1e-300, 0.0), complex(40.0, 80.0)])
+@example("scan", [0j])  # two near shifts go to the quadrature
+@example("scan", [1j / PRIME_FREE_RADIUS, 2j / PRIME_FREE_RADIUS])  # none do
 def test_ell_kernel_batch_property(name, mus):
     kernels = KERNEL_TUPLES[name]
     rows = ell(np.array(mus), kernels, tol=1e-6)
@@ -358,23 +376,26 @@ def test_ell_kernel_batch_refusals(monkeypatch):
             ell(np.array([0.0, 2.0j]), kernels)
         with pytest.raises(DomainError):
             ell(0.0, kernels)
+    # one support and centre, but a kernel without fourier_pieces: a tuple
+    # takes the closed form only
+    selbergs = (BATCH_KERNELS["selberg"],
+                selberg_minorant(-0.5 * HALF, 0.5 * HALF, PRIME_FREE_RADIUS))
+    for kernels in ((SCAN_PAIR[0], selbergs[0], SCAN_PAIR[1]), selbergs):
+        for mu in (np.array([0.0, 2.0j]), 0.0):
+            with pytest.raises(DomainError, match="fourier_pieces"):
+                ell(mu, kernels)
 
 
-def test_ell_kernel_batch_counts_shared_panels_once(monkeypatch):
-    # a tuple on the panel rule is refused where each of its kernels is: at
-    # once at a huge |Im mu|, and not at a mu whose panels just fit the cap
-    pair = (BATCH_KERNELS["selberg"], selberg_minorant(-0.5 * HALF, 0.5 * HALF, PRIME_FREE_RADIUS))
-    start = time.perf_counter()
-    with pytest.raises(DomainError, match="panels"):
-        ell(1e9j, pair)
-    assert time.perf_counter() - start < 1.0
-    big_x = 4.0 * math.pi * PRIME_FREE_RADIUS
+def test_ell_panel_cap_boundary(monkeypatch):
+    # a mu whose panels just fit the cap passes, and one more mu is refused
+    f = BATCH_KERNELS["selberg"]
+    big_x = 4.0 * math.pi * f.support_radius
     mu = 400.0j
     cap = sum(ef._span_panels(ef._ell_spans(big_x, max(big_x, 1.0)), 0.5 * mu.imag))
     monkeypatch.setattr(ef, "_MAX_PANELS", cap)
-    assert ell(mu, pair).shape == (2,)
+    assert math.isfinite(ell(mu, f))
     with pytest.raises(DomainError, match="panels"):
-        ell(np.array([mu, 0.0]), pair)
+        ell(np.array([mu, 0.0]), f)
 
 
 def test_ell_kernel_batch_accuracy_error_carries_rows():
@@ -393,16 +414,24 @@ def test_ell_kernel_batch_accuracy_error_carries_rows():
 # split form: at nu = 0, 0.5, ..., 16 and a few far points, in both
 # conventions (the literal one at mu is the halved one at 2 mu)
 CLOSED_MUS = [1j * nu for nu in FIG2_NUS] + [3.0 + 7.0j, 50.0j, 200.0j, 4000.0]
+# narrow supports, X/2 < 1/2, whose geometric sums run past 74 terms; the
+# windowed values reach 2.6e9 there (at mu = 4000, delta = 1e-3), so their
+# bound is on the error relative to max(1, |ell|), and so is their tol
+NARROW_KERNELS = {f"{kind}_{delta:g}": (kind, (delta,) if kind == "fejer" else (14.13, delta))
+                  for kind in ("fejer", "windowed") for delta in (0.05, 0.01, 1e-3)}
 
 
 @pytest.mark.parametrize("convention", ef.CONVENTIONS)
-@pytest.mark.parametrize("name, bound", [("windowed", 3e-12), ("fejer", 1e-13)])
+@pytest.mark.parametrize("name, bound", [("windowed", 3e-12), ("fejer", 1e-13)]
+                         + [(name, 1e-14) for name in NARROW_KERNELS])
 def test_ell_closed_form_matches_mpmath(name, bound, convention):
-    kind, params = MP_KERNELS[name]
-    got = ell(np.array(CLOSED_MUS), MAKERS[kind](*params), convention)
+    narrow = name in NARROW_KERNELS
+    kind, params = NARROW_KERNELS[name] if narrow else MP_KERNELS[name]
+    got = ell(np.array(CLOSED_MUS), MAKERS[kind](*params), convention, tol=1.0 if narrow else 1e-8)
     scale = ef.convention_scale(convention)
     for mu, value in zip(CLOSED_MUS, got):
-        assert abs(value - _mp_ell(kind, params, scale * mu)) <= bound, mu
+        want = _mp_ell(kind, params, scale * mu)
+        assert abs(value - want) <= bound * (max(1.0, abs(want)) if narrow else 1.0), mu
 
 
 @pytest.mark.parametrize("f", [fejer(PRIME_FREE_RADIUS), windowed_fejer(14.13, PRIME_FREE_RADIUS),
@@ -421,19 +450,13 @@ def test_fourier_pieces_reproduce_the_transform(f):
     assert np.all(want[-2:] == 0.0)
 
 
-def test_ell_closed_form_batch_and_mixed_tuple_bitwise():
-    # the closed form, like the panel rule, gives each mu and each kernel its
-    # own value, bit for bit: in a batch, and in a tuple that mixes it with a
-    # Selberg minorant on the panel rule
-    selberg = BATCH_KERNELS["selberg"]
+def test_ell_closed_form_batch_bitwise():
+    # the closed form, like the panel rule, gives each mu its own value, bit
+    # for bit
     mus = np.array([0.0, 0.5j, 3.0 + 7.0j, 16.0j, 4000.0, 1e9j])
     for f in SCAN_PAIR:
         batch = ell(mus, f)
         assert _bits(batch) == _bits([ell(mu, f) for mu in mus])
-    mixed = (fejer(PRIME_FREE_RADIUS), selberg, windowed_fejer(14.13, PRIME_FREE_RADIUS))
-    rows = ell(mus[:4], mixed)
-    for row, f in zip(rows, mixed):
-        assert _bits(row) == _bits(ell(mus[:4], f))
 
 
 def test_ell_refuses_a_mu_whose_z_overflows():
@@ -451,9 +474,35 @@ def test_ell_closed_form_takes_no_panel(monkeypatch):
     for name in ("_ell_spans", "_ell_edges", "_span_panels"):
         monkeypatch.setattr(ef, name, build)
     assert ell(1j * FIG2_NUS, SCAN_PAIR).shape == (2, len(FIG2_NUS))
-    # below X/2 = 1/2 the geometric sums would grow long: the panel rule
-    with pytest.raises(AssertionError, match="panel"):
-        ell(0.0, fejer(0.01))
+    # narrow supports too, whose geometric sums run 589 and 118 terms
+    for f in (fejer(0.01), windowed_fejer(3.0, 0.05)):
+        assert math.isfinite(ell(0.0, f))
+
+
+def test_ell_closed_form_refuses_long_sums_at_once():
+    # fejer(1e-7) needs 58,887,329 terms, some 7 GiB: refused before any array
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DomainError, match="terms"):
+            ell(0.0, fejer(1e-7))
+        assert time.perf_counter() - start < 1.0
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
+
+
+def test_ell_closed_form_sum_cap_boundary(monkeypatch):
+    # 589 terms per mu at delta = 0.01: a batch at the cap passes, and one
+    # more mu is refused
+    f = fejer(0.01)
+    n_terms = math.ceil(74.0 / (4.0 * math.pi * f.support_radius))
+    assert n_terms == 589
+    mus = 1j * np.arange(9.0)
+    monkeypatch.setattr(ef, "_MAX_SUM_TERMS", len(mus) * n_terms)
+    assert ell(mus, f).shape == (len(mus),)
+    with pytest.raises(DomainError, match="terms"):
+        ell(np.append(mus, 9.0j), f)
 
 
 def test_gauss_panels_integrate_gaussian():

@@ -226,8 +226,8 @@ def test_scan_validation():
 
 
 def test_oversized_scan_is_refused_before_any_work(monkeypatch):
-    # 16,001 nu pass ell's panel cap, but their 256,032,001 rows would not
-    # fit in memory: the row count is refused before a grid is built
+    # 16,001 nu make 256,032,001 rows, which would not fit in memory: the
+    # row count is refused before a grid is built
     def fail(*args, **kwargs):
         raise AssertionError("called")
 

@@ -32,25 +32,30 @@ Theory, 2nd ed., 2001, ch. 1) the minimum over the half-disc Re mu >= 0,
 half-plane is that of ell(i nu) over real nu.  For an even f, ell(conj mu)
 = ell(mu), since psi(conj z) = conj psi(z) and h is real, so nu >= 0
 suffices.  The argument needs fhat(0) > 0: below it ell falls to -inf
-along the real axis, at it the bound stops growing, and the search refuses
-both.
+along the real axis, and at it the bound stops growing.
 
-The search therefore evaluates one Re-mu row of its grid, Re mu = 0.  The
-column floor at mu = i nu rises with nu, and the columns whose floor lies
-above the incumbent ell(0) by more than twice the grid's error budget are a
-suffix of the row that cannot hold the minimum; the lattice finishes only
-the columns before that suffix (66 of the headline grid's 801), on the
-full row's lattice, so that every value it returns is the uncut row's.
-The incumbent comes from the floor's own pass (`ell_column_floor`'s
-incumbent), which already has the transform on 16 Gauss panels per
-span of [0, Y], 72 nodes each (32 x 72 on the headline window): ell(0) is
-fhat(0) (Re psi(z0) - log pi + the series) + Re int_0^Y e^-z0 x h dx,
-z0 = 1/4 + i centre/2, on the 48-point rule, with the distance from the
-24-point rule plus the rounding as its error estimate, so the search
-takes no panel of `ell`.  A suffix that starts past im_max leaves the
-axis beyond the rectangle unsearched, and `certify_gap` then certifies
-nothing.  Between grid points the minimum is not bounded, so the result
-is labeled numerical evidence, grid-based; it is not a proof.
+So the search has one precondition, checked before any evaluation: f is
+the Selberg minorant of a centred window (`TestFunction.interval` set,
+`f.even`) with fhat(0) > 0.  The column floor needs that window, and
+nu >= 0 needs f even.  Every other f is refused with DomainError, and
+`certify_gap` builds no other.
+
+The search therefore evaluates one Re-mu row of its grid, Re mu = 0.
+The column floor at mu = i nu rises with nu, and the columns whose floor
+lies above the incumbent ell(0) by more than twice the grid's error
+budget are a suffix of the row that cannot hold the minimum; the lattice
+finishes only the columns before that suffix (66 of the headline grid's
+801), on the full row's lattice, so that every value it returns is the
+uncut row's.  The incumbent comes from the floor's own pass
+(`ell_column_floor`'s incumbent), which already has the transform on 16
+Gauss panels per span of [0, Y], 72 nodes each (32 x 72 on the headline
+window): ell(0) is fhat(0) (Re psi(1/4) - log pi + the series) + int_0^Y
+e^-x/4 h dx on the 48-point rule, with the distance from the 24-point
+rule plus the rounding as its error estimate, so the search takes no
+panel of `ell`.  A suffix that starts past im_max leaves the axis beyond
+the rectangle unsearched, and `certify_gap` then certifies nothing.
+Between grid points the minimum is not bounded, so the result is labeled
+numerical evidence, grid-based; it is not a proof.
 
 The two Gamma-factor normalizations give pointwise-identical values under
 mu -> k mu, k = `convention_scale(convention)`; `certify_gap` divides its
@@ -195,15 +200,14 @@ def min_ell_over_mu(
     By the minimum principle (module docstring) the minimum over Re mu >= 0
     lies on Re mu = 0, and ell is invariant under mu -> conj(mu) for even f,
     so only the grid's Re mu = 0 row is evaluated, at Im mu >= 0; ties go to
-    the smallest Im mu.  The argument needs fhat(0) > 0, and DomainError is
-    raised otherwise: for fhat(0) < 0, ell falls to -inf and has no minimum.
+    the smallest Im mu.  f must be the Selberg minorant of a centred window
+    with fhat(0) > 0, and DomainError is raised otherwise: for fhat(0) < 0,
+    ell falls to -inf and has no minimum.
 
     mu = 0 is a grid point, so the row's lattice minimum is at most
     u + error_bound, with u the pointwise ell(0), the incumbent, which
     `ell_column_floor`'s pass takes on its own nodes (module docstring);
-    AccuracyError when its error estimate exceeds _INCUMBENT_TOL.  Those
-    nodes do not follow f's centre, so a window centred far from 0 (past
-    |centre| ~ 2,600 at the headline length) raises it.  A point
+    AccuracyError when its error estimate exceeds _INCUMBENT_TOL.  A point
     whose column floor exceeds the pad u + 2 _GRID_TOL (twice ell_grid's
     budget of _GRID_TOL / 2, plus room for u's tolerance, checked after the
     call) lies above that minimum.  The floor is nondecreasing in Im mu, so
@@ -212,23 +216,25 @@ def min_ell_over_mu(
     the row's private lattice evaluator, finishes the columns before it,
     at least 2, counted in columns_evaluated, on the full row's lattice
     (its leading-columns call), so the values are the uncut row's, bit for
-    bit, whatever re_max.  When the floor clears no column up to im_max (floor_clears_at
-    is then None), the axis beyond im_max is not searched.  A row or row
-    lattice past `explicit_formula._check_grid_size`'s limits raises
-    DomainError before either is built, and so does a step off the
+    bit, whatever re_max.  When the floor clears no column up to im_max
+    (floor_clears_at is then None), the axis beyond im_max is not searched.
+    A row or row lattice past `explicit_formula._check_grid_size`'s limits
+    raises DomainError before either is built, and so does a step off the
     lattice; of the Re grid only its count is taken, so re_max sizes
-    nothing the search builds.  These checks come before any evaluation,
-    and ell_grid repeats none of them: it gets the Re mu = 0 row's leading
-    columns from Im mu = 0 in the checked step, and the row's last column.
+    nothing the search builds.  These checks, and the one on f, come before
+    any evaluation, and neither ell_column_floor nor ell_grid repeats any of
+    them: ell_grid gets the Re mu = 0 row's leading columns from Im mu = 0
+    in the checked step, and the row's last column.
     """
     k = convention_scale(convention)
     if not (0 < step <= re_max < math.inf and step <= im_max < math.inf):
         raise DomainError("need finite re_max and im_max, and 0 < step <= both")
     _check_grid_size(im_max / step + 1.0, _cutoff_floor(k * im_max), k * im_max)
     _check_lattice_step(k * step)
-    if not float(f.fourier_centred(0.0)) > 0.0:
-        raise DomainError("min_ell_over_mu needs fhat(0) > 0: otherwise ell has no "
-                          "minimum over Re mu >= 0")
+    if f.interval is None or not f.even or not float(f.fourier_centred(0.0)) > 0.0:
+        raise DomainError("min_ell_over_mu needs the Selberg minorant of a centred window, "
+                          "with fhat(0) > 0: the module docstring's minimum principle "
+                          "holds for no other f")
     n_re, n_im = _step_count(re_max, step), _step_count(im_max, step)
 
     column_floor, u, u_err = ell_column_floor(f)

@@ -281,8 +281,12 @@ def main(argv: Optional[list] = None) -> int:
             print(f"missing n: {exc.gaps}", file=sys.stderr)
         return 3
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

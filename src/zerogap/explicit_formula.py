@@ -79,27 +79,11 @@ one support radius and one centre, as the scan's two are, takes one
 closed-form pass in one kernel's order of operations, so that each row
 is bit-identical to its kernel's own call.
 
-One integration by parts bounds ell below point by point.  With a = Re z
-and y = Im z, h is absolutely continuous on [0, Y], so the integral is
-(h(0+) - e^-zY h(Y-) + int_0^Y e^-zx h' dx)/z, and with the series
-bounded alike,
-
-    ell >= G(a, y) = fhat(0) (Re psi(z) - log pi) - C(a)/|z|,
-
-C(a) being |h(0+)| + e^-aY |h(Y-)| plus a bound of int_0^Y e^-ax |h'| and
-the series' bound.  C(a) falls as a grows, so `ell_column_floor` takes
-C(1/4), a bound on the whole closed half-plane.  G rises with |y|, so on
-the Re mu = 0 row, the only one the certification search evaluates
-(`certification` module docstring), it evaluates only the leading Im-mu
-columns whose G does not clear its incumbent: 66 of the headline grid's
-801.  h' comes in closed form from the transform and its derivative,
-taken together at the floor's nodes by the Selberg minorant's
-`extremal._selberg_jet`, and the integral of e^-ax |h'| is bounded by
-Cauchy-Schwarz on fixed equal panels, which integrate the smooth
-e^-ax h'^2 and never look for the kinks of |h'|.
-
-`ell_grid` is the certification search's private evaluator of the
-Re mu = 0 row, on a time-domain lattice; its docstring holds the method.
+Two private helpers serve the certification search alone, and their
+docstrings hold their methods: `ell_column_floor`, a lower bound of ell
+on the closed half-plane from one integration by parts of the same
+integral, with the search's incumbent ell(0) from the same pass, and
+`ell_grid`, the Re mu = 0 row on a time-domain lattice.
 """
 
 from __future__ import annotations
@@ -128,11 +112,9 @@ from .special_math import _polygamma, _re_digamma, digamma
 
 __all__ = [
     "CONVENTIONS",
-    "ColumnFloor",
     "ExplicitFormulaReport",
     "convention_scale",
     "ell",
-    "ell_column_floor",
     "rhs",
     "verify",
     "zero_sum",
@@ -408,59 +390,55 @@ class ColumnFloor(NamedTuple):
 
 
 def ell_column_floor(f: TestFunction) -> ColumnFloor:
-    """A lower bound of ell(mu, f) (halved) on the closed right half-plane,
-    at each mu of a 1-d array, from one integration by parts of ell's
-    frequency-side integral.  With z = a + iy that of the centred copy
-    (a = 1/4 + Re mu/2, y = (Im mu + centre)/2) and h, Y as in the module
-    docstring,
+    """The certification search's private lower bound of ell(mu, f)
+    (halved) on the closed right half-plane, and its incumbent ell(0, f),
+    for f the Selberg minorant of a centred window with fhat(0) > 0:
+    `certification.min_ell_over_mu` checks that before the call, and this
+    function checks nothing.
 
-        G(mu) = fhat(0) (Re psi(z) - log pi) - C(1/4)/|z|,
+    With z = 1/4 + mu/2 = a + iy and h, Y as in the module docstring, h is
+    absolutely continuous on [0, Y], so int_0^Y e^-zx h dx = (h(0+) -
+    e^-zY h(Y-) + int_0^Y e^-zx h' dx)/z; on each panel p = [x_p,
+    x_{p+1}], Cauchy-Schwarz on e^-ax/2 times e^-ax/2 |h'| bounds
+    int_p e^-ax |h'| by sqrt(M_p(a) int_p e^-ax h'^2), M_p(a) = int_p e^-ax
+    dx = (e^-a x_p - e^-a x_{p+1})/a; and the series is at most
+    e^-aY/(|z| (1 - e^-Y)) in modulus since |z + k| >= |z|.  So
+    ell >= fhat(0) (Re psi(z) - log pi) - C(a)/|z| with
+
         C(a) = |h(0+)| + e^-aY |h(Y-)| + sum_p sqrt(M_p(a) int_p e^-ax h'^2)
-               + fhat(0) e^-aY/(1 - e^-Y),
-        M_p(a) = int_p e^-ax dx = (e^-a x_p - e^-a x_{p+1})/a.
+               + fhat(0) e^-aY/(1 - e^-Y).
 
-    h is absolutely continuous on [0, Y], so int_0^Y e^-zx h dx =
-    (h(0+) - e^-zY h(Y-) + int_0^Y e^-zx h' dx)/z; on each panel p =
-    [x_p, x_{p+1}], Cauchy-Schwarz on e^-ax/2 times e^-ax/2 |h'| bounds
-    int_p e^-ax |h'| by the square root; and the series is at most
-    e^-aY/(|z| (1 - e^-Y)) in modulus since |z + k| >= |z|: so
-    ell >= fhat(0) (Re psi(z) - log pi) - C(a)/|z|.  C(a) is nonincreasing
-    in a, every term being constant, an integral against e^-ax, or the
-    square root of a product of two such integrals, so C(1/4) serves every
-    a >= 1/4 and ell >= G on the whole half-plane.  On a line of fixed
-    Re mu, G is nondecreasing in |y|: Re psi(a + iy) = -gamma + sum_k
-    [1/(k + 1) - (a + k)/((a + k)^2 + y^2)] (DLMF 5.7.6) rises with y^2, and
-    C(1/4)/|z| falls, so the columns of the Re mu = 0 row it clears beyond
-    Im mu = -centre are a suffix of any grid there.  G is -inf unless
-    fhat(0) > 0.
+    C(a) is nonincreasing in a, every term being constant, an integral
+    against e^-ax, or the square root of a product of two such integrals,
+    so C(1/4) serves every a >= 1/4 and ell >= G on the whole half-plane,
+
+        G(mu) = fhat(0) (Re psi(z) - log pi) - C(1/4)/|z|.
+
+    On a line of fixed Re mu, G is nondecreasing in |y|: Re psi(a + iy) =
+    -gamma + sum_k [1/(k + 1) - (a + k)/((a + k)^2 + y^2)] (DLMF 5.7.6)
+    rises with y^2, and C(1/4)/|z| falls, so the columns of the Re mu = 0
+    row it clears are a suffix of any grid there.
+
+    h' = -(fhat'(x/4 pi)/4 pi + e^-x h(x))/(1 - e^-x) is closed-form, with
+    fhat and fhat' from one `extremal._selberg_jet` call on the minorant's
+    window (`TestFunction.interval`) at 0 and the nodes, and h(0+) =
+    -fhat'(0+)/4 pi; Y/4 pi >= delta, where fhat vanishes, so h(Y-) =
+    fhat(0)/(1 - e^-Y).  The panels cut each of `ell`'s spans at Im z = 0
+    (edges 0, X/2, X, 2X, ..., Y) into `_FLOOR_PANELS` equal parts;
+    e^-ax h'^2 is smooth on each, so each panel's integral takes the
+    48-point rule, with each |h'| raised by its rounding bound
+    (`_h_deriv`), plus its distance from the 24-point one, and C is raised
+    by 32 ulps of rounding.
 
     C depends on f alone and is computed here, once; the return's floor
-    takes a 1-d array of finite mu with Re mu >= 0 and gives G at each.
-    Its incumbent u is ell(0, f), the certification search's incumbent,
-    taken in the same pass on the panel rule's split form, fhat(0)
-    (Re psi(z0) - log pi + the series) + Re int_0^Y e^-z0 x h dx at
-    z0 = 1/4 + i centre/2, whose integral the floor's 48-point rule gives
-    on its panels from the h that `_h_deriv` forms there; incumbent_err is
-    its distance from the 24-point rule plus an ulp of the sum of its
-    terms' magnitudes, as `ell` estimates its panel rule.  The panels are
-    the floor's and do not follow the centre as `ell`'s do, so far off
-    centre the estimate grows: at the headline aperture and length it
-    stays below 1e-11 up to |centre| = 2,200 and passes 1e-8 near 2,600.
-    h' = -(fhat'(x/4 pi)/4 pi + e^-x h(x))/(1 - e^-x) is closed-form, with
-    fhat and fhat' from one `extremal._selberg_jet` call at 0 and the
-    nodes, and h(0+) = -fhat'(0+)/4 pi; Y/4 pi >= delta, where fhat
-    vanishes, so h(Y-) = fhat(0)/(1 - e^-Y).  The panels cut each of
-    `ell`'s spans at Im z = 0 (edges 0, X/2, X, 2X, ..., Y) into
-    `_FLOOR_PANELS` equal parts; e^-ax h'^2 is smooth on each, so each
-    panel's integral takes the 48-point rule, with each |h'| raised by its
-    rounding bound (`_h_deriv`), plus its distance from the 24-point one,
-    and C is raised by 32 ulps of rounding.  The jet takes the Selberg
-    minorant's window (`TestFunction.interval`), which the Fejer kernels
-    do not have.
+    takes a 1-d array of mu with Re mu >= 0 and gives G at each.  Its
+    incumbent u is ell(0, f), taken in the same pass on the panel rule's
+    split form, fhat(0) (Re psi(1/4) - log pi + the series) +
+    int_0^Y e^-x/4 h dx, whose integral the floor's 48-point rule gives on
+    its panels from the h that `_h_deriv` forms there; incumbent_err is its
+    distance from the 24-point rule plus an ulp of the sum of its terms'
+    magnitudes, as `ell` estimates its panel rule.
     """
-    if f.interval is None:
-        raise DomainError("ell_column_floor needs the Selberg minorant's window "
-                          "(TestFunction.interval) for its transform's derivative")
     alpha, beta = f.interval
     big_x = 4.0 * math.pi * f.support_radius
     x_end = max(big_x, 1.0)
@@ -475,36 +453,28 @@ def ell_column_floor(f: TestFunction) -> ColumnFloor:
     h, h_deriv, h_err = _h_deriv(x, f0, jet[1:].reshape(x.shape), d_jet[1:].reshape(x.shape),
                                  beta - alpha, f.support_radius)
 
-    if f0 > 0.0:
-        # by panel, at a = 1/4: int_p e^-ax h'^2 by the 48-point rule with
-        # each |h'| raised by its rounding, the 48-point rule's distance from
-        # the 24-point one, and M_p(a)
-        terms = damped * (w * h_deriv**2)
-        coarse, fine = terms[:, :_NODES].sum(axis=1), terms[:, _NODES:].sum(axis=1)
-        value = (damped * (w * (np.abs(h_deriv) + h_err)**2))[:, _NODES:].sum(axis=1)
-        mass = np.exp(-a * edges[:-1]) * -np.expm1(-a * np.diff(edges)) / a
-        integral = np.sqrt(mass * (value + np.abs(fine - coarse))).sum()
-        c = (abs(float(d_jet[0])) / (4.0 * math.pi) + integral
-             + math.exp(-a * x_end) * (2.0 * f0) / -math.expm1(-x_end))
-        # every term is nonnegative, so the rounding is relative
-        c *= 1.0 + 32.0 * math.ulp(1.0)
+    # by panel, at a = 1/4: int_p e^-ax h'^2 by the 48-point rule with each
+    # |h'| raised by its rounding, the 48-point rule's distance from the
+    # 24-point one, and M_p(a)
+    terms = damped * (w * h_deriv**2)
+    coarse, fine = terms[:, :_NODES].sum(axis=1), terms[:, _NODES:].sum(axis=1)
+    value = (damped * (w * (np.abs(h_deriv) + h_err)**2))[:, _NODES:].sum(axis=1)
+    mass = np.exp(-a * edges[:-1]) * -np.expm1(-a * np.diff(edges)) / a
+    integral = np.sqrt(mass * (value + np.abs(fine - coarse))).sum()
+    c = (abs(float(d_jet[0])) / (4.0 * math.pi) + integral
+         + math.exp(-a * x_end) * (2.0 * f0) / -math.expm1(-x_end))
+    # every term is nonnegative, so the rounding is relative
+    c *= 1.0 + 32.0 * math.ulp(1.0)
 
     def floor_at(mu) -> np.ndarray:
-        mu = np.asarray(mu, dtype=complex)
-        if mu.ndim != 1 or not np.isfinite(mu).all() or (mu.real < -1e-12).any():
-            raise DomainError("the column floor needs a 1-d array of finite mu with Re(mu) >= 0")
-        if not f0 > 0.0:
-            return np.full(len(mu), -np.inf)
-        z = 0.25 + 0.5 * np.maximum(mu.real, 0.0) + 0.5j * (mu.imag + f.centre)
+        z = 0.25 + 0.5 * np.asarray(mu, dtype=complex)
         psi = np.real(digamma(z))
         slack = c / np.abs(z)
         rounding = 16.0 * math.ulp(1.0) * (f0 * (np.abs(psi) + LOG_PI) + slack)
         return f0 * (psi - LOG_PI) - slack - rounding
 
-    # ell(0) at z0 = 1/4 + i centre/2, Re e^-z0 x h at the floor's nodes
-    z0 = complex(a, 0.5 * f.centre)
-    if z0.imag:
-        damped = damped * np.cos(z0.imag * x)
+    # ell(0) at z0 = 1/4, e^-z0 x h at the floor's nodes
+    z0 = complex(a)
     terms = w * (damped * h)
     coarse, fine = terms[:, :_NODES].sum(), terms[:, _NODES:].sum()
     err = abs(fine - coarse) + math.ulp(1.0) * np.abs(terms[:, _NODES:]).sum()
@@ -718,18 +688,18 @@ def ell_grid(
     `certification.min_ell_over_mu`.
 
     Returns (values of shape (1, len(im_values)), error bound per value).
-    re_values must be [0.0], and anything else raises DomainError; it stays
-    a positional argument only because the benchmark's tracer
-    (`perfbench/tracer.py`) counts len(re_values) * len(im_values) values
-    per call.  im_values = 0, step, 2 step, ... are the leading columns, at
-    least 2, of the row that runs on in the same step to the grid point
-    im_max, and the values are that row's first columns, bit for bit.  The
-    caller checks all of that before any work, and also that the step is a
-    multiple of the lattice spacing 1/16 and that the row fits
-    `_check_grid_size` at t3 = `_cutoff_floor(im_max)`.  This function
-    checks only what the caller does not: that f is an even Selberg
-    minorant (its `interval` set), and the lattice's size once t3 is known,
-    before any lattice array is allocated; both raise DomainError.
+    re_values is [0.0], read by nothing here; it stays a positional
+    argument only because the benchmark's tracer (`perfbench/tracer.py`)
+    counts len(re_values) * len(im_values) values per call.  im_values =
+    0, step, 2 step, ... are the leading columns, at least 2, of the row
+    that runs on in the same step to the grid point im_max, and the values
+    are that row's first columns, bit for bit.  The caller checks all of
+    that before any work, and also that f is the Selberg minorant of a
+    centred window, that the step is a multiple of the lattice spacing 1/16
+    and that the row fits `_check_grid_size` at t3 = `_cutoff_floor(im_max)`.
+    This function checks only what the caller cannot: the lattice's size
+    once t3 is known, before any lattice array is allocated, which raises
+    DomainError.
 
     The lattice.  ell(i y) = int W(t + y) f(t) dt - fhat(0) log pi with
     W(s) = Re psi(1/4 + i s/2), which depends on t and y only through t + y.
@@ -790,10 +760,6 @@ def ell_grid(
     node's weighted sum a row sum, whose rounding does not depend on how
     many nodes the call keeps.
     """
-    if f.interval is None or not f.even:
-        raise DomainError("ell_grid requires an even Selberg minorant (TestFunction.interval)")
-    if np.asarray(re_values, dtype=float).tolist() != [0.0]:
-        raise DomainError("ell_grid evaluates the Re mu = 0 row alone: re_values must be [0.0]")
     h, a, y_max = _LATTICE_H, 0.25, float(im_max)
     step = float(im_values[1] - im_values[0])
     stride = round(step / h)

@@ -31,7 +31,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, Tuple, Union
 
-from .errors import IncompletenessError, SchemaError, ValidationError
+from .errors import DomainError, IncompletenessError, SchemaError, ValidationError
 
 __all__ = [
     "FunctionalEquation",
@@ -174,16 +174,24 @@ def _require(doc, key: str, kind, where: str, admit_inf: bool = False):
 def load_lfunction(source: Union[str, Path, Mapping]) -> LFunctionData:
     """Load and validate an L-function document from a path, JSON text, or
     an already-parsed mapping.  A str whose first non-space character is
-    ``{`` or ``[`` is JSON text; any other str is a file name."""
+    ``{`` or ``[`` is JSON text; any other str is a file name.  A file that
+    is missing or cannot be read raises ValidationError, and one that is
+    not UTF-8 text SchemaError."""
     if _is_kind(source, Mapping):
         doc = source
     else:
         if isinstance(source, Path) or (isinstance(source, str)
                                         and not source.lstrip().startswith(("{", "["))):
             p = Path(source)
-            if not p.exists():
-                raise ValidationError(f"no such data file: {p}")
-            text = p.read_text(encoding="utf-8")
+            try:
+                text = p.read_text(encoding="utf-8")
+            except FileNotFoundError:
+                raise ValidationError(f"no such data file: {p}") from None
+            except OSError as e:
+                raise ValidationError(f"cannot read data file {p}: {e.strerror}") from None
+            except UnicodeDecodeError as e:
+                raise SchemaError(f"data file {p} is not UTF-8 text: {e.reason} at byte "
+                                  f"{e.start}") from None
         else:
             text = str(source)
         try:
@@ -360,8 +368,10 @@ def c_coefficients(data: LFunctionData, N: int, *,
     With skip_gaps=True each prime is expanded only up to its first missing
     power and the returned bound shrinks to the last n with complete
     coverage, so downstream consumers cannot mistake an omitted c(n) for
-    zero.
+    zero.  N < 1 raises DomainError; N = 1 holds no prime power.
     """
+    if N < 1:
+        raise DomainError(f"N must be at least 1, got {N}")
     values: Dict[int, complex] = {}
     gaps = []
     first_skipped = None

@@ -27,7 +27,7 @@ from zerogap.explicit_formula import (
     ell_column_floor,
     ell_grid,
 )
-from zerogap.extremal import selberg_minorant
+from zerogap.extremal import fejer, selberg_minorant, windowed_fejer
 
 CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 
@@ -363,51 +363,46 @@ def test_ell_grid_gets_the_row_the_search_checked(monkeypatch):
         assert im_max == k * (step * (n_im - 1))
 
 
-@pytest.mark.parametrize("rect", [
-    dict(im_max=math.nan), dict(im_max=math.inf), dict(step=math.nan), dict(step=math.inf),
-    dict(step=0.1),  # off the 1/16 lattice
-    dict(im_max=7e4, step=0.0625),  # a row of 1.1e6 values, on a lattice within its limit
-    dict(im_max=2e5),  # a row of 4e5 values, within its limit, on a lattice of 1.6e7
-], ids=["im_max-nan", "im_max-inf", "step-nan", "step-inf", "off-lattice", "row", "lattice"])
-def test_min_ell_refuses_before_any_ell(monkeypatch, rect):
-    # the checks ell_grid relies on come before the column floor's pass,
-    # which takes the incumbent ell(0): the first evaluation of the search
+@pytest.mark.parametrize("f, rect", [
+    *((None, rect) for rect in (
+        dict(im_max=math.nan), dict(im_max=math.inf), dict(step=math.nan), dict(step=math.inf),
+        dict(step=0.1),  # off the 1/16 lattice
+        dict(im_max=7e4, step=0.0625),  # a row of 1.1e6 values, on a lattice within its limit
+        dict(im_max=2e5),  # a row of 4e5 values, within its limit, on a lattice of 1.6e7
+    )),
+    # on FAST, test functions that are not the Selberg minorant of a
+    # centred window
+    (selberg_minorant(-10.0, 40.0, PRIME_FREE_RADIUS), {}),
+    (selberg_minorant(5000.0 - CERT_LENGTH / 2.0, 5000.0 + CERT_LENGTH / 2.0,
+                      PRIME_FREE_RADIUS), {}),
+    (fejer(PRIME_FREE_RADIUS), {}),
+    (windowed_fejer(14.13, PRIME_FREE_RADIUS), {}),
+], ids=["im_max-nan", "im_max-inf", "step-nan", "step-inf", "off-lattice", "row", "lattice",
+        "off-centre", "centre-5000", "fejer", "windowed-fejer"])
+def test_min_ell_refuses_before_any_ell(monkeypatch, f, rect):
+    # the checks the column floor and ell_grid rely on come before the
+    # floor's pass, which takes the incumbent ell(0): the first evaluation
+    # of the search.  None is the headline window
     def reached(*args, **kwargs):
-        raise AssertionError("the search evaluated ell before refusing its grid")
+        raise AssertionError("the search evaluated ell before refusing its input")
 
     monkeypatch.setattr(certification, "ell_column_floor", reached)
     monkeypatch.setattr(certification, "ell_grid", reached)
     with pytest.raises(DomainError):
-        min_ell_over_mu(cert_fn(), **{**FAST, **rect})
+        min_ell_over_mu(cert_fn() if f is None else f, **{**FAST, **rect})
 
 
 @pytest.mark.parametrize("length, centre", [
     (CERT_LENGTH, 0.0), (45.5, 0.0), (52.75, 0.0), (60.0, 0.0),
-    (CERT_LENGTH, 3.0), (45.5, 25.0), (60.0, -80.0), (CERT_LENGTH, 1000.0),
 ])
 def test_incumbent_is_ell_at_zero(length, centre):
     # the column floor's pass takes the search's incumbent on its own
-    # panels, centred or not: the pointwise ell(0) to within 1e-12, with an
-    # estimate within the incumbent's tolerance
+    # panels: the pointwise ell(0) to within 1e-12, with an estimate within
+    # the incumbent's tolerance
     f = selberg_minorant(centre - length / 2.0, centre + length / 2.0, PRIME_FREE_RADIUS)
     _, u, err = ell_column_floor(f)
     assert type(u) is float and 0.0 < err <= certification._INCUMBENT_TOL
     assert abs(u - ell(0.0, f, tol=1e-12)) <= 1e-12
-
-
-@pytest.mark.parametrize("centre", [5000.0, 10000.0])
-def test_incumbent_estimate_covers_a_far_centre(centre):
-    # the floor's panels do not follow the centre: far off it the
-    # incumbent's estimate exceeds its tolerance, which the search refuses,
-    # and still covers its distance from ell(0)
-    f = selberg_minorant(centre - CERT_LENGTH / 2.0, centre + CERT_LENGTH / 2.0,
-                         PRIME_FREE_RADIUS)
-    _, u, err = ell_column_floor(f)
-    assert err > certification._INCUMBENT_TOL
-    assert abs(u - ell(0.0, f, tol=1e-12)) <= err
-    with pytest.raises(AccuracyError, match="incumbent ell\\(0\\) error estimate") as info:
-        min_ell_over_mu(f, **FAST)
-    assert info.value.best == u
 
 
 def test_certify_takes_no_panel(monkeypatch):

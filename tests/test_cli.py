@@ -304,6 +304,15 @@ def test_scan_region_out_reproducible(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_out_to_an_unwritable_path_exits_domain_error(capsys, tmp_path):
+    # a missing directory, and a directory
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        rc, out, err = run(capsys, "scan-region", "--nu-max", "1", "--step", "1",
+                           "--out", str(target))
+        assert (rc, out) == (1, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+
+
 def test_scan_region_has_no_threads_option(capsys):
     # the scan runs on the calling thread: one ell call over both kernels
     with pytest.raises(SystemExit) as exc:
@@ -436,6 +445,17 @@ def test_verify_example_malformed_data_exit(capsys, tmp_path):
     assert "spectral[0] must be an object" in err
 
 
+def test_unreadable_data_exits_domain_error(capsys, tmp_path):
+    # a directory, the empty path and a file of non-UTF-8 bytes
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    for data, message in ((str(tmp_path), "cannot read data file"), ("", "cannot read data file"),
+                          (str(undecodable), "is not UTF-8 text")):
+        rc, out, err = run(capsys, "verify-example", "--data", data)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+
+
 def test_coefficients_golden(capsys):
     rc, out, _ = run(capsys, "coefficients")
     assert rc == 0
@@ -447,6 +467,14 @@ def test_coefficients_gap_exit(capsys):
     assert rc == 3
     assert out == ""
     assert "missing n: [8]" in err
+
+
+def test_coefficients_below_one_exit(capsys):
+    rc, out, err = run(capsys, "coefficients", "--max-n", "-5")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ")
+    # no n from 2 to 1: the header alone
+    assert run(capsys, "coefficients", "--max-n", "1") == (0, "n,re,im\n", "")
 
 
 def test_coefficients_skip_gaps(capsys):

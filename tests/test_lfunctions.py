@@ -9,11 +9,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zerogap.errors import IncompletenessError, SchemaError, ValidationError
+from zerogap.errors import DomainError, IncompletenessError, SchemaError, ValidationError
 from zerogap.lfunctions import (
     _MR_LIMIT,
     FunctionalEquation,
     LFunctionData,
+    LogDerivativeCoefficients,
     _is_prime,
     bundled_example_path,
     c_coefficients,
@@ -68,8 +69,22 @@ def test_roundtrip_through_json_text(bundled, tmp_path):
 
 
 def test_missing_file_rejected(tmp_path):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="no such data file"):
         load_lfunction(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize("path", ["dir", ""], ids=["directory", "empty"])
+def test_unreadable_path_rejected(tmp_path, path):
+    # a directory, and the empty path, which names the working directory
+    with pytest.raises(ValidationError, match="cannot read data file"):
+        load_lfunction(str(tmp_path) if path == "dir" else path)
+
+
+def test_undecodable_file_is_schema_error(tmp_path):
+    p = tmp_path / "latin1.json"
+    p.write_bytes('{"comment": "caf\xe9"}'.encode("latin-1"))
+    with pytest.raises(SchemaError, match="not UTF-8 text"):
+        load_lfunction(p)
 
 
 def test_malformed_json_reports_position(tmp_path):
@@ -317,6 +332,14 @@ def test_c_coefficients_bundled(bundled):
     assert c(4).real == pytest.approx(0.6055821733165855, abs=1e-12)
     assert c(6) == 0j  # composite, not a prime power
     assert c(5).real == pytest.approx(0.002620059715, abs=1e-10)
+
+
+def test_c_coefficients_refuses_n_below_one(bundled):
+    for n in (0, -5):
+        with pytest.raises(DomainError, match="N must be at least 1"):
+            c_coefficients(bundled, n)
+    # no prime power up to 1
+    assert c_coefficients(bundled, 1) == LogDerivativeCoefficients(values={}, bound=1)
 
 
 def test_c_coefficients_gap_detection(bundled):

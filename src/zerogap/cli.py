@@ -242,7 +242,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_scan_region)
 
     p = sub.add_parser("verify-example", help="explicit-formula consistency report")
-    p.add_argument("--data", default=None, help="L-function JSON (default: bundled)")
+    p.add_argument("--data", default=None, help="L-function JSON file (default: bundled)")
     p.add_argument("--length", type=float, default=DEFAULT_LENGTH)
     p.add_argument("--delta", type=float, default=PRIME_FREE_RADIUS)
     p.add_argument("--convention", choices=CONVENTIONS, default="halved")
@@ -252,7 +252,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("coefficients", help="log-derivative coefficients c(n)")
     p.add_argument("--max-n", type=int, default=7)
-    p.add_argument("--data", default=None, help="L-function JSON (default: bundled)")
+    p.add_argument("--data", default=None, help="L-function JSON file (default: bundled)")
     p.add_argument("--skip-gaps", action="store_true",
                    help="omit prime powers whose local data is missing instead "
                         "of failing")

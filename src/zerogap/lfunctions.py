@@ -172,28 +172,26 @@ def _require(doc, key: str, kind, where: str, admit_inf: bool = False):
 
 
 def load_lfunction(source: Union[str, Path, Mapping]) -> LFunctionData:
-    """Load and validate an L-function document from a path, JSON text, or
-    an already-parsed mapping.  A str whose first non-space character is
-    ``{`` or ``[`` is JSON text; any other str is a file name.  A file that
-    is missing or cannot be read raises ValidationError, and one that is
-    not UTF-8 text SchemaError."""
+    """Load and validate an L-function document from a JSON file, named by a
+    str or Path, or from an already-parsed mapping; any other argument
+    raises SchemaError.  A file that is missing or cannot be read raises
+    ValidationError, and one that is not UTF-8 JSON SchemaError; each
+    message quotes the file name as given."""
     if _is_kind(source, Mapping):
         doc = source
     else:
-        if isinstance(source, Path) or (isinstance(source, str)
-                                        and not source.lstrip().startswith(("{", "["))):
-            p = Path(source)
-            try:
-                text = p.read_text(encoding="utf-8")
-            except FileNotFoundError:
-                raise ValidationError(f"no such data file: {p}") from None
-            except OSError as e:
-                raise ValidationError(f"cannot read data file {p}: {e.strerror}") from None
-            except UnicodeDecodeError as e:
-                raise SchemaError(f"data file {p} is not UTF-8 text: {e.reason} at byte "
-                                  f"{e.start}") from None
-        else:
-            text = str(source)
+        if not isinstance(source, (str, Path)):
+            raise SchemaError(f"expected a file name or a mapping, got {type(source).__name__}")
+        name = repr(str(source))
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ValidationError(f"no such data file: {name}") from None
+        except OSError as e:
+            raise ValidationError(f"cannot read data file {name}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"data file {name} is not UTF-8 text: {e.reason} at byte "
+                              f"{e.start}") from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:

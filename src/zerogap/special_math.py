@@ -14,16 +14,15 @@ depends on its own point alone, whatever the batch and its blocks.  A tuple
 of consecutive orders, such as the jet 0-3 of `explicit_formula.ell`'s
 closed form, shares each shift block, in which the powers of z + k are
 built up one order at a time.
-``digamma`` adds the reflection psi(z) = psi(1 - z) - pi cot(pi z) (DLMF
-5.5.4) for Re z < 0 and a domain error at its poles, for the column floor
-alone (``ell``, at Re z >= 1/4, takes ``_polygamma``); ``trigamma_real``
-adds the check x > 0, for the Beurling function.  The certification
-search's private Re mu = 0 evaluator ``explicit_formula.ell_grid`` takes
-``_re_digamma(a, v)``, Re psi(a + iv) for a scalar a and a real array v,
-on the same shift rule but with the series in real arithmetic: it needs
-only log|z|, a/|z|^2 and a three-term recurrence for Re z^-2k, so no point
-takes a complex log or division, and it reads v only through v^2, so it is
-even in v bit for bit.
+``digamma`` adds the check Re z > 0, with no reflection, for the column
+floor alone, which takes it at Re z >= 1/4 (``ell`` takes ``_polygamma``);
+``trigamma_real`` adds the check x > 0, for the Beurling function.  The
+certification search's private Re mu = 0 evaluator
+``explicit_formula.ell_grid`` takes ``_re_digamma(a, v)``, Re psi(a + iv)
+for a scalar a and a real array v, on the same shift rule but with the
+series in real arithmetic: it needs only log|z|, a/|z|^2 and a three-term
+recurrence for Re z^-2k, so no point takes a complex log or division, and
+it reads v only through v^2, so it is even in v bit for bit.
 Like ``_polygamma``, it sums all six terms at every point, so each Re psi
 value, too, depends on its own point alone.
 
@@ -140,31 +139,18 @@ def _polygamma(m, z):
 
 
 def digamma(z):
-    """psi(z) = Gamma'(z)/Gamma(z) for complex z away from the poles.
+    """psi(z) = Gamma'(z)/Gamma(z) for real or complex z with Re z > 0.
 
-    Real input gives real output, a scalar gives a numpy scalar, and the
-    poles at the nonpositive integers raise a domain error.  Each value
-    depends on its own point alone: digamma(z)[i] is bit-identical to
-    digamma(z[i]).
+    Real input gives real output, a scalar gives a numpy scalar, and any
+    point with Re z <= 0 raises a domain error.  Each value depends on its
+    own point alone: digamma(z)[i] is bit-identical to digamma(z[i]).
     """
     arr = np.asarray(z)
     if arr.dtype.kind != "c":
         arr = arr.astype(float, copy=False)
-    flat = arr.reshape(-1)
-    re = flat.real
-    nonpositive = re <= 0.0
-    if not np.count_nonzero(nonpositive):
-        return _polygamma(0, arr)
-    if (nonpositive & (flat.imag == 0.0) & (re == np.floor(re))).any():
-        raise DomainError("digamma pole: z is a nonpositive integer")
-    left = re < 0.0
-    out = _polygamma(0, np.where(left, 1.0 - flat, flat))
-    # cot has period pi, so the argument is reduced exactly by round(Re z)
-    # first; only the reflected points reach the cotangent, whose poles the
-    # others may sit on
-    zl = flat[left]
-    out[left] -= math.pi / np.tan(math.pi * (zl - np.round(zl.real)))
-    return out.reshape(arr.shape)[()]
+    if (arr.real <= 0.0).any():
+        raise DomainError("digamma requires Re z > 0")
+    return _polygamma(0, arr)
 
 
 def trigamma_real(x):

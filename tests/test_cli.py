@@ -321,13 +321,20 @@ def test_scan_region_has_no_threads_option(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-def test_verify_example_passes(capsys):
+def test_verify_example_passes(capsys, tmp_path, monkeypatch):
     rc, out, _ = run(capsys, "verify-example")
     assert rc == 0
     assert out.endswith("consistency: PASS\n")
     doc = json.loads(out.rsplit("consistency:", 1)[0])
     assert abs(doc["residual"]) <= doc["tail_bound"] + doc["tolerance_budget"]
     assert doc["implied_log_Q"] == pytest.approx(0.055081473846852344, abs=1e-6)
+    # --data names a file, whatever its first character: byte-for-byte
+    # copies of the bundled file, named relative to the working directory,
+    # give the same report
+    monkeypatch.chdir(tmp_path)
+    for name in ("[draft].json", "{v2}.json"):
+        Path(name).write_bytes(bundled_example_path().read_bytes())
+        assert run(capsys, "verify-example", "--data", name)[:2] == (0, out)
 
 
 # verify-example's reports on the benchmark's window +-5/(2 delta0) at its
@@ -449,7 +456,8 @@ def test_unreadable_data_exits_domain_error(capsys, tmp_path):
     # a directory, the empty path and a file of non-UTF-8 bytes
     undecodable = tmp_path / "bytes.json"
     undecodable.write_bytes(b"\xff\xfe{}")
-    for data, message in ((str(tmp_path), "cannot read data file"), ("", "cannot read data file"),
+    for data, message in ((str(tmp_path), "cannot read data file"),
+                          ("", "cannot read data file '': "),
                           (str(undecodable), "is not UTF-8 text")):
         rc, out, err = run(capsys, "verify-example", "--data", data)
         assert (rc, out) == (1, "")

@@ -1,10 +1,12 @@
 import copy
 import json
 import math
+import re
 import time
 import types
 from collections import OrderedDict
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,8 +66,24 @@ def test_roundtrip_through_json_text(bundled, tmp_path):
     again = load_lfunction(p)
     assert again.fe == bundled.fe
     assert again.zeros == bundled.zeros
-    # text that opens with "{" (after whitespace) is JSON, not a path
-    assert load_lfunction("  \n" + p.read_text()) == again
+    # a file whose JSON text opens with whitespace, named by a str
+    p.write_text("  \n" + p.read_text())
+    assert load_lfunction(str(p)) == again
+
+
+@pytest.mark.parametrize("name", ["[draft].json", "{v2}.json"])
+def test_file_name_opening_with_a_bracket_is_a_file(bundled, tmp_path, monkeypatch, name):
+    # every str names a file, whatever its first character: a relative name
+    # in the working directory
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_bytes(bundled_example_path().read_bytes())
+    assert load_lfunction(name) == load_lfunction(Path(name)) == bundled
+
+
+@pytest.mark.parametrize("source", [b"{}", 3, None], ids=["bytes", "number", "none"])
+def test_source_neither_file_name_nor_mapping_is_schema_error(source):
+    with pytest.raises(SchemaError, match="file name or a mapping"):
+        load_lfunction(source)
 
 
 def test_missing_file_rejected(tmp_path):
@@ -75,9 +93,11 @@ def test_missing_file_rejected(tmp_path):
 
 @pytest.mark.parametrize("path", ["dir", ""], ids=["directory", "empty"])
 def test_unreadable_path_rejected(tmp_path, path):
-    # a directory, and the empty path, which names the working directory
-    with pytest.raises(ValidationError, match="cannot read data file"):
-        load_lfunction(str(tmp_path) if path == "dir" else path)
+    # a directory, and the empty path, which names the working directory;
+    # the message quotes the name as given
+    source = str(tmp_path) if path == "dir" else path
+    with pytest.raises(ValidationError, match=re.escape(f"cannot read data file {source!r}: ")):
+        load_lfunction(source)
 
 
 def test_undecodable_file_is_schema_error(tmp_path):
@@ -159,13 +179,9 @@ def test_self_dual_negative_zero_rejected_at_load(bundled):
 def test_top_level_json_must_be_an_object(tmp_path):
     p = tmp_path / "list.json"
     p.write_text("[1, 2]")
-    with pytest.raises(SchemaError, match="top-level"):
-        load_lfunction(p)
-    # the same text passed directly is JSON too, not a file name
-    with pytest.raises(SchemaError, match="top-level"):
-        load_lfunction(" [1, 2]")
-    with pytest.raises(SchemaError, match="parse error"):
-        load_lfunction("[1, 2")
+    for source in (p, str(p)):
+        with pytest.raises(SchemaError, match="top-level"):
+            load_lfunction(source)
 
 
 def test_spectral_left_halfplane_rejected(bundled):
@@ -203,6 +219,8 @@ def _mutated(doc, path, new):
     pytest.param(("zeros", "values", 10), "inf", id="zero-inf"),
     pytest.param(("zeros", "t_max"), math.nan, id="t-max-nan"),
     pytest.param(("coefficients", 0, "n"), True, id="n-bool"),
+    pytest.param(("coefficients", 0, "n"), 0, id="n-zero"),
+    pytest.param(("coefficients", 1, "n"), -3, id="n-negative"),
     pytest.param(("degree",), True, id="degree-bool"),
     pytest.param(("conductor", "value"), True, id="conductor-bool"),
     pytest.param(("zeros", "t_max"), True, id="t-max-bool"),

@@ -1,11 +1,10 @@
 
 import math
-import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from zerogap.errors import DomainError
 from zerogap.special_math import (
@@ -56,8 +55,8 @@ def _mp_digamma(z):
 
 def test_digamma_matches_mpmath_on_random_cloud():
     rng = np.random.default_rng(7)
-    z = rng.uniform(-30, 30, 1000) + 1j * rng.uniform(-40, 40, 1000)
-    z = z[np.abs(z.imag) > 1e-3]  # stay off the real axis and its poles
+    z = rng.uniform(0, 30, 1000) + 1j * rng.uniform(-40, 40, 1000)
+    z = z[np.abs(z.imag) > 1e-3]  # stay off the real axis and the pole at 0
     got = digamma(z)
     ref = np.array([_mp_digamma(w) for w in z])
     assert np.max(np.abs(got - ref)) < 1e-13
@@ -82,7 +81,7 @@ def test_re_digamma_matches_mpmath(a):
 
 
 def test_digamma_real_input_real_output():
-    xs = [0.3, 1.7, 25.0, -2.5]
+    xs = [0.3, 1.7, 25.0, 2.5]
     out = digamma(np.array(xs))
     assert out.dtype == np.float64
     assert np.allclose(out, [_mp_digamma(complex(x)).real for x in xs], rtol=0, atol=1e-13)
@@ -90,10 +89,10 @@ def test_digamma_real_input_real_output():
 
 
 def test_digamma_pole_rejected():
-    with pytest.raises(DomainError):
-        digamma(0.0)
-    with pytest.raises(DomainError):
-        digamma(-3.0)
+    # every point with Re z <= 0, on the poles or off them, alone or in a batch
+    for z in (0.0, -3.0, -2.5 + 1j, 1j, np.array([1.0, -0.5])):
+        with pytest.raises(DomainError):
+            digamma(z)
 
 
 def _polygamma_cloud(seed):
@@ -139,21 +138,20 @@ def test_trigamma_domain():
             trigamma_real(x)
 
 
-@given(st.complex_numbers(min_magnitude=1e-2, max_magnitude=40.0,
-                          allow_nan=False, allow_infinity=False))
+# the right half-plane, Re z > 0, where digamma is defined
+_RIGHT_HALF_PLANE = st.builds(complex, st.floats(min_value=1e-2, max_value=40.0),
+                              st.floats(min_value=-40.0, max_value=40.0))
+
+
+@given(_RIGHT_HALF_PLANE)
 def test_digamma_recurrence(z):
-    if abs(z.imag) < 1e-3 and z.real <= 0.5:
-        z += 0.6j  # keep clear of poles on the negative real axis
     lhs = complex(digamma(z + 1.0))
     rhs = complex(digamma(z)) + 1.0 / z
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
-@given(st.complex_numbers(min_magnitude=1e-2, max_magnitude=40.0,
-                          allow_nan=False, allow_infinity=False))
+@given(_RIGHT_HALF_PLANE)
 def test_digamma_conjugate_symmetry(z):
-    if abs(z.imag) < 1e-3 and z.real <= 0.5:
-        z += 0.6j
     assert abs(complex(digamma(np.conj(z))) - np.conj(complex(digamma(z)))) < 1e-12
 
 
@@ -164,41 +162,20 @@ def test_trigamma_recurrence(x):
     assert abs(lhs - rhs) <= 1e-11 * (1.0 + abs(rhs))
 
 
-def _off_poles(z):
-    # hypothesis favours 0 and the negative integers, where digamma raises;
-    # points within 1e-6 of them add nothing to an elementwise test
-    return not (z.real <= 0.5 and abs(z - round(z.real)) < 1e-6)
-
-
-@given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+@given(st.lists(st.builds(complex, st.floats(min_value=1e-6, max_value=1e3),
+                          st.floats(min_value=-1e3, max_value=1e3)),
                 min_size=1, max_size=12),
        st.booleans())
 def test_digamma_is_elementwise(zs, real):
     # each value depends on its own point alone, whatever else is in the
-    # batch: points inside and outside the series radius, on either side of
-    # Re z = 0, real or complex; ell's batch contract rests on this
+    # batch: points inside and outside the series radius, real or complex;
+    # ell's batch contract rests on this
     z = np.array([w.real for w in zs] if real else zs)
-    assume(all(_off_poles(complex(w)) for w in z))
     batch = digamma(z)
     assert batch.dtype == z.dtype and batch.shape == z.shape
     for i, w in enumerate(z):
         assert batch[i] == digamma(w)
         assert batch[i] == digamma(z[i:i + 1])[0]
-
-
-def test_digamma_reflection_near_poles():
-    # reflected points close to the negative-axis poles, in one batch with
-    # positive integers, where pi cot(pi z) itself has poles: only the
-    # reflected points may reach the cotangent, and none may warn
-    z = np.array([-3.0 + 1e-12, -3.0 - 1e-12, -1e-9, -7.5, -2.0 + 1e-10j,
-                  -10.0 - 1e-8j, -0.5, 1.0, 2.0, 3.0, 16.0, 0.25 + 1e-300j])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = digamma(z)
-        got_real = digamma(z.real[z.imag == 0])
-    want = np.array([_mp_digamma(w) for w in z])
-    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
-    assert np.max(np.abs(got_real / want[z.imag == 0].real - 1.0)) <= 1e-13
 
 
 def test_tetragamma_matches_mpmath_log_uniform():

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -22,6 +24,14 @@ settings.register_profile(
 settings.load_profile("numeric")
 
 CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
+
+# every output pinned in more than one place, each with the command that
+# printed it; the tests, the CI bare-install job and the README read it here
+GOLDENS = json.loads(Path(__file__).with_name("goldens.json").read_text(encoding="utf-8"))
+# the apertures of its verify reports, on the window +-5/(2 delta0): delta0,
+# just above the n = 2 edge, and log 7.9/(2 pi), the widest prime-path one
+VERIFY_DELTAS = {"delta0": PRIME_FREE_RADIUS, "n2-edge": PRIME_FREE_RADIUS * (1.0 + 1e-2),
+                 "log7.9": math.log(7.9) / (2.0 * math.pi)}
 
 
 @pytest.fixture(scope="session")

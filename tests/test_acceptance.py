@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import scipy.special as sps
+from conftest import CERT_LENGTH
 from scipy.integrate import quad
 
 from zerogap.certification import certify_gap
@@ -17,7 +18,6 @@ from zerogap.extremal import beurling, fourier_at
 from zerogap.region_scan import classify_point
 from zerogap.special_math import digamma, trigamma_real
 
-LENGTH = 10.0 * math.pi / math.log(2.0)
 EULER_GAMMA = 0.5772156649015328606065
 
 
@@ -29,27 +29,27 @@ def _criterion(capsys, num, ok, detail):
 
 def test_criterion_1_universal_gap_certificate(capsys):
     start = time.monotonic()
-    cert = certify_gap(4, LENGTH, PRIME_FREE_RADIUS)
+    cert = certify_gap(4, CERT_LENGTH, PRIME_FREE_RADIUS)
     elapsed = time.monotonic() - start
     ok = (cert.certified is True and cert.margin > 0.0
           and cert.search.re_max == 50.0 and cert.search.im_max == 200.0
           and cert.search.step == 0.25 and elapsed < 600.0)
     _criterion(capsys, 1, ok,
-               f"degree 4, length {LENGTH:.7f}: certified={cert.certified}, "
+               f"degree 4, length {CERT_LENGTH:.7f}: certified={cert.certified}, "
                f"margin={cert.margin:.6f}, grid {cert.search.grid_shape}, "
                f"{elapsed:.1f} s")
 
 
 def test_criterion_2_selberg_minorant(capsys, cert_minorant):
     s = cert_minorant
-    target = LENGTH - 1.0 / PRIME_FREE_RADIUS
+    target = CERT_LENGTH - 1.0 / PRIME_FREE_RADIUS
     int_ok = abs(s.integral - target) < 1e-6
     hat0 = fourier_at(s, 0.0)
     hat0_ok = abs(hat0 - target) < 1e-6
 
     rng = np.random.default_rng(2)
     xs = rng.uniform(-60.0, 60.0, 100_000)
-    half = LENGTH / 2.0
+    half = CERT_LENGTH / 2.0
     chi = ((xs >= -half) & (xs <= half)).astype(float)
     minor_ok = bool(np.all(np.asarray(s.value(xs)) <= chi + 1e-12))
 
@@ -114,12 +114,12 @@ def test_criterion_5_bundled_zero_geometry(capsys, bundled):
     sym = np.sort(np.concatenate([-zs, zs]))
     stretches = np.concatenate([[sym[0] + 30.0], np.diff(sym), [30.0 - sym[-1]]])
     widest = float(stretches.max())
-    window_ok = widest < LENGTH
+    window_ok = widest < CERT_LENGTH
 
     ok = first_ok and count_ok and window_ok
     _criterion(capsys, 5, ok,
                f"2*gamma_1 = {twice_first:.10f}, zeros in (0,30): {zs.size}, "
-               f"widest zero-free stretch {widest:.4f} < {LENGTH:.4f}")
+               f"widest zero-free stretch {widest:.4f} < {CERT_LENGTH:.4f}")
 
 
 def test_criterion_6_explicit_formula_consistency(capsys, bundled, cert_minorant):
@@ -157,8 +157,8 @@ def test_criterion_7_digamma_oracle(capsys):
 
 def test_criterion_8_convention_agreement(capsys, minimal_lengths):
     kw = dict(re_max=6.0, im_max=20.0, step=1.0)
-    cert_h = certify_gap(4, LENGTH, convention="halved", **kw)
-    cert_l = certify_gap(4, LENGTH, convention="literal", **kw)
+    cert_h = certify_gap(4, CERT_LENGTH, convention="halved", **kw)
+    cert_l = certify_gap(4, CERT_LENGTH, convention="literal", **kw)
     # minimal_certified_length(4, PRIME_FREE_RADIUS, 1e-3, convention=..., **kw)
     len_h, len_l = minimal_lengths["halved"], minimal_lengths["literal"]
     ok = (cert_h.certified == cert_l.certified is True

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import CERT_LENGTH, GOLDENS
 
 from zerogap import certification, explicit_formula
 from zerogap.certification import (
@@ -29,29 +30,23 @@ from zerogap.explicit_formula import (
 )
 from zerogap.extremal import fejer, selberg_minorant, windowed_fejer
 
-CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
-
 # frozen from the default 201 x 801 grid run
-CERT_MARGIN = 0.18588479392167442
 CERT_SEARCH_DOMAIN = {
     "re_max": 50.0, "im_max": 200.0, "step": 0.25, "convention": "halved",
-    "grid_shape": [201, 801], "columns_evaluated": 66, "floor_clears_at": 16.5,
+    "grid_shape": [201, 801], "columns_evaluated": GOLDENS["headline"]["columns_evaluated"],
+    "floor_clears_at": GOLDENS["headline"]["floor_clears_at"],
     "error_bound": 7.70966042141075e-05,
 }
-# the same run on the FAST rectangle below: the lattice's extent follows the
-# rectangle, so the margin differs from CERT_MARGIN by 8.6e-8
-FAST_MARGIN = 0.18588487951695654
-MIN_ELL_VALUE = 0.2919874619148928
-MINIMAL_LENGTH = 45.04973444192862
 
-# smaller rectangle for the fast tests; the minimum sits at mu = 0 so the
-# margin is unchanged as long as the origin is inside
+# smaller rectangle for the fast tests; the minimum sits at mu = 0, but the
+# lattice's extent follows the rectangle, so the margin on it, the record's
+# small_rectangle entry, differs from the headline margin by 8.6e-8
 FAST = dict(re_max=6.0, im_max=20.0, step=0.5)
 
 
 def test_min_ell_small_grid():
     s = min_ell_over_mu_cached()
-    assert s.value == pytest.approx(MIN_ELL_VALUE, abs=1e-6)
+    assert s.value == pytest.approx(GOLDENS["min_ell"]["value"], abs=1e-6)
     assert s.argmin == 0j
     assert s.domain.grid_shape == (13, 41)
     assert s.domain.convention == "halved"
@@ -78,8 +73,7 @@ def cert_fn():
 def test_certificate_margin_and_flags():
     cert = certify_gap(4, CERT_LENGTH, **FAST)
     assert cert.certified is True
-    assert cert.margin == pytest.approx(CERT_MARGIN, abs=1e-6)
-    assert cert.margin == pytest.approx(FAST_MARGIN, abs=1e-11)
+    assert cert.margin == pytest.approx(GOLDENS["small_rectangle"]["margin"], abs=1e-11)
     assert cert.margin == pytest.approx(
         4.0 * min_ell_over_mu_cached().value / (2.0 * math.pi), abs=1e-12)
     assert cert.degree == 4
@@ -95,9 +89,9 @@ def test_certificate_margin_and_flags():
 
 def test_headline_certificate_pins():
     d = certify_gap(4, CERT_LENGTH).to_dict()
-    assert d["margin"] == pytest.approx(CERT_MARGIN, abs=1e-11)
-    assert round(d["margin"], 6) == 0.185885
-    assert d["positivity_window"] == [-22.661800709135967, 22.661800709135967]
+    assert d["margin"] == pytest.approx(GOLDENS["headline"]["margin"], abs=1e-11)
+    assert round(d["margin"], 6) == round(GOLDENS["headline"]["margin"], 6)
+    assert d["positivity_window"] == GOLDENS["headline"]["positivity_window"]
     assert d["search_domain"] == CERT_SEARCH_DOMAIN
 
 
@@ -191,8 +185,7 @@ def test_certified_needs_the_floor_cleared_inside_the_rectangle():
     assert short.search.columns_evaluated == short.search.grid_shape[1] == 5
     assert short.search.floor_clears_at is None
     assert short.certified is False and short.to_dict()["certified"] is False
-    assert short.margin == pytest.approx(0.18588487951692487, abs=1e-12)
-    assert short.margin == pytest.approx(FAST_MARGIN, abs=1e-12)
+    assert short.margin == pytest.approx(GOLDENS["small_rectangle"]["margin"], abs=1e-12)
     cleared = certify_gap(4, CERT_LENGTH, re_max=50.0, im_max=20.0, step=1.0)
     assert cleared.search.columns_evaluated < cleared.search.grid_shape[1]
     assert cleared.search.floor_clears_at == 17.0
@@ -217,7 +210,7 @@ def test_min_ell_needs_positive_mass():
 
 def test_minimal_length(minimal_lengths):
     got = minimal_lengths["halved"]
-    assert got == pytest.approx(MINIMAL_LENGTH, abs=2e-3)
+    assert got == pytest.approx(GOLDENS["minimal_length"]["value"], abs=2e-3)
     assert got < CERT_LENGTH
     assert got > 28.992  # must exceed twice the first zero of the example
     lit = minimal_lengths["literal"]

@@ -11,14 +11,13 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from conftest import CERT_LENGTH, GOLDENS, VERIFY_DELTAS
 
 import zerogap
 from zerogap.cli import _EVAL_BLOCK, _fmt, main
 from zerogap.explicit_formula import PRIME_FREE_RADIUS
 from zerogap.extremal import fourier_at, selberg_minorant
 from zerogap.lfunctions import bundled_example_path
-
-CERT_LENGTH = "45.323601418271934"
 
 COEFF_GOLDEN = (
     "n,re,im\n"
@@ -28,19 +27,6 @@ COEFF_GOLDEN = (
     "5,0.002620059715,0\n"
     "6,0,0\n"
     "7,-0.4441142611,0\n"
-)
-
-SCAN_GOLDEN = (
-    "# t0 = 14.13\n"
-    "# delta = 0.1103178001\n"
-    "# Q = 1\n"
-    "# step = 1\n"
-    "# convention = halved\n"
-    "nu1,nu2,fejer_rhs,windowed_rhs,verdict\n"
-    "0,0,-7.022135792,-1655.828789,Impossible\n"
-    "0,1,-6.889422022,-1635.541227,Impossible\n"
-    "1,0,-6.889422022,-1635.541227,Impossible\n"
-    "1,1,-6.756708252,-1615.253665,Impossible\n"
 )
 
 
@@ -109,8 +95,7 @@ def test_eval_off_centre_selberg_fourier_golden(capsys):
             assert abs(fourier_at(f, x) - float(want)) < 1e-12, x
     rc, out, _ = run(capsys, "eval-extremal", "--kind", "selberg", *argv, "--fourier")
     assert rc == 0
-    assert out.split("x,fhat\n")[1] == (
-        "-0.2,0\n-0.1,0.5946105941\n0,-1.064720284\n0.1,0.5946105941\n0.2,0\n")
+    assert out[out.index("x,fhat\n"):] == GOLDENS["selberg_fourier"]["fhat_block"]
 
 
 def test_eval_windowed_fejer(capsys):
@@ -139,7 +124,7 @@ def test_eval_listing_in_blocks_matches_one_call(capsys):
 
 def test_eval_selberg_length(capsys):
     rc, out, _ = run(capsys, "eval-extremal", "--kind", "selberg",
-                     "--length", CERT_LENGTH,
+                     "--length", repr(CERT_LENGTH),
                      "--from", "0", "--to", "20", "--samples", "3")
     assert rc == 0
     assert out == "x,value\n0,0.9816896904\n10,0.9677141616\n20,0.3975424981\n"
@@ -183,16 +168,15 @@ def test_eval_out_file(capsys, tmp_path):
 
 def test_certify_gap_json(capsys):
     rc, out, _ = run(capsys, "certify-gap", "--degree", "4",
-                     "--length", CERT_LENGTH,
+                     "--length", repr(CERT_LENGTH),
                      "--re-max", "6", "--im-max", "20", "--step", "0.5")
     assert rc == 0
     doc = json.loads(out)
     assert doc["certified"] is True
-    assert doc["margin"] == pytest.approx(0.18588499153844687, abs=1e-6)
     # this rectangle's own margin (the lattice's extent follows the rectangle)
-    assert doc["margin"] == pytest.approx(0.18588487951695654, abs=1e-11)
+    assert doc["margin"] == pytest.approx(GOLDENS["small_rectangle"]["margin"], abs=1e-11)
     assert doc["degree"] == 4
-    assert doc["window_length"] == pytest.approx(float(CERT_LENGTH))
+    assert doc["window_length"] == pytest.approx(CERT_LENGTH)
     assert "evidence" in doc["kind"]
     assert doc["search_domain"]["grid_shape"] == [13, 41]
 
@@ -200,7 +184,7 @@ def test_certify_gap_json(capsys):
 def test_certify_gap_cli_output_unaffected_by_logging(capsys):
     # the search logs at DEBUG to the `zerogap` logger; a fresh interpreter
     # that configures no logging must print the JSON and nothing else
-    argv = ["certify-gap", "--degree", "4", "--length", CERT_LENGTH,
+    argv = ["certify-gap", "--degree", "4", "--length", repr(CERT_LENGTH),
             "--re-max", "50", "--im-max", "20", "--step", "1"]
     rc, out, err = run(capsys, *argv)
     done = run_fresh(*argv)
@@ -209,9 +193,9 @@ def test_certify_gap_cli_output_unaffected_by_logging(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("certify-gap", "--degree", "4", "--length", CERT_LENGTH),
+    ("certify-gap", "--degree", "4", "--length", repr(CERT_LENGTH)),
     # stride 1: every column a 13,441-term sum at its own table offset
-    ("certify-gap", "--degree", "4", "--length", CERT_LENGTH, "--step", "0.0625"),
+    ("certify-gap", "--degree", "4", "--length", repr(CERT_LENGTH), "--step", "0.0625"),
     ("scan-region", "--nu-max", "4", "--step", "1"),
 ], ids=["certify-gap", "certify-gap-stride-1", "scan-region"])
 def test_output_does_not_depend_on_thread_count(argv):
@@ -252,7 +236,7 @@ def test_eval_extremal_too_many_samples_is_an_error(capsys):
 
 
 def test_certify_gap_oversized_grid_is_an_error(capsys):
-    rc, out, err = run(capsys, "certify-gap", "--degree", "4", "--length", CERT_LENGTH,
+    rc, out, err = run(capsys, "certify-gap", "--degree", "4", "--length", repr(CERT_LENGTH),
                        "--im-max", "1e7")
     assert rc == 1
     assert out == ""
@@ -267,13 +251,13 @@ def test_certify_gap_short_window(capsys):
 
 
 def test_min_ell_json(capsys):
-    rc, out, _ = run(capsys, "min-ell", "--length", CERT_LENGTH,
+    rc, out, _ = run(capsys, "min-ell", "--length", repr(CERT_LENGTH),
                      "--re-max", "6", "--im-max", "20", "--step", "0.5")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["min_ell"] == pytest.approx(0.2919874619148928, abs=1e-6)
+    assert doc["min_ell"] == pytest.approx(GOLDENS["min_ell"]["value"], abs=1e-6)
     assert doc["argmin"] == {"re": 0.0, "im": 0.0}
-    assert doc["window_length"] == pytest.approx(float(CERT_LENGTH))
+    assert doc["window_length"] == pytest.approx(CERT_LENGTH)
     assert doc["delta"] == pytest.approx(math.log(2.0) / (2.0 * math.pi))
     assert doc["search_domain"]["columns_evaluated"] < 41
 
@@ -291,7 +275,7 @@ def test_min_ell_without_mass_is_an_error(capsys):
 def test_scan_region_stdout_golden(capsys):
     rc, out, _ = run(capsys, "scan-region", "--nu-max", "1", "--step", "1")
     assert rc == 0
-    assert out == SCAN_GOLDEN
+    assert out == GOLDENS["scan"]["csv"]
 
 
 def test_scan_region_out_reproducible(capsys, tmp_path):
@@ -327,7 +311,8 @@ def test_verify_example_passes(capsys, tmp_path, monkeypatch):
     assert out.endswith("consistency: PASS\n")
     doc = json.loads(out.rsplit("consistency:", 1)[0])
     assert abs(doc["residual"]) <= doc["tail_bound"] + doc["tolerance_budget"]
-    assert doc["implied_log_Q"] == pytest.approx(0.055081473846852344, abs=1e-6)
+    assert doc["implied_log_Q"] == pytest.approx(
+        GOLDENS["verify"]["reports"]["delta0"]["implied_log_Q"], abs=1e-6)
     # --data names a file, whatever its first character: byte-for-byte
     # copies of the bundled file, named relative to the working directory,
     # give the same report
@@ -337,47 +322,16 @@ def test_verify_example_passes(capsys, tmp_path, monkeypatch):
         assert run(capsys, "verify-example", "--data", name)[:2] == (0, out)
 
 
-# verify-example's reports on the benchmark's window +-5/(2 delta0) at its
-# three fixed apertures (delta0, just above the n = 2 edge, log 7.9/2 pi),
-# as printed before the transform's derivative left `fourier_centred`
-VERIFY_EXAMPLE_REPORTS = {
-    PRIME_FREE_RADIUS: {
-        "zero_side": 4.03665393538893, "tail_bound": 5.509495615671456, "rhs_conductor": 0.0,
-        "rhs_archimedean": [0.22275334242787106, 0.22275334242787106,
-                            1.4777105485892368, 1.4777105485892368],
-        "rhs_primes": 0.0, "rhs_total": 3.400927782034216, "residual": 0.6357261533547143,
-        "implied_log_Q": 0.05508147385075495, "convention": "halved",
-        "tolerance_budget": 4e-08,
-    },
-    PRIME_FREE_RADIUS * (1.0 + 1e-2): {
-        "zero_side": 4.077002301624426, "tail_bound": 5.461132189486813, "rhs_conductor": 0.0,
-        "rhs_archimedean": [0.23892246449214435, 0.23892246449214435,
-                            1.4918761641958027, 1.4918761641958027],
-        "rhs_primes": -0.018613152766202994, "rhs_total": 3.442984104609691,
-        "residual": 0.6340181970147349, "implied_log_Q": 0.05479785246188989,
-        "convention": "halved", "tolerance_budget": 4e-08,
-    },
-    math.log(7.9) / (2.0 * math.pi): {
-        "zero_side": 7.0794490779998895, "tail_bound": 4.006414428883505, "rhs_conductor": 0.0,
-        "rhs_archimedean": [1.3496544946085531, 1.3496544946085531,
-                            2.429176396376639, 2.429176396376639],
-        "rhs_primes": -0.5701761008840505, "rhs_total": 6.9874856810863335,
-        "residual": 0.09196339691355604, "implied_log_Q": 0.006832702662755441,
-        "convention": "halved", "tolerance_budget": 4e-08,
-    },
-}
-
-
-@pytest.mark.parametrize("delta", list(VERIFY_EXAMPLE_REPORTS), ids=["delta0", "n2-edge", "log7.9"])
-def test_verify_example_reports_are_pinned(capsys, delta):
+@pytest.mark.parametrize("name", list(VERIFY_DELTAS))
+def test_verify_example_reports_are_pinned(capsys, name):
     # every number of the report to 12 significant digits, so that a moved
     # verify number fails here and not only in the benchmark
     rc, out, err = run(capsys, "verify-example", "--length", repr(5.0 / PRIME_FREE_RADIUS),
-                       "--delta", repr(delta))
+                       "--delta", repr(VERIFY_DELTAS[name]))
     assert rc == 0 and err == ""
     assert out.endswith("consistency: PASS\n")
     got = json.loads(out.rsplit("consistency:", 1)[0])
-    want = VERIFY_EXAMPLE_REPORTS[delta]
+    want = GOLDENS["verify"]["reports"][name]
     assert got.keys() == want.keys()
     for key, value in want.items():
         expected = value if isinstance(value, str) else pytest.approx(value, rel=1e-12, abs=0.0)
@@ -406,7 +360,8 @@ def test_verify_example_detects_wrong_conductor(capsys, tmp_path):
     assert out.endswith("consistency: FAIL\n")
     rep = json.loads(out.rsplit("consistency:", 1)[0])
     # the implied conductor still points back at log Q ~ 0
-    assert rep["implied_log_Q"] == pytest.approx(0.055081473846852344, abs=1e-4)
+    assert rep["implied_log_Q"] == pytest.approx(
+        GOLDENS["verify"]["reports"]["delta0"]["implied_log_Q"], abs=1e-4)
 
 
 def test_verify_example_unreachable_tol_exits_accuracy(capsys):
@@ -535,35 +490,38 @@ def test_non_finite_arguments_exit_domain_error(capsys, argv):
     assert "Traceback" not in err
 
 
-def _readme_commands():
-    # the zerogap lines of README.md's reproduction section, `time` dropped
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Reproducing the headline numbers")[1]
-    lines = [line.removeprefix("time ") for line in section.splitlines()]
-    return [shlex.split(line)[1:] for line in lines if line.startswith("zerogap ")]
-
-
 def test_readme_reproduction_commands(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    commands = {argv[0]: argv for argv in _readme_commands()}
+    # README.md's reproduction section: the numbers it quotes, as the record
+    # rounds them, and its zerogap lines, `time` dropped
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Reproducing the headline numbers")[1]
+    head, text = GOLDENS["headline"], " ".join(section.split())
+    for quoted in (f"margin {head['margin']:.4f}", f"`+-{head['positivity_window'][1]:.4f}`",
+                   f"{GOLDENS['minimal_length']['value']:.6f}",
+                   *(f"{n} `{v}`" for v, n in GOLDENS["figure2"]["verdicts"].items())):
+        assert quoted in text
+    lines = [line.removeprefix("time ") for line in section.splitlines()]
+    commands = {argv[0]: argv for argv in (shlex.split(line)[1:] for line in lines
+                                           if line.startswith("zerogap "))}
     assert sorted(commands) == ["certify-gap", "scan-region"]
+    monkeypatch.chdir(tmp_path)
 
     rc, out, err = run(capsys, *commands["certify-gap"])
     assert (rc, err) == (0, "")
     doc = json.loads(out)
     assert doc["certified"] is True
-    assert doc["window_length"] == 10.0 * math.pi / math.log(2.0)
-    assert round(doc["margin"], 6) == 0.185885
-    assert doc["positivity_window"] == [-22.661800709135967, 22.661800709135967]
+    assert doc["window_length"] == CERT_LENGTH
+    assert round(doc["margin"], 6) == round(head["margin"], 6)
+    assert doc["positivity_window"] == head["positivity_window"]
     assert doc["search_domain"]["grid_shape"] == [201, 801]
-    assert doc["search_domain"]["columns_evaluated"] == 66
+    assert doc["search_domain"]["columns_evaluated"] == head["columns_evaluated"]
 
     rc, out, err = run(capsys, *commands["scan-region"])
     assert (rc, out, err) == (0, "", "")
     csv = (tmp_path / "figure2.csv").read_text()
     verdicts = Counter(line.rsplit(",", 1)[1] for line in csv.splitlines()
                        if not line.startswith(("#", "nu1")))
-    assert verdicts == {"Impossible": 528, "ForcedLowZero": 440, "Unconstrained": 121}
+    assert verdicts == GOLDENS["figure2"]["verdicts"]
     assert csv.startswith("# t0 = 14.13\n# delta = 0.1103178001\n# Q = 1\n# step = 0.5\n")
 
 

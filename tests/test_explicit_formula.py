@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+from conftest import GOLDENS, VERIFY_DELTAS
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -926,10 +927,8 @@ def _ell_panel_xi(f, mus):
 # verify-example's window at the benchmark's two prime-path apertures; at
 # delta0 it is the headline window
 VERIFY_HALF = 5.0 / (2.0 * PRIME_FREE_RADIUS)
-JET_WINDOWS = {
-    "n2-edge": selberg_minorant(-VERIFY_HALF, VERIFY_HALF, PRIME_FREE_RADIUS * (1.0 + 1e-2)),
-    "log7.9": selberg_minorant(-VERIFY_HALF, VERIFY_HALF, math.log(7.9) / (2.0 * math.pi)),
-}
+JET_WINDOWS = {name: selberg_minorant(-VERIFY_HALF, VERIFY_HALF, VERIFY_DELTAS[name])
+               for name in ("n2-edge", "log7.9")}
 
 
 @pytest.mark.parametrize("name", ["headline", "asymmetric", "narrow", "n2-edge", "log7.9"])
@@ -1146,8 +1145,9 @@ def test_rhs_prime_sum_is_the_pointwise_sum_in_n_order(bundled):
 
 def test_zero_sum_bundled(cert_minorant, bundled):
     value, tail = zero_sum(bundled, cert_minorant)
-    assert value == pytest.approx(4.03665393538893, abs=1e-9)
-    assert tail == pytest.approx(5.509495615671456, abs=1e-9)
+    want = GOLDENS["verify"]["reports"]["delta0"]
+    assert value == pytest.approx(want["zero_side"], abs=1e-9)
+    assert tail == pytest.approx(want["tail_bound"], abs=1e-9)
     assert tail >= 0.0
 
 
@@ -1207,12 +1207,13 @@ def test_zero_sum_empty_infinite(cert_minorant, bundled):
 
 def test_verify_bundled_report(cert_minorant, bundled):
     rep = verify(bundled, cert_minorant)
-    assert rep.zero_side == pytest.approx(4.03665393538893, abs=1e-8)
-    assert rep.rhs_total == pytest.approx(3.400927782079258, abs=1e-7)
-    assert rep.residual == pytest.approx(0.6357261533096721, abs=1e-7)
+    want = GOLDENS["verify"]["reports"]["delta0"]
+    assert rep.zero_side == pytest.approx(want["zero_side"], abs=1e-8)
+    assert rep.rhs_total == pytest.approx(want["rhs_total"], abs=1e-7)
+    assert rep.residual == pytest.approx(want["residual"], abs=1e-7)
     assert abs(rep.residual) <= rep.tail_bound + rep.tolerance_budget
     assert math.isfinite(rep.implied_log_Q)
-    assert rep.implied_log_Q == pytest.approx(0.055081473846852344, abs=1e-7)
+    assert rep.implied_log_Q == pytest.approx(want["implied_log_Q"], abs=1e-7)
     assert rep.convention == "halved"
     d = rep.to_dict()
     for key in ("zero_side", "tail_bound", "rhs_conductor", "rhs_archimedean",
@@ -1223,45 +1224,11 @@ def test_verify_bundled_report(cert_minorant, bundled):
         d["rhs_conductor"] + sum(d["rhs_archimedean"]) + d["rhs_primes"], abs=1e-14)
 
 
-# verify-example reports at the three fixed apertures: delta0, just above
-# the n = 2 edge, and the widest prime-path aperture
-VERIFY_REPORTS = {
-    PRIME_FREE_RADIUS: {
-        "zero_side": 4.03665393538893, "tail_bound": 5.509495615671456,
-        "rhs_conductor": 0.0,
-        "rhs_archimedean": [0.2227533424278592, 0.2227533424278592,
-                            1.477710548589216, 1.477710548589216],
-        "rhs_primes": 0.0, "rhs_total": 3.40092778203415,
-        "residual": 0.63572615335478, "implied_log_Q": 0.05508147385076065,
-        "convention": "halved", "tolerance_budget": 4e-08,
-    },
-    PRIME_FREE_RADIUS * (1.0 + 1e-2): {
-        "zero_side": 4.077002301624426, "tail_bound": 5.461132189486813,
-        "rhs_conductor": 0.0,
-        "rhs_archimedean": [0.23892246449212823, 0.23892246449212823,
-                            1.4918761641957814, 1.4918761641957814],
-        "rhs_primes": -0.018613152766202994, "rhs_total": 3.442984104609616,
-        "residual": 0.63401819701481, "implied_log_Q": 0.054797852461896376,
-        "convention": "halved", "tolerance_budget": 4e-08,
-    },
-    math.log(7.9) / (2.0 * math.pi): {
-        "zero_side": 7.079449077999889, "tail_bound": 4.006414428883505,
-        "rhs_conductor": 0.0,
-        "rhs_archimedean": [1.3496544946085198, 1.3496544946085198,
-                            2.4291763963766, 2.4291763963766],
-        "rhs_primes": -0.5701761008840505, "rhs_total": 6.98748568108619,
-        # these two from _mp_ell's archimedean terms
-        "residual": 0.09196339691355071, "implied_log_Q": 0.006832702662755045,
-        "convention": "halved", "tolerance_budget": 4e-08,
-    },
-}
-
-
-@pytest.mark.parametrize("delta", list(VERIFY_REPORTS), ids=["delta0", "n2-edge", "log7.9"])
-def test_verify_report_regression(bundled, delta):
+@pytest.mark.parametrize("name", list(VERIFY_DELTAS))
+def test_verify_report_regression(bundled, name):
     half = 5.0 / (2.0 * PRIME_FREE_RADIUS)
-    got = verify(bundled, selberg_minorant(-half, half, delta)).to_dict()
-    want = VERIFY_REPORTS[delta]
+    got = verify(bundled, selberg_minorant(-half, half, VERIFY_DELTAS[name])).to_dict()
+    want = GOLDENS["verify"]["reports"][name]
     assert got.keys() == want.keys()
     for key, value in want.items():
         if isinstance(value, str):

@@ -4,6 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from conftest import CERT_LENGTH, GOLDENS, VERIFY_DELTAS
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -31,8 +32,6 @@ from zerogap.extremal import (
     windowed_fejer,
 )
 from zerogap.special_math import _polygamma
-
-CERT_LENGTH = 10.0 * math.pi / math.log(2.0)
 
 # classical two-sided partial-fraction series, summed at high precision
 BEURLING_ORACLE = {
@@ -232,7 +231,7 @@ ENVELOPE_WINDOWS = [
 
 def test_selberg_positivity_window_regression(cert_minorant):
     # delta L = 5 is an integer, so the edges are the window's own ends
-    assert cert_minorant.positivity_window == (-22.661800709135967, 22.661800709135967)
+    assert list(cert_minorant.positivity_window) == GOLDENS["headline"]["positivity_window"]
     assert cert_minorant.positivity_window[1] == CERT_LENGTH / 2.0
 
 
@@ -588,8 +587,7 @@ def _two_tail_envelope_m(value, alpha, beta, delta, t0):
 VERIFY_HALF = 5.0 / (2.0 * PRIME_FREE_RADIUS)
 ENVELOPE_ORACLE_WINDOWS = [
     pytest.param(-VERIFY_HALF, VERIFY_HALF, delta, id=f"verify-{k}")
-    for k, delta in enumerate([PRIME_FREE_RADIUS, PRIME_FREE_RADIUS * (1.0 + 1e-2),
-                               math.log(7.9) / (2.0 * math.pi)])
+    for k, delta in enumerate(VERIFY_DELTAS.values())
 ] + ENVELOPE_WINDOWS + [pytest.param(-30.0, 30.0, 0.05, id="narrow")]
 
 
@@ -637,7 +635,7 @@ def test_certify_never_samples_the_envelope(monkeypatch):
 
     monkeypatch.setattr(extremal, "_selberg_envelope_m", fail)
     cert = certify_gap(4, CERT_LENGTH)
-    assert cert.certified and round(cert.margin, 6) == 0.185885
+    assert cert.certified and round(cert.margin, 6) == round(GOLDENS["headline"]["margin"], 6)
 
 
 # the Selberg windows of test_explicit_formula's FLOOR_KERNELS

@@ -1,12 +1,13 @@
 import ast
 import importlib.util
 import json
-import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+from conftest import CERT_LENGTH, GOLDENS
 
 import zerogap
 from zerogap import certification, explicit_formula, region_scan
@@ -108,9 +109,10 @@ def test_tracer_counts_the_certify_columns(monkeypatch):
     # tracer's len(re_values) * len(im_values), are the columns evaluated
     tr = _load_tracer(monkeypatch).Tracer()
     with tr.patched(), tr.operation():
-        cert = certification.certify_gap(4, 10.0 * math.pi / math.log(2.0))
+        cert = certification.certify_gap(4, CERT_LENGTH)
     spans = [s for s in tr.spans if s.name == "explicit_formula.ell_grid"]
-    assert [s.items for s in spans] == [cert.search.columns_evaluated] == [66]
+    columns = GOLDENS["headline"]["columns_evaluated"]
+    assert [s.items for s in spans] == [cert.search.columns_evaluated] == [columns]
 
 
 def test_ell_grid_is_private_to_the_certification_search():
@@ -237,3 +239,35 @@ def test_no_unreferenced_definitions():
     unread = [f"{path.name}:{name}" for path, tree in trees.items()
               for name in sorted(_module_definitions(tree) - read)]
     assert unread == []
+
+
+def test_pinned_outputs_live_in_the_record():
+    # tests/goldens.json is the one home of every output pinned in more than
+    # one place.  Each field of an entry, its command and oracle aside, is
+    # read as X["entry"]["field"] by a test or the workflow's Python, or as
+    # `golden entry field` by the workflow's shell
+    root = Path(__file__).resolve().parents[1]
+    texts = {path: path.read_text(encoding="utf-8") for path in [
+        *sorted((root / "tests").glob("*.py")), root / ".github/workflows/tier1.yml",
+        root / "README.md"]}
+    read = {(m[2], m[4]) for text in texts.values()
+            for m in re.finditer(r"""\[(["'])([\w.-]+)\1\]\[(["'])([\w.-]+)\3\]""", text)}
+    read.update(pair for text in texts.values() for pair in re.findall(r"\bgolden (\S+) (\S+)", text))
+    assert sorted((name, field) for name, entry in GOLDENS.items() for field in entry
+                  if field not in ("command", "oracle") and (name, field) not in read) == []
+    # and no copy of a record number stands outside it, as written there or,
+    # in a test or the workflow, rounded to the 6, 9 or 10 decimals a check
+    # compares at; the README quotes roundings, which its test checks.  Below
+    # 6 significant digits (16.5, 528) numbers also mean unrelated things
+    numbers = []
+    json.loads((root / "tests" / "goldens.json").read_text(encoding="utf-8"),
+               parse_float=lambda text: numbers.append(text.lstrip("-")) or float(text))
+    rounded = [repr(abs(round(float(x), k))) for x in numbers for k in (6, 9, 10)]
+
+    def any_of(pins):
+        pins = {pin for pin in pins if len(pin.split("e")[0].replace(".", "").strip("0")) >= 6}
+        return re.compile(rf"(?<![\d.])(?:{'|'.join(map(re.escape, sorted(pins)))})(?!\d)")
+    exact, either = any_of(numbers), any_of(numbers + rounded)
+    copies = [f"{path.relative_to(root)}:{pin}" for path, text in texts.items()
+              for pin in (exact if path.name == "README.md" else either).findall(text)]
+    assert copies == []

@@ -4,6 +4,7 @@ from collections import Counter
 
 import mpmath
 import pytest
+from conftest import GOLDENS
 from hypothesis import given, strategies as st
 
 from zerogap import explicit_formula, region_scan
@@ -19,20 +20,6 @@ from zerogap.region_scan import (
     scan_to_csv,
     _verdict,
 )
-
-GOLDEN_CSV = (
-    "# t0 = 14.13\n"
-    "# delta = 0.1103178001\n"
-    "# Q = 1\n"
-    "# step = 1\n"
-    "# convention = halved\n"
-    "nu1,nu2,fejer_rhs,windowed_rhs,verdict\n"
-    "0,0,-7.022135792,-1655.828789,Impossible\n"
-    "0,1,-6.889422022,-1635.541227,Impossible\n"
-    "1,0,-6.889422022,-1635.541227,Impossible\n"
-    "1,1,-6.756708252,-1615.253665,Impossible\n"
-)
-
 
 def _mp_closed_ell(f, nu):
     """ell(i nu, f), halved, from the closed form at 30 digits: fhat(0)
@@ -180,7 +167,7 @@ def test_scan_csv_golden():
     rows = scan_region(1.0, 1.0)
     text = scan_to_csv(rows, t0=14.13, delta=PRIME_FREE_RADIUS, conductor=1.0,
                        step=1.0, convention="halved")
-    assert text == GOLDEN_CSV
+    assert text == GOLDENS["scan"]["csv"]
 
 
 def _mpmath_fejer_rhs(nu):
@@ -201,7 +188,9 @@ def _mpmath_fejer_rhs(nu):
 
 
 def test_scan_csv_golden_fejer_column_against_mpmath():
-    for nu, golden in ((0.0, "-7.022135792"), (1.0, "-6.756708252")):
+    # the rows nu1 = nu2 = 0 and nu1 = nu2 = 1 of the 4-row scan
+    rows = [line.split(",") for line in GOLDENS["scan"]["csv"].splitlines()[6:]]
+    for nu, golden in ((0.0, rows[0][2]), (1.0, rows[3][2])):
         want = _mpmath_fejer_rhs(nu)
         assert f"{want:.10g}" == golden
         assert classify_point(nu, nu).fejer_rhs == pytest.approx(want, abs=1e-11)
@@ -211,7 +200,7 @@ def test_scan_figure2_verdict_counts():
     rows = scan_region(16.0, 0.5, t0=14.13)
     assert len(rows) == 33 * 33
     counts = Counter(r.verdict for r in rows)
-    assert counts == {"Impossible": 528, "ForcedLowZero": 440, "Unconstrained": 121}
+    assert counts == GOLDENS["figure2"]["verdicts"]
 
 
 def test_scan_validation():

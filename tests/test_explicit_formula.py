@@ -1143,14 +1143,6 @@ def test_rhs_prime_sum_is_the_pointwise_sum_in_n_order(bundled):
     assert rhs(bundled.fe, f, primes).rhs_primes == acc / (2.0 * math.pi)
 
 
-def test_zero_sum_bundled(cert_minorant, bundled):
-    value, tail = zero_sum(bundled, cert_minorant)
-    want = GOLDENS["verify"]["reports"]["delta0"]
-    assert value == pytest.approx(want["zero_side"], abs=1e-9)
-    assert tail == pytest.approx(want["tail_bound"], abs=1e-9)
-    assert tail >= 0.0
-
-
 def test_zero_sum_doubles_self_dual(cert_minorant, bundled):
     sym = sorted([-z for z in bundled.zeros] + list(bundled.zeros))
     direct = float(np.sum(np.asarray(cert_minorant.value(np.array(sym)))))
@@ -1206,20 +1198,11 @@ def test_zero_sum_empty_infinite(cert_minorant, bundled):
 
 
 def test_verify_bundled_report(cert_minorant, bundled):
+    # the report's values are test_verify_report_regression[delta0]'s, on
+    # the same window bit for bit
     rep = verify(bundled, cert_minorant)
-    want = GOLDENS["verify"]["reports"]["delta0"]
-    assert rep.zero_side == pytest.approx(want["zero_side"], abs=1e-8)
-    assert rep.rhs_total == pytest.approx(want["rhs_total"], abs=1e-7)
-    assert rep.residual == pytest.approx(want["residual"], abs=1e-7)
     assert abs(rep.residual) <= rep.tail_bound + rep.tolerance_budget
-    assert math.isfinite(rep.implied_log_Q)
-    assert rep.implied_log_Q == pytest.approx(want["implied_log_Q"], abs=1e-7)
-    assert rep.convention == "halved"
     d = rep.to_dict()
-    for key in ("zero_side", "tail_bound", "rhs_conductor", "rhs_archimedean",
-                "rhs_primes", "rhs_total", "residual", "implied_log_Q",
-                "convention", "tolerance_budget"):
-        assert key in d
     assert d["rhs_total"] == pytest.approx(
         d["rhs_conductor"] + sum(d["rhs_archimedean"]) + d["rhs_primes"], abs=1e-14)
 

@@ -29,24 +29,33 @@ def test_import_loads_no_unneeded_scipy_subpackage():
     assert ast.literal_eval(done.stdout.strip()) == []
 
 
-# the three workloads' entry points in an interpreter where `import scipy`
-# fails; each output line is the repr of a result, floats in full, and must
-# match the same call here
+# the three workloads' entry points, and the subcommands that reach code
+# they do not, in an interpreter where `import scipy` fails; each output
+# line is the repr of a result, floats in full, or of a subcommand's exit
+# code and standard output, and must match the same call here
 NO_SCIPY_CALLS = (
     "certification.certify_gap(4, L, re_max=3.0, im_max=10.0, step=0.5).to_dict()",
     "[r._asdict() for r in region_scan.scan_region(2.0, 2.0)]",
     "[explicit_formula.verify(data, extremal.selberg_minorant(-H, H, d)).to_dict() "
     "for d in (explicit_formula.PRIME_FREE_RADIUS, math.log(7.9) / (2 * math.pi))]",
+    "cli('eval-extremal', '--kind', 'selberg', '--length', repr(L), "
+    "'--from', '-30', '--to', '30', '--samples', '121', '--fourier')",
+    "cli('coefficients', '--max-n', '13', '--skip-gaps')",
+    "cli('min-ell', '--length', repr(L), '--re-max', '6', '--im-max', '20')",
 )
-NO_SCIPY_SETUP = (
-    "import math; "
-    "from zerogap import certification, explicit_formula, extremal, lfunctions, region_scan; "
-    "L = 10 * math.pi / math.log(2); H = 2.5 / explicit_formula.PRIME_FREE_RADIUS; "
-    "data = lfunctions.load_lfunction(lfunctions.bundled_example_path())"
-)
+NO_SCIPY_SETUP = """
+import contextlib, io, math
+from zerogap import certification, explicit_formula, extremal, lfunctions, region_scan
+from zerogap.cli import main
+L = 10 * math.pi / math.log(2); H = 2.5 / explicit_formula.PRIME_FREE_RADIUS
+data = lfunctions.load_lfunction(lfunctions.bundled_example_path())
+def cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        return main(list(argv)), out.getvalue()
+"""
 NO_SCIPY_PROBE = (
-    "import sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]); "
-    + NO_SCIPY_SETUP + "; [print(repr(eval(code))) for code in sys.argv[2:]]"
+    "import sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1])"
+    + NO_SCIPY_SETUP + "for code in sys.argv[2:]: print(repr(eval(code)))"
 )
 
 
@@ -244,15 +253,13 @@ def test_no_unreferenced_definitions():
 def test_pinned_outputs_live_in_the_record():
     # tests/goldens.json is the one home of every output pinned in more than
     # one place.  Each field of an entry, its command and oracle aside, is
-    # read as X["entry"]["field"] by a test or the workflow's Python, or as
-    # `golden entry field` by the workflow's shell
+    # read as X["entry"]["field"] by a test or the workflow's Python
     root = Path(__file__).resolve().parents[1]
     texts = {path: path.read_text(encoding="utf-8") for path in [
         *sorted((root / "tests").glob("*.py")), root / ".github/workflows/tier1.yml",
         root / "README.md"]}
     read = {(m[2], m[4]) for text in texts.values()
             for m in re.finditer(r"""\[(["'])([\w.-]+)\1\]\[(["'])([\w.-]+)\3\]""", text)}
-    read.update(pair for text in texts.values() for pair in re.findall(r"\bgolden (\S+) (\S+)", text))
     assert sorted((name, field) for name, entry in GOLDENS.items() for field in entry
                   if field not in ("command", "oracle") and (name, field) not in read) == []
     # and no copy of a record number stands outside it, as written there or,

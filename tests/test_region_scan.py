@@ -73,9 +73,8 @@ def test_scan_takes_no_panel(monkeypatch):
 
 def test_classify_known_points():
     origin = classify_point(0.0, 0.0)
+    # its values are the 4-row scan's first row (test_scan_csv_golden)
     assert origin.verdict == "Impossible"
-    assert origin.fejer_rhs == pytest.approx(-7.022135793079552, abs=1e-6)
-    assert origin.windowed_rhs == pytest.approx(-1655.82878945231, abs=1e-3)
 
     example = classify_point(4.72095103638565339773, 12.4687522615131728082)
     assert example.verdict == "Unconstrained"
